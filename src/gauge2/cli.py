@@ -401,10 +401,41 @@ def _applicable(cfg):
     return names
 
 
+def _check_simpson_steps(commands, num):
+    """Reject, as a config error, every step count that a command would
+    hand to composite Simpson quadrature odd, sweep halvings included."""
+    sweep = num["sweep"]
+    thin_key = ("steps" if num["steps"] >= num["surface_steps"]
+                else "surface_steps")
+    # command -> (numeric key, step halvings, floor of the halved count)
+    plan = {
+        "surface-transport": [("surface_steps", sweep if sweep >= 2 else 0, 2)],
+        "verify-stokes": [("steps", max(sweep, 2), 4)],
+        "verify-thin": [(thin_key, 0, 0)],
+        "verify-higher-stokes": [("surface_steps", 0, 0),
+                                 ("volume_steps", 0, 0)],
+        "verify-gauge": [("surface_steps", 0, 0)],
+        "verify-ambrose-singer": [("surface_steps", 0, 0)],
+    }
+    for command in commands:
+        for key, halvings, floor in plan.get(command, ()):
+            for k in range(halvings + 1):
+                n = max(num[key] // 2 ** k, floor)
+                if n % 2:
+                    path = f"numeric.{key}"
+                    halved = (f" ({num[key]} halved {k} time(s) for the "
+                              f"sweep)" if k else "")
+                    raise ConfigError(
+                        f"config invalid at '{path}': {command} needs even "
+                        f"Simpson step counts, got {n}{halved}", path=path)
+
+
 def run_command(command: str, cfg, out_dir: str, overrides=None,
                 quiet=False) -> dict:
     num = cfg.numeric()
     num.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    _check_simpson_steps(_applicable(cfg) if command == "report" else [command],
+                         num)
     lines = []
 
     def emit(ok, name, detail):

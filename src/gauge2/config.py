@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .families import finite_crossed_module, finite_demo_module, matrix_family
@@ -143,6 +144,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check the schema itself against
+# the metaschema on every load.
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def config_hash(raw: dict) -> str:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -162,12 +168,11 @@ class RunConfig:
     """Validated configuration with lazily-built objects."""
 
     def __init__(self, raw: dict):
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as err:
+        err = best_match(_VALIDATOR.iter_errors(raw))
+        if err is not None:
             path = ".".join(str(p) for p in err.absolute_path)
             raise ConfigError(f"config invalid at '{path}': {err.message}",
-                              path=path) from None
+                              path=path)
         self.raw = raw
         self.seed = raw["seed"]
         self.hash = config_hash(raw)

@@ -186,18 +186,20 @@ class MatrixGroup:
     # -- exponential / logarithm ---------------------------------------------
 
     def exp(self, w):
-        """Group exponential of an algebra matrix, projected onto the manifold.
+        """Group exponential of an algebra matrix, batched over leading axes.
 
-        Batched over leading axes.  Closed forms cover the built-in families;
-        other shapes go through scipy's scaling-and-squaring expm.
+        The closed forms for the built-in families (1x1, anti-Hermitian
+        2x2, antisymmetric 3x3) land on the manifold to roundoff and are
+        returned unprojected; other shapes go through scipy's
+        scaling-and-squaring expm, whose result is polar-projected.
         """
         w = np.asarray(w, dtype=float if self.real else complex)
         if self.dim == 1:
             return np.exp(w)
         if self.dim == 2 and not self.real:
-            return self.project(_exp_antihermitian_2x2(w))
+            return _exp_antihermitian_2x2(w)
         if self.dim == 3 and self.real:
-            return self.project(_exp_antisymmetric_3x3(w))
+            return _exp_antisymmetric_3x3(w)
         return self.project(scipy.linalg.expm(w))
 
     def log(self, g, branch_margin=1e-12):

@@ -35,8 +35,8 @@ from .families import MatrixFamily
 from .fields import CoefficientField, GroupValuedField, chart_grid, partial_diff
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
-from .transport import (_CF4_A, _CF4_B, _GAUSS_C1, _GAUSS_C2, _ordered_exp,
-                        _path_generator, horizontal_lift, surface_transport)
+from .transport import (_cf4_factors, _ordered_exp, _path_generator,
+                        surface_transport)
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
            "verify_onemorphism_compat", "apply_twomorphism",
@@ -171,22 +171,17 @@ def rho_from_phi(conn: TwoConnection, m: OneMorphism, gamma: ParamMap,
     the pointwise inverse composes functorially.
     """
     fam = conn.family
-    g0 = fam.group_G.identity if p is None else np.asarray(p[1])
-    _, frames = horizontal_lift(conn, gamma, p=None, steps=steps)
-    h_alg = fam.l2a.h_alg
+    G = fam.group_G
+    g0 = G.identity if p is None else np.asarray(p[1])
     path_gen = _path_generator(conn, gamma)
+    frames = _ordered_exp(G, path_gen, steps, trajectory=True)
 
     def frame_at(times):
         # dense output: one CF4 substep from the last stored boundary frame,
         # which keeps the overall order at 4
         idx = np.clip(np.floor(times * steps).astype(int), 0, steps - 1)
         t0 = idx / steps
-        dt = times - t0
-        w1 = path_gen(t0 + _GAUSS_C1 * dt)
-        w2 = path_gen(t0 + _GAUSS_C2 * dt)
-        d = dt[:, None, None]
-        e1 = fam.group_G.exp(d * (_CF4_A * w1 + _CF4_B * w2))
-        e2 = fam.group_G.exp(d * (_CF4_B * w1 + _CF4_A * w2))
+        e1, e2 = _cf4_factors(G, path_gen, t0, times - t0)
         return e2 @ (e1 @ frames[idx])
 
     def w_eval(times):
@@ -195,8 +190,8 @@ def rho_from_phi(conn: TwoConnection, m: OneMorphism, gamma: ParamMap,
         vel = gamma.partial(0, params)
         phis = m.phi_of(points, vel)
         fr = frame_at(times) @ g0
-        conj = fam.alpha_vec(fam.group_G.inv(fr), phis)
-        return h_alg.to_matrix(-conj)
+        conj = fam.alpha_vec(G.inv(fr), phis)
+        return fam.l2a.h_alg.to_matrix(-conj)
 
     return _ordered_exp(fam.group_H, w_eval, steps)
 

@@ -1,9 +1,11 @@
 import json
+import pathlib
 
 import pytest
+from jsonschema.validators import validator_for
 
-from gauge2.cli import main, run_command
-from gauge2.config import RunConfig, load_config
+from gauge2.cli import _applicable, _check_simpson_steps, main, run_command
+from gauge2.config import CONFIG_SCHEMA, RunConfig, load_config
 from gauge2.errors import ConfigError
 
 MINIMAL = {
@@ -196,3 +198,44 @@ def test_fd_richardson_flag_accepted(tmp_path):
     cfg = RunConfig(raw)
     conn = cfg.connection()
     assert conn.fd_richardson
+
+
+def test_config_schema_is_a_valid_schema():
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def _numeric(**numeric):
+    return {**MINIMAL, "numeric": {**MINIMAL["numeric"], **numeric}}
+
+
+@pytest.mark.parametrize("raw,argv,key", [
+    # an odd count in the config
+    (_numeric(surface_steps=49), ["surface-transport"], "surface_steps"),
+    # an odd count from the command-line override
+    (MINIMAL, ["verify", "stokes", "--steps", "97"], "steps"),
+    # an even count whose sweep halvings reach an odd one: 20, 10, 5
+    (_numeric(surface_steps=20), ["surface-transport"], "surface_steps"),
+    (MINIMAL, ["verify", "stokes", "--steps", "100"], "steps"),
+    (_numeric(surface_steps=25), ["report"], "surface_steps"),
+], ids=["config", "override", "sweep-halving", "override-sweep-halving",
+        "report"])
+def test_odd_simpson_step_count_is_a_config_error(tmp_path, capsys, raw,
+                                                  argv, key):
+    path = _write(tmp_path, raw)
+    code = main([*argv, "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert f"numeric.{key}" in capsys.readouterr().err
+
+
+def test_odd_path_steps_stay_allowed_for_path_transport(tmp_path):
+    path = _write(tmp_path, _numeric(steps=49))
+    assert main(["transport", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("name", ["abelian_demo", "su2_demo", "u2pu2_higher"])
+def test_shipped_configs_pass_the_step_count_check(name):
+    cfg = load_config(pathlib.Path(__file__).parent.parent / "configs"
+                      / f"{name}.json")
+    _check_simpson_steps(_applicable(cfg), cfg.numeric())

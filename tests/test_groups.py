@@ -117,3 +117,19 @@ def test_so3_projection_rejects_reflection():
     so3 = MatrixGroup("special_orthogonal", 3)
     with pytest.raises(MembershipError):
         so3.project(np.diag([1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("kind,dim", [("special_unitary", 2), ("unitary", 2),
+                                      ("special_orthogonal", 3)])
+def test_closed_form_exp_stays_on_manifold_without_projection(kind, dim):
+    group = MatrixGroup(kind, dim)
+    rng = np.random.default_rng(11)
+    ws = rng.standard_normal((64, dim, dim))
+    if not group.real:
+        ws = ws + 1j * rng.standard_normal((64, dim, dim))
+    ws = ws - np.swapaxes(ws.conj(), -2, -1)
+    if kind == "special_unitary":
+        ws = ws - (np.trace(ws, axis1=-2, axis2=-1) / dim)[:, None, None] * np.eye(dim)
+    # rotation angles up to about 40 rad, far past the principal branch
+    ws = ws * rng.uniform(0.5, 10.0, size=(64, 1, 1))
+    assert group.membership_defect(group.exp(ws)) <= 1e-13

@@ -8,8 +8,9 @@ from gauge2.geometry import (Chart, ParamMap,
                              compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, straight_path)
-from gauge2.transport import (ambrose_singer_check, holonomy2_H,
-                              horizontal_lift, path_ordered_exp,
+from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
+                              _surface_generator, ambrose_singer_check,
+                              holonomy2_H, horizontal_lift, path_ordered_exp,
                               reconstruct_A, reconstruct_B, surface_transport,
                               transport_point, verify_higher_stokes,
                               verify_nonabelian_stokes)
@@ -170,6 +171,61 @@ def test_lift_basepoint_mismatch():
     with pytest.raises(DomainError):
         horizontal_lift(SU2_CONN, gamma,
                         p=(np.array([0.5, 0.0]), SU2.group_G.identity))
+
+
+# --- the batched ordered-exponential kernel -------------------------------------
+
+
+def _su2_generator(times):
+    """A time-dependent su(2) generator batched over three members."""
+    alg = SU2.l2a.g_alg
+    t = times[:, None, None]
+    coeffs = np.array([[0.7, -0.4, 1.1], [0.2, 0.9, -0.5], [-1.3, 0.3, 0.8]])
+    vec = coeffs * np.cos(3.0 * t + coeffs) + t * coeffs[::-1]
+    return alg.to_matrix(vec)
+
+
+def test_right_driven_kernel_is_the_mirrored_left_solve():
+    # g' = g W  is solved by  g = h^-1  with  h' = -W h
+    G = SU2.group_G
+    right = _ordered_exp(G, _su2_generator, 24, right=True)
+    left = _ordered_exp(G, lambda t: -_su2_generator(t), 24)
+    assert right.shape == (3, 2, 2)
+    assert np.max(np.abs(right - G.inv(left))) <= 1e-13
+
+
+def _per_slice_beta(conn, bigon, g0, steps_t, s_values):
+    """Reference surface driver: one horizontal lift per slice Gamma(s, .)."""
+    fam = conn.family
+    weights = np.ones(steps_t + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights /= 3.0 * steps_t
+    t_nodes = np.linspace(0.0, 1.0, steps_t + 1)
+    out = []
+    for s in s_values:
+        _, frames = horizontal_lift(conn, bigon.slice_first(s), steps=steps_t)
+        params = np.stack([np.full_like(t_nodes, s), t_nodes], axis=-1)
+        vals = conn.b_of(bigon(params), bigon.partial(0, params),
+                         bigon.partial(1, params))
+        vals = fam.alpha_vec(fam.group_G.inv(frames @ g0), vals)
+        out.append(weights @ vals)
+    return fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * np.stack(out))
+
+
+@pytest.mark.parametrize("fam,a,frame", [
+    (SU2, [["0.6*x2", "0.3", "0.1*x1"], ["0.2", "0.5*x1", "0.3*x2"]],
+     [0.3, -0.2, 0.5]),
+    (U2P, [["0.4*x2", "0.1", "0.2*x1"], ["0.2", "0.3*x1", "0.1"]],
+     [0.4, 0.1, -0.7]),
+])
+def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
+    conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
+    g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
+    s_values = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
+    beta = _surface_generator(conn, lens_bigon(), g0, 16, "b")
+    reference = _per_slice_beta(conn, lens_bigon(), g0, 16, s_values)
+    assert np.max(np.abs(beta(s_values) - reference)) <= 1e-13
 
 
 # --- surface transport ----------------------------------------------------------
