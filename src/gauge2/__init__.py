@@ -19,8 +19,7 @@ from .groups import FiniteGroup, MatrixGroup, cyclic_group
 from .twogroup import (AxiomReport, CrossedModule, TwoGroupElement,
                        check_crossed_module, interchange_defect,
                        two_group_compose, two_group_multiply, whisker_scalar)
-from .lie2 import LieAlgebra, LieTwoAlgebra, exp_group, log_group, \
-    semidirect_bracket
+from .lie2 import LieAlgebra, LieTwoAlgebra, semidirect_bracket
 from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
                        finite_demo_module, matrix_family)
 from .torsor import (EtaH, Torsor2, TorsorMorphism, all_equivariant_functors,

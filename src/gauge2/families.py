@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .errors import StructureError
-from .groups import FiniteGroup, MatrixGroup, cyclic_group
+from .groups import FiniteGroup, MatrixGroup, cyclic_group, lookup
 from .lie2 import LieAlgebra, LieTwoAlgebra
 from .twogroup import CrossedModule
 
@@ -231,9 +231,11 @@ def finite_crossed_module(G: FiniteGroup, H: FiniteGroup, t_table, alpha_table,
 
     ``t_table[h]`` is the G-index of t(h); ``alpha_table[g][h]`` the H-index
     of alpha_g(h).  Structural well-formedness (t a map, each alpha_g an
-    automorphism, alpha a G-action) is checked exhaustively; the crossed
-    module *axioms* are left to check_crossed_module so that intentionally
-    broken examples can be constructed and rejected with a witness.
+    automorphism, alpha a G-action) is checked exhaustively, as array
+    identities over the tables; ``t`` and ``alpha`` take index arrays.  The
+    crossed module *axioms* are left to check_crossed_module so that
+    intentionally broken examples can be constructed and rejected with a
+    witness.
     """
     t_table = np.asarray(t_table, dtype=int)
     alpha_table = np.asarray(alpha_table, dtype=int)
@@ -243,26 +245,27 @@ def finite_crossed_module(G: FiniteGroup, H: FiniteGroup, t_table, alpha_table,
         raise StructureError("t table entry out of range")
     if alpha_table.shape != (G.order, H.order):
         raise StructureError("alpha table must be |G| x |H|")
-    full = np.arange(H.order)
-    for g in range(G.order):
-        row = alpha_table[g]
-        if not np.array_equal(np.sort(row), full):
+    # non-bijective rows become identity rows, so the indexing stays in range
+    ident = np.arange(H.order)
+    bijective = np.all(np.sort(alpha_table, axis=1) == ident, axis=1)
+    rows = np.where(bijective[:, None], alpha_table, ident)
+    # rows[g, h1 h2] = rows[g, h1] rows[g, h2], over all (g, h1, h2)
+    not_hom = rows[:, H.table] != H.table[rows[:, :, None], rows[:, None, :]]
+    bad = np.argwhere(not_hom | ~bijective[:, None, None])
+    if bad.size:
+        g, h1, h2 = bad[0]
+        if not bijective[g]:
             raise StructureError(f"alpha row {g} is not a bijection of H")
-        for h1 in range(H.order):
-            for h2 in range(H.order):
-                if row[H.mul(h1, h2)] != H.mul(row[h1], row[h2]):
-                    raise StructureError(
-                        f"alpha_{g} is not an automorphism at ({h1},{h2})")
-    for g1 in range(G.order):
-        for g2 in range(G.order):
-            if not np.array_equal(alpha_table[G.mul(g1, g2)],
-                                  alpha_table[g1][alpha_table[g2]]):
-                raise StructureError(f"alpha is not an action at ({g1},{g2})")
+        raise StructureError(f"alpha_{g} is not an automorphism at ({h1},{h2})")
+    # alpha[g1 g2, h] = alpha[g1, alpha[g2, h]], over all (g1, g2, h)
+    bad = np.argwhere(alpha_table[G.table] != alpha_table[:, alpha_table])
+    if bad.size:
+        raise StructureError(f"alpha is not an action at ({bad[0][0]},{bad[0][1]})")
 
     return CrossedModule(
         G=G, H=H,
-        t=lambda h: int(t_table[h]),
-        alpha=lambda g, h: int(alpha_table[g, h]),
+        t=lambda h: lookup(t_table, h),
+        alpha=lambda g, h: lookup(alpha_table, g, h),
         name=name)
 
 

@@ -1,6 +1,7 @@
 """Group backends: finite multiplication tables and matrix Lie groups.
 
-Finite groups hold an explicit multiplication table and are exact.
+Finite groups hold an explicit multiplication table and are exact; their
+operations take integer index arrays, so a batch of elements is one lookup.
 Matrix groups carry a membership predicate (unitary / orthogonal, with an
 optional determinant condition), a polar projection back onto the group
 manifold, and exponential/logarithm bridges to their Lie algebras.  The
@@ -26,7 +27,8 @@ class FiniteGroup:
 
     ``table[a, b]`` is the index of the product a*b.  The constructor checks
     that the table is a Latin square, that identity and inverses are
-    consistent, and that multiplication is associative.
+    consistent, and that multiplication is associative, each as an array
+    identity.  ``mul`` and ``inv`` take index arrays; scalars give ints.
     """
 
     def __init__(self, table, identity=0, inverse=None, name="finite"):
@@ -39,27 +41,28 @@ class FiniteGroup:
             raise StructureError(
                 f"table entry out of range at row {bad[0]}, column {bad[1]}")
         full = np.arange(n)
-        for i in range(n):
-            if not np.array_equal(np.sort(table[i]), full):
-                raise StructureError(f"table row {i} is not a permutation")
-            if not np.array_equal(np.sort(table[:, i]), full):
-                raise StructureError(f"table column {i} is not a permutation")
+        rows_ok, cols_ok = (np.all(np.sort(m, axis=1) == full, axis=1)
+                            for m in (table, table.T))
+        bad = np.flatnonzero(~(rows_ok & cols_ok))
+        if bad.size:
+            kind = "row" if not rows_ok[bad[0]] else "column"
+            raise StructureError(f"table {kind} {bad[0]} is not a permutation")
         if not (np.array_equal(table[identity], full)
                 and np.array_equal(table[:, identity], full)):
             raise StructureError(f"index {identity} is not an identity")
         if inverse is None:
-            inverse = np.array([int(np.where(table[a] == identity)[0][0])
-                                for a in range(n)])
+            inverse = np.argmax(table == identity, axis=1)
         else:
             inverse = np.asarray(inverse, dtype=int)
-            for a in range(n):
-                if table[a, inverse[a]] != identity or table[inverse[a], a] != identity:
-                    raise StructureError(f"inverse table wrong at row {a}")
-        # Latin square + identity does not imply associativity; check it.
-        t = table
-        for a in range(n):
-            if not np.array_equal(t[t[a]], t[a][t]):
-                raise StructureError(f"multiplication not associative at row {a}")
+            bad = np.flatnonzero((table[full, inverse] != identity)
+                                 | (table[inverse, full] != identity))
+            if bad.size:
+                raise StructureError(f"inverse table wrong at row {bad[0]}")
+        # Latin square + identity does not imply associativity; check it:
+        # table[table][a, b, c] = (ab)c and table[:, table][a, b, c] = a(bc).
+        bad = np.argwhere(table[table] != table[:, table])
+        if bad.size:
+            raise StructureError(f"multiplication not associative at row {bad[0][0]}")
         self.table = table
         self.identity = int(identity)
         self.inverse_table = inverse
@@ -67,17 +70,21 @@ class FiniteGroup:
         self.order = n
 
     def mul(self, a, b):
-        return int(self.table[a, b])
+        return lookup(self.table, a, b)
 
     def inv(self, a):
-        return int(self.inverse_table[a])
+        return lookup(self.inverse_table, a)
 
     def elements(self):
         return range(self.order)
 
+    def distance(self, a, b):
+        """Elementwise over broadcast batches: 0 where equal, 1 otherwise."""
+        return (np.asarray(a) != np.asarray(b)).astype(float)
+
     def defect(self, a, b) -> float:
-        """Distance between elements: 0 when equal, 1 otherwise."""
-        return 0.0 if int(a) == int(b) else 1.0
+        """Largest distance over a batch: 0 when all equal, 1 otherwise."""
+        return float(np.max(self.distance(a, b), initial=0.0))
 
     def contains(self, a) -> bool:
         return isinstance(a, (int, np.integer)) and 0 <= int(a) < self.order
@@ -89,6 +96,12 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def lookup(table, *index):
+    """``table[index]`` over broadcast index arrays; scalar ones give an int."""
+    out = table[index]
+    return int(out) if np.ndim(out) == 0 else out
 
 
 def cyclic_group(n: int, name=None) -> FiniteGroup:
@@ -180,8 +193,12 @@ class MatrixGroup:
     def inv(self, a):
         return np.swapaxes(np.asarray(a).conj(), -2, -1)
 
+    def distance(self, a, b):
+        """Elementwise max-abs distance over the batch axes."""
+        return np.max(np.abs(np.asarray(a) - np.asarray(b)), axis=(-2, -1))
+
     def defect(self, a, b) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+        return float(np.max(self.distance(a, b)))
 
     # -- exponential / logarithm ---------------------------------------------
 

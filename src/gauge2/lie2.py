@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 
-__all__ = ["LieAlgebra", "LieTwoAlgebra", "semidirect_bracket",
-           "exp_group", "log_group"]
+__all__ = ["LieAlgebra", "LieTwoAlgebra", "semidirect_bracket"]
 
 
 class LieAlgebra:
@@ -201,13 +200,3 @@ def semidirect_bracket(l2a: LieTwoAlgebra, x, y):
     h_part = (l2a.apply_alpha_star(X, eta) - l2a.apply_alpha_star(Y, xi)
               + l2a.h_alg.bracket(xi, eta))
     return g_part, h_part
-
-
-def exp_group(group, w):
-    """Exponential of an algebra matrix, landing on the group manifold."""
-    return group.exp(w)
-
-
-def log_group(group, g):
-    """Principal logarithm; raises BranchError outside the injectivity radius."""
-    return group.log(g)

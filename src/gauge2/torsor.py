@@ -9,11 +9,16 @@ The module implements division, the unique extension of equivariant
 point maps to functors, the H-valued presentation of 2-morphisms and its
 composition laws, and an exhaustive self-test of all of these for finite
 crossed modules.
+
+Objects, arrows, functors and 2-morphisms may carry index arrays, so each
+exhaustive law is one evaluation on an ``np.indices`` grid of its instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, EquivarianceError
 from .twogroup import CrossedModule, TwoGroupElement, two_group_compose
@@ -149,25 +154,37 @@ class TorsorMorphism:
 
     def check_equivariance(self, tol=0.0):
         cm = self.source.cm
-        for p in self.source.objects():
-            for g in cm.G.elements():
-                d = self(p.act(g)).defect(self(p).act(g))
-                if d > tol:
-                    raise EquivarianceError(
-                        f"point map is not equivariant at ({p.g}, {g})",
-                        witness=(p.g, g))
+        p, g = np.indices((cm.G.order,) * 2, sparse=True)
+        p = self.source.object(p)
+        d = cm.G.distance(self(p.act(g)).g, self(p).act(g).g)
+        _raise_first(False, d > tol, cm.G.order, None,
+                     "point map is not equivariant at ({}, {})")
         return self
 
     def functoriality_defect(self) -> float:
         """Max defect of F(Y o X) = F(Y) o F(X) over composable arrow pairs."""
-        worst = 0.0
-        for x in self.source.arrows():
-            for hy in self.source.cm.H.elements():
-                y = self.source.arrow(x.cell.target, hy)
-                lhs = self.on_arrow(y.compose(x))
-                rhs = self.on_arrow(y).compose(self.on_arrow(x))
-                worst = max(worst, lhs.defect(rhs))
-        return worst
+        cm = self.source.cm
+        g, h, hy = np.indices((cm.G.order, cm.H.order, cm.H.order), sparse=True)
+        x = self.source.arrow(g, h)
+        y = self.source.arrow(x.cell.target, hy)
+        lhs = self.on_arrow(y.compose(x))
+        rhs = self.on_arrow(y).compose(self.on_arrow(x))
+        return lhs.defect(rhs)
+
+
+def _raise_first(point_bad, pair_bad, n, point_msg, pair_msg):
+    """Raise EquivarianceError at the first object p of the (p, g) grid where
+    ``point_bad[..., p, 0]``, then ``pair_bad[..., p, g]``, is set."""
+    shape = np.broadcast_shapes(np.shape(point_bad), np.shape(pair_bad), (n, n))
+    point, pair = (np.broadcast_to(bad, shape).reshape(-1, n, n).any(axis=0)
+                   for bad in (point_bad, pair_bad))
+    rows = np.flatnonzero(point[:, 0] | pair.any(axis=1))
+    if rows.size:
+        p = int(rows[0])
+        if point[p, 0]:
+            raise EquivarianceError(point_msg.format(p), witness=p)
+        witness = (p, int(np.argmax(pair[p])))
+        raise EquivarianceError(pair_msg.format(*witness), witness=witness)
 
 
 def extend_functor(source: Torsor2, target: Torsor2, point_map,
@@ -210,21 +227,26 @@ class EtaH:
     def __call__(self, p: TorsorObject):
         return self.mapping(p)
 
-    def check_laws(self, tol=0.0):
-        """t(eta_H(p)) = F'(p) : F(p) and eta_H(p.g) = alpha_{g^-1} eta_H(p)."""
+    def _law_distances(self):
+        """The two laws on the (p, g) grid: t(eta_H(p)) = F'(p) : F(p) per
+        object, and eta_H(p.g) = alpha_{g^-1} eta_H(p) per pair."""
         cm = self.F.source.cm
-        for p in self.F.source.objects():
-            d = cm.G.defect(cm.t(self(p)), torsor_divide(self.F(p), self.F_prime(p)))
-            if d > tol:
-                raise EquivarianceError(
-                    f"t(eta_H) does not match the functor division at {p.g}",
-                    witness=p.g)
-            for g in cm.G.elements():
-                d = cm.H.defect(self(p.act(g)), cm.alpha(cm.G.inv(g), self(p)))
-                if d > tol:
-                    raise EquivarianceError(
-                        f"eta_H equivariance fails at ({p.g}, {g})",
-                        witness=(p.g, g))
+        p, g = np.indices((cm.G.order,) * 2, sparse=True)
+        p = self.F.source.object(p)
+        return (cm.G.distance(cm.t(self(p)),
+                              torsor_divide(self.F(p), self.F_prime(p))),
+                cm.H.distance(self(p.act(g)), cm.alpha(cm.G.inv(g), self(p))))
+
+    def laws_defect(self) -> float:
+        """Max defect of the two eta_H laws over all objects and elements."""
+        return float(max(np.max(d, initial=0.0) for d in self._law_distances()))
+
+    def check_laws(self, tol=0.0):
+        """Raise EquivarianceError at the first object where a law fails."""
+        _raise_first(*(d > tol for d in self._law_distances()),
+                     self.F.source.cm.G.order,
+                     "t(eta_H) does not match the functor division at {}",
+                     "eta_H equivariance fails at ({}, {})")
         return self
 
 
@@ -239,17 +261,16 @@ def eta_to_etaH(eta, F: TorsorMorphism, F_prime: TorsorMorphism,
     tol = 0.0 if cm.is_finite else cm.match_tol
 
     if check and cm.is_finite:
-        for p in F.source.objects():
-            arrow = eta(p)
-            if arrow.source.defect(F(p)) > tol or arrow.target.defect(F_prime(p)) > tol:
-                raise EquivarianceError(
-                    f"eta({p.g}) is not an arrow F(p) -> F'(p)", witness=p.g)
-            for g in cm.G.elements():
-                expected = arrow.act(cm.identity2(g))
-                if eta(p.act(g)).defect(expected) > tol:
-                    raise EquivarianceError(
-                        f"eta violates eta(p.g) = eta(p).id_g at ({p.g}, {g})",
-                        witness=(p.g, g))
+        p, g = np.indices((cm.G.order,) * 2, sparse=True)
+        p = F.source.object(p)
+        arrow = eta(p)
+        ends = np.maximum(cm.G.distance(arrow.source.g, F(p).g),
+                          cm.G.distance(arrow.target.g, F_prime(p).g))
+        equivariance = eta(p.act(g)).cell.distance(
+            arrow.act(cm.identity2(g)).cell)
+        _raise_first(ends > tol, equivariance > tol, cm.G.order,
+                     "eta({}) is not an arrow F(p) -> F'(p)",
+                     "eta violates eta(p.g) = eta(p).id_g at ({}, {})")
 
     def mapping(p):
         q = torsor_divide(F.target.identity_arrow(F(p)), eta(p))
@@ -295,11 +316,9 @@ def horizontal_compose_etaH(eta1_h: EtaH, eta2_h: EtaH,
         lambda p: cm.H.mul(eta1_h(p), eta2_h(F1p(p))))
     if not check_alternative:
         return composite
-    worst = 0.0
-    for p in F1.source.objects():
-        alt = cm.H.mul(eta2_h(F1(p)), eta1_h(p))
-        worst = max(worst, cm.H.defect(composite(p), alt))
-    return composite, worst
+    p = F1.source.object(np.arange(cm.G.order))
+    alt = cm.H.mul(eta2_h(F1(p)), eta1_h(p))
+    return composite, cm.H.defect(composite(p), alt)
 
 
 def _compose_functors(outer: TorsorMorphism, inner: TorsorMorphism):
@@ -316,159 +335,128 @@ def all_two_morphisms(F: TorsorMorphism, F_prime: TorsorMorphism):
     cm = F.source.cm
     p0 = F.source.basepoint()
     needed = torsor_divide(F(p0), F_prime(p0))
-    out = []
-    for h0 in cm.H.elements():
-        if cm.G.defect(cm.t(h0), needed) != 0.0:
-            continue
+    return [_pinned(F, F_prime, h0) for h0 in cm.H.elements()
+            if cm.G.defect(cm.t(h0), needed) == 0.0]
 
-        def mapping(p, h0=h0):
-            return cm.alpha(cm.G.inv(p.g), h0)
 
-        out.append(EtaH(F, F_prime, mapping))
-    return out
+def _pinned(F, F_prime, h0) -> EtaH:
+    """The 2-morphism F => F' with eta_H(p) = alpha_{p^-1}(h0)."""
+    cm = F.source.cm
+    return EtaH(F, F_prime, lambda p: cm.alpha(cm.G.inv(p.g), h0))
+
+
+def _out_of(F: TorsorMorphism, h0) -> EtaH:
+    """The 2-morphism out of a translation functor F with basepoint value
+    h0; its target is forced to be the translation by F(p0) t(h0)."""
+    cm = F.source.cm
+    g0 = cm.G.mul(F(F.source.basepoint()).g, cm.t(h0))
+    return _pinned(F, translation_functor(F.source, F.target, g0), h0)
 
 
 # --- exhaustive self-test -------------------------------------------------------
+
+
+def _batch_grid(*sizes):
+    """Open index grids over ``sizes``, left of four axes kept for the laws."""
+    return [axis[(..., None, None, None, None)]
+            for axis in np.indices(sizes, sparse=True)]
 
 
 def selftest(cm: CrossedModule) -> dict:
     """Exhaustive verification of the torsor laws for a finite crossed module.
 
     Returns a law -> max-defect table (all values must be exactly 0.0).
+    Each law is one evaluation over all its instances: functors are the
+    translations by g0 in G, 2-morphisms out of one are pinned by h0 in H.
     """
     if not cm.is_finite:
         raise DomainError("selftest is exhaustive and needs a finite backend")
-    t1 = Torsor2(cm, "X")
-    t2 = Torsor2(cm, "Y")
-    t3 = Torsor2(cm, "Z")
+    H, nG, nH = cm.H, cm.G.order, cm.H.order
+    t1, t2, t3 = (Torsor2(cm, label) for label in "XYZ")
+    p = t1.object(np.arange(nG))
     report: dict[str, float] = {}
 
-    # division solves and is unique, at both levels
-    worst = 0.0
-    unique = True
-    for x in t1.objects():
-        for y in t1.objects():
-            q = torsor_divide(x, y)
-            worst = max(worst, x.act(q).defect(y))
-            unique &= sum(1 for g in cm.G.elements()
-                          if x.act(g).defect(y) == 0.0) == 1
-    for x in t1.arrows():
-        for y in t1.arrows():
-            q = torsor_divide(x, y)
-            worst = max(worst, x.act(q).defect(y))
-            unique &= sum(1 for cell in cm.all_elements()
-                          if x.act(cell).defect(y) == 0.0) == 1
+    # division solves and is unique, at both levels: objects on (x, y, g),
+    # arrows on (x, y, q) with each arrow on a pair of (g, h) axes
+    a = np.indices((nG,) * 3, sparse=True)
+    x, y = t1.object(a[0]), t1.object(a[1])
+    worst = x.act(torsor_divide(x, y)).defect(y)
+    unique = np.all(np.sum(x.act(a[2]).g == y.g, axis=-1) == 1)
+    a = np.indices((nG, nH) * 3, sparse=True)
+    x, y, q = t1.arrow(a[0], a[1]), t1.arrow(a[2], a[3]), cm.element(a[4], a[5])
+    worst = max(worst, x.act(torsor_divide(x, y)).defect(y))
+    hits = x.act(q).cell.distance(y.cell) == 0.0
+    unique &= np.all(np.sum(hits, axis=(-2, -1)) == 1)
     report["division_solves"] = worst
     report["division_unique"] = 0.0 if unique else 1.0
 
-    def composable_pairs():
-        for x in t1.arrows():
-            for hy in cm.H.elements():
-                yield x, t1.arrow(x.cell.target, hy)
+    def composable_pair(g, h, hy):
+        x = t1.arrow(g, h)
+        return x, t1.arrow(x.cell.target, hy)
 
     # (Y:Y') o (X:X') = (Y o X) : (Y' o X')
-    worst = 0.0
-    pairs = list(composable_pairs())
-    for x, y in pairs:
-        for xp, yp in pairs:
-            lhs = two_group_compose(torsor_divide(yp, y), torsor_divide(xp, x))
-            rhs = torsor_divide(yp.compose(xp), y.compose(x))
-            worst = max(worst, lhs.defect(rhs))
-    report["division_functorial"] = worst
+    a = np.indices((nG, nH, nH) * 2, sparse=True)
+    x, y = composable_pair(*a[:3])
+    xp, yp = composable_pair(*a[3:])
+    lhs = two_group_compose(torsor_divide(yp, y), torsor_divide(xp, x))
+    rhs = torsor_divide(yp.compose(xp), y.compose(x))
+    report["division_functorial"] = lhs.defect(rhs)
 
     # (X.g) o (Y.h) = (X o Y).(g o h)
-    worst = 0.0
-    for y, x in pairs:   # x o y defined
-        for h in cm.all_elements():
-            for hg in cm.H.elements():
-                g = cm.element(h.target, hg)   # g o h defined
-                lhs = x.act(g).compose(y.act(h))
-                rhs = x.compose(y).act(two_group_compose(g, h))
-                worst = max(worst, lhs.defect(rhs))
-    report["action_composition_equivariance"] = worst
+    y, x = composable_pair(*a[:3])   # x o y defined
+    h = cm.element(a[3], a[4])
+    g = cm.element(h.target, a[5])   # g o h defined
+    lhs = x.act(g).compose(y.act(h))
+    rhs = x.compose(y).act(two_group_compose(g, h))
+    report["action_composition_equivariance"] = lhs.defect(rhs)
 
     # functor extension: equivariance and functoriality for every point map
-    worst = 0.0
-    functors12 = all_equivariant_functors(t1, t2)
-    for F in functors12:
-        F.check_equivariance()
-        worst = max(worst, F.functoriality_defect())
-        for x in t1.arrows():
-            for q in cm.all_elements():
-                worst = max(worst, F.on_arrow(x.act(q)).defect(F.on_arrow(x).act(q)))
-    report["functor_extension"] = worst
+    F = translation_functor(t1, t2, *_batch_grid(nG))
+    F.check_equivariance()
+    a = np.indices((nG, nH) * 2, sparse=True)
+    x, q = t1.arrow(a[0], a[1]), cm.element(a[2], a[3])
+    report["functor_extension"] = max(
+        F.functoriality_defect(),
+        F.on_arrow(x.act(q)).defect(F.on_arrow(x).act(q)))
 
-    # eta_H laws, round trip, vertical/horizontal composition, interchange
-    worst_laws = worst_round = worst_vert = worst_horiz = worst_inter = 0.0
-    functors23 = all_equivariant_functors(t2, t3)
-    for F in functors12:
-        for Fp in functors12:
-            for eta_h in all_two_morphisms(F, Fp):
-                eta_h.check_laws()
-                back = eta_to_etaH(etaH_to_eta(eta_h), F, Fp)
-                for p in t1.objects():
-                    worst_round = max(worst_round,
-                                      cm.H.defect(back(p), eta_h(p)))
+    # eta_H laws and round trip, over every 2-morphism out of every functor
+    g0, h0 = _batch_grid(nG, nH)
+    eta_h = _out_of(translation_functor(t1, t2, g0), h0)
+    report["etaH_laws"] = eta_h.laws_defect()
+    back = eta_to_etaH(etaH_to_eta(eta_h), eta_h.F, eta_h.F_prime)
+    report["etaH_round_trip"] = H.defect(back(p), eta_h(p))
 
-    for F in functors12:
-        for Fp in functors12:
-            for Fpp in functors12:
-                for e1 in all_two_morphisms(F, Fp):
-                    for e2 in all_two_morphisms(Fp, Fpp):
-                        ver = vertical_compose_etaH(e1, e2)
-                        honest = eta_to_etaH(
-                            lambda p: etaH_to_eta(e2)(p).compose(
-                                etaH_to_eta(e1)(p)),
-                            F, Fpp, check=False)
-                        for p in t1.objects():
-                            worst_vert = max(worst_vert,
-                                             cm.H.defect(ver(p), honest(p)))
+    # vertical composition against composing the arrows of eta and eta'
+    g0, h1, h2 = _batch_grid(nG, nH, nH)
+    e1 = _out_of(translation_functor(t1, t2, g0), h1)
+    e2 = _out_of(e1.F_prime, h2)
+    ver = vertical_compose_etaH(e1, e2)
+    honest = eta_to_etaH(
+        lambda p: etaH_to_eta(e2)(p).compose(etaH_to_eta(e1)(p)),
+        e1.F, e2.F_prime, check=False)
+    report["vertical_composition"] = H.defect(ver(p), honest(p))
 
-    for F1 in functors12:
-        for F1p in functors12:
-            for F2 in functors23:
-                for F2p in functors23:
-                    for e1 in all_two_morphisms(F1, F1p):
-                        for e2 in all_two_morphisms(F2, F2p):
-                            hor, alt = horizontal_compose_etaH(
-                                e1, e2, check_alternative=True)
-                            worst_horiz = max(worst_horiz, alt)
-                            honest = eta_to_etaH(
-                                lambda p: F2p.on_arrow(etaH_to_eta(e1)(p)).compose(
-                                    etaH_to_eta(e2)(F1(p))),
-                                _compose_functors(F2, F1),
-                                _compose_functors(F2p, F1p), check=False)
-                            for p in t1.objects():
-                                worst_horiz = max(
-                                    worst_horiz, cm.H.defect(hor(p), honest(p)))
-    report["etaH_laws"] = worst_laws
-    report["etaH_round_trip"] = worst_round
-    report["vertical_composition"] = worst_vert
-    report["horizontal_composition"] = worst_horiz
+    # horizontal composition: both formulas, and against whiskered arrows
+    g1, h1, g2, h2 = _batch_grid(nG, nH, nG, nH)
+    e1 = _out_of(translation_functor(t1, t2, g1), h1)
+    e2 = _out_of(translation_functor(t2, t3, g2), h2)
+    hor, alt = horizontal_compose_etaH(e1, e2, check_alternative=True)
+    F1, F1p, F2, F2p = e1.F, e1.F_prime, e2.F, e2.F_prime
+    honest = eta_to_etaH(
+        lambda p: F2p.on_arrow(etaH_to_eta(e1)(p)).compose(
+            etaH_to_eta(e2)(F1(p))),
+        _compose_functors(F2, F1), _compose_functors(F2p, F1p), check=False)
+    report["horizontal_composition"] = max(alt, H.defect(hor(p), honest(p)))
 
     # interchange: (e2' . e2) o (e1' . e1) = (e2' o e1') . (e2 o e1)
-    for F1 in functors12:
-        for F1p in functors12:
-            for F1pp in functors12:
-                for F2 in functors23:
-                    for F2p in functors23:
-                        for F2pp in functors23:
-                            combos = [
-                                (e1, e1p, e2, e2p)
-                                for e1 in all_two_morphisms(F1, F1p)
-                                for e1p in all_two_morphisms(F1p, F1pp)
-                                for e2 in all_two_morphisms(F2, F2p)
-                                for e2p in all_two_morphisms(F2p, F2pp)]
-                            for e1, e1p, e2, e2p in combos:
-                                lhs = horizontal_compose_etaH(
-                                    vertical_compose_etaH(e1, e1p),
-                                    vertical_compose_etaH(e2, e2p))
-                                rhs = vertical_compose_etaH(
-                                    horizontal_compose_etaH(e1, e2),
-                                    horizontal_compose_etaH(e1p, e2p))
-                                for p in t1.objects():
-                                    worst_inter = max(
-                                        worst_inter,
-                                        cm.H.defect(lhs(p), rhs(p)))
-    report["interchange"] = worst_inter
+    g1, h1, h1p, g2, h2, h2p = _batch_grid(nG, nH, nH, nG, nH, nH)
+    e1 = _out_of(translation_functor(t1, t2, g1), h1)
+    e1p = _out_of(e1.F_prime, h1p)
+    e2 = _out_of(translation_functor(t2, t3, g2), h2)
+    e2p = _out_of(e2.F_prime, h2p)
+    lhs = horizontal_compose_etaH(vertical_compose_etaH(e1, e1p),
+                                  vertical_compose_etaH(e2, e2p))
+    rhs = vertical_compose_etaH(horizontal_compose_etaH(e1, e2),
+                                horizontal_compose_etaH(e1p, e2p))
+    report["interchange"] = H.defect(lhs(p), rhs(p))
     return report

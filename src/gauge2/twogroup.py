@@ -4,7 +4,9 @@ A crossed module (G, H, t, alpha) packages a strict 2-group: 2-cells are
 pairs (g, h) in the semidirect product with source g and target t(h)*g,
 multiplied by (g,h)(g',h') = (gg', h alpha_g(h')) and composed by
 (t(h)g, h') o (g, h) = (g, h'h).  Both finite-table and matrix backends
-are supported through the same interface.
+are supported through the same interface.  The components of a cell may
+be broadcastable batches (finite index grids or stacks of matrices), so
+each axiom check is one evaluation over all its instances.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComposabilityError, DomainError, StructureError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, lookup
 
 __all__ = [
     "CrossedModule", "TwoGroupElement", "AxiomReport",
@@ -72,8 +74,8 @@ class CrossedModule:
     def ker_t(self):
         """Elements of ker t (finite: exact; matrix: family-supplied)."""
         if self.is_finite:
-            e = self.G.identity
-            return [h for h in self.H.elements() if self.t(h) == e]
+            images = self.t(np.arange(self.H.order))
+            return np.flatnonzero(images == self.G.identity).tolist()
         if self.ker_t_elements is None:
             return []
         return list(self.ker_t_elements())
@@ -116,6 +118,11 @@ class TwoGroupElement:
     def defect(self, other: "TwoGroupElement") -> float:
         return max(self.cm.G.defect(self.g, other.g),
                    self.cm.H.defect(self.h, other.h))
+
+    def distance(self, other: "TwoGroupElement"):
+        """Elementwise distance over a batch of cells."""
+        return np.maximum(self.cm.G.distance(self.g, other.g),
+                          self.cm.H.distance(self.h, other.h))
 
 
 def _require_same_module(x: TwoGroupElement, y: TwoGroupElement):
@@ -183,66 +190,62 @@ class AxiomReport:
         }
 
 
-def _axiom_pairs(cm: CrossedModule, samples: int, rng):
-    """Yield (g, h, h') triples: exhaustive for finite, sampled for matrix."""
-    if cm.is_finite:
-        for g in cm.G.elements():
-            for h in cm.H.elements():
-                for hp in cm.H.elements():
-                    yield g, h, hp
-    else:
-        if cm.sample_G is None or cm.sample_H is None:
-            raise StructureError(f"{cm.name!r} has no samplers configured")
-        for _ in range(samples):
-            yield cm.sample_G(rng), cm.sample_H(rng), cm.sample_H(rng)
+def _stacked(rng, samplers, count):
+    """``count`` rounds of one draw per sampler, stacked per sampler."""
+    draws = [[sample(rng) for sample in samplers] for _ in range(count)]
+    return [np.stack(column) for column in zip(*draws)]
 
 
 def check_crossed_module(cm: CrossedModule, samples: int = 200,
                          rng=None, tolerance=None) -> AxiomReport:
     """Evaluate both crossed-module axioms plus homomorphy of t and
-    centrality of ker t; exact (tolerance 0) for finite backends."""
+    centrality of ker t; exact (tolerance 0) for finite backends.
+
+    Each axiom is one evaluation over all (g, h, h') of a finite module or
+    ``samples`` drawn triples; its witness is the first of largest defect.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     if tolerance is None:
         tolerance = 0.0 if cm.is_finite else MATRIX_MATCH_TOL
     G, H, t, alpha = cm.G, cm.H, cm.t, cm.alpha
 
-    d_eq = d_pf = d_hom = d_ctr = 0.0
-    witnesses = {}
-    count = 0
-    for g, h, hp in _axiom_pairs(cm, samples, rng):
-        count += 1
-        # t(alpha_g h) = g t(h) g^-1
-        d = G.defect(t(alpha(g, h)), G.mul(G.mul(g, t(h)), G.inv(g)))
-        if d > d_eq:
-            d_eq = d
-            witnesses["equivariance"] = (g, h)
-        # alpha_{t(h)} h' = h h' h^-1
-        d = H.defect(alpha(t(h), hp), H.mul(H.mul(h, hp), H.inv(h)))
-        if d > d_pf:
-            d_pf = d
-            witnesses["peiffer"] = (h, hp)
-        # t(h h') = t(h) t(h')
-        d = G.defect(t(H.mul(h, hp)), G.mul(t(h), t(hp)))
-        if d > d_hom:
-            d_hom = d
-            witnesses["t_homomorphism"] = (h, hp)
-
-    kernel = cm.ker_t()
     if cm.is_finite:
-        others = list(cm.H.elements())
+        g, h, hp = np.indices((G.order, H.order, H.order)).reshape(3, -1)
+        others = np.arange(H.order)
     else:
-        others = [cm.sample_H(rng) for _ in range(min(samples, 50))]
-    for k in kernel:
-        for hp in others:
-            d = H.defect(H.mul(k, hp), H.mul(hp, k))
-            if d > d_ctr:
-                d_ctr = d
-                witnesses["centrality"] = (k, hp)
+        if cm.sample_G is None or cm.sample_H is None:
+            raise StructureError(f"{cm.name!r} has no samplers configured")
+        g, h, hp = _stacked(rng, (cm.sample_G, cm.sample_H, cm.sample_H),
+                            samples)
+        others, = _stacked(rng, (cm.sample_H,), min(samples, 50))
+    laws = {
+        # t(alpha_g h) = g t(h) g^-1
+        "equivariance": (G.distance(t(alpha(g, h)),
+                                    G.mul(G.mul(g, t(h)), G.inv(g))), (g, h)),
+        # alpha_{t(h)} h' = h h' h^-1
+        "peiffer": (H.distance(alpha(t(h), hp),
+                               H.mul(H.mul(h, hp), H.inv(h))), (h, hp)),
+        # t(h h') = t(h) t(h')
+        "t_homomorphism": (G.distance(t(H.mul(h, hp)), G.mul(t(h), t(hp))),
+                           (h, hp)),
+    }
+    kernel = cm.ker_t()
+    if len(kernel):
+        i, j = np.indices((len(kernel), len(others))).reshape(2, -1)
+        k, o = np.asarray(kernel)[i], others[j]
+        laws["centrality"] = (H.distance(H.mul(k, o), H.mul(o, k)), (k, o))
 
-    return AxiomReport(equivariance=d_eq, peiffer=d_pf, t_homomorphism=d_hom,
-                       centrality=d_ctr, tolerance=tolerance,
-                       samples=count, witnesses=witnesses)
+    defects, witnesses = {"centrality": 0.0}, {}
+    for name, (d, args) in laws.items():
+        d = np.broadcast_to(d, np.shape(args[0])[:1])
+        i = int(np.argmax(d))
+        defects[name] = float(d[i])
+        if defects[name] > 0.0:
+            witnesses[name] = tuple(lookup(a, i) for a in args)
+
+    return AxiomReport(**defects, tolerance=tolerance, samples=len(g),
+                       witnesses=witnesses)
 
 
 def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> float:
@@ -250,27 +253,15 @@ def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> floa
     quadruples: exhaustive for finite backends, sampled for matrix ones."""
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def quadruples():
-        if cm.is_finite:
-            cells = cm.all_elements()
-            for x in cells:
-                for hy in cm.H.elements():
-                    y = cm.element(x.target, hy)
-                    for xp in cells:
-                        for hyp in cm.H.elements():
-                            yield x, y, xp, cm.element(xp.target, hyp)
-        else:
-            for _ in range(samples):
-                x = cm.element(cm.sample_G(rng), cm.sample_H(rng))
-                xp = cm.element(cm.sample_G(rng), cm.sample_H(rng))
-                y = cm.element(x.target, cm.sample_H(rng))
-                yp = cm.element(xp.target, cm.sample_H(rng))
-                yield x, y, xp, yp
-
-    worst = 0.0
-    for x, y, xp, yp in quadruples():
-        lhs = two_group_compose(y, x) * two_group_compose(yp, xp)
-        rhs = two_group_compose(y * yp, x * xp)
-        worst = max(worst, lhs.defect(rhs))
-    return worst
+    if cm.is_finite:
+        nG, nH = cm.G.order, cm.H.order
+        xg, xh, yh, xpg, xph, yph = np.indices((nG, nH, nH) * 2, sparse=True)
+    else:
+        sG, sH = cm.sample_G, cm.sample_H
+        xg, xh, xpg, xph, yh, yph = _stacked(rng, (sG, sH, sG, sH, sH, sH),
+                                             samples)
+    x, xp = cm.element(xg, xh), cm.element(xpg, xph)
+    y, yp = cm.element(x.target, yh), cm.element(xp.target, yph)
+    lhs = two_group_compose(y, x) * two_group_compose(yp, xp)
+    rhs = two_group_compose(y * yp, x * xp)
+    return lhs.defect(rhs)

@@ -12,12 +12,26 @@ def test_cyclic_group_tables():
     assert g.mul(3, 2) == 1
     assert g.inv(3) == 1
     assert g.identity == 0
+    # scalars give ints; index arrays give the batch, defect its maximum
+    assert type(g.mul(3, 2)) is int and type(g.inv(3)) is int
+    assert np.array_equal(g.mul(np.arange(4)[:, None], np.arange(4)), g.table)
+    assert np.array_equal(g.inv(np.arange(4)), [0, 3, 2, 1])
+    assert g.defect(np.arange(4), [0, 1, 2, 0]) == 1.0
+    assert g.defect(np.arange(4), np.arange(4)) == 0.0
 
 
 def test_latin_square_violation_names_row():
     bad = [[0, 1], [1, 1]]
     with pytest.raises(StructureError, match="row 1"):
         FiniteGroup(bad)
+
+
+def test_latin_square_and_inverse_violations_name_first_failure():
+    with pytest.raises(StructureError, match="column 0"):
+        FiniteGroup([[0, 1], [0, 1]])
+    z3 = cyclic_group(3).table
+    with pytest.raises(StructureError, match="inverse table wrong at row 1"):
+        FiniteGroup(z3, inverse=[0, 1, 2])
 
 
 def test_bad_identity_and_range():

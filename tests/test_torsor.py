@@ -1,15 +1,73 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gauge2.errors import DomainError, EquivarianceError
-from gauge2.families import finite_demo_module, matrix_family
-from gauge2.torsor import (Torsor2, all_equivariant_functors,
+from gauge2.errors import ComposabilityError, DomainError, EquivarianceError
+from gauge2.families import (finite_crossed_module, finite_demo_module,
+                             matrix_family)
+from gauge2.groups import FiniteGroup
+from gauge2.torsor import (EtaH, Torsor2, all_equivariant_functors,
                            all_two_morphisms, eta_to_etaH, etaH_to_eta,
                            extend_functor, horizontal_compose_etaH, selftest,
                            torsor_divide, translation_functor,
                            vertical_compose_etaH)
+from gauge2.twogroup import check_crossed_module, interchange_defect
+
+S3 = list(itertools.permutations(range(3)))
+A3 = [0, 3, 4]      # the even permutations in S3's listing order
+
+
+def s3_module(h_elements=tuple(range(6)), conjugation=True):
+    """S3 acting on its normal subgroup H (given by S3 indices) by
+    conjugation, or trivially; t is the inclusion."""
+    index = {p: i for i, p in enumerate(S3)}
+    mul = [[index[tuple(a[b[i]] for i in range(3))] for b in S3] for a in S3]
+    inv = [row.index(0) for row in mul]
+    pos = {g: i for i, g in enumerate(h_elements)}
+    h_table = [[pos[mul[a][b]] for b in h_elements] for a in h_elements]
+    alpha = [[pos[mul[mul[g][h]][inv[g]]] if conjugation else pos[h]
+              for h in h_elements] for g in range(6)]
+    return finite_crossed_module(FiniteGroup(mul), FiniteGroup(h_table),
+                                 list(h_elements), alpha, name="s3")
+
+
+def relabel(cm, sigma, tau):
+    """The same module with G element a renamed sigma[a], H's h tau[h]."""
+    sigma, tau = np.asarray(sigma), np.asarray(tau)
+    si, ti = np.argsort(sigma), np.argsort(tau)    # new label -> old
+    G = FiniteGroup(sigma[cm.G.table[np.ix_(si, si)]],
+                    identity=sigma[cm.G.identity])
+    H = FiniteGroup(tau[cm.H.table[np.ix_(ti, ti)]],
+                    identity=tau[cm.H.identity])
+    return finite_crossed_module(G, H, sigma[cm.t(ti)],
+                                 tau[cm.alpha(si[:, None], ti[None, :])])
+
+
+def brute_force_witnesses(cm):
+    """First failing triple of each axiom, by scalar loops."""
+    G, H, t, alpha = cm.G, cm.H, cm.t, cm.alpha
+    found = {}
+    for g in range(G.order):
+        for h in range(H.order):
+            for hp in range(H.order):
+                if t(alpha(g, h)) != G.mul(G.mul(g, t(h)), G.inv(g)):
+                    found.setdefault("equivariance", (g, h))
+                if alpha(t(h), hp) != H.mul(H.mul(h, hp), H.inv(h)):
+                    found.setdefault("peiffer", (h, hp))
+                if t(H.mul(h, hp)) != G.mul(t(h), t(hp)):
+                    found.setdefault("t_homomorphism", (h, hp))
+    for k in range(H.order):
+        for hp in range(H.order):
+            if t(k) == G.identity and H.mul(k, hp) != H.mul(hp, k):
+                found.setdefault("centrality", (k, hp))
+    return found
+
+
+EXACT_MODULES = {"z4_z4_id": finite_demo_module("z4_z4_id"),
+                 "s3_a3": s3_module(A3), "s3_s3": s3_module()}
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +176,82 @@ def test_horizontal_formulas_agree(z2z3):
 
 def test_selftest_z2z3_and_z4z4_under_five_seconds():
     start = time.time()
-    for name in ("z2_z3_trivial", "z4_z4_id"):
-        table = selftest(finite_demo_module(name))
-        assert all(v == 0.0 for v in table.values()), (name, table)
+    for cm in (finite_demo_module("z2_z3_trivial"),
+               finite_demo_module("z4_z4_id"), s3_module(), s3_module(A3)):
+        table = selftest(cm)
+        assert all(v == 0.0 for v in table.values()), (cm.name, table)
     assert time.time() - start < 5.0
+
+
+def test_selftest_peiffer_broken_law_table():
+    table = selftest(finite_demo_module("z2_z4_peiffer_broken"))
+    assert table == {
+        "division_solves": 0.0, "division_unique": 0.0,
+        "division_functorial": 1.0, "action_composition_equivariance": 1.0,
+        "functor_extension": 0.0, "etaH_laws": 0.0, "etaH_round_trip": 0.0,
+        "vertical_composition": 1.0, "horizontal_composition": 1.0,
+        "interchange": 1.0}
+    assert list(table) == [
+        "division_solves", "division_unique", "division_functorial",
+        "action_composition_equivariance", "functor_extension", "etaH_laws",
+        "etaH_round_trip", "vertical_composition", "horizontal_composition",
+        "interchange"]
+
+
+def test_s3_with_trivial_action_is_rejected():
+    cm = s3_module(conjugation=False)
+    report = check_crossed_module(cm)
+    assert not report.passed
+    assert report.witnesses["equivariance"] == (1, 2)
+    assert report.witnesses["peiffer"] == (1, 2)
+    assert report.as_dict()["witnesses"]["peiffer"] == "(1, 2)"
+    for check in (selftest, interchange_defect):
+        with pytest.raises(ComposabilityError) as err:
+            check(cm)
+        assert err.value.mismatch == 1.0
+
+
+def test_etaH_laws_measure_a_constant_non_identity_value():
+    cm = finite_demo_module("z4_z4_id")
+    t1 = Torsor2(cm, "X")
+    ident = extend_functor(t1, t1, lambda p: p)
+    constant = EtaH(ident, ident, lambda p: 1)   # t(1) != F(p) : F(p) = 0
+    assert constant.laws_defect() == 1.0
+    with pytest.raises(EquivarianceError) as err:
+        constant.check_laws()
+    assert err.value.witness == 0
+    identity = EtaH(ident, ident, lambda p: cm.H.identity)
+    assert identity.laws_defect() == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_relabelled_modules_give_identical_tables(data):
+    cm = EXACT_MODULES[data.draw(st.sampled_from(sorted(EXACT_MODULES)))]
+    sigma = data.draw(st.permutations(range(cm.G.order)))
+    tau = data.draw(st.permutations(range(cm.H.order)))
+    other = relabel(cm, sigma, tau)
+    assert list(selftest(other).items()) == list(selftest(cm).items())
+    assert (check_crossed_module(other).as_dict()
+            == check_crossed_module(cm).as_dict())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_perturbed_t_table_rejected_with_first_witness(data):
+    cm = EXACT_MODULES[data.draw(st.sampled_from(sorted(EXACT_MODULES)))]
+    t = cm.t(np.arange(cm.H.order))
+    h = data.draw(st.integers(0, cm.H.order - 1))
+    t[h] = data.draw(st.sampled_from(
+        [g for g in range(cm.G.order) if g != t[h]]))
+    alpha = cm.alpha(np.arange(cm.G.order)[:, None], np.arange(cm.H.order))
+    bad = finite_crossed_module(cm.G, cm.H, t, alpha)
+    report = check_crossed_module(bad)
+    assert not report.passed
+    expected = brute_force_witnesses(bad)
+    assert report.witnesses == expected
+    assert report.as_dict()["witnesses"] == {k: str(v)
+                                             for k, v in expected.items()}
 
 
 def test_selftest_requires_finite_backend():

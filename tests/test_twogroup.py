@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gauge2.errors import ComposabilityError, DomainError
-from gauge2.families import finite_demo_module, matrix_family
+from gauge2.errors import ComposabilityError, DomainError, StructureError
+from gauge2.families import (finite_crossed_module, finite_demo_module,
+                             matrix_family)
+from gauge2.groups import cyclic_group
 from gauge2.twogroup import (check_crossed_module, interchange_defect,
                              two_group_compose, two_group_multiply,
                              whisker_scalar)
@@ -132,3 +134,16 @@ def test_kernel_centrality(su2):
             h = u2p.cm.sample_H(rng)
             comm = u2p.cm.H.mul(k, h) - u2p.cm.H.mul(h, k)
             assert np.max(np.abs(comm)) <= 1e-9
+
+
+@pytest.mark.parametrize("order_h,alpha,message", [
+    (3, [[0, 1, 2], [0, 0, 0]], r"alpha row 1 is not a bijection of H"),
+    # row 1 moves the identity: alpha_1(0 + 0) = 1 but alpha_1(0) + alpha_1(0) = 2
+    (3, [[0, 1, 2], [1, 0, 2]], r"alpha_1 is not an automorphism at \(0,0\)"),
+    # h -> 2h is an automorphism of Z5, but applying it twice is not alpha_0
+    (5, [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]], r"alpha is not an action at \(1,1\)"),
+])
+def test_finite_constructor_names_first_failure(order_h, alpha, message):
+    with pytest.raises(StructureError, match=message):
+        finite_crossed_module(cyclic_group(2), cyclic_group(order_h),
+                              [0] * order_h, alpha)
