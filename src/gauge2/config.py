@@ -158,8 +158,12 @@ def _finite_group(spec: dict, label: str) -> FiniteGroup:
     if "cyclic" in spec:
         return cyclic_group(spec["cyclic"], name=f"{label}=Z{spec['cyclic']}")
     if "table" in spec:
-        return FiniteGroup(spec["table"], identity=spec.get("identity", 0),
-                           name=label)
+        identity, order = spec.get("identity", 0), len(spec["table"])
+        if identity >= order:
+            path = f"crossed_module.finite.{label}.identity"
+            raise ConfigError(f"config invalid at '{path}': {identity} is not "
+                              f"an element of a {order}-element table", path=path)
+        return FiniteGroup(spec["table"], identity=identity, name=label)
     raise ConfigError(f"finite group needs 'cyclic' or 'table'",
                       path=f"crossed_module.finite.{label}")
 

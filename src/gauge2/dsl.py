@@ -12,7 +12,9 @@ Known functions: sin cos tan exp log sqrt tanh.  Everything else that
 looks like a name is a free variable (charts use x1..xd, parameter maps
 use u, v, w).  Evaluation is plain IEEE double precision and broadcasts
 over numpy arrays, so fields can be evaluated on whole quadrature grids
-at once.
+at once.  ``compile_expr`` walks a tree once into nested closures;
+``evaluate`` compiles and calls, and coefficient fields and parameter maps
+compile at construction, so repeated evaluation never re-walks the tree.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import MathDomainError, ParseError, UnboundVariableError
 
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "to_source",
+    "parse", "compile_expr", "evaluate", "to_source",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh")
@@ -242,12 +244,77 @@ def parse(src: str) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 
-def _check_pow(base, expo, result):
+def _checked(name, outside):
+    """np.<name> raising MathDomainError where ``outside`` holds."""
+    fn = getattr(np, name)
+
+    def call(x):
+        if np.any(outside(np.asarray(x))):
+            raise MathDomainError(name, float(np.min(x)))
+        return fn(x)
+    return call
+
+
+def _divide(a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise MathDomainError("/", 0.0)
+    return np.divide(a, b)
+
+
+def _power(a, b):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        result = np.power(a, b)
     bad = ~np.isfinite(np.asarray(result, dtype=float))
     if np.any(bad):
-        b = np.broadcast_to(np.asarray(base, dtype=float), np.shape(bad))
-        raise MathDomainError("^", float(np.ravel(b[bad])[0]) if np.shape(bad) else float(base))
+        base = np.broadcast_to(np.asarray(a, dtype=float), np.shape(bad))
+        raise MathDomainError("^", float(base[bad][0]) if bad.ndim else float(a))
     return result
+
+
+_CALLS = {**{fn: getattr(np, fn) for fn in FUNCTIONS},
+          "log": _checked("log", lambda x: x <= 0.0),
+          "sqrt": _checked("sqrt", lambda x: x < 0.0)}
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
+           "^": _power}
+
+
+def _compile(node):
+    """Closure bindings -> value of ``node``; domain checks run per call."""
+    if isinstance(node, (Num, Const)):
+        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return lambda bindings: value
+    if isinstance(node, Var):
+        def var(bindings, name=node.name):
+            if name not in bindings:
+                raise UnboundVariableError(name)
+            return bindings[name]
+        return var
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda bindings: np.negative(operand(bindings))
+    if isinstance(node, Call):
+        fn, arg = _CALLS[node.fn], _compile(node.arg)
+        return lambda bindings: fn(arg(bindings))
+    if isinstance(node, BinOp):
+        op, left, right = (_BINOPS[node.op], _compile(node.left),
+                           _compile(node.right))
+        return lambda bindings: op(left(bindings), right(bindings))
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def compile_expr(e: Expr):
+    """Compile ``e`` once into a function of a bindings dict.
+
+    Scalar bindings give a float result; array bindings broadcast.  Domain
+    errors and unbound variables are raised when the function is called.
+    """
+    body = _compile(e)
+
+    def run(bindings):
+        out = body(bindings)
+        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+    return run
 
 
 def evaluate(e: Expr, bindings: dict | None = None):
@@ -255,49 +322,7 @@ def evaluate(e: Expr, bindings: dict | None = None):
 
     Scalar bindings give a float result; array bindings broadcast.
     """
-    bindings = bindings or {}
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return CONSTANTS[node.name]
-        if isinstance(node, Var):
-            try:
-                return bindings[node.name]
-            except KeyError:
-                raise UnboundVariableError(node.name) from None
-        if isinstance(node, Neg):
-            return np.negative(ev(node.operand))
-        if isinstance(node, Call):
-            x = ev(node.arg)
-            if node.fn == "log" and np.any(np.asarray(x) <= 0.0):
-                raise MathDomainError("log", float(np.min(x)))
-            if node.fn == "sqrt" and np.any(np.asarray(x) < 0.0):
-                raise MathDomainError("sqrt", float(np.min(x)))
-            return getattr(np, node.fn)(x)
-        if isinstance(node, BinOp):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.op == "+":
-                return np.add(a, b)
-            if node.op == "-":
-                return np.subtract(a, b)
-            if node.op == "*":
-                return np.multiply(a, b)
-            if node.op == "/":
-                if np.any(np.asarray(b) == 0.0):
-                    raise MathDomainError("/", 0.0)
-                return np.divide(a, b)
-            if node.op == "^":
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    return _check_pow(a, b, np.power(a, b))
-        raise TypeError(f"not an Expr node: {node!r}")
-
-    out = ev(e)
-    if np.ndim(out) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    return compile_expr(e)(bindings or {})
 
 
 # --- printing --------------------------------------------------------------
@@ -317,9 +342,7 @@ def to_source(e: Expr) -> str:
     """Render the AST back to text; ``parse(to_source(e)) == e``."""
     if isinstance(e, Num):
         return repr(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
+    if isinstance(e, (Const, Var)):
         return e.name
     if isinstance(e, Call):
         return f"{e.fn}({to_source(e.arg)})"

@@ -2,6 +2,9 @@
 
 Scalar coefficient fields come from the expression DSL (variables x1..xd)
 or from plain callables; everything evaluates on (N, d) point batches.
+A CoefficientField compiles its expressions once and fills one (N, *shape)
+array per call; ``directional_diff`` calls its function 4 times (8 with
+Richardson extrapolation).
 Group-valued fields are stored as the exponential of an algebra-valued
 coefficient field, which keeps them on the group manifold by construction.
 """
@@ -13,7 +16,7 @@ import numpy as np
 from . import dsl
 from .errors import DomainError
 
-__all__ = ["CoefficientField", "GroupValuedField",
+__all__ = ["CoefficientField", "GroupValuedField", "tensor_field",
            "directional_diff", "partial_diff", "chart_grid"]
 
 FD_STEP = 1e-3
@@ -67,14 +70,16 @@ class CoefficientField:
     def __init__(self, exprs, chart_dim: int, shape):
         self.shape = tuple(shape)
         self.chart_dim = chart_dim
-        flat = np.empty(int(np.prod(self.shape)) if self.shape else 1,
-                        dtype=object)
+        size = int(np.prod(self.shape)) if self.shape else 1
         items = list(np.asarray(exprs, dtype=object).reshape(-1))
-        if len(items) != flat.size:
+        if len(items) != size:
             raise DomainError(
-                f"expected {flat.size} coefficient fields, got {len(items)}")
+                f"expected {size} coefficient fields, got {len(items)}")
         allowed = {f"x{i + 1}" for i in range(chart_dim)}
-        for i, item in enumerate(items):
+        # one (function, takes_bindings) per column: compiled expressions
+        # read the x1..xd bindings, plain callables the (N, d) points
+        self._cols = []
+        for item in items:
             if isinstance(item, str):
                 item = dsl.parse(item)
             if isinstance(item, (int, float)):
@@ -85,29 +90,31 @@ class CoefficientField:
                     raise DomainError(
                         f"field uses {sorted(extra)}; chart variables are "
                         f"{sorted(allowed)}")
-            elif not callable(item):
+                self._cols.append((dsl.compile_expr(item), True))
+            elif callable(item):
+                self._cols.append((item, False))
+            else:
                 raise DomainError(f"bad coefficient field {item!r}")
-            flat[i] = item
-        self._flat = flat
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
         bindings = {f"x{i + 1}": p[..., i] for i in range(self.chart_dim)}
-        cols = []
-        for item in self._flat:
-            if isinstance(item, dsl.Expr):
-                val = dsl.evaluate(item, bindings)
-            else:
-                val = item(p)
-            cols.append(np.broadcast_to(np.asarray(val, dtype=float),
-                                        p.shape[:-1]))
-        out = np.stack(cols, axis=-1).reshape(*p.shape[:-1], *self.shape)
-        return out
+        out = np.empty((*p.shape[:-1], len(self._cols)))
+        for i, (fn, takes_bindings) in enumerate(self._cols):
+            out[..., i] = fn(bindings if takes_bindings else p)
+        return out.reshape(*p.shape[:-1], *self.shape)
 
-    @classmethod
-    def zeros(cls, chart_dim, shape):
-        exprs = np.full(shape, 0.0, dtype=object)
-        return cls(exprs, chart_dim, shape)
+
+def tensor_field(value, chart_dim, shape, what="field"):
+    """A callable giving the whole (N, *shape) tensor passes through;
+    anything else becomes, or must be, a CoefficientField of ``shape``."""
+    if callable(value) and not isinstance(value, CoefficientField):
+        return value
+    if not isinstance(value, CoefficientField):
+        value = CoefficientField(value, chart_dim, shape)
+    if value.shape != tuple(shape):
+        raise DomainError(f"{what} needs shape {tuple(shape)} coefficient fields")
+    return value
 
 
 class GroupValuedField:
@@ -161,9 +168,3 @@ class GroupValuedField:
         g = self(points)
         dg = self.partial(points, axis, step)
         return self.algebra.from_matrix(dg @ self.group.inv(g))
-
-    @classmethod
-    def constant_identity(cls, group, algebra, chart_dim, name="e"):
-        return cls(group, algebra,
-                   CoefficientField.zeros(chart_dim, (algebra.dim,)),
-                   name=name)

@@ -14,6 +14,13 @@ tangent vectors
 or derived as the fake-flat lift of the curvature plus a ker t_* part.
 Bundle-level forms on the trivial bundle are never stored; they are
 computed on demand from the trivialization formulas.
+
+Each field is evaluated once per point set.  With s = 4 stencil points
+(8 with ``fd_richardson``) on a d-dimensional chart, F_of costs 2s + 1
+evaluations of ``a``; F_pairs (F on every pair e_k, e_l), the fake-flat
+b_of and fake_flatness_residual cost 1 + s d (13 for d = 3); K_of with a
+fake-flat b costs (3s + 1)(1 + s d) + 1 (170 for d = 3).  An explicit b
+is evaluated once where the fake-flat lift costs 1 + s d.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .families import MatrixFamily
 from .fields import (CoefficientField, GroupValuedField, chart_grid,
-                     directional_diff, FD_STEP)
+                     directional_diff, tensor_field, FD_STEP)
 from .geometry import Chart
 
 __all__ = ["TwoConnection", "TransitionData", "curvature_F",
@@ -36,6 +43,11 @@ def pair_index(dim: int):
     return [(k, l) for k in range(dim) for l in range(k + 1, dim)]
 
 
+def _along(coeffs, X):
+    """Contract (N, d, dim) 1-form coefficients with the tangent X."""
+    return np.einsum("...kg,...k->...g", coeffs, np.asarray(X, dtype=float))
+
+
 class TwoConnection:
     """Local 2-connection (a, b) for a matrix crossed-module family."""
 
@@ -46,40 +58,22 @@ class TwoConnection:
         self.chart = chart
         self.name = name
         d = chart.dim
-        dim_g = family.l2a.g_alg.dim
-        dim_h = family.l2a.h_alg.dim
+        dim_g, dim_h = family.l2a.g_alg.dim, family.l2a.h_alg.dim
         self.fd_step = fd_step if fd_step is not None else FD_STEP * chart.scale
         self.fd_richardson = fd_richardson
         self.pairs = pair_index(d)
+        # (k, l) index arrays of the pairs, for all-pairs gathers
+        self._pair_axes = np.array(self.pairs, dtype=int).reshape(-1, 2).T
 
         # a and b accept nested expression lists, CoefficientFields, or a
         # callable producing the whole coefficient tensor (used by gauge
         # transforms, whose coefficients are not expressions).
-        if callable(a) and not isinstance(a, CoefficientField):
-            self._a = a
-        else:
-            if not isinstance(a, CoefficientField):
-                a = CoefficientField(a, d, (d, dim_g))
-            if a.shape != (d, dim_g):
-                raise DomainError(
-                    f"a needs shape ({d}, {dim_g}) coefficient fields")
-            self._a = a
-
+        self._a = tensor_field(a, d, (d, dim_g), "a")
         self.fake_flat_mode = isinstance(b, str) and b == "fake_flat"
-        if self.fake_flat_mode:
-            self._b = None
-        elif callable(b) and not isinstance(b, CoefficientField):
-            self._b = b
-        else:
-            if not isinstance(b, CoefficientField):
-                b = CoefficientField(b, d, (len(self.pairs), dim_h))
-            if b.shape != (len(self.pairs), dim_h):
-                raise DomainError(
-                    f"b needs shape ({len(self.pairs)}, {dim_h}) fields")
-            self._b = b
-        if b_extra is not None and not isinstance(b_extra, CoefficientField):
-            b_extra = CoefficientField(b_extra, d, (len(self.pairs), dim_h))
-        self._b_extra = b_extra
+        b_shape = (len(self.pairs), dim_h)
+        self._b = None if self.fake_flat_mode else tensor_field(b, d, b_shape, "b")
+        self._b_extra = (None if b_extra is None
+                         else tensor_field(b_extra, d, b_shape, "b_extra"))
 
     # -- pointwise evaluation (batched over points) -----------------------------
 
@@ -89,61 +83,69 @@ class TwoConnection:
 
     def a_of(self, points, X):
         """a_x(X) as (N, dim_g); X is a constant vector or an (N, d) batch."""
-        return np.einsum("...kg,...k->...g", self.a_coeffs(points),
-                         np.asarray(X, dtype=float))
+        return _along(self.a_coeffs(points), X)
 
     def F_of(self, points, X, Y):
         """Curvature F = da + 1/2 [a, a] on constant tangents (N, dim_g)."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
         da = (directional_diff(lambda p: self.a_of(p, Y), points, X,
                                self.fd_step, self.fd_richardson)
               - directional_diff(lambda p: self.a_of(p, X), points, Y,
                                  self.fd_step, self.fd_richardson))
-        comm = self.family.l2a.g_alg.bracket(self.a_of(points, X),
-                                             self.a_of(points, Y))
-        return da + comm
+        a = self.a_coeffs(points)
+        return da + self.family.l2a.g_alg.bracket(_along(a, X), _along(a, Y))
 
-    def _b_pairs(self, points):
-        """(N, npairs, dim_h) stored components b_{kl} for k < l."""
+    def F_pairs(self, points):
+        """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
+        one evaluation of ``a`` and one difference along each chart axis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.fake_flat_mode:
-            out = self._b(points)
+        k, l = self._pair_axes
+        a = self.a_coeffs(points)
+        # da[:, i, j] = D_{e_i} a(e_j)
+        da = np.stack([directional_diff(self.a_coeffs, points, e,
+                                        self.fd_step, self.fd_richardson)
+                       for e in np.eye(self.chart.dim)], axis=1)
+        return ((da[:, k, l] - da[:, l, k])
+                + self.family.l2a.g_alg.bracket(a[:, k], a[:, l]))
+
+    def _b_pairs(self, points, F=None):
+        """(N, npairs, dim_h) stored components b_{kl} for k < l.
+
+        In fake-flat mode they come from ``F``, the :meth:`F_pairs` of the
+        same points, which is computed here unless the caller has it.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.fake_flat_mode:
+            out = np.einsum("hg,...g->...h", self.family.rep_star,
+                            self.F_pairs(points) if F is None else F)
         else:
-            cols = []
-            for (k, l) in self.pairs:
-                ek = np.zeros(self.chart.dim)
-                el = np.zeros(self.chart.dim)
-                ek[k] = 1.0
-                el[l] = 1.0
-                f = self.F_of(points, ek, el)
-                cols.append(np.einsum("hg,...g->...h",
-                                      self.family.rep_star, f))
-            out = np.stack(cols, axis=-2)
+            out = self._b(points)
         if self._b_extra is not None:
             out = out + self._b_extra(points)
         return out
 
+    def _b_along(self, comps, X, Y):
+        """b(X, Y) from the stored components (N, npairs, dim_h)."""
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        k, l = self._pair_axes
+        weights = X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
+        return np.einsum("...p,...ph->...h", weights, comps)
+
     def b_of(self, points, X, Y):
         """b_x(X, Y) as (N, dim_h) for constant tangents."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        comps = self._b_pairs(points)
-        weights = np.stack([X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
-                            for (k, l) in self.pairs], axis=-1)
-        return np.einsum("...p,...ph->...h", np.atleast_1d(weights), comps)
+        return self._b_along(self._b_pairs(points), X, Y)
 
     def K_of(self, points, X, Y, Z):
         """3-curvature dB-part plus the alpha_* wedge, full h value (N, dim_h)."""
-        step = self.fd_step
-        rich = self.fd_richardson
+        step, rich = self.fd_step, self.fd_richardson
         db = (directional_diff(lambda p: self.b_of(p, Y, Z), points, X, step, rich)
               - directional_diff(lambda p: self.b_of(p, X, Z), points, Y, step, rich)
               + directional_diff(lambda p: self.b_of(p, X, Y), points, Z, step, rich))
-        l2a = self.family.l2a
-        wedge = (l2a.apply_alpha_star(self.a_of(points, X), self.b_of(points, Y, Z))
-                 - l2a.apply_alpha_star(self.a_of(points, Y), self.b_of(points, X, Z))
-                 + l2a.apply_alpha_star(self.a_of(points, Z), self.b_of(points, X, Y)))
+        a = self.a_coeffs(points)
+        b = self._b_pairs(points)
+        alpha = self.family.l2a.apply_alpha_star
+        wedge = (alpha(_along(a, X), self._b_along(b, Y, Z))
+                 - alpha(_along(a, Y), self._b_along(b, X, Z))
+                 + alpha(_along(a, Z), self._b_along(b, X, Y)))
         return db + wedge
 
     def validation_grid(self, per_axis=5):
@@ -163,16 +165,9 @@ def fake_flatness_residual(conn: TwoConnection, grid=None) -> dict:
     """Max-norm of t_* b - F_a over the grid, with a pass flag at 1e-8."""
     if grid is None:
         grid = conn.validation_grid()
-    worst = 0.0
-    d = conn.chart.dim
-    for (k, l) in conn.pairs:
-        ek = np.zeros(d)
-        el = np.zeros(d)
-        ek[k] = 1.0
-        el[l] = 1.0
-        tb = conn.family.l2a.apply_t_star(conn.b_of(grid, ek, el))
-        f = conn.F_of(grid, ek, el)
-        worst = max(worst, float(np.max(np.abs(tb - f))))
+    F = conn.F_pairs(grid)
+    tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid, F))
+    worst = float(np.max(np.abs(tb - F), initial=0.0))
     return {"residual": worst, "pass": worst <= 1e-8, "grid_points": len(grid)}
 
 
@@ -248,26 +243,22 @@ def check_local_data(conn_i: TwoConnection, conn_j: TwoConnection,
         raise DomainError("empty overlap grid")
     fam = conn_i.family
     d = conn_i.chart.dim
-    g = transition.g_field(grid)
-    ginv = fam.group_G.inv(g)
+    ginv = fam.group_G.inv(transition.g_field(grid))
 
+    a_i, a_j = conn_i.a_coeffs(grid), conn_j.a_coeffs(grid)
     a_defect = 0.0
-    for k in range(d):
-        ek = np.zeros(d)
-        ek[k] = 1.0
-        lhs = conn_i.a_of(grid, ek)
-        adj = fam.ad_g_vec(ginv, conn_j.a_of(grid, ek))
+    for k, ek in enumerate(np.eye(d)):
+        adj = fam.ad_g_vec(ginv, _along(a_j, ek))
         mc = transition.g_field.maurer_cartan(grid, k)
-        a_defect = max(a_defect, float(np.max(np.abs(lhs - adj - mc))))
+        a_defect = max(a_defect,
+                       float(np.max(np.abs(_along(a_i, ek) - adj - mc))))
 
+    b_i, b_j = conn_i._b_pairs(grid), conn_j._b_pairs(grid)
     b_defect = 0.0
     for (k, l) in conn_i.pairs:
-        ek = np.zeros(d)
-        el = np.zeros(d)
-        ek[k] = 1.0
-        el[l] = 1.0
-        lhs = conn_i.b_of(grid, ek, el)
-        rhs = fam.alpha_vec(ginv, conn_j.b_of(grid, ek, el))
+        ek, el = np.eye(d)[[k, l]]
+        lhs = conn_i._b_along(b_i, ek, el)
+        rhs = fam.alpha_vec(ginv, conn_j._b_along(b_j, ek, el))
         b_defect = max(b_defect, float(np.max(np.abs(lhs - rhs))))
 
     membership = transition.membership_defect(grid)

@@ -106,11 +106,14 @@ class ParamMap:
                     f"expression uses {sorted(extra)}; a {arity}-ary map "
                     f"may only use {sorted(allowed)}")
 
+        compiled = [dsl.compile_expr(e) for e in parsed]
+
         def fn(params):
             bindings = {PARAM_VARS[i]: params[..., i] for i in range(arity)}
-            cols = [np.broadcast_to(dsl.evaluate(e, bindings),
-                                    params.shape[:-1]) for e in parsed]
-            return np.stack(cols, axis=-1)
+            out = np.empty((*params.shape[:-1], len(compiled)))
+            for i, component in enumerate(compiled):
+                out[..., i] = component(bindings)
+            return out
 
         return cls(arity, len(parsed), fn, name=name)
 
@@ -136,12 +139,6 @@ class ParamMap:
             return self._fn(np.atleast_2d(phi(params)))
         return ParamMap(self.arity, self.dim, fn,
                         name=name or f"{self.name}*")
-
-    def with_sitting_instants(self, width=SMOOTH_STEP_WIDTH) -> "ParamMap":
-        """Reparameterize every direction to be constant near 0 and 1."""
-        def phi(params):
-            return smooth_step(params, width)
-        return self.compose_params(phi, name=f"{self.name}#sit")
 
     def affine_image(self, origin, basis, name=None) -> "ParamMap":
         """Postcompose with y -> origin + sum_k y_k basis_k."""

@@ -82,8 +82,7 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """Bracket of coefficient vectors, batched over leading axes."""
-        return np.einsum("...i,...j,ijk->...k", np.asarray(u), np.asarray(v),
-                         self.structure)
+        return _contract_outer(u, v, self.structure)
 
     def norm(self, vec):
         return float(np.max(np.abs(vec)))
@@ -121,13 +120,7 @@ class LieTwoAlgebra:
         return np.einsum("gh,...h->...g", self.t_star, np.asarray(eta))
 
     def apply_alpha_star(self, x, eta):
-        return np.einsum("...i,...j,ijk->...k", np.asarray(x),
-                         np.asarray(eta), self.alpha_star)
-
-    @property
-    def ker_t_star_basis(self):
-        """Orthonormal basis (k, dim_h) of ker t_* in coefficient space."""
-        return self._ker_t_star
+        return _contract_outer(x, eta, self.alpha_star)
 
     def project_ker_t_star(self, eta):
         k = self._ker_t_star
@@ -138,47 +131,43 @@ class LieTwoAlgebra:
     # -- validation ------------------------------------------------------------
 
     def homomorphism_defect(self) -> float:
-        """t_*[xi, eta] = [t_* xi, t_* eta] on basis pairs."""
-        worst = 0.0
-        for i in range(self.h_alg.dim):
-            for j in range(self.h_alg.dim):
-                xi = _unit(self.h_alg.dim, i)
-                eta = _unit(self.h_alg.dim, j)
-                lhs = self.apply_t_star(self.h_alg.bracket(xi, eta))
-                rhs = self.g_alg.bracket(self.apply_t_star(xi),
-                                         self.apply_t_star(eta))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        """t_*[xi, eta] = [t_* xi, t_* eta] on all basis pairs at once."""
+        xi, eta = _basis_pairs(self.h_alg.dim)
+        lhs = self.apply_t_star(self.h_alg.bracket(xi, eta))
+        rhs = self.g_alg.bracket(self.apply_t_star(xi), self.apply_t_star(eta))
+        return float(np.max(np.abs(lhs - rhs)))
 
     def peiffer_defect(self) -> float:
-        """alpha_*(t_* xi, eta) = [xi, eta]_h on basis pairs."""
-        worst = 0.0
-        for i in range(self.h_alg.dim):
-            for j in range(self.h_alg.dim):
-                xi = _unit(self.h_alg.dim, i)
-                eta = _unit(self.h_alg.dim, j)
-                lhs = self.apply_alpha_star(self.apply_t_star(xi), eta)
-                rhs = self.h_alg.bracket(xi, eta)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        """alpha_*(t_* xi, eta) = [xi, eta]_h on all basis pairs at once."""
+        xi, eta = _basis_pairs(self.h_alg.dim)
+        lhs = self.apply_alpha_star(self.apply_t_star(xi), eta)
+        return float(np.max(np.abs(lhs - self.h_alg.bracket(xi, eta))))
 
     def t_star_fd_defect(self, cm, eps=1e-5) -> float:
         """Central-difference consistency of t_star with the group map t."""
         worst = 0.0
-        for j in range(self.h_alg.dim):
-            xi_mat = self.h_alg.to_matrix(_unit(self.h_alg.dim, j))
+        for unit, xi_mat in zip(np.eye(self.h_alg.dim), self.h_alg.basis):
             plus = cm.G.log(cm.t(cm.H.exp(eps * xi_mat)))
             minus = cm.G.log(cm.t(cm.H.exp(-eps * xi_mat)))
             fd = self.g_alg.from_matrix((plus - minus) / (2 * eps))
-            exact = self.apply_t_star(_unit(self.h_alg.dim, j))
-            worst = max(worst, float(np.max(np.abs(fd - exact))))
+            worst = max(worst, float(np.max(np.abs(fd - self.apply_t_star(unit)))))
         return worst
 
 
-def _unit(dim, i):
-    v = np.zeros(dim)
-    v[i] = 1.0
-    return v
+def _contract_outer(u, v, c):
+    """u_i v_j c_ijk batched over leading axes.
+
+    Forming the outer product first and contracting it with one 2-operand
+    einsum gives the same bits as the 3-operand einsum, and is faster.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    return np.einsum("...ij,ijk->...k", u[..., :, None] * v[..., None, :], c)
+
+
+def _basis_pairs(dim):
+    """Every (e_i, e_j) pair of unit vectors, as two broadcastable arrays."""
+    eye = np.eye(dim)
+    return eye[:, None], eye[None, :]
 
 
 def _null_space(a, tol=1e-12):

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import CoefficientField, GroupValuedField, chart_grid, partial_diff
+from .fields import (CoefficientField, GroupValuedField, chart_grid,
+                     partial_diff, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
 from .transport import (_cf4_factors, _ordered_exp, _path_generator,
@@ -65,12 +66,7 @@ class OneMorphism:
                 CoefficientField(g_map, d, (family.l2a.g_alg.dim,)),
                 name=f"{name}.g")
         self.g_map = g_map
-        if callable(phi) and not isinstance(phi, CoefficientField):
-            self._phi = phi
-        else:
-            if not isinstance(phi, CoefficientField):
-                phi = CoefficientField(phi, d, (d, dim_h))
-            self._phi = phi
+        self._phi = tensor_field(phi, d, (d, dim_h), "phi")
 
     def phi_coeffs(self, points):
         """(N, d, dim_h) coefficient tensor of phi."""
@@ -119,31 +115,28 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
 
     def new_a(points):
         n = points.shape[0]
-        g = g_field(points)
-        ginv = fam.group_G.inv(g)
+        ginv = fam.group_G.inv(g_field(points))
+        a = conn.a_coeffs(points)
+        phi = m.phi_coeffs(points)
         rows = []
         for k in range(d):
-            term = (conn.a_coeffs(points)[:, k, :]
-                    + g_field.right_log_derivative(points, k)
-                    + l2a.apply_t_star(m.phi_coeffs(points)[:, k, :]))
+            # dg g^-1, as g_field.right_log_derivative without a second g
+            dlog = g_field.algebra.from_matrix(g_field.partial(points, k) @ ginv)
+            term = a[:, k, :] + dlog + l2a.apply_t_star(phi[:, k, :])
             rows.append(fam.ad_g_vec(ginv, term))
         return np.stack(rows, axis=1).reshape(n, d, l2a.g_alg.dim)
 
     def new_b(points):
-        g = g_field(points)
-        ginv = fam.group_G.inv(g)
+        ginv = fam.group_G.inv(g_field(points))
         a = conn.a_coeffs(points)
+        b = conn._b_pairs(points)
         phi = m.phi_coeffs(points)
         dphi = np.stack([partial_diff(lambda p: m.phi_coeffs(p), points,
                                       k, d, conn.fd_step)
                          for k in range(d)], axis=1)
         cols = []
         for idx, (k, l) in enumerate(pairs):
-            ek = np.zeros(d)
-            el = np.zeros(d)
-            ek[k] = 1.0
-            el[l] = 1.0
-            term = (conn.b_of(points, ek, el)
+            term = (b[:, idx, :]
                     + dphi[:, k, l, :] - dphi[:, l, k, :]
                     + l2a.h_alg.bracket(phi[:, k, :], phi[:, l, :])
                     + l2a.apply_alpha_star(a[:, k, :], phi[:, l, :])

@@ -202,7 +202,8 @@ def check_crossed_module(cm: CrossedModule, samples: int = 200,
     centrality of ker t; exact (tolerance 0) for finite backends.
 
     Each axiom is one evaluation over all (g, h, h') of a finite module or
-    ``samples`` drawn triples; its witness is the first of largest defect.
+    ``samples`` drawn triples; its witness is the first of largest defect,
+    recorded only when that defect exceeds the tolerance.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -241,7 +242,7 @@ def check_crossed_module(cm: CrossedModule, samples: int = 200,
         d = np.broadcast_to(d, np.shape(args[0])[:1])
         i = int(np.argmax(d))
         defects[name] = float(d[i])
-        if defects[name] > 0.0:
+        if defects[name] > tolerance:
             witnesses[name] = tuple(lookup(a, i) for a in args)
 
     return AxiomReport(**defects, tolerance=tolerance, samples=len(g),

@@ -161,6 +161,19 @@ def test_counterexample_config_fails_check(tmp_path):
     assert rep["cases"][0]["witnesses"]["peiffer"] == "(1, 1)"
 
 
+@pytest.mark.parametrize("label", ["G", "H"])
+def test_out_of_range_finite_identity_is_a_config_error(tmp_path, capsys,
+                                                        label):
+    z2 = {"table": [[0, 1], [1, 0]]}
+    finite = {"G": z2, "H": z2, "t": [0, 1], "alpha": [[0, 1], [0, 1]]}
+    finite[label] = {**z2, "identity": 7}
+    path = _write(tmp_path, {"seed": 1, "crossed_module": {"finite": finite}})
+    code = main(["check-crossed-module", "--config", path,
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"crossed_module.finite.{label}.identity" in capsys.readouterr().err
+
+
 def test_seed_override_changes_hash(tmp_path):
     path = _write(tmp_path, MINIMAL)
     cfg = load_config(path)

@@ -5,6 +5,8 @@ import pytest
 
 from gauge2 import dsl
 from gauge2.errors import MathDomainError, ParseError, UnboundVariableError
+from gauge2.fields import CoefficientField
+from gauge2.geometry import ParamMap
 
 ROUND_TRIP_SOURCES = [
     "0",
@@ -79,6 +81,42 @@ def test_domain_errors():
         dsl.evaluate(dsl.parse("log(x1)"), {"x1": -1.0})
     with pytest.raises(MathDomainError):
         dsl.evaluate(dsl.parse("sqrt(0 - x1)"), {"x1": 2.0})
+
+
+# (source in x1, operator, operand value) at the points x1 = 0 and x1 = 1
+COMPILED_DOMAIN_ERRORS = [
+    ("log(x1 - 0.5)", "log", -0.5),
+    ("sqrt(0.5 - x1)", "sqrt", -0.5),
+    ("1/(x1 - 1)", "/", 0.0),
+    ("(x1 - 1)^(-1)", "^", 0.0),
+    ("(x1 - 2)^0.5", "^", -2.0),
+]
+
+
+@pytest.mark.parametrize("src,op,value", COMPILED_DOMAIN_ERRORS)
+def test_compiled_fields_raise_domain_errors_when_called(src, op, value):
+    # building compiles the tree; the domain check runs on evaluation
+    compiled = dsl.compile_expr(dsl.parse(src))
+    field = CoefficientField([src], 1, (1,))
+    pmap = ParamMap.from_exprs([src.replace("x1", "u")], 1)
+    x = np.array([[0.0], [1.0]])
+    for call in (lambda: compiled({"x1": x[:, 0]}), lambda: field(x),
+                 lambda: pmap(x), lambda: dsl.evaluate(dsl.parse(src),
+                                                       {"x1": x[:, 0]})):
+        with pytest.raises(MathDomainError) as err:
+            call()
+        assert (err.value.op, err.value.value) == (op, value)
+
+
+def test_scalar_bindings_give_python_floats():
+    e = dsl.parse("x1*sin(u) + 2")
+    for out in (dsl.evaluate(e, {"x1": 1.5, "u": 0.3}),
+                dsl.evaluate(e, {"x1": np.float64(1.5), "u": 0.3}),
+                dsl.compile_expr(e)({"x1": 1.5, "u": 0.3}),
+                dsl.evaluate(dsl.parse("pi"))):
+        assert type(out) is float
+    out = dsl.compile_expr(e)({"x1": np.array([1.0, 2.0]), "u": 0.3})
+    assert out.dtype == float and out.shape == (2,)
 
 
 # finite differences of parsed fields against hand derivatives

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gauge2.families import matrix_family
-from gauge2.fields import CoefficientField, GroupValuedField, chart_grid
+from gauge2.fields import (CoefficientField, GroupValuedField, chart_grid,
+                           directional_diff)
 from gauge2.forms import (TransitionData, TwoConnection, bundle_form_B,
                           check_local_data, curvature_F,
                           fake_flatness_residual, three_curvature_K)
@@ -253,3 +254,195 @@ def test_richardson_refinement_tightens_curvature():
     e_refined = np.max(np.abs(curvature_F(refined, x, [1, 0], [0, 1])[0]
                               - exact))
     assert e_refined < e_plain / 10.0
+
+
+# --- the all-pairs F, b and K against the per-pair nested formulas ------------
+#
+# The reference below is the direct transcription of the formulas: every
+# F(e_k, e_l) differences a(e_l) and a(e_k) on its own, every b_of
+# recomputes every stored pair, and K differences b_of along each tangent.
+# The connection's batched path must give the same bits.
+
+A3 = [["0.4*x2", "0.1", "0.1*x3"], ["0.2", "0.3*x1*sin(pi*x2)", "0.1"],
+      ["0.1*x2^2", "0.2", "exp(0.2*x1)"]]
+SU2_A3 = [["0.6*x2", "0.3", "0.1*x1"], ["0.2", "0.5*x1", "0.3*x2"],
+          ["0.1", "0.2*x3", "0"]]
+
+
+def _ref_a(conn, p, X):
+    return np.einsum("...kg,...k->...g", conn.a_coeffs(p), X)
+
+
+def _ref_F(conn, p, X, Y):
+    step, rich = conn.fd_step, conn.fd_richardson
+    da = (directional_diff(lambda q: _ref_a(conn, q, Y), p, X, step, rich)
+          - directional_diff(lambda q: _ref_a(conn, q, X), p, Y, step, rich))
+    comm = np.einsum("...i,...j,ijk->...k", _ref_a(conn, p, X),
+                     _ref_a(conn, p, Y), conn.family.l2a.g_alg.structure)
+    return da + comm
+
+
+def _ref_b_pairs(conn, p):
+    p = np.atleast_2d(p)
+    if conn.fake_flat_mode:
+        eye = np.eye(conn.chart.dim)
+        out = np.stack([np.einsum("hg,...g->...h", conn.family.rep_star,
+                                  _ref_F(conn, p, eye[k], eye[l]))
+                        for (k, l) in conn.pairs], axis=-2)
+    else:
+        out = conn._b(p)
+    if conn._b_extra is not None:
+        out = out + conn._b_extra(p)
+    return out
+
+
+def _ref_b(conn, p, X, Y):
+    weights = np.stack([X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
+                        for (k, l) in conn.pairs], axis=-1)
+    return np.einsum("...p,...ph->...h", weights, _ref_b_pairs(conn, p))
+
+
+def _ref_K(conn, p, X, Y, Z):
+    step, rich = conn.fd_step, conn.fd_richardson
+
+    def diff(fn, v):
+        return directional_diff(fn, p, v, step, rich)
+
+    def alpha(x, eta):
+        return np.einsum("...i,...j,ijk->...k", x, eta,
+                         conn.family.l2a.alpha_star)
+
+    db = (diff(lambda q: _ref_b(conn, q, Y, Z), X)
+          - diff(lambda q: _ref_b(conn, q, X, Z), Y)
+          + diff(lambda q: _ref_b(conn, q, X, Y), Z))
+    wedge = (alpha(_ref_a(conn, p, X), _ref_b(conn, p, Y, Z))
+             - alpha(_ref_a(conn, p, Y), _ref_b(conn, p, X, Z))
+             + alpha(_ref_a(conn, p, Z), _ref_b(conn, p, X, Y)))
+    return db + wedge
+
+
+def _connections(richardson):
+    u2p = matrix_family("u2_to_pu2")
+    su2 = matrix_family("su2_id_conj")
+    extra = TwoConnection(
+        u2p, Chart(3), a=A3, b="fake_flat", fd_richardson=richardson,
+        b_extra=[["0.5*x3", "0", "0", "-0.2*x1"], ["0.4*x1", "0", "0", "0"],
+                 ["0.3*x2", "0", "0", "0"]])
+    explicit = TwoConnection(
+        u2p, Chart(3), a=A3, fd_richardson=richardson,
+        b=[["0.5*x3", "0.1*x1", "-0.5*x2", "0.3"], ["0.4*x1", "0", "0", "0"],
+           ["0.3*x2", "x1*x3", "0", "0"]])
+    base = TwoConnection(su2, Chart(3), a=SU2_A3, b="fake_flat",
+                         fd_richardson=richardson)
+    m = OneMorphism(su2, Chart(3), g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
+                    phi=[["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"],
+                         ["0", "0.2*x3", "0.1"]])
+    return {"b_extra": extra, "explicit_b": explicit,
+            "gauge_transformed": gauge_transform(base, m)}
+
+
+@pytest.mark.parametrize("richardson", [False, True],
+                         ids=["plain", "richardson"])
+@pytest.mark.parametrize("which", ["b_extra", "explicit_b",
+                                   "gauge_transformed"])
+def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which, richardson):
+    conn = _connections(richardson)[which]
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.2, 0.8, size=(12, 3))
+    X, Y, Z = rng.normal(size=(3, 12, 3))
+    eye = np.eye(3)
+    for (k, l) in conn.pairs:
+        assert np.array_equal(conn.F_of(pts, eye[k], eye[l]),
+                              _ref_F(conn, pts, eye[k], eye[l]))
+        assert np.array_equal(conn.b_of(pts, eye[k], eye[l]),
+                              _ref_b(conn, pts, eye[k], eye[l]))
+    assert np.array_equal(conn.F_of(pts, X, Y), _ref_F(conn, pts, X, Y))
+    assert np.array_equal(conn.b_of(pts, X, Y), _ref_b(conn, pts, X, Y))
+    assert np.array_equal(conn.K_of(pts, X, Y, Z), _ref_K(conn, pts, X, Y, Z))
+    assert np.array_equal(conn.K_of(pts[:3], EX, EY, EZ),
+                          _ref_K(conn, pts[:3], EX, EY, EZ))
+    grid = conn.validation_grid(3)
+    ref = max(float(np.max(np.abs(
+        conn.family.l2a.apply_t_star(_ref_b(conn, grid, eye[k], eye[l]))
+        - _ref_F(conn, grid, eye[k], eye[l])))) for (k, l) in conn.pairs)
+    assert fake_flatness_residual(conn, grid)["residual"] == ref
+
+
+def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
+    chart = Chart(3)
+    conn = TwoConnection(su2, chart, a=SU2_A3, b="fake_flat")
+    m = OneMorphism(su2, chart, g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
+                    phi=[["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"],
+                         ["0", "0.2*x3", "0.1"]])
+    moved = gauge_transform(conn, m)
+    pts = np.random.default_rng(5).uniform(0.2, 0.8, size=(9, 3))
+    l2a, eye = su2.l2a, np.eye(3)
+    ginv = su2.group_G.inv(m.g_map(pts))
+    # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time
+    want_a = np.stack([su2.ad_g_vec(ginv, conn.a_coeffs(pts)[:, k]
+                                    + m.g_map.right_log_derivative(pts, k)
+                                    + l2a.apply_t_star(m.phi_coeffs(pts)[:, k]))
+                       for k in range(3)], axis=1)
+    assert np.array_equal(moved.a_coeffs(pts), want_a)
+    # b' = (alpha_{g^-1})_*(b + d phi + [phi, phi] + alpha_*(a ^ phi))
+    a, phi = conn.a_coeffs(pts), m.phi_coeffs(pts)
+    dphi = [directional_diff(m.phi_coeffs, pts, e, conn.fd_step) for e in eye]
+    want_b = np.stack([
+        su2.alpha_vec(ginv, conn.b_of(pts, eye[k], eye[l])
+                      + dphi[k][:, l] - dphi[l][:, k]
+                      + l2a.h_alg.bracket(phi[:, k], phi[:, l])
+                      + l2a.apply_alpha_star(a[:, k], phi[:, l])
+                      - l2a.apply_alpha_star(a[:, l], phi[:, k]))
+        for (k, l) in conn.pairs], axis=1)
+    assert np.array_equal(moved._b(pts), want_b)
+
+
+def test_each_field_is_evaluated_once_per_stencil_point(u2p):
+    coeffs = CoefficientField(A3, 3, (3, 3))
+    calls = []
+
+    def counting_a(points):
+        calls.append(len(points))
+        return coeffs(points)
+
+    grid = chart_grid(Chart(3), 3)
+    for richardson, stencil in [(False, 4), (True, 8)]:
+        conn = TwoConnection(u2p, Chart(3), a=counting_a, b="fake_flat",
+                             fd_richardson=richardson)
+        calls.clear()
+        fake_flatness_residual(conn, grid)
+        # the centre plus one stencil per chart axis, for all three pairs
+        assert len(calls) == 1 + stencil * 3
+        calls.clear()
+        conn.K_of(grid, EX, EY, EZ)
+        # b at every stencil point of the three differences, then a and b
+        # once at the centre for the wedge terms
+        assert len(calls) == (3 * stencil + 1) * (1 + stencil * 3) + 1
+
+
+def _fake_flat_cases():
+    # a linear u(1) connection: F_12 = 1, F_13 = x2, F_23 = x1, and t_* = id
+    u1 = ("u1_id", [["0"], ["x1"], ["x1*x2"]], [["1"], ["x2"], ["x1"]])
+    # a constant su(2) connection: F(e_k, e_l) = [a_k, a_l], and t_* = id
+    su2 = matrix_family("su2_id_conj")
+    c = np.array([[0.3, 0.1, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 0.4]])
+    brackets = [su2.l2a.g_alg.bracket(c[k], c[l])
+                for (k, l) in [(0, 1), (0, 2), (1, 2)]]
+    return [u1, ("su2_id_conj", [[repr(float(v)) for v in row] for row in c],
+                 [[repr(float(v)) for v in row] for row in brackets])]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["u1-linear", "su2-constant"])
+@pytest.mark.parametrize("wrong", [0, 1, 2])
+def test_fake_flat_residual_checks_every_pair(case, wrong):
+    # an explicit b equal to the fake-flat lift, then spoiled on one pair:
+    # a dropped or permuted pair in the all-pairs residual shows here
+    name, a, b = _fake_flat_cases()[case]
+    family = matrix_family(name)
+    assert fake_flatness_residual(
+        TwoConnection(family, Chart(3), a=a, b=b))["pass"]
+    b = [list(row) for row in b]
+    b[wrong][0] += " + 0.25"
+    rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b))
+    assert not rep["pass"]
+    assert abs(rep["residual"] - 0.25) <= 1e-9

@@ -45,6 +45,15 @@ def test_counterexample_rejected_with_peiffer_witness():
     assert report.witnesses["peiffer"] == (1, 1)
 
 
+def test_passing_matrix_report_has_no_roundoff_witnesses():
+    # u2_to_pu2 axioms hold to roundoff (~1e-16), which is not a witness
+    report = check_crossed_module(matrix_family("u2_to_pu2").cm)
+    assert report.passed
+    assert 0.0 < report.t_homomorphism <= report.tolerance
+    assert report.witnesses == {}
+    assert report.as_dict()["witnesses"] == {}
+
+
 def test_multiply_identity_and_formula(z2z3):
     e = z2z3.identity2()
     x = z2z3.element(1, 2)
