@@ -336,6 +336,10 @@ def run_reconstruct(which):
         d = conn.chart.dim
         points = _random_chart_points(conn, rng, 10)
         worst = 0.0
+        samples = {"sample_points": points, "X": [], "reconstructed": [],
+                   "expected": []}
+        if which == "B":
+            samples["Y"] = []
         for x in points:
             X = rng.standard_normal(d)
             if which == "A":
@@ -347,6 +351,10 @@ def run_reconstruct(which):
                 got = reconstruct_B(conn, x, X, Y)
                 want = conn.b_of(x[None], X, Y)[0]
                 tol = TOL["reconstruct_B"] * (1.0 + float(np.max(np.abs(want))))
+                samples["Y"].append(Y)
+            samples["X"].append(X)
+            samples["reconstructed"].append(got)
+            samples["expected"].append(want)
             worst = max(worst, float(np.max(np.abs(got - want))) / tol)
         defect = worst
         ok = defect <= 1.0
@@ -354,7 +362,7 @@ def run_reconstruct(which):
              f"worst defect {defect:.3f} of tolerance")
         return [{"name": f"reconstruct-{which}",
                  "worst_relative_to_tolerance": defect, "points": len(points),
-                 "pass": ok}]
+                 **samples, "pass": ok}]
 
     return runner
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
@@ -23,6 +24,10 @@ from .groups import FiniteGroup, cyclic_group
 from .morphisms import OneMorphism, TwoMorphismA
 
 __all__ = ["CONFIG_SCHEMA", "RunConfig", "load_config", "config_hash"]
+
+# Parameter samples per axis at which configured maps are checked
+# against the chart box.
+_BOX_SAMPLES = 17
 
 _EXPR = {"type": "string", "minLength": 1}
 _EXPR_ROW = {"type": "array", "items": _EXPR, "minItems": 1}
@@ -280,11 +285,38 @@ class RunConfig:
             fd_richardson=num.get("fd_richardson", False))
 
     def param_maps(self, kind: str) -> dict:
+        """The configured paths, bigons or cubes by name, each checked to
+        map into the chart (see :meth:`_check_in_chart`)."""
         arity = {"paths": 1, "bigons": 2, "cubes": 3}[kind]
         out = {}
         for name, exprs in self.raw.get(kind, {}).items():
-            out[name] = ParamMap.from_exprs(exprs, arity, name=name)
+            pm = ParamMap.from_exprs(exprs, arity, name=name)
+            self._check_in_chart(pm, f"{kind}.{name}")
+            out[name] = pm
         return out
+
+    def _check_in_chart(self, pm: ParamMap, path: str):
+        """A map needs one component per chart coordinate and, when the chart
+        has a box, its images on a fixed parameter grid inside the box."""
+        chart = self.chart()
+        if pm.dim != chart.dim:
+            raise ConfigError(f"config invalid at '{path}': {pm.dim} components "
+                              f"for a {chart.dim}-d chart", path=path)
+        if chart.box is None:
+            return
+        axis = np.linspace(0.0, 1.0, _BOX_SAMPLES)
+        params = np.stack(np.meshgrid(*[axis] * pm.arity, indexing="ij"),
+                          axis=-1).reshape(-1, pm.arity)
+        images = pm(params)
+        outside = np.any((images < chart.box[:, 0])
+                         | (images > chart.box[:, 1]), axis=-1)
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise ConfigError(
+                f"config invalid at '{path}': the image "
+                f"{np.round(images[k], 6).tolist()} of parameter "
+                f"{np.round(params[k], 6).tolist()} leaves the chart box",
+                path=path)
 
     def morphism(self) -> OneMorphism:
         spec = self._require("morphism")

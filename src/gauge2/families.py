@@ -19,6 +19,7 @@ Finite demo modules used by the exact torsor suite live here as well.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,4 +288,14 @@ def finite_demo_module(which: str) -> CrossedModule:
         alpha = [list(range(4)), [(-h) % 4 for h in range(4)]]
         return finite_crossed_module(G, H, t, alpha,
                                      name="z2_z4_peiffer_broken")
+    if which == "s3_id_conj":
+        # S3 as the permutations of (0, 1, 2); (a b)(i) = a(b(i))
+        perms = list(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+        G = H = FiniteGroup(table, name="S3")
+        g = np.arange(G.order)[:, None]
+        alpha = G.mul(G.mul(g, np.arange(H.order)), G.inv(g))
+        return finite_crossed_module(G, H, list(range(H.order)), alpha,
+                                     name="s3_id_conj")
     raise StructureError(f"unknown finite demo module {which!r}")

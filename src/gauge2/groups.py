@@ -4,10 +4,17 @@ Finite groups hold an explicit multiplication table and are exact; their
 operations take integer index arrays, so a batch of elements is one lookup.
 Matrix groups carry a membership predicate (unitary / orthogonal, with an
 optional determinant condition), a polar projection back onto the group
-manifold, and exponential/logarithm bridges to their Lie algebras.  The
-exponential has closed forms for the 1x1, anti-Hermitian 2x2 and real
-antisymmetric 3x3 cases used by the built-in families; everything else
-falls back to the scaling-and-squaring routine in scipy.
+manifold, and exponential/logarithm bridges to their Lie algebras.
+Projection and exponential have closed forms, written entry by entry, for
+the sizes the built-in families use:
+
+* ``project`` on U(1) is m / |m|, and on U(2) and SU(2) the exact 2x2
+  polar factor (M + |det M| M^-H) / sqrt(|M|_F^2 + 2 |det M|); real groups
+  and complex ones larger than 2x2 take the SVD polar factor.  A closed
+  form refuses a singular or non-finite input with MembershipError.
+* ``exp`` has closed forms for the 1x1, anti-Hermitian 2x2 and real
+  antisymmetric 3x3 cases; everything else falls back to the
+  scaling-and-squaring routine in scipy.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import BranchError, MembershipError, StructureError
 __all__ = ["FiniteGroup", "MatrixGroup", "cyclic_group"]
 
 MEMBERSHIP_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class FiniteGroup:
@@ -117,12 +125,24 @@ def _sinc(x):
 
 
 def _exp_antihermitian_2x2(w):
-    """exp for 2x2 anti-Hermitian matrices, batched over leading axes."""
-    a = 0.5 * np.trace(w, axis1=-2, axis2=-1)[..., None, None]
-    s = w - a * np.eye(2)
-    theta = np.sqrt(np.maximum(np.linalg.det(s).real, 0.0))[..., None, None]
-    eye = np.broadcast_to(np.eye(2, dtype=complex), w.shape)
-    return np.exp(a) * (np.cos(theta) * eye + _sinc(theta) * s)
+    """exp for 2x2 anti-Hermitian matrices, batched over leading axes.
+
+    With w = a I + S, S = [[h, q], [r, -h]] traceless and theta^2 = det S,
+    exp(w) = e^a (cos(theta) I + sinc(theta) S).
+    """
+    p, q, r, s = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
+    a = 0.5 * (p + s)
+    h = 0.5 * (p - s)
+    theta = np.sqrt(np.maximum((-h * h - q * r).real, 0.0))
+    scale = np.exp(a)
+    cos = scale * np.cos(theta)
+    sinc = scale * _sinc(theta)
+    out = np.empty(w.shape, dtype=complex)
+    out[..., 0, 0] = cos + sinc * h
+    out[..., 0, 1] = sinc * q
+    out[..., 1, 0] = sinc * r
+    out[..., 1, 1] = cos - sinc * h
+    return out
 
 
 def _exp_antisymmetric_3x3(w):
@@ -163,8 +183,16 @@ class MatrixGroup:
         if self.real:
             d = max(d, np.max(np.abs(m.imag)) if np.iscomplexobj(m) else 0.0)
         if self.kind in ("special_unitary", "special_orthogonal"):
-            d = max(d, np.max(np.abs(np.linalg.det(m) - 1.0)))
+            d = max(d, np.max(np.abs(self._det(m) - 1.0)))
         return float(d)
+
+    def _det(self, m):
+        """Batched determinant, written out for complex 1x1 and 2x2."""
+        if self.real or self.dim > 2:
+            return np.linalg.det(m)
+        if self.dim == 1:
+            return m[..., 0, 0]
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
     def check_membership(self, m):
         d = self.membership_defect(m)
@@ -174,18 +202,60 @@ class MatrixGroup:
         return m
 
     def project(self, m):
-        """Polar projection onto the group manifold (batched)."""
+        """Polar projection onto the group manifold (batched).
+
+        U(1), U(2) and SU(2) use closed forms (see the module docstring)
+        and raise MembershipError on a singular or non-finite input; SO(n)
+        and complex groups larger than 2x2 use the SVD polar factor.  For
+        SU(n) the unitary factor is then rotated by exp(-i arg(det) / n).
+        """
         m = np.asarray(m, dtype=float if self.real else complex)
-        u, _, vh = np.linalg.svd(m)
-        p = u @ vh
-        if self.kind == "special_unitary":
-            det = np.linalg.det(p)
-            p = p * np.exp(-1j * np.angle(det) / self.dim)[..., None, None]
-        elif self.kind == "special_orthogonal":
-            if np.any(np.linalg.det(p) < 0):
+        if self.real or self.dim > 2:
+            u, _, vh = np.linalg.svd(m)
+            p = u @ vh
+            if self.kind == "special_orthogonal" and np.any(np.linalg.det(p) < 0):
                 raise MembershipError(
                     f"projection landed on the det=-1 sheet of {self.name}")
+            if self.kind != "special_unitary":
+                return p
+            det = np.linalg.det(p)
+        else:
+            det = self._det(m)
+            if self.dim == 1:
+                p = m / self._regular_abs_det(det, np.abs(det))[..., None, None]
+            else:
+                p = self._polar_2x2(m, det)
+        if self.kind == "special_unitary":
+            p = p * np.exp(-1j * np.angle(det) / self.dim)[..., None, None]
         return p
+
+    def _regular_abs_det(self, det, size):
+        """|det|, once it is finite and above roundoff relative to ``size``,
+        a quantity of the same degree in the entries."""
+        absdet = np.abs(det)
+        # written so that NaN and infinity fail the comparison as well
+        if not np.all(absdet > _EPS * size):
+            raise MembershipError(
+                f"cannot project a singular or non-finite matrix onto {self.name}")
+        return absdet
+
+    def _polar_2x2(self, m, det):
+        """Unitary polar factor of a batch of nonsingular complex 2x2
+        matrices with determinants ``det``.  For M = [[a, b], [c, d]] with
+        det M = |det M| e^{i phi}, |det M| M^-H = e^{i phi} [[d*, -c*],
+        [-b*, a*]], and M + |det M| M^-H = (s1 + s2) U for the singular
+        values s1, s2 of M, with (s1 + s2)^2 = |M|_F^2 + 2 |det M|."""
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        norm2 = np.einsum("...ij,...ij->...", m, m.conj()).real
+        absdet = self._regular_abs_det(det, norm2)
+        phase = det / absdet
+        out = np.empty(m.shape, dtype=complex)
+        out[..., 0, 0] = a + phase * d.conj()
+        out[..., 0, 1] = b - phase * c.conj()
+        out[..., 1, 0] = c - phase * b.conj()
+        out[..., 1, 1] = d + phase * a.conj()
+        out *= (1.0 / np.sqrt(norm2 + 2.0 * absdet))[..., None, None]
+        return out
 
     def mul(self, a, b):
         return a @ b

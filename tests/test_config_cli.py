@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
@@ -252,3 +253,76 @@ def test_shipped_configs_pass_the_step_count_check(name):
     cfg = load_config(pathlib.Path(__file__).parent.parent / "configs"
                       / f"{name}.json")
     _check_simpson_steps(_applicable(cfg), cfg.numeric())
+
+
+BOXED = {**MINIMAL, "chart": {"dim": 2, "box": [[-0.5, 1.5], [-0.5, 1.5]]}}
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("kind,exprs,argv", [
+    ("paths", ["2*u", "0"], ["transport"]),
+    ("bigons", ["v", "2*u*sin(pi*v)"], ["surface-transport"]),
+    ("cubes", ["v", "w - 1.5*u*sin(pi*w)"], ["verify", "higher-stokes"]),
+    ("paths", ["u", "0", "0"], ["transport"]),
+], ids=["path-leaves-box", "bigon-leaves-box", "cube-leaves-box",
+        "path-wrong-dimension"])
+def test_maps_outside_the_chart_are_config_errors(tmp_path, capsys, kind,
+                                                  exprs, argv):
+    raw = {**BOXED, kind: {**BOXED.get(kind, {}), "stray": exprs}}
+    path = _write(tmp_path, raw)
+    code = main([*argv, "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert f"{kind}.stray" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["abelian_demo", "su2_demo", "u2pu2_higher",
+                                  "finite_torsor", "s3_id_conj"])
+def test_shipped_configs_map_into_their_charts(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    for kind in ("paths", "bigons", "cubes"):
+        cfg.param_maps(kind)
+
+
+def test_s3_id_conj_demo_config(tmp_path):
+    path = str(CONFIGS / "s3_id_conj.json")
+    out = tmp_path / "out"
+    for argv in (["torsor-selftest"], ["check-crossed-module"]):
+        assert main([*argv, "--config", path, "--out", str(out),
+                     "--quiet"]) == 0
+    laws = json.loads((out / "torsor-selftest.json").read_text())
+    assert laws["cases"][0]["laws"]
+    assert all(v == 0.0 for v in laws["cases"][0]["laws"].values())
+    axioms = json.loads((out / "check-crossed-module.json").read_text())
+    case = axioms["cases"][0]
+    assert case["name"] == "s3_id_conj" and case["samples"] == 6 ** 3
+    for key in ("equivariance", "peiffer", "t_homomorphism", "centrality",
+                "interchange_defect"):
+        assert case[key] == 0.0
+    assert case["witnesses"] == {}
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_reconstruct_reports_list_their_samples(tmp_path, which):
+    cfg = RunConfig(MINIMAL)
+    command = f"reconstruct-{which}"
+    run_command(command, cfg, str(tmp_path / "r1"), quiet=True)
+    run_command(command, cfg, str(tmp_path / "r2"), quiet=True)
+    first = (tmp_path / "r1" / f"{command}.json").read_bytes()
+    assert first == (tmp_path / "r2" / f"{command}.json").read_bytes()
+    case = json.loads(first)["cases"][0]
+    assert case["points"] == 10 and case["pass"]
+    assert 0.0 <= case["worst_relative_to_tolerance"] <= 1.0
+    listed = ["sample_points", "X", "reconstructed", "expected"]
+    listed += ["Y"] if which == "B" else []
+    for key in listed:
+        assert len(case[key]) == 10
+    conn = cfg.connection()
+    x, X = np.array(case["sample_points"][3]), np.array(case["X"][3])
+    if which == "A":
+        want = conn.a_of(x[None], X)[0]
+    else:
+        want = conn.b_of(x[None], X, np.array(case["Y"][3]))[0]
+    assert np.allclose(case["expected"][3], want, rtol=0, atol=1e-14)
+    assert np.allclose(case["reconstructed"][3], want, rtol=0,
+                       atol=1e-4 * (1.0 + np.max(np.abs(want))))

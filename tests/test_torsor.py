@@ -269,3 +269,12 @@ def test_matrix_torsor_division_sampled():
         y = t1.arrow(fam.cm.sample_G(rng), fam.cm.sample_H(rng))
         q = torsor_divide(x, y)
         assert x.act(q).defect(y) <= 1e-10
+
+
+def test_s3_id_conj_demo_is_the_conjugation_module():
+    demo, ref = finite_demo_module("s3_id_conj"), s3_module()
+    g, h = np.arange(6)[:, None], np.arange(6)
+    assert np.array_equal(demo.G.table, ref.G.table)
+    assert np.array_equal(demo.H.table, ref.H.table)
+    assert np.array_equal(demo.t(h), ref.t(h))
+    assert np.array_equal(demo.alpha(g, h), ref.alpha(g, h))
