@@ -15,8 +15,9 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .errors import ConfigError
-from .families import finite_crossed_module, finite_demo_module, matrix_family
+from .errors import ConfigError, DomainError, ParseError
+from .families import (FINITE_DEMO_NAMES, finite_crossed_module,
+                       finite_demo_module, matrix_family)
 from .fields import CoefficientField
 from .forms import TransitionData, TwoConnection
 from .geometry import Chart, ParamMap
@@ -58,7 +59,7 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "demo": {"type": "string"},
+                        "demo": {"enum": list(FINITE_DEMO_NAMES)},
                         "G": _FINITE_GROUP,
                         "H": _FINITE_GROUP,
                         "t": {"type": "array", "items": {"type": "integer"}},
@@ -286,12 +287,18 @@ class RunConfig:
 
     def param_maps(self, kind: str) -> dict:
         """The configured paths, bigons or cubes by name, each checked to
-        map into the chart (see :meth:`_check_in_chart`)."""
+        parse in the variables its arity allows and to map into the chart
+        (see :meth:`_check_in_chart`)."""
         arity = {"paths": 1, "bigons": 2, "cubes": 3}[kind]
         out = {}
         for name, exprs in self.raw.get(kind, {}).items():
-            pm = ParamMap.from_exprs(exprs, arity, name=name)
-            self._check_in_chart(pm, f"{kind}.{name}")
+            path = f"{kind}.{name}"
+            try:
+                pm = ParamMap.from_exprs(exprs, arity, name=name)
+            except (DomainError, ParseError) as err:
+                raise ConfigError(f"config invalid at '{path}': {err}",
+                                  path=path) from None
+            self._check_in_chart(pm, path)
             out[name] = pm
         return out
 

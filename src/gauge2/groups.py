@@ -2,25 +2,21 @@
 
 Finite groups hold an explicit multiplication table and are exact; their
 operations take integer index arrays, so a batch of elements is one lookup.
-Matrix groups carry a membership predicate (unitary / orthogonal, with an
-optional determinant condition), a polar projection back onto the group
-manifold, and exponential/logarithm bridges to their Lie algebras.
-Projection and exponential have closed forms, written entry by entry, for
-the sizes the built-in families use:
+Matrix groups are U(1), U(2), SU(2) and SO(3), the built-in families'
+groups; each operation is one closed form, batched over leading axes:
 
-* ``project`` on U(1) is m / |m|, and on U(2) and SU(2) the exact 2x2
-  polar factor (M + |det M| M^-H) / sqrt(|M|_F^2 + 2 |det M|); real groups
-  and complex ones larger than 2x2 take the SVD polar factor.  A closed
-  form refuses a singular or non-finite input with MembershipError.
-* ``exp`` has closed forms for the 1x1, anti-Hermitian 2x2 and real
-  antisymmetric 3x3 cases; everything else falls back to the
-  scaling-and-squaring routine in scipy.
+* ``project``: m / |m| on U(1), the exact 2x2 polar factor
+  (M + |det M| M^-H) / sqrt(|M|_F^2 + 2 |det M|) on U(2) and SU(2), one
+  Newton-Schulz step on SO(3); MembershipError where it cannot project.
+* ``exp``: e^w, the anti-Hermitian 2x2 formula, Rodrigues' formula.
+* ``log``: i arg g on U(1); on U(2) and SU(2) the eigen-angles phi +- theta
+  of g = e^{i phi} (cos theta I + sin theta N); on SO(3) twice the angle of
+  the Shepperd quaternion.  BranchError outside the principal branch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchError, MembershipError, StructureError
 
@@ -94,14 +90,6 @@ class FiniteGroup:
         """Largest distance over a batch: 0 when all equal, 1 otherwise."""
         return float(np.max(self.distance(a, b), initial=0.0))
 
-    def contains(self, a) -> bool:
-        return isinstance(a, (int, np.integer)) and 0 <= int(a) < self.order
-
-    def project(self, a):
-        if not self.contains(a):
-            raise MembershipError(f"{a!r} is not an element index of {self.name}")
-        return int(a)
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -119,6 +107,19 @@ def cyclic_group(n: int, name=None) -> FiniteGroup:
 
 
 # --- matrix groups ----------------------------------------------------------
+
+# 1 and -i sigma_k: the unit quaternion (w, x, y, z) is w I - i (x, y, z).sigma
+QUATERNION_UNITS = np.array([[[1, 0], [0, 1]], [[0, -1j], [-1j, 0]],
+                             [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
+# L_k with hat(x) = x_k L_k, (L_k)_ij = -epsilon_kij
+SO3_BASIS = np.zeros((3, 3, 3))
+SO3_BASIS[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = 1.0
+SO3_BASIS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = -1.0
+
+# The (kind, dim) pairs with closed forms, and their default names.
+_GROUPS = {("unitary", 1): "U(1)", ("unitary", 2): "U(2)",
+           ("special_unitary", 2): "SU(2)", ("special_orthogonal", 3): "SO(3)"}
+
 
 def _sinc(x):
     return np.sinc(x / np.pi)
@@ -154,21 +155,41 @@ def _exp_antisymmetric_3x3(w):
     return eye + _sinc(theta) * w + coeff2 * (w @ w)
 
 
-class MatrixGroup:
-    """Matrix Lie group defined by a membership predicate.
+def rotation_quaternion(r):
+    """Unit quaternions (w, x, y, z), w >= 0, of rotations, batched.  By
+    Shepperd (JGCD 1978): k = 4 q q^T, and its row at the largest diagonal
+    entry is a multiple of q that no cancellation has spoilt."""
+    r = np.asarray(r, dtype=float)
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    k = np.empty(r.shape[:-2] + (4, 4))
+    k[..., 0, 0] = 1.0 + tr
+    k[..., 0, 1:] = k[..., 1:, 0] = np.einsum("kij,...ij->...k", SO3_BASIS, r)
+    k[..., 1:, 1:] = (r + np.swapaxes(r, -2, -1)
+                      + (1.0 - tr)[..., None, None] * np.eye(3))
+    best = np.argmax(np.diagonal(k, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(k, best[..., None, None], axis=-2)[..., 0, :]
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.where(q[..., :1] < 0.0, -q, q)
 
-    ``kind`` selects the predicate: 'unitary' (U(n)), 'special_unitary'
-    (SU(n)), or 'special_orthogonal' (SO(n), real entries).
-    """
+
+class MatrixGroup:
+    """Matrix Lie group defined by a membership predicate: ``kind`` is
+    'unitary', 'special_unitary' or 'special_orthogonal' (real entries).  A
+    (kind, dim) other than U(1), U(2), SU(2) or SO(3) is a StructureError."""
 
     def __init__(self, kind: str, dim: int, name=None, tol=MEMBERSHIP_TOL):
-        if kind not in ("unitary", "special_unitary", "special_orthogonal"):
-            raise StructureError(f"unknown matrix group kind {kind!r}")
+        if (kind, dim) not in _GROUPS:
+            raise StructureError(
+                f"no matrix group {kind!r} of size {dim}; the supported "
+                f"groups are {', '.join(_GROUPS.values())}")
         self.kind = kind
         self.dim = dim
         self.real = kind == "special_orthogonal"
         self.tol = tol
-        self.name = name or f"{kind}({dim})"
+        self.name = name or _GROUPS[kind, dim]
+        # log g = vec_k units_k (+ i phase I): -i sigma_k, or 2 L_k on SO(3)
+        self._log_units = {1: np.zeros((0, 1, 1)), 2: QUATERNION_UNITS[1:],
+                           3: 2.0 * SO3_BASIS}[dim]
         self.identity = np.eye(dim, dtype=float if self.real else complex)
 
     # -- membership and projection ------------------------------------------
@@ -178,8 +199,7 @@ class MatrixGroup:
         if m.shape[-2:] != (self.dim, self.dim):
             raise MembershipError(
                 f"expected {self.dim}x{self.dim} matrix for {self.name}")
-        eye = np.eye(self.dim)
-        d = np.max(np.abs(np.swapaxes(m.conj(), -2, -1) @ m - eye))
+        d = np.max(np.abs(self.inv(m) @ m - np.eye(self.dim)))
         if self.real:
             d = max(d, np.max(np.abs(m.imag)) if np.iscomplexobj(m) else 0.0)
         if self.kind in ("special_unitary", "special_orthogonal"):
@@ -187,12 +207,13 @@ class MatrixGroup:
         return float(d)
 
     def _det(self, m):
-        """Batched determinant, written out for complex 1x1 and 2x2."""
-        if self.real or self.dim > 2:
-            return np.linalg.det(m)
+        """Batched determinant, written out entry by entry."""
         if self.dim == 1:
             return m[..., 0, 0]
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        if self.dim == 2:
+            return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     def check_membership(self, m):
         d = self.membership_defect(m)
@@ -204,27 +225,31 @@ class MatrixGroup:
     def project(self, m):
         """Polar projection onto the group manifold (batched).
 
-        U(1), U(2) and SU(2) use closed forms (see the module docstring)
-        and raise MembershipError on a singular or non-finite input; SO(n)
-        and complex groups larger than 2x2 use the SVD polar factor.  For
-        SU(n) the unitary factor is then rotated by exp(-i arg(det) / n).
+        Closed forms, see the module docstring; each raises MembershipError
+        on an input it cannot project.  For SU(2) the unitary factor is
+        then rotated by exp(-i arg(det) / 2).
         """
         m = np.asarray(m, dtype=float if self.real else complex)
-        if self.real or self.dim > 2:
-            u, _, vh = np.linalg.svd(m)
-            p = u @ vh
-            if self.kind == "special_orthogonal" and np.any(np.linalg.det(p) < 0):
+        if self.dim == 3:
+            # one Newton-Schulz step X (3I - X^T X) / 2 (Higham, Functions of
+            # Matrices, 2008, ch. 8); its error is about 3/8 d^2 for the
+            # drift d = max |X^T X - I|, so d > sqrt(eps) is refused
+            gram = np.swapaxes(m, -2, -1) @ m
+            drift = np.max(np.abs(gram - np.eye(3)), initial=0.0)
+            if not drift <= np.sqrt(_EPS):      # NaN fails as well
+                raise MembershipError(
+                    f"matrix is {drift:.3e} off the {self.name} manifold, "
+                    f"too far for one Newton-Schulz step")
+            p = m @ (1.5 * np.eye(3) - 0.5 * gram)
+            if np.any(self._det(p) < 0.0):
                 raise MembershipError(
                     f"projection landed on the det=-1 sheet of {self.name}")
-            if self.kind != "special_unitary":
-                return p
-            det = np.linalg.det(p)
+            return p
+        det = self._det(m)
+        if self.dim == 1:
+            p = m / self._regular_abs_det(det, np.abs(det))[..., None, None]
         else:
-            det = self._det(m)
-            if self.dim == 1:
-                p = m / self._regular_abs_det(det, np.abs(det))[..., None, None]
-            else:
-                p = self._polar_2x2(m, det)
+            p = self._polar_2x2(m, det)
         if self.kind == "special_unitary":
             p = p * np.exp(-1j * np.angle(det) / self.dim)[..., None, None]
         return p
@@ -273,46 +298,47 @@ class MatrixGroup:
     # -- exponential / logarithm ---------------------------------------------
 
     def exp(self, w):
-        """Group exponential of an algebra matrix, batched over leading axes.
-
-        The closed forms for the built-in families (1x1, anti-Hermitian
-        2x2, antisymmetric 3x3) land on the manifold to roundoff and are
-        returned unprojected; other shapes go through scipy's
-        scaling-and-squaring expm, whose result is polar-projected.
-        """
+        """Group exponential of algebra matrices, batched over leading axes;
+        on the manifold to roundoff, so returned unprojected."""
         w = np.asarray(w, dtype=float if self.real else complex)
         if self.dim == 1:
             return np.exp(w)
-        if self.dim == 2 and not self.real:
+        if self.dim == 2:
             return _exp_antihermitian_2x2(w)
-        if self.dim == 3 and self.real:
-            return _exp_antisymmetric_3x3(w)
-        return self.project(scipy.linalg.expm(w))
+        return _exp_antisymmetric_3x3(w)
 
     def log(self, g, branch_margin=1e-12):
-        """Principal matrix logarithm, structure-projected onto the algebra.
-
-        Raises BranchError when an eigenvalue angle reaches pi, i.e. when the
-        element is outside the injectivity radius of exp.
-        """
+        """Principal logarithm, batched over leading axes.  BranchError when
+        an eigenvalue angle reaches pi (1 - margin), outside the injectivity
+        radius of exp, or when exp(log g) misses g by more than 1e-9."""
         g = np.asarray(g, dtype=float if self.real else complex)
-        if g.ndim > 2:
-            return np.stack([self.log(x, branch_margin) for x in g])
-        angles = np.abs(np.angle(np.linalg.eigvals(g)))
-        if np.max(angles) >= np.pi * (1.0 - branch_margin):
+        phase = (np.angle(self._det(g)) / self.dim if self.kind == "unitary"
+                 else np.zeros(g.shape[:-2]))
+        if self.dim == 3:
+            q = rotation_quaternion(g)
+        elif self.dim == 2:
+            q = np.einsum("aij,...ij->...a", QUATERNION_UNITS.conj(),
+                          g * np.exp(-1j * phase)[..., None, None]).real / 2
+            # an eigen-angle phase +- theta past +-pi, i.e. cos theta below
+            # -cos phase: g = e^{i(phase -+ pi)} (-q)
+            flip = q[..., 0] < -np.cos(phase) * np.linalg.norm(q, axis=-1)
+            phase = phase - np.pi * np.sign(phase) * flip
+            q = np.where(flip[..., None], -q, q)
+        else:
+            q = np.ones(phase.shape + (1,))
+        norm = np.linalg.norm(q[..., 1:], axis=-1)
+        theta = np.arctan2(norm, q[..., 0])
+        # the rotation angle of SO(3) is twice the quaternion angle
+        worst = 2.0 * theta if self.real else np.abs(phase) + theta
+        if np.max(worst, initial=0.0) >= np.pi * (1.0 - branch_margin):
             raise BranchError(
                 f"element of {self.name} outside the principal branch "
-                f"(eigenvalue angle {np.max(angles):.6f})")
-        if self.dim == 1:
-            return np.array([[1j * np.angle(g[0, 0])]])
-        w = scipy.linalg.logm(g)
-        # anti-hermitize: exact log of a unitary/orthogonal is skew
-        w = 0.5 * (w - w.conj().T)
-        if self.real:
-            w = w.real
-        if self.kind == "special_unitary":
-            w = w - (np.trace(w) / self.dim) * np.eye(self.dim)
-        defect = float(np.max(np.abs(self.exp(w) - g)))
+                f"(eigenvalue angle {np.max(worst):.6f})")
+        vec = q[..., 1:] / (np.hypot(norm, q[..., 0]) * _sinc(theta))[..., None]
+        w = np.tensordot(vec, self._log_units, axes=1)
+        if self.kind == "unitary":
+            w = w + np.multiply.outer(1j * phase, np.eye(self.dim))
+        defect = self.defect(self.exp(w), g)
         if defect > 1e-9:
             raise BranchError(
                 f"log round-trip defect {defect:.3e} on {self.name}")

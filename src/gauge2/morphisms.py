@@ -270,13 +270,12 @@ def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,
     def new_phi(points):
         a = eff_a(points)
         ainv = H.inv(a)
-        ad = np.swapaxes(a.conj(), -2, -1)
         phi = m.phi_coeffs(points)
         aconn = conn.a_coeffs(points)
         da_sign = -1.0
         rows = []
         for k in range(d):
-            ad_a_phi = h_alg.from_matrix(a @ h_alg.to_matrix(phi[:, k, :]) @ ad)
+            ad_a_phi = fam.ad_h_vec(a, phi[:, k, :])
             twisted = fam.twisted_rep_star(a, aconn[:, k, :])
             da = partial_diff(eff_a, points, k, d)
             da_ainv = h_alg.from_matrix(da @ ainv)

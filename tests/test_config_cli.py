@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +178,16 @@ def test_out_of_range_finite_identity_is_a_config_error(tmp_path, capsys,
     assert f"crossed_module.finite.{label}.identity" in capsys.readouterr().err
 
 
+def test_unknown_finite_demo_is_a_config_error(tmp_path, capsys):
+    raw = {"seed": 1, "crossed_module": {"finite": {"demo": "nope"}}}
+    path = _write(tmp_path, raw)
+    code = main(["check-crossed-module", "--config", path,
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "crossed_module.finite.demo" in err and "s3_id_conj" in err
+
+
 def test_seed_override_changes_hash(tmp_path):
     path = _write(tmp_path, MINIMAL)
     cfg = load_config(path)
@@ -264,8 +277,16 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ("bigons", ["v", "2*u*sin(pi*v)"], ["surface-transport"]),
     ("cubes", ["v", "w - 1.5*u*sin(pi*w)"], ["verify", "higher-stokes"]),
     ("paths", ["u", "0", "0"], ["transport"]),
+    # a variable the map's arity does not allow
+    ("paths", ["x1", "0"], ["transport"]),
+    ("bigons", ["v", "w"], ["surface-transport"]),
+    ("cubes", ["v", "x2"], ["verify", "higher-stokes"]),
+    # an expression that does not parse
+    ("paths", ["u +", "0"], ["transport"]),
 ], ids=["path-leaves-box", "bigon-leaves-box", "cube-leaves-box",
-        "path-wrong-dimension"])
+        "path-wrong-dimension", "path-forbidden-variable",
+        "bigon-forbidden-variable", "cube-forbidden-variable",
+        "path-parse-error"])
 def test_maps_outside_the_chart_are_config_errors(tmp_path, capsys, kind,
                                                   exprs, argv):
     raw = {**BOXED, kind: {**BOXED.get(kind, {}), "stray": exprs}}
@@ -326,3 +347,18 @@ def test_reconstruct_reports_list_their_samples(tmp_path, which):
     assert np.allclose(case["expected"][3], want, rtol=0, atol=1e-14)
     assert np.allclose(case["reconstructed"][3], want, rtol=0,
                        atol=1e-4 * (1.0 + np.max(np.abs(want))))
+
+
+def test_reconstruct_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: a fresh interpreter that runs a
+    command which takes group logarithms never imports it."""
+    argv = ["reconstruct", "A", "--config", str(CONFIGS / "u2pu2_higher.json"),
+            "--out", str(tmp_path), "--quiet"]
+    script = ("import sys\nfrom gauge2.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 from gauge2.errors import BranchError, MembershipError, StructureError
-from gauge2.families import matrix_family
+from gauge2.families import adjoint_so3, matrix_family, su2_lift
 from gauge2.forms import TwoConnection
 from gauge2.geometry import Chart, ParamMap
-from gauge2.groups import FiniteGroup, MatrixGroup, cyclic_group
+from gauge2.groups import (QUATERNION_UNITS, SO3_BASIS, FiniteGroup,
+                           MatrixGroup, cyclic_group, rotation_quaternion)
 from gauge2.transport import surface_transport, verify_nonabelian_stokes
 
 
@@ -246,3 +248,130 @@ def test_su2_transport_hot_path_avoids_svd_and_det(monkeypatch):
     assert res.group_defect <= 1e-13
     rep = verify_nonabelian_stokes(conn, lens, steps=16)
     assert rep["defect"] <= 1e-6
+
+
+# --- closed-form log, Shepperd lift and Newton-Schulz projection -----------
+
+MATRIX_GROUPS = [("unitary", 1), ("unitary", 2), ("special_unitary", 2),
+                 ("special_orthogonal", 3)]
+
+
+def _unit_axes(rng, n):
+    axes = rng.standard_normal((n, 3))
+    return axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+
+
+def _generators(kind, dim, angles, rng):
+    """Algebra elements whose largest eigenvalue angle is ``angles``."""
+    n = len(angles)
+    sign = rng.choice([-1.0, 1.0], n)
+    if dim == 1:
+        return (1j * sign * angles)[:, None, None]
+    if dim == 3:
+        return np.tensordot(angles[:, None] * _unit_axes(rng, n), SO3_BASIS, 1)
+    # eigen-angles mean +- half on the su(2) part: (sign angle, other)
+    other = rng.uniform(-1.0, 1.0, n) * angles if kind == "unitary" else -sign * angles
+    mean, half = 0.5 * (sign * angles + other), 0.5 * (sign * angles - other)
+    su2 = np.tensordot(half[:, None] * _unit_axes(rng, n), QUATERNION_UNITS[1:], 1)
+    return su2 + 1j * mean[:, None, None] * np.eye(2)
+
+
+_ANGLES = {
+    "near-0": lambda rng: 10.0 ** rng.uniform(-9, -6, 32),
+    "generic": lambda rng: rng.uniform(0.1, 3.0, 32),
+    # ten times inside the default branch margin of 1e-12
+    "near-pi": lambda rng: np.full(32, np.pi * (1.0 - 1e-11)),
+}
+
+
+@pytest.mark.parametrize("kind,dim", MATRIX_GROUPS)
+@pytest.mark.parametrize("regime", list(_ANGLES))
+def test_closed_form_log_matches_logm(kind, dim, regime):
+    rng = np.random.default_rng(50 + dim)
+    group = MatrixGroup(kind, dim)
+    angles = _ANGLES[regime](rng)
+    w = _generators(kind, dim, angles, rng)
+    g = group.exp(w)
+    got = group.log(g)
+    assert got.shape == g.shape and got.dtype == w.dtype
+    assert np.array_equal(group.log(g[3]), got[3])
+    # accurate relative to the size of log g, also near the identity
+    err = np.max(np.abs(got - w), axis=(-2, -1))
+    assert np.all(err <= 4e-15 * angles)
+    ref = np.stack([scipy.linalg.logm(x) for x in g])
+    # logm's own error grows like eps / (pi - angle) as the angle nears pi
+    tol = 1e-14 / (np.pi - angles[0]) if regime == "near-pi" else 1e-13
+    assert np.max(np.abs(got - ref)) <= tol
+
+
+@pytest.mark.parametrize("kind,dim", MATRIX_GROUPS)
+def test_log_branch_error_across_the_margin(kind, dim):
+    rng = np.random.default_rng(60 + dim)
+    group = MatrixGroup(kind, dim)
+    inside = group.exp(_generators(kind, dim, rng.uniform(0.1, 3.0, 8), rng))
+    for angle in (np.pi * (1.0 - 1e-13), np.pi):
+        across = group.exp(_generators(kind, dim, np.array([angle]), rng))
+        # one element across the margin spoils the batch
+        with pytest.raises(BranchError, match="principal branch"):
+            group.log(np.concatenate([inside, across]))
+    with pytest.raises(BranchError, match="round-trip"):
+        group.log(1.01 * group.identity)
+
+
+@pytest.mark.parametrize("branch", [0, 1, 2, 3], ids=["w", "x", "y", "z"])
+def test_su2_lift_inverts_adjoint_on_every_shepperd_branch(branch):
+    rng = np.random.default_rng(70 + branch)
+    so3 = MatrixGroup("special_orthogonal", 3)
+    axes = 0.2 * rng.standard_normal((32, 3))
+    if branch:
+        # near-pi turns about an axis near e_k make q_k the largest component
+        axes[:, branch - 1] = 1.0
+        angles = np.append(rng.uniform(2.6, np.pi, 31), np.pi)
+    else:
+        angles = rng.uniform(0.0, 1.5, 32)
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    rot = so3.exp(np.tensordot(angles[:, None] * axes, SO3_BASIS, 1))
+    q = rotation_quaternion(rot)
+    assert np.all(np.argmax(np.abs(q), axis=-1) == branch)
+    assert np.all(q[:, 0] >= 0.0)
+    # the same rotation as scipy's quaternion (x, y, z, w), up to sign
+    ref = Rotation.from_matrix(rot).as_quat()[:, [3, 0, 1, 2]]
+    assert np.max(1.0 - np.abs(np.sum(q * ref, axis=-1))) <= 1e-15
+    lift = su2_lift(rot)
+    assert MatrixGroup("special_unitary", 2).membership_defect(lift) <= 1e-15
+    assert np.max(np.abs(adjoint_so3(lift) - rot)) <= 1e-15
+    assert np.max(np.abs(adjoint_so3(su2_lift(rot[0])) - rot[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-14, 1e-11, 1e-9])
+def test_so3_projection_matches_svd_polar_factor(drift):
+    so3 = MatrixGroup("special_orthogonal", 3)
+    rng = np.random.default_rng(80)
+    rot = so3.exp(_generators("special_orthogonal", 3,
+                              rng.uniform(0.0, 3.0, 64), rng))
+    m = rot + drift * rng.standard_normal((64, 3, 3))
+    got = so3.project(m)
+    assert got.shape == m.shape
+    # the SVD factor carries a few ulps of its own: its orthogonality
+    # defect reaches 2e-15 on these inputs, the Newton-Schulz one 4.4e-16
+    assert np.max(np.abs(got - svd_polar(m, special=False))) <= 1e-14
+    assert so3.membership_defect(got) <= 1e-15
+    assert np.array_equal(so3.project(m[0]), got[0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_so3_projection_refuses_far_and_non_finite_inputs():
+    so3 = MatrixGroup("special_orthogonal", 3)
+    rng = np.random.default_rng(81)
+    far = np.eye(3) + 1e-6 * rng.standard_normal((3, 3))
+    for bad in (far, np.full((3, 3), np.nan), np.full((3, 3), np.inf)):
+        with pytest.raises(MembershipError, match="Newton-Schulz"):
+            so3.project(np.stack([np.eye(3), bad]))
+
+
+@pytest.mark.parametrize("kind,dim", [
+    ("unitary", 3), ("special_unitary", 1), ("special_unitary", 3),
+    ("special_orthogonal", 2), ("special_orthogonal", 4), ("symplectic", 2)])
+def test_groups_without_closed_forms_are_rejected(kind, dim):
+    with pytest.raises(StructureError, match="U\\(1\\), U\\(2\\), SU\\(2\\), SO\\(3\\)"):
+        MatrixGroup(kind, dim)

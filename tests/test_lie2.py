@@ -92,6 +92,29 @@ def test_exp_log_round_trip(fam):
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_adjoint_matrices_match_group_conjugation(fam):
+    """g exp(X) g^-1 = exp(Ad_g X) and alpha_g(exp eta) = exp((alpha_g)_* eta),
+    with both sides read back through the closed-form log."""
+    rng = np.random.default_rng(4)
+    G, H, cm = fam.group_G, fam.group_H, fam.cm
+    g_alg, h_alg = fam.l2a.g_alg, fam.l2a.h_alg
+    g = np.stack([cm.sample_G(rng) for _ in range(8)])
+    a = np.stack([cm.sample_H(rng) for _ in range(8)])
+    x = np.stack([fam.random_g_vec(rng) for _ in range(8)])
+    eta = np.stack([fam.random_h_vec(rng) for _ in range(8)])
+
+    def conjugated(group, alg, u, vec):
+        m = group.mul(group.mul(u, group.exp(alg.to_matrix(vec))), group.inv(u))
+        return alg.from_matrix(group.log(m))
+
+    assert np.max(np.abs(fam.ad_g_vec(g, x) - conjugated(G, g_alg, g, x))) <= 1e-14
+    assert np.max(np.abs(fam.ad_h_vec(a, eta)
+                         - conjugated(H, h_alg, a, eta))) <= 1e-14
+    acted = h_alg.from_matrix(H.log(cm.alpha(g, H.exp(h_alg.to_matrix(eta)))))
+    assert np.max(np.abs(fam.alpha_vec(g, eta) - acted)) <= 1e-14
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_group_algebra_compatibility_exp_t(fam):
     rng = np.random.default_rng(2)
     cm = fam.cm
