@@ -18,7 +18,7 @@ from jsonschema.validators import validator_for
 from .errors import ConfigError, DomainError, ParseError
 from .families import (FINITE_DEMO_NAMES, finite_crossed_module,
                        finite_demo_module, matrix_family)
-from .fields import CoefficientField
+from .fields import CoefficientField, GroupValuedField
 from .forms import TransitionData, TwoConnection
 from .geometry import Chart, ParamMap
 from .groups import FiniteGroup, cyclic_group
@@ -276,12 +276,34 @@ class RunConfig:
         spec = self._require("chart")
         return Chart(spec["dim"], box=spec.get("box"))
 
+    def _field(self, path: str, shape) -> CoefficientField:
+        """The expressions at ``path`` as one field of ``shape``; a wrong
+        count, a parse error or a variable outside the chart is a
+        ConfigError naming the path."""
+        section, key = path.split(".")
+        try:
+            return CoefficientField(self.raw[section][key], self.chart().dim, shape)
+        except (DomainError, ParseError) as err:
+            raise ConfigError(f"config invalid at '{path}': {err}",
+                              path=path) from None
+
+    def _group_field(self, path: str, group, algebra) -> GroupValuedField:
+        """exp of the algebra-valued expressions at ``path``."""
+        return GroupValuedField(group, algebra,
+                                self._field(path, (algebra.dim,)), name=path)
+
     def connection(self) -> TwoConnection:
         spec = self._require("connection")
         num = self.numeric()
+        fam, d = self.family(), self.chart().dim
+        shape = (d * (d - 1) // 2, fam.l2a.h_alg.dim)
+        b = spec.get("b", "fake_flat")
         return TwoConnection(
-            self.family(), self.chart(), a=spec["a"],
-            b=spec.get("b", "fake_flat"), b_extra=spec.get("b_extra"),
+            fam, self.chart(),
+            a=self._field("connection.a", (d, fam.l2a.g_alg.dim)),
+            b=b if b == "fake_flat" else self._field("connection.b", shape),
+            b_extra=(self._field("connection.b_extra", shape)
+                     if "b_extra" in spec else None),
             fd_step=num.get("fd_step"),
             fd_richardson=num.get("fd_richardson", False))
 
@@ -326,21 +348,26 @@ class RunConfig:
                 path=path)
 
     def morphism(self) -> OneMorphism:
-        spec = self._require("morphism")
-        return OneMorphism(self.family(), self.chart(), g_map=spec["g"],
-                           phi=spec["phi"], name="config-morphism")
+        self._require("morphism")
+        fam, d = self.family(), self.chart().dim
+        return OneMorphism(
+            fam, self.chart(), name="config-morphism",
+            g_map=self._group_field("morphism.g", fam.group_G, fam.l2a.g_alg),
+            phi=self._field("morphism.phi", (d, fam.l2a.h_alg.dim)))
 
     def two_morphism(self) -> TwoMorphismA:
-        return TwoMorphismA(self.family(), self.chart(),
-                            self._require("two_morphism")["a"],
-                            name="config-2morphism")
+        self._require("two_morphism")
+        fam = self.family()
+        return TwoMorphismA(
+            fam, self.chart(), name="config-2morphism",
+            a_map=self._group_field("two_morphism.a", fam.group_H, fam.l2a.h_alg))
 
     def transition(self) -> TransitionData:
-        return TransitionData(self.family(), self.chart(),
-                              CoefficientField(
-                                  self._require("transition")["g"],
-                                  self.chart().dim,
-                                  (self.family().l2a.g_alg.dim,)))
+        self._require("transition")
+        fam = self.family()
+        return TransitionData(
+            fam, self.chart(),
+            self._group_field("transition.g", fam.group_G, fam.l2a.g_alg))
 
     def basepoint(self):
         return self.raw.get("basepoint")

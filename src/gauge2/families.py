@@ -37,21 +37,28 @@ SU2_BASIS = 0.5 * QUATERNION_UNITS[1:]          # e_k = -i sigma_k / 2
 U2_BASIS = np.concatenate(([0.5j * np.eye(2)], SU2_BASIS))   # e_0 = i/2 I
 U1_BASIS = np.array([[[1j]]])
 
-# R_kj = -tr(B_k h B_j h^H) / 2, B_k = -i sigma_k, over the h_bc conj(h_ad)
-_ADJOINT = -0.5 * np.einsum("kab,jcd->kjabcd", QUATERNION_UNITS[1:],
-                            QUATERNION_UNITS[1:])
-
-
 def su2_lift(rotation):
     """SU(2) lift of SO(3) matrices (batched); defined up to sign."""
     return np.tensordot(rotation_quaternion(rotation), QUATERNION_UNITS, axes=1)
 
 
 def adjoint_so3(h):
-    """The PU(2) = SO(3) image of h in U(2): conjugation on su(2), batched."""
+    """The PU(2) = SO(3) image of h in U(2): conjugation on su(2), batched.
+    R_kj = tr(sigma_k h sigma_j h^H) / 2, written out in the entries
+    h = [[a, b], [c, d]]; bilinear in h and conj(h), so a phase cancels."""
     h = np.asarray(h, dtype=complex)
-    pairs = h[..., None, :, :, None] * h.conj()[..., :, None, None, :]
-    return np.einsum("kjabcd,...abcd->...kj", _ADJOINT, pairs).real
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    ad, bc = a * d.conj(), b * c.conj()
+    ab, cd = a * b.conj(), c * d.conj()
+    ac, bd = a * c.conj(), b * d.conj()
+    out = np.empty(h.shape[:-2] + (3, 3))
+    out[..., 0, 0], out[..., 1, 0] = (ad + bc).real, -(ad + bc).imag
+    out[..., 0, 1], out[..., 1, 1] = (ad - bc).imag, (ad - bc).real
+    out[..., 0, 2], out[..., 1, 2] = (ac - bd).real, -(ac - bd).imag
+    out[..., 2, 0], out[..., 2, 1] = (ab - cd).real, (ab - cd).imag
+    out[..., 2, 2] = 0.5 * (np.abs(a) ** 2 - np.abs(b) ** 2
+                            - np.abs(c) ** 2 + np.abs(d) ** 2)
+    return out
 
 
 def _conjugate(u, h):

@@ -36,8 +36,8 @@ from .fields import (CoefficientField, GroupValuedField, chart_grid,
                      partial_diff, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
-from .transport import (_cf4_factors, _ordered_exp, _path_generator,
-                        surface_transport)
+from .transport import (_cf4_factors, _frame, _ordered_exp, _path_generator,
+                        _sample_paths, surface_values)
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
            "verify_onemorphism_compat", "apply_twomorphism",
@@ -148,10 +148,11 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
                          fd_step=conn.fd_step, name=f"{conn.name}^{m.name}")
 
 
-def rho_from_phi(conn: TwoConnection, m: OneMorphism, gamma: ParamMap,
-                 p=None, steps: int = 64):
-    """Natural-transformation data: the ordered exponential of phi along
-    the horizontal lift of gamma at p, i.e. the solution at 1 of
+def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
+                 steps: int = 64):
+    """Natural-transformation data of a stack of morphisms along a stack of
+    paths from p, (morphisms, paths, n, n), on one horizontal lift per path:
+    the ordered exponential of phi along the lift, the solution at 1 of
 
         h'(t) = -(alpha_{frame(t)^-1})_* phi(gamma'(t)) . h(t),  h(0) = e.
 
@@ -165,8 +166,7 @@ def rho_from_phi(conn: TwoConnection, m: OneMorphism, gamma: ParamMap,
     """
     fam = conn.family
     G = fam.group_G
-    g0 = G.identity if p is None else np.asarray(p[1])
-    path_gen = _path_generator(conn, gamma)
+    path_gen = _path_generator(conn, paths)
     frames = _ordered_exp(G, path_gen, steps, trajectory=True)
 
     def frame_at(times):
@@ -175,24 +175,24 @@ def rho_from_phi(conn: TwoConnection, m: OneMorphism, gamma: ParamMap,
         idx = np.clip(np.floor(times * steps).astype(int), 0, steps - 1)
         t0 = idx / steps
         e1, e2 = _cf4_factors(G, path_gen, t0, times - t0)
-        return e2 @ (e1 @ frames[idx])
+        return G.mul(e2, G.mul(e1, frames[idx]))
 
     def w_eval(times):
-        params = times[:, None]
-        points = gamma(params)
-        vel = gamma.partial(0, params)
-        phis = m.phi_of(points, vel)
-        fr = frame_at(times) @ g0
-        conj = fam.alpha_vec(G.inv(fr), phis)
+        points = _sample_paths(paths, times)
+        fr = G.mul(frame_at(times), _frame(conn, p))[:, None]
+        phis = np.stack([m.phi_of(*points) for m in morphisms], axis=1)
+        conj = fam.alpha_vec(G.inv(fr), phis.reshape(
+            (times.size, len(paths), len(morphisms), -1)).swapaxes(1, 2))
         return fam.l2a.h_alg.to_matrix(-conj)
 
     return _ordered_exp(fam.group_H, w_eval, steps)
 
 
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
-                              m: OneMorphism, bigon: ParamMap, p=None,
-                              steps: int = 48, grid=None) -> dict:
-    """Check the H-valued compatibility square of a gauge 1-morphism.
+                              morphisms, bigon: ParamMap, p=None,
+                              steps: int = 48, grid=None) -> list:
+    """Check the H-valued compatibility square of each of a stack of gauge
+    1-morphisms from ``conn`` to ``conn_prime``; one report each.
 
     With gamma/gamma' the source/target paths of the bigon, the arranged
     H-valued form of the square (all factors based at p over the corner) is
@@ -200,41 +200,36 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
         rho_H(gamma)(p) . tra'^2_H(Sigma, F(p))
             = tra^2_H(Sigma, p) . rho_H(gamma')(p),
 
-    plus the A-level identity F^*A' = A + t_* phi on a chart grid.
+    plus the A-level identity F^*A' = A + t_* phi on a chart grid; tra^2
+    is solved once, and tra'^2 at every F(p) in one call.
     """
     fam = conn.family
     if conn_prime.family is not fam:
         raise DomainError("connections belong to different families")
-    x0 = bigon([0.0, 0.0])
-    g0 = fam.group_G.identity if p is None else np.asarray(p[1])
-    p = (x0, g0)
-    fp = m.map_point(p)
-
+    p = (bigon([0.0, 0.0]), _frame(conn, p))
+    frames = np.stack([m.map_point(p)[1] for m in morphisms])
     h = fam.group_H
-    tra2 = surface_transport(conn, bigon, p, steps, steps).value_h
-    tra2_prime = surface_transport(conn_prime, bigon, fp, steps, steps).value_h
-    rho_src = rho_from_phi(conn, m, source_path(bigon), p, steps)
-    rho_tgt = rho_from_phi(conn, m, target_path(bigon), p, steps)
-    lhs = h.mul(rho_src, tra2_prime)
-    rhs = h.mul(tra2, rho_tgt)
-    square_defect = float(np.max(np.abs(lhs - rhs)))
+    tra2 = surface_values(conn, [bigon], p, steps, steps)
+    tra2_prime = surface_values(conn_prime, [bigon], (p[0], frames), steps, steps)
+    paths = [source_path(bigon), target_path(bigon)]
+    rho = rho_from_phi(conn, morphisms, paths, p, steps)
+    square = [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),
+                                             h.mul(tra2, rho[:, 1]))]
 
-    if grid is None:
-        grid = chart_grid(conn.chart)
-    g = m.g_map(grid)
-    a_defect = 0.0
-    d = conn.chart.dim
-    for k in range(d):
-        ek = np.zeros(d)
-        ek[k] = 1.0
-        pulled = (fam.ad_g_vec(g, conn_prime.a_of(grid, ek))
-                  - m.g_map.right_log_derivative(grid, k))
-        expected = (conn.a_of(grid, ek)
-                    + fam.l2a.apply_t_star(m.phi_of(grid, ek)))
-        a_defect = max(a_defect, float(np.max(np.abs(pulled - expected))))
+    grid = chart_grid(conn.chart) if grid is None else grid
+    a_defect = [0.0] * len(morphisms)
+    gs = [m.g_map(grid) for m in morphisms]
+    for k, ek in enumerate(np.eye(conn.chart.dim)):
+        a_prime, a = conn_prime.a_of(grid, ek), conn.a_of(grid, ek)
+        for i, (m, g) in enumerate(zip(morphisms, gs)):
+            pulled = (fam.ad_g_vec(g, a_prime)
+                      - m.g_map.right_log_derivative(grid, k))
+            expected = a + fam.l2a.apply_t_star(m.phi_of(grid, ek))
+            a_defect[i] = max(a_defect[i], float(np.max(np.abs(pulled - expected))))
 
-    return {"square_defect": square_defect, "a_pullback_defect": a_defect,
-            "pass": square_defect <= 1e-6 and a_defect <= 1e-7}
+    return [{"square_defect": sq, "a_pullback_defect": ad,
+             "pass": sq <= 1e-6 and ad <= 1e-7}
+            for sq, ad in zip(square, a_defect)]
 
 
 def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,

@@ -16,8 +16,7 @@ Surface transport solves the outer ordered integral
     beta(s) = integral_0^1 (alpha_{frame(s,t)^-1})_* b(d_s Gamma, d_t Gamma) dt,
 
 where frame(s, t) is the horizontal lift of the slice Gamma(s, .) at the
-basepoint and the inner integral is composite Simpson; the slices of
-each outer stage are lifted together in one kernel call.  The outer ODE
+basepoint and the inner integral is composite Simpson.  The outer ODE
 is right-driven: the derivative-of-transport identity gives a left-driven
 equation for the inverse quotient tra(source) : tra(Gamma_s), and
 inverting it mirrors the equation.  The overall sign is a convention the
@@ -25,6 +24,14 @@ literature does not fix; it is pinned once by the abelian closed form and
 the fake-flat target identity t(h) = tra(target path) : tra(source path),
 and every downstream formula (higher Stokes, the connection
 reconstructions) inherits it.
+
+Batch axes: path solves take a stack of paths, (times, paths, n, n).
+:func:`surface_values` solves a stack of bigons with shared step counts,
+paired by broadcasting with a stack of basepoint frames, in one outer
+solve; each outer stage lifts every slice of every bigon in one kernel
+call (the 2-form is evaluated per bigon).  Boundary 1-transports are
+computed only where they are reported (:func:`surface_transport`, the
+Stokes verifier), source and target in one path solve.
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ from .geometry import ParamMap, canonical_bigon, source_path, straight_path, tar
 __all__ = [
     "TransportResult", "SurfaceTransportResult",
     "path_ordered_exp", "transport_point", "horizontal_lift",
-    "surface_transport", "verify_nonabelian_stokes", "verify_higher_stokes",
-    "reconstruct_A", "reconstruct_B", "holonomy2_H", "ambrose_singer_check",
+    "surface_transport", "surface_values", "verify_nonabelian_stokes",
+    "verify_higher_stokes", "reconstruct_A", "reconstruct_B", "holonomy2_H",
+    "ambrose_singer_check",
     "SURFACE_ODE_SIGN", "convergence_order",
 ]
 
@@ -93,8 +101,10 @@ def _cf4_factors(group, w_eval, t0, dt):
     w1 = np.asarray(w_eval(t0 + _GAUSS_C1 * dt))
     w2 = np.asarray(w_eval(t0 + _GAUSS_C2 * dt))
     dt = np.reshape(dt, np.shape(dt) + (1,) * (w1.ndim - np.ndim(dt)))
-    return (group.exp(dt * (_CF4_A * w1 + _CF4_B * w2)),
-            group.exp(dt * (_CF4_B * w1 + _CF4_A * w2)))
+    # w1 and w2 are freed before the exponentials, for the peak memory
+    args = [dt * (_CF4_A * w1 + _CF4_B * w2), dt * (_CF4_B * w1 + _CF4_A * w2)]
+    del w1, w2
+    return group.exp(args.pop(0)), group.exp(args.pop())
 
 
 def _ordered_exp(group, w_eval, steps: int, trajectory=False, right=False):
@@ -108,59 +118,71 @@ def _ordered_exp(group, w_eval, steps: int, trajectory=False, right=False):
     h = 1.0 / steps
     e_first, e_second = _cf4_factors(group, w_eval, np.arange(steps) * h, h)
     g = np.broadcast_to(group.identity, e_first.shape[1:])
-    frames = [g]
+    if trajectory:
+        frames = np.empty((steps + 1,) + g.shape, e_first.dtype)
+        frames[0] = g
     for k in range(steps):
-        if right:
-            g = (g @ e_first[k]) @ e_second[k]
-        else:
-            g = e_second[k] @ (e_first[k] @ g)
+        g = (group.mul(group.mul(g, e_first[k]), e_second[k]) if right
+             else group.mul(e_second[k], group.mul(e_first[k], g)))
         if trajectory:
-            frames.append(g)
-    return group.project(np.stack(frames) if trajectory else g)
+            frames[k + 1] = g
+    del e_first, e_second       # before the projection's temporaries
+    return group.project(frames if trajectory else g)
 
 
 def convergence_order(defects):
     """log2 ratio of successive defects; noise floor clamps at zero defect."""
-    orders = []
-    for d0, d1 in zip(defects, defects[1:]):
-        if d1 <= 1e-15 or d0 <= 1e-15:
-            orders.append(float("nan"))
-        else:
-            orders.append(math.log2(d0 / d1))
-    return orders
+    return [float("nan") if d1 <= 1e-15 or d0 <= 1e-15 else math.log2(d0 / d1)
+            for d0, d1 in zip(defects, defects[1:])]
 
 
 # --- 1-transport -----------------------------------------------------------------
 
 
-def _path_generator(conn: TwoConnection, gamma: ParamMap):
-    """W(t) = -a(gamma'(t)) as algebra matrices, batched over times."""
+def _frame(conn: TwoConnection, p):
+    """The frame g0 of a point p = (x, g0); the identity for None."""
+    return conn.family.group_G.identity if p is None else np.asarray(p[1])
+
+
+def _sample_paths(paths, times):
+    """Points and velocities of a stack of paths at the given times, each
+    one (times * paths, d) batch with the paths innermost."""
+    params = times[:, None]
+    points = np.stack([gamma(params) for gamma in paths], axis=1)
+    vel = np.stack([gamma.partial(0, params) for gamma in paths], axis=1)
+    return points.reshape(-1, points.shape[-1]), vel.reshape(-1, vel.shape[-1])
+
+
+def _path_generator(conn: TwoConnection, paths):
+    """W(t) = -a(gamma'(t)) of a stack of paths as (times, paths, n, n)
+    algebra matrices."""
     alg = conn.family.l2a.g_alg
+    n = conn.family.group_G.dim
 
     def w_eval(times):
-        params = times[:, None]
-        points = gamma(params)
-        vel = gamma.partial(0, params)
-        vec = conn.a_of(points, vel)
-        return alg.to_matrix(-vec)
+        vec = conn.a_of(*_sample_paths(paths, times))
+        return alg.to_matrix(-vec).reshape(times.size, len(paths), n, n)
 
     return w_eval
+
+
+def _path_values(conn: TwoConnection, paths, steps: int):
+    """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id."""
+    if steps < 8:
+        raise DomainError("path transport needs at least 8 steps")
+    return _ordered_exp(conn.family.group_G, _path_generator(conn, paths), steps)
 
 
 def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
                      sweep: int = 0) -> TransportResult:
     """Transport frame along gamma: solution at t=1 of g' = -a(gamma') g."""
-    if steps < 8:
-        raise DomainError("path transport needs at least 8 steps")
     group = conn.family.group_G
-    w_eval = _path_generator(conn, gamma)
-    value = _ordered_exp(group, w_eval, steps)
+    value = _path_values(conn, [gamma], steps)[0]
     order = None
     if sweep >= 2:
-        values = [_ordered_exp(group, w_eval, steps // 2 ** k)
-                  for k in range(sweep, 0, -1)]
-        values.append(value)
-        defects = [float(np.max(np.abs(v - value))) for v in values[:-1]]
+        w_eval = _path_generator(conn, [gamma])
+        defects = [float(np.max(np.abs(_ordered_exp(group, w_eval, steps // 2 ** k)[0]
+                                       - value))) for k in range(sweep, 0, -1)]
         orders = convergence_order(defects)
         order = orders[-1] if orders else None
     return TransportResult(value=value, steps=steps,
@@ -171,9 +193,7 @@ def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
 def transport_point(conn: TwoConnection, gamma: ParamMap, p=None,
                     steps: int = 64):
     """Image of the trivialized point p = (gamma(0), g0) under transport."""
-    g0 = conn.family.group_G.identity if p is None else np.asarray(p[1])
-    res = path_ordered_exp(conn, gamma, steps)
-    return res.value @ g0
+    return _path_values(conn, [gamma], steps)[0] @ _frame(conn, p)
 
 
 def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
@@ -189,10 +209,9 @@ def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
         if start_defect > 1e-9:
             raise DomainError(
                 f"lift basepoint is not over gamma(0) (defect {start_defect:.2e})")
-    g0 = conn.family.group_G.identity if p is None else np.asarray(p[1])
-    w_eval = _path_generator(conn, gamma)
+    w_eval = _path_generator(conn, [gamma])
     frames = _ordered_exp(conn.family.group_G, w_eval, steps, trajectory=True)
-    return np.linspace(0.0, 1.0, steps + 1), frames @ g0
+    return np.linspace(0.0, 1.0, steps + 1), frames[:, 0] @ _frame(conn, p)
 
 
 # --- surface transport -------------------------------------------------------------
@@ -213,13 +232,15 @@ def _simpson_grid(n: int, arity: int = 1):
     return nodes.reshape(-1, arity), weights.reshape(-1)
 
 
-def _surface_generator(conn: TwoConnection, bigon: ParamMap, g0,
-                       steps_t: int, integrand: str):
-    """Outer-ODE driver beta(s) for surface transport ('b') or the
-    curvature double integral of the Stokes theorem ('F')."""
+def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
+                       integrand: str):
+    """Outer-ODE driver beta(s) of a stack of bigons for surface transport
+    ('b') or the curvature double integral of the Stokes theorem ('F'),
+    paired with a frame g0 or a stack of them: (k,) -> (k, stack, n, n)."""
     fam = conn.family
     G = fam.group_G
     g_alg = fam.l2a.g_alg
+    d = conn.chart.dim
     t_nodes, weights = _simpson_grid(steps_t)
     t_nodes = t_nodes[:, 0]
     if integrand == "b":
@@ -229,10 +250,14 @@ def _surface_generator(conn: TwoConnection, bigon: ParamMap, g0,
         alg = g_alg
         form_of, conj = conn.F_of, fam.ad_g_vec
 
-    def grid(t_values, s_values):
-        # (s, t) parameters of every slice, t-major
+    def sample(t_values, s_values, axes, stack):
+        # each bigon of the stack (axis None) or its partials at the (s, t)
+        # parameters of every slice, t-major and bigons innermost
         s, t = np.meshgrid(s_values, t_values)
-        return np.stack([s.ravel(), t.ravel()], axis=-1)
+        params = np.stack([s.ravel(), t.ravel()], axis=-1)
+        return [np.stack([bg(params) if ax is None else bg.partial(ax, params)
+                          for bg in stack], axis=1).reshape(-1, d)
+                for ax in axes]
 
     def beta(s_values):
         s_values = np.atleast_1d(s_values)
@@ -240,41 +265,57 @@ def _surface_generator(conn: TwoConnection, bigon: ParamMap, g0,
 
         def lift_generator(times):
             # W = -a(d_t Gamma) of every slice Gamma(s, .) at the given times
-            params = grid(times, s_values)
-            vec = conn.a_of(bigon(params), bigon.partial(1, params))
-            return g_alg.to_matrix(-vec).reshape(times.size, k, G.dim, G.dim)
+            vec = conn.a_of(*sample(times, s_values, (None, 1), bigons))
+            return g_alg.to_matrix(-vec).reshape(times.size, k, len(bigons),
+                                                 G.dim, G.dim)
 
-        frames = _ordered_exp(G, lift_generator, steps_t, trajectory=True) @ g0
-        params = grid(t_nodes, s_values)
-        vals = form_of(bigon(params), bigon.partial(0, params),
-                       bigon.partial(1, params))
-        vals = conj(G.inv(frames.reshape(-1, G.dim, G.dim)), vals)
-        out = np.tensordot(weights, vals.reshape(steps_t + 1, k, -1), axes=1)
-        return alg.to_matrix(SURFACE_ODE_SIGN * out)
+        inv_frames = G.inv(G.mul(_ordered_exp(G, lift_generator, steps_t,
+                                              trajectory=True), g0))
+        out = []
+        for j, bigon in enumerate(bigons):
+            # the form and its conjugation one bigon at a time: a larger
+            # batch is no faster there, and its temporaries grow with it
+            vals = form_of(*sample(t_nodes, s_values, (None, 0, 1), [bigon]))
+            vals = conj(inv_frames[:, :, j:j + 1] if len(bigons) > 1 else inv_frames,
+                        vals.reshape(steps_t + 1, k, 1, -1))
+            out.append(np.tensordot(weights, vals, axes=1))
+        return alg.to_matrix(SURFACE_ODE_SIGN * np.concatenate(out, axis=1))
 
     return beta
+
+
+def surface_values(conn: TwoConnection, bigons, p=None, steps_s: int = 32,
+                   steps_t: int = 32) -> np.ndarray:
+    """H values (stack, n, n) of the 2-transports of a stack of bigons at
+    p = (x0, g0), in one outer solve; g0 may be a stack of frames, paired
+    with the bigons by broadcasting.  No boundary transport is computed."""
+    if p is not None:
+        d = max(float(np.max(np.abs(bg([0.0, 0.0]) - p[0]))) for bg in bigons)
+        if d > 1e-9:
+            raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
+    beta = _surface_generator(conn, bigons, _frame(conn, p), steps_t, "b")
+    return _ordered_exp(conn.family.group_H, beta, steps_s, right=True)
+
+
+def _boundary_transports(conn: TwoConnection, bigon: ParamMap, g0, steps):
+    """tra(source) g0 and tra(target) g0 of a bigon, in one path solve."""
+    paths = [source_path(bigon), target_path(bigon)]
+    return conn.family.group_G.mul(_path_values(conn, paths, steps), g0)
 
 
 def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
                       steps_s: int = 32, steps_t: int = 32,
                       sweep: int = 0) -> SurfaceTransportResult:
-    """2-transport of a bigon: H-valued ordered double integral of b.
+    """2-transport of a bigon: H-valued ordered double integral of b, and
+    the boundary 1-transports (:func:`surface_values`: values only).
 
     Functorial guarantees need a fake-flat connection (callers may verify
     with :func:`gauge2.forms.fake_flatness_residual`).  With ``sweep`` >= 2
     the value is recomputed under step halving for an order estimate; an
     observed order below 1.5 raises AccuracyError.
     """
-    fam = conn.family
-    g0 = fam.group_G.identity if p is None else np.asarray(p[1])
-    if p is not None:
-        d = float(np.max(np.abs(bigon([0.0, 0.0]) - np.asarray(p[0]))))
-        if d > 1e-9:
-            raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
-
     def run(ns, nt):
-        beta = _surface_generator(conn, bigon, g0, nt, "b")
-        return _ordered_exp(fam.group_H, beta, ns, right=True)
+        return surface_values(conn, [bigon], p, ns, nt)[0]
 
     value = run(steps_s, steps_t)
     order = None
@@ -288,12 +329,11 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
             raise AccuracyError(
                 f"surface quadrature did not converge (order {order:.2f})")
 
-    src = transport_point(conn, source_path(bigon), p, steps_t)
-    tgt = transport_point(conn, target_path(bigon), p, steps_t)
+    src, tgt = _boundary_transports(conn, bigon, _frame(conn, p), steps_t)
     return SurfaceTransportResult(
         value_h=value, source_transport=src, target_transport=tgt,
         steps_s=steps_s, steps_t=steps_t,
-        group_defect=fam.group_H.membership_defect(value),
+        group_defect=conn.family.group_H.membership_defect(value),
         order_estimate=order)
 
 
@@ -301,22 +341,18 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
                              steps: int = 64, sweep: int = 0) -> dict:
     """Compare tra(target) : tra(source) with the ordered double integral
     of the curvature over the bigon (horizontal lift per slice)."""
-    fam = conn.family
-    G = fam.group_G
-    g0 = G.identity if p is None else np.asarray(p[1])
+    G = conn.family.group_G
+    g0 = _frame(conn, p)
 
     def run(n):
-        beta = _surface_generator(conn, bigon, g0, n, "F")
-        rhs = _ordered_exp(G, beta, n, right=True)
-        src = transport_point(conn, source_path(bigon), p, n)
-        tgt = transport_point(conn, target_path(bigon), p, n)
+        beta = _surface_generator(conn, [bigon], g0, n, "F")
+        rhs = _ordered_exp(G, beta, n, right=True)[0]
+        src, tgt = _boundary_transports(conn, bigon, g0, n)
         lhs = G.mul(G.inv(src), tgt)
         return float(np.max(np.abs(lhs - rhs))), lhs, rhs
 
-    rows = []
-    for k in range(sweep, 0, -1):
-        n = max(steps // 2 ** k, 4)
-        rows.append((n, run(n)[0]))
+    rows = [(n, run(n)[0])
+            for n in (max(steps // 2 ** k, 4) for k in range(sweep, 0, -1))]
     defect, lhs, rhs = run(steps)
     rows.append((steps, defect))
     orders = convergence_order([r[1] for r in rows])
@@ -331,19 +367,16 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
 
 def _check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
     """Slices of the cube must be bigons between common boundary paths."""
-    u = np.linspace(0.0, 1.0, samples)
-    v = np.linspace(0.0, 1.0, samples)
-    uu, vv = (m.reshape(-1) for m in np.meshgrid(u, v, indexing="ij"))
+    axis = np.linspace(0.0, 1.0, samples)
+    uu, vv = (m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij"))
     for fixed_axis, label in ((1, "source/target paths"), (2, "path endpoints")):
         for value in (0.0, 1.0):
             params = np.zeros((uu.size, 3))
             params[:, 0] = uu
             params[:, fixed_axis] = value
             params[:, 3 - fixed_axis] = vv
-            pts = cube(params)
-            ref_params = params.copy()
-            ref_params[:, 0] = 0.0
-            d = float(np.max(np.abs(pts - cube(ref_params))))
+            # the same point on the u = 0 slice
+            d = float(np.max(np.abs(cube(params) - cube(params * [0, 1, 1]))))
             if d > tol:
                 raise ComposabilityError(
                     f"cube slices disagree on {label} at face {value:g} "
@@ -360,23 +393,15 @@ def verify_higher_stokes(conn: TwoConnection, cube: ParamMap, p=None,
     """
     _check_cube_boundaries(cube)
     fam = conn.family
-    h0 = surface_transport(conn, cube.slice_first(0.0), p,
-                           steps_surface, steps_surface).value_h
-    h1 = surface_transport(conn, cube.slice_first(1.0), p,
-                           steps_surface, steps_surface).value_h
+    h0, h1 = surface_values(conn, [cube.slice_first(0.0), cube.slice_first(1.0)],
+                            p, steps_surface, steps_surface)
     lhs = fam.group_H.mul(fam.group_H.inv(h0), h1)
 
     mesh, weights = _simpson_grid(steps_volume, 3)
-    points = cube(mesh)
-    du = cube.partial(0, mesh)
-    dv = cube.partial(1, mesh)
-    dw = cube.partial(2, mesh)
-    kvals = conn.K_of(points, du, dv, dw)
+    kvals = conn.K_of(cube(mesh), *(cube.partial(k, mesh) for k in range(3)))
     bianchi = float(np.max(np.abs(fam.l2a.apply_t_star(kvals))))
-    kproj = fam.l2a.project_ker_t_star(kvals)
-    integral = weights @ kproj
-    rhs = fam.group_H.exp(
-        fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
+    integral = weights @ fam.l2a.project_ker_t_star(kvals)
+    rhs = fam.group_H.exp(fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
     defect = float(np.max(np.abs(lhs - rhs)))
     return {"defect": defect, "lhs": lhs, "rhs": rhs,
             "bianchi_defect": bianchi,
@@ -395,22 +420,15 @@ def reconstruct_A(conn: TwoConnection, x, X, steps: int = 16,
     by the transport ODE the derivative at 0 is -a_x(X), so the negated
     difference reproduces the connection coefficient vector.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    alg = conn.family.l2a.g_alg
-    group = conn.family.group_G
-
-    def logvalue(t):
-        if abs(t) < 1e-14:
-            return np.zeros_like(np.asarray(group.identity, dtype=complex))
-        ray = straight_path(x, x + t * X)
-        return group.log(path_ordered_exp(conn, ray, steps).value)
-
-    def central(h):
-        return (logvalue(h) - logvalue(-h)) / (2.0 * h)
-
-    d = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
-    return alg.from_matrix(-d)
+    x, X = (np.asarray(z, dtype=float) for z in (x, X))
+    # the rays +-h X of both levels h = eps/2, eps in one path solve
+    hs = np.array([eps / 2.0, eps])
+    rays = [straight_path(x, x + t * X) for h in hs for t in (h, -h)]
+    logs = conn.family.group_G.log(_path_values(conn, rays, steps))
+    logs = logs.reshape((2, 2) + logs.shape[1:])
+    central = (logs[:, 0] - logs[:, 1]) / (2.0 * hs)[:, None, None]
+    d = (4.0 * central[0] - central[1]) / 3.0
+    return conn.family.l2a.g_alg.from_matrix(-d)
 
 
 _LENS_AMPLITUDE = 0.25
@@ -426,10 +444,8 @@ def _lens_bigon():
     k = _LENS_AMPLITUDE
 
     def fn(params):
-        u = params[..., 0]
-        v = params[..., 1]
-        y = v + (2.0 * u - 1.0) * k * np.sin(np.pi * v)
-        return np.stack([v, y], axis=-1)
+        u, v = params[..., 0], params[..., 1]
+        return np.stack([v, v + (2.0 * u - 1.0) * k * np.sin(np.pi * v)], axis=-1)
 
     return ParamMap(2, 2, fn, name="lens")
 
@@ -447,63 +463,61 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
     family is analytic and keeps quadrature error far below the stencil
     amplification, while "square" uses the canonical corner filling.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    x, X, Y = (np.asarray(z, dtype=float) for z in (x, X, Y))
     fam = conn.family
     alg = fam.l2a.h_alg
     if filling == "lens":
-        base = _lens_bigon()
-        flux_factor = 4.0 * _LENS_AMPLITUDE / math.pi
+        base, flux_factor = _lens_bigon(), 4.0 * _LENS_AMPLITUDE / math.pi
     elif filling == "square":
-        base = canonical_bigon(1.0, 1.0)
-        flux_factor = 1.0
+        base, flux_factor = canonical_bigon(1.0, 1.0), 1.0
     else:
         raise DomainError(f"unknown filling {filling!r}")
 
-    def logvalue(s, t):
-        bigon = base.affine_image(x, np.stack([s * X, t * Y]))
-        value = surface_transport(conn, bigon, None, steps, steps).value_h
-        return fam.group_H.log(value)
-
-    def mixed(h):
-        return (logvalue(h, h) - logvalue(h, -h)
-                - logvalue(-h, h) + logvalue(-h, -h)) / (4.0 * h * h)
-
-    d = (4.0 * mixed(eps / 2.0) - mixed(eps)) / 3.0
+    # the stencil bigons (+-h, +-h) of both levels h = eps/2, eps in one solve
+    hs = np.array([eps / 2.0, eps])
+    bigons = [base.affine_image(x, np.stack([s * X, t * Y]))
+              for h in hs for s, t in ((h, h), (h, -h), (-h, h), (-h, -h))]
+    logs = fam.group_H.log(surface_values(conn, bigons, None, steps, steps))
+    logs = logs.reshape((2, 4) + logs.shape[1:])
+    mixed = ((logs[:, 0] - logs[:, 1] - logs[:, 2] + logs[:, 3])
+             / (4.0 * hs * hs)[:, None, None])
+    d = (4.0 * mixed[0] - mixed[1]) / 3.0
     return alg.from_matrix(d / flux_factor)
 
 
 # --- 2-holonomy ---------------------------------------------------------------------
 
 
-def holonomy2_H(conn: TwoConnection, bigon: ParamMap, p=None,
-                steps: int = 48, kernel_tol=1e-7) -> dict:
-    """H-valued 2-holonomy of a loop-to-loop bigon at the basepoint.
+def holonomy2_H(conn: TwoConnection, bigons, p=None, steps: int = 48,
+                kernel_tol=1e-7) -> list:
+    """H-valued 2-holonomies of a stack of loop-to-loop bigons at the
+    basepoint, one report each, from one batched surface solve.
 
-    Source and target of the bigon must be loops at a common basepoint.
+    Source and target of each bigon must be loops at a common basepoint.
     When they are the same loop pointwise, the value is asserted to lie in
     ker t up to ``kernel_tol``.
     """
-    corners = [bigon(np.array([u, v])) for u in (0.0, 1.0) for v in (0.0, 1.0)]
-    spread = float(np.max(np.abs(np.stack(corners) - corners[0])))
-    if spread > 1e-9:
-        raise DomainError(
-            f"bigon boundary paths are not loops at one basepoint "
-            f"(corner spread {spread:.3e})")
-    result = surface_transport(conn, bigon, p, steps, steps)
-
+    corner_params = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    for bigon in bigons:
+        corners = bigon(corner_params)
+        spread = float(np.max(np.abs(corners - corners[0])))
+        if spread > 1e-9:
+            raise DomainError(
+                f"bigon boundary paths are not loops at one basepoint "
+                f"(corner spread {spread:.3e})")
+    fam = conn.family
     v = np.linspace(0.0, 1.0, 17)
-    src = bigon(np.stack([np.zeros_like(v), v], axis=-1))
-    tgt = bigon(np.stack([np.ones_like(v), v], axis=-1))
-    same_loop = float(np.max(np.abs(src - tgt))) <= 1e-9
-    out = {"value": result.value_h, "same_loop": same_loop,
-           "group_defect": result.group_defect}
-    if same_loop:
-        kd = float(np.max(np.abs(conn.family.cm.t(result.value_h)
-                                 - conn.family.group_G.identity)))
-        out["kernel_defect"] = kd
-        out["kernel_pass"] = kd <= kernel_tol
+    out = []
+    for bigon, value in zip(bigons, surface_values(conn, bigons, p, steps, steps)):
+        src = bigon(np.stack([np.zeros_like(v), v], axis=-1))
+        tgt = bigon(np.stack([np.ones_like(v), v], axis=-1))
+        rep = {"value": value, "same_loop": float(np.max(np.abs(src - tgt))) <= 1e-9,
+               "group_defect": fam.group_H.membership_defect(value)}
+        if rep["same_loop"]:
+            kd = float(np.max(np.abs(fam.cm.t(value) - fam.group_G.identity)))
+            rep["kernel_defect"] = kd
+            rep["kernel_pass"] = kd <= kernel_tol
+        out.append(rep)
     return out
 
 
@@ -512,9 +526,7 @@ def _loop_bigon_family(x0, dirs, amp):
     d1, d2, d3 = dirs
 
     def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = params[..., 2][..., None]
+        u, v, w = (params[..., i][..., None] for i in range(3))
         loop = (np.sin(np.pi * w) * d1 + np.sin(2 * np.pi * w) * 0.5 * d2)
         bump = np.sin(np.pi * w) ** 2 * (np.sin(np.pi * v) ** 2) * d3
         return x0 + amp * (loop + u * bump)
@@ -565,23 +577,21 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     else:
         rank, basis = 0, np.zeros((0, kmat.shape[1]))
 
+    def hol_logs(bigons):
+        values = [hol["value"] for hol in holonomy2_H(conn, bigons, p, steps)]
+        return fam.l2a.h_alg.from_matrix(fam.group_H.log(np.stack(values)))
+
     # reduced 2-holonomies and their containment in the span
     frame = np.eye(d)
-    logs = []
-    residual = 0.0
+    bigons = []
     for _ in range(n_bigons):
         idx = rng.permutation(d)[:3] if d >= 3 else np.arange(d)
         dirs = [frame[i] for i in idx[:3]] if d >= 3 else [frame[0], frame[-1], frame[0]]
         cube = _loop_bigon_family(x0, dirs, amplitude * rng.uniform(0.5, 1.0))
-        hol = holonomy2_H(conn, cube.slice_first(1.0), p, steps=steps)
-        log = fam.l2a.h_alg.from_matrix(fam.group_H.log(hol["value"]))
-        logs.append(log)
-        if basis.shape[0]:
-            off = log - basis.T @ (basis @ log)
-        else:
-            off = log
-        residual = max(residual, float(np.max(np.abs(off))))
-    hol_scale = max(float(np.max(np.abs(np.stack(logs)))), 1e-30)
+        bigons.append(cube.slice_first(1.0))
+    logs = hol_logs(bigons)
+    residual = float(np.max(np.abs(logs - (logs @ basis.T) @ basis)))
+    hol_scale = max(float(np.max(np.abs(logs))), 1e-30)
 
     if rank == 0 and hol_scale > 1e-7:
         raise SamplingError(
@@ -592,16 +602,11 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     dirs = [frame[i % d] for i in range(3)]
     cube = _loop_bigon_family(x0, dirs, amplitude)
     r0, dr = 0.5, 1e-3
-
-    def hol_log(r):
-        hol = holonomy2_H(conn, cube.slice_first(r), p, steps=steps)
-        return fam.l2a.h_alg.from_matrix(fam.group_H.log(hol["value"]))
-
-    fd = (hol_log(r0 + dr) - hol_log(r0 - dr)) / (2.0 * dr)
+    up, down = hol_logs([cube.slice_first(r0 + dr), cube.slice_first(r0 - dr)])
+    fd = (up - down) / (2.0 * dr)
     nodes, weights = _simpson_grid(steps if steps % 2 == 0 else steps + 1, 2)
     mesh = np.concatenate([np.full((len(nodes), 1), r0), nodes], axis=-1)
-    kvals = conn.K_of(cube(mesh), cube.partial(0, mesh),
-                      cube.partial(1, mesh), cube.partial(2, mesh))
+    kvals = conn.K_of(cube(mesh), *(cube.partial(k, mesh) for k in range(3)))
     integral = weights @ fam.l2a.project_ker_t_star(kvals)
     derivative_defect = float(np.max(np.abs(fd - SURFACE_ODE_SIGN * integral)))
 

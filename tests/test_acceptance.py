@@ -246,7 +246,7 @@ def test_criterion_08_gauge_covariance():
                      [f"{coeff()}*x1" for _ in range(dim_h)]]
         m = OneMorphism(fam, Chart(2), g_map=g_exprs, phi=phi_exprs)
         conn2 = gauge_transform(conn, m)
-        rep = verify_onemorphism_compat(conn, conn2, m, bigon, steps=64)
+        rep, = verify_onemorphism_compat(conn, conn2, [m], bigon, steps=64)
         ok &= rep["square_defect"] <= 1e-6 and rep["a_pullback_defect"] <= 1e-7
         details.append(f"{fam.name} square {rep['square_defect']:.1e} "
                        f"A-grid {rep['a_pullback_defect']:.1e}")
@@ -254,8 +254,8 @@ def test_criterion_08_gauge_covariance():
                           [f"{coeff()}*x2" for _ in range(dim_h)])
         for form in ("definition", "lemma"):
             twisted = apply_twomorphism(conn, m, tm, form=form)
-            rep2 = verify_onemorphism_compat(conn, conn2, twisted, bigon,
-                                             steps=64)
+            rep2, = verify_onemorphism_compat(conn, conn2, [twisted], bigon,
+                                              steps=64)
             ok &= rep2["square_defect"] <= 1e-6
     details.append(
         "sign finding: trailing term -(da)a^-1 pairs with g' = t(a) g "
@@ -287,8 +287,8 @@ def test_criterion_09_higher_ambrose_singer():
         bump = np.concatenate([np.zeros_like(v), np.sin(np.pi * v) ** 2], -1)
         return np.array([0.5, 0.5]) + 0.3 * (loop + u * (1 - u) * bump)
 
-    hol = holonomy2_H(SU2_CONN, ParamMap(2, 2, loop_bigon, name="ll"),
-                      steps=96)
+    hol, = holonomy2_H(SU2_CONN, [ParamMap(2, 2, loop_bigon, name="ll")],
+                       steps=96)
     zero_ok = float(np.max(np.abs(hol["value"] - np.eye(2)))) <= 1e-7
     _report(9, "higher Ambrose-Singer: pu(2) 2-holonomy logs lie on the "
             "sampled curvature span <= 1e-5; zero-curvature family gives "

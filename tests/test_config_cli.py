@@ -362,3 +362,49 @@ def test_reconstruct_runs_without_scipy(tmp_path):
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 []"
+
+
+FIELDS = {**MINIMAL, "morphism": {"g": ["0.7*x1*x2"],
+                                  "phi": [["0.3*x2"], ["0.2*x1"]]}}
+
+
+@pytest.mark.parametrize("section,key,exprs,argv", [
+    ("connection", "a", [["0"], ["0.9*x1 +"]], ["transport"]),
+    ("connection", "b", [["0.9*x5"]], ["transport"]),
+    ("connection", "b_extra", [["(x1"]], ["transport"]),
+    ("morphism", "g", ["0.9*x5"], ["verify", "gauge"]),
+    ("morphism", "phi", [["0.3*x2"], ["0.2*x1 *"]], ["verify", "gauge"]),
+    ("two_morphism", "a", ["0.3*x3"], ["verify", "gauge"]),
+    ("transition", "g", ["sin(x1"], ["verify", "fake-flat"]),
+], ids=["connection.a", "connection.b", "connection.b_extra", "morphism.g",
+        "morphism.phi", "two_morphism.a", "transition.g"])
+def test_bad_field_expressions_are_config_errors(tmp_path, capsys, section,
+                                                 key, exprs, argv):
+    # a parse error or a chart variable the chart does not have is an
+    # error of the config, not of the computation
+    raw = json.loads(json.dumps(FIELDS))
+    raw.setdefault(section, {})[key] = exprs
+    path = _write(tmp_path, raw)
+    code = main([*argv, "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == 2
+    assert f"'{section}.{key}'" in capsys.readouterr().err
+
+
+def test_field_math_error_at_a_point_stays_a_numerical_failure(tmp_path):
+    raw = {**FIELDS, "connection": {"a": [["0"], ["log(x1 - 5)"]]}}
+    path = _write(tmp_path, raw)
+    assert main(["transport", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 3
+
+
+def test_transition_config_runs(tmp_path):
+    # a constant U(1) transition leaves the abelian connection unchanged,
+    # so the connection glues to itself through it
+    raw = {**FIELDS, "transition": {"g": ["0.4"]}}
+    path = _write(tmp_path, raw)
+    assert main(["verify", "fake-flat", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    cases = json.loads((tmp_path / "out" / "verify-fake-flat.json")
+                       .read_text())["cases"]
+    assert [c["name"] for c in cases] == ["fake-flat", "local-data"]

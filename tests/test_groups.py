@@ -7,8 +7,9 @@ from gauge2.errors import BranchError, MembershipError, StructureError
 from gauge2.families import adjoint_so3, matrix_family, su2_lift
 from gauge2.forms import TwoConnection
 from gauge2.geometry import Chart, ParamMap
-from gauge2.groups import (QUATERNION_UNITS, SO3_BASIS, FiniteGroup,
-                           MatrixGroup, cyclic_group, rotation_quaternion)
+from gauge2.groups import (ENTRYWISE_MIN_BATCH, QUATERNION_UNITS, SO3_BASIS,
+                           FiniteGroup, MatrixGroup, cyclic_group,
+                           rotation_quaternion)
 from gauge2.transport import surface_transport, verify_nonabelian_stokes
 
 
@@ -375,3 +376,47 @@ def test_so3_projection_refuses_far_and_non_finite_inputs():
 def test_groups_without_closed_forms_are_rejected(kind, dim):
     with pytest.raises(StructureError, match="U\\(1\\), U\\(2\\), SU\\(2\\), SO\\(3\\)"):
         MatrixGroup(kind, dim)
+
+
+@pytest.mark.parametrize("kind,dim", [("unitary", 1), ("unitary", 2),
+                                      ("special_unitary", 2),
+                                      ("special_orthogonal", 3)])
+@pytest.mark.parametrize("batch", [1, 6, ENTRYWISE_MIN_BATCH - 1,
+                                   ENTRYWISE_MIN_BATCH, 240, 1640])
+def test_batched_mul_matches_matmul(kind, dim, batch):
+    group = MatrixGroup(kind, dim)
+    rng = np.random.default_rng(90 + batch)
+    a, b = (group.exp(_generators(kind, dim, rng.uniform(0.0, 3.0, batch), rng))
+            for _ in range(2))
+    assert np.max(np.abs(group.mul(a, b) - a @ b)) <= 1e-15
+    # a broadcast identity on either side, as the kernel's first step has it
+    eye = np.broadcast_to(group.identity, a.shape)
+    assert np.max(np.abs(group.mul(eye, b) - b)) <= 1e-15
+    assert np.max(np.abs(group.mul(a, group.identity) - a)) <= 1e-15
+    # broadcasting over differing batch axes
+    got = group.mul(a[:, None], b[None, :3])
+    assert got.shape == (batch, min(batch, 3), dim, dim)
+    assert np.max(np.abs(got - a[:, None] @ b[None, :3])) <= 1e-15
+
+
+# the contraction adjoint_so3 replaced: R_kj = -tr(B_k h B_j h^H) / 2 with
+# B_k = -i sigma_k, summed over the products h_bc conj(h_ad)
+_ADJOINT = -0.5 * np.einsum("kab,jcd->kjabcd", QUATERNION_UNITS[1:],
+                            QUATERNION_UNITS[1:])
+
+
+def _adjoint_reference(h):
+    pairs = h[..., None, :, :, None] * h.conj()[..., :, None, None, :]
+    return np.einsum("kjabcd,...abcd->...kj", _ADJOINT, pairs).real
+
+
+@pytest.mark.parametrize("kind", ["special_unitary", "unitary"])
+def test_adjoint_so3_matches_trace_contraction(kind):
+    group = MatrixGroup(kind, 2)
+    rng = np.random.default_rng(95)
+    h = group.exp(_generators(kind, 2, rng.uniform(0.0, 3.1, 4096), rng))
+    got = adjoint_so3(h.reshape(64, 64, 2, 2))
+    assert got.shape == (64, 64, 3, 3)
+    assert np.max(np.abs(got.reshape(-1, 3, 3) - _adjoint_reference(h))) <= 1e-15
+    # the U(2) phase cancels: e^{i phi} h has the same rotation
+    assert np.max(np.abs(adjoint_so3(np.exp(0.7j) * h) - got.reshape(-1, 3, 3))) <= 1e-15

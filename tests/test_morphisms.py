@@ -89,7 +89,7 @@ def test_rho_trivial_phi():
     m = OneMorphism(SU2, CHART, g_map=["0.4*x1", "0.3*x2", "0"],
                     phi=[["0", "0", "0"], ["0", "0", "0"]])
     gamma = straight_path([0.1, 0.1], [0.8, 0.6])
-    out = rho_from_phi(SU2_CONN, m, gamma, steps=32)
+    out = rho_from_phi(SU2_CONN, [m], [gamma], steps=32)[0, 0]
     assert np.max(np.abs(out - np.eye(2))) <= 1e-12
 
 
@@ -100,7 +100,7 @@ def test_rho_abelian_closed_form():
     conn = TwoConnection(U1, CHART, a=[["0"], ["0"]], b="fake_flat")
     m = OneMorphism(U1, CHART, g_map=["0"], phi=[[f"{c}"], ["0"]])
     gamma = straight_path([0, 0], [length, 0])
-    out = rho_from_phi(conn, m, gamma, steps=32)
+    out = rho_from_phi(conn, [m], [gamma], steps=32)[0, 0]
     assert np.max(np.abs(out - np.exp(-1j * c * length))) <= 1e-9
 
 
@@ -109,16 +109,31 @@ def test_rho_composition_laws():
     g2 = straight_path([0.6, 0.3], [0.8, 0.9])
     whole = concat_paths(g1, g2)
     steps = 96
-    r_whole = rho_from_phi(SU2_CONN, SU2_M, whole, steps=steps)
-    r1 = rho_from_phi(SU2_CONN, SU2_M, g1, steps=steps)
+    r_whole = rho_from_phi(SU2_CONN, [SU2_M], [whole], steps=steps)[0, 0]
+    r1 = rho_from_phi(SU2_CONN, [SU2_M], [g1], steps=steps)[0, 0]
     tp = transport_point(SU2_CONN, g1, None, steps)
-    r2 = rho_from_phi(SU2_CONN, SU2_M, g2, (g2([0.0]), tp), steps=steps)
+    r2 = rho_from_phi(SU2_CONN, [SU2_M], [g2], (g2([0.0]), tp), steps)[0, 0]
     # the raw data composes in inverted order ...
     assert np.max(np.abs(r_whole - r2 @ r1)) <= 1e-7
     # ... and the pointwise inverse is functorial in the quoted order
     H = SU2.group_H
     assert np.max(np.abs(H.inv(r_whole)
                          - H.inv(r1) @ H.inv(r2))) <= 1e-7
+
+
+def test_rho_batched_over_morphisms_and_paths():
+    tm = TwoMorphismA(SU2, CHART, ["0.3*x2", "0.2*x1", "0.1"])
+    morphisms = [SU2_M] + [apply_twomorphism(SU2_CONN, SU2_M, tm, form=form)
+                           for form in ("definition", "lemma")]
+    paths = [straight_path([0.1, 0.1], [0.6, 0.3]),
+             ParamMap.from_exprs(["0.1 + 0.7*u", "0.1 + 0.3*sin(pi*u)"], 1)]
+    p = (np.array([0.1, 0.1]), SU2.cm.sample_G(np.random.default_rng(4)))
+    got = rho_from_phi(SU2_CONN, morphisms, paths, p, 24)
+    assert got.shape == (3, 2, 2, 2)
+    for i, m in enumerate(morphisms):
+        for j, gamma in enumerate(paths):
+            ref = rho_from_phi(SU2_CONN, [m], [gamma], p, 24)[0, 0]
+            assert np.max(np.abs(got[i, j] - ref)) <= 1e-14
 
 
 def test_rho_naturality_t_identity():
@@ -128,7 +143,7 @@ def test_rho_naturality_t_identity():
     x0 = gamma([0.0])
     y = gamma([1.0])
     p = (x0, SU2.group_G.identity)
-    rho = rho_from_phi(SU2_CONN, SU2_M, gamma, p, steps)
+    rho = rho_from_phi(SU2_CONN, [SU2_M], [gamma], p, steps)[0, 0]
     tra = transport_point(SU2_CONN, gamma, p, steps)
     fp = SU2_M.map_point(p)
     tra_prime = transport_point(conn2, gamma, fp, steps)
@@ -151,7 +166,7 @@ def test_compat_square(fam, a_exprs, phi_exprs, g_exprs):
     conn = TwoConnection(fam, CHART, a=a_exprs, b="fake_flat")
     m = OneMorphism(fam, CHART, g_map=g_exprs, phi=phi_exprs)
     conn2 = gauge_transform(conn, m)
-    rep = verify_onemorphism_compat(conn, conn2, m, smooth_bigon(), steps=64)
+    rep, = verify_onemorphism_compat(conn, conn2, [m], smooth_bigon(), steps=64)
     assert rep["square_defect"] <= 1e-6
     assert rep["a_pullback_defect"] <= 1e-7
     assert rep["pass"]
@@ -190,8 +205,8 @@ def test_apply_twomorphism_gauge_pairings():
         conn2b = gauge_transform(SU2_CONN, twisted)
         assert np.max(np.abs(conn2.a_coeffs(grid)
                              - conn2b.a_coeffs(grid))) <= 1e-9, form
-        rep = verify_onemorphism_compat(SU2_CONN, conn2, twisted,
-                                        smooth_bigon(), steps=64)
+        rep, = verify_onemorphism_compat(SU2_CONN, conn2, [twisted],
+                                         smooth_bigon(), steps=64)
         assert rep["pass"], (form, rep)
 
 
@@ -204,8 +219,8 @@ def test_crossed_pairing_fails():
         lambda pts: (apply_twomorphism(SU2_CONN, SU2_M, tm, form="lemma")
                      .phi_coeffs(pts)))
     conn2 = gauge_transform(SU2_CONN, SU2_M)
-    rep = verify_onemorphism_compat(SU2_CONN, conn2, wrong,
-                                    smooth_bigon(), steps=48)
+    rep, = verify_onemorphism_compat(SU2_CONN, conn2, [wrong],
+                                     smooth_bigon(), steps=48)
     assert not rep["pass"]
 
 

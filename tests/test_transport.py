@@ -1,6 +1,12 @@
+import collections
+import json
+
 import numpy as np
 import pytest
 
+import gauge2.morphisms
+import gauge2.transport
+from gauge2.cli import main
 from gauge2.errors import ComposabilityError, DomainError
 from gauge2.families import matrix_family
 from gauge2.forms import TwoConnection
@@ -12,8 +18,8 @@ from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
                               reconstruct_A, reconstruct_B, surface_transport,
-                              transport_point, verify_higher_stokes,
-                              verify_nonabelian_stokes)
+                              surface_values, transport_point,
+                              verify_higher_stokes, verify_nonabelian_stokes)
 
 U1 = matrix_family("u1_id")
 U1T = matrix_family("u1_triv")
@@ -223,9 +229,9 @@ def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
     conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
     g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
     s_values = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
-    beta = _surface_generator(conn, lens_bigon(), g0, 16, "b")
+    beta = _surface_generator(conn, [lens_bigon()], g0, 16, "b")
     reference = _per_slice_beta(conn, lens_bigon(), g0, 16, s_values)
-    assert np.max(np.abs(beta(s_values) - reference)) <= 1e-13
+    assert np.max(np.abs(beta(s_values)[:, 0] - reference)) <= 1e-13
 
 
 # --- surface transport ----------------------------------------------------------
@@ -269,6 +275,85 @@ def test_surface_equivariance_in_basepoint():
     moved = surface_transport(SU2_CONN, bigon, (x0, g), 48, 48).value_h
     expected = SU2.cm.alpha(SU2.group_G.inv(g), base)
     assert np.max(np.abs(moved - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("fam,a,b,frames", [
+    (SU2, [["0.6*x2", "0.3", "0.1*x1"], ["0.2", "0.5*x1", "0.3*x2"]],
+     "fake_flat", [[0.3, -0.2, 0.5], [0.0, 0.0, 0.0], [-1.1, 0.4, 0.2]]),
+    (U2P, [["0.4*x2", "0.1", "0.2*x1"], ["0.2", "0.3*x1", "0.1"]],
+     "fake_flat", [[0.4, 0.1, -0.7], [0.9, -0.3, 0.2], [0.0, 0.5, 0.5]]),
+    (U1T, [["0.3*x2"], ["0.1"]], [["0.8*x1 + 0.2"]], [[0.7], [-1.3], [0.0]]),
+], ids=["su2_id_conj", "u2_to_pu2", "u1_triv"])
+def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
+    # a mixed stack: two bigons and a reparameterization of the first, each
+    # with its own basepoint frame, all over the corner at the origin
+    conn = TwoConnection(fam, Chart(2), a=a, b=b)
+    lens = lens_bigon()
+    warp = ParamMap.from_exprs(["u^2*(3-2*u)", "(1-cos(pi*v))/2"], 2)
+    bigons = [lens, bulge_bigon(), reparameterize(lens, warp)]
+    g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frames, dtype=float)))
+    x0 = np.zeros(2)
+    got = surface_values(conn, bigons, (x0, g0), 16, 12)
+    assert got.shape == (3,) + fam.group_H.identity.shape
+    for bigon, frame, value in zip(bigons, g0, got):
+        ref = surface_transport(conn, bigon, (x0, frame), 16, 12).value_h
+        assert np.max(np.abs(value - ref)) <= 1e-14
+    # one bigon under a stack of frames is paired by broadcasting
+    fanned = surface_values(conn, [lens], (x0, g0), 16, 12)
+    for frame, value in zip(g0, fanned):
+        ref = surface_transport(conn, lens, (x0, frame), 16, 12).value_h
+        assert np.max(np.abs(value - ref)) <= 1e-14
+
+
+def test_surface_values_check_every_basepoint():
+    shifted = lens_bigon().affine_image(np.array([0.1, 0.0]), np.eye(2))
+    with pytest.raises(DomainError, match="corner"):
+        surface_values(SU2_CONN, [lens_bigon(), shifted],
+                       (np.zeros(2), SU2.group_G.identity))
+
+
+GUARD_CONFIG = {
+    "seed": 3,
+    "crossed_module": {"matrix": {"family": "su2_id_conj"}},
+    "chart": {"dim": 2},
+    "connection": {"a": [["0.6*x2", "0.3", "0.1*x1"],
+                         ["0.2", "0.5*x1", "0.3*x2"]], "b": "fake_flat"},
+    "bigons": {"lens": ["v", "v + 0.05*(2*u - 1)*sin(pi*v)"]},
+    "morphism": {"g": ["0.4*x1", "0.3*x2", "0.2*x1*x2"],
+                 "phi": [["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"]]},
+    "two_morphism": {"a": ["0.3*x2", "0.2*x1", "0.1"]},
+    "numeric": {"steps": 40, "surface_steps": 16},
+}
+
+
+@pytest.mark.parametrize("argv,calls", [
+    # one outer solve of the bigon and its five reparameterizations, whose
+    # two CF4 stages each lift all 40 x 6 slices at once; no path solve
+    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}),
+    # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
+    # solve on one lift of the 16 slices per stage; rho of all three
+    # morphisms on one lift of the source and target paths
+    (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
+                           ("lift", (16, 1)): 4, ("lift", (2,)): 1,
+                           ("path", (3, 2)): 1}),
+], ids=["thin", "gauge"])
+def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls):
+    seen = collections.Counter()
+    kernel = gauge2.transport._ordered_exp
+
+    def counting(group, w_eval, steps, trajectory=False, right=False):
+        out = kernel(group, w_eval, steps, trajectory, right)
+        kind = "surface" if right else "lift" if trajectory else "path"
+        seen[kind, out.shape[1 if trajectory else 0:-2]] += 1
+        return out
+
+    for module in (gauge2.transport, gauge2.morphisms):
+        monkeypatch.setattr(module, "_ordered_exp", counting)
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(GUARD_CONFIG))
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert dict(seen) == calls
 
 
 def _slab_bigon(lo, hi):
@@ -528,7 +613,7 @@ def test_holonomy2_identity_bigon():
                                np.zeros_like(v)], -1)
 
     ident = ParamMap(2, 2, fn, name="point-bigon")
-    rep = holonomy2_H(conn, ident, steps=16)
+    rep, = holonomy2_H(conn, [ident], steps=16)
     assert np.max(np.abs(rep["value"] - 1.0)) <= 1e-12
 
 
@@ -536,7 +621,7 @@ def test_holonomy2_abelian_disk():
     c, r = 0.6, 0.5
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
     bigon = _disk_bigon(np.array([0.5, 0.5]), r)
-    rep = holonomy2_H(conn, bigon, steps=64)
+    rep, = holonomy2_H(conn, [bigon], steps=64)
     # the disk is swept with positive orientation, so the flux is +pi r^2 c
     expected = np.exp(-1j * c * np.pi * r * r)
     assert np.max(np.abs(rep["value"] - expected)) <= 1e-7
@@ -546,7 +631,7 @@ def test_holonomy2_vertical_inverse_cancels():
     bigon = _disk_bigon(np.array([0.5, 0.5]), 0.4)
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[["0.8*x1"]])
     comp = compose_bigons_vertical(bigon, reverse_bigon(bigon))
-    rep = holonomy2_H(conn, comp, steps=96)
+    rep, = holonomy2_H(conn, [comp], steps=96)
     assert np.max(np.abs(rep["value"] - 1.0)) <= 1e-7
     assert rep["same_loop"]
     assert rep["kernel_defect"] <= 1e-7
@@ -563,7 +648,7 @@ def test_holonomy2_kernel_membership_same_loop():
         return np.array([0.5, 0.5]) + 0.3 * (loop + u * (1 - u) * bump)
 
     bigon = ParamMap(2, 2, fn, name="loop-loop")
-    rep = holonomy2_H(SU2_CONN, bigon, steps=96)
+    rep, = holonomy2_H(SU2_CONN, [bigon], steps=96)
     assert rep["same_loop"]
     assert rep["kernel_defect"] <= 1e-7   # ker t is trivial for t = id
 
@@ -571,7 +656,7 @@ def test_holonomy2_kernel_membership_same_loop():
 def test_holonomy2_rejects_open_boundary():
     bigon = bulge_bigon()     # paths from (0,0) to (1,0): not loops
     with pytest.raises(DomainError):
-        holonomy2_H(SU2_CONN, bigon, steps=16)
+        holonomy2_H(SU2_CONN, [bigon], steps=16)
 
 
 # --- Ambrose-Singer --------------------------------------------------------------
