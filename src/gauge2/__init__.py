@@ -29,7 +29,7 @@ from .torsor import (EtaH, Torsor2, TorsorMorphism, all_equivariant_functors,
 from .geometry import (Chart, ParamMap, canonical_bigon, compose_bigons_horizontal,
                        compose_bigons_vertical, concat_paths, reparameterize,
                        reverse_bigon, reverse_path, source_path, straight_path,
-                       target_path, bigon_between, cube_between)
+                       target_path, bigon_between)
 from .fields import CoefficientField, GroupValuedField, chart_grid
 from .forms import (TransitionData, TwoConnection, bundle_form_B,
                     check_local_data, curvature_F, fake_flatness_residual,

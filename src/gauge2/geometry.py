@@ -24,7 +24,7 @@ __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
     "canonical_bigon", "reparameterize",
-    "straight_path", "bigon_between", "cube_between",
+    "straight_path", "bigon_between",
     "reverse_path", "reverse_bigon", "source_path", "target_path",
 ]
 
@@ -199,16 +199,6 @@ def bigon_between(gamma0: ParamMap, gamma1: ParamMap, tol=1e-9,
     return ParamMap(2, gamma0.dim, fn, name=name or "bigon")
 
 
-def cube_between(sigma0: ParamMap, sigma1: ParamMap, name=None) -> ParamMap:
-    """Straight-line homotopy between two bigons with common boundary."""
-    def fn(params):
-        u = params[..., 0][..., None]
-        vw = params[..., 1:]
-        return (1.0 - u) * sigma0._fn(vw) + u * sigma1._fn(vw)
-
-    return ParamMap(3, sigma0.dim, fn, name=name or "cube")
-
-
 def reverse_path(gamma: ParamMap) -> ParamMap:
     def fn(params):
         return gamma._fn(1.0 - params)
@@ -235,8 +225,7 @@ def target_path(sigma: ParamMap) -> ParamMap:
 # --- composition ------------------------------------------------------------------
 
 
-def _two_piece(first_fn, second_fn, axis: int, arity: int, dim: int,
-               width=SMOOTH_STEP_WIDTH):
+def _two_piece(first_fn, second_fn, axis: int, width=SMOOTH_STEP_WIDTH):
     """Piecewise map along one parameter axis with smoothing on each half."""
 
     def fn(params):
@@ -257,7 +246,7 @@ def concat_paths(gamma: ParamMap, gamma_next: ParamMap, tol=1e-9) -> ParamMap:
     if d > tol:
         raise DomainError(
             f"paths do not meet: endpoint mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(gamma._fn, gamma_next._fn, axis=0, arity=1, dim=gamma.dim)
+    fn = _two_piece(gamma._fn, gamma_next._fn, axis=0)
     return ParamMap(1, gamma.dim, fn,
                     name=f"({gamma_next.name}.{gamma.name})")
 
@@ -273,7 +262,7 @@ def compose_bigons_vertical(sigma: ParamMap, sigma_next: ParamMap,
     if d > tol:
         raise DomainError(
             f"bigons do not stack: boundary mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(sigma._fn, sigma_next._fn, axis=0, arity=2, dim=sigma.dim)
+    fn = _two_piece(sigma._fn, sigma_next._fn, axis=0)
     return ParamMap(2, sigma.dim, fn,
                     name=f"({sigma_next.name}*{sigma.name})")
 
@@ -290,7 +279,7 @@ def compose_bigons_horizontal(sigma: ParamMap, sigma_next: ParamMap,
     if d > tol:
         raise DomainError(
             f"bigons do not connect: endpoint mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(sigma._fn, sigma_next._fn, axis=1, arity=2, dim=sigma.dim)
+    fn = _two_piece(sigma._fn, sigma_next._fn, axis=1)
     return ParamMap(2, sigma.dim, fn,
                     name=f"({sigma_next.name}o{sigma.name})")
 

@@ -36,8 +36,7 @@ from .fields import (CoefficientField, GroupValuedField, chart_grid,
                      partial_diff, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
-from .transport import (_cf4_factors, _frame, _ordered_exp, _path_generator,
-                        _sample_paths, surface_values)
+from .transport import _frame, _ordered_exp, _sample_paths, surface_values
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
            "verify_onemorphism_compat", "apply_twomorphism",
@@ -151,10 +150,18 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
 def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
                  steps: int = 64):
     """Natural-transformation data of a stack of morphisms along a stack of
-    paths from p, (morphisms, paths, n, n), on one horizontal lift per path:
-    the ordered exponential of phi along the lift, the solution at 1 of
+    paths from p, (morphisms, paths, n, n): the ordered exponential of phi
+    along the horizontal lift, the solution at 1 of
 
-        h'(t) = -(alpha_{frame(t)^-1})_* phi(gamma'(t)) . h(t),  h(0) = e.
+        h'(t) = -(alpha_{frame(t)^-1})_* phi(gamma'(t)) . h(t),  h(0) = e,
+
+    with frame(t) = g(t) g0 the lift.  With W = -a(gamma') and alpha_g
+    conjugation by rep(g), k = rep(frame) h solves the left-driven
+    k' = (rep_*(W) - phi(gamma')) k and r = rep(frame) solves
+    r' = rep_*(W) r, so h = r^-1 k; one ordered exponential in H solves r
+    and every morphism's k from the identity, and conjugation by
+    rep(g0)^-1 supplies the basepoint frame.  No lift is formed, so the
+    sign of an SU(2) lift never enters.
 
     The minus sign is the phi convention under which the gauge transform
     carries +t_* phi; with it the value satisfies the naturality identity
@@ -165,27 +172,19 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
     the pointwise inverse composes functorially.
     """
     fam = conn.family
-    G = fam.group_G
-    path_gen = _path_generator(conn, paths)
-    frames = _ordered_exp(G, path_gen, steps, trajectory=True)
-
-    def frame_at(times):
-        # dense output: one CF4 substep from the last stored boundary frame,
-        # which keeps the overall order at 4
-        idx = np.clip(np.floor(times * steps).astype(int), 0, steps - 1)
-        t0 = idx / steps
-        e1, e2 = _cf4_factors(G, path_gen, t0, times - t0)
-        return G.mul(e2, G.mul(e1, frames[idx]))
+    H = fam.group_H
 
     def w_eval(times):
         points = _sample_paths(paths, times)
-        fr = G.mul(frame_at(times), _frame(conn, p))[:, None]
-        phis = np.stack([m.phi_of(*points) for m in morphisms], axis=1)
-        conj = fam.alpha_vec(G.inv(fr), phis.reshape(
-            (times.size, len(paths), len(morphisms), -1)).swapaxes(1, 2))
-        return fam.l2a.h_alg.to_matrix(-conj)
+        rep_w = np.einsum("hg,...g->...h", fam.rep_star, -conn.a_of(*points))
+        gens = [rep_w] + [rep_w - m.phi_of(*points) for m in morphisms]
+        gens = np.stack(gens, axis=1).reshape(times.size, len(paths),
+                                              len(gens), -1).swapaxes(1, 2)
+        return fam.l2a.h_alg.to_matrix(gens)
 
-    return _ordered_exp(fam.group_H, w_eval, steps)
+    rk = _ordered_exp(H, w_eval, steps)
+    return fam.cm.alpha(fam.group_G.inv(_frame(conn, p)),
+                        H.mul(H.inv(rk[0]), rk[1:]))
 
 
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
@@ -217,15 +216,17 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
                                              h.mul(tra2, rho[:, 1]))]
 
     grid = chart_grid(conn.chart) if grid is None else grid
-    a_defect = [0.0] * len(morphisms)
-    gs = [m.g_map(grid) for m in morphisms]
-    for k, ek in enumerate(np.eye(conn.chart.dim)):
-        a_prime, a = conn_prime.a_of(grid, ek), conn.a_of(grid, ek)
-        for i, (m, g) in enumerate(zip(morphisms, gs)):
-            pulled = (fam.ad_g_vec(g, a_prime)
-                      - m.g_map.right_log_derivative(grid, k))
-            expected = a + fam.l2a.apply_t_star(m.phi_of(grid, ek))
-            a_defect[i] = max(a_defect[i], float(np.max(np.abs(pulled - expected))))
+    a, a_prime = conn.a_coeffs(grid), conn_prime.a_coeffs(grid)
+    a_defect = []
+    for m in morphisms:
+        g = m.g_map(grid)
+        ginv = fam.group_G.inv(g)
+        # dg g^-1 along every chart axis
+        dlog = np.stack([m.g_map.algebra.from_matrix(m.g_map.partial(grid, k) @ ginv)
+                         for k in range(conn.chart.dim)], axis=1)
+        pulled = fam.ad_g_vec(g[:, None], a_prime) - dlog
+        expected = a + fam.l2a.apply_t_star(m.phi_coeffs(grid))
+        a_defect.append(float(np.max(np.abs(pulled - expected))))
 
     return [{"square_defect": sq, "a_pullback_defect": ad,
              "pass": sq <= 1e-6 and ad <= 1e-7}

@@ -11,7 +11,7 @@ from gauge2.morphisms import (OneMorphism, TwoMorphismA, apply_twomorphism,
                               horizontal_compose_twomorphisms, rho_from_phi,
                               vertical_compose_twomorphisms,
                               verify_onemorphism_compat)
-from gauge2.transport import transport_point
+from gauge2.transport import horizontal_lift, transport_point
 
 U1 = matrix_family("u1_id")
 SU2 = matrix_family("su2_id_conj")
@@ -134,6 +134,37 @@ def test_rho_batched_over_morphisms_and_paths():
         for j, gamma in enumerate(paths):
             ref = rho_from_phi(SU2_CONN, [m], [gamma], p, 24)[0, 0]
             assert np.max(np.abs(got[i, j] - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("fam,a_exprs,phi_exprs,g_exprs", [
+    (SU2, [["0.6*x2", "0.3", "0.1*x1"], ["0.2", "0.5*x1", "0.3*x2"]],
+     [["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"]],
+     ["0.4*x1", "0.3*x2", "0.2*x1*x2"]),
+    # rep is the SU(2) lift of SO(3), defined up to sign
+    (U2P, [["0.5*x2", "0.2", "0.1*x1"], ["0.3", "0.4*x1", "0.2*x2"]],
+     [["0.2*x2", "0.1", "0", "0.1"], ["0.1*x1", "0", "0.2", "0.05"]],
+     ["0.3*x1", "0.2*x2", "0.1*x1*x2"]),
+], ids=["su2", "u2pu2"])
+def test_rho_matches_midpoint_solution_along_lift(fam, a_exprs, phi_exprs,
+                                                  g_exprs):
+    # h' = -(alpha_{frame^-1})_* phi(gamma') h with the frames of the
+    # horizontal lift through a non-identity basepoint frame, solved by the
+    # midpoint product of exponentials
+    conn = TwoConnection(fam, CHART, a=a_exprs, b="fake_flat")
+    m = OneMorphism(fam, CHART, g_map=g_exprs, phi=phi_exprs)
+    gamma = ParamMap.from_exprs(["0.1 + 0.7*u", "0.1 + 0.3*sin(pi*u)"], 1)
+    p = (gamma([0.0]), fam.cm.sample_G(np.random.default_rng(7)))
+    n = 1024
+    _, frames = horizontal_lift(conn, gamma, p, 2 * n)
+    mid = (np.arange(n)[:, None] + 0.5) / n
+    phi = m.phi_of(gamma(mid), gamma.partial(0, mid))
+    gens = -fam.alpha_vec(fam.group_G.inv(frames[1::2]), phi) / n
+    H = fam.group_H
+    ref = H.identity
+    for step in H.exp(fam.l2a.h_alg.to_matrix(gens)):
+        ref = step @ ref
+    got = rho_from_phi(conn, [m], [gamma], p, 48)[0, 0]
+    assert np.max(np.abs(got - ref)) <= 1e-6
 
 
 def test_rho_naturality_t_identity():

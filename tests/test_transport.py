@@ -332,10 +332,10 @@ GUARD_CONFIG = {
     (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}),
     # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
     # solve on one lift of the 16 slices per stage; rho of all three
-    # morphisms on one lift of the source and target paths
+    # morphisms along the source and target paths in one ordered
+    # exponential in H, batched with the reference generator rep_*(W)
     (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (16, 1)): 4, ("lift", (2,)): 1,
-                           ("path", (3, 2)): 1}),
+                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}),
 ], ids=["thin", "gauge"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls):
     seen = collections.Counter()
