@@ -30,7 +30,7 @@ from .geometry import (Chart, ParamMap, canonical_bigon, compose_bigons_horizont
                        compose_bigons_vertical, concat_paths, reparameterize,
                        reverse_bigon, reverse_path, source_path, straight_path,
                        target_path, bigon_between)
-from .fields import CoefficientField, GroupValuedField, chart_grid
+from .fields import CoefficientField, GroupValuedField, chart_grid, group_field
 from .forms import (TransitionData, TwoConnection, bundle_form_B,
                     check_local_data, curvature_F, fake_flatness_residual,
                     three_curvature_K)

@@ -282,11 +282,18 @@ def run_verify_gauge(cfg, num, rng, out, emit):
     return cases
 
 
+def _thin_steps_key(num):
+    """The numeric key whose count verify-thin solves with along both
+    bigon parameters, and which the config-time parity check reads: the
+    finer of ``steps`` and ``surface_steps``, as the 1e-7 invariance
+    target needs."""
+    return "steps" if num["steps"] >= num["surface_steps"] else "surface_steps"
+
+
 def run_verify_thin(cfg, num, rng, out, emit):
     conn = cfg.connection()
     fam = cfg.family()
-    # the 1e-7 invariance target needs the finer path-level step count
-    steps = max(num["steps"], num["surface_steps"])
+    steps = num[_thin_steps_key(num)]
     cases = []
     for name, pm in cfg.param_maps("bigons").items():
         # the bigon and its reparameterizations in one batched solve
@@ -411,13 +418,11 @@ def _check_simpson_steps(commands, num):
     """Reject, as a config error, every step count that a command would
     hand to composite Simpson quadrature odd, sweep halvings included."""
     sweep = num["sweep"]
-    thin_key = ("steps" if num["steps"] >= num["surface_steps"]
-                else "surface_steps")
     # command -> (numeric key, step halvings, floor of the halved count)
     plan = {
         "surface-transport": [("surface_steps", sweep if sweep >= 2 else 0, 2)],
         "verify-stokes": [("steps", max(sweep, 2), 4)],
-        "verify-thin": [(thin_key, 0, 0)],
+        "verify-thin": [(_thin_steps_key(num), 0, 0)],
         "verify-higher-stokes": [("surface_steps", 0, 0),
                                  ("volume_steps", 0, 0)],
         "verify-gauge": [("surface_steps", 0, 0)],

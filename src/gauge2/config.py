@@ -18,7 +18,7 @@ from jsonschema.validators import validator_for
 from .errors import ConfigError, DomainError, ParseError
 from .families import (FINITE_DEMO_NAMES, finite_crossed_module,
                        finite_demo_module, matrix_family)
-from .fields import CoefficientField, GroupValuedField
+from .fields import CoefficientField
 from .forms import TransitionData, TwoConnection
 from .geometry import Chart, ParamMap
 from .groups import FiniteGroup, cyclic_group
@@ -287,11 +287,6 @@ class RunConfig:
             raise ConfigError(f"config invalid at '{path}': {err}",
                               path=path) from None
 
-    def _group_field(self, path: str, group, algebra) -> GroupValuedField:
-        """exp of the algebra-valued expressions at ``path``."""
-        return GroupValuedField(group, algebra,
-                                self._field(path, (algebra.dim,)), name=path)
-
     def connection(self) -> TwoConnection:
         spec = self._require("connection")
         num = self.numeric()
@@ -352,7 +347,7 @@ class RunConfig:
         fam, d = self.family(), self.chart().dim
         return OneMorphism(
             fam, self.chart(), name="config-morphism",
-            g_map=self._group_field("morphism.g", fam.group_G, fam.l2a.g_alg),
+            g_map=self._field("morphism.g", (fam.l2a.g_alg.dim,)),
             phi=self._field("morphism.phi", (d, fam.l2a.h_alg.dim)))
 
     def two_morphism(self) -> TwoMorphismA:
@@ -360,14 +355,13 @@ class RunConfig:
         fam = self.family()
         return TwoMorphismA(
             fam, self.chart(), name="config-2morphism",
-            a_map=self._group_field("two_morphism.a", fam.group_H, fam.l2a.h_alg))
+            a_map=self._field("two_morphism.a", (fam.l2a.h_alg.dim,)))
 
     def transition(self) -> TransitionData:
         self._require("transition")
         fam = self.family()
-        return TransitionData(
-            fam, self.chart(),
-            self._group_field("transition.g", fam.group_G, fam.l2a.g_alg))
+        return TransitionData(fam, self.chart(),
+                              self._field("transition.g", (fam.l2a.g_alg.dim,)))
 
     def basepoint(self):
         return self.raw.get("basepoint")

@@ -1,12 +1,21 @@
-"""Coefficient fields on a chart and finite-difference helpers.
+"""Coefficient fields on a chart and the one finite-difference layer.
 
 Scalar coefficient fields come from the expression DSL (variables x1..xd)
 or from plain callables; everything evaluates on (N, d) point batches.
 A CoefficientField compiles its expressions once and fills one (N, *shape)
-array per call; ``directional_diff`` calls its function 4 times (8 with
-Richardson extrapolation).
-Group-valued fields are stored as the exponential of an algebra-valued
-coefficient field, which keeps them on the group manifold by construction.
+array per call.
+
+Every derivative of a field or a parameter map is taken here.
+``directional_diff`` is the one 4-point stencil and calls its function 4
+times (8 with Richardson extrapolation); ``axis_diffs`` applies it along
+every axis of the points and returns (N, d, ...);
+``GroupValuedField.log_derivative`` gives a group-valued field together
+with dg g^-1 along every axis.  Swapping finite differences for exact
+derivatives means changing these three.
+
+A group-valued field is a function from points to matrices;
+``group_field`` builds exp(lambda(x)) of an algebra-valued coefficient
+field, which lands on the group manifold by construction.
 """
 
 from __future__ import annotations
@@ -17,10 +26,9 @@ from . import dsl
 from .errors import DomainError
 
 __all__ = ["CoefficientField", "GroupValuedField", "tensor_field",
-           "directional_diff", "partial_diff", "chart_grid"]
+           "group_field", "directional_diff", "axis_diffs", "chart_grid"]
 
 FD_STEP = 1e-3
-_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
 def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
@@ -34,21 +42,22 @@ def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
     v = np.asarray(direction, dtype=float)
 
     def stencil(h):
-        acc = None
-        for k, w in _STENCIL:
-            term = w * np.asarray(fn(p + (k * h) * v))
-            acc = term if acc is None else acc + term
-        return acc / (12.0 * h)
+        # weights (1, -8, 8, -1) / 12h at -2h, -h, h, 2h, summed in that order
+        acc = np.asarray(fn(p - (2 * h) * v)) - 8.0 * np.asarray(fn(p - h * v))
+        acc = acc + 8.0 * np.asarray(fn(p + h * v))
+        return (acc - np.asarray(fn(p + (2 * h) * v))) / (12.0 * h)
 
     if not richardson:
         return stencil(step)
     return (16.0 * stencil(step / 2.0) - stencil(step)) / 15.0
 
 
-def partial_diff(fn, points, axis, dim, step=FD_STEP, richardson=False):
-    e = np.zeros(dim)
-    e[axis] = 1.0
-    return directional_diff(fn, points, e, step, richardson)
+def axis_diffs(fn, points, step=FD_STEP, richardson=False):
+    """(N, d, ...) derivatives of fn along every axis e_k of the (N, d)
+    points: one :func:`directional_diff` per axis, stacked on axis 1."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.stack([directional_diff(fn, p, e, step, richardson)
+                     for e in np.eye(p.shape[-1])], axis=1)
 
 
 def chart_grid(chart, per_axis=5, pad=0.15):
@@ -118,53 +127,33 @@ def tensor_field(value, chart_dim, shape, what="field"):
 
 
 class GroupValuedField:
-    """Group-valued field on a chart.
+    """Group-valued field on a chart: ``value_fn`` maps (N, d) points to
+    (N, n, n) matrices of ``group``, whose Lie algebra is ``algebra``.
+    :func:`group_field` builds the exponential of coefficient fields."""
 
-    Constructed either as exp(lambda(x)) of an algebra-valued coefficient
-    field (which lands on the manifold by construction) or from a direct
-    matrix-valued callable (used for pointwise products of group fields).
-    """
-
-    def __init__(self, group, algebra, coeffs=None, value_fn=None,
-                 chart_dim=None, name="g"):
+    def __init__(self, group, algebra, value_fn, name="g"):
         self.group = group
         self.algebra = algebra
         self.name = name
-        if coeffs is not None:
-            if not isinstance(coeffs, CoefficientField):
-                raise DomainError("coeffs must be a CoefficientField")
-            if coeffs.shape != (algebra.dim,):
-                raise DomainError("group field needs one coefficient per basis")
-            self.coeffs = coeffs
-            self.chart_dim = coeffs.chart_dim
-            self._value_fn = lambda p: group.exp(algebra.to_matrix(coeffs(p)))
-        elif value_fn is not None:
-            if chart_dim is None:
-                raise DomainError("value_fn fields need an explicit chart_dim")
-            self.coeffs = None
-            self.chart_dim = chart_dim
-            self._value_fn = value_fn
-        else:
-            raise DomainError("provide coeffs or value_fn")
+        self._value_fn = value_fn
 
     def __call__(self, points):
         return self._value_fn(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def inv(self, points):
-        return self.group.inv(self(points))
-
-    def partial(self, points, axis, step=FD_STEP):
-        """d/dx_axis of the matrix entries (4th-order central)."""
-        return partial_diff(self.__call__, points, axis, self.chart_dim, step)
-
-    def maurer_cartan(self, points, axis, step=FD_STEP):
-        """g^-1 (d g / d x_axis) as algebra coefficient vectors."""
+    def log_derivative(self, points):
+        """g and (d g / d x_k) g^-1 along every chart axis, the latter as
+        (N, d, dim) algebra coefficient vectors (step ``FD_STEP``)."""
         g = self(points)
-        dg = self.partial(points, axis, step)
-        return self.algebra.from_matrix(self.group.inv(g) @ dg)
+        dg = axis_diffs(self, points)
+        return g, self.algebra.from_matrix(dg @ self.group.inv(g)[:, None])
 
-    def right_log_derivative(self, points, axis, step=FD_STEP):
-        """(d g / d x_axis) g^-1 as algebra coefficient vectors."""
-        g = self(points)
-        dg = self.partial(points, axis, step)
-        return self.algebra.from_matrix(dg @ self.group.inv(g))
+
+def group_field(value, group, algebra, chart_dim, name="g"):
+    """A GroupValuedField passes through; anything else is, or becomes, a
+    field lambda of one coefficient per algebra basis element (see
+    :func:`tensor_field`), and the result is x -> exp(lambda(x))."""
+    if isinstance(value, GroupValuedField):
+        return value
+    coeffs = tensor_field(value, chart_dim, (algebra.dim,), name)
+    return GroupValuedField(
+        group, algebra, lambda p: group.exp(algebra.to_matrix(coeffs(p))), name)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ChartError, DomainError
 from . import dsl
+from .fields import FD_STEP, directional_diff
 
 __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
@@ -30,7 +31,6 @@ __all__ = [
 
 SMOOTH_STEP_WIDTH = 0.1
 PARAM_VARS = ("u", "v", "w")
-FD_STEP = 1e-3
 
 
 class Chart:
@@ -125,11 +125,7 @@ class ParamMap:
 
     def partial(self, index: int, params, step: float = FD_STEP):
         """4th-order central difference of the map along parameter ``index``."""
-        p = np.asarray(params, dtype=float)
-        h = np.zeros(self.arity)
-        h[index] = step
-        return (-self(p + 2 * h) + 8 * self(p + h)
-                - 8 * self(p - h) + self(p - 2 * h)) / (12 * step)
+        return directional_diff(self, params, np.eye(self.arity)[index], step)
 
     # -- derived maps ----------------------------------------------------------
 

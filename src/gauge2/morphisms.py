@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (CoefficientField, GroupValuedField, chart_grid,
-                     partial_diff, tensor_field)
+from .fields import (GroupValuedField, axis_diffs, chart_grid, group_field,
+                     tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
 from .transport import _frame, _ordered_exp, _sample_paths, surface_values
@@ -58,14 +58,9 @@ class OneMorphism:
         self.chart = chart
         self.name = name
         d = chart.dim
-        dim_h = family.l2a.h_alg.dim
-        if not isinstance(g_map, GroupValuedField):
-            g_map = GroupValuedField(
-                family.group_G, family.l2a.g_alg,
-                CoefficientField(g_map, d, (family.l2a.g_alg.dim,)),
-                name=f"{name}.g")
-        self.g_map = g_map
-        self._phi = tensor_field(phi, d, (d, dim_h), "phi")
+        self.g_map = group_field(g_map, family.group_G, family.l2a.g_alg, d,
+                                 f"{name}.g")
+        self._phi = tensor_field(phi, d, (d, family.l2a.h_alg.dim), "phi")
 
     def phi_coeffs(self, points):
         """(N, d, dim_h) coefficient tensor of phi."""
@@ -93,12 +88,8 @@ class TwoMorphismA:
         self.family = family
         self.chart = chart
         self.name = name
-        if not isinstance(a_map, GroupValuedField):
-            a_map = GroupValuedField(
-                family.group_H, family.l2a.h_alg,
-                CoefficientField(a_map, chart.dim, (family.l2a.h_alg.dim,)),
-                name=f"{name}.a")
-        self.a_map = a_map
+        self.a_map = group_field(a_map, family.group_H, family.l2a.h_alg,
+                                 chart.dim, f"{name}.a")
 
     def membership_defect(self, grid) -> float:
         return self.family.group_H.membership_defect(self.a_map(grid))
@@ -108,43 +99,28 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
     """Apply the gauge 1-morphism to the local connection data."""
     fam = conn.family
     l2a = fam.l2a
-    d = conn.chart.dim
-    pairs = conn.pairs
-    g_field = m.g_map
+    k, l = conn._pair_axes
 
     def new_a(points):
-        n = points.shape[0]
-        ginv = fam.group_G.inv(g_field(points))
-        a = conn.a_coeffs(points)
-        phi = m.phi_coeffs(points)
-        rows = []
-        for k in range(d):
-            # dg g^-1, as g_field.right_log_derivative without a second g
-            dlog = g_field.algebra.from_matrix(g_field.partial(points, k) @ ginv)
-            term = a[:, k, :] + dlog + l2a.apply_t_star(phi[:, k, :])
-            rows.append(fam.ad_g_vec(ginv, term))
-        return np.stack(rows, axis=1).reshape(n, d, l2a.g_alg.dim)
+        g, dlog = m.g_map.log_derivative(points)
+        term = conn.a_coeffs(points) + dlog + l2a.apply_t_star(m.phi_coeffs(points))
+        return fam.ad_g_vec(fam.group_G.inv(g)[:, None], term)
 
     def new_b(points):
-        ginv = fam.group_G.inv(g_field(points))
+        ginv = fam.group_G.inv(m.g_map(points))
         a = conn.a_coeffs(points)
         b = conn._b_pairs(points)
         phi = m.phi_coeffs(points)
-        dphi = np.stack([partial_diff(lambda p: m.phi_coeffs(p), points,
-                                      k, d, conn.fd_step)
-                         for k in range(d)], axis=1)
-        cols = []
-        for idx, (k, l) in enumerate(pairs):
-            term = (b[:, idx, :]
-                    + dphi[:, k, l, :] - dphi[:, l, k, :]
-                    + l2a.h_alg.bracket(phi[:, k, :], phi[:, l, :])
-                    + l2a.apply_alpha_star(a[:, k, :], phi[:, l, :])
-                    - l2a.apply_alpha_star(a[:, l, :], phi[:, k, :]))
-            cols.append(fam.alpha_vec(ginv, term))
-        return np.stack(cols, axis=1)
+        dphi = axis_diffs(m.phi_coeffs, points, conn.fd_step, conn.fd_richardson)
+        term = (b + dphi[:, k, l] - dphi[:, l, k]
+                + l2a.h_alg.bracket(phi[:, k], phi[:, l])
+                + l2a.apply_alpha_star(a[:, k], phi[:, l])
+                - l2a.apply_alpha_star(a[:, l], phi[:, k]))
+        return fam.alpha_vec(ginv[:, None], term)
 
     return TwoConnection(fam, conn.chart, a=new_a, b=new_b,
-                         fd_step=conn.fd_step, name=f"{conn.name}^{m.name}")
+                         fd_step=conn.fd_step, fd_richardson=conn.fd_richardson,
+                         name=f"{conn.name}^{m.name}")
 
 
 def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
@@ -219,11 +195,7 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
     a, a_prime = conn.a_coeffs(grid), conn_prime.a_coeffs(grid)
     a_defect = []
     for m in morphisms:
-        g = m.g_map(grid)
-        ginv = fam.group_G.inv(g)
-        # dg g^-1 along every chart axis
-        dlog = np.stack([m.g_map.algebra.from_matrix(m.g_map.partial(grid, k) @ ginv)
-                         for k in range(conn.chart.dim)], axis=1)
+        g, dlog = m.g_map.log_derivative(grid)
         pulled = fam.ad_g_vec(g[:, None], a_prime) - dlog
         expected = a + fam.l2a.apply_t_star(m.phi_coeffs(grid))
         a_defect.append(float(np.max(np.abs(pulled - expected))))
@@ -251,58 +223,38 @@ def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,
     if form not in ("definition", "lemma"):
         raise DomainError(f"unknown 2-morphism form {form!r}")
     fam = m.family
-    chart = m.chart
-    d = chart.dim
-    h_alg = fam.l2a.h_alg
     H = fam.group_H
-
-    def eff_a(points):
-        a = tm.a_map(points)
-        return a if form == "definition" else H.inv(a)
+    eff_a = (tm.a_map if form == "definition" else GroupValuedField(
+        H, fam.l2a.h_alg, lambda p: H.inv(tm.a_map(p)), f"{tm.a_map.name}^-1"))
 
     def new_g(points):
         return fam.cm.t(eff_a(points)) @ m.g_map(points)
 
     def new_phi(points):
-        a = eff_a(points)
-        ainv = H.inv(a)
-        phi = m.phi_coeffs(points)
-        aconn = conn.a_coeffs(points)
-        da_sign = -1.0
-        rows = []
-        for k in range(d):
-            ad_a_phi = fam.ad_h_vec(a, phi[:, k, :])
-            twisted = fam.twisted_rep_star(a, aconn[:, k, :])
-            da = partial_diff(eff_a, points, k, d)
-            da_ainv = h_alg.from_matrix(da @ ainv)
-            rows.append(ad_a_phi - twisted + da_sign * da_ainv)
-        return np.stack(rows, axis=1)
+        a, da_ainv = eff_a.log_derivative(points)
+        a = a[:, None]
+        return (fam.ad_h_vec(a, m.phi_coeffs(points))
+                - fam.twisted_rep_star(a, conn.a_coeffs(points)) - da_ainv)
 
     return OneMorphism(
-        fam, chart,
-        GroupValuedField(fam.group_G, fam.l2a.g_alg, value_fn=new_g,
-                         chart_dim=d, name=f"{m.name}.g'"),
+        fam, m.chart,
+        GroupValuedField(fam.group_G, fam.l2a.g_alg, new_g, f"{m.name}.g'"),
         new_phi, name=f"{m.name}^{tm.name}")
 
 
 def compose_onemorphisms(m2: OneMorphism, m1: OneMorphism) -> OneMorphism:
     """Composite m2 after m1: gauge function g1 g2, phi1 + (alpha_{g1})_* phi2."""
     fam = m1.family
-    d = m1.chart.dim
 
     def g_comp(points):
         return m1.g_map(points) @ m2.g_map(points)
 
     def phi_comp(points):
-        g1 = m1.g_map(points)
-        phi2 = m2.phi_coeffs(points)
-        rows = [fam.alpha_vec(g1, phi2[:, k, :]) for k in range(d)]
-        return m1.phi_coeffs(points) + np.stack(rows, axis=1)
+        g1 = m1.g_map(points)[:, None]
+        return m1.phi_coeffs(points) + fam.alpha_vec(g1, m2.phi_coeffs(points))
 
     return OneMorphism(
-        fam, m1.chart,
-        GroupValuedField(fam.group_G, fam.l2a.g_alg, value_fn=g_comp,
-                         chart_dim=d, name="g12"),
+        fam, m1.chart, GroupValuedField(fam.group_G, fam.l2a.g_alg, g_comp, "g12"),
         phi_comp, name=f"{m2.name}o{m1.name}")
 
 
@@ -315,9 +267,7 @@ def vertical_compose_twomorphisms(tm1: TwoMorphismA,
         return tm1.a_map(points) @ tm2.a_map(points)
 
     return TwoMorphismA(
-        fam, tm1.chart,
-        GroupValuedField(fam.group_H, fam.l2a.h_alg, value_fn=value,
-                         chart_dim=tm1.chart.dim, name="a.a'"),
+        fam, tm1.chart, GroupValuedField(fam.group_H, fam.l2a.h_alg, value, "a.a'"),
         name=f"{tm1.name}*{tm2.name}")
 
 
@@ -338,6 +288,5 @@ def horizontal_compose_twomorphisms(tm1: TwoMorphismA, tm2: TwoMorphismA,
 
     return TwoMorphismA(
         fam, tm1.chart,
-        GroupValuedField(fam.group_H, fam.l2a.h_alg, value_fn=value,
-                         chart_dim=tm1.chart.dim, name="a1.a2"),
+        GroupValuedField(fam.group_H, fam.l2a.h_alg, value, "a1.a2"),
         name=f"{tm1.name}o{tm2.name}")

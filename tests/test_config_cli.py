@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+import gauge2.cli
 from gauge2.cli import _applicable, _check_simpson_steps, main, run_command
 from gauge2.config import CONFIG_SCHEMA, RunConfig, load_config
 from gauge2.errors import ConfigError
@@ -253,6 +254,31 @@ def test_odd_simpson_step_count_is_a_config_error(tmp_path, capsys, raw,
                  "--quiet"])
     assert code == 2
     assert f"numeric.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps,surface_steps", [
+    (48, 24), (24, 48), (48, 48), (49, 24), (24, 49), (48, 49), (49, 48)])
+def test_verify_thin_checks_the_step_count_it_solves_with(
+        tmp_path, monkeypatch, capsys, steps, surface_steps):
+    """The config-time parity check and the solve read the same key."""
+    solved = []
+
+    def recording(conn, bigons, p, n_s, n_t):
+        solved.append((n_s, n_t))
+        return np.zeros((len(bigons), 1, 1))
+
+    monkeypatch.setattr(gauge2.cli, "surface_values", recording)
+    raw = _numeric(steps=steps, surface_steps=surface_steps)
+    path = _write(tmp_path, raw)
+    code = main(["verify", "thin", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    n = max(steps, surface_steps)
+    if n % 2:
+        key = "steps" if steps == n else "surface_steps"
+        assert code == 2 and f"numeric.{key}" in capsys.readouterr().err
+        assert solved == []
+    else:
+        assert code == 0 and solved == [(n, n)]
 
 
 def test_odd_path_steps_stay_allowed_for_path_transport(tmp_path):

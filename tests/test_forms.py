@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gauge2.families import matrix_family
-from gauge2.fields import (CoefficientField, GroupValuedField, chart_grid,
-                           directional_diff)
+from gauge2.fields import (CoefficientField, chart_grid, directional_diff,
+                           group_field)
 from gauge2.forms import (TransitionData, TwoConnection, bundle_form_B,
                           check_local_data, curvature_F,
                           fake_flatness_residual, three_curvature_K)
@@ -233,9 +233,8 @@ def test_coefficient_field_guards():
 
 
 def test_group_valued_field_on_manifold(su2):
-    field = GroupValuedField(
-        su2.group_G, su2.l2a.g_alg,
-        CoefficientField(["0.3*x1", "0.2*x2", "0.1"], 2, (3,)))
+    field = group_field(CoefficientField(["0.3*x1", "0.2*x2", "0.1"], 2, (3,)),
+                        su2.group_G, su2.l2a.g_alg, 2)
     grid = chart_grid(Chart(2), 4)
     assert su2.group_G.membership_defect(field(grid)) <= 1e-12
 
@@ -378,23 +377,47 @@ def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
     pts = np.random.default_rng(5).uniform(0.2, 0.8, size=(9, 3))
     l2a, eye = su2.l2a, np.eye(3)
     ginv = su2.group_G.inv(m.g_map(pts))
-    # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time
-    want_a = np.stack([su2.ad_g_vec(ginv, conn.a_coeffs(pts)[:, k]
-                                    + m.g_map.right_log_derivative(pts, k)
+    # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time, with the
+    # gauge function differenced at the fixed step 1e-3
+    dlog = [l2a.g_alg.from_matrix(directional_diff(m.g_map, pts, e, 1e-3) @ ginv)
+            for e in eye]
+    want_a = np.stack([su2.ad_g_vec(ginv, conn.a_coeffs(pts)[:, k] + dlog[k]
                                     + l2a.apply_t_star(m.phi_coeffs(pts)[:, k]))
                        for k in range(3)], axis=1)
     assert np.array_equal(moved.a_coeffs(pts), want_a)
-    # b' = (alpha_{g^-1})_*(b + d phi + [phi, phi] + alpha_*(a ^ phi))
+    assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts))
+
+
+def _ref_gauge_b(fam, conn, m, pts):
+    """b' = (alpha_{g^-1})_*(b + d phi + [phi, phi] + alpha_*(a ^ phi)), one
+    pair at a time, d phi with the connection's step and Richardson flag."""
+    l2a, eye = fam.l2a, np.eye(conn.chart.dim)
+    ginv = fam.group_G.inv(m.g_map(pts))
     a, phi = conn.a_coeffs(pts), m.phi_coeffs(pts)
-    dphi = [directional_diff(m.phi_coeffs, pts, e, conn.fd_step) for e in eye]
-    want_b = np.stack([
-        su2.alpha_vec(ginv, conn.b_of(pts, eye[k], eye[l])
+    dphi = [directional_diff(m.phi_coeffs, pts, e, conn.fd_step,
+                             conn.fd_richardson) for e in eye]
+    return np.stack([
+        fam.alpha_vec(ginv, conn.b_of(pts, eye[k], eye[l])
                       + dphi[k][:, l] - dphi[l][:, k]
                       + l2a.h_alg.bracket(phi[:, k], phi[:, l])
                       + l2a.apply_alpha_star(a[:, k], phi[:, l])
                       - l2a.apply_alpha_star(a[:, l], phi[:, k]))
         for (k, l) in conn.pairs], axis=1)
-    assert np.array_equal(moved._b(pts), want_b)
+
+
+def test_gauge_transform_keeps_the_connection_fd_settings(su2):
+    """The transformed connection differences with the input's fd_step and
+    fd_richardson, and so does the d phi term of b'."""
+    chart = Chart(3)
+    conn = TwoConnection(su2, chart, a=SU2_A3, b="fake_flat", fd_step=4e-3,
+                         fd_richardson=True)
+    m = OneMorphism(su2, chart, g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
+                    phi=[["sin(2*x2)", "0.1", "0"], ["0.1*x1", "0", "0.3"],
+                         ["0", "exp(x3)*x1", "0.1"]])
+    moved = gauge_transform(conn, m)
+    assert (moved.fd_step, moved.fd_richardson) == (4e-3, True)
+    pts = np.random.default_rng(6).uniform(0.2, 0.8, size=(9, 3))
+    assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts))
 
 
 def test_each_field_is_evaluated_once_per_stencil_point(u2p):

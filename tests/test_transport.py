@@ -14,6 +14,7 @@ from gauge2.geometry import (Chart, ParamMap,
                              compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, straight_path)
+from gauge2.groups import MatrixGroup
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
@@ -326,20 +327,28 @@ GUARD_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("argv,calls", [
+@pytest.mark.parametrize("argv,calls,exp_matrices", [
     # one outer solve of the bigon and its five reparameterizations, whose
     # two CF4 stages each lift all 40 x 6 slices at once; no path solve
-    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}),
+    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 38880),
     # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
     # solve on one lift of the 16 slices per stage; rho of all three
     # morphisms along the source and target paths in one ordered
     # exponential in H, batched with the reference generator rep_*(W)
     (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}),
-], ids=["thin", "gauge"])
-def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls):
+                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}, 15149),
+    # no transport: the gauge function at each grid point and its stencil
+    (["gauge-transform"], {}, 2120),
+], ids=["thin", "gauge", "gauge-transform"])
+def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
+                                         exp_matrices):
+    """Kernel calls by kind and batch, and the number of matrices
+    ``MatrixGroup.exp`` exponentiates: CF4 factors and group-valued field
+    values, so an extra field evaluation shows."""
     seen = collections.Counter()
     kernel = gauge2.transport._ordered_exp
+    group_exp = MatrixGroup.exp
+    exponentiated = [0]
 
     def counting(group, w_eval, steps, trajectory=False, right=False):
         out = kernel(group, w_eval, steps, trajectory, right)
@@ -347,13 +356,19 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls):
         seen[kind, out.shape[1 if trajectory else 0:-2]] += 1
         return out
 
+    def counting_exp(group, X):
+        exponentiated[0] += int(np.prod(np.shape(X)[:-2]))
+        return group_exp(group, X)
+
     for module in (gauge2.transport, gauge2.morphisms):
         monkeypatch.setattr(module, "_ordered_exp", counting)
+    monkeypatch.setattr(MatrixGroup, "exp", counting_exp)
     path = tmp_path / "guard.json"
     path.write_text(json.dumps(GUARD_CONFIG))
     assert main([*argv, "--config", str(path), "--out", str(tmp_path),
                  "--quiet"]) == 0
     assert dict(seen) == calls
+    assert exponentiated[0] == exp_matrices
 
 
 def _slab_bigon(lo, hi):
