@@ -24,7 +24,7 @@ from .errors import ConfigError, Gauge2Error
 from .fields import chart_grid
 from .forms import fake_flatness_residual, check_local_data
 from .geometry import ParamMap, reparameterize
-from .morphisms import (apply_twomorphism, gauge_transform,
+from .morphisms import (apply_twomorphism, gauge_transform, pullback_defects,
                         verify_onemorphism_compat)
 from .torsor import selftest
 from .transport import (ambrose_singer_check, convergence_order,
@@ -262,9 +262,11 @@ def run_verify_gauge(cfg, num, rng, out, emit):
     forms = ("definition", "lemma") if "two_morphism" in cfg.raw else ()
     tm = cfg.two_morphism() if forms else None
     morphisms = [m] + [apply_twomorphism(conn, m, tm, form=form) for form in forms]
+    # the A-level check depends on no bigon: once per command
+    a_defects = pullback_defects(conn, conn_prime, morphisms)
     for name, pm in cfg.param_maps("bigons").items():
         reps = verify_onemorphism_compat(conn, conn_prime, morphisms, pm,
-                                         steps=steps)
+                                         steps=steps, a_defects=a_defects)
         for form, rep in zip((None,) + forms, reps):
             ok = (rep["square_defect"] <= TOL["gauge_square"]
                   and rep["a_pullback_defect"] <= TOL["gauge_a_grid"])

@@ -45,6 +45,8 @@ _FINITE_GROUP = {
     },
 }
 
+_FD_ONLY = "used only for fields that are not DSL expressions"
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -141,8 +143,10 @@ CONFIG_SCHEMA = {
                 "surface_steps": {"type": "integer", "minimum": 4},
                 "volume_steps": {"type": "integer", "minimum": 4},
                 "sweep": {"type": "integer", "minimum": 0},
-                "fd_step": {"type": "number", "exclusiveMinimum": 0},
-                "fd_richardson": {"type": "boolean"},
+                "fd_step": {"type": "number", "exclusiveMinimum": 0,
+                            "description": f"finite-difference step, {_FD_ONLY}"},
+                "fd_richardson": {"type": "boolean", "description":
+                                  f"Richardson extrapolation, {_FD_ONLY}"},
                 "grid_per_axis": {"type": "integer", "minimum": 2},
             },
         },

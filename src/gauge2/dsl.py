@@ -15,6 +15,7 @@ over numpy arrays, so fields can be evaluated on whole quadrature grids
 at once.  ``compile_expr`` walks a tree once into nested closures;
 ``evaluate`` compiles and calls, and coefficient fields and parameter maps
 compile at construction, so repeated evaluation never re-walks the tree.
+``diff`` differentiates a tree symbolically into another tree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import MathDomainError, ParseError, UnboundVariableError
 
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile_expr", "evaluate", "to_source",
+    "parse", "compile_expr", "evaluate", "diff", "to_source",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh")
@@ -323,6 +324,67 @@ def evaluate(e: Expr, bindings: dict | None = None):
     Scalar bindings give a float result; array bindings broadcast.
     """
     return compile_expr(e)(bindings or {})
+
+
+# --- differentiation -------------------------------------------------------
+
+ZERO, ONE = Num(0.0), Num(1.0)
+
+
+def _add(a, b):
+    return b if a == ZERO else a if b == ZERO else BinOp("+", a, b)
+
+
+def _neg(a):
+    return ZERO if a == ZERO else a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _mul(a, b):
+    if ZERO in (a, b):
+        return ZERO
+    return b if a == ONE else a if b == ONE else BinOp("*", a, b)
+
+
+def _pow(a, b):
+    return ONE if b == ZERO else a if b == ONE else BinOp("^", a, b)
+
+
+# d f(u) / du of every known function
+_CALL_DIFFS = {
+    "sin": lambda u: Call("cos", u), "cos": lambda u: _neg(Call("sin", u)),
+    "tan": lambda u: _add(ONE, _pow(Call("tan", u), Num(2.0))),
+    "exp": lambda u: Call("exp", u), "log": lambda u: BinOp("/", ONE, u),
+    "sqrt": lambda u: BinOp("/", ONE, _mul(Num(2.0), Call("sqrt", u))),
+    "tanh": lambda u: _add(ONE, _neg(_pow(Call("tanh", u), Num(2.0)))),
+}
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """d e / d var, folding terms that are 0 and factors that are 1.
+
+    A power whose exponent is constant in ``var`` follows b a^(b-1) a', so
+    a negative base raises no log.  Domain errors are raised on evaluation.
+    """
+    if var not in _free_vars(e):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE
+    if isinstance(e, Neg):
+        return _neg(diff(e.operand, var))
+    if isinstance(e, Call):
+        return _mul(_CALL_DIFFS[e.fn](e.arg), diff(e.arg, var))
+    a, b = e.left, e.right
+    da, db = diff(a, var), diff(b, var)
+    if e.op in "+-":
+        return _add(da, db if e.op == "+" else _neg(db))
+    if e.op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if e.op == "/":
+        return BinOp("/", _add(_mul(da, b), _neg(_mul(a, db))), _mul(b, b))
+    if db == ZERO:
+        lowered = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, ONE)
+        return _mul(_mul(b, _pow(a, lowered)), da)
+    return _mul(e, _add(_mul(db, Call("log", a)), BinOp("/", _mul(b, da), a)))
 
 
 # --- printing --------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Coefficient fields on a chart and the one finite-difference layer.
+"""Coefficient fields on a chart and the one derivative layer.
 
 Scalar coefficient fields come from the expression DSL (variables x1..xd)
 or from plain callables; everything evaluates on (N, d) point batches.
 A CoefficientField compiles its expressions once and fills one (N, *shape)
 array per call.
 
-Every derivative of a field or a parameter map is taken here.
-``directional_diff`` is the one 4-point stencil and calls its function 4
-times (8 with Richardson extrapolation); ``axis_diffs`` applies it along
-every axis of the points and returns (N, d, ...);
-``GroupValuedField.log_derivative`` gives a group-valued field together
-with dg g^-1 along every axis.  Swapping finite differences for exact
-derivatives means changing these three.
+Every derivative of a field is taken here.  ``axis_diffs`` gives the
+derivatives along every axis as (N, d, ...), ``directional_diff`` along
+one direction: exact for a CoefficientField of DSL expressions, whose
+``derivative()`` is the field of its partials, and otherwise the 4-point
+stencil, which calls the function 4 times (8 with Richardson
+extrapolation).  ``GroupValuedField.log_derivative`` gives a group-valued
+field with dg g^-1 along every axis, by the stencil.
 
 A group-valued field is a function from points to matrices;
 ``group_field`` builds exp(lambda(x)) of an algebra-valued coefficient
@@ -26,13 +26,16 @@ from . import dsl
 from .errors import DomainError
 
 __all__ = ["CoefficientField", "GroupValuedField", "tensor_field",
-           "group_field", "directional_diff", "axis_diffs", "chart_grid"]
+           "group_field", "directional_diff", "axis_diffs", "exact_derivative",
+           "chart_grid"]
 
 FD_STEP = 1e-3
 
 
 def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
-    """4th-order central difference of fn along a constant direction.
+    """Derivative of fn along a direction, constant or one per point:
+    exact for a CoefficientField of DSL expressions, else the 4th-order
+    central difference.
 
     ``fn`` maps (N, d) points to arrays with leading axis N.  With
     ``richardson`` one extrapolation level combines the step and half-step
@@ -40,6 +43,10 @@ def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(direction, dtype=float)
+    exact = exact_derivative(fn)
+    if exact is not None:
+        d = exact(p)
+        return np.einsum("nk...,nk->n...", d, np.broadcast_to(v, d.shape[:2]))
 
     def stencil(h):
         # weights (1, -8, 8, -1) / 12h at -2h, -h, h, 2h, summed in that order
@@ -56,8 +63,17 @@ def axis_diffs(fn, points, step=FD_STEP, richardson=False):
     """(N, d, ...) derivatives of fn along every axis e_k of the (N, d)
     points: one :func:`directional_diff` per axis, stacked on axis 1."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
+    exact = exact_derivative(fn)
+    if exact is not None:
+        return exact(p)
     return np.stack([directional_diff(fn, p, e, step, richardson)
                      for e in np.eye(p.shape[-1])], axis=1)
+
+
+def exact_derivative(fn):
+    """The derivative field of a CoefficientField of DSL expressions; None
+    for anything else."""
+    return fn.derivative() if isinstance(fn, CoefficientField) else None
 
 
 def chart_grid(chart, per_axis=5, pad=0.15):
@@ -74,21 +90,26 @@ def chart_grid(chart, per_axis=5, pad=0.15):
 
 
 class CoefficientField:
-    """Array of scalar fields evaluated together: points (N, d) -> (N, *shape)."""
+    """Array of scalar fields evaluated together: points (N, d) -> (N, *shape).
 
-    def __init__(self, exprs, chart_dim: int, shape):
+    Expressions read the chart variables x1..xd, or the given names."""
+
+    def __init__(self, exprs, chart_dim: int, shape, variables=None):
         self.shape = tuple(shape)
         self.chart_dim = chart_dim
+        self.variables = tuple(variables or (f"x{i + 1}" for i in range(chart_dim)))
         size = int(np.prod(self.shape)) if self.shape else 1
         items = list(np.asarray(exprs, dtype=object).reshape(-1))
         if len(items) != size:
             raise DomainError(
                 f"expected {size} coefficient fields, got {len(items)}")
-        allowed = {f"x{i + 1}" for i in range(chart_dim)}
-        # one (function, takes_bindings) per column: compiled expressions
-        # read the x1..xd bindings, plain callables the (N, d) points
+        allowed = set(self.variables)
+        # one (index, function, takes_bindings) per column but the literal
+        # 0s: compiled expressions read the variables' bindings, plain
+        # callables the (N, d) points
         self._cols = []
-        for item in items:
+        self._exprs, self._derivative = [], None   # None for a callable
+        for i, item in enumerate(items):
             if isinstance(item, str):
                 item = dsl.parse(item)
             if isinstance(item, (int, float)):
@@ -96,22 +117,33 @@ class CoefficientField:
             if isinstance(item, dsl.Expr):
                 extra = item.variables() - allowed
                 if extra:
-                    raise DomainError(
-                        f"field uses {sorted(extra)}; chart variables are "
-                        f"{sorted(allowed)}")
-                self._cols.append((dsl.compile_expr(item), True))
+                    raise DomainError(f"field uses {sorted(extra)}; its "
+                                      f"variables are {sorted(allowed)}")
+                if item != dsl.ZERO:
+                    self._cols.append((i, dsl.compile_expr(item), True))
+                self._exprs.append(item)
             elif callable(item):
-                self._cols.append((item, False))
+                self._cols.append((i, item, False))
+                self._exprs.append(None)
             else:
                 raise DomainError(f"bad coefficient field {item!r}")
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        bindings = {f"x{i + 1}": p[..., i] for i in range(self.chart_dim)}
-        out = np.empty((*p.shape[:-1], len(self._cols)))
-        for i, (fn, takes_bindings) in enumerate(self._cols):
+        bindings = {name: p[..., i] for i, name in enumerate(self.variables)}
+        out = np.zeros((*p.shape[:-1], len(self._exprs)))
+        for i, fn, takes_bindings in self._cols:
             out[..., i] = fn(bindings if takes_bindings else p)
         return out.reshape(*p.shape[:-1], *self.shape)
+
+    def derivative(self):
+        """The (d, *shape) field of the partials d/dx_k, k first, built once;
+        None if a coefficient is a plain callable."""
+        if self._derivative is None and all(e is not None for e in self._exprs):
+            self._derivative = CoefficientField(
+                [dsl.diff(e, x) for x in self.variables for e in self._exprs],
+                self.chart_dim, (self.chart_dim, *self.shape), self.variables)
+        return self._derivative
 
 
 def tensor_field(value, chart_dim, shape, what="field"):

@@ -1,10 +1,11 @@
 """Local 2-connection data and its derived forms.
 
 A TwoConnection stores a g-valued 1-form ``a`` and an h-valued 2-form
-``b`` over a chart as coefficient fields.  Exterior derivatives are taken
-by the 4th-order central differences of :mod:`gauge2.fields`, with the
+``b`` over a chart as coefficient fields.  Exterior derivatives of DSL
+fields are exact (``CoefficientField.derivative``); those of callables
+are the 4th-order central differences of :mod:`gauge2.fields`, with the
 connection's ``fd_step`` (by default 1e-3 times the chart box size) and
-``fd_richardson``; for constant tangent vectors
+``fd_richardson``.  For constant tangent vectors
 
     F(X, Y)    = D_X a(Y) - D_Y a(X) + [a(X), a(Y)],
     K(X, Y, Z) = D_X b(Y, Z) - D_Y b(X, Z) + D_Z b(X, Y)
@@ -16,8 +17,10 @@ or derived as the fake-flat lift of the curvature plus a ker t_* part.
 Bundle-level forms on the trivial bundle are never stored; they are
 computed on demand from the trivialization formulas.
 
-Each field is evaluated once per point set.  With s = 4 stencil points
-(8 with ``fd_richardson``) on a d-dimensional chart, F_of costs 2s + 1
+Each field is evaluated once per point set.  DSL fields are evaluated
+with their derivative fields, K of a fake-flat b with the second
+derivatives of ``a``.  For callables, with s = 4 stencil points (8 with
+``fd_richardson``) on a d-dimensional chart, F_of costs 2s + 1
 evaluations of ``a``; F_pairs (F on every pair e_k, e_l, from one
 ``axis_diffs`` of ``a``), the fake-flat b_of and fake_flatness_residual
 cost 1 + s d (13 for d = 3); K_of with a fake-flat b costs
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import DomainError
 from .families import MatrixFamily
 from .fields import (FD_STEP, axis_diffs, chart_grid, directional_diff,
-                     group_field, tensor_field)
+                     exact_derivative, group_field, tensor_field)
 from .geometry import Chart
 
 __all__ = ["TwoConnection", "TransitionData", "curvature_F",
@@ -90,6 +93,8 @@ class TwoConnection:
 
     def F_of(self, points, X, Y):
         """Curvature F = da + 1/2 [a, a] on constant tangents (N, dim_g)."""
+        if exact_derivative(self._a) is not None:     # F is a 2-form like b
+            return self._b_along(self.F_pairs(points), X, Y)
         da = (directional_diff(lambda p: self.a_of(p, Y), points, X,
                                self.fd_step, self.fd_richardson)
               - directional_diff(lambda p: self.a_of(p, X), points, Y,
@@ -101,10 +106,13 @@ class TwoConnection:
         """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
         one evaluation of ``a`` and one difference along each chart axis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        k, l = self._pair_axes
-        a = self.a_coeffs(points)
         # da[:, i, j] = D_{e_i} a(e_j)
-        da = axis_diffs(self.a_coeffs, points, self.fd_step, self.fd_richardson)
+        return self._F_from(self.a_coeffs(points), axis_diffs(
+            self._a, points, self.fd_step, self.fd_richardson))
+
+    def _F_from(self, a, da):
+        """F_pairs from a and its derivatives along the chart axes."""
+        k, l = self._pair_axes
         return ((da[:, k, l] - da[:, l, k])
                 + self.family.l2a.g_alg.bracket(a[:, k], a[:, l]))
 
@@ -125,7 +133,8 @@ class TwoConnection:
         return out
 
     def _b_along(self, comps, X, Y):
-        """b(X, Y) from the stored components (N, npairs, dim_h)."""
+        """b(X, Y) from the stored components (N, npairs, dim_h) of b, or of
+        any 2-form."""
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         k, l = self._pair_axes
         weights = X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
@@ -135,14 +144,71 @@ class TwoConnection:
         """b_x(X, Y) as (N, dim_h) for constant tangents."""
         return self._b_along(self._b_pairs(points), X, Y)
 
+    def _db_exact(self, points, a, X, Y, Z):
+        """db(X, Y, Z) (N, dim_h) from exact partials, and the stored pairs
+        b; None unless b (in fake-flat mode a) and ``b_extra`` are DSL.
+
+        D_X b(Y, Z) = X^i (d_i b)(Y, Z), so db(X, Y, Z) = C_ikl d_i b_kl over
+        k < l, C_ikl the antisymmetrized X^i Y^k Z^l.  In fake-flat mode
+        d_i F_kl = d_i d_k a_l - d_i d_l a_k + [d_i a_k, a_l] + [a_k, d_i a_l]
+        sums over all k, l to C_ikl d_i d_k a_l + [M_l, a_l], M_l = C_ikl d_i a_k.
+        """
+        extras = [] if self._b_extra is None else [self._b_extra]
+        main = self._a if self.fake_flat_mode else self._b
+        if any(exact_derivative(f) is None for f in [main, *extras]):
+            return None
+        X, Y, Z = (np.broadcast_to(np.asarray(T, dtype=float), points.shape)
+                   for T in (X, Y, Z))
+        # in blocks of 1024 points, so that the d^3 dim_g second derivatives
+        # per point of a fake-flat b do not set the peak memory
+        parts = [self._db_block(*(x[i:i + 1024] for x in (points, a, X, Y, Z)),
+                                extras) for i in range(0, len(points), 1024)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def _db_block(self, points, a, X, Y, Z, extras):
+        """:meth:`_db_exact` on one block of points, tangents broadcast."""
+        n, d = points.shape
+
+        def bivector(U, V):     # U^k V^l - U^l V^k as (N, 1, d, d)
+            return U[:, None, :, None] * V[:, None, None, :] - (
+                V[:, None, :, None] * U[:, None, None, :])
+
+        C = (X[:, :, None, None] * bivector(Y, Z)
+             - Y[:, :, None, None] * bivector(X, Z)
+             + Z[:, :, None, None] * bivector(X, Y))
+        c = C[:, :, self._pair_axes[0], self._pair_axes[1]]
+        if self.fake_flat_mode:
+            da_field = exact_derivative(self._a)
+            da = da_field(points)
+            b = self._b_pairs(points, self._F_from(a, da))
+            M = C.reshape(n, d * d, d).swapaxes(1, 2) @ da.reshape(n, d * d, -1)
+            g_alg = self.family.l2a.g_alg
+            # sum_l [M_l, a_l] through the structure constants
+            brackets = ((M.swapaxes(1, 2) @ a).reshape(n, -1)
+                        @ g_alg.structure.reshape(-1, g_alg.dim))
+            dF = (np.einsum("nikl,niklg->ng", C, da_field.derivative()(points))
+                  + brackets)
+            db = dF @ self.family.rep_star.T
+        else:
+            b = self._b_pairs(points)
+            db = np.einsum("nip,niph->nh", c, exact_derivative(self._b)(points))
+        for f in extras:
+            db = db + np.einsum("nip,niph->nh", c, exact_derivative(f)(points))
+        return db, b
+
     def K_of(self, points, X, Y, Z):
         """3-curvature dB-part plus the alpha_* wedge, full h value (N, dim_h)."""
-        step, rich = self.fd_step, self.fd_richardson
-        db = (directional_diff(lambda p: self.b_of(p, Y, Z), points, X, step, rich)
-              - directional_diff(lambda p: self.b_of(p, X, Z), points, Y, step, rich)
-              + directional_diff(lambda p: self.b_of(p, X, Y), points, Z, step, rich))
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         a = self.a_coeffs(points)
-        b = self._b_pairs(points)
+        exact = self._db_exact(points, a, X, Y, Z)
+        if exact is not None:
+            db, b = exact
+        else:
+            step, rich = self.fd_step, self.fd_richardson
+            db = (directional_diff(lambda p: self.b_of(p, Y, Z), points, X, step, rich)
+                  - directional_diff(lambda p: self.b_of(p, X, Z), points, Y, step, rich)
+                  + directional_diff(lambda p: self.b_of(p, X, Y), points, Z, step, rich))
+            b = self._b_pairs(points)
         alpha = self.family.l2a.apply_alpha_star
         wedge = (alpha(_along(a, X), self._b_along(b, Y, Z))
                  - alpha(_along(a, Y), self._b_along(b, X, Z))

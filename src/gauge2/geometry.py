@@ -1,7 +1,8 @@
 """Parametrized paths, bigons and cubes in a coordinate chart.
 
 A ParamMap is a smooth map I^m -> chart (m = 1 path, 2 bigon, 3 cube)
-with vectorized evaluation and finite-difference partial derivatives.
+with vectorized evaluation and partial derivatives, exact for maps of DSL
+expressions and finite differences otherwise.
 Concatenation and bigon composition insert a fixed C-infinity smoothing
 step of width 0.1 in parameter space, so composites have sitting instants
 and stay smooth across the junction while boundary values are preserved
@@ -18,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChartError, DomainError
-from . import dsl
-from .fields import FD_STEP, directional_diff
+from .fields import FD_STEP, CoefficientField, directional_diff
 
 __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
@@ -84,38 +84,30 @@ class ParamMap:
     evaluation must extend smoothly to a neighbourhood of I^m (DSL fields
     do; composites built here are flat near the boundary), which keeps the
     4th-order central differences in :meth:`partial` valid everywhere.
+    ``dfn(index, params)``, the exact partial along parameter ``index``,
+    comes with :meth:`from_exprs` maps and passes through
+    :meth:`slice_first` and :meth:`affine_image`; other maps take those
+    differences.
     """
 
-    def __init__(self, arity: int, dim: int, fn, name="map"):
+    def __init__(self, arity: int, dim: int, fn, name="map", dfn=None):
         if arity not in (1, 2, 3):
             raise DomainError("arity must be 1 (path), 2 (bigon) or 3 (cube)")
         self.arity = arity
         self.dim = dim
         self._fn = fn
+        self._dfn = dfn
         self.name = name
 
     @classmethod
     def from_exprs(cls, exprs, arity: int, name="map") -> "ParamMap":
-        """Build from DSL component expressions in the variables u, v, w."""
-        parsed = [dsl.parse(e) if isinstance(e, str) else e for e in exprs]
-        allowed = set(PARAM_VARS[:arity])
-        for e in parsed:
-            extra = e.variables() - allowed
-            if extra:
-                raise DomainError(
-                    f"expression uses {sorted(extra)}; a {arity}-ary map "
-                    f"may only use {sorted(allowed)}")
-
-        compiled = [dsl.compile_expr(e) for e in parsed]
-
-        def fn(params):
-            bindings = {PARAM_VARS[i]: params[..., i] for i in range(arity)}
-            out = np.empty((*params.shape[:-1], len(compiled)))
-            for i, component in enumerate(compiled):
-                out[..., i] = component(bindings)
-            return out
-
-        return cls(arity, len(parsed), fn, name=name)
+        """Build from DSL component expressions in the variables u, v, w,
+        and their partials from ``dsl.diff``."""
+        field = CoefficientField(list(exprs), arity, (len(exprs),),
+                                 PARAM_VARS[:arity])
+        partials = field.derivative()
+        return cls(arity, len(exprs), field, name=name,
+                   dfn=lambda index, params: partials(params)[:, index])
 
     def __call__(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -124,8 +116,12 @@ class ParamMap:
         return out[0] if squeeze else out
 
     def partial(self, index: int, params, step: float = FD_STEP):
-        """4th-order central difference of the map along parameter ``index``."""
-        return directional_diff(self, params, np.eye(self.arity)[index], step)
+        """The map's derivative along parameter ``index``: exact where the
+        map carries its partials, else the 4th-order central difference."""
+        if self._dfn is None:
+            return directional_diff(self, params, np.eye(self.arity)[index], step)
+        out = self._dfn(index, np.atleast_2d(np.asarray(params, dtype=float)))
+        return out[0] if np.asarray(params).ndim == 1 else out
 
     # -- derived maps ----------------------------------------------------------
 
@@ -144,8 +140,10 @@ class ParamMap:
         def fn(params):
             return origin + self._fn(params) @ basis
 
+        dfn = (None if self._dfn is None
+               else lambda index, params: self._dfn(index, params) @ basis)
         return ParamMap(self.arity, origin.shape[0], fn,
-                        name=name or f"{self.name}@affine")
+                        name=name or f"{self.name}@affine", dfn=dfn)
 
     def slice_first(self, value: float, name=None) -> "ParamMap":
         """Fix the leading parameter; a cube slices to a bigon, a bigon
@@ -153,13 +151,14 @@ class ParamMap:
         if self.arity == 1:
             raise DomainError("cannot slice a path")
 
-        def fn(params):
-            full = np.concatenate(
+        def full(params):
+            return np.concatenate(
                 [np.full((*params.shape[:-1], 1), value), params], axis=-1)
-            return self._fn(full)
 
-        return ParamMap(self.arity - 1, self.dim, fn,
-                        name=name or f"{self.name}[{value},...]")
+        dfn = (None if self._dfn is None
+               else lambda index, params: self._dfn(index + 1, full(params)))
+        return ParamMap(self.arity - 1, self.dim, lambda p: self._fn(full(p)),
+                        name=name or f"{self.name}[{value},...]", dfn=dfn)
 
     def __repr__(self):
         return f"ParamMap({self.name}, arity={self.arity}, dim={self.dim})"

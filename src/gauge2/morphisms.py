@@ -32,14 +32,14 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (GroupValuedField, axis_diffs, chart_grid, group_field,
-                     tensor_field)
+from .fields import (FD_STEP, GroupValuedField, axis_diffs, chart_grid,
+                     group_field, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
 from .transport import _frame, _ordered_exp, _sample_paths, surface_values
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
-           "verify_onemorphism_compat", "apply_twomorphism",
+           "pullback_defects", "verify_onemorphism_compat", "apply_twomorphism",
            "compose_onemorphisms", "vertical_compose_twomorphisms",
            "horizontal_compose_twomorphisms"]
 
@@ -163,9 +163,30 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
                         H.mul(H.inv(rk[0]), rk[1:]))
 
 
+def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
+                     morphisms, grid=None) -> list:
+    """max |F^*A' - (A + t_* phi)| on a chart grid for each of a stack of
+    gauge 1-morphisms from ``conn`` to ``conn_prime``.  F^*A' = Ad_g a' -
+    dg g^-1 takes dg g^-1 from a stencil at half the step of the
+    ``log_derivative`` that builds a', so a wrong one shows here."""
+    fam = conn.family
+    grid = chart_grid(conn.chart) if grid is None else grid
+    a, a_prime = conn.a_coeffs(grid), conn_prime.a_coeffs(grid)
+    out = []
+    for m in morphisms:
+        g = m.g_map(grid)
+        dg = axis_diffs(m.g_map, grid, FD_STEP / 2.0)
+        dlog = fam.l2a.g_alg.from_matrix(dg @ fam.group_G.inv(g)[:, None])
+        pulled = fam.ad_g_vec(g[:, None], a_prime) - dlog
+        expected = a + fam.l2a.apply_t_star(m.phi_coeffs(grid))
+        out.append(float(np.max(np.abs(pulled - expected))))
+    return out
+
+
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
                               morphisms, bigon: ParamMap, p=None,
-                              steps: int = 48, grid=None) -> list:
+                              steps: int = 48, grid=None,
+                              a_defects=None) -> list:
     """Check the H-valued compatibility square of each of a stack of gauge
     1-morphisms from ``conn`` to ``conn_prime``; one report each.
 
@@ -175,8 +196,9 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
         rho_H(gamma)(p) . tra'^2_H(Sigma, F(p))
             = tra^2_H(Sigma, p) . rho_H(gamma')(p),
 
-    plus the A-level identity F^*A' = A + t_* phi on a chart grid; tra^2
-    is solved once, and tra'^2 at every F(p) in one call.
+    plus the A-level :func:`pullback_defects`, which depend on no bigon (a
+    caller may pass them as ``a_defects``); tra^2 is solved once, and
+    tra'^2 at every F(p) in one call.
     """
     fam = conn.family
     if conn_prime.family is not fam:
@@ -191,18 +213,11 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
     square = [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),
                                              h.mul(tra2, rho[:, 1]))]
 
-    grid = chart_grid(conn.chart) if grid is None else grid
-    a, a_prime = conn.a_coeffs(grid), conn_prime.a_coeffs(grid)
-    a_defect = []
-    for m in morphisms:
-        g, dlog = m.g_map.log_derivative(grid)
-        pulled = fam.ad_g_vec(g[:, None], a_prime) - dlog
-        expected = a + fam.l2a.apply_t_star(m.phi_coeffs(grid))
-        a_defect.append(float(np.max(np.abs(pulled - expected))))
-
+    if a_defects is None:
+        a_defects = pullback_defects(conn, conn_prime, morphisms, grid)
     return [{"square_defect": sq, "a_pullback_defect": ad,
              "pass": sq <= 1e-6 and ad <= 1e-7}
-            for sq, ad in zip(square, a_defect)]
+            for sq, ad in zip(square, a_defects)]
 
 
 def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,

@@ -390,6 +390,53 @@ def test_reconstruct_runs_without_scipy(tmp_path):
     assert done.stdout.strip() == "0 []"
 
 
+@pytest.mark.parametrize("command", ["higher-stokes", "fake-flat"])
+def test_dsl_connections_take_no_stencil(tmp_path, monkeypatch, command):
+    """On a connection, b_extra and cube given as DSL expressions, K, F,
+    the fake-flat b and the cube tangents are exact: no stencil is taken,
+    and the Bianchi defect t_* K is roundoff."""
+    calls = []
+    stencil = gauge2.fields.directional_diff
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return stencil(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gauge2.") and getattr(
+                module, "directional_diff", None) is stencil:
+            monkeypatch.setattr(module, "directional_diff", counting)
+    assert main(["verify", command, "--config",
+                 str(CONFIGS / "u2pu2_higher.json"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert calls == []
+    report = json.loads((tmp_path / f"verify-{command}.json").read_text())
+    if command == "higher-stokes":
+        assert report["cases"][0]["bianchi_defect"] <= 1e-13
+    else:
+        assert report["cases"][0]["residual"] <= 1e-13
+
+
+def test_verify_gauge_checks_the_a_level_once(tmp_path, monkeypatch):
+    """The A-level identity depends on no bigon: one check per command,
+    whose value every bigon's case reports."""
+    calls = []
+    check = gauge2.cli.pullback_defects
+
+    def counting(*args, **kwargs):
+        calls.append(check(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(gauge2.cli, "pullback_defects", counting)
+    assert main(["verify", "gauge", "--config", str(CONFIGS / "su2_demo.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1 and len(calls[0]) == 3
+    cases = json.loads((tmp_path / "verify-gauge.json").read_text())["cases"]
+    assert len(cases) == 15
+    for i, case in enumerate(cases):
+        assert case["a_pullback_defect"] == calls[0][i % 3]
+
+
 FIELDS = {**MINIMAL, "morphism": {"g": ["0.7*x1*x2"],
                                   "phi": [["0.3*x2"], ["0.2*x1"]]}}
 

@@ -154,3 +154,116 @@ def test_parser_is_linear_time():
     start = time.perf_counter()
     dsl.parse(src)
     assert time.perf_counter() - start < 1.0
+
+
+# --- symbolic derivatives ---------------------------------------------------
+#
+# (source in x and y, d/dx, d^2/dx^2, d/dy) in closed form, written by hand;
+# together they cover every operator, every function, pi and unary minus.
+
+def _sec2(x):
+    return 1.0 / np.cos(x) ** 2
+
+
+SYMBOLIC_LIBRARY = [
+    ("sin(2*x)", lambda x, y: 2 * np.cos(2 * x),
+     lambda x, y: -4 * np.sin(2 * x), lambda x, y: 0 * x),
+    ("cos(x^2)", lambda x, y: -2 * x * np.sin(x * x),
+     lambda x, y: -2 * np.sin(x * x) - 4 * x * x * np.cos(x * x),
+     lambda x, y: 0 * x),
+    ("tan(x)", lambda x, y: _sec2(x),
+     lambda x, y: 2 * np.tan(x) * _sec2(x), lambda x, y: 0 * x),
+    ("exp(3*x)*y", lambda x, y: 3 * np.exp(3 * x) * y,
+     lambda x, y: 9 * np.exp(3 * x) * y, lambda x, y: np.exp(3 * x)),
+    ("log(x)", lambda x, y: 1 / x, lambda x, y: -1 / x ** 2,
+     lambda x, y: 0 * x),
+    ("sqrt(x)", lambda x, y: 0.5 / np.sqrt(x),
+     lambda x, y: -0.25 * x ** -1.5, lambda x, y: 0 * x),
+    ("tanh(x)", lambda x, y: 1 - np.tanh(x) ** 2,
+     lambda x, y: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2),
+     lambda x, y: 0 * x),
+    ("pi*x - y", lambda x, y: np.pi + 0 * x, lambda x, y: 0 * x,
+     lambda x, y: -1 + 0 * x),
+    ("-x^3 + y", lambda x, y: -3 * x * x, lambda x, y: -6 * x,
+     lambda x, y: 1 + 0 * x),
+    ("x*y", lambda x, y: y, lambda x, y: 0 * x, lambda x, y: x),
+    ("x/(1 + y)", lambda x, y: 1 / (1 + y), lambda x, y: 0 * x,
+     lambda x, y: -x / (1 + y) ** 2),
+    ("y/x", lambda x, y: -y / x ** 2, lambda x, y: 2 * y / x ** 3,
+     lambda x, y: 1 / x),
+    ("x^y", lambda x, y: y * x ** (y - 1),
+     lambda x, y: y * (y - 1) * x ** (y - 2),
+     lambda x, y: x ** y * np.log(x)),
+    ("2^x", lambda x, y: 2 ** x * np.log(2), lambda x, y: 2 ** x * np.log(2) ** 2,
+     lambda x, y: 0 * x),
+]
+
+
+@pytest.mark.parametrize("src,dx,dxx,dy", SYMBOLIC_LIBRARY,
+                         ids=[row[0] for row in SYMBOLIC_LIBRARY])
+def test_diff_matches_closed_forms(src, dx, dxx, dy):
+    e = dsl.parse(src)
+    x = np.linspace(0.2, 0.9, 8)
+    y = np.linspace(1.3, 0.4, 8)
+    bindings = {"x": x, "y": y}
+    d_x = dsl.diff(e, "x")
+    for got, want in ((d_x, dx), (dsl.diff(d_x, "x"), dxx),
+                      (dsl.diff(e, "y"), dy)):
+        value = dsl.compile_expr(got)(bindings)
+        assert np.max(np.abs(value - want(x, y))) <= 1e-13 * (
+            1 + np.max(np.abs(want(x, y))))
+
+
+def test_diff_folds_zeros_and_ones():
+    assert dsl.diff(dsl.parse("x2*sin(x2) + 3"), "x1") == dsl.Num(0.0)
+    assert dsl.diff(dsl.parse("x1"), "x1") == dsl.Num(1.0)
+    assert dsl.diff(dsl.parse("5*x1 - x2"), "x1") == dsl.Num(5.0)
+    assert dsl.to_source(dsl.diff(dsl.parse("x1^2"), "x1")) == "2.0 * x1"
+    assert dsl.to_source(dsl.diff(dsl.parse("-x1"), "x1")) == "-1.0"
+
+
+def test_diff_constant_exponent_on_a_negative_base():
+    # b a^(b-1) a' with no log: a negative base differentiates exactly
+    e = dsl.parse("(x - 2)^3 + (x - 3)^-2")
+    x = np.linspace(0.2, 0.9, 7)
+    d = dsl.diff(e, "x")
+    want = 3 * (x - 2) ** 2 - 2 * (x - 3) ** -3.0
+    assert np.max(np.abs(dsl.compile_expr(d)({"x": x}) - want)) <= 1e-13
+    second = dsl.compile_expr(dsl.diff(d, "x"))({"x": x})
+    assert np.max(np.abs(second - (6 * (x - 2) + 6 * (x - 3) ** -4.0))) <= 1e-13
+    assert "log" not in dsl.to_source(d)
+
+
+# (source in x, point, operator): the derivative builds, and evaluating it
+# where it leaves its domain raises
+DIFF_DOMAIN_ERRORS = [
+    ("log(x)", 0.0, "/"),
+    ("sqrt(x)", -1.0, "sqrt"),
+    ("x^0.5", 0.0, "^"),
+    ("1/x", 0.0, "/"),
+    ("(x - 1)^x", 0.5, "^"),
+]
+
+
+@pytest.mark.parametrize("src,x,op", DIFF_DOMAIN_ERRORS)
+def test_diff_domain_errors_are_raised_when_called(src, x, op):
+    d = dsl.compile_expr(dsl.diff(dsl.parse(src), "x"))
+    with pytest.raises(MathDomainError) as err:
+        d({"x": np.array([x, 0.5 * (x + 2.0)])})
+    assert err.value.op == op
+
+
+def test_coefficient_field_derivative_is_cached_and_nests():
+    field = CoefficientField([["x1^2*x2", "sin(x2)"]], 2, (1, 2))
+    d = field.derivative()
+    assert d is field.derivative() and d.shape == (2, 1, 2)
+    p = np.array([[0.3, 0.7], [0.9, 0.2]])
+    x1, x2 = p[:, 0], p[:, 1]
+    want = np.stack([np.stack([2 * x1 * x2, 0 * x1], -1)[:, None],
+                     np.stack([x1 ** 2, np.cos(x2)], -1)[:, None]], axis=1)
+    assert np.max(np.abs(d(p) - want)) <= 1e-15
+    hess = d.derivative()(p)
+    assert hess.shape == (2, 2, 2, 1, 2)
+    assert np.max(np.abs(hess[:, 0, 1, 0, 0] - 2 * x1)) <= 1e-15
+    assert np.max(np.abs(hess[:, 1, 1, 0, 1] + np.sin(x2))) <= 1e-15
+    assert CoefficientField([lambda q: q[:, 0]], 2, (1,)).derivative() is None

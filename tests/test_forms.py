@@ -13,6 +13,14 @@ from gauge2.morphisms import OneMorphism, gauge_transform
 EX, EY, EZ = np.eye(3)
 
 
+def _stencil(exprs, dim, shape):
+    """The coefficient field of ``exprs`` behind a plain callable, which
+    the derivative layer differences by its stencil instead of
+    differentiating the expressions."""
+    field = CoefficientField(exprs, dim, shape)
+    return lambda points: field(points)
+
+
 @pytest.fixture(scope="module")
 def u1():
     return matrix_family("u1_id")
@@ -127,13 +135,10 @@ def test_three_curvature_low_dimension_note(u1):
 
 def test_curvature_fd_convergence_order():
     su2 = matrix_family("su2_id_conj")
-    conn_coarse = TwoConnection(su2, Chart(2),
-                                a=[["sin(pi*x2)", "0.3", "0"],
-                                   ["0", "cos(pi*x1)", "0"]],
+    a = [["sin(pi*x2)", "0.3", "0"], ["0", "cos(pi*x1)", "0"]]
+    conn_coarse = TwoConnection(su2, Chart(2), a=_stencil(a, 2, (2, 3)),
                                 b="fake_flat", fd_step=4e-3)
-    conn_fine = TwoConnection(su2, Chart(2),
-                              a=[["sin(pi*x2)", "0.3", "0"],
-                                 ["0", "cos(pi*x1)", "0"]],
+    conn_fine = TwoConnection(su2, Chart(2), a=_stencil(a, 2, (2, 3)),
                               b="fake_flat", fd_step=2e-3)
     x = np.array([[0.3, 0.4]])
     # analytic: F = (d/dx sin(pi x2) keeps only the x2 derivative ...)
@@ -241,7 +246,8 @@ def test_group_valued_field_on_manifold(su2):
 
 def test_richardson_refinement_tightens_curvature():
     su2 = matrix_family("su2_id_conj")
-    kwargs = dict(a=[["sin(pi*x2)", "0.3", "0"], ["0", "cos(pi*x1)", "0"]],
+    kwargs = dict(a=_stencil([["sin(pi*x2)", "0.3", "0"],
+                              ["0", "cos(pi*x1)", "0"]], 2, (2, 3)),
                   b="fake_flat", fd_step=5e-3)
     plain = TwoConnection(su2, Chart(2), **kwargs)
     refined = TwoConnection(su2, Chart(2), fd_richardson=True, **kwargs)
@@ -321,16 +327,20 @@ def _ref_K(conn, p, X, Y, Z):
 
 
 def _connections(richardson):
+    # a, b and b_extra behind callables, so the stencil path is pinned
     u2p = matrix_family("u2_to_pu2")
     su2 = matrix_family("su2_id_conj")
+    a3 = _stencil(A3, 3, (3, 3))
     extra = TwoConnection(
-        u2p, Chart(3), a=A3, b="fake_flat", fd_richardson=richardson,
-        b_extra=[["0.5*x3", "0", "0", "-0.2*x1"], ["0.4*x1", "0", "0", "0"],
-                 ["0.3*x2", "0", "0", "0"]])
+        u2p, Chart(3), a=a3, b="fake_flat", fd_richardson=richardson,
+        b_extra=_stencil([["0.5*x3", "0", "0", "-0.2*x1"],
+                          ["0.4*x1", "0", "0", "0"],
+                          ["0.3*x2", "0", "0", "0"]], 3, (3, 4)))
     explicit = TwoConnection(
-        u2p, Chart(3), a=A3, fd_richardson=richardson,
-        b=[["0.5*x3", "0.1*x1", "-0.5*x2", "0.3"], ["0.4*x1", "0", "0", "0"],
-           ["0.3*x2", "x1*x3", "0", "0"]])
+        u2p, Chart(3), a=a3, fd_richardson=richardson,
+        b=_stencil([["0.5*x3", "0.1*x1", "-0.5*x2", "0.3"],
+                    ["0.4*x1", "0", "0", "0"],
+                    ["0.3*x2", "x1*x3", "0", "0"]], 3, (3, 4)))
     base = TwoConnection(su2, Chart(3), a=SU2_A3, b="fake_flat",
                          fd_richardson=richardson)
     m = OneMorphism(su2, Chart(3), g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
@@ -469,3 +479,73 @@ def test_fake_flat_residual_checks_every_pair(case, wrong):
     rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b))
     assert not rep["pass"]
     assert abs(rep["residual"] - 0.25) <= 1e-9
+
+
+# --- exact derivatives of DSL connections against closed forms ---------------
+
+
+def test_exact_curvature_matches_closed_form(su2):
+    # the connection of test_curvature_fd_convergence_order, as DSL fields
+    conn = TwoConnection(su2, Chart(2), a=[["sin(pi*x2)", "0.3", "0"],
+                                           ["0", "cos(pi*x1)", "0"]],
+                         b="fake_flat")
+    x = np.random.default_rng(2).uniform(0.1, 0.9, size=(7, 2))
+    x1, x2 = x[:, 0], x[:, 1]
+    exact = np.stack([-np.pi * np.cos(np.pi * x2), -np.pi * np.sin(np.pi * x1),
+                      np.sin(np.pi * x2) * np.cos(np.pi * x1)], axis=-1)
+    assert np.max(np.abs(conn.F_pairs(x)[:, 0] - exact)) <= 1e-13
+    assert np.max(np.abs(curvature_F(conn, x, [1, 0], [0, 1]) - exact)) <= 1e-13
+    X, Y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
+    assert np.max(np.abs(conn.F_of(x, X, Y) - (X[0] * Y[1] - X[1] * Y[0])
+                         * exact)) <= 1e-13
+
+
+def test_exact_three_curvature_of_explicit_b(u1t):
+    # K = db: d_1 b_23 - d_2 b_13 + d_3 b_12 = x2 - cos(x2) + x1^2 times
+    # the determinant of the tangents
+    conn = TwoConnection(u1t, Chart(3), a=[["0.3*x2"], ["x1*x3"], ["0"]],
+                         b=[["x3*x1^2"], ["sin(x2)"], ["x1*x2"]])
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.1, 0.9, size=(6, 3))
+    X, Y, Z = rng.normal(size=(3, 6, 3))
+    det = np.linalg.det(np.stack([X, Y, Z], axis=1))
+    want = det * (x[:, 1] - np.cos(x[:, 1]) + x[:, 0] ** 2)
+    assert np.max(np.abs(conn.K_of(x, X, Y, Z)[:, 0] - want)) <= 1e-13
+
+
+def test_exact_fake_flat_three_curvature_is_d_of_b_extra(u2p):
+    # with b = rep_* F + b_extra, Bianchi makes the rep_* F part of K vanish
+    # exactly, and alpha acts trivially on the central ker t part: K is
+    # d b_extra = d_1 (x2 x3) - d_2 sin(x1 x3) + d_3 (x3^2 x2) = 2 x2 x3
+    conn = TwoConnection(
+        u2p, Chart(3),
+        a=[["0.4*sin(x2)", "0.1*x1*x3", "0.1*x3^2"], ["0.2", "0.3*x1", "exp(x3)"],
+           ["0.1*x2*x1", "0.2", "cos(x1)"]],
+        b="fake_flat",
+        b_extra=[["x3^2*x2", "0", "0", "0"], ["sin(x1*x3)", "0", "0", "0"],
+                 ["x2*x3", "0", "0", "0"]])
+    x = np.random.default_rng(8).uniform(0.1, 0.9, size=(9, 3))
+    rep = three_curvature_K(conn, x, EX, EY, EZ)
+    want = np.zeros((9, 4))
+    want[:, 0] = 2 * x[:, 1] * x[:, 2]
+    assert np.max(np.abs(rep["value"] - want)) <= 1e-13
+    assert rep["bianchi_defect"] <= 1e-13
+    assert fake_flatness_residual(conn)["residual"] <= 1e-13
+
+
+def test_exact_and_stencil_paths_agree(u2p):
+    # the same fields as DSL expressions and behind callables: K, F and
+    # the fake-flat b agree to the stencil's error
+    b_extra = [["0.5*x3", "0", "0", "-0.2*x1"], ["0.4*x1*x2", "0", "0", "0"],
+               ["0.3*x2", "0", "0", "0"]]
+    exact = TwoConnection(u2p, Chart(3), a=A3, b="fake_flat", b_extra=b_extra)
+    fd = TwoConnection(u2p, Chart(3), a=_stencil(A3, 3, (3, 3)),
+                       b="fake_flat", fd_richardson=True,
+                       b_extra=_stencil(b_extra, 3, (3, 4)))
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.2, 0.8, size=(10, 3))
+    X, Y, Z = rng.normal(size=(3, 10, 3))
+    assert np.max(np.abs(exact.F_pairs(pts) - fd.F_pairs(pts))) <= 1e-10
+    assert np.max(np.abs(exact.b_of(pts, X, Y) - fd.b_of(pts, X, Y))) <= 1e-10
+    assert np.max(np.abs(exact.K_of(pts, X, Y, Z)
+                         - fd.K_of(pts, X, Y, Z))) <= 1e-8

@@ -35,7 +35,9 @@ def test_from_exprs_variable_guard():
 
 
 def test_partial_derivative_order_at_least_39():
-    pm = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
+    # the map behind a plain callable, so partial takes the stencil
+    exprs = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
+    pm = ParamMap(2, 2, lambda params: exprs(params))
     pts = np.array([[0.3, 0.4], [0.6, 0.2], [0.45, 0.7]])
     exact = np.stack([np.pi * np.cos(np.pi * pts[:, 0]) * pts[:, 1],
                       3 * pts[:, 0] ** 2], axis=-1)
@@ -44,6 +46,33 @@ def test_partial_derivative_order_at_least_39():
         errs.append(np.max(np.abs(pm.partial(0, pts, step=h) - exact)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 3.9
+
+
+def test_expression_maps_carry_exact_partials():
+    cube = ParamMap.from_exprs(["w*u", "sin(pi*v)*w", "u^3 - exp(v*w)"], 3)
+    rng = np.random.default_rng(1)
+    p = rng.uniform(0, 1, size=(9, 3))
+    u, v, w = p.T
+    jac = np.stack([np.stack([w, 0 * u, 3 * u * u], -1),
+                    np.stack([0 * u, np.pi * np.cos(np.pi * v) * w,
+                              -w * np.exp(v * w)], -1),
+                    np.stack([u, np.sin(np.pi * v), -v * np.exp(v * w)], -1)])
+    for k in range(3):
+        assert np.max(np.abs(cube.partial(k, p) - jac[k])) <= 1e-13
+    assert np.max(np.abs(cube.partial(2, p[0]) - jac[2][0])) <= 1e-13
+    # slicing and affine images keep the exact partials
+    end = cube.slice_first(0.25)
+    vw = p[:, 1:]
+    assert end._dfn is not None
+    want = np.stack([0 * vw[:, 0],
+                     np.pi * np.cos(np.pi * vw[:, 0]) * vw[:, 1],
+                     -vw[:, 1] * np.exp(vw[:, 0] * vw[:, 1])], -1)
+    assert np.max(np.abs(end.partial(0, vw) - want)) <= 1e-13
+    basis = rng.normal(size=(3, 2))
+    image = cube.affine_image(np.array([0.1, 0.2]), basis)
+    assert np.max(np.abs(image.partial(1, p) - jac[1] @ basis)) <= 1e-13
+    # other derived maps take the stencil
+    assert cube.compose_params(lambda q: q)._dfn is None
 
 
 def test_concat_preserves_endpoints_and_midpoint():

@@ -3,12 +3,13 @@ import pytest
 
 from gauge2.errors import DomainError
 from gauge2.families import matrix_family
-from gauge2.fields import chart_grid
+from gauge2.fields import GroupValuedField, chart_grid
 from gauge2.forms import TwoConnection, fake_flatness_residual
 from gauge2.geometry import Chart, ParamMap, concat_paths, straight_path
 from gauge2.morphisms import (OneMorphism, TwoMorphismA, apply_twomorphism,
                               compose_onemorphisms, gauge_transform,
-                              horizontal_compose_twomorphisms, rho_from_phi,
+                              horizontal_compose_twomorphisms,
+                              pullback_defects, rho_from_phi,
                               vertical_compose_twomorphisms,
                               verify_onemorphism_compat)
 from gauge2.transport import horizontal_lift, transport_point
@@ -201,6 +202,28 @@ def test_compat_square(fam, a_exprs, phi_exprs, g_exprs):
     assert rep["square_defect"] <= 1e-6
     assert rep["a_pullback_defect"] <= 1e-7
     assert rep["pass"]
+
+
+def test_pullback_check_shows_a_wrong_log_derivative(monkeypatch):
+    """The A-level check takes dg g^-1 from its own stencil, so a doubled
+    dg g^-1 in the log derivative that builds a' fails it."""
+    grid = chart_grid(CHART)
+    right, = pullback_defects(SU2_CONN, gauge_transform(SU2_CONN, SU2_M),
+                              [SU2_M], grid)
+    assert right <= 1e-11
+    log_derivative = GroupValuedField.log_derivative
+
+    def doubled(self, points):
+        g, dlog = log_derivative(self, points)
+        return g, 2.0 * dlog
+
+    monkeypatch.setattr(GroupValuedField, "log_derivative", doubled)
+    conn2 = gauge_transform(SU2_CONN, SU2_M)
+    wrong, = pullback_defects(SU2_CONN, conn2, [SU2_M], grid)
+    assert wrong > 1e-2
+    rep, = verify_onemorphism_compat(SU2_CONN, conn2, [SU2_M],
+                                     smooth_bigon(), steps=16)
+    assert rep["a_pullback_defect"] == wrong and not rep["pass"]
 
 
 def test_apply_twomorphism_identity():
