@@ -63,12 +63,8 @@ def _jsonable(value):
         return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return {"re": value.real.tolist(), "im": value.imag.tolist()}
@@ -363,12 +359,11 @@ def run_reconstruct(which):
             samples["reconstructed"].append(got)
             samples["expected"].append(want)
             worst = max(worst, float(np.max(np.abs(got - want))) / tol)
-        defect = worst
-        ok = defect <= 1.0
+        ok = worst <= 1.0
         emit(ok, f"reconstruct-{which}",
-             f"worst defect {defect:.3f} of tolerance")
+             f"worst defect {worst:.3f} of tolerance")
         return [{"name": f"reconstruct-{which}",
-                 "worst_relative_to_tolerance": defect, "points": len(points),
+                 "worst_relative_to_tolerance": worst, "points": len(points),
                  **samples, "pass": ok}]
 
     return runner
@@ -488,16 +483,9 @@ def run_command(command: str, cfg, out_dir: str, overrides=None,
 
 
 def _collect(cases, key):
-    found = []
-    for case in cases:
-        if isinstance(case, dict):
-            if key in case and isinstance(case[key], (int, float)):
-                found.append(case[key])
-            for sub in case.get("cases", []):
-                if isinstance(sub, dict) and isinstance(sub.get(key),
-                                                        (int, float)):
-                    found.append(sub[key])
-    return found
+    """The numeric ``key`` of each case, then of each of its sub-cases."""
+    flat = [c for case in cases for c in (case, *case.get("cases", []))]
+    return [c[key] for c in flat if isinstance(c.get(key), (int, float))]
 
 
 def build_parser():
@@ -521,32 +509,25 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
-    if command == "verify":
-        if args.what not in ("stokes", "higher-stokes", "fake-flat", "gauge",
-                             "thin", "ambrose-singer"):
-            print(f"error: unknown verify target {args.what!r}",
-                  file=sys.stderr)
-            return 2
-        command = f"verify-{args.what}"
-    elif command == "reconstruct":
-        if args.what not in ("A", "B"):
-            print(f"error: reconstruct needs A or B, got {args.what!r}",
-                  file=sys.stderr)
-            return 2
-        command = f"reconstruct-{args.what}"
+# Built once: parse_args keeps no state between calls.
+PARSER = build_parser()
+TARGET_ERRORS = {"verify": "unknown verify target {!r}",
+                 "reconstruct": "reconstruct needs A or B, got {!r}"}
 
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
+    command = args.command
+    if command in TARGET_ERRORS:
+        command = f"{command}-{args.what}"
+        if command not in RUNNERS:
+            print("error: " + TARGET_ERRORS[args.command].format(args.what),
+                  file=sys.stderr)
+            return 2
     try:
         cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg = type(cfg)({**cfg.raw, "seed": args.seed})
-
-    try:
+        if args.seed is not None:
+            cfg = type(cfg)({**cfg.raw, "seed": args.seed})
         report = run_command(command, cfg, args.out,
                              overrides={"steps": args.steps,
                                         "sweep": args.sweep},

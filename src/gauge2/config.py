@@ -3,17 +3,18 @@
 Configs are JSON; every field that is a scalar field, path, bigon or cube
 component is a DSL expression string.  The schema rejects unknown keys so
 that typos fail fast with the JSON path of the offending entry, and all
-randomness downstream is seeded from the single ``seed`` key.
+randomness downstream is seeded from the single ``seed`` key.  This module
+validates against ``CONFIG_SCHEMA`` itself, with no schema library at run
+time, and reports the error that jsonschema's ``best_match`` would.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import ConfigError, DomainError, ParseError
 from .families import (FINITE_DEMO_NAMES, finite_crossed_module,
@@ -22,6 +23,7 @@ from .fields import CoefficientField
 from .forms import TransitionData, TwoConnection
 from .geometry import Chart, ParamMap
 from .groups import FiniteGroup, cyclic_group
+from .lie2 import LieTwoAlgebra
 from .morphisms import OneMorphism, TwoMorphismA
 
 __all__ = ["CONFIG_SCHEMA", "RunConfig", "load_config", "config_hash"]
@@ -153,10 +155,89 @@ CONFIG_SCHEMA = {
     },
 }
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+_SHORT = {True: "should be non-empty", False: "is too short"}
 
-# Built once: jsonschema.validate would re-check the schema itself against
-# the metaschema on every load.
-_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# keyword -> its message when ``value`` violates it, else a falsy value
+_CHECKS = {
+    "type": lambda v, t: not _is_type(v, t) and f"{v!r} is not of type {t!r}",
+    "minItems": lambda v, n: isinstance(v, list) and len(v) < n
+        and f"{v!r} {_SHORT[n == 1]}",
+    "minLength": lambda v, n: isinstance(v, str) and len(v) < n
+        and f"{v!r} {_SHORT[n == 1]}",
+    "maxItems": lambda v, n: isinstance(v, list) and len(v) > n
+        and f"{v!r} {'is expected to be empty' if n == 0 else 'is too long'}",
+    "minimum": lambda v, m: _is_type(v, "number") and v < m
+        and f"{v!r} is less than the minimum of {m!r}",
+    "exclusiveMinimum": lambda v, m: _is_type(v, "number") and v <= m
+        and f"{v!r} is less than or equal to the minimum of {m!r}",
+    # the schema's enum and const values are strings: == is JSON equality
+    "enum": lambda v, e: v not in e and f"{v!r} is not one of {e!r}",
+    "const": lambda v, c: v != c and f"{c!r} was expected",
+}
+# every keyword _schema_errors interprets; "description" is an annotation
+_KEYWORDS = {*_CHECKS, "properties", "additionalProperties", "required",
+             "items", "anyOf", "description"}
+
+
+def _is_type(value, name):
+    """JSON Schema 2020-12 types: a bool is no number, 1.0 is an integer."""
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name]) and (
+        name == "boolean" or not isinstance(value, bool))
+
+
+def _schema_errors(value, schema, path=()):
+    """Every violation of ``schema`` (JSON Schema 2020-12) by ``value``, as
+    (*relevance, message, anyOf context), with jsonschema's message and,
+    for one schema's own errors, its order."""
+    mismatch = not ("type" in schema and _is_type(value, schema["type"]))
+    for key, arg in schema.items():
+        messages, context = [key in _CHECKS and _CHECKS[key](value, arg)], []
+        if key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(value.keys() - schema.get("properties", {}).keys())
+            for name in extra if isinstance(arg, dict) else ():
+                yield from _schema_errors(value[name], arg, path + (name,))
+            if arg is False and extra:
+                messages = [f"Additional properties are not allowed ("
+                            f"{', '.join(map(repr, extra))} "
+                            f"{'was' if len(extra) == 1 else 'were'} unexpected)"]
+        elif key == "required" and isinstance(value, dict):
+            messages = [f"{n!r} is a required property" for n in arg
+                        if n not in value]
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif key == "anyOf":
+            for sub in arg:
+                errors = list(_schema_errors(value, sub, path))
+                if not errors:
+                    break
+                context += errors
+            else:
+                messages = [f"{value!r} is not valid under any of the given schemas"]
+        for message in filter(None, messages):
+            yield -len(path), path, key != "anyOf", mismatch, message, context
+
+
+def _best_match(errors):
+    """The error jsonschema's ``best_match`` reports, or None.  Relevance
+    prefers shallow paths, then later siblings, then any keyword but anyOf,
+    then a schema type the value lacks; ties go to the first error.  It
+    descends an anyOf while its context has one least relevant error."""
+    best = max(errors, key=lambda e: e[:4], default=None)
+    while best is not None and best[5]:
+        first, *rest = sorted(best[5], key=lambda e: e[:4])
+        if rest and rest[0][:4] == first[:4]:
+            break
+        best = first
+    return best
 
 
 def config_hash(raw: dict) -> str:
@@ -182,10 +263,10 @@ class RunConfig:
     """Validated configuration with lazily-built objects."""
 
     def __init__(self, raw: dict):
-        err = best_match(_VALIDATOR.iter_errors(raw))
+        err = _best_match(_schema_errors(raw, CONFIG_SCHEMA))
         if err is not None:
-            path = ".".join(str(p) for p in err.absolute_path)
-            raise ConfigError(f"config invalid at '{path}': {err.message}",
+            path = ".".join(map(str, err[1]))
+            raise ConfigError(f"config invalid at '{path}': {err[4]}",
                               path=path)
         self.raw = raw
         self.seed = raw["seed"]
@@ -201,24 +282,19 @@ class RunConfig:
         if needs_chart and "chart" not in raw:
             raise ConfigError("config declares fields but no 'chart'",
                               path="chart")
-        if "connection" in raw:
-            cm = raw.get("crossed_module", {})
-            if "matrix" not in cm:
-                raise ConfigError(
-                    "a connection needs a matrix crossed module",
-                    path="crossed_module.matrix")
+        if "connection" in raw and "matrix" not in raw.get("crossed_module", {}):
+            raise ConfigError("a connection needs a matrix crossed module",
+                              path="crossed_module.matrix")
 
     # -- builders ---------------------------------------------------------------
 
     def _require(self, *path):
         node = self.raw
-        seen = []
-        for key in path:
-            seen.append(key)
+        for k, key in enumerate(path, 1):
             if not isinstance(node, dict) or key not in node:
-                raise ConfigError(
-                    f"config is missing required section "
-                    f"'{'.'.join(seen)}'", path=".".join(seen))
+                seen = ".".join(path[:k])
+                raise ConfigError(f"config is missing required section "
+                                  f"'{seen}'", path=seen)
             node = node[key]
         return node
 
@@ -236,10 +312,6 @@ class RunConfig:
     def _apply_l2a_overrides(fam, overrides):
         """Replace the analytic t_star / alpha_star by serialized tables,
         re-validating them against the group-level maps."""
-        import dataclasses
-
-        from .lie2 import LieTwoAlgebra
-
         l2a = fam.l2a
         new = LieTwoAlgebra(
             l2a.g_alg, l2a.h_alg,
@@ -371,11 +443,9 @@ class RunConfig:
         return self.raw.get("basepoint")
 
     def numeric(self) -> dict:
-        defaults = {"steps": 64, "surface_steps": 48, "volume_steps": 32,
-                    "sweep": 0, "fd_step": None, "fd_richardson": False,
-                    "grid_per_axis": 5}
-        defaults.update(self.raw.get("numeric", {}))
-        return defaults
+        return {"steps": 64, "surface_steps": 48, "volume_steps": 32,
+                "sweep": 0, "fd_step": None, "fd_richardson": False,
+                "grid_per_axis": 5, **self.raw.get("numeric", {})}
 
 
 def load_config(path) -> RunConfig:

@@ -35,22 +35,18 @@ class LieAlgebra:
         self.matrix_dim = basis.shape[1]
         flat = self._flatten(basis)
         self._pinv = np.linalg.pinv(flat.T)
-        # residual of projecting the basis onto itself must vanish
-        self.structure = np.stack([
-            np.stack([self.from_matrix(basis[i] @ basis[j] - basis[j] @ basis[i])
-                      for j in range(self.dim)])
-            for i in range(self.dim)])
+        self._flat_basis = basis.reshape(self.dim, -1)
+        # structure[i, j] = [e_i, e_j], all pairs in one from_matrix
+        self.structure = self.from_matrix(basis[:, None] @ basis[None]
+                                          - basis[None] @ basis[:, None])
         self._check_structure()
 
     @staticmethod
     def _flatten(mats):
+        """(..., n, n) -> (..., 2 n^2): real parts, then imaginary parts."""
         m = np.asarray(mats)
-        parts = [m.real.reshape(*m.shape[:-2], -1)]
-        if np.iscomplexobj(m):
-            parts.append(m.imag.reshape(*m.shape[:-2], -1))
-        else:
-            parts.append(np.zeros_like(parts[0]))
-        return np.concatenate(parts, axis=-1)
+        return np.concatenate([m.real.reshape(*m.shape[:-2], -1),
+                               m.imag.reshape(*m.shape[:-2], -1)], axis=-1)
 
     def _check_structure(self, tol=1e-10):
         c = self.structure
@@ -66,18 +62,21 @@ class LieAlgebra:
     def to_matrix(self, vec):
         """Coefficient vector(s) (..., dim) -> matrix (..., n, n)."""
         vec = np.asarray(vec, dtype=float)
-        return np.tensordot(vec, self.basis, axes=([-1], [0]))
+        n = self.matrix_dim
+        return (vec.reshape(-1, self.dim) @ self._flat_basis).reshape(
+            vec.shape[:-1] + (n, n))
 
     def from_matrix(self, m, tol=1e-8):
-        """Matrix (..., n, n) -> coefficient vector(s); m must lie in span."""
+        """Matrix (..., n, n) -> coefficient vector(s); each matrix must lie
+        in the span, to ``tol`` relative to its own largest entry."""
         m = np.asarray(m)
         flat = self._flatten(m)
         coeff = flat @ self._pinv.T if flat.ndim > 1 else self._pinv @ flat
-        residual = np.max(np.abs(self.to_matrix(coeff) - m))
-        if residual > tol * (1.0 + np.max(np.abs(m))):
+        residual = np.max(np.abs(self.to_matrix(coeff) - m), axis=(-2, -1))
+        if np.any(residual > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))):
             raise DomainError(
                 f"matrix outside the span of the {self.name} basis "
-                f"(residual {residual:.3e})")
+                f"(residual {np.max(residual):.3e})")
         return coeff
 
     def bracket(self, u, v):

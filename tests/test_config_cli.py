@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -6,11 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 import gauge2.cli
 from gauge2.cli import _applicable, _check_simpson_steps, main, run_command
-from gauge2.config import CONFIG_SCHEMA, RunConfig, load_config
+from gauge2.config import (_KEYWORDS, _TYPES, CONFIG_SCHEMA, RunConfig,
+                           _best_match, _schema_errors, load_config)
 from gauge2.errors import ConfigError
 
 MINIMAL = {
@@ -481,3 +484,187 @@ def test_transition_config_runs(tmp_path):
     cases = json.loads((tmp_path / "out" / "verify-fake-flat.json")
                        .read_text())["cases"]
     assert [c["name"] for c in cases] == ["fake-flat", "local-data"]
+
+
+# --- the config validator against jsonschema ----------------------------------
+# jsonschema is a test-only reference: the validator in gauge2.config must
+# accept and reject the same configs and report best_match's path and message.
+
+REFERENCE = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+MUTATION_VALUES = [
+    0, 1, -1, 2, 3, 4, 7, 8, 1.0, 8.0, 2.5, -0.5, 1e-3, 0.0, True, False,
+    None, float("nan"), float("inf"), "", "x", "0.5*x1", "fake_flat",
+    "s3_id_conj", "u1_id", [], [""], ["x"], [1], [0.5, 1.5], [[]], [["x"]],
+    [0.0, 1.0, 2.0], [["1", 2]], [[1, 2]], [["0"], ["x1"]], {}, {"a": 1},
+    {"family": "u1_id"}, {"cyclic": 0}, {"demo": "nope"}, {"g": ["0"]}]
+MUTATION_KEYS = ["seed", "a", "b", "g", "phi", "family", "demo", "dim", "box",
+                 "cyclic", "table", "identity", "t", "G", "steps", "fd_step",
+                 "extra", "0"]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a JSON tree, the root first."""
+    yield path, value
+    children = (value.items() if isinstance(value, dict) else
+                enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(raw, rng):
+    """One to three random edits of a deep copy of ``raw``: a replaced
+    value, an extra key, a deleted key or a shortened list."""
+    raw = copy.deepcopy(raw)
+    for _ in range(int(rng.integers(1, 4))):
+        nodes = list(_nodes(raw))
+        path, node = nodes[int(rng.integers(len(nodes)))]
+        kind = int(rng.integers(4))
+        value = copy.deepcopy(MUTATION_VALUES[int(rng.integers(len(MUTATION_VALUES)))])
+        if kind == 1 and isinstance(node, dict):
+            node[MUTATION_KEYS[int(rng.integers(len(MUTATION_KEYS)))]] = value
+        elif kind == 2 and isinstance(node, dict) and node:
+            del node[list(node)[int(rng.integers(len(node)))]]
+        elif kind == 3 and isinstance(node, list) and node:
+            del node[int(rng.integers(len(node))):]
+        elif path:
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        elif rng.random() < 0.1:
+            raw = value
+    return raw
+
+
+def _mutation_bases():
+    shipped = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    return shipped + [MINIMAL, FINITE, FIELDS, BOXED]
+
+
+def _reference_match(raw):
+    """(valid, path, message, error count) by jsonschema."""
+    errors = list(REFERENCE.iter_errors(raw))
+    err = best_match(errors)
+    if err is None:
+        return True, None, None, 0
+    return False, list(err.absolute_path), err.message, len(errors)
+
+
+def _own_match(raw):
+    err = _best_match(_schema_errors(raw, CONFIG_SCHEMA))
+    return (True, None, None) if err is None else (False, list(err[1]), err[4])
+
+
+def test_validator_agrees_with_jsonschema_on_mutated_configs():
+    """Validity, error path and message equal jsonschema's best_match on
+    seeded mutations, many of them with several errors to rank."""
+    rng = np.random.default_rng(1101)
+    bases = _mutation_bases()
+    disagreements, invalid, multi = [], 0, 0
+    for case in range(3000):
+        raw = _mutate(bases[case % len(bases)], rng)
+        *want, count = _reference_match(raw)
+        got = _own_match(raw)
+        invalid += not want[0]
+        multi += count > 1
+        if tuple(want) != got:
+            disagreements.append((raw, want, got))
+    assert not disagreements, disagreements[:3]
+    assert invalid > 1500 and multi > 500, (invalid, multi)
+
+
+def test_validator_accepts_every_unmutated_config():
+    for raw in _mutation_bases():
+        assert _own_match(raw) == (True, None, None)
+        assert _reference_match(raw)[0]
+
+
+def _with(section, **entries):
+    return {**BOXED, section: {**BOXED[section], **entries}}
+
+
+@pytest.mark.parametrize("keyword,raw", [
+    ("type", {**MINIMAL, "seed": 1.5}),
+    ("additionalProperties", {**MINIMAL, "extra": 1, "more": 2}),
+    ("required", {"crossed_module": {"matrix": {}}}),
+    ("minItems", _with("connection", a=[])),
+    ("maxItems", _with("chart", box=[[0, 1], [0, 1, 2]])),
+    ("minLength", _with("paths", seg=["u", ""])),
+    ("minimum", _with("numeric", steps=4)),
+    ("exclusiveMinimum", _with("numeric", fd_step=0)),
+    ("enum", {**FINITE, "crossed_module": {"finite": {"demo": "z5"}}}),
+    ("anyOf", _with("connection", b="flat")),
+    ("type", _with("connection", b=[["0"], [0]])),
+])
+def test_each_keyword_reports_like_jsonschema(keyword, raw):
+    assert best_match(REFERENCE.iter_errors(raw)).validator == keyword
+    assert _own_match(raw) == _reference_match(raw)[:3]
+
+
+def test_config_error_message_keeps_jsonschema_wording():
+    raw = {**MINIMAL, "connection": {**MINIMAL["connection"], "b": []}}
+    with pytest.raises(ConfigError) as err:
+        RunConfig(raw)
+    assert str(err.value) == ("config invalid at 'connection.b': "
+                              "[] should be non-empty")
+    assert err.value.path == "connection.b"
+
+
+def _subschemas(schema):
+    yield schema
+    for key, arg in schema.items():
+        if key == "properties":
+            for sub in arg.values():
+                yield from _subschemas(sub)
+        elif key in ("items", "additionalProperties") and isinstance(arg, dict):
+            yield from _subschemas(arg)
+        elif key == "anyOf":
+            for sub in arg:
+                yield from _subschemas(sub)
+
+
+def test_validator_implements_every_schema_keyword():
+    """A keyword added to CONFIG_SCHEMA that the validator does not
+    interpret would be skipped silently: fail on it here."""
+    for schema in _subschemas(CONFIG_SCHEMA):
+        assert set(schema) <= _KEYWORDS, set(schema) - _KEYWORDS
+        assert schema.get("type", "object") in _TYPES
+        # the validator compares enum and const values with ==, which is
+        # JSON equality only for strings
+        assert all(isinstance(v, str) for v in
+                   schema.get("enum", []) + [schema.get("const", "")])
+
+
+def test_cli_import_does_not_import_jsonschema():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gauge2.cli\n"
+         "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_repeated_main_calls_write_the_reports_of_separate_processes(tmp_path):
+    """The parser is built once at import: calls in one process, with and
+    without --steps/--seed, write what fresh processes write."""
+    path = _write(tmp_path, MINIMAL)
+    runs = [["--steps", "40", "--seed", "9"], []]
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    for k, extra in enumerate(runs):
+        argv = ["verify", "stokes", "--config", path, "--quiet", *extra]
+        assert main(argv + ["--out", str(tmp_path / f"same{k}")]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "gauge2.cli", *argv,
+             "--out", str(tmp_path / f"fresh{k}")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+    same = [_tree(tmp_path / f"same{k}") for k in range(len(runs))]
+    assert same == [_tree(tmp_path / f"fresh{k}") for k in range(len(runs))]
+    assert same[0]["verify-stokes.json"] != same[1]["verify-stokes.json"]

@@ -29,6 +29,32 @@ def test_t_star_matches_group_level_differential(fam):
     assert fam.l2a.t_star_fd_defect(fam.cm) <= 1e-6
 
 
+def test_from_matrix_checks_each_matrix_of_a_batch():
+    """A small matrix outside the span fails even beside a large one, as it
+    does alone: the structure constants come from one batched call."""
+    alg = matrix_family("su2_id_conj").l2a.g_alg
+    large = alg.to_matrix([100.0, 0.0, 0.0])
+    stray = 1e-7 * np.eye(2)         # not traceless-antihermitian
+    assert np.array_equal(alg.from_matrix(np.stack([large, 0 * stray]))[0],
+                          alg.from_matrix(large))
+    for batch in (stray, np.stack([large, stray])):
+        with pytest.raises(DomainError):
+            alg.from_matrix(batch)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_batched_to_and_from_matrix_match_single_calls(fam):
+    rng = np.random.default_rng(11)
+    for alg in (fam.l2a.g_alg, fam.l2a.h_alg):
+        vecs = rng.standard_normal((2, 5, alg.dim))
+        mats = alg.to_matrix(vecs)
+        assert mats.shape == (2, 5) + alg.basis.shape[1:]
+        assert np.array_equal(mats[1, 3], alg.to_matrix(vecs[1, 3]))
+        assert np.array_equal(mats[1, 3],
+                              np.tensordot(vecs[1, 3], alg.basis, axes=1))
+        assert np.max(np.abs(alg.from_matrix(mats) - vecs)) <= 1e-12
+
+
 def test_semidirect_bracket_cases():
     fam = matrix_family("su2_id_conj")
     l2a = fam.l2a
