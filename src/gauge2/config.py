@@ -47,8 +47,6 @@ _FINITE_GROUP = {
     },
 }
 
-_FD_ONLY = "used only for fields that are not DSL expressions"
-
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -145,10 +143,6 @@ CONFIG_SCHEMA = {
                 "surface_steps": {"type": "integer", "minimum": 4},
                 "volume_steps": {"type": "integer", "minimum": 4},
                 "sweep": {"type": "integer", "minimum": 0},
-                "fd_step": {"type": "number", "exclusiveMinimum": 0,
-                            "description": f"finite-difference step, {_FD_ONLY}"},
-                "fd_richardson": {"type": "boolean", "description":
-                                  f"Richardson extrapolation, {_FD_ONLY}"},
                 "grid_per_axis": {"type": "integer", "minimum": 2},
             },
         },
@@ -170,15 +164,13 @@ _CHECKS = {
         and f"{v!r} {'is expected to be empty' if n == 0 else 'is too long'}",
     "minimum": lambda v, m: _is_type(v, "number") and v < m
         and f"{v!r} is less than the minimum of {m!r}",
-    "exclusiveMinimum": lambda v, m: _is_type(v, "number") and v <= m
-        and f"{v!r} is less than or equal to the minimum of {m!r}",
     # the schema's enum and const values are strings: == is JSON equality
     "enum": lambda v, e: v not in e and f"{v!r} is not one of {e!r}",
     "const": lambda v, c: v != c and f"{c!r} was expected",
 }
-# every keyword _schema_errors interprets; "description" is an annotation
+# every keyword _schema_errors interprets
 _KEYWORDS = {*_CHECKS, "properties", "additionalProperties", "required",
-             "items", "anyOf", "description"}
+             "items", "anyOf"}
 
 
 def _is_type(value, name):
@@ -365,7 +357,6 @@ class RunConfig:
 
     def connection(self) -> TwoConnection:
         spec = self._require("connection")
-        num = self.numeric()
         fam, d = self.family(), self.chart().dim
         shape = (d * (d - 1) // 2, fam.l2a.h_alg.dim)
         b = spec.get("b", "fake_flat")
@@ -374,9 +365,7 @@ class RunConfig:
             a=self._field("connection.a", (d, fam.l2a.g_alg.dim)),
             b=b if b == "fake_flat" else self._field("connection.b", shape),
             b_extra=(self._field("connection.b_extra", shape)
-                     if "b_extra" in spec else None),
-            fd_step=num.get("fd_step"),
-            fd_richardson=num.get("fd_richardson", False))
+                     if "b_extra" in spec else None))
 
     def param_maps(self, kind: str) -> dict:
         """The configured paths, bigons or cubes by name, each checked to
@@ -444,8 +433,7 @@ class RunConfig:
 
     def numeric(self) -> dict:
         return {"steps": 64, "surface_steps": 48, "volume_steps": 32,
-                "sweep": 0, "fd_step": None, "fd_richardson": False,
-                "grid_per_axis": 5, **self.raw.get("numeric", {})}
+                "sweep": 0, "grid_per_axis": 5, **self.raw.get("numeric", {})}
 
 
 def load_config(path) -> RunConfig:

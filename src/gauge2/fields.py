@@ -9,9 +9,9 @@ Every derivative of a field is taken here.  ``axis_diffs`` gives the
 derivatives along every axis as (N, d, ...), ``directional_diff`` along
 one direction: exact for a CoefficientField of DSL expressions, whose
 ``derivative()`` is the field of its partials, and otherwise the 4-point
-stencil, which calls the function 4 times (8 with Richardson
-extrapolation).  ``GroupValuedField.log_derivative`` gives a group-valued
-field with dg g^-1 along every axis, by the stencil.
+stencil, which calls the function 4 times per direction.
+``GroupValuedField.log_derivative`` gives a group-valued field with
+dg g^-1 along every axis, by the stencil.
 
 A group-valued field is a function from points to matrices;
 ``group_field`` builds exp(lambda(x)) of an algebra-valued coefficient
@@ -32,14 +32,12 @@ __all__ = ["CoefficientField", "GroupValuedField", "tensor_field",
 FD_STEP = 1e-3
 
 
-def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
+def directional_diff(fn, points, direction, step=FD_STEP):
     """Derivative of fn along a direction, constant or one per point:
     exact for a CoefficientField of DSL expressions, else the 4th-order
-    central difference.
+    central difference with ``step``.
 
-    ``fn`` maps (N, d) points to arrays with leading axis N.  With
-    ``richardson`` one extrapolation level combines the step and half-step
-    stencils, raising the order to six.
+    ``fn`` maps (N, d) points to arrays with leading axis N.
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(direction, dtype=float)
@@ -47,26 +45,20 @@ def directional_diff(fn, points, direction, step=FD_STEP, richardson=False):
     if exact is not None:
         d = exact(p)
         return np.einsum("nk...,nk->n...", d, np.broadcast_to(v, d.shape[:2]))
-
-    def stencil(h):
-        # weights (1, -8, 8, -1) / 12h at -2h, -h, h, 2h, summed in that order
-        acc = np.asarray(fn(p - (2 * h) * v)) - 8.0 * np.asarray(fn(p - h * v))
-        acc = acc + 8.0 * np.asarray(fn(p + h * v))
-        return (acc - np.asarray(fn(p + (2 * h) * v))) / (12.0 * h)
-
-    if not richardson:
-        return stencil(step)
-    return (16.0 * stencil(step / 2.0) - stencil(step)) / 15.0
+    # weights (1, -8, 8, -1) / 12h at -2h, -h, h, 2h, summed in that order
+    acc = np.asarray(fn(p - (2 * step) * v)) - 8.0 * np.asarray(fn(p - step * v))
+    acc = acc + 8.0 * np.asarray(fn(p + step * v))
+    return (acc - np.asarray(fn(p + (2 * step) * v))) / (12.0 * step)
 
 
-def axis_diffs(fn, points, step=FD_STEP, richardson=False):
+def axis_diffs(fn, points, step=FD_STEP):
     """(N, d, ...) derivatives of fn along every axis e_k of the (N, d)
     points: one :func:`directional_diff` per axis, stacked on axis 1."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     exact = exact_derivative(fn)
     if exact is not None:
         return exact(p)
-    return np.stack([directional_diff(fn, p, e, step, richardson)
+    return np.stack([directional_diff(fn, p, e, step)
                      for e in np.eye(p.shape[-1])], axis=1)
 
 

@@ -4,8 +4,8 @@ A TwoConnection stores a g-valued 1-form ``a`` and an h-valued 2-form
 ``b`` over a chart as coefficient fields.  Exterior derivatives of DSL
 fields are exact (``CoefficientField.derivative``); those of callables
 are the 4th-order central differences of :mod:`gauge2.fields`, with the
-connection's ``fd_step`` (by default 1e-3 times the chart box size) and
-``fd_richardson``.  For constant tangent vectors
+connection's ``fd_step``, 1e-3 times the chart box size.  For constant
+tangent vectors
 
     F(X, Y)    = D_X a(Y) - D_Y a(X) + [a(X), a(Y)],
     K(X, Y, Z) = D_X b(Y, Z) - D_Y b(X, Z) + D_Z b(X, Y)
@@ -17,16 +17,17 @@ or derived as the fake-flat lift of the curvature plus a ker t_* part.
 Bundle-level forms on the trivial bundle are never stored; they are
 computed on demand from the trivialization formulas.
 
-Each field is evaluated once per point set.  DSL fields are evaluated
-with their derivative fields, K of a fake-flat b with the second
-derivatives of ``a``.  For callables, with s = 4 stencil points (8 with
-``fd_richardson``) on a d-dimensional chart, F_of costs 2s + 1
-evaluations of ``a``; F_pairs (F on every pair e_k, e_l, from one
-``axis_diffs`` of ``a``), the fake-flat b_of and fake_flatness_residual
-cost 1 + s d (13 for d = 3); K_of with a fake-flat b costs
-(3s + 1)(1 + s d) + 1 (170 for d = 3).  An explicit b is evaluated once
-where the fake-flat lift costs 1 + s d.  The gluing check takes the
-transition function's dg g^-1 from ``GroupValuedField.log_derivative``.
+Both are computed on every coordinate pair and contracted with the
+tangents: F from one ``axis_diffs`` of ``a``, K from one of the stored
+pairs of b.  Each field is evaluated once per point set.  DSL fields are
+evaluated with their derivative fields, K of a fake-flat b with the
+second derivatives of ``a``.  For callables, with s = 4 stencil points on
+a d-dimensional chart, F_of, F_pairs, the fake-flat b_of and
+fake_flatness_residual cost 1 + s d evaluations of ``a`` (13 for
+d = 3); K_of with a fake-flat b costs (s d + 1)(1 + s d) + 1 (170 for
+d = 3).  An explicit b is evaluated once where the fake-flat lift costs
+1 + s d.  The gluing check takes the transition function's dg g^-1 from
+``GroupValuedField.log_derivative``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (FD_STEP, axis_diffs, chart_grid, directional_diff,
-                     exact_derivative, group_field, tensor_field)
+from .fields import (FD_STEP, axis_diffs, chart_grid, exact_derivative,
+                     group_field, tensor_field)
 from .geometry import Chart
 
 __all__ = ["TwoConnection", "TransitionData", "curvature_F",
@@ -54,19 +55,28 @@ def _along(coeffs, X):
     return np.einsum("...kg,...k->...g", coeffs, np.asarray(X, dtype=float))
 
 
+def _trivector(X, Y, Z):
+    """(N, d, d, d) C_ikl, the antisymmetrized X^i Y^k Z^l of (N, d) tangents."""
+    def bivector(U, V):     # U^k V^l - U^l V^k as (N, 1, d, d)
+        return U[:, None, :, None] * V[:, None, None, :] - (
+            V[:, None, :, None] * U[:, None, None, :])
+
+    return (X[:, :, None, None] * bivector(Y, Z)
+            - Y[:, :, None, None] * bivector(X, Z)
+            + Z[:, :, None, None] * bivector(X, Y))
+
+
 class TwoConnection:
     """Local 2-connection (a, b) for a matrix crossed-module family."""
 
     def __init__(self, family: MatrixFamily, chart: Chart, a,
-                 b="fake_flat", b_extra=None, fd_step=None,
-                 fd_richardson=False, name="conn"):
+                 b="fake_flat", b_extra=None, name="conn"):
         self.family = family
         self.chart = chart
         self.name = name
         d = chart.dim
         dim_g, dim_h = family.l2a.g_alg.dim, family.l2a.h_alg.dim
-        self.fd_step = fd_step if fd_step is not None else FD_STEP * chart.scale
-        self.fd_richardson = fd_richardson
+        self.fd_step = FD_STEP * chart.scale
         self.pairs = pair_index(d)
         # (k, l) index arrays of the pairs, for all-pairs gathers
         self._pair_axes = np.array(self.pairs, dtype=int).reshape(-1, 2).T
@@ -93,22 +103,15 @@ class TwoConnection:
 
     def F_of(self, points, X, Y):
         """Curvature F = da + 1/2 [a, a] on constant tangents (N, dim_g)."""
-        if exact_derivative(self._a) is not None:     # F is a 2-form like b
-            return self._b_along(self.F_pairs(points), X, Y)
-        da = (directional_diff(lambda p: self.a_of(p, Y), points, X,
-                               self.fd_step, self.fd_richardson)
-              - directional_diff(lambda p: self.a_of(p, X), points, Y,
-                                 self.fd_step, self.fd_richardson))
-        a = self.a_coeffs(points)
-        return da + self.family.l2a.g_alg.bracket(_along(a, X), _along(a, Y))
+        return self._b_along(self.F_pairs(points), X, Y)   # a 2-form like b
 
     def F_pairs(self, points):
         """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
         one evaluation of ``a`` and one difference along each chart axis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         # da[:, i, j] = D_{e_i} a(e_j)
-        return self._F_from(self.a_coeffs(points), axis_diffs(
-            self._a, points, self.fd_step, self.fd_richardson))
+        return self._F_from(self.a_coeffs(points),
+                            axis_diffs(self._a, points, self.fd_step))
 
     def _F_from(self, a, da):
         """F_pairs from a and its derivatives along the chart axes."""
@@ -144,21 +147,24 @@ class TwoConnection:
         """b_x(X, Y) as (N, dim_h) for constant tangents."""
         return self._b_along(self._b_pairs(points), X, Y)
 
-    def _db_exact(self, points, a, X, Y, Z):
-        """db(X, Y, Z) (N, dim_h) from exact partials, and the stored pairs
-        b; None unless b (in fake-flat mode a) and ``b_extra`` are DSL.
+    def _db(self, points, a, X, Y, Z):
+        """db(X, Y, Z) (N, dim_h) and the stored pairs b.
 
         D_X b(Y, Z) = X^i (d_i b)(Y, Z), so db(X, Y, Z) = C_ikl d_i b_kl over
-        k < l, C_ikl the antisymmetrized X^i Y^k Z^l.  In fake-flat mode
+        k < l, C_ikl the antisymmetrized X^i Y^k Z^l.  d_i b_kl are exact
+        partials when b (in fake-flat mode a) and ``b_extra`` are DSL, else
+        the :func:`axis_diffs` of the stored pairs.  In fake-flat mode
         d_i F_kl = d_i d_k a_l - d_i d_l a_k + [d_i a_k, a_l] + [a_k, d_i a_l]
         sums over all k, l to C_ikl d_i d_k a_l + [M_l, a_l], M_l = C_ikl d_i a_k.
         """
         extras = [] if self._b_extra is None else [self._b_extra]
         main = self._a if self.fake_flat_mode else self._b
-        if any(exact_derivative(f) is None for f in [main, *extras]):
-            return None
         X, Y, Z = (np.broadcast_to(np.asarray(T, dtype=float), points.shape)
                    for T in (X, Y, Z))
+        if any(exact_derivative(f) is None for f in [main, *extras]):
+            c = _trivector(X, Y, Z)[:, :, self._pair_axes[0], self._pair_axes[1]]
+            db = axis_diffs(self._b_pairs, points, self.fd_step)
+            return np.einsum("nip,niph->nh", c, db), self._b_pairs(points)
         # in blocks of 1024 points, so that the d^3 dim_g second derivatives
         # per point of a fake-flat b do not set the peak memory
         parts = [self._db_block(*(x[i:i + 1024] for x in (points, a, X, Y, Z)),
@@ -166,16 +172,9 @@ class TwoConnection:
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     def _db_block(self, points, a, X, Y, Z, extras):
-        """:meth:`_db_exact` on one block of points, tangents broadcast."""
+        """:meth:`_db` from exact partials on one block of points."""
         n, d = points.shape
-
-        def bivector(U, V):     # U^k V^l - U^l V^k as (N, 1, d, d)
-            return U[:, None, :, None] * V[:, None, None, :] - (
-                V[:, None, :, None] * U[:, None, None, :])
-
-        C = (X[:, :, None, None] * bivector(Y, Z)
-             - Y[:, :, None, None] * bivector(X, Z)
-             + Z[:, :, None, None] * bivector(X, Y))
+        C = _trivector(X, Y, Z)
         c = C[:, :, self._pair_axes[0], self._pair_axes[1]]
         if self.fake_flat_mode:
             da_field = exact_derivative(self._a)
@@ -200,15 +199,7 @@ class TwoConnection:
         """3-curvature dB-part plus the alpha_* wedge, full h value (N, dim_h)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         a = self.a_coeffs(points)
-        exact = self._db_exact(points, a, X, Y, Z)
-        if exact is not None:
-            db, b = exact
-        else:
-            step, rich = self.fd_step, self.fd_richardson
-            db = (directional_diff(lambda p: self.b_of(p, Y, Z), points, X, step, rich)
-                  - directional_diff(lambda p: self.b_of(p, X, Z), points, Y, step, rich)
-                  + directional_diff(lambda p: self.b_of(p, X, Y), points, Z, step, rich))
-            b = self._b_pairs(points)
+        db, b = self._db(points, a, X, Y, Z)
         alpha = self.family.l2a.apply_alpha_star
         wedge = (alpha(_along(a, X), self._b_along(b, Y, Z))
                  - alpha(_along(a, Y), self._b_along(b, X, Z))

@@ -111,7 +111,7 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
         a = conn.a_coeffs(points)
         b = conn._b_pairs(points)
         phi = m.phi_coeffs(points)
-        dphi = axis_diffs(m.phi_coeffs, points, conn.fd_step, conn.fd_richardson)
+        dphi = axis_diffs(m._phi, points, conn.fd_step)   # exact for DSL phi
         term = (b + dphi[:, k, l] - dphi[:, l, k]
                 + l2a.h_alg.bracket(phi[:, k], phi[:, l])
                 + l2a.apply_alpha_star(a[:, k], phi[:, l])
@@ -119,7 +119,6 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
         return fam.alpha_vec(ginv[:, None], term)
 
     return TwoConnection(fam, conn.chart, a=new_a, b=new_b,
-                         fd_step=conn.fd_step, fd_richardson=conn.fd_richardson,
                          name=f"{conn.name}^{m.name}")
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gauge2.cli import _applicable, _check_simpson_steps, main, run_command
 from gauge2.config import (_KEYWORDS, _TYPES, CONFIG_SCHEMA, RunConfig,
                            _best_match, _schema_errors, load_config)
 from gauge2.errors import ConfigError
+from gauge2.fields import CoefficientField, GroupValuedField
+from gauge2.geometry import ParamMap
 
 MINIMAL = {
     "seed": 5,
@@ -223,14 +226,6 @@ def test_lie2algebra_overrides_accepted_and_validated():
     assert "t_star" in err.value.path
 
 
-def test_fd_richardson_flag_accepted(tmp_path):
-    raw = dict(MINIMAL)
-    raw["numeric"] = {**raw["numeric"], "fd_richardson": True}
-    cfg = RunConfig(raw)
-    conn = cfg.connection()
-    assert conn.fd_richardson
-
-
 def test_config_schema_is_a_valid_schema():
     validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
@@ -378,6 +373,19 @@ def test_reconstruct_reports_list_their_samples(tmp_path, which):
                        atol=1e-4 * (1.0 + np.max(np.abs(want))))
 
 
+@pytest.mark.parametrize("key,value", [("fd_step", 2e-3),
+                                       ("fd_richardson", True)])
+def test_stencil_settings_are_config_errors(tmp_path, capsys, key, value):
+    """The stencil step follows the chart and has no Richardson level: a
+    config that still sets either key exits 2 at ``numeric``."""
+    path = _write(tmp_path, _numeric(**{key: value}))
+    code = main(["verify", "fake-flat", "--config", path,
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert (f"config invalid at 'numeric': Additional properties are not "
+            f"allowed ('{key}' was unexpected)") in capsys.readouterr().err
+
+
 def test_reconstruct_runs_without_scipy(tmp_path):
     """scipy is a test-only dependency: a fresh interpreter that runs a
     command which takes group logarithms never imports it."""
@@ -418,6 +426,33 @@ def test_dsl_connections_take_no_stencil(tmp_path, monkeypatch, command):
         assert report["cases"][0]["bianchi_defect"] <= 1e-13
     else:
         assert report["cases"][0]["residual"] <= 1e-13
+
+
+def test_report_takes_no_stencil_of_a_dsl_field(tmp_path, monkeypatch):
+    """On su2_demo every field of the config is DSL: the stencil serves
+    only group-valued fields, maps and fields the program builds, never a
+    coefficient field or a method that hides one (a gauge transform once
+    differenced phi through ``OneMorphism.phi_coeffs``)."""
+    differenced = []
+    stencil = gauge2.fields.directional_diff
+
+    def recording(fn, *args, **kwargs):
+        if gauge2.fields.exact_derivative(fn) is None:
+            differenced.append(fn)
+        return stencil(fn, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gauge2.") and getattr(
+                module, "directional_diff", None) is stencil:
+            monkeypatch.setattr(module, "directional_diff", recording)
+    assert main(["report", "--config", str(CONFIGS / "su2_demo.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    kinds = {type(fn) for fn in differenced}
+    assert GroupValuedField in kinds
+    assert kinds <= {GroupValuedField, ParamMap, types.FunctionType}, kinds
+    for fn in differenced:
+        assert not isinstance(fn, CoefficientField)
+        assert getattr(fn, "_dfn", None) is None    # a config map is exact
 
 
 def test_verify_gauge_checks_the_a_level_once(tmp_path, monkeypatch):
@@ -591,7 +626,7 @@ def _with(section, **entries):
     ("maxItems", _with("chart", box=[[0, 1], [0, 1, 2]])),
     ("minLength", _with("paths", seg=["u", ""])),
     ("minimum", _with("numeric", steps=4)),
-    ("exclusiveMinimum", _with("numeric", fd_step=0)),
+    ("additionalProperties", _with("numeric", fd_step=0)),
     ("enum", {**FINITE, "crossed_module": {"finite": {"demo": "z5"}}}),
     ("anyOf", _with("connection", b="flat")),
     ("type", _with("connection", b=[["0"], [0]])),

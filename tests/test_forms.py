@@ -135,11 +135,15 @@ def test_three_curvature_low_dimension_note(u1):
 
 def test_curvature_fd_convergence_order():
     su2 = matrix_family("su2_id_conj")
-    a = [["sin(pi*x2)", "0.3", "0"], ["0", "cos(pi*x1)", "0"]]
-    conn_coarse = TwoConnection(su2, Chart(2), a=_stencil(a, 2, (2, 3)),
-                                b="fake_flat", fd_step=4e-3)
-    conn_fine = TwoConnection(su2, Chart(2), a=_stencil(a, 2, (2, 3)),
-                              b="fake_flat", fd_step=2e-3)
+    a = _stencil([["sin(pi*x2)", "0.3", "0"], ["0", "cos(pi*x1)", "0"]],
+                 2, (2, 3))
+
+    def curvature(x, step):
+        # F(e_1, e_2) = D_1 a_2 - D_2 a_1 + [a_1, a_2], differenced at step
+        da = (directional_diff(a, x, [1, 0], step)[:, 1]
+              - directional_diff(a, x, [0, 1], step)[:, 0])
+        return da + su2.l2a.g_alg.bracket(a(x)[:, 0], a(x)[:, 1])
+
     x = np.array([[0.3, 0.4]])
     # analytic: F = (d/dx sin(pi x2) keeps only the x2 derivative ...)
     exact = np.array([-np.pi * np.cos(np.pi * 0.4),
@@ -149,8 +153,8 @@ def test_curvature_fd_convergence_order():
                               - 0.3 * 0.0])
     # bracket part: [a_x, a_y] with a_x = sin(pi x2) e1 + 0.3 e2,
     # a_y = cos(pi x1) e2: [e1,e2]=e3 -> sin*cos e3
-    f_coarse = curvature_F(conn_coarse, x, [1, 0], [0, 1])[0]
-    f_fine = curvature_F(conn_fine, x, [1, 0], [0, 1])[0]
+    f_coarse = curvature(x, 4e-3)[0]
+    f_fine = curvature(x, 2e-3)[0]
     e1 = np.max(np.abs(f_coarse - exact))
     e2 = np.max(np.abs(f_fine - exact))
     assert e1 / e2 >= 12.0
@@ -244,29 +248,15 @@ def test_group_valued_field_on_manifold(su2):
     assert su2.group_G.membership_defect(field(grid)) <= 1e-12
 
 
-def test_richardson_refinement_tightens_curvature():
-    su2 = matrix_family("su2_id_conj")
-    kwargs = dict(a=_stencil([["sin(pi*x2)", "0.3", "0"],
-                              ["0", "cos(pi*x1)", "0"]], 2, (2, 3)),
-                  b="fake_flat", fd_step=5e-3)
-    plain = TwoConnection(su2, Chart(2), **kwargs)
-    refined = TwoConnection(su2, Chart(2), fd_richardson=True, **kwargs)
-    x = np.array([[0.3, 0.4]])
-    exact = np.array([-np.pi * np.cos(np.pi * 0.4),
-                      -np.pi * np.sin(np.pi * 0.3),
-                      np.sin(np.pi * 0.4) * np.cos(np.pi * 0.3)])
-    e_plain = np.max(np.abs(curvature_F(plain, x, [1, 0], [0, 1])[0] - exact))
-    e_refined = np.max(np.abs(curvature_F(refined, x, [1, 0], [0, 1])[0]
-                              - exact))
-    assert e_refined < e_plain / 10.0
-
-
 # --- the all-pairs F, b and K against the per-pair nested formulas ------------
 #
-# The reference below is the direct transcription of the formulas: every
-# F(e_k, e_l) differences a(e_l) and a(e_k) on its own, every b_of
-# recomputes every stored pair, and K differences b_of along each tangent.
-# The connection's batched path must give the same bits.
+# The reference below is the direct transcription of the formulas, one
+# chart axis at a time: every F(e_k, e_l) is D_k a_l - D_l a_k + [a_k, a_l]
+# contracted with the tangents, every b_of recomputes every stored pair,
+# and K sums C_ikl D_i b_kl over the pairs k < l, C the antisymmetrized
+# X^i Y^k Z^l, plus the wedge.  The connection's batched path must give
+# the same bits.  C is gathered from all (i, k, l), as the connection
+# gathers it, because the rounding of np.einsum follows the memory layout.
 
 A3 = [["0.4*x2", "0.1", "0.1*x3"], ["0.2", "0.3*x1*sin(pi*x2)", "0.1"],
       ["0.1*x2^2", "0.2", "exp(0.2*x1)"]]
@@ -278,21 +268,31 @@ def _ref_a(conn, p, X):
     return np.einsum("...kg,...k->...g", conn.a_coeffs(p), X)
 
 
+def _ref_F_pair(conn, p, k, l):
+    eye = np.eye(conn.chart.dim)
+    da_k = directional_diff(conn.a_coeffs, p, eye[k], conn.fd_step)
+    da_l = directional_diff(conn.a_coeffs, p, eye[l], conn.fd_step)
+    comm = np.einsum("...i,...j,ijk->...k", _ref_a(conn, p, eye[k]),
+                     _ref_a(conn, p, eye[l]), conn.family.l2a.g_alg.structure)
+    return (da_k[:, l] - da_l[:, k]) + comm
+
+
 def _ref_F(conn, p, X, Y):
-    step, rich = conn.fd_step, conn.fd_richardson
-    da = (directional_diff(lambda q: _ref_a(conn, q, Y), p, X, step, rich)
-          - directional_diff(lambda q: _ref_a(conn, q, X), p, Y, step, rich))
-    comm = np.einsum("...i,...j,ijk->...k", _ref_a(conn, p, X),
-                     _ref_a(conn, p, Y), conn.family.l2a.g_alg.structure)
-    return da + comm
+    return _ref_along(conn, X, Y, np.stack([_ref_F_pair(conn, p, k, l)
+                                            for (k, l) in conn.pairs], axis=-2))
+
+
+def _ref_along(conn, X, Y, comps):
+    weights = np.stack([X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
+                        for (k, l) in conn.pairs], axis=-1)
+    return np.einsum("...p,...ph->...h", weights, comps)
 
 
 def _ref_b_pairs(conn, p):
     p = np.atleast_2d(p)
     if conn.fake_flat_mode:
-        eye = np.eye(conn.chart.dim)
         out = np.stack([np.einsum("hg,...g->...h", conn.family.rep_star,
-                                  _ref_F(conn, p, eye[k], eye[l]))
+                                  _ref_F_pair(conn, p, k, l))
                         for (k, l) in conn.pairs], axis=-2)
     else:
         out = conn._b(p)
@@ -302,47 +302,52 @@ def _ref_b_pairs(conn, p):
 
 
 def _ref_b(conn, p, X, Y):
-    weights = np.stack([X[..., k] * Y[..., l] - X[..., l] * Y[..., k]
-                        for (k, l) in conn.pairs], axis=-1)
-    return np.einsum("...p,...ph->...h", weights, _ref_b_pairs(conn, p))
+    return _ref_along(conn, X, Y, _ref_b_pairs(conn, p))
 
 
 def _ref_K(conn, p, X, Y, Z):
-    step, rich = conn.fd_step, conn.fd_richardson
-
-    def diff(fn, v):
-        return directional_diff(fn, p, v, step, rich)
+    d = conn.chart.dim
+    X, Y, Z = (np.broadcast_to(T, p.shape) for T in (X, Y, Z))
 
     def alpha(x, eta):
         return np.einsum("...i,...j,ijk->...k", x, eta,
                          conn.family.l2a.alpha_star)
 
-    db = (diff(lambda q: _ref_b(conn, q, Y, Z), X)
-          - diff(lambda q: _ref_b(conn, q, X, Z), Y)
-          + diff(lambda q: _ref_b(conn, q, X, Y), Z))
+    def bivector(U, V, k, l):
+        return U[:, k] * V[:, l] - V[:, k] * U[:, l]
+
+    C = np.zeros((len(p), d, d, d))
+    for i, k, l in np.ndindex(d, d, d):
+        C[:, i, k, l] = (X[:, i] * bivector(Y, Z, k, l)
+                         - Y[:, i] * bivector(X, Z, k, l)
+                         + Z[:, i] * bivector(X, Y, k, l))
+    k, l = np.array(conn.pairs).T
+    db_axes = np.stack([directional_diff(lambda q: _ref_b_pairs(conn, q), p,
+                                         e, conn.fd_step)
+                        for e in np.eye(d)], axis=1)
+    db = np.einsum("nip,niph->nh", C[:, :, k, l], db_axes)
     wedge = (alpha(_ref_a(conn, p, X), _ref_b(conn, p, Y, Z))
              - alpha(_ref_a(conn, p, Y), _ref_b(conn, p, X, Z))
              + alpha(_ref_a(conn, p, Z), _ref_b(conn, p, X, Y)))
     return db + wedge
 
 
-def _connections(richardson):
+def _connections():
     # a, b and b_extra behind callables, so the stencil path is pinned
     u2p = matrix_family("u2_to_pu2")
     su2 = matrix_family("su2_id_conj")
     a3 = _stencil(A3, 3, (3, 3))
     extra = TwoConnection(
-        u2p, Chart(3), a=a3, b="fake_flat", fd_richardson=richardson,
+        u2p, Chart(3), a=a3, b="fake_flat",
         b_extra=_stencil([["0.5*x3", "0", "0", "-0.2*x1"],
                           ["0.4*x1", "0", "0", "0"],
                           ["0.3*x2", "0", "0", "0"]], 3, (3, 4)))
     explicit = TwoConnection(
-        u2p, Chart(3), a=a3, fd_richardson=richardson,
+        u2p, Chart(3), a=a3,
         b=_stencil([["0.5*x3", "0.1*x1", "-0.5*x2", "0.3"],
                     ["0.4*x1", "0", "0", "0"],
                     ["0.3*x2", "x1*x3", "0", "0"]], 3, (3, 4)))
-    base = TwoConnection(su2, Chart(3), a=SU2_A3, b="fake_flat",
-                         fd_richardson=richardson)
+    base = TwoConnection(su2, Chart(3), a=SU2_A3, b="fake_flat")
     m = OneMorphism(su2, Chart(3), g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
                     phi=[["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"],
                          ["0", "0.2*x3", "0.1"]])
@@ -350,12 +355,10 @@ def _connections(richardson):
             "gauge_transformed": gauge_transform(base, m)}
 
 
-@pytest.mark.parametrize("richardson", [False, True],
-                         ids=["plain", "richardson"])
 @pytest.mark.parametrize("which", ["b_extra", "explicit_b",
                                    "gauge_transformed"])
-def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which, richardson):
-    conn = _connections(richardson)[which]
+def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
+    conn = _connections()[which]
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.2, 0.8, size=(12, 3))
     X, Y, Z = rng.normal(size=(3, 12, 3))
@@ -400,12 +403,12 @@ def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
 
 def _ref_gauge_b(fam, conn, m, pts):
     """b' = (alpha_{g^-1})_*(b + d phi + [phi, phi] + alpha_*(a ^ phi)), one
-    pair at a time, d phi with the connection's step and Richardson flag."""
+    pair at a time, d phi exact for a DSL phi, else with the connection's
+    step."""
     l2a, eye = fam.l2a, np.eye(conn.chart.dim)
     ginv = fam.group_G.inv(m.g_map(pts))
     a, phi = conn.a_coeffs(pts), m.phi_coeffs(pts)
-    dphi = [directional_diff(m.phi_coeffs, pts, e, conn.fd_step,
-                             conn.fd_richardson) for e in eye]
+    dphi = [directional_diff(m._phi, pts, e, conn.fd_step) for e in eye]
     return np.stack([
         fam.alpha_vec(ginv, conn.b_of(pts, eye[k], eye[l])
                       + dphi[k][:, l] - dphi[l][:, k]
@@ -416,16 +419,16 @@ def _ref_gauge_b(fam, conn, m, pts):
 
 
 def test_gauge_transform_keeps_the_connection_fd_settings(su2):
-    """The transformed connection differences with the input's fd_step and
-    fd_richardson, and so does the d phi term of b'."""
-    chart = Chart(3)
-    conn = TwoConnection(su2, chart, a=SU2_A3, b="fake_flat", fd_step=4e-3,
-                         fd_richardson=True)
+    """The transformed connection differences with the input's step, 1e-3
+    times the chart box size, and so does the d phi term of b' of a phi
+    that is no DSL field."""
+    chart = Chart(3, box=[[0, 4], [0, 1], [0, 1]])
+    conn = TwoConnection(su2, chart, a=SU2_A3, b="fake_flat")
     m = OneMorphism(su2, chart, g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
-                    phi=[["sin(2*x2)", "0.1", "0"], ["0.1*x1", "0", "0.3"],
-                         ["0", "exp(x3)*x1", "0.1"]])
+                    phi=_stencil([["sin(2*x2)", "0.1", "0"], ["0.1*x1", "0", "0.3"],
+                                  ["0", "exp(x3)*x1", "0.1"]], 3, (3, 3)))
     moved = gauge_transform(conn, m)
-    assert (moved.fd_step, moved.fd_richardson) == (4e-3, True)
+    assert moved.fd_step == conn.fd_step == 4e-3
     pts = np.random.default_rng(6).uniform(0.2, 0.8, size=(9, 3))
     assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts))
 
@@ -439,18 +442,19 @@ def test_each_field_is_evaluated_once_per_stencil_point(u2p):
         return coeffs(points)
 
     grid = chart_grid(Chart(3), 3)
-    for richardson, stencil in [(False, 4), (True, 8)]:
-        conn = TwoConnection(u2p, Chart(3), a=counting_a, b="fake_flat",
-                             fd_richardson=richardson)
+    conn = TwoConnection(u2p, Chart(3), a=counting_a, b="fake_flat")
+    for form in [lambda: fake_flatness_residual(conn, grid),
+                 lambda: conn.F_of(grid, EX + EY, EZ)]:
         calls.clear()
-        fake_flatness_residual(conn, grid)
-        # the centre plus one stencil per chart axis, for all three pairs
-        assert len(calls) == 1 + stencil * 3
-        calls.clear()
-        conn.K_of(grid, EX, EY, EZ)
-        # b at every stencil point of the three differences, then a and b
-        # once at the centre for the wedge terms
-        assert len(calls) == (3 * stencil + 1) * (1 + stencil * 3) + 1
+        form()
+        # the centre plus one 4-point stencil per chart axis, for all pairs
+        assert len(calls) == 1 + 4 * 3
+    calls.clear()
+    conn.K_of(grid, EX, EY, EZ)
+    # a once at the centre for the wedge terms, and b, 1 + 4 * 3
+    # evaluations of a, at every stencil point of the differences along
+    # the three axes and at the centre
+    assert len(calls) == 1 + (4 * 3 + 1) * (1 + 4 * 3)
 
 
 def _fake_flat_cases():
@@ -540,8 +544,7 @@ def test_exact_and_stencil_paths_agree(u2p):
                ["0.3*x2", "0", "0", "0"]]
     exact = TwoConnection(u2p, Chart(3), a=A3, b="fake_flat", b_extra=b_extra)
     fd = TwoConnection(u2p, Chart(3), a=_stencil(A3, 3, (3, 3)),
-                       b="fake_flat", fd_richardson=True,
-                       b_extra=_stencil(b_extra, 3, (3, 4)))
+                       b="fake_flat", b_extra=_stencil(b_extra, 3, (3, 4)))
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.2, 0.8, size=(10, 3))
     X, Y, Z = rng.normal(size=(3, 10, 3))
