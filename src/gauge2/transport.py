@@ -52,13 +52,19 @@ __all__ = [
     "surface_transport", "surface_values", "verify_nonabelian_stokes",
     "verify_higher_stokes", "reconstruct_A", "reconstruct_B", "holonomy2_H",
     "ambrose_singer_check",
-    "SURFACE_ODE_SIGN", "convergence_order",
+    "SURFACE_ODE_SIGN", "convergence_order", "sweep_steps", "sweep_order",
 ]
 
 # Pinned by the abelian closed form and the target identity; see the tests
 # and the module docstring.  The higher-Stokes exponent and both
 # reconstruction formulas all inherit this single choice.
 SURFACE_ODE_SIGN = -1.0
+
+# Each solver's smallest step count, where sweep halving stops; a Stokes
+# solve is a Simpson integral and two path solves at one count.
+PATH_MIN_STEPS = 8
+SIMPSON_MIN_STEPS = 2
+STOKES_MIN_STEPS = max(PATH_MIN_STEPS, SIMPSON_MIN_STEPS)
 
 _CF4_A = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_B = 0.25 - math.sqrt(3.0) / 6.0
@@ -130,6 +136,21 @@ def convergence_order(defects):
             for d0, d1 in zip(defects, defects[1:])]
 
 
+def sweep_steps(steps: int, sweep: int, floor: int) -> list:
+    """Step counts of a convergence sweep, coarsest first: ``steps`` halved
+    up to ``sweep`` times, stopping before a count below ``floor`` (the
+    solver's minimum), then ``steps`` itself.  No count repeats."""
+    return [steps // 2 ** k for k in range(sweep, 0, -1)
+            if steps // 2 ** k >= floor] + [steps]
+
+
+def sweep_order(defects):
+    """The order a sweep measures: the last finite :func:`convergence_order`
+    of its successive defects, or None."""
+    finite = [o for o in convergence_order(defects) if not math.isnan(o)]
+    return finite[-1] if finite else None
+
+
 # --- 1-transport -----------------------------------------------------------------
 
 
@@ -162,26 +183,22 @@ def _path_generator(conn: TwoConnection, paths):
 
 def _path_values(conn: TwoConnection, paths, steps: int):
     """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id."""
-    if steps < 8:
-        raise DomainError("path transport needs at least 8 steps")
+    if steps < PATH_MIN_STEPS:
+        raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
     return _ordered_exp(conn.family.group_G, _path_generator(conn, paths), steps)
 
 
 def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
                      sweep: int = 0) -> TransportResult:
-    """Transport frame along gamma: solution at t=1 of g' = -a(gamma') g."""
-    group = conn.family.group_G
-    value = _path_values(conn, [gamma], steps)[0]
-    order = None
-    if sweep >= 2:
-        w_eval = _path_generator(conn, [gamma])
-        defects = [float(np.max(np.abs(_ordered_exp(group, w_eval, steps // 2 ** k)[0]
-                                       - value))) for k in range(sweep, 0, -1)]
-        orders = convergence_order(defects)
-        order = orders[-1] if orders else None
-    return TransportResult(value=value, steps=steps,
-                           group_defect=group.membership_defect(value),
-                           order_estimate=order)
+    """Transport frame along gamma: solution at t=1 of g' = -a(gamma') g;
+    the order estimate compares the sweep's solves with the finest one."""
+    *coarse, value = [_path_values(conn, [gamma], n)[0]
+                      for n in sweep_steps(steps, sweep, PATH_MIN_STEPS)]
+    return TransportResult(
+        value=value, steps=steps,
+        group_defect=conn.family.group_G.membership_defect(value),
+        order_estimate=sweep_order([float(np.max(np.abs(v - value)))
+                                    for v in coarse]))
 
 
 def transport_point(conn: TwoConnection, gamma: ParamMap, p=None,
@@ -304,26 +321,21 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
     the boundary 1-transports (:func:`surface_values`: values only).
 
     Functorial guarantees need a fake-flat connection (callers may verify
-    with :func:`gauge2.forms.fake_flatness_residual`).  With ``sweep`` >= 2
-    the value is recomputed under step halving for an order estimate; an
-    observed order below 1.5 raises AccuracyError.
+    with :func:`gauge2.forms.fake_flatness_residual`).  With ``sweep``
+    both counts are halved while both can be, for an order estimate against
+    the finest solve; an order below 1.5 raises AccuracyError.
     """
-    def run(ns, nt):
-        return surface_values(conn, [bigon], p, ns, nt)[0]
+    counts = list(zip(sweep_steps(steps_s, sweep, SIMPSON_MIN_STEPS)[::-1],
+                      sweep_steps(steps_t, sweep, SIMPSON_MIN_STEPS)[::-1]))[::-1]
+    *coarse, value = [surface_values(conn, [bigon], p, ns, nt)[0]
+                      for ns, nt in counts]
+    order = sweep_order([float(np.max(np.abs(v - value))) for v in coarse])
+    if order is not None and order < 1.5:
+        raise AccuracyError(
+            f"surface quadrature did not converge (order {order:.2f})")
 
-    value = run(steps_s, steps_t)
-    order = None
-    if sweep >= 2:
-        vals = [run(max(steps_s // 2 ** k, 2), max(steps_t // 2 ** k, 2))
-                for k in range(sweep, 0, -1)] + [value]
-        defects = [float(np.max(np.abs(v - value))) for v in vals[:-1]]
-        orders = [o for o in convergence_order(defects) if not math.isnan(o)]
-        order = orders[-1] if orders else None
-        if order is not None and order < 1.5:
-            raise AccuracyError(
-                f"surface quadrature did not converge (order {order:.2f})")
-
-    src, tgt = _boundary_transports(conn, bigon, _frame(conn, p), steps_t)
+    src, tgt = _boundary_transports(conn, bigon, _frame(conn, p),
+                                    max(steps_t, PATH_MIN_STEPS))
     return SurfaceTransportResult(
         value_h=value, source_transport=src, target_transport=tgt,
         steps_s=steps_s, steps_t=steps_t,
@@ -334,7 +346,8 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
 def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
                              steps: int = 64, sweep: int = 0) -> dict:
     """Compare tra(target) : tra(source) with the ordered double integral
-    of the curvature over the bigon (horizontal lift per slice)."""
+    of the curvature over the bigon (horizontal lift per slice), at each
+    count of the sweep."""
     G = conn.family.group_G
     g0 = _frame(conn, p)
 
@@ -345,16 +358,14 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
         lhs = G.mul(G.inv(src), tgt)
         return float(np.max(np.abs(lhs - rhs))), lhs, rhs
 
-    rows = [(n, run(n)[0])
-            for n in (max(steps // 2 ** k, 4) for k in range(sweep, 0, -1))]
-    defect, lhs, rhs = run(steps)
-    rows.append((steps, defect))
-    orders = convergence_order([r[1] for r in rows])
+    counts = sweep_steps(steps, sweep, STOKES_MIN_STEPS)
+    *coarse, (defect, lhs, rhs) = [run(n) for n in counts]
+    defects = [r[0] for r in coarse] + [defect]
     return {
         "defect": defect,
-        "rows": [{"steps": n, "defect": d} for n, d in rows],
-        "orders": orders,
-        "order": orders[-1] if orders else None,
+        "rows": [{"steps": n, "defect": d} for n, d in zip(counts, defects)],
+        "orders": convergence_order(defects),
+        "order": sweep_order(defects),
         "lhs": lhs, "rhs": rhs,
     }
 

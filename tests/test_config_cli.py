@@ -30,6 +30,7 @@ MINIMAL = {
 }
 
 FINITE = {"seed": 1, "crossed_module": {"finite": {"demo": "z2_z3_trivial"}}}
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def _write(tmp_path, raw, name="config.json"):
@@ -285,6 +286,107 @@ def test_odd_path_steps_stay_allowed_for_path_transport(tmp_path):
                  str(tmp_path / "out"), "--quiet"]) == 0
 
 
+# A bigon whose Jacobian is quadratic in v and whose boundary integrands
+# are polynomials of degree 2: Simpson and CF4 are exact on it at any
+# count, so the solver minimums are reachable within the tolerances.  The
+# lens of MINIMAL needs more steps there (a FAIL, exit 3).
+POLY = {**MINIMAL, "bigons": {"poly": ["v", "v + 0.25*(2*u - 1)*v*(1 - v)"]}}
+
+
+def test_path_sweep_stops_at_the_path_minimum(tmp_path):
+    # 96 halved 7 times reaches 0; the sweep solves 12, 24, 48, 96
+    out = tmp_path / "out"
+    assert main(["transport", "--sweep", "7", "--config",
+                 str(CONFIGS / "su2_demo.json"), "--out", str(out),
+                 "--quiet"]) == 0
+    for case in json.loads((out / "transport.json").read_text())["cases"]:
+        assert case["order_estimate"] >= 3.5
+
+
+@pytest.mark.parametrize("argv,numeric,counts", [
+    (["verify", "stokes"], {"steps": 8, "sweep": 2}, [8]),
+    (["verify", "stokes"], {"steps": 32, "sweep": 2}, [8, 16, 32]),
+    (["verify", "stokes"], {"steps": 32, "sweep": 0}, [8, 16, 32]),
+    (["surface-transport"], {"surface_steps": 4, "sweep": 2}, [2, 4]),
+    (["surface-transport"], {"surface_steps": 16, "sweep": 5}, [2, 4, 8, 16]),
+    (["surface-transport"], {"surface_steps": 16, "sweep": 1}, [16]),
+], ids=["stokes-at-minimum", "stokes", "stokes-sweeps-twice",
+        "surface-at-minimum", "surface-long-sweep", "surface-one-halving"])
+def test_sweeps_solve_the_counts_the_step_check_validated(
+        tmp_path, monkeypatch, argv, numeric, counts):
+    """Halving stops at the solver's minimum and repeats no count, and
+    the runner solves exactly the counts the config-time check saw."""
+    validated, solved = [], []
+    sweep_steps = gauge2.cli.sweep_steps
+
+    def validating(steps, sweep, floor):
+        counts = sweep_steps(steps, sweep, floor)
+        validated.extend(counts)
+        return counts
+
+    def recording(name, fn):
+        def wrapper(conn, bigons, g0, steps, *args):
+            solved.append(steps)
+            return fn(conn, bigons, g0, steps, *args)
+        monkeypatch.setattr(gauge2.transport, name, wrapper)
+
+    monkeypatch.setattr(gauge2.cli, "sweep_steps", validating)
+    if argv == ["surface-transport"]:
+        recording("surface_values", gauge2.transport.surface_values)
+    else:
+        recording("_surface_generator", gauge2.transport._surface_generator)
+    raw = {**POLY, "numeric": {**MINIMAL["numeric"], **numeric}}
+    out = tmp_path / "out"
+    assert main([*argv, "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 0
+    assert sorted(validated) == solved == counts
+    if argv == ["verify", "stokes"]:
+        rows = json.loads((out / "verify-stokes.json").read_text())
+        assert [r["steps"] for r in rows["cases"][0]["rows"]] == counts
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--steps", "4", "steps"), ("--sweep", "-3", "sweep")])
+def test_command_line_steps_and_sweep_are_checked_like_the_config(
+        tmp_path, capsys, flag, value, key):
+    argv = ["transport"] if key == "steps" else ["surface-transport"]
+    code = main([*argv, flag, value, "--config", _write(tmp_path, MINIMAL),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"numeric.{key}" in capsys.readouterr().err
+
+
+def test_config_hash_is_that_of_the_config_that_ran(tmp_path):
+    path = _write(tmp_path, MINIMAL)
+    hashes = []
+    for steps in ("48", "64"):
+        out = tmp_path / steps
+        assert main(["transport", "--steps", steps, "--config", path,
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "transport.json").read_text())
+        assert report["cases"][0]["steps"] == int(steps)
+        hashes.append(report["config_hash"])
+    ran = {**MINIMAL, "numeric": {**MINIMAL["numeric"], "steps": 64}}
+    assert hashes[0] == RunConfig(MINIMAL).hash
+    assert hashes[1] == RunConfig(ran).hash != hashes[0]
+
+
+def _no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_reports_are_strict_json(tmp_path, name):
+    """NaN and Infinity are not JSON: an order that cannot be measured is
+    null."""
+    assert main(["report", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert written
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 @pytest.mark.parametrize("name", ["abelian_demo", "su2_demo", "u2pu2_higher"])
 def test_shipped_configs_pass_the_step_count_check(name):
     cfg = load_config(pathlib.Path(__file__).parent.parent / "configs"
@@ -293,7 +395,6 @@ def test_shipped_configs_pass_the_step_count_check(name):
 
 
 BOXED = {**MINIMAL, "chart": {"dim": 2, "box": [[-0.5, 1.5], [-0.5, 1.5]]}}
-CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 @pytest.mark.parametrize("kind,exprs,argv", [

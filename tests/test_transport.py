@@ -266,6 +266,34 @@ def test_surface_quadrature_convergence_guard():
     assert res.order_estimate is None or res.order_estimate >= 1.5
 
 
+def test_surface_sweep_halves_both_counts_while_both_can(monkeypatch):
+    solved = []
+
+    def recording(conn, bigons, p, ns, nt):
+        solved.append((ns, nt))
+        return surface_values(conn, bigons, p, ns, nt)
+
+    monkeypatch.setattr(gauge2.transport, "surface_values", recording)
+    # 16 halves to 2 three times, 4 once: the sweep is 8 x 2, then 16 x 4
+    res = surface_transport(SU2_CONN, lens_bigon(), steps_s=16, steps_t=4,
+                            sweep=3)
+    assert solved == [(8, 2), (16, 4)] and res.order_estimate is None
+
+
+@pytest.mark.parametrize("steps,sweep,floor,counts", [
+    (96, 7, 8, [12, 24, 48, 96]), (4, 2, 2, [2, 4]), (8, 2, 8, [8]),
+    (20, 2, 2, [5, 10, 20]), (48, 0, 8, [48])])
+def test_sweep_steps_stop_at_the_solver_minimum(steps, sweep, floor, counts):
+    assert gauge2.transport.sweep_steps(steps, sweep, floor) == counts
+
+
+@pytest.mark.parametrize("defects,order", [
+    ([], None), ([1e-3], None), ([1e-3, 1e-4], np.log2(10.0)),
+    ([1e-3, 1e-4, 1e-17], np.log2(10.0)), ([1e-16, 1e-17], None)])
+def test_sweep_order_is_the_last_finite_order(defects, order):
+    assert gauge2.transport.sweep_order(defects) == order
+
+
 def test_surface_equivariance_in_basepoint():
     bigon = lens_bigon()
     x0 = bigon([0.0, 0.0])
