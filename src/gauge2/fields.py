@@ -11,7 +11,9 @@ one direction: exact for a CoefficientField of DSL expressions, whose
 ``derivative()`` is the field of its partials, and otherwise the 4-point
 stencil, which calls the function 4 times per direction.
 ``GroupValuedField.log_derivative`` gives a group-valued field with
-dg g^-1 along every axis, by the stencil.
+dg g^-1 along every axis: for g = exp(X(x)) built by ``group_field`` the
+closed form dexp_X(dX) of ``LieAlgebra.dexp``, with dX exact for a DSL
+X, and by the stencil of g for any other group-valued field.
 
 A group-valued field is a function from points to matrices;
 ``group_field`` builds exp(lambda(x)) of an algebra-valued coefficient
@@ -153,12 +155,14 @@ def tensor_field(value, chart_dim, shape, what="field"):
 class GroupValuedField:
     """Group-valued field on a chart: ``value_fn`` maps (N, d) points to
     (N, n, n) matrices of ``group``, whose Lie algebra is ``algebra``.
-    :func:`group_field` builds the exponential of coefficient fields."""
+    :func:`group_field` builds the exponential of coefficient fields and
+    keeps the exponent as ``generator``."""
 
-    def __init__(self, group, algebra, value_fn, name="g"):
+    def __init__(self, group, algebra, value_fn, name="g", generator=None):
         self.group = group
         self.algebra = algebra
         self.name = name
+        self.generator = generator
         self._value_fn = value_fn
 
     def __call__(self, points):
@@ -166,10 +170,16 @@ class GroupValuedField:
 
     def log_derivative(self, points):
         """g and (d g / d x_k) g^-1 along every chart axis, the latter as
-        (N, d, dim) algebra coefficient vectors (step ``FD_STEP``)."""
-        g = self(points)
-        dg = axis_diffs(self, points)
-        return g, self.algebra.from_matrix(dg @ self.group.inv(g)[:, None])
+        (N, d, dim) algebra coefficient vectors: for g = exp(X) the closed
+        form ``algebra.dexp`` of the derivatives of X, else the stencil of
+        g (step ``FD_STEP``)."""
+        if self.generator is None:
+            g = self(points)
+            dg = axis_diffs(self, points)
+            return g, self.algebra.from_matrix(dg @ self.group.inv(g)[:, None])
+        X = self.generator(np.atleast_2d(np.asarray(points, dtype=float)))
+        return (self.group.exp(self.algebra.to_matrix(X)),
+                self.algebra.dexp(X[:, None], axis_diffs(self.generator, points)))
 
 
 def group_field(value, group, algebra, chart_dim, name="g"):
@@ -180,4 +190,5 @@ def group_field(value, group, algebra, chart_dim, name="g"):
         return value
     coeffs = tensor_field(value, chart_dim, (algebra.dim,), name)
     return GroupValuedField(
-        group, algebra, lambda p: group.exp(algebra.to_matrix(coeffs(p))), name)
+        group, algebra, lambda p: group.exp(algebra.to_matrix(coeffs(p))), name,
+        generator=coeffs)

@@ -1,8 +1,10 @@
 """Parametrized paths, bigons and cubes in a coordinate chart.
 
 A ParamMap is a smooth map I^m -> chart (m = 1 path, 2 bigon, 3 cube)
-with vectorized evaluation and partial derivatives, exact for maps of DSL
-expressions and finite differences otherwise.
+with vectorized evaluation and a jet: its values and all its partials
+from one evaluation, exact for maps of DSL expressions, straight paths
+and the slices, affine images and reparameterizations of exact maps (the
+chain rule), and finite differences otherwise.
 Concatenation and bigon composition insert a fixed C-infinity smoothing
 step of width 0.1 in parameter space, so composites have sitting instants
 and stay smooth across the junction while boundary values are preserved
@@ -83,20 +85,20 @@ class ParamMap:
     ``fn`` maps an (N, m) parameter array to an (N, d) point array.  The
     evaluation must extend smoothly to a neighbourhood of I^m (DSL fields
     do; composites built here are flat near the boundary), which keeps the
-    4th-order central differences in :meth:`partial` valid everywhere.
-    ``dfn(index, params)``, the exact partial along parameter ``index``,
-    comes with :meth:`from_exprs` maps and passes through
-    :meth:`slice_first` and :meth:`affine_image`; other maps take those
-    differences.
+    4th-order central differences of :meth:`jet` valid everywhere.
+    ``jet(params)``, the exact values (N, d) and partials (N, m, d) from one
+    evaluation, comes with :meth:`from_exprs` maps and straight paths and is
+    carried through :meth:`slice_first`, :meth:`affine_image` and
+    :meth:`compose_params`; other maps take those differences.
     """
 
-    def __init__(self, arity: int, dim: int, fn, name="map", dfn=None):
+    def __init__(self, arity: int, dim: int, fn, name="map", jet=None):
         if arity not in (1, 2, 3):
             raise DomainError("arity must be 1 (path), 2 (bigon) or 3 (cube)")
         self.arity = arity
         self.dim = dim
         self._fn = fn
-        self._dfn = dfn
+        self._jet = jet
         self.name = name
 
     @classmethod
@@ -107,7 +109,7 @@ class ParamMap:
                                  PARAM_VARS[:arity])
         partials = field.derivative()
         return cls(arity, len(exprs), field, name=name,
-                   dfn=lambda index, params: partials(params)[:, index])
+                   jet=lambda params: (field(params), partials(params)))
 
     def __call__(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -115,22 +117,41 @@ class ParamMap:
         out = self._fn(p)
         return out[0] if squeeze else out
 
+    def jet(self, params, axes=None, step: float = FD_STEP):
+        """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
+        parameters by default) at (N, m) parameters: exact where the map
+        carries them, else the 4th-order central difference of each axis
+        asked for."""
+        p = np.atleast_2d(np.asarray(params, dtype=float))
+        axes = range(self.arity) if axes is None else axes
+        if self._jet is not None:
+            values, partials = self._jet(p)
+            return values, partials[:, list(axes)]
+        eye = np.eye(self.arity)
+        return self._fn(p), np.stack(
+            [directional_diff(self, p, eye[k], step) for k in axes], axis=1)
+
     def partial(self, index: int, params, step: float = FD_STEP):
-        """The map's derivative along parameter ``index``: exact where the
-        map carries its partials, else the 4th-order central difference."""
-        if self._dfn is None:
-            return directional_diff(self, params, np.eye(self.arity)[index], step)
-        out = self._dfn(index, np.atleast_2d(np.asarray(params, dtype=float)))
+        """The map's derivative along parameter ``index`` (see :meth:`jet`)."""
+        out = self.jet(params, (index,), step)[1][:, 0]
         return out[0] if np.asarray(params).ndim == 1 else out
 
     # -- derived maps ----------------------------------------------------------
 
     def compose_params(self, phi, name=None) -> "ParamMap":
-        """Precompose with a parameter map phi: I^m -> I^m."""
+        """Precompose with a parameter map phi: I^m -> I^m; exact partials
+        D(sigma o phi) = D phi @ D sigma(phi) when both carry them."""
         def fn(params):
             return self._fn(np.atleast_2d(phi(params)))
+
+        def jet(params):
+            q, dq = phi.jet(params)
+            values, partials = self._jet(q)
+            return values, dq @ partials
+
+        exact = self._jet is not None and getattr(phi, "_jet", None) is not None
         return ParamMap(self.arity, self.dim, fn,
-                        name=name or f"{self.name}*")
+                        name=name or f"{self.name}*", jet=jet if exact else None)
 
     def affine_image(self, origin, basis, name=None) -> "ParamMap":
         """Postcompose with y -> origin + sum_k y_k basis_k."""
@@ -140,10 +161,13 @@ class ParamMap:
         def fn(params):
             return origin + self._fn(params) @ basis
 
-        dfn = (None if self._dfn is None
-               else lambda index, params: self._dfn(index, params) @ basis)
+        def jet(params):
+            values, partials = self._jet(params)
+            return origin + values @ basis, partials @ basis
+
         return ParamMap(self.arity, origin.shape[0], fn,
-                        name=name or f"{self.name}@affine", dfn=dfn)
+                        name=name or f"{self.name}@affine",
+                        jet=None if self._jet is None else jet)
 
     def slice_first(self, value: float, name=None) -> "ParamMap":
         """Fix the leading parameter; a cube slices to a bigon, a bigon
@@ -155,10 +179,13 @@ class ParamMap:
             return np.concatenate(
                 [np.full((*params.shape[:-1], 1), value), params], axis=-1)
 
-        dfn = (None if self._dfn is None
-               else lambda index, params: self._dfn(index + 1, full(params)))
+        def jet(params):
+            values, partials = self._jet(full(params))
+            return values, partials[:, 1:]
+
         return ParamMap(self.arity - 1, self.dim, lambda p: self._fn(full(p)),
-                        name=name or f"{self.name}[{value},...]", dfn=dfn)
+                        name=name or f"{self.name}[{value},...]",
+                        jet=None if self._jet is None else jet)
 
     def __repr__(self):
         return f"ParamMap({self.name}, arity={self.arity}, dim={self.dim})"
@@ -175,7 +202,8 @@ def straight_path(a, b, name=None) -> ParamMap:
         u = params[..., 0][..., None]
         return (1.0 - u) * a + u * b
 
-    return ParamMap(1, a.shape[0], fn, name=name or "segment")
+    return ParamMap(1, a.shape[0], fn, name=name or "segment", jet=lambda p: (
+        fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))))
 
 
 def bigon_between(gamma0: ParamMap, gamma1: ParamMap, tol=1e-9,
@@ -331,9 +359,7 @@ def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
                     "reparameterizations must fix the boundary")
     interior = mesh[np.all((mesh > 0.2) & (mesh < 0.8), axis=1)]
     if interior.size:
-        jac = np.stack([phi.partial(i, interior) for i in range(pm.arity)],
-                       axis=-1)
-        if np.any(np.linalg.det(jac) <= 0.0):
+        if np.any(np.linalg.det(phi.jet(interior)[1]) <= 0.0):
             raise DomainError("phi is not orientation-preserving")
 
     return pm.compose_params(phi, name=f"{pm.name}o{phi.name}")

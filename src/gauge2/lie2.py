@@ -40,6 +40,8 @@ class LieAlgebra:
         self.structure = self.from_matrix(basis[:, None] @ basis[None]
                                           - basis[None] @ basis[:, None])
         self._check_structure()
+        # Killing form tr(ad_{e_i} ad_{e_m}); ad_X has (k, j) entry X_i c_ijk
+        self.killing = np.einsum("ijk,mkj->im", self.structure, self.structure)
 
     @staticmethod
     def _flatten(mats):
@@ -82,6 +84,23 @@ class LieAlgebra:
     def bracket(self, u, v):
         """Bracket of coefficient vectors, batched over leading axes."""
         return _contract_outer(u, v, self.structure)
+
+    def dexp(self, X, dX):
+        """(d exp(X)) exp(-X) along dX, batched:
+
+            dX + (1 - cos t)/t^2 [X, dX] + (t - sin t)/t^3 [X, [X, dX]],
+
+        t^2 = -tr(ad_X^2)/2, which sums the series ad_X^k dX / (k+1)!
+        wherever ad_X^3 = -t^2 ad_X, as in u(1), su(2), u(2) and so(3)
+        (Iserles et al., Acta Numerica 2000, sec. 2); a series for t < 0.1."""
+        X = np.asarray(X, dtype=float)
+        t2 = np.maximum(-0.5 * np.einsum("...i,ij,...j->...", X, self.killing, X), 0.0)
+        t = np.where(t2 < 1e-2, 1.0, np.sqrt(t2))     # 1 where the series serves
+        f1 = 0.5 * np.sinc(np.sqrt(t2) / (2.0 * np.pi)) ** 2
+        f2 = np.where(t2 < 1e-2, 1 / 6 - t2 / 120 + t2 ** 2 / 5040 - t2 ** 3 / 362880,
+                      (t - np.sin(t)) / t ** 3)
+        inner = self.bracket(X, dX)
+        return dX + f1[..., None] * inner + f2[..., None] * self.bracket(X, inner)
 
     def norm(self, vec):
         return float(np.max(np.abs(vec)))

@@ -238,14 +238,17 @@ def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,
         raise DomainError(f"unknown 2-morphism form {form!r}")
     fam = m.family
     H = fam.group_H
-    eff_a = (tm.a_map if form == "definition" else GroupValuedField(
-        H, fam.l2a.h_alg, lambda p: H.inv(tm.a_map(p)), f"{tm.a_map.name}^-1"))
+    lemma = form == "lemma"
 
     def new_g(points):
-        return fam.cm.t(eff_a(points)) @ m.g_map(points)
+        a = tm.a_map(points)
+        return fam.cm.t(H.inv(a) if lemma else a) @ m.g_map(points)
 
     def new_phi(points):
-        a, da_ainv = eff_a.log_derivative(points)
+        a, da_ainv = tm.a_map.log_derivative(points)
+        if lemma:   # a -> a^-1, whose d(a^-1) a is -Ad_{a^-1}(da a^-1)
+            a = H.inv(a)
+            da_ainv = -fam.ad_h_vec(a[:, None], da_ainv)
         a = a[:, None]
         return (fam.ad_h_vec(a, m.phi_coeffs(points))
                 - fam.twisted_rep_star(a, conn.a_coeffs(points)) - da_ainv)

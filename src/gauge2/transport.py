@@ -162,30 +162,23 @@ def _frame(conn: TwoConnection, p):
 def _sample_paths(paths, times):
     """Points and velocities of a stack of paths at the given times, each
     one (times * paths, d) batch with the paths innermost."""
-    params = times[:, None]
-    points = np.stack([gamma(params) for gamma in paths], axis=1)
-    vel = np.stack([gamma.partial(0, params) for gamma in paths], axis=1)
+    points, vel = (np.stack(part, axis=1) for part in
+                   zip(*(gamma.jet(times[:, None]) for gamma in paths)))
     return points.reshape(-1, points.shape[-1]), vel.reshape(-1, vel.shape[-1])
 
 
-def _path_generator(conn: TwoConnection, paths):
-    """W(t) = -a(gamma'(t)) of a stack of paths as (times, paths, n, n)
-    algebra matrices."""
-    alg = conn.family.l2a.g_alg
-    n = conn.family.group_G.dim
-
-    def w_eval(times):
-        vec = conn.a_of(*_sample_paths(paths, times))
-        return alg.to_matrix(-vec).reshape(times.size, len(paths), n, n)
-
-    return w_eval
-
-
-def _path_values(conn: TwoConnection, paths, steps: int):
-    """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id."""
+def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
+    """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id, or with
+    ``trajectory`` the (steps + 1, paths, n, n) step-boundary frames."""
     if steps < PATH_MIN_STEPS:
         raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
-    return _ordered_exp(conn.family.group_G, _path_generator(conn, paths), steps)
+    alg, G = conn.family.l2a.g_alg, conn.family.group_G
+
+    def w_eval(times):      # W = -a(gamma') as (times, paths, n, n)
+        vec = conn.a_of(*_sample_paths(paths, times))
+        return alg.to_matrix(-vec).reshape(times.size, len(paths), G.dim, G.dim)
+
+    return _ordered_exp(G, w_eval, steps, trajectory)
 
 
 def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
@@ -220,8 +213,7 @@ def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
         if start_defect > 1e-9:
             raise DomainError(
                 f"lift basepoint is not over gamma(0) (defect {start_defect:.2e})")
-    w_eval = _path_generator(conn, [gamma])
-    frames = _ordered_exp(conn.family.group_G, w_eval, steps, trajectory=True)
+    frames = _path_values(conn, [gamma], steps, trajectory=True)
     return np.linspace(0.0, 1.0, steps + 1), frames[:, 0] @ _frame(conn, p)
 
 
@@ -262,13 +254,14 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
         form_of, conj = conn.F_of, fam.ad_g_vec
 
     def sample(t_values, s_values, axes, stack):
-        # each bigon of the stack (axis None) or its partials at the (s, t)
-        # parameters of every slice, t-major and bigons innermost
+        # the points of each bigon of the stack and its partials along
+        # ``axes`` at the (s, t) parameters of every slice, one jet per
+        # bigon, t-major and bigons innermost
         s, t = np.meshgrid(s_values, t_values)
         params = np.stack([s.ravel(), t.ravel()], axis=-1)
-        return [np.stack([bg(params) if ax is None else bg.partial(ax, params)
-                          for bg in stack], axis=1).reshape(-1, d)
-                for ax in axes]
+        points, partials = (np.stack(part, axis=1) for part in
+                            zip(*(bg.jet(params, axes) for bg in stack)))
+        return [x.reshape(-1, d) for x in (points, *np.moveaxis(partials, 2, 0))]
 
     def beta(s_values):
         s_values = np.atleast_1d(s_values)
@@ -276,7 +269,7 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
 
         def lift_generator(times):
             # W = -a(d_t Gamma) of every slice Gamma(s, .) at the given times
-            vec = conn.a_of(*sample(times, s_values, (None, 1), bigons))
+            vec = conn.a_of(*sample(times, s_values, (1,), bigons))
             return g_alg.to_matrix(-vec).reshape(times.size, k, len(bigons),
                                                  G.dim, G.dim)
 
@@ -286,7 +279,7 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
         for j, bigon in enumerate(bigons):
             # the form and its conjugation one bigon at a time: a larger
             # batch is no faster there, and its temporaries grow with it
-            vals = form_of(*sample(t_nodes, s_values, (None, 0, 1), [bigon]))
+            vals = form_of(*sample(t_nodes, s_values, (0, 1), [bigon]))
             vals = conj(inv_frames[:, :, j:j + 1] if len(bigons) > 1 else inv_frames,
                         vals.reshape(steps_t + 1, k, 1, -1))
             out.append(np.tensordot(weights, vals, axes=1))
@@ -403,7 +396,8 @@ def verify_higher_stokes(conn: TwoConnection, cube: ParamMap, p=None,
     lhs = fam.group_H.mul(fam.group_H.inv(h0), h1)
 
     mesh, weights = _simpson_grid(steps_volume, 3)
-    kvals = conn.K_of(cube(mesh), *(cube.partial(k, mesh) for k in range(3)))
+    x, dx = cube.jet(mesh)
+    kvals = conn.K_of(x, *dx.swapaxes(0, 1))
     bianchi = float(np.max(np.abs(fam.l2a.apply_t_star(kvals))))
     integral = weights @ fam.l2a.project_ker_t_star(kvals)
     rhs = fam.group_H.exp(fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
@@ -448,11 +442,16 @@ def _lens_bigon():
     """
     k = _LENS_AMPLITUDE
 
-    def fn(params):
+    def jet(params):
         u, v = params[..., 0], params[..., 1]
-        return np.stack([v, v + (2.0 * u - 1.0) * k * np.sin(np.pi * v)], axis=-1)
+        s = np.sin(np.pi * v)
+        # partials in the order d_u x, d_u y, d_v x, d_v y
+        return (np.stack([v, v + (2.0 * u - 1.0) * k * s], axis=-1),
+                np.stack([0.0 * v, 2.0 * k * s, 1.0 + 0.0 * v,
+                          1.0 + (2.0 * u - 1.0) * k * np.pi * np.cos(np.pi * v)],
+                         axis=-1).reshape(-1, 2, 2))
 
-    return ParamMap(2, 2, fn, name="lens")
+    return ParamMap(2, 2, lambda params: jet(params)[0], name="lens", jet=jet)
 
 
 def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
@@ -606,7 +605,8 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     fd = (up - down) / (2.0 * dr)
     nodes, weights = _simpson_grid(steps, 2)
     mesh = np.concatenate([np.full((len(nodes), 1), r0), nodes], axis=-1)
-    kvals = conn.K_of(cube(mesh), *(cube.partial(k, mesh) for k in range(3)))
+    x, dx = cube.jet(mesh)
+    kvals = conn.K_of(x, *dx.swapaxes(0, 1))
     integral = weights @ fam.l2a.project_ker_t_star(kvals)
     derivative_defect = float(np.max(np.abs(fd - SURFACE_ODE_SIGN * integral)))
 

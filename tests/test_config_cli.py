@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import os
@@ -18,6 +19,7 @@ from gauge2.config import (_KEYWORDS, _TYPES, CONFIG_SCHEMA, RunConfig,
 from gauge2.errors import ConfigError
 from gauge2.fields import CoefficientField, GroupValuedField
 from gauge2.geometry import ParamMap
+from gauge2.lie2 import LieAlgebra
 
 MINIMAL = {
     "seed": 5,
@@ -529,31 +531,90 @@ def test_dsl_connections_take_no_stencil(tmp_path, monkeypatch, command):
         assert report["cases"][0]["residual"] <= 1e-13
 
 
+# stencil calls per `report` command before paths, bigons and gauge
+# functions carried exact derivatives (straight rays, the lens filling,
+# reparameterized bigons and exp(X) fields took the stencil); none may rise
+STENCIL_CALLS_BEFORE = {
+    "abelian_demo": {"gauge-transform": 22, "reconstruct-A": 80,
+                     "reconstruct-B": 640, "verify-gauge": 20, "verify-thin": 80},
+    "su2_demo": {"gauge-transform": 22, "reconstruct-A": 80,
+                 "reconstruct-B": 640, "verify-gauge": 92, "verify-thin": 200},
+    "u2pu2_higher": {"reconstruct-A": 80, "reconstruct-B": 640,
+                     "verify-ambrose-singer": 67, "verify-thin": 40},
+    "finite_torsor": {},
+    "s3_id_conj": {},
+}
+
+
 def test_report_takes_no_stencil_of_a_dsl_field(tmp_path, monkeypatch):
-    """On su2_demo every field of the config is DSL: the stencil serves
-    only group-valued fields, maps and fields the program builds, never a
+    """Every field of the shipped configs is DSL: the stencil serves only
+    group-valued fields, maps and fields the program builds, never a
     coefficient field or a method that hides one (a gauge transform once
-    differenced phi through ``OneMorphism.phi_coeffs``)."""
-    differenced = []
+    differenced phi through ``OneMorphism.phi_coeffs``).  ``verify thin``
+    takes none, and ``verify gauge`` only the independent derivative of
+    its A-level check."""
+    differenced = collections.defaultdict(list)   # command -> [(fn, in check)]
     stencil = gauge2.fields.directional_diff
+    where = {"command": None, "in_check": False}
 
     def recording(fn, *args, **kwargs):
         if gauge2.fields.exact_derivative(fn) is None:
-            differenced.append(fn)
+            differenced[where["command"]].append((fn, where["in_check"]))
         return stencil(fn, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gauge2.") and getattr(
                 module, "directional_diff", None) is stencil:
             monkeypatch.setattr(module, "directional_diff", recording)
-    assert main(["report", "--config", str(CONFIGS / "su2_demo.json"),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    kinds = {type(fn) for fn in differenced}
-    assert GroupValuedField in kinds
-    assert kinds <= {GroupValuedField, ParamMap, types.FunctionType}, kinds
-    for fn in differenced:
-        assert not isinstance(fn, CoefficientField)
-        assert getattr(fn, "_dfn", None) is None    # a config map is exact
+    for command, runner in list(gauge2.cli.RUNNERS.items()):
+        def entering(*args, _command=command, _runner=runner):
+            where["command"] = _command
+            return _runner(*args)
+        monkeypatch.setitem(gauge2.cli.RUNNERS, command, entering)
+    check = gauge2.cli.pullback_defects
+
+    def checking(*args, **kwargs):
+        where["in_check"] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            where["in_check"] = False
+
+    monkeypatch.setattr(gauge2.cli, "pullback_defects", checking)
+    for config, before in STENCIL_CALLS_BEFORE.items():
+        differenced.clear()
+        assert main(["report", "--config", str(CONFIGS / f"{config}.json"),
+                     "--out", str(tmp_path / config), "--quiet"]) == 0
+        assert set(differenced) <= set(before), config
+        for command, calls in differenced.items():
+            assert len(calls) <= before[command], (config, command)
+        assert "verify-thin" not in differenced
+        if "verify-gauge" in before:
+            assert differenced["verify-gauge"]
+            assert all(in_check for _, in_check in differenced["verify-gauge"])
+        kinds = {type(fn) for calls in differenced.values() for fn, _ in calls}
+        assert kinds <= {GroupValuedField, ParamMap, types.FunctionType}, kinds
+        for calls in differenced.values():
+            for fn, _ in calls:
+                assert not isinstance(fn, CoefficientField)
+                assert getattr(fn, "_jet", None) is None    # config maps are exact
+
+
+def test_pullback_check_shows_a_dexp_without_its_double_bracket(tmp_path,
+                                                                monkeypatch):
+    """The A-level check differences g itself, so a dexp that drops its
+    [X, [X, dX]] term, which builds the transformed a, fails it."""
+    def truncated(alg, X, dX):
+        t2 = np.maximum(-0.5 * np.einsum("...i,ij,...j->...", X, alg.killing, X), 0)
+        f1 = 0.5 * np.sinc(np.sqrt(t2) / (2.0 * np.pi)) ** 2
+        return dX + f1[..., None] * alg.bracket(X, dX)
+
+    monkeypatch.setattr(LieAlgebra, "dexp", truncated)
+    assert main(["verify", "gauge", "--config", str(CONFIGS / "su2_demo.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 3
+    cases = json.loads((tmp_path / "verify-gauge.json").read_text())["cases"]
+    assert min(case["a_pullback_defect"] for case in cases) > 1e-3
+    assert not any(case["pass"] for case in cases)
 
 
 def test_verify_gauge_checks_the_a_level_once(tmp_path, monkeypatch):

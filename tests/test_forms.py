@@ -390,9 +390,10 @@ def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
     pts = np.random.default_rng(5).uniform(0.2, 0.8, size=(9, 3))
     l2a, eye = su2.l2a, np.eye(3)
     ginv = su2.group_G.inv(m.g_map(pts))
-    # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time, with the
-    # gauge function differenced at the fixed step 1e-3
-    dlog = [l2a.g_alg.from_matrix(directional_diff(m.g_map, pts, e, 1e-3) @ ginv)
+    # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time, with
+    # dg g^-1 = dexp_X(dX) of the exponent X of g = exp(X)
+    X = m.g_map.generator(pts)
+    dlog = [l2a.g_alg.dexp(X, directional_diff(m.g_map.generator, pts, e))
             for e in eye]
     want_a = np.stack([su2.ad_g_vec(ginv, conn.a_coeffs(pts)[:, k] + dlog[k]
                                     + l2a.apply_t_star(m.phi_coeffs(pts)[:, k]))

@@ -63,7 +63,7 @@ def test_expression_maps_carry_exact_partials():
     # slicing and affine images keep the exact partials
     end = cube.slice_first(0.25)
     vw = p[:, 1:]
-    assert end._dfn is not None
+    assert end._jet is not None
     want = np.stack([0 * vw[:, 0],
                      np.pi * np.cos(np.pi * vw[:, 0]) * vw[:, 1],
                      -vw[:, 1] * np.exp(vw[:, 0] * vw[:, 1])], -1)
@@ -72,7 +72,45 @@ def test_expression_maps_carry_exact_partials():
     image = cube.affine_image(np.array([0.1, 0.2]), basis)
     assert np.max(np.abs(image.partial(1, p) - jac[1] @ basis)) <= 1e-13
     # other derived maps take the stencil
-    assert cube.compose_params(lambda q: q)._dfn is None
+    assert cube.compose_params(lambda q: q)._jet is None
+
+
+def test_reparameterized_bigon_jet_is_the_chain_rule():
+    """D(sigma o phi) = D phi @ D sigma(phi) for DSL sigma and phi: the
+    analytic Jacobian to roundoff, the stencil of the composite to finite-
+    difference error; a phi given as a plain callable takes the stencil."""
+    sigma = ParamMap.from_exprs(["v", "v + 0.25*(2*u - 1)*sin(pi*v)"], 2)
+    phi_exprs = ["u^2*(3-2*u)", "v^2*(3-2*v)"]
+    phi = ParamMap.from_exprs(phi_exprs, 2)
+    composite = reparameterize(sigma, phi)
+    uv = np.random.default_rng(4).uniform(0, 1, size=(40, 2))
+    values, jac = composite.jet(uv)
+    u, v = uv.T
+    p, q = u * u * (3 - 2 * u), v * v * (3 - 2 * v)
+    dp, dq = 6 * u * (1 - u), 6 * v * (1 - v)
+    want = np.stack([np.stack([0 * u, 0.5 * dp * np.sin(np.pi * q)], -1),
+                     np.stack([dq, dq + 0.25 * (2 * p - 1) * np.pi
+                               * np.cos(np.pi * q) * dq], -1)], axis=1)
+    assert np.max(np.abs(values - sigma(np.stack([p, q], -1)))) <= 1e-15
+    assert np.max(np.abs(jac - want)) <= 1e-13
+    stencilled = ParamMap(2, 2, lambda params: composite(params))
+    assert stencilled._jet is None
+    fd_values, fd = stencilled.jet(uv)
+    assert np.array_equal(fd_values, values)
+    assert np.max(np.abs(fd - jac)) <= 1e-9
+    # only the axes asked for
+    assert np.array_equal(composite.jet(uv, (1,))[1][:, 0], jac[:, 1])
+    assert np.array_equal(stencilled.jet(uv, (1,))[1][:, 0], fd[:, 1])
+    plain = reparameterize(sigma, lambda params: phi(params))
+    assert plain._jet is None
+    assert np.max(np.abs(plain.jet(uv)[1] - jac)) <= 1e-9
+
+
+def test_straight_path_jet_is_constant():
+    a, b = np.array([0.2, -1.0, 3.0]), np.array([1.0, 0.5, 2.0])
+    values, partials = straight_path(a, b).jet(np.linspace(0, 1, 5)[:, None])
+    assert np.allclose(values[[0, -1]], [a, b], rtol=0, atol=1e-15)
+    assert np.array_equal(partials, np.broadcast_to(b - a, (5, 1, 3)))
 
 
 def test_concat_preserves_endpoints_and_midpoint():

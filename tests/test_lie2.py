@@ -3,6 +3,7 @@ import pytest
 
 from gauge2.errors import DomainError
 from gauge2.families import FAMILY_NAMES, matrix_family
+from gauge2.fields import GroupValuedField, group_field
 from gauge2.lie2 import semidirect_bracket
 
 FAMILIES = [matrix_family(name) for name in FAMILY_NAMES]
@@ -170,3 +171,44 @@ def test_alpha_compatibility_second_order():
     d1, d2 = defect(2e-3), defect(1e-3)
     order = np.log2(d1 / d2)
     assert order >= 1.9
+
+
+ALGEBRAS = [(fam, grp, alg) for fam in FAMILIES
+            for grp, alg in ((fam.group_G, fam.l2a.g_alg),
+                             (fam.group_H, fam.l2a.h_alg))]
+ALGEBRA_IDS = [f"{fam.name}-{side}" for fam in FAMILIES for side in "GH"]
+
+
+@pytest.mark.parametrize("fam,grp,alg", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_ad_cubed_is_minus_theta_squared_ad(fam, grp, alg):
+    """ad_X^3 = -t^2 ad_X, t^2 = -tr(ad_X^2)/2, in every algebra of the
+    families: the identity that closes the dexp series."""
+    rng = np.random.default_rng(11)
+    for X in rng.normal(size=(20, alg.dim)) * rng.uniform(0.01, 3.0, (20, 1)):
+        ad = np.einsum("i,ijk->kj", X, alg.structure)
+        t2 = -0.5 * np.trace(ad @ ad)
+        assert t2 >= -1e-12
+        assert np.max(np.abs(ad @ ad @ ad + t2 * ad)) <= 1e-12 * (1 + t2) ** 2
+
+
+@pytest.mark.parametrize("fam,grp,alg", ALGEBRAS, ids=ALGEBRA_IDS)
+@pytest.mark.parametrize("scale", [0.0, 1e-4, 0.09, 0.11, 1.3],
+                         ids=["zero", "tiny", "below-switch", "above-switch",
+                              "generic"])
+def test_dexp_matches_the_stencil_log_derivative(fam, grp, alg, scale):
+    """The closed-form dg g^-1 of g = exp(X(x)) against the 4-point stencil
+    of g itself, at X = 0, a tiny X (the series branch), both sides of the
+    series switch and a generic X."""
+    rng = np.random.default_rng(int(scale * 1e4) + alg.dim)
+    X0 = rng.normal(size=alg.dim)
+    X0 *= scale / max(np.linalg.norm(X0), 1e-300)
+    V = rng.normal(size=(2, alg.dim))
+    exprs = [f"({x:.17f}) + ({v:.17f})*x1 + ({w:.17f})*x2"
+             for x, v, w in zip(X0, *V)]
+    field = group_field(exprs, grp, alg, 2)
+    stencil = GroupValuedField(grp, alg, field)       # no generator
+    pts = np.array([[0.0, 0.0], [1e-3, -2e-3], [0.05, 0.02]])
+    g, exact = field.log_derivative(pts)
+    g_fd, fd = stencil.log_derivative(pts)
+    assert np.array_equal(g, g_fd)
+    assert np.max(np.abs(exact - fd)) <= 1e-9

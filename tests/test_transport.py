@@ -180,6 +180,27 @@ def test_lift_basepoint_mismatch():
                         p=(np.array([0.5, 0.0]), SU2.group_G.identity))
 
 
+def test_lift_takes_the_path_step_minimum():
+    """A lift is a path solve: below 8 steps it raises, as every other path
+    solve does, instead of returning a coarse trajectory."""
+    gamma = straight_path([0, 0], [1, 0])
+    for steps in (2, 7):
+        with pytest.raises(DomainError, match="at least 8 steps"):
+            horizontal_lift(SU2_CONN, gamma, steps=steps)
+    times, frames = horizontal_lift(SU2_CONN, gamma, steps=8)
+    assert times.shape == (9,) and frames.shape == (9, 2, 2)
+
+
+def test_lens_filling_jet_matches_its_stencil():
+    lens = gauge2.transport._lens_bigon()
+    uv = np.random.default_rng(2).uniform(0, 1, size=(30, 2))
+    values, partials = lens.jet(uv)
+    stencilled = ParamMap(2, 2, lens)
+    fd_values, fd = stencilled.jet(uv)
+    assert np.array_equal(values, fd_values)
+    assert np.max(np.abs(partials - fd)) <= 1e-10
+
+
 # --- the batched ordered-exponential kernel -------------------------------------
 
 
@@ -362,11 +383,14 @@ GUARD_CONFIG = {
     # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
     # solve on one lift of the 16 slices per stage; rho of all three
     # morphisms along the source and target paths in one ordered
-    # exponential in H, batched with the reference generator rep_*(W)
+    # exponential in H, batched with the reference generator rep_*(W); the
+    # fields' dg g^-1 are closed-form dexp, and only the independent
+    # stencil of the A-level check exponentiates at shifted points
     (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}, 15149),
-    # no transport: the gauge function at each grid point and its stencil
-    (["gauge-transform"], {}, 2120),
+                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}, 5333),
+    # no transport: the gauge function once per point of each evaluation
+    # of the transformed a and b (the stencil of F(a') takes 9 of a')
+    (["gauge-transform"], {}, 280),
 ], ids=["thin", "gauge", "gauge-transform"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
