@@ -318,10 +318,12 @@ class RunConfig:
                               "infinitesimal Peiffer identity",
                               path="lie2algebra.alpha_star")
         fam = dataclasses.replace(fam, l2a=new)
-        if new.t_star_fd_defect(fam.cm) > 1e-6:
-            raise ConfigError("lie2algebra.t_star disagrees with the "
-                              "finite-difference derivative of t",
-                              path="lie2algebra.t_star")
+        checks = {"t_star": ("t", new.t_star_fd_defect(fam.cm)),
+                  "alpha_star": ("the action", new.alpha_star_fd_defect(fam))}
+        for key, (of, defect) in checks.items():
+            if defect > 1e-6:
+                raise ConfigError(f"lie2algebra.{key} disagrees with the finite-difference "
+                                  f"derivative of {of}", path=f"lie2algebra.{key}")
         return fam
 
     def finite_module(self):

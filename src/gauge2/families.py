@@ -117,13 +117,16 @@ class MatrixFamily:
         return _random_vec(rng, self.l2a.h_alg.dim, scale)
 
 
-def _random_vec(rng, dim, scale):
-    v = rng.standard_normal(dim)
-    return scale * v / max(1.0, np.linalg.norm(v))
+def _random_vec(rng, dim, scale, shape=()):
+    """``shape`` vectors of norm <= scale from one draw; each norm is a dot
+    product, as np.linalg.norm's of one, so a batch equals single draws."""
+    v = rng.standard_normal((*shape, dim))
+    norm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    return scale * v / np.maximum(1.0, norm)
 
 
 def _sampler(group, alg, dim, scale=0.8):
-    return lambda rng: group.exp(alg.to_matrix(_random_vec(rng, dim, scale)))
+    return lambda rng, shape=(): group.exp(alg.to_matrix(_random_vec(rng, dim, scale, shape)))
 
 
 def _build_su2_id_conj() -> MatrixFamily:
@@ -150,7 +153,7 @@ def _build_u1(trivial_t: bool) -> MatrixFamily:
     name = "u1_triv" if trivial_t else "u1_id"
     kernel = (0.3, 1.1, 2.0, -0.7) if trivial_t else (0.0,)
     cm = CrossedModule(
-        G=u1, H=u1, t=(lambda h: u1.identity) if trivial_t else (lambda h: h),
+        G=u1, H=u1, t=np.ones_like if trivial_t else (lambda h: h),
         alpha=lambda g, h: h, name=name,
         sample_G=_sampler(u1, alg, 1, scale=1.5),
         sample_H=_sampler(u1, alg, 1, scale=1.5),

@@ -26,7 +26,7 @@ from .fields import FD_STEP, CoefficientField, directional_diff
 __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
-    "canonical_bigon", "reparameterize",
+    "canonical_bigon", "reparameterize", "check_reparameterization",
     "straight_path", "bigon_between",
     "reverse_path", "reverse_bigon", "source_path", "target_path",
 ]
@@ -335,20 +335,23 @@ def canonical_bigon(s: float, t: float) -> ParamMap:
 
 
 def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
-    """Precompose with a boundary-fixing, orientation-preserving phi.
+    """Precompose with a phi that :func:`check_reparameterization` accepts."""
+    phi = check_reparameterization(phi, pm.arity, tol, samples)
+    return pm.compose_params(phi, name=f"{pm.name}o{phi.name}")
 
-    ``phi`` maps I^m -> I^m; it must send every boundary face into itself
-    and have positive Jacobian determinant (checked on a sample grid).
-    """
+
+def check_reparameterization(phi, arity: int, tol=1e-9, samples=17) -> ParamMap:
+    """``phi``: I^m -> I^m as a ParamMap, once checked to fix every boundary
+    face and to have positive Jacobian determinant on a sample grid."""
     if callable(phi) and not isinstance(phi, ParamMap):
-        phi = ParamMap(pm.arity, pm.arity, phi, name="phi")
-    if phi.arity != pm.arity or phi.dim != pm.arity:
+        phi = ParamMap(arity, arity, phi, name="phi")
+    if phi.arity != arity or phi.dim != arity:
         raise DomainError("phi must be a self-map of the parameter cube")
 
     grid = np.linspace(0.0, 1.0, samples)
-    mesh = np.stack(np.meshgrid(*[grid] * pm.arity, indexing="ij"),
-                    axis=-1).reshape(-1, pm.arity)
-    for axis in range(pm.arity):
+    mesh = np.stack(np.meshgrid(*[grid] * arity, indexing="ij"),
+                    axis=-1).reshape(-1, arity)
+    for axis in range(arity):
         for value in (0.0, 1.0):
             face = mesh.copy()
             face[:, axis] = value
@@ -361,5 +364,4 @@ def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
     if interior.size:
         if np.any(np.linalg.det(phi.jet(interior)[1]) <= 0.0):
             raise DomainError("phi is not orientation-preserving")
-
-    return pm.compose_params(phi, name=f"{pm.name}o{phi.name}")
+    return phi

@@ -102,9 +102,6 @@ class LieAlgebra:
         inner = self.bracket(X, dX)
         return dX + f1[..., None] * inner + f2[..., None] * self.bracket(X, inner)
 
-    def norm(self, vec):
-        return float(np.max(np.abs(vec)))
-
     def __repr__(self):
         return f"LieAlgebra({self.name}, dim={self.dim})"
 
@@ -163,13 +160,18 @@ class LieTwoAlgebra:
 
     def t_star_fd_defect(self, cm, eps=1e-5) -> float:
         """Central-difference consistency of t_star with the group map t."""
-        worst = 0.0
-        for unit, xi_mat in zip(np.eye(self.h_alg.dim), self.h_alg.basis):
-            plus = cm.G.log(cm.t(cm.H.exp(eps * xi_mat)))
-            minus = cm.G.log(cm.t(cm.H.exp(-eps * xi_mat)))
-            fd = self.g_alg.from_matrix((plus - minus) / (2 * eps))
-            worst = max(worst, float(np.max(np.abs(fd - self.apply_t_star(unit)))))
-        return worst
+        h = cm.H.exp(np.multiply.outer([eps, -eps], self.h_alg.basis))
+        plus, minus = cm.G.log(cm.t(h))
+        fd = self.g_alg.from_matrix((plus - minus) / (2 * eps))
+        return float(np.max(np.abs(fd - self.t_star.T)))
+
+    def alpha_star_fd_defect(self, family, eps=1e-5) -> float:
+        """Central-difference consistency of alpha_star with the action:
+        alpha_star[i, j, k] = d/de family.alpha_star_of(exp(e X_i))[k, j]."""
+        steps = np.multiply.outer([eps, -eps], self.g_alg.basis)
+        plus, minus = family.alpha_star_of(family.group_G.exp(steps))
+        fd = (plus - minus) / (2 * eps)
+        return float(np.max(np.abs(fd.swapaxes(-2, -1) - self.alpha_star)))
 
 
 def _contract_outer(u, v, c):

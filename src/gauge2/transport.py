@@ -417,17 +417,25 @@ def reconstruct_A(conn: TwoConnection, x, X, steps: int = 16,
 
     Central differences of log tra(gamma_t) with one Richardson level;
     by the transport ODE the derivative at 0 is -a_x(X), so the negated
-    difference reproduces the connection coefficient vector.
+    difference reproduces the connection coefficient vector.  x and X
+    broadcast over leading axes, and every point takes the same solve.
     """
-    x, X = (np.asarray(z, dtype=float) for z in (x, X))
-    # the rays +-h X of both levels h = eps/2, eps in one path solve
+    batch, (x, X) = _broadcast_points(x, X)
+    # the rays +-h X of both levels h = eps/2, eps at every point
     hs = np.array([eps / 2.0, eps])
-    rays = [straight_path(x, x + t * X) for h in hs for t in (h, -h)]
+    rays = [straight_path(p, p + t * V) for p, V in zip(x, X)
+            for h in hs for t in (h, -h)]
     logs = conn.family.group_G.log(_path_values(conn, rays, steps))
-    logs = logs.reshape((2, 2) + logs.shape[1:])
-    central = (logs[:, 0] - logs[:, 1]) / (2.0 * hs)[:, None, None]
-    d = (4.0 * central[0] - central[1]) / 3.0
-    return conn.family.l2a.g_alg.from_matrix(-d)
+    logs = logs.reshape((-1, 2, 2) + logs.shape[1:])
+    central = (logs[:, :, 0] - logs[:, :, 1]) / (2.0 * hs)[:, None, None]
+    d = (4.0 * central[:, 0] - central[:, 1]) / 3.0
+    return conn.family.l2a.g_alg.from_matrix(-d.reshape(batch + d.shape[1:]))
+
+
+def _broadcast_points(*vectors):
+    """The leading shape of broadcast (..., d) arrays, and each as (N, d)."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vectors))
+    return arrays[0].shape[:-1], [a.reshape(-1, a.shape[-1]) for a in arrays]
 
 
 _LENS_AMPLITUDE = 0.25
@@ -465,9 +473,10 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
     flux factor of the filling.  Any smooth filling family whose s = 0 and
     t = 0 members degenerate gives the same derivative; the default lens
     family is analytic and keeps quadrature error far below the stencil
-    amplification, while "square" uses the canonical corner filling.
+    amplification, while "square" uses the canonical corner filling.  x,
+    X and Y broadcast over leading axes, and every point takes one solve.
     """
-    x, X, Y = (np.asarray(z, dtype=float) for z in (x, X, Y))
+    batch, (x, X, Y) = _broadcast_points(x, X, Y)
     fam = conn.family
     alg = fam.l2a.h_alg
     if filling == "lens":
@@ -477,16 +486,17 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
     else:
         raise DomainError(f"unknown filling {filling!r}")
 
-    # the stencil bigons (+-h, +-h) of both levels h = eps/2, eps in one solve
+    # the stencil bigons (+-h, +-h) of both levels h = eps/2, eps, all points
     hs = np.array([eps / 2.0, eps])
-    bigons = [base.affine_image(x, np.stack([s * X, t * Y]))
+    bigons = [base.affine_image(p, np.stack([s * U, t * V]))
+              for p, U, V in zip(x, X, Y)
               for h in hs for s, t in ((h, h), (h, -h), (-h, h), (-h, -h))]
     logs = fam.group_H.log(surface_values(conn, bigons, None, steps, steps))
-    logs = logs.reshape((2, 4) + logs.shape[1:])
-    mixed = ((logs[:, 0] - logs[:, 1] - logs[:, 2] + logs[:, 3])
+    logs = logs.reshape((-1, 2, 4) + logs.shape[1:])
+    mixed = ((logs[:, :, 0] - logs[:, :, 1] - logs[:, :, 2] + logs[:, :, 3])
              / (4.0 * hs * hs)[:, None, None])
-    d = (4.0 * mixed[0] - mixed[1]) / 3.0
-    return alg.from_matrix(d / flux_factor)
+    d = (4.0 * mixed[:, 0] - mixed[:, 1]) / 3.0
+    return alg.from_matrix(d.reshape(batch + d.shape[1:]) / flux_factor)
 
 
 # --- 2-holonomy ---------------------------------------------------------------------
@@ -557,17 +567,15 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     d = conn.chart.dim
     x0 = np.asarray(p[0], dtype=float) if p is not None else np.full(d, 0.5)
 
-    # span of curvature samples at random points around the basepoint
-    kvecs = []
+    # span of curvature samples around the basepoint, in one evaluation
+    points, tangents = [], []
     for _ in range(n_paths):
-        x = x0 + amplitude * rng.uniform(-1.0, 1.0, size=d)
+        points += [x0 + amplitude * rng.uniform(-1.0, 1.0, size=d)] * 3
         # a discarded draw, which keeps the seeded draws that follow
         rng.uniform(-1.0, 1.0, size=d)
-        for _ in range(3):
-            X, Y, Z = (rng.standard_normal(d) for _ in range(3))
-            kv = conn.K_of(x[None, :], X, Y, Z)[0]
-            kvecs.append(fam.l2a.project_ker_t_star(kv))
-    kmat = np.stack(kvecs)
+        tangents.append(rng.standard_normal((3, 3, d)))
+    X, Y, Z = np.concatenate(tangents).swapaxes(0, 1)
+    kmat = fam.l2a.project_ker_t_star(conn.K_of(np.stack(points), X, Y, Z))
     scale = float(np.max(np.abs(kmat))) if kmat.size else 0.0
     if scale > 1e-12:
         u, s, vh = np.linalg.svd(kmat / scale)

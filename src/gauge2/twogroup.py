@@ -33,8 +33,8 @@ class CrossedModule:
 
     ``t`` maps H to G; ``alpha(g, h)`` is the G-action on H.  Matrix-backed
     instances additionally carry samplers and a kernel description, supplied
-    by the family registry, so that axiom checks can draw random elements
-    and test centrality of ker t.
+    by the family registry, so that axiom checks can draw batches of random
+    elements and test centrality of ker t.
     """
 
     G: object
@@ -42,8 +42,8 @@ class CrossedModule:
     t: object
     alpha: object
     name: str = "crossed-module"
-    sample_G: object = None        # rng -> G element
-    sample_H: object = None        # rng -> H element
+    sample_G: object = None  # (rng, shape=()) -> a shape-batch of G elements,
+    sample_H: object = None  # of H; equal to as many single calls, in order
     ker_t_elements: object = None  # () -> iterable of H elements, or None
     match_tol: float = MATRIX_MATCH_TOL
 
@@ -190,12 +190,6 @@ class AxiomReport:
         }
 
 
-def _stacked(rng, samplers, count):
-    """``count`` rounds of one draw per sampler, stacked per sampler."""
-    draws = [[sample(rng) for sample in samplers] for _ in range(count)]
-    return [np.stack(column) for column in zip(*draws)]
-
-
 def check_crossed_module(cm: CrossedModule, samples: int = 200,
                          rng=None, tolerance=None) -> AxiomReport:
     """Evaluate both crossed-module axioms plus homomorphy of t and
@@ -217,9 +211,9 @@ def check_crossed_module(cm: CrossedModule, samples: int = 200,
     else:
         if cm.sample_G is None or cm.sample_H is None:
             raise StructureError(f"{cm.name!r} has no samplers configured")
-        g, h, hp = _stacked(rng, (cm.sample_G, cm.sample_H, cm.sample_H),
-                            samples)
-        others, = _stacked(rng, (cm.sample_H,), min(samples, 50))
+        g, h, hp = (sample(rng, (samples,))
+                    for sample in (cm.sample_G, cm.sample_H, cm.sample_H))
+        others = cm.sample_H(rng, (min(samples, 50),))
     laws = {
         # t(alpha_g h) = g t(h) g^-1
         "equivariance": (G.distance(t(alpha(g, h)),
@@ -259,8 +253,8 @@ def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> floa
         xg, xh, yh, xpg, xph, yph = np.indices((nG, nH, nH) * 2, sparse=True)
     else:
         sG, sH = cm.sample_G, cm.sample_H
-        xg, xh, xpg, xph, yh, yph = _stacked(rng, (sG, sH, sG, sH, sH, sH),
-                                             samples)
+        xg, xh, xpg, xph, yh, yph = (sample(rng, (samples,))
+                                     for sample in (sG, sH, sG, sH, sH, sH))
     x, xp = cm.element(xg, xh), cm.element(xpg, xph)
     y, yp = cm.element(x.target, yh), cm.element(xp.target, yph)
     lhs = two_group_compose(y, x) * two_group_compose(yp, xp)

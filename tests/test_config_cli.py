@@ -19,6 +19,7 @@ from gauge2.config import (_KEYWORDS, _TYPES, CONFIG_SCHEMA, RunConfig,
 from gauge2.errors import ConfigError
 from gauge2.fields import CoefficientField, GroupValuedField
 from gauge2.geometry import ParamMap
+from gauge2.groups import MatrixGroup
 from gauge2.lie2 import LieAlgebra
 
 MINIMAL = {
@@ -227,6 +228,34 @@ def test_lie2algebra_overrides_accepted_and_validated():
     with pytest.raises(ConfigError) as err:
         RunConfig(bad).family()
     assert "t_star" in err.value.path
+
+
+# t_* = 0, so the infinitesimal Peiffer identity says nothing about an
+# alpha_star table; the action of u1_triv is trivial, so alpha_* must be 0
+ALPHA_STAR_OVERRIDE = {
+    "seed": 3,
+    "crossed_module": {"matrix": {"family": "u1_triv"}},
+    "lie2algebra": {"alpha_star": [[[5.0]]]},
+    "chart": {"dim": 3},
+    "connection": {"a": [["0.3*x2"], ["0.4"], ["0.2*x1"]],
+                   "b": [["x3"], ["0.2*x1"], ["0.5"]]},
+    "cubes": {"slab": ["w", "0.5*v*sin(pi*w)", "u*v*(1-v)*sin(pi*w)"]},
+}
+
+
+def test_alpha_star_override_is_checked_against_the_action(tmp_path, capsys):
+    path = _write(tmp_path, ALPHA_STAR_OVERRIDE)
+    for argv in (["check-crossed-module"], ["verify", "higher-stokes"]):
+        assert main([*argv, "--config", path, "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "lie2algebra.alpha_star" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        RunConfig(ALPHA_STAR_OVERRIDE).family()
+    assert err.value.path == "lie2algebra.alpha_star"
+    # the analytic table passes
+    raw = {k: v for k, v in ALPHA_STAR_OVERRIDE.items() if k != "lie2algebra"}
+    assert main(["verify", "higher-stokes", "--config", _write(tmp_path, raw),
+                 "--out", str(tmp_path), "--quiet"]) == 0
 
 
 def test_config_schema_is_a_valid_schema():
@@ -529,6 +558,55 @@ def test_dsl_connections_take_no_stencil(tmp_path, monkeypatch, command):
         assert report["cases"][0]["bianchi_defect"] <= 1e-13
     else:
         assert report["cases"][0]["residual"] <= 1e-13
+
+
+def test_sampled_axiom_checks_draw_whole_batches(tmp_path, monkeypatch):
+    """check-crossed-module on a matrix module exponentiates each aligned
+    batch of samples at once: g, h, h' and the centrality partners, then
+    the six components of the interchange quadruples (6,650 calls when
+    each element was drawn alone)."""
+    sizes = []
+    group_exp = MatrixGroup.exp
+
+    def counting(group, X):
+        sizes.append(np.shape(X)[:-2])
+        return group_exp(group, X)
+
+    monkeypatch.setattr(MatrixGroup, "exp", counting)
+    assert main(["check-crossed-module", "--config",
+                 str(CONFIGS / "su2_demo.json"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert sizes == [(200,)] * 3 + [(50,)] + [(1000,)] * 6
+
+
+def test_verify_thin_checks_each_reparameterization_once(tmp_path,
+                                                         monkeypatch):
+    """The five reparameterizations are built and checked once per
+    command, not once per bigon (su2_demo has five bigons)."""
+    checked = []
+    check = gauge2.cli.check_reparameterization
+
+    def counting(phi, arity, *args):
+        checked.append(phi)
+        return check(phi, arity, *args)
+
+    monkeypatch.setattr(gauge2.cli, "check_reparameterization", counting)
+    built = collections.Counter()
+    from_exprs = ParamMap.from_exprs.__func__
+
+    def building(cls, exprs, arity, name="map"):
+        built[name] += 1
+        return from_exprs(cls, exprs, arity, name)
+
+    monkeypatch.setattr(ParamMap, "from_exprs", classmethod(building))
+    config = CONFIGS / "su2_demo.json"
+    assert len(json.loads(config.read_text())["bigons"]) == 5
+    assert main(["verify", "thin", "--config", str(config), "--out",
+                 str(tmp_path), "--quiet"]) == 0
+    assert len(checked) == len(set(map(id, checked))) == 5
+    assert built["reparam"] == 5
+    report = json.loads((tmp_path / "verify-thin.json").read_text())
+    assert [c["reparameterizations"] for c in report["cases"]] == [5] * 5
 
 
 # stencil calls per `report` command before paths, bigons and gauge

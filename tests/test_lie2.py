@@ -30,6 +30,11 @@ def test_t_star_matches_group_level_differential(fam):
     assert fam.l2a.t_star_fd_defect(fam.cm) <= 1e-6
 
 
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_alpha_star_matches_the_differential_of_the_action(fam):
+    assert fam.l2a.alpha_star_fd_defect(fam) <= 1e-6
+
+
 def test_from_matrix_checks_each_matrix_of_a_batch():
     """A small matrix outside the span fails even beside a large one, as it
     does alone: the structure constants come from one batched call."""

@@ -391,7 +391,16 @@ GUARD_CONFIG = {
     # no transport: the gauge function once per point of each evaluation
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
-], ids=["thin", "gauge", "gauge-transform"])
+    # the +-h rays of both stencil levels at all 10 points in one path
+    # solve: 2 x 16 CF4 factors per ray, and the 40 round trips of log
+    (["reconstruct", "A"], {("path", (40,)): 1}, 1320),
+    # the 8 stencil bigons of all 10 points in one outer solve, whose two
+    # CF4 stages each lift the 16 slices of all 80 bigons at once:
+    # 2 x 16 x 80 outer factors, 2 x (2 x 16 x 16 x 80) lift factors and 80
+    # round trips of log
+    (["reconstruct", "B"], {("surface", (80,)): 1, ("lift", (16, 80)): 2},
+     84560),
+], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
     """Kernel calls by kind and batch, and the number of matrices
@@ -649,6 +658,27 @@ def test_reconstruct_B_zero_abelian_su2():
     assert np.max(np.abs(got - want)) <= 1e-4 * (1 + np.max(np.abs(want)))
 
 
+def test_reconstruct_broadcasts_over_sample_points():
+    """A batch of points takes one solve and gives the per-point values to
+    roundoff: not bit for bit, as a batch of 32 or more 2x2 products is
+    multiplied entry by entry.  A single point keeps its shape."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.2, 0.8, size=(10, 2))
+    X, Y = rng.standard_normal((2, 10, 2))
+    got_a = reconstruct_A(SU2_CONN, x, X)
+    got_b = reconstruct_B(SU2_CONN, x, X, Y)
+    single_a = [reconstruct_A(SU2_CONN, *args) for args in zip(x, X)]
+    single_b = [reconstruct_B(SU2_CONN, *args) for args in zip(x, X, Y)]
+    assert got_a.shape == got_b.shape == (10, 3)
+    assert {z.shape for z in single_a + single_b} == {(3,)}
+    assert np.max(np.abs(got_a - single_a)) <= 1e-13
+    assert np.max(np.abs(got_b - single_b)) <= 1e-13
+    # leading axes broadcast: one point against a (2, 5) grid of directions
+    grid = reconstruct_A(SU2_CONN, x[0], X.reshape(2, 5, 2))
+    assert grid.shape == (2, 5, 3)
+    assert np.max(np.abs(grid[0, 0] - single_a[0])) <= 1e-13
+
+
 def test_reconstruct_B_square_filling_agrees():
     c = 0.8
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
@@ -727,6 +757,43 @@ def test_holonomy2_rejects_open_boundary():
 
 
 # --- Ambrose-Singer --------------------------------------------------------------
+
+
+def test_ambrose_singer_span_samples_are_one_K_evaluation(monkeypatch):
+    """The 3 n_paths curvature samples are one K_of call, on the seeded
+    points and tangents of a draw-by-draw loop, and agree with K_of on
+    each sample alone."""
+    conn = TwoConnection(
+        U2P, Chart(3),
+        a=[["0.4*x2", "0.1", "0.1*x3"], ["0.2", "0.3*x1", "0.1"],
+           ["0.1*x2", "0.2", "0.2*x1"]],
+        b="fake_flat",
+        b_extra=[["0.5*x3", "0", "0", "0"], ["0.4*x1", "0", "0", "0"],
+                 ["0.3*x2", "0", "0", "0"]])
+    calls = []
+    K_of = TwoConnection.K_of
+
+    def recording(self, points, X, Y, Z):
+        calls.append((points, X, Y, Z, K_of(self, points, X, Y, Z)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(TwoConnection, "K_of", recording)
+    ambrose_singer_check(conn, rng=np.random.default_rng(1), n_paths=4,
+                         n_bigons=1, steps=16)
+    monkeypatch.undo()
+    points, X, Y, Z, batched = calls[0]
+    rng = np.random.default_rng(1)
+    looped = []
+    for row in range(4 * 3):
+        if row % 3 == 0:
+            x = np.full(3, 0.5) + 0.35 * rng.uniform(-1.0, 1.0, size=3)
+            rng.uniform(-1.0, 1.0, size=3)
+        tangents = [rng.standard_normal(3) for _ in range(3)]
+        assert np.array_equal(points[row], x)
+        assert np.array_equal(np.stack([X[row], Y[row], Z[row]]), tangents)
+        looped.append(conn.K_of(x[None, :], *tangents)[0])
+    assert batched.shape == (12, 4)
+    assert np.max(np.abs(batched - np.stack(looped))) <= 1e-15
 
 
 def test_ambrose_singer_zero_curvature_family():

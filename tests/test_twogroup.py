@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gauge2.errors import ComposabilityError, DomainError, StructureError
-from gauge2.families import (finite_crossed_module, finite_demo_module,
-                             matrix_family)
+from gauge2.families import (FAMILY_NAMES, finite_crossed_module,
+                             finite_demo_module, matrix_family)
 from gauge2.groups import cyclic_group
 from gauge2.twogroup import (check_crossed_module, interchange_defect,
                              two_group_compose, two_group_multiply,
@@ -26,6 +26,20 @@ def test_axioms_pass_z2z3_exhaustively(z2z3):
     assert report.samples == 2 * 3 * 3
     assert max(report.equivariance, report.peiffer,
                report.t_homomorphism, report.centrality) == 0.0
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("group", ["G", "H"])
+def test_a_sampled_batch_is_the_sequential_draws(name, group):
+    """One batched draw holds the values of as many single draws, bit for
+    bit, and a single draw keeps its shape."""
+    sample = getattr(matrix_family(name).cm, f"sample_{group}")
+    rng = np.random.default_rng(17)
+    sequential = np.stack([sample(rng) for _ in range(60)])
+    batch = sample(np.random.default_rng(17), (60,))
+    assert batch.shape == sequential.shape
+    assert np.array_equal(batch, sequential)
+    assert sample(rng).shape == sequential.shape[1:]
 
 
 def test_axioms_pass_su2_sampled(su2):
