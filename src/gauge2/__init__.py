@@ -9,36 +9,34 @@ Two layers share one crossed-module interface:
   morphisms, and verifiers for the surface Stokes identities.
 """
 
-from .errors import (AccuracyError, BranchError, ChartError,
-                     ComposabilityError, ConfigError, DomainError,
-                     EquivarianceError, EvalError, Gauge2Error,
-                     MathDomainError, MembershipError, ParseError,
-                     SamplingError, StructureError, UnboundVariableError)
+from .errors import (AccuracyError, BranchError, ComposabilityError,
+                     ConfigError, DomainError, EquivarianceError, EvalError,
+                     Gauge2Error, MathDomainError, MembershipError,
+                     ParseError, SamplingError, StructureError,
+                     UnboundVariableError)
 from .dsl import Expr, evaluate, parse, to_source
 from .groups import FiniteGroup, MatrixGroup, cyclic_group
 from .twogroup import (AxiomReport, CrossedModule, TwoGroupElement,
                        check_crossed_module, interchange_defect,
                        two_group_compose, two_group_multiply, whisker_scalar)
-from .lie2 import LieAlgebra, LieTwoAlgebra, semidirect_bracket
+from .lie2 import LieAlgebra, LieTwoAlgebra
 from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
                        finite_demo_module, matrix_family)
-from .torsor import (EtaH, Torsor2, TorsorMorphism, all_equivariant_functors,
-                     all_two_morphisms, eta_to_etaH, etaH_to_eta,
+from .torsor import (EtaH, Torsor2, TorsorMorphism, eta_to_etaH, etaH_to_eta,
                      extend_functor, horizontal_compose_etaH, selftest,
                      torsor_divide, vertical_compose_etaH)
 from .geometry import (Chart, ParamMap, canonical_bigon, compose_bigons_horizontal,
                        compose_bigons_vertical, concat_paths, reparameterize,
                        reverse_bigon, reverse_path, source_path, straight_path,
-                       target_path, bigon_between)
+                       target_path)
 from .fields import CoefficientField, GroupValuedField, chart_grid, group_field
-from .forms import (TransitionData, TwoConnection, bundle_form_B,
-                    check_local_data, curvature_F, fake_flatness_residual,
-                    three_curvature_K)
+from .forms import (TransitionData, TwoConnection, check_local_data,
+                    fake_flatness_residual)
 from .transport import (SurfaceTransportResult, TransportResult,
                         ambrose_singer_check, holonomy2_H, horizontal_lift,
                         path_ordered_exp, reconstruct_A, reconstruct_B,
-                        surface_transport, transport_point,
-                        verify_higher_stokes, verify_nonabelian_stokes)
+                        surface_transport, verify_higher_stokes,
+                        verify_nonabelian_stokes)
 from .morphisms import (OneMorphism, TwoMorphismA, apply_twomorphism,
                         compose_onemorphisms, gauge_transform,
                         horizontal_compose_twomorphisms, rho_from_phi,

@@ -97,13 +97,6 @@ def _write_csv(path, rows, orders):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _p_of(cfg, pm, family):
-    base = cfg.basepoint()
-    x0 = np.asarray(base, dtype=float) if base is not None \
-        else pm(np.zeros(pm.arity))
-    return (x0, family.group_G.identity)
-
-
 # --- command runners -----------------------------------------------------------
 
 
@@ -157,7 +150,7 @@ def run_surface_transport(cfg, num, rng, out, emit):
     fam = cfg.family()
     cases = []
     for name, pm in cfg.param_maps("bigons").items():
-        res = surface_transport(conn, pm, _p_of(cfg, pm, fam),
+        res = surface_transport(conn, pm, None,
                                 num["surface_steps"], num["surface_steps"],
                                 sweep=_halvings(num, "surface-transport"))
         tid = res.target_identity_defect(fam)
@@ -176,11 +169,9 @@ def run_surface_transport(cfg, num, rng, out, emit):
 
 def run_verify_stokes(cfg, num, rng, out, emit):
     conn = cfg.connection()
-    fam = cfg.family()
     cases = []
     for name, pm in cfg.param_maps("bigons").items():
-        rep = verify_nonabelian_stokes(conn, pm, _p_of(cfg, pm, fam),
-                                       steps=num["steps"],
+        rep = verify_nonabelian_stokes(conn, pm, steps=num["steps"],
                                        sweep=_halvings(num, "verify-stokes"))
         ok = rep["defect"] <= TOL["stokes"]
         _write_csv(os.path.join(out, f"stokes-{name}.csv"), rep["rows"],
@@ -195,11 +186,9 @@ def run_verify_stokes(cfg, num, rng, out, emit):
 
 def run_verify_higher_stokes(cfg, num, rng, out, emit):
     conn = cfg.connection()
-    fam = cfg.family()
     cases = []
     for name, pm in cfg.param_maps("cubes").items():
-        rep = verify_higher_stokes(conn, pm, _p_of(cfg, pm, fam),
-                                   steps_surface=num["surface_steps"],
+        rep = verify_higher_stokes(conn, pm, steps_surface=num["surface_steps"],
                                    steps_volume=num["volume_steps"])
         ok = rep["defect"] <= TOL["higher_stokes"]
         case = {"name": name, "defect": rep["defect"],
@@ -291,7 +280,6 @@ def _thin_steps_key(num):
 
 def run_verify_thin(cfg, num, rng, out, emit):
     conn = cfg.connection()
-    fam = cfg.family()
     steps = num[_thin_steps_key(num)]
     # each reparameterization is built and checked once, for every bigon
     phis = [check_reparameterization(
@@ -300,7 +288,7 @@ def run_verify_thin(cfg, num, rng, out, emit):
     for name, pm in cfg.param_maps("bigons").items():
         # the bigon and its reparameterizations in one batched solve
         bigons = [pm] + [pm.compose_params(phi) for phi in phis]
-        values = surface_values(conn, bigons, _p_of(cfg, pm, fam), steps, steps)
+        values = surface_values(conn, bigons, None, steps, steps)
         worst = float(np.max(np.abs(values[1:] - values[0])))
         ok = worst <= TOL["thin"]
         cases.append({"name": name, "max_change": worst,

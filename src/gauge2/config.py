@@ -134,7 +134,6 @@ CONFIG_SCHEMA = {
             "required": ["g"],
             "properties": {"g": _EXPR_ROW},
         },
-        "basepoint": {"type": "array", "items": {"type": "number"}},
         "numeric": {
             "type": "object",
             "additionalProperties": False,
@@ -429,9 +428,6 @@ class RunConfig:
         fam = self.family()
         return TransitionData(fam, self.chart(),
                               self._field("transition.g", (fam.l2a.g_alg.dim,)))
-
-    def basepoint(self):
-        return self.raw.get("basepoint")
 
     def numeric(self) -> dict:
         return {"steps": 64, "surface_steps": 48, "volume_steps": 32,

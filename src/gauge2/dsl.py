@@ -41,9 +41,6 @@ class Expr:
 
     __slots__ = ()
 
-    def __call__(self, **bindings):
-        return evaluate(self, bindings)
-
     def variables(self) -> frozenset[str]:
         return _free_vars(self)
 

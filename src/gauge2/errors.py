@@ -45,10 +45,6 @@ class SamplingError(Gauge2Error):
     """A sampling plan was degenerate for the requested check."""
 
 
-class ChartError(Gauge2Error):
-    """Point or stencil escapes the chart's bounding box."""
-
-
 class ParseError(Gauge2Error):
     """Expression syntax error with position and expected-token info."""
 

@@ -110,12 +110,6 @@ class MatrixFamily:
         base = np.einsum("hg,...g->...h", self.rep_star, np.asarray(x_vec))
         return base - self.ad_h_vec(a, base)
 
-    def random_g_vec(self, rng, scale=0.8):
-        return _random_vec(rng, self.l2a.g_alg.dim, scale)
-
-    def random_h_vec(self, rng, scale=0.8):
-        return _random_vec(rng, self.l2a.h_alg.dim, scale)
-
 
 def _random_vec(rng, dim, scale, shape=()):
     """``shape`` vectors of norm <= scale from one draw; each norm is a dot

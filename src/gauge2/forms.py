@@ -14,8 +14,9 @@ tangent vectors
 
 ``b`` may be given explicitly (one field per k<l pair and h-basis element)
 or derived as the fake-flat lift of the curvature plus a ker t_* part.
-Bundle-level forms on the trivial bundle are never stored; they are
-computed on demand from the trivialization formulas.
+Only the local forms are computed: the bundle-level B at (x, g) is
+(alpha_{g^-1})_* b_x, and surface transport applies that conjugation to
+b at the frames of its horizontal lifts.
 
 Both are computed on every coordinate pair and contracted with the
 tangents: F from one ``axis_diffs`` of ``a``, K from one of the stored
@@ -40,8 +41,7 @@ from .fields import (FD_STEP, axis_diffs, chart_grid, exact_derivative,
                      group_field, tensor_field)
 from .geometry import Chart
 
-__all__ = ["TwoConnection", "TransitionData", "curvature_F",
-           "fake_flatness_residual", "three_curvature_K", "bundle_form_B",
+__all__ = ["TwoConnection", "TransitionData", "fake_flatness_residual",
            "check_local_data", "pair_index"]
 
 
@@ -206,64 +206,16 @@ class TwoConnection:
                  + alpha(_along(a, Z), self._b_along(b, X, Y)))
         return db + wedge
 
-    def validation_grid(self, per_axis=5):
-        return chart_grid(self.chart, per_axis)
-
 
 # --- module operations ---------------------------------------------------------
 
 
-def curvature_F(conn: TwoConnection, x, X, Y):
-    """F = da + 1/2 [a, a] evaluated on (X, Y) at x (batched)."""
-    conn.chart.check_points(x, pad=4 * conn.fd_step)
-    return conn.F_of(x, X, Y)
-
-
-def fake_flatness_residual(conn: TwoConnection, grid=None) -> dict:
+def fake_flatness_residual(conn: TwoConnection, grid) -> dict:
     """Max-norm of t_* b - F_a over the grid, with a pass flag at 1e-8."""
-    if grid is None:
-        grid = conn.validation_grid()
     F = conn.F_pairs(grid)
     tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid, F))
     worst = float(np.max(np.abs(tb - F), initial=0.0))
     return {"residual": worst, "pass": worst <= 1e-8, "grid_points": len(grid)}
-
-
-def three_curvature_K(conn: TwoConnection, x, X, Y, Z,
-                      bianchi_tol=1e-7) -> dict:
-    """3-curvature at x on (X, Y, Z).
-
-    Returns the full h-valued result, its ker t_* projection, and the
-    Bianchi defect max|t_* K| (asserted <= ``bianchi_tol``).  Charts of
-    dimension < 3 have no 3-forms; the result is zero with a note.
-    """
-    if conn.chart.dim < 3:
-        dim_h = conn.family.l2a.h_alg.dim
-        n = np.atleast_2d(x).shape[0]
-        zero = np.zeros((n, dim_h))
-        return {"value": zero, "projected": zero, "bianchi_defect": 0.0,
-                "note": "chart dimension < 3: every 3-form vanishes"}
-    value = conn.K_of(x, X, Y, Z)
-    t_part = conn.family.l2a.apply_t_star(value)
-    defect = float(np.max(np.abs(t_part)))
-    projected = conn.family.l2a.project_ker_t_star(value)
-    result = {"value": value, "projected": projected, "bianchi_defect": defect}
-    if defect > bianchi_tol:
-        result["warning"] = (f"Bianchi defect {defect:.3e} exceeds "
-                             f"{bianchi_tol:.1e}")
-    return result
-
-
-def bundle_form_B(conn: TwoConnection, x, g, X, Y):
-    """Bundle-level B at the point (x, g) of the trivial bundle.
-
-    Equals (alpha_{g^-1})_* b_x(X, Y); contraction with vertical directions
-    vanishes by construction since only the base components of the tangents
-    enter.
-    """
-    vals = conn.b_of(x, X, Y)
-    ginv = conn.family.group_G.inv(g)
-    return conn.family.alpha_vec(ginv, vals)
 
 
 class TransitionData:

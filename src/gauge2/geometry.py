@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ChartError, DomainError
+from .errors import DomainError
 from .fields import FD_STEP, CoefficientField, directional_diff
 
 __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
     "canonical_bigon", "reparameterize", "check_reparameterization",
-    "straight_path", "bigon_between",
-    "reverse_path", "reverse_bigon", "source_path", "target_path",
+    "straight_path", "reverse_path", "reverse_bigon", "source_path",
+    "target_path",
 ]
 
 SMOOTH_STEP_WIDTH = 0.1
@@ -53,16 +53,6 @@ class Chart:
         if self.box is None:
             return 1.0
         return float(np.max(self.box[:, 1] - self.box[:, 0]))
-
-    def check_points(self, points, pad=0.0):
-        if self.box is None:
-            return points
-        p = np.asarray(points)
-        lo = self.box[:, 0] - pad
-        hi = self.box[:, 1] + pad
-        if np.any(p < lo) or np.any(p > hi):
-            raise ChartError("evaluation point outside the chart bounding box")
-        return points
 
     def __repr__(self):
         return f"Chart(dim={self.dim})"
@@ -204,22 +194,6 @@ def straight_path(a, b, name=None) -> ParamMap:
 
     return ParamMap(1, a.shape[0], fn, name=name or "segment", jet=lambda p: (
         fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))))
-
-
-def bigon_between(gamma0: ParamMap, gamma1: ParamMap, tol=1e-9,
-                  name=None) -> ParamMap:
-    """Straight-line homotopy between two paths sharing endpoints."""
-    for v in (0.0, 1.0):
-        d = np.max(np.abs(gamma0([v]) - gamma1([v])))
-        if d > tol:
-            raise DomainError(f"paths do not share endpoints (defect {d:.2e})")
-
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1:]
-        return (1.0 - u) * gamma0._fn(v) + u * gamma1._fn(v)
-
-    return ParamMap(2, gamma0.dim, fn, name=name or "bigon")
 
 
 def reverse_path(gamma: ParamMap) -> ParamMap:

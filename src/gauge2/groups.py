@@ -24,7 +24,6 @@ from .errors import BranchError, MembershipError, StructureError
 
 __all__ = ["FiniteGroup", "MatrixGroup", "cyclic_group"]
 
-MEMBERSHIP_TOL = 1e-10
 _EPS = np.finfo(float).eps
 # Batches of at least this many 2x2 products are multiplied entry by entry;
 # below it numpy's matmul is faster (crossover measured at 28 to 48
@@ -84,9 +83,6 @@ class FiniteGroup:
 
     def inv(self, a):
         return lookup(self.inverse_table, a)
-
-    def elements(self):
-        return range(self.order)
 
     def distance(self, a, b):
         """Elementwise over broadcast batches: 0 where equal, 1 otherwise."""
@@ -183,7 +179,7 @@ class MatrixGroup:
     'unitary', 'special_unitary' or 'special_orthogonal' (real entries).  A
     (kind, dim) other than U(1), U(2), SU(2) or SO(3) is a StructureError."""
 
-    def __init__(self, kind: str, dim: int, name=None, tol=MEMBERSHIP_TOL):
+    def __init__(self, kind: str, dim: int, name=None):
         if (kind, dim) not in _GROUPS:
             raise StructureError(
                 f"no matrix group {kind!r} of size {dim}; the supported "
@@ -191,7 +187,6 @@ class MatrixGroup:
         self.kind = kind
         self.dim = dim
         self.real = kind == "special_orthogonal"
-        self.tol = tol
         self.name = name or _GROUPS[kind, dim]
         # log g = vec_k units_k (+ i phase I): -i sigma_k, or 2 L_k on SO(3)
         self._log_units = {1: np.zeros((0, 1, 1)), 2: QUATERNION_UNITS[1:],
@@ -220,13 +215,6 @@ class MatrixGroup:
             return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def check_membership(self, m):
-        d = self.membership_defect(m)
-        if d > self.tol:
-            raise MembershipError(
-                f"matrix is off the {self.name} manifold by {d:.3e}")
-        return m
 
     def project(self, m):
         """Polar projection onto the group manifold (batched).

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 
-__all__ = ["LieAlgebra", "LieTwoAlgebra", "semidirect_bracket"]
+__all__ = ["LieAlgebra", "LieTwoAlgebra"]
 
 
 class LieAlgebra:
@@ -194,18 +194,3 @@ def _null_space(a, tol=1e-12):
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > tol * max(a.shape)))
     return vh[rank:]
-
-
-def semidirect_bracket(l2a: LieTwoAlgebra, x, y):
-    """Bracket on g + h: ([X,Y], alpha_*(X,eta) - alpha_*(Y,xi) + [xi,eta]).
-
-    ``x`` and ``y`` are (g-vector, h-vector) pairs.
-    """
-    X, xi = (np.asarray(v, dtype=float) for v in x)
-    Y, eta = (np.asarray(v, dtype=float) for v in y)
-    if X.shape[-1] != l2a.g_alg.dim or xi.shape[-1] != l2a.h_alg.dim:
-        raise DomainError("semidirect element has wrong dimensions")
-    g_part = l2a.g_alg.bracket(X, Y)
-    h_part = (l2a.apply_alpha_star(X, eta) - l2a.apply_alpha_star(Y, xi)
-              + l2a.h_alg.bracket(xi, eta))
-    return g_part, h_part

@@ -26,8 +26,7 @@ from .twogroup import CrossedModule, TwoGroupElement, two_group_compose
 __all__ = [
     "Torsor2", "TorsorObject", "TorsorArrow", "TorsorMorphism", "EtaH",
     "torsor_divide", "extend_functor", "eta_to_etaH", "etaH_to_eta",
-    "vertical_compose_etaH", "horizontal_compose_etaH",
-    "all_equivariant_functors", "all_two_morphisms", "selftest",
+    "vertical_compose_etaH", "horizontal_compose_etaH", "selftest",
 ]
 
 
@@ -49,12 +48,6 @@ class Torsor2:
 
     def basepoint(self) -> "TorsorObject":
         return self.object(self.cm.G.identity)
-
-    def objects(self):
-        return [self.object(g) for g in self.cm.G.elements()]
-
-    def arrows(self):
-        return [TorsorArrow(self, cell) for cell in self.cm.all_elements()]
 
     def __repr__(self):
         return f"Torsor2({self.label!r}, {self.cm.name})"
@@ -207,12 +200,6 @@ def translation_functor(source: Torsor2, target: Torsor2, g0) -> TorsorMorphism:
     return extend_functor(source, target, point_map, check=False)
 
 
-def all_equivariant_functors(source: Torsor2, target: Torsor2):
-    """All equivariant functors between finite regular torsors."""
-    return [translation_functor(source, target, g0)
-            for g0 in source.cm.G.elements()]
-
-
 # --- 2-morphisms in H-valued form ----------------------------------------------
 
 
@@ -324,19 +311,6 @@ def horizontal_compose_etaH(eta1_h: EtaH, eta2_h: EtaH,
 def _compose_functors(outer: TorsorMorphism, inner: TorsorMorphism):
     return TorsorMorphism(inner.source, outer.target,
                           lambda p: outer(inner(p)))
-
-
-def all_two_morphisms(F: TorsorMorphism, F_prime: TorsorMorphism):
-    """All 2-morphisms F => F' of finite regular torsors.
-
-    eta_H is pinned by its basepoint value h0, which ranges over the
-    t-preimage of F'(p0) : F(p0); the rest follows by equivariance.
-    """
-    cm = F.source.cm
-    p0 = F.source.basepoint()
-    needed = torsor_divide(F(p0), F_prime(p0))
-    return [_pinned(F, F_prime, h0) for h0 in cm.H.elements()
-            if cm.G.defect(cm.t(h0), needed) == 0.0]
 
 
 def _pinned(F, F_prime, h0) -> EtaH:

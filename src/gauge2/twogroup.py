@@ -62,14 +62,7 @@ class CrossedModule:
             g = self.G.identity
         return TwoGroupElement(self, g, self.H.identity)
 
-    # -- finite helpers --------------------------------------------------------
-
-    def all_elements(self):
-        """All (g, h) cells; finite backend only."""
-        if not self.is_finite:
-            raise DomainError("exhaustive enumeration needs a finite backend")
-        return [self.element(g, h)
-                for g in self.G.elements() for h in self.H.elements()]
+    # -- ker t -----------------------------------------------------------------
 
     def ker_t(self):
         """Elements of ker t (finite: exact; matrix: family-supplied)."""

@@ -943,3 +943,18 @@ def test_repeated_main_calls_write_the_reports_of_separate_processes(tmp_path):
     same = [_tree(tmp_path / f"same{k}") for k in range(len(runs))]
     assert same == [_tree(tmp_path / f"fresh{k}") for k in range(len(runs))]
     assert same[0]["verify-stokes.json"] != same[1]["verify-stokes.json"]
+
+
+@pytest.mark.parametrize("argv", [["transport"], ["surface-transport"],
+                                  ["verify", "stokes"], ["verify", "thin"]],
+                         ids="-".join)
+def test_basepoint_key_is_rejected(tmp_path, capsys, argv):
+    # each case starts at the corner of its own map, in the identity frame,
+    # so a basepoint key is unknown to the schema
+    raw = json.loads((CONFIGS / "su2_demo.json").read_text())
+    for value in ([0, 0, 0], [0.3, 0.4]):
+        path = _write(tmp_path, {**raw, "basepoint": value})
+        code = main([*argv, "--config", path, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert "basepoint" in capsys.readouterr().err

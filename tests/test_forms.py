@@ -4,9 +4,8 @@ import pytest
 from gauge2.families import matrix_family
 from gauge2.fields import (CoefficientField, chart_grid, directional_diff,
                            group_field)
-from gauge2.forms import (TransitionData, TwoConnection, bundle_form_B,
-                          check_local_data, curvature_F,
-                          fake_flatness_residual, three_curvature_K)
+from gauge2.forms import (TransitionData, TwoConnection, check_local_data,
+                          fake_flatness_residual)
 from gauge2.geometry import Chart
 from gauge2.morphisms import OneMorphism, gauge_transform
 
@@ -43,13 +42,13 @@ def u2p():
 
 def test_curvature_zero_connection(u1):
     conn = TwoConnection(u1, Chart(2), a=[["0"], ["0"]], b="fake_flat")
-    F = curvature_F(conn, np.array([[0.3, 0.4]]), [1, 0], [0, 1])
+    F = conn.F_of(np.array([[0.3, 0.4]]), [1, 0], [0, 1])
     assert np.max(np.abs(F)) <= 1e-14
 
 
 def test_curvature_abelian_x_dy(u1):
     conn = TwoConnection(u1, Chart(2), a=[["0"], ["x1"]], b="fake_flat")
-    F = curvature_F(conn, np.array([[0.2, 0.7], [0.5, 0.1]]), [1, 0], [0, 1])
+    F = conn.F_of(np.array([[0.2, 0.7], [0.5, 0.1]]), [1, 0], [0, 1])
     assert np.max(np.abs(F - 1.0)) <= 1e-8
 
 
@@ -58,7 +57,7 @@ def test_curvature_su2_pure_commutator(su2):
     conn = TwoConnection(su2, Chart(2),
                          a=[[f"{eps}", "0", "0"], ["0", f"{eps}", "0"]],
                          b="fake_flat")
-    F = curvature_F(conn, np.array([[0.5, 0.5]]), [1, 0], [0, 1])
+    F = conn.F_of(np.array([[0.5, 0.5]]), [1, 0], [0, 1])
     expected = np.array([0.0, 0.0, eps * eps])   # eps^2 [e1, e2] = eps^2 e3
     assert np.max(np.abs(F[0] - expected)) <= 1e-8
 
@@ -67,13 +66,13 @@ def test_fake_flat_by_construction(su2):
     conn = TwoConnection(su2, Chart(2),
                          a=[["0.6*x2", "0.3", "0.1*x1"],
                             ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
-    rep = fake_flatness_residual(conn)
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
     assert rep["pass"]
 
 
 def test_fake_flat_fails_when_t_kills_b(u1t):
     conn = TwoConnection(u1t, Chart(2), a=[["0"], ["x1"]], b=[["0"]])
-    rep = fake_flatness_residual(conn)
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
     # t == e makes t_* b = 0, so the residual is max |F_a| = 1
     assert not rep["pass"]
     assert abs(rep["residual"] - 1.0) <= 1e-8
@@ -85,7 +84,7 @@ def test_fake_flat_with_kernel_part(u2p):
         a=[["0.5*x2", "0.2", "0.1*x1"], ["0.3", "0.4*x1", "0.2*x2"]],
         b="fake_flat",
         b_extra=[["0.4*x1 + 0.3*x2", "0", "0", "0"]])
-    rep = fake_flatness_residual(conn)
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
     assert rep["pass"]   # the trace part lies in ker t_*
 
 
@@ -93,18 +92,18 @@ def test_three_curvature_constant_b(u1t):
     conn = TwoConnection(u1t, Chart(3),
                          a=[["0"], ["0"], ["0"]],
                          b=[["0.7"], ["0.2"], ["0.1"]])
-    rep = three_curvature_K(conn, np.array([[0.3, 0.3, 0.3]]), EX, EY, EZ)
-    assert np.max(np.abs(rep["value"])) <= 1e-10
-    assert rep["bianchi_defect"] <= 1e-10
+    K = conn.K_of(np.array([[0.3, 0.3, 0.3]]), EX, EY, EZ)
+    assert np.max(np.abs(K)) <= 1e-10
+    assert np.max(np.abs(u1t.l2a.apply_t_star(K))) <= 1e-10   # Bianchi
 
 
 def test_three_curvature_abelian_volume_form(u1t):
     conn = TwoConnection(u1t, Chart(3),
                          a=[["0"], ["0"], ["0"]],
                          b=[["x3"], ["0"], ["0"]])
-    rep = three_curvature_K(conn, np.array([[0.4, 0.2, 0.7]]), EX, EY, EZ)
-    assert np.max(np.abs(rep["value"] - 1.0)) <= 1e-8
-    assert np.max(np.abs(rep["projected"] - 1.0)) <= 1e-8
+    K = conn.K_of(np.array([[0.4, 0.2, 0.7]]), EX, EY, EZ)
+    assert np.max(np.abs(K - 1.0)) <= 1e-8
+    assert np.max(np.abs(u1t.l2a.project_ker_t_star(K) - 1.0)) <= 1e-8
 
 
 def test_three_curvature_u2pu2_trace_part(u2p):
@@ -116,21 +115,20 @@ def test_three_curvature_u2pu2_trace_part(u2p):
         b_extra=[["0.5*x3", "0", "0", "0"], ["0.4*x1", "0", "0", "0"],
                  ["0.3*x2", "0", "0", "0"]])
     pts = np.array([[0.3, 0.5, 0.4], [0.6, 0.2, 0.7]])
-    rep = three_curvature_K(conn, pts, EX, EY, EZ)
+    K = conn.K_of(pts, EX, EY, EZ)
     # K = d(beta) with beta = 0.5 x3 dx^dy + 0.4 x1 dx^dz + 0.3 x2 dy^dz:
     # K(ex, ey, ez) = d/dz(0.5 x3) - d/dy(0.4 x1) + d/dx(0.3 x2) = 0.5
     expected = np.array([0.5, 0.0, 0.0, 0.0])
-    assert np.max(np.abs(rep["value"] - expected)) <= 1e-7
-    assert rep["bianchi_defect"] <= 1e-7
-    assert np.max(np.abs(rep["projected"] - expected)) <= 1e-7
+    assert np.max(np.abs(K - expected)) <= 1e-7
+    assert np.max(np.abs(u2p.l2a.apply_t_star(K))) <= 1e-7   # Bianchi
+    assert np.max(np.abs(u2p.l2a.project_ker_t_star(K) - expected)) <= 1e-7
 
 
 def test_three_curvature_low_dimension_note(u1):
+    # every 3-form on a 2-d chart vanishes, and so does K
     conn = TwoConnection(u1, Chart(2), a=[["0"], ["x1"]], b="fake_flat")
-    rep = three_curvature_K(conn, np.array([[0.3, 0.3]]), EX[:2], EY[:2],
-                            EX[:2])
-    assert "note" in rep
-    assert np.max(np.abs(rep["value"])) == 0.0
+    K = conn.K_of(np.array([[0.3, 0.3]]), EX[:2], EY[:2], EX[:2])
+    assert np.max(np.abs(K)) == 0.0
 
 
 def test_curvature_fd_convergence_order():
@@ -161,12 +159,18 @@ def test_curvature_fd_convergence_order():
 
 
 def test_bundle_form_identity_and_equivariance(su2):
+    # the bundle-level B at (x, g) is (alpha_{g^-1})_* b_x, the conjugation
+    # surface transport applies at the frames of its lifts
     conn = TwoConnection(su2, Chart(2),
                          a=[["0.6*x2", "0.3", "0.1*x1"],
                             ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
     x = np.array([[0.3, 0.6]])
     X, Y = np.array([1.0, 0.2]), np.array([-0.3, 1.0])
     base = conn.b_of(x, X, Y)
+
+    def bundle_form_B(conn, x, g, X, Y):
+        return su2.alpha_vec(su2.group_G.inv(g), conn.b_of(x, X, Y))
+
     e = su2.group_G.identity
     assert np.max(np.abs(bundle_form_B(conn, x, e, X, Y) - base)) <= 1e-12
     rng = np.random.default_rng(0)
@@ -373,7 +377,7 @@ def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
     assert np.array_equal(conn.K_of(pts, X, Y, Z), _ref_K(conn, pts, X, Y, Z))
     assert np.array_equal(conn.K_of(pts[:3], EX, EY, EZ),
                           _ref_K(conn, pts[:3], EX, EY, EZ))
-    grid = conn.validation_grid(3)
+    grid = chart_grid(conn.chart, 3)
     ref = max(float(np.max(np.abs(
         conn.family.l2a.apply_t_star(_ref_b(conn, grid, eye[k], eye[l]))
         - _ref_F(conn, grid, eye[k], eye[l])))) for (k, l) in conn.pairs)
@@ -477,11 +481,13 @@ def test_fake_flat_residual_checks_every_pair(case, wrong):
     # a dropped or permuted pair in the all-pairs residual shows here
     name, a, b = _fake_flat_cases()[case]
     family = matrix_family(name)
+    grid = chart_grid(Chart(3))
     assert fake_flatness_residual(
-        TwoConnection(family, Chart(3), a=a, b=b))["pass"]
+        TwoConnection(family, Chart(3), a=a, b=b), grid)["pass"]
     b = [list(row) for row in b]
     b[wrong][0] += " + 0.25"
-    rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b))
+    rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b),
+                                 grid)
     assert not rep["pass"]
     assert abs(rep["residual"] - 0.25) <= 1e-9
 
@@ -499,7 +505,7 @@ def test_exact_curvature_matches_closed_form(su2):
     exact = np.stack([-np.pi * np.cos(np.pi * x2), -np.pi * np.sin(np.pi * x1),
                       np.sin(np.pi * x2) * np.cos(np.pi * x1)], axis=-1)
     assert np.max(np.abs(conn.F_pairs(x)[:, 0] - exact)) <= 1e-13
-    assert np.max(np.abs(curvature_F(conn, x, [1, 0], [0, 1]) - exact)) <= 1e-13
+    assert np.max(np.abs(conn.F_of(x, [1, 0], [0, 1]) - exact)) <= 1e-13
     X, Y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
     assert np.max(np.abs(conn.F_of(x, X, Y) - (X[0] * Y[1] - X[1] * Y[0])
                          * exact)) <= 1e-13
@@ -530,12 +536,13 @@ def test_exact_fake_flat_three_curvature_is_d_of_b_extra(u2p):
         b_extra=[["x3^2*x2", "0", "0", "0"], ["sin(x1*x3)", "0", "0", "0"],
                  ["x2*x3", "0", "0", "0"]])
     x = np.random.default_rng(8).uniform(0.1, 0.9, size=(9, 3))
-    rep = three_curvature_K(conn, x, EX, EY, EZ)
+    K = conn.K_of(x, EX, EY, EZ)
     want = np.zeros((9, 4))
     want[:, 0] = 2 * x[:, 1] * x[:, 2]
-    assert np.max(np.abs(rep["value"] - want)) <= 1e-13
-    assert rep["bianchi_defect"] <= 1e-13
-    assert fake_flatness_residual(conn)["residual"] <= 1e-13
+    assert np.max(np.abs(K - want)) <= 1e-13
+    assert np.max(np.abs(u2p.l2a.apply_t_star(K))) <= 1e-13   # Bianchi
+    assert fake_flatness_residual(
+        conn, chart_grid(conn.chart))["residual"] <= 1e-13
 
 
 def test_exact_and_stencil_paths_agree(u2p):

@@ -19,8 +19,8 @@ from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
                               reconstruct_A, reconstruct_B, surface_transport,
-                              surface_values, transport_point,
-                              verify_higher_stokes, verify_nonabelian_stokes)
+                              surface_values, verify_higher_stokes,
+                              verify_nonabelian_stokes)
 
 U1 = matrix_family("u1_id")
 U1T = matrix_family("u1_triv")
@@ -465,13 +465,13 @@ def test_horizontal_composition_matches_etaH_law():
     n = 96
     p = (s1([0.0, 0.0]), SU2.group_G.identity)
     h1 = surface_transport(SU2_CONN, s1, p, n, n).value_h
-    tgt1 = transport_point(SU2_CONN, s1.slice_first(1.0), p, n)
+    tgt1 = path_ordered_exp(SU2_CONN, s1.slice_first(1.0), n).value @ p[1]
     h2_at = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), tgt1),
                               n, n).value_h
     hc = surface_transport(SU2_CONN, comp, p, n, n).value_h
     assert np.max(np.abs(hc - h1 @ h2_at)) <= 1e-6
     # the other horizontal formula: conjugate through the source transport
-    src1 = transport_point(SU2_CONN, s1.slice_first(0.0), p, n)
+    src1 = path_ordered_exp(SU2_CONN, s1.slice_first(0.0), n).value @ p[1]
     h2_src = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), src1),
                                n, n).value_h
     assert np.max(np.abs(hc - h2_src @ h1)) <= 1e-6

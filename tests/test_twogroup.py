@@ -128,8 +128,10 @@ def test_whisker_scalar(z2z3, su2):
 
 
 def test_source_target_functorial(z2z3):
-    for x in z2z3.all_elements():
-        for y in z2z3.all_elements():
+    cells = [z2z3.element(g, h) for g in range(z2z3.G.order)
+             for h in range(z2z3.H.order)]
+    for x in cells:
+        for y in cells:
             prod = x * y
             assert prod.source == z2z3.G.mul(x.source, y.source)
             assert prod.target == z2z3.G.mul(x.target, y.target)
