@@ -28,8 +28,9 @@ reconstructions) inherits it.
 Batch axes: path solves take a stack of paths, (times, paths, n, n).
 :func:`surface_values` solves a stack of bigons with shared step counts,
 paired by broadcasting with a stack of basepoint frames, in one outer
-solve; each outer stage lifts every slice of every bigon in one kernel
-call (the 2-form is evaluated per bigon).  Boundary 1-transports are
+solve; one generator call serves both CF4 stages and lifts every slice
+of every bigon in near-equal blocks of at most ``_LIFT_POINTS`` (node,
+slice) points (the 2-form is evaluated per bigon).  Boundary 1-transports are
 computed only where they are reported (:func:`surface_transport`, the
 Stokes verifier), source and target in one path solve.
 """
@@ -70,6 +71,9 @@ _CF4_A = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_B = 0.25 - math.sqrt(3.0) / 6.0
 _GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
+# The most (node, slice) points at which one horizontal lift of a surface
+# solve evaluates its generator, which bounds a solve's peak memory.
+_LIFT_POINTS = 2 ** 15
 
 
 @dataclass
@@ -104,18 +108,19 @@ class SurfaceTransportResult:
 def _ordered_exp(group, w_eval, steps: int, trajectory=False, right=False):
     """Solve g' = W(t) g (``right``: g' = g W(t)), g(0) = id, on [0, 1].
 
-    ``w_eval`` maps (k,) times to (k, *batch, n, n) algebra matrices;
-    every batch member is integrated in the same loop over the CF4 steps.
+    ``w_eval`` maps (k,) times to (k, *batch, n, n) algebra matrices.  The
+    equation is linear, so it is called once, on the 2 * steps Gauss nodes
+    stage-major; every batch member is integrated in the same step loop.
     Returns the (*batch, n, n) end value or, with ``trajectory``, the
     (steps + 1, *batch, n, n) step-boundary frames, projected once.
     """
     h = 1.0 / steps
     t0 = np.arange(steps) * h
-    w1 = np.asarray(w_eval(t0 + _GAUSS_C1 * h))
-    w2 = np.asarray(w_eval(t0 + _GAUSS_C2 * h))
-    # w1 and w2 are freed before the exponentials, for the peak memory
+    w = np.asarray(w_eval(np.concatenate([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h])))
+    w1, w2 = w[:steps], w[steps:]
+    # the stage values are freed before the exponentials, for the peak memory
     args = [h * (_CF4_A * w1 + _CF4_B * w2), h * (_CF4_B * w1 + _CF4_A * w2)]
-    del w1, w2
+    del w, w1, w2
     e_first, e_second = group.exp(args.pop(0)), group.exp(args.pop())
     g = np.broadcast_to(group.identity, e_first.shape[1:])
     if trajectory:
@@ -257,8 +262,7 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
                             zip(*(bg.jet(params, axes) for bg in stack)))
         return [x.reshape(-1, d) for x in (points, *np.moveaxis(partials, 2, 0))]
 
-    def beta(s_values):
-        s_values = np.atleast_1d(s_values)
+    def block(s_values):
         k = s_values.size
 
         def lift_generator(times):
@@ -271,13 +275,22 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
                                               trajectory=True), g0))
         out = []
         for j, bigon in enumerate(bigons):
-            # the form and its conjugation one bigon at a time: a larger
-            # batch is no faster there, and its temporaries grow with it
+            # the form one bigon at a time: over the whole stack it was no
+            # faster on surface-su2 (77-98 against 72-82 ms per pass)
             vals = form_of(*sample(t_nodes, s_values, (0, 1), [bigon]))
             vals = conj(inv_frames[:, :, j:j + 1] if len(bigons) > 1 else inv_frames,
                         vals.reshape(steps_t + 1, k, 1, -1))
             out.append(np.tensordot(weights, vals, axes=1))
-        return alg.to_matrix(SURFACE_ODE_SIGN * np.concatenate(out, axis=1))
+        return np.concatenate(out, axis=1)
+
+    def beta(s_values):
+        # the slices of both outer stages, lifted in near-equal blocks of at
+        # most _LIFT_POINTS points (one slice, if that alone passes it)
+        s_values = np.atleast_1d(s_values)
+        per_block = max(1, _LIFT_POINTS // (2 * steps_t * len(bigons)))
+        blocks = np.array_split(s_values, -(-s_values.size // per_block))
+        return alg.to_matrix(SURFACE_ODE_SIGN
+                             * np.concatenate([block(s) for s in blocks]))
 
     return beta
 

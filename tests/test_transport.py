@@ -1,5 +1,6 @@
 import collections
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -222,6 +223,84 @@ def test_right_driven_kernel_is_the_mirrored_left_solve():
     assert np.max(np.abs(right - G.inv(left))) <= 1e-13
 
 
+def _two_call_cf4(group, w_eval, steps, trajectory=False, right=False):
+    """Reference CF4 solve with one generator call per Gauss stage."""
+    h = 1.0 / steps
+    t0 = np.arange(steps) * h
+    r = np.sqrt(3.0) / 6.0
+    w1, w2 = w_eval(t0 + (0.5 - r) * h), w_eval(t0 + (0.5 + r) * h)
+    e1 = group.exp(h * ((0.25 + r) * w1 + (0.25 - r) * w2))
+    e2 = group.exp(h * ((0.25 - r) * w1 + (0.25 + r) * w2))
+    frames = [np.broadcast_to(group.identity, e1.shape[1:])]
+    for k in range(steps):
+        g = frames[-1]
+        frames.append(g @ e1[k] @ e2[k] if right else e2[k] @ e1[k] @ g)
+    return group.project(np.stack(frames) if trajectory else frames[-1])
+
+
+@pytest.mark.parametrize("right,trajectory", [(False, False), (True, False),
+                                              (False, True)],
+                         ids=["left", "right", "trajectory"])
+def test_kernel_evaluates_the_generator_once_stage_major(right, trajectory):
+    G, steps = SU2.group_G, 24
+    calls = []
+
+    def recording(times):
+        calls.append(times)
+        return _su2_generator(times)
+
+    out = _ordered_exp(G, recording, steps, trajectory, right)
+    h, r = 1.0 / steps, np.sqrt(3.0) / 6.0
+    t0 = np.arange(steps) * h
+    assert len(calls) == 1
+    assert np.max(np.abs(calls[0] - np.concatenate([t0 + (0.5 - r) * h,
+                                                    t0 + (0.5 + r) * h]))) <= 1e-15
+    reference = _two_call_cf4(G, _su2_generator, steps, trajectory, right)
+    assert out.shape == reference.shape
+    assert np.max(np.abs(out - reference)) <= 1e-14
+
+
+def _counting_lifts(monkeypatch):
+    """Record the generator points of every horizontal lift of a surface
+    solve: times x slices x bigons per call."""
+    kernel = gauge2.transport._ordered_exp
+    points = []
+
+    def counting(group, w_eval, steps, trajectory=False, right=False):
+        def counted(times):
+            w = w_eval(times)
+            points.append(int(np.prod(w.shape[:-2])))
+            return w
+        return kernel(group, counted if trajectory else w_eval, steps,
+                      trajectory, right)
+
+    monkeypatch.setattr(gauge2.transport, "_ordered_exp", counting)
+    return points
+
+
+def test_surface_lifts_stay_within_the_point_bound(tmp_path, monkeypatch):
+    # su2_demo's verify thin: 6-bigon stacks at 96 steps need several blocks
+    points = _counting_lifts(monkeypatch)
+    config = pathlib.Path(__file__).parent.parent / "configs" / "su2_demo.json"
+    assert main(["verify", "thin", "--config", str(config),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(points) > 5
+    assert max(points) <= gauge2.transport._LIFT_POINTS
+
+
+def test_blocked_surface_solve_matches_one_unblocked_solve(monkeypatch):
+    # 2 x 56 slices of 6 bigons at 2 x 56 lift nodes: blocks of 38, 37, 37
+    bigons = [lens_bigon(0.1), lens_bigon(0.25), lens_bigon(-0.2),
+              bulge_bigon(0.3), bulge_bigon(0.6), bulge_bigon(-0.4)]
+    points = _counting_lifts(monkeypatch)
+    blocked = surface_values(SU2_CONN, bigons, None, 56, 56)
+    assert len(points) == 3
+    monkeypatch.setattr(gauge2.transport, "_LIFT_POINTS", 2 ** 40)
+    whole = surface_values(SU2_CONN, bigons, None, 56, 56)
+    assert len(points) == 4
+    assert np.max(np.abs(blocked - whole)) <= 1e-14
+
+
 def _per_slice_beta(conn, bigon, g0, steps_t, s_values):
     """Reference surface driver: one horizontal lift per slice Gamma(s, .)."""
     fam = conn.family
@@ -378,28 +457,30 @@ GUARD_CONFIG = {
 
 @pytest.mark.parametrize("argv,calls,exp_matrices", [
     # one outer solve of the bigon and its five reparameterizations, whose
-    # two CF4 stages each lift all 40 x 6 slices at once; no path solve
+    # one generator call lifts the 2 x 40 slices of all 6 bigons in two
+    # blocks of 40 (80 x 40 x 6 points is at most _LIFT_POINTS); no path solve
     (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 38880),
     # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
-    # solve on one lift of the 16 slices per stage; rho of all three
+    # solve on one lift of the 2 x 16 slices of both stages; rho of all three
     # morphisms along the source and target paths in one ordered
     # exponential in H, batched with the reference generator rep_*(W); the
     # fields' dg g^-1 are closed-form dexp, and only the independent
     # stencil of the A-level check exponentiates at shifted points
     (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (16, 1)): 4, ("path", (4, 2)): 1}, 5333),
+                           ("lift", (32, 1)): 2, ("path", (4, 2)): 1}, 5333),
     # no transport: the gauge function once per point of each evaluation
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
     # the +-h rays of both stencil levels at all 10 points in one path
     # solve: 2 x 16 CF4 factors per ray, and the 40 round trips of log
     (["reconstruct", "A"], {("path", (40,)): 1}, 1320),
-    # the 8 stencil bigons of all 10 points in one outer solve, whose two
-    # CF4 stages each lift the 16 slices of all 80 bigons at once:
-    # 2 x 16 x 80 outer factors, 2 x (2 x 16 x 16 x 80) lift factors and 80
+    # the 8 stencil bigons of all 10 points in one outer solve, whose one
+    # generator call lifts the 2 x 16 slices of all 80 bigons in blocks of
+    # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS):
+    # 2 x 16 x 80 outer factors, 2 x 16 x 32 x 80 lift factors and 80
     # round trips of log
-    (["reconstruct", "B"], {("surface", (80,)): 1, ("lift", (16, 80)): 2},
-     84560),
+    (["reconstruct", "B"], {("surface", (80,)): 1, ("lift", (11, 80)): 2,
+                            ("lift", (10, 80)): 1}, 84560),
 ], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
