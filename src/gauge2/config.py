@@ -52,7 +52,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["seed"],
     "properties": {
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "crossed_module": {
             "type": "object",
             "additionalProperties": False,
@@ -276,6 +276,17 @@ class RunConfig:
         if "connection" in raw and "matrix" not in raw.get("crossed_module", {}):
             raise ConfigError("a connection needs a matrix crossed module",
                               path="crossed_module.matrix")
+        chart = raw.get("chart", {})
+        box = chart.get("box")
+        if box is not None and len(box) != chart["dim"]:
+            raise ConfigError(f"config invalid at 'chart.box': a {chart['dim']}-d "
+                              f"chart needs {chart['dim']} rows, not {len(box)}",
+                              path="chart.box")
+        for k, (lo, hi) in enumerate(box or ()):
+            if not lo < hi:         # NaN fails as well
+                raise ConfigError(f"config invalid at 'chart.box.{k}': "
+                                  f"{[lo, hi]!r} is not an interval lo < hi",
+                                  path=f"chart.box.{k}")
 
     # -- builders ---------------------------------------------------------------
 

@@ -8,7 +8,11 @@ groups; each operation is one closed form, batched over leading axes:
 * ``project``: m / |m| on U(1), the exact 2x2 polar factor
   (M + |det M| M^-H) / sqrt(|M|_F^2 + 2 |det M|) on U(2) and SU(2), one
   Newton-Schulz step on SO(3); MembershipError where it cannot project.
-* ``exp``: e^w, the anti-Hermitian 2x2 formula, Rodrigues' formula.
+* ``exp``: through spin coordinates, a phase and a unit quaternion held
+  as the first column of its SU(2) matrix (:func:`spin_coordinates`,
+  :func:`quaternion_exp`, :meth:`MatrixGroup.from_spin`); SO(3) through
+  the double cover.  The ordered-exponential kernel multiplies such
+  quaternions with :func:`hamilton`, four complex products.
 * ``log``: i arg g on U(1); on U(2) and SU(2) the eigen-angles phi +- theta
   of g = e^{i phi} (cos theta I + sin theta N); on SO(3) twice the angle of
   the Shepperd quaternion.  BranchError outside the principal branch.
@@ -127,34 +131,42 @@ def _sinc(x):
     return np.sinc(x / np.pi)
 
 
-def _exp_antihermitian_2x2(w):
-    """exp for 2x2 anti-Hermitian matrices, batched over leading axes.
-
-    With w = a I + S, S = [[h, q], [r, -h]] traceless and theta^2 = det S,
-    exp(w) = e^a (cos(theta) I + sinc(theta) S).
-    """
-    p, q, r, s = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
-    a = 0.5 * (p + s)
-    h = 0.5 * (p - s)
-    theta = np.sqrt(np.maximum((-h * h - q * r).real, 0.0))
-    scale = np.exp(a)
-    cos = scale * np.cos(theta)
-    sinc = scale * _sinc(theta)
-    out = np.empty(w.shape, dtype=complex)
-    out[..., 0, 0] = cos + sinc * h
-    out[..., 0, 1] = sinc * q
-    out[..., 1, 0] = sinc * r
-    out[..., 1, 1] = cos - sinc * h
+def spin_coordinates(m):
+    """(phase rate, half rotation vector u) of algebra matrices (..., n, n)
+    as (..., 4): m = i phase I - i u.sigma on u(1), u(2) and su(2), and
+    m = hat(2 u) on so(3), so that exp m is e^{i phase} times the unit
+    quaternion :func:`quaternion_exp` of u (through the double cover on
+    SO(3))."""
+    m = np.asarray(m)
+    n = m.shape[-1]
+    out = np.zeros(m.shape[:-2] + (4,))
+    out[..., 0] = np.trace(m, axis1=-2, axis2=-1).imag / n
+    if n > 1:
+        units = QUATERNION_UNITS[1:] if n == 2 else 2.0 * SO3_BASIS
+        out[..., 1:] = (np.einsum("kij,...ij->...k", units.conj(), m).real
+                        / np.sum(np.abs(units[0]) ** 2))
     return out
 
 
-def _exp_antisymmetric_3x3(w):
-    """Rodrigues formula for real antisymmetric 3x3, batched."""
-    vec = np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
-    theta = np.linalg.norm(vec, axis=-1)[..., None, None]
-    eye = np.broadcast_to(np.eye(3), w.shape)
-    coeff2 = 0.5 * _sinc(theta / 2.0) ** 2
-    return eye + _sinc(theta) * w + coeff2 * (w @ w)
+def quaternion_exp(u):
+    """Unit quaternions exp(-i u.sigma) = cos |u| I - i sinc |u| u.sigma of
+    half rotation vectors, planes (3, ...) -> (2, ...): each quaternion
+    w I - i (x, y, z).sigma is held as the first column (a, b) =
+    (w - i z, y - i x) of its SU(2) matrix [[a, -b*], [b, a*]]."""
+    theta = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    sinc = _sinc(theta)
+    out = np.empty((2,) + theta.shape, dtype=complex)
+    out.real[0], out.imag[0] = np.cos(theta), -sinc * u[2]
+    out.real[1], out.imag[1] = sinc * u[1], -sinc * u[0]
+    return out
+
+
+def hamilton(p, q):
+    """Hamilton product of quaternion planes (2, ...) as held by
+    :func:`quaternion_exp`, batched: the first column of the product of
+    their SU(2) matrices, four complex products."""
+    (a1, b1), (a2, b2) = p, q
+    return np.stack([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
 
 
 def rotation_quaternion(r):
@@ -276,6 +288,24 @@ class MatrixGroup:
         out *= (1.0 / np.sqrt(norm2 + 2.0 * absdet))[..., None, None]
         return out
 
+    def from_spin(self, phase, quat):
+        """The matrices (..., n, n) of spin coordinates: e^{i phase} on U(1);
+        e^{i phase} times the unit quaternion quat / |quat| (planes (2, ...)
+        as held by :func:`quaternion_exp`, normalized here) on U(2), the
+        quaternion alone on SU(2), and its rotation on SO(3)."""
+        if self.dim == 1:
+            return np.exp(1j * phase)[..., None, None]
+        a, b = quat / np.sqrt(np.sum(np.abs(quat) ** 2, axis=0))
+        if self.real:       # (w^2 - |v|^2) I + 2 v v^T + 2 w hat(v)
+            w, v = a.real, np.stack([-b.imag, b.real, -a.imag])
+            return (2.0 * (np.einsum("i...,j...->...ij", v, v)
+                           + np.einsum("k...,kij->...ij", w * v, SO3_BASIS))
+                    + (w * w - np.sum(v * v, axis=0))[..., None, None] * np.eye(3))
+        m = np.empty(a.shape + (2, 2), dtype=complex)
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = (
+            a, -b.conj(), b, a.conj())
+        return m * np.exp(1j * phase)[..., None, None] if self.kind == "unitary" else m
+
     def mul(self, a, b):
         """Batched product: 1x1 elementwise, 2x2 written out entry by entry
         once the batch reaches ENTRYWISE_MIN_BATCH, else numpy's matmul."""
@@ -307,14 +337,10 @@ class MatrixGroup:
     # -- exponential / logarithm ---------------------------------------------
 
     def exp(self, w):
-        """Group exponential of algebra matrices, batched over leading axes;
-        on the manifold to roundoff, so returned unprojected."""
-        w = np.asarray(w, dtype=float if self.real else complex)
-        if self.dim == 1:
-            return np.exp(w)
-        if self.dim == 2:
-            return _exp_antihermitian_2x2(w)
-        return _exp_antisymmetric_3x3(w)
+        """Group exponential of algebra matrices, batched over leading axes:
+        :meth:`from_spin` of their :func:`spin_coordinates`."""
+        spin = np.moveaxis(spin_coordinates(w), -1, 0)
+        return self.from_spin(spin[0], quaternion_exp(spin[1:]))
 
     def log(self, g, branch_margin=1e-12):
         """Principal logarithm, batched over leading axes.  BranchError when

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
+from .groups import spin_coordinates
 
 __all__ = ["LieAlgebra", "LieTwoAlgebra"]
 
@@ -42,6 +43,9 @@ class LieAlgebra:
         self._check_structure()
         # Killing form tr(ad_{e_i} ad_{e_m}); ad_X has (k, j) entry X_i c_ijk
         self.killing = np.einsum("ijk,mkj->im", self.structure, self.structure)
+        # x @ spin: the (phase rate, half rotation vector) of exp(x), see
+        # groups.spin_coordinates; the ordered-exponential kernel's input
+        self.spin = spin_coordinates(basis)
 
     @staticmethod
     def _flatten(mats):

@@ -155,9 +155,9 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
         gens = [rep_w] + [rep_w - m.phi_of(*points) for m in morphisms]
         gens = np.stack(gens, axis=1).reshape(times.size, len(paths),
                                               len(gens), -1).swapaxes(1, 2)
-        return fam.l2a.h_alg.to_matrix(gens)
+        return gens
 
-    rk = _ordered_exp(H, w_eval, steps)
+    rk = _ordered_exp(H, fam.l2a.h_alg, w_eval, steps)
     return fam.cm.alpha(fam.group_G.inv(_frame(conn, p)),
                         H.mul(H.inv(rk[0]), rk[1:]))
 

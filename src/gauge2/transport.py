@@ -7,9 +7,14 @@ evaluations A_i = s*W(t + c_i s) are combined into two exponentials,
     g_{k+1} = exp(b A_1 + a A_2) exp(a A_1 + b A_2) g_k,
     a = 1/4 + sqrt(3)/6,  b = 1/4 - sqrt(3)/6,
 
-in one kernel batched over independent solves.  The running product is
-not re-projected per step; what the kernel returns (the end value or the
-step-boundary frames) is polar-projected onto the group manifold once.
+in one kernel batched over independent solves.  The kernel integrates in
+spin coordinates (see :func:`gauge2.groups.spin_coordinates`): a U(1)
+phase, which adds, and a unit quaternion, whose step factors are closed
+forms.  Transport is functorial under concatenation, so the step
+propagators are multiplied in any bracketing: a pairwise tree gives the
+end value and a prefix scan the step-boundary frames, in about log2(steps)
+batched Hamilton products.  Matrices are built once, from the quaternions
+normalized, and no polar projection is needed.
 Surface transport solves the outer ordered integral
 
     h'(s) = sign * h(s) beta(s),
@@ -46,6 +51,7 @@ import numpy as np
 from .errors import AccuracyError, ComposabilityError, DomainError, SamplingError
 from .forms import TwoConnection
 from .geometry import ParamMap, canonical_bigon, source_path, straight_path, target_path
+from .groups import hamilton, quaternion_exp
 
 __all__ = [
     "TransportResult", "SurfaceTransportResult",
@@ -105,34 +111,62 @@ class SurfaceTransportResult:
         return float(np.max(np.abs(family.cm.t(self.value_h) - expected)))
 
 
-def _ordered_exp(group, w_eval, steps: int, trajectory=False, right=False):
+def _ordered_exp(group, alg, w_eval, steps: int, trajectory=False, right=False):
     """Solve g' = W(t) g (``right``: g' = g W(t)), g(0) = id, on [0, 1].
 
-    ``w_eval`` maps (k,) times to (k, *batch, n, n) algebra matrices.  The
-    equation is linear, so it is called once, on the 2 * steps Gauss nodes
-    stage-major; every batch member is integrated in the same step loop.
-    Returns the (*batch, n, n) end value or, with ``trajectory``, the
-    (steps + 1, *batch, n, n) step-boundary frames, projected once.
+    ``w_eval`` maps (k,) times to (k, *batch, alg.dim) coefficient vectors
+    of W; the equation is linear, so it is called once, on the 2 * steps
+    Gauss nodes stage-major.  The solve runs in spin coordinates: phases
+    add, and the quaternion step propagators are multiplied in a pairwise
+    tree (``trajectory``: a prefix scan), a bracketing the functoriality
+    of transport allows.  Returns the (*batch, n, n) end value or, with
+    ``trajectory``, the (steps + 1, *batch, n, n) step-boundary frames.
     """
     h = 1.0 / steps
     t0 = np.arange(steps) * h
-    w = np.asarray(w_eval(np.concatenate([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h])))
-    w1, w2 = w[:steps], w[steps:]
-    # the stage values are freed before the exponentials, for the peak memory
-    args = [h * (_CF4_A * w1 + _CF4_B * w2), h * (_CF4_B * w1 + _CF4_A * w2)]
-    del w, w1, w2
-    e_first, e_second = group.exp(args.pop(0)), group.exp(args.pop())
-    g = np.broadcast_to(group.identity, e_first.shape[1:])
-    if trajectory:
-        frames = np.empty((steps + 1,) + g.shape, e_first.dtype)
-        frames[0] = g
-    for k in range(steps):
-        g = (group.mul(group.mul(g, e_first[k]), e_second[k]) if right
-             else group.mul(e_second[k], group.mul(e_first[k], g)))
-        if trajectory:
-            frames[k + 1] = g
-    del e_first, e_second       # before the projection's temporaries
-    return group.project(frames if trajectory else g)
+    w = w_eval(np.concatenate([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h]))
+    # the (phase rate, half rotation vector) planes of h W at both stages
+    s1, s2 = np.split(np.tensordot(h * alg.spin, w, axes=(0, -1)), 2, axis=1)
+    del w
+    phase = 0.5 * (s1[0] + s2[0])       # both exponents' phases: a + b = 1/2
+    # earlier and later factors: g_{k+1} = e2 e1 g_k, or g_k e1 e2 if right
+    mul = hamilton if right else (lambda early, late: hamilton(late, early))
+    quat = None if group.dim == 1 else mul(      # U(1) is its phase alone
+        quaternion_exp(_CF4_A * s1[1:] + _CF4_B * s2[1:]),
+        quaternion_exp(_CF4_B * s1[1:] + _CF4_A * s2[1:]))
+    del s1, s2
+    if not trajectory:
+        return group.from_spin(np.sum(phase, axis=0),
+                               None if quat is None else _product(mul, quat))
+    # the frames: prefix products from the identity at t = 0
+    phase = np.cumsum(np.concatenate([np.zeros_like(phase[:1]), phase]), axis=0)
+    if quat is not None:
+        start = quaternion_exp(np.zeros((3, 1) + quat.shape[2:]))
+        quat = _prefixes(mul, np.concatenate([start, quat], axis=1))
+    return group.from_spin(phase, quat)
+
+
+def _product(mul, q):
+    """The time-ordered product of quaternion planes (2, n, ...) along axis
+    1: a pairwise tree of about log2(n) batched products."""
+    while q.shape[1] > 1:
+        pairs = mul(q[:, 0:-1:2], q[:, 1::2])
+        q = np.concatenate([pairs, q[:, -1:]], axis=1) if q.shape[1] % 2 else pairs
+    return q[:, 0]
+
+
+def _prefixes(mul, q):
+    """The time-ordered products q_0 ... q_k of planes (2, n, ...) for every
+    k: a work-efficient scan of about 2 log2(n) batched products, the odd
+    prefixes from the scan of the pair products."""
+    n = q.shape[1]
+    if n == 1:
+        return q
+    odd = _prefixes(mul, mul(q[:, 0:-1:2], q[:, 1::2]))
+    out = np.empty_like(q)
+    out[:, 0], out[:, 1::2] = q[:, 0], odd
+    out[:, 2::2] = mul(odd[:, :(n - 1) // 2], q[:, 2::2])
+    return out
 
 
 def convergence_order(defects):
@@ -177,13 +211,13 @@ def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
     ``trajectory`` the (steps + 1, paths, n, n) step-boundary frames."""
     if steps < PATH_MIN_STEPS:
         raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
-    alg, G = conn.family.l2a.g_alg, conn.family.group_G
 
-    def w_eval(times):      # W = -a(gamma') as (times, paths, n, n)
-        vec = conn.a_of(*_sample_paths(paths, times))
-        return alg.to_matrix(-vec).reshape(times.size, len(paths), G.dim, G.dim)
+    def w_eval(times):      # W = -a(gamma') as (times, paths, dim)
+        return -conn.a_of(*_sample_paths(paths, times)).reshape(
+            times.size, len(paths), -1)
 
-    return _ordered_exp(G, w_eval, steps, trajectory)
+    return _ordered_exp(conn.family.group_G, conn.family.l2a.g_alg, w_eval,
+                        steps, trajectory)
 
 
 def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
@@ -238,19 +272,15 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
                        integrand: str):
     """Outer-ODE driver beta(s) of a stack of bigons for surface transport
     ('b') or the curvature double integral of the Stokes theorem ('F'),
-    paired with a frame g0 or a stack of them: (k,) -> (k, stack, n, n)."""
+    paired with a frame g0 or a stack of them: (k,) -> (k, stack, dim)
+    coefficient vectors of h ('b') or g ('F')."""
     fam = conn.family
     G = fam.group_G
-    g_alg = fam.l2a.g_alg
     d = conn.chart.dim
     t_nodes, weights = _simpson_grid(steps_t)
     t_nodes = t_nodes[:, 0]
-    if integrand == "b":
-        alg = fam.l2a.h_alg
-        form_of, conj = conn.b_of, fam.alpha_vec
-    else:
-        alg = g_alg
-        form_of, conj = conn.F_of, fam.ad_g_vec
+    form_of, conj = ((conn.b_of, fam.alpha_vec) if integrand == "b"
+                     else (conn.F_of, fam.ad_g_vec))
 
     def sample(t_values, s_values, axes, stack):
         # the points of each bigon of the stack and its partials along
@@ -268,11 +298,10 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
         def lift_generator(times):
             # W = -a(d_t Gamma) of every slice Gamma(s, .) at the given times
             vec = conn.a_of(*sample(times, s_values, (1,), bigons))
-            return g_alg.to_matrix(-vec).reshape(times.size, k, len(bigons),
-                                                 G.dim, G.dim)
+            return -vec.reshape(times.size, k, len(bigons), -1)
 
-        inv_frames = G.inv(G.mul(_ordered_exp(G, lift_generator, steps_t,
-                                              trajectory=True), g0))
+        inv_frames = G.inv(G.mul(_ordered_exp(G, fam.l2a.g_alg, lift_generator,
+                                              steps_t, trajectory=True), g0))
         out = []
         for j, bigon in enumerate(bigons):
             # the form one bigon at a time: over the whole stack it was no
@@ -289,8 +318,7 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
         s_values = np.atleast_1d(s_values)
         per_block = max(1, _LIFT_POINTS // (2 * steps_t * len(bigons)))
         blocks = np.array_split(s_values, -(-s_values.size // per_block))
-        return alg.to_matrix(SURFACE_ODE_SIGN
-                             * np.concatenate([block(s) for s in blocks]))
+        return SURFACE_ODE_SIGN * np.concatenate([block(s) for s in blocks])
 
     return beta
 
@@ -305,7 +333,8 @@ def surface_values(conn: TwoConnection, bigons, p=None, steps_s: int = 32,
         if d > 1e-9:
             raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
     beta = _surface_generator(conn, bigons, _frame(conn, p), steps_t, "b")
-    return _ordered_exp(conn.family.group_H, beta, steps_s, right=True)
+    return _ordered_exp(conn.family.group_H, conn.family.l2a.h_alg, beta,
+                        steps_s, right=True)
 
 
 def _boundary_transports(conn: TwoConnection, bigon: ParamMap, g0, steps):
@@ -353,7 +382,7 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
 
     def run(n):
         beta = _surface_generator(conn, [bigon], g0, n, "F")
-        rhs = _ordered_exp(G, beta, n, right=True)[0]
+        rhs = _ordered_exp(G, conn.family.l2a.g_alg, beta, n, right=True)[0]
         src, tgt = _boundary_transports(conn, bigon, g0, n)
         lhs = G.mul(G.inv(src), tgt)
         return float(np.max(np.abs(lhs - rhs))), lhs, rhs

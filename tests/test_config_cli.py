@@ -206,6 +206,17 @@ def test_seed_override_changes_hash(tmp_path):
     assert cfg.hash != other.hash
 
 
+@pytest.mark.parametrize("raw,argv", [
+    ({**MINIMAL, "seed": -1}, []), (MINIMAL, ["--seed", "-3"])],
+    ids=["config", "command-line"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, raw, argv):
+    path = _write(tmp_path, raw)
+    code = main(["verify", "fake-flat", "--config", path,
+                 "--out", str(tmp_path / "out"), "--quiet", *argv])
+    assert code == 2
+    assert "config invalid at 'seed'" in capsys.readouterr().err
+
+
 def test_gauge_transform_command(tmp_path):
     raw = dict(MINIMAL)
     raw["morphism"] = {"g": ["0.5*x1*x2"], "phi": [["0.2*x2"], ["0.1*x1"]]}
@@ -451,6 +462,21 @@ def test_maps_outside_the_chart_are_config_errors(tmp_path, capsys, kind,
                  "--quiet"])
     assert code == 2
     assert f"{kind}.stray" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box,where", [
+    ([[-0.5, 1.5]], "chart.box"),
+    ([[-0.5, 1.5]] * 3, "chart.box"),
+    ([[1.5, -0.5], [-0.5, 1.5]], "chart.box.0"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "chart.box.1"),
+], ids=["too-few-rows", "too-many-rows", "reversed-row", "empty-row"])
+def test_bad_chart_boxes_are_config_errors(tmp_path, capsys, box, where):
+    # BOXED has a bigon, which a reversed box would otherwise seem to leave
+    path = _write(tmp_path, {**BOXED, "chart": {"dim": 2, "box": box}})
+    code = main(["verify", "fake-flat", "--config", path,
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"config invalid at '{where}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["abelian_demo", "su2_demo", "u2pu2_higher",

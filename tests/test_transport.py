@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gauge2.morphisms
 import gauge2.transport
@@ -15,7 +16,7 @@ from gauge2.geometry import (Chart, ParamMap,
                              compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, straight_path)
-from gauge2.groups import MatrixGroup
+from gauge2.groups import MatrixGroup, quaternion_exp
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
@@ -207,57 +208,127 @@ def test_lens_filling_jet_matches_its_stencil():
 
 def _su2_generator(times):
     """A time-dependent su(2) generator batched over three members."""
-    alg = SU2.l2a.g_alg
     t = times[:, None, None]
     coeffs = np.array([[0.7, -0.4, 1.1], [0.2, 0.9, -0.5], [-1.3, 0.3, 0.8]])
-    vec = coeffs * np.cos(3.0 * t + coeffs) + t * coeffs[::-1]
-    return alg.to_matrix(vec)
+    return coeffs * np.cos(3.0 * t + coeffs) + t * coeffs[::-1]
 
 
 def test_right_driven_kernel_is_the_mirrored_left_solve():
     # g' = g W  is solved by  g = h^-1  with  h' = -W h
-    G = SU2.group_G
-    right = _ordered_exp(G, _su2_generator, 24, right=True)
-    left = _ordered_exp(G, lambda t: -_su2_generator(t), 24)
+    G, alg = SU2.group_G, SU2.l2a.g_alg
+    right = _ordered_exp(G, alg, _su2_generator, 24, right=True)
+    left = _ordered_exp(G, alg, lambda t: -_su2_generator(t), 24)
     assert right.shape == (3, 2, 2)
     assert np.max(np.abs(right - G.inv(left))) <= 1e-13
 
 
-def _two_call_cf4(group, w_eval, steps, trajectory=False, right=False):
-    """Reference CF4 solve with one generator call per Gauss stage."""
+def _two_call_cf4(group, alg, w_eval, steps, trajectory=False, right=False):
+    """Reference CF4 solve in matrices, one generator call per Gauss stage
+    and the step factors multiplied in sequence."""
     h = 1.0 / steps
     t0 = np.arange(steps) * h
     r = np.sqrt(3.0) / 6.0
     w1, w2 = w_eval(t0 + (0.5 - r) * h), w_eval(t0 + (0.5 + r) * h)
-    e1 = group.exp(h * ((0.25 + r) * w1 + (0.25 - r) * w2))
-    e2 = group.exp(h * ((0.25 - r) * w1 + (0.25 + r) * w2))
+    e1 = group.exp(alg.to_matrix(h * ((0.25 + r) * w1 + (0.25 - r) * w2)))
+    e2 = group.exp(alg.to_matrix(h * ((0.25 - r) * w1 + (0.25 + r) * w2)))
     frames = [np.broadcast_to(group.identity, e1.shape[1:])]
     for k in range(steps):
         g = frames[-1]
         frames.append(g @ e1[k] @ e2[k] if right else e2[k] @ e1[k] @ g)
-    return group.project(np.stack(frames) if trajectory else frames[-1])
+    return np.stack(frames) if trajectory else frames[-1]
 
 
-@pytest.mark.parametrize("right,trajectory", [(False, False), (True, False),
-                                              (False, True)],
-                         ids=["left", "right", "trajectory"])
+KERNEL_MODES = pytest.mark.parametrize(
+    "right,trajectory", [(False, False), (True, False), (False, True)],
+    ids=["left", "right", "trajectory"])
+
+
+@KERNEL_MODES
 def test_kernel_evaluates_the_generator_once_stage_major(right, trajectory):
-    G, steps = SU2.group_G, 24
+    G, alg, steps = SU2.group_G, SU2.l2a.g_alg, 24
     calls = []
 
     def recording(times):
         calls.append(times)
         return _su2_generator(times)
 
-    out = _ordered_exp(G, recording, steps, trajectory, right)
+    out = _ordered_exp(G, alg, recording, steps, trajectory, right)
     h, r = 1.0 / steps, np.sqrt(3.0) / 6.0
     t0 = np.arange(steps) * h
     assert len(calls) == 1
     assert np.max(np.abs(calls[0] - np.concatenate([t0 + (0.5 - r) * h,
                                                     t0 + (0.5 + r) * h]))) <= 1e-15
-    reference = _two_call_cf4(G, _su2_generator, steps, trajectory, right)
+    reference = _two_call_cf4(G, alg, _su2_generator, steps, trajectory, right)
     assert out.shape == reference.shape
     assert np.max(np.abs(out - reference)) <= 1e-14
+
+
+# the four matrix groups with their algebras: U(1), U(2), SU(2) and SO(3)
+GROUPS = [(U1.group_G, U1.l2a.g_alg), (U2P.group_H, U2P.l2a.h_alg),
+          (SU2.group_G, SU2.l2a.g_alg), (U2P.group_G, U2P.l2a.g_alg)]
+SPIN_GROUPS = pytest.mark.parametrize("group,alg", GROUPS,
+                                      ids=["U(1)", "U(2)", "SU(2)", "SO(3)"])
+
+
+def _generator(alg, scale=2.0):
+    """A time-dependent generator of ``alg`` batched over three members,
+    large enough that the solves wind past the principal branch."""
+    coeffs = scale * np.random.default_rng(alg.dim).uniform(-1.0, 1.0, (3, alg.dim))
+
+    def w_eval(times):
+        t = times[:, None, None]
+        return coeffs * np.cos(3.0 * t + coeffs) + t * coeffs[::-1]
+    return w_eval
+
+
+@SPIN_GROUPS
+@KERNEL_MODES
+def test_spin_kernel_matches_the_sequential_matrix_solve(group, alg, right,
+                                                         trajectory):
+    # 37 steps: an odd count, so the product tree and the scan carry a
+    # leftover factor at several levels
+    w_eval = _generator(alg)
+    out = _ordered_exp(group, alg, w_eval, 37, trajectory, right)
+    reference = _two_call_cf4(group, alg, w_eval, 37, trajectory, right)
+    assert out.shape == reference.shape
+    assert np.max(np.abs(out - reference)) <= 1e-13
+    assert group.membership_defect(out) <= 1e-14
+
+
+@pytest.mark.parametrize("group,alg", GROUPS[1:], ids=["U(2)", "SU(2)", "SO(3)"])
+def test_spin_kernel_drifts_off_the_unit_quaternions_at_roundoff(
+        monkeypatch, group, alg):
+    # the largest | |q| - 1 | that reaches the normalization, over 1024-step
+    # solves in every mode (U(1) takes no quaternion)
+    from_spin = MatrixGroup.from_spin
+    drift = [0.0]
+
+    def recording(self, phase, quat):
+        drift[0] = max(drift[0], float(np.max(np.abs(
+            np.sqrt(np.sum(np.abs(quat) ** 2, axis=0)) - 1.0))))
+        return from_spin(self, phase, quat)
+
+    monkeypatch.setattr(MatrixGroup, "from_spin", recording)
+    for right, trajectory in ((False, False), (True, False), (False, True)):
+        _ordered_exp(group, alg, _generator(alg), 1024, trajectory, right)
+    assert drift[0] <= 1e-14
+
+
+@SPIN_GROUPS
+def test_spin_coordinates_exponentiate_like_the_matrices(group, alg):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, (40, alg.dim))
+    if alg.dim == 4:        # U(2): phases far past the principal branch
+        x[:, 0] = np.linspace(-90.0, 90.0, 40)
+    if group.real:          # SO(3): rotation angles at and near pi
+        axes = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        x = axes * np.pi * (1.0 + np.linspace(-1e-6, 1e-6, 40))[:, None]
+    spin = x @ alg.spin
+    got = group.from_spin(spin[:, 0], quaternion_exp(spin[:, 1:].T))
+    assert np.max(np.abs(got - group.exp(alg.to_matrix(x)))) <= 1e-13
+    # and against an exponential that shares no code with the spin path
+    expm = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(x)])
+    assert np.max(np.abs(got - expm)) <= 1e-12
 
 
 def _counting_lifts(monkeypatch):
@@ -266,12 +337,12 @@ def _counting_lifts(monkeypatch):
     kernel = gauge2.transport._ordered_exp
     points = []
 
-    def counting(group, w_eval, steps, trajectory=False, right=False):
+    def counting(group, alg, w_eval, steps, trajectory=False, right=False):
         def counted(times):
             w = w_eval(times)
-            points.append(int(np.prod(w.shape[:-2])))
+            points.append(int(np.prod(w.shape[:-1])))
             return w
-        return kernel(group, counted if trajectory else w_eval, steps,
+        return kernel(group, alg, counted if trajectory else w_eval, steps,
                       trajectory, right)
 
     monkeypatch.setattr(gauge2.transport, "_ordered_exp", counting)
@@ -317,7 +388,7 @@ def _per_slice_beta(conn, bigon, g0, steps_t, s_values):
                          bigon.partial(1, params))
         vals = fam.alpha_vec(fam.group_G.inv(frames @ g0), vals)
         out.append(weights @ vals)
-    return fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * np.stack(out))
+    return SURFACE_ODE_SIGN * np.stack(out)
 
 
 @pytest.mark.parametrize("fam,a,frame", [
@@ -458,42 +529,42 @@ GUARD_CONFIG = {
 @pytest.mark.parametrize("argv,calls,exp_matrices", [
     # one outer solve of the bigon and its five reparameterizations, whose
     # one generator call lifts the 2 x 40 slices of all 6 bigons in two
-    # blocks of 40 (80 x 40 x 6 points is at most _LIFT_POINTS); no path solve
-    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 38880),
+    # blocks of 40 (80 x 40 x 6 points is at most _LIFT_POINTS); no path
+    # solve, and the kernel exponentiates in spin coordinates, not with exp
+    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 0),
     # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
     # solve on one lift of the 2 x 16 slices of both stages; rho of all three
     # morphisms along the source and target paths in one ordered
     # exponential in H, batched with the reference generator rep_*(W); the
-    # fields' dg g^-1 are closed-form dexp, and only the independent
-    # stencil of the A-level check exponentiates at shifted points
+    # fields' dg g^-1 are closed-form dexp, and only the gauge function's
+    # values and the independent stencil of the A-level check exponentiate
     (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (32, 1)): 2, ("path", (4, 2)): 1}, 5333),
+                           ("lift", (32, 1)): 2, ("path", (4, 2)): 1}, 2901),
     # no transport: the gauge function once per point of each evaluation
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
     # the +-h rays of both stencil levels at all 10 points in one path
-    # solve: 2 x 16 CF4 factors per ray, and the 40 round trips of log
-    (["reconstruct", "A"], {("path", (40,)): 1}, 1320),
+    # solve, and the 40 round trips of log
+    (["reconstruct", "A"], {("path", (40,)): 1}, 40),
     # the 8 stencil bigons of all 10 points in one outer solve, whose one
     # generator call lifts the 2 x 16 slices of all 80 bigons in blocks of
-    # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS):
-    # 2 x 16 x 80 outer factors, 2 x 16 x 32 x 80 lift factors and 80
+    # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS), and 80
     # round trips of log
     (["reconstruct", "B"], {("surface", (80,)): 1, ("lift", (11, 80)): 2,
-                            ("lift", (10, 80)): 1}, 84560),
+                            ("lift", (10, 80)): 1}, 80),
 ], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
     """Kernel calls by kind and batch, and the number of matrices
-    ``MatrixGroup.exp`` exponentiates: CF4 factors and group-valued field
-    values, so an extra field evaluation shows."""
+    ``MatrixGroup.exp`` exponentiates: group-valued field values and log
+    round trips, so an extra field evaluation shows."""
     seen = collections.Counter()
     kernel = gauge2.transport._ordered_exp
     group_exp = MatrixGroup.exp
     exponentiated = [0]
 
-    def counting(group, w_eval, steps, trajectory=False, right=False):
-        out = kernel(group, w_eval, steps, trajectory, right)
+    def counting(group, alg, w_eval, steps, trajectory=False, right=False):
+        out = kernel(group, alg, w_eval, steps, trajectory, right)
         kind = "surface" if right else "lift" if trajectory else "path"
         seen[kind, out.shape[1 if trajectory else 0:-2]] += 1
         return out
