@@ -78,7 +78,6 @@ def _jsonable(value):
 
 
 def _write_atomic(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -432,6 +431,11 @@ def run_command(command: str, cfg, out_dir: str, quiet=False) -> dict:
     num = cfg.numeric()
     _check_simpson_steps(_applicable(cfg) if command == "report" else [command],
                          num)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {out_dir!r} cannot be created: "
+                          f"{err.strerror}", path="--out") from None
 
     def emit(ok, name, detail):
         if not quiet:

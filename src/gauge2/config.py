@@ -10,18 +10,19 @@ time, and reports the error that jsonschema's ``best_match`` would.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError
-from .families import (FINITE_DEMO_NAMES, finite_crossed_module,
+from .errors import ConfigError, DomainError, ParseError, StructureError
+from .families import (FAMILY_NAMES, FINITE_DEMO_NAMES, finite_crossed_module,
                        finite_demo_module, matrix_family)
 from .fields import CoefficientField
 from .forms import TransitionData, TwoConnection
-from .geometry import Chart, ParamMap
+from .geometry import Chart, ParamMap, unit_grid
 from .groups import FiniteGroup, cyclic_group
 from .lie2 import LieTwoAlgebra
 from .morphisms import OneMorphism, TwoMorphismA
@@ -74,7 +75,7 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["family"],
-                    "properties": {"family": {"type": "string"}},
+                    "properties": {"family": {"enum": list(FAMILY_NAMES)}},
                 },
             },
         },
@@ -236,16 +237,26 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@contextlib.contextmanager
+def _structure_errors(section: str, part=None):
+    """Re-raise a StructureError of the data under ``section`` as a
+    ConfigError at the JSON path of the part at fault (``part`` if the
+    error names none)."""
+    try:
+        yield
+    except StructureError as err:
+        path = f"{section}.{err.part or part}"
+        raise ConfigError(f"config invalid at '{path}': {err}",
+                          path=path) from None
+
+
 def _finite_group(spec: dict, label: str) -> FiniteGroup:
     if "cyclic" in spec:
         return cyclic_group(spec["cyclic"], name=f"{label}=Z{spec['cyclic']}")
     if "table" in spec:
-        identity, order = spec.get("identity", 0), len(spec["table"])
-        if identity >= order:
-            path = f"crossed_module.finite.{label}.identity"
-            raise ConfigError(f"config invalid at '{path}': {identity} is not "
-                              f"an element of a {order}-element table", path=path)
-        return FiniteGroup(spec["table"], identity=identity, name=label)
+        with _structure_errors(f"crossed_module.finite.{label}", "table"):
+            return FiniteGroup(spec["table"], identity=spec.get("identity", 0),
+                               name=label)
     raise ConfigError(f"finite group needs 'cyclic' or 'table'",
                       path=f"crossed_module.finite.{label}")
 
@@ -315,11 +326,12 @@ class RunConfig:
         """Replace the analytic t_star / alpha_star by serialized tables,
         re-validating them against the group-level maps."""
         l2a = fam.l2a
-        new = LieTwoAlgebra(
-            l2a.g_alg, l2a.h_alg,
-            t_star=overrides.get("t_star", l2a.t_star),
-            alpha_star=overrides.get("alpha_star", l2a.alpha_star),
-            name=f"{l2a.name} (config)")
+        with _structure_errors("lie2algebra"):
+            new = LieTwoAlgebra(
+                l2a.g_alg, l2a.h_alg,
+                t_star=overrides.get("t_star", l2a.t_star),
+                alpha_star=overrides.get("alpha_star", l2a.alpha_star),
+                name=f"{l2a.name} (config)")
         if new.homomorphism_defect() > 1e-9:
             raise ConfigError("lie2algebra.t_star is not a Lie algebra "
                               "homomorphism", path="lie2algebra.t_star")
@@ -345,9 +357,10 @@ class RunConfig:
             raise ConfigError(
                 f"finite crossed module is missing {missing}",
                 path="crossed_module.finite")
-        return finite_crossed_module(
-            _finite_group(spec["G"], "G"), _finite_group(spec["H"], "H"),
-            spec["t"], spec["alpha"], name="finite-config")
+        G, H = _finite_group(spec["G"], "G"), _finite_group(spec["H"], "H")
+        with _structure_errors("crossed_module.finite"):
+            return finite_crossed_module(G, H, spec["t"], spec["alpha"],
+                                         name="finite-config")
 
     def has_finite_module(self) -> bool:
         return "finite" in self.raw.get("crossed_module", {})
@@ -405,9 +418,7 @@ class RunConfig:
                               f"for a {chart.dim}-d chart", path=path)
         if chart.box is None:
             return
-        axis = np.linspace(0.0, 1.0, _BOX_SAMPLES)
-        params = np.stack(np.meshgrid(*[axis] * pm.arity, indexing="ij"),
-                          axis=-1).reshape(-1, pm.arity)
+        params = unit_grid(_BOX_SAMPLES, pm.arity)
         images = pm(params)
         outside = np.any((images < chart.box[:, 0])
                          | (images > chart.box[:, 1]), axis=-1)

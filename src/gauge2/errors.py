@@ -6,7 +6,12 @@ class Gauge2Error(Exception):
 
 
 class StructureError(Gauge2Error):
-    """Malformed algebraic input (bad table, wrong shape, broken axiom)."""
+    """Malformed algebraic input (bad table, wrong shape, broken axiom);
+    ``part`` names the argument at fault, where one is."""
+
+    def __init__(self, message, part=None):
+        super().__init__(message)
+        self.part = part
 
 
 class DomainError(Gauge2Error):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StructureError
 from .groups import (QUATERNION_UNITS, SO3_BASIS, FiniteGroup, MatrixGroup,
-                     cyclic_group, lookup, rotation_quaternion)
+                     as_table, cyclic_group, lookup, rotation_quaternion)
 from .lie2 import LieAlgebra, LieTwoAlgebra
 from .twogroup import CrossedModule
 
@@ -148,7 +148,7 @@ def _build_u1(trivial_t: bool) -> MatrixFamily:
     kernel = (0.3, 1.1, 2.0, -0.7) if trivial_t else (0.0,)
     cm = CrossedModule(
         G=u1, H=u1, t=np.ones_like if trivial_t else (lambda h: h),
-        alpha=lambda g, h: h, name=name,
+        alpha=lambda g, h: np.broadcast_arrays(g, h)[1], name=name,
         sample_G=_sampler(u1, alg, 1, scale=1.5),
         sample_H=_sampler(u1, alg, 1, scale=1.5),
         ker_t_elements=lambda: [u1.exp(alg.to_matrix([th])) for th in kernel])
@@ -214,14 +214,14 @@ def finite_crossed_module(G: FiniteGroup, H: FiniteGroup, t_table, alpha_table,
     intentionally broken examples can be constructed and rejected with a
     witness.
     """
-    t_table = np.asarray(t_table, dtype=int)
-    alpha_table = np.asarray(alpha_table, dtype=int)
+    t_table = as_table(t_table, "t")
+    alpha_table = as_table(alpha_table, "alpha")
     if t_table.shape != (H.order,):
-        raise StructureError("t table must list one G-index per H element")
+        raise StructureError("t table must list one G-index per H element", "t")
     if np.any(t_table < 0) or np.any(t_table >= G.order):
-        raise StructureError("t table entry out of range")
+        raise StructureError("t table entry out of range", "t")
     if alpha_table.shape != (G.order, H.order):
-        raise StructureError("alpha table must be |G| x |H|")
+        raise StructureError("alpha table must be |G| x |H|", "alpha")
     # non-bijective rows become identity rows, so the indexing stays in range
     ident = np.arange(H.order)
     bijective = np.all(np.sort(alpha_table, axis=1) == ident, axis=1)
@@ -232,12 +232,15 @@ def finite_crossed_module(G: FiniteGroup, H: FiniteGroup, t_table, alpha_table,
     if bad.size:
         g, h1, h2 = bad[0]
         if not bijective[g]:
-            raise StructureError(f"alpha row {g} is not a bijection of H")
-        raise StructureError(f"alpha_{g} is not an automorphism at ({h1},{h2})")
+            raise StructureError(f"alpha row {g} is not a bijection of H",
+                                 f"alpha.{g}")
+        raise StructureError(f"alpha_{g} is not an automorphism at ({h1},{h2})",
+                             f"alpha.{g}")
     # alpha[g1 g2, h] = alpha[g1, alpha[g2, h]], over all (g1, g2, h)
     bad = np.argwhere(alpha_table[G.table] != alpha_table[:, alpha_table])
     if bad.size:
-        raise StructureError(f"alpha is not an action at ({bad[0][0]},{bad[0][1]})")
+        raise StructureError(f"alpha is not an action at ({bad[0][0]},{bad[0][1]})",
+                             "alpha")
 
     return CrossedModule(
         G=G, H=H,

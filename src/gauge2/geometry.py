@@ -28,11 +28,19 @@ __all__ = [
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
     "canonical_bigon", "reparameterize", "check_reparameterization",
     "straight_path", "reverse_path", "reverse_bigon", "source_path",
-    "target_path",
+    "target_path", "unit_grid",
 ]
 
 SMOOTH_STEP_WIDTH = 0.1
 PARAM_VARS = ("u", "v", "w")
+
+
+def unit_grid(samples: int, arity: int) -> np.ndarray:
+    """The (samples**arity, arity) points of the uniform grid on I^arity,
+    ``samples`` per axis including both ends, the first axis slowest."""
+    axis = np.linspace(0.0, 1.0, samples)
+    return np.stack(np.meshgrid(*[axis] * arity, indexing="ij"),
+                    axis=-1).reshape(-1, arity)
 
 
 class Chart:
@@ -322,9 +330,7 @@ def check_reparameterization(phi, arity: int, tol=1e-9, samples=17) -> ParamMap:
     if phi.arity != arity or phi.dim != arity:
         raise DomainError("phi must be a self-map of the parameter cube")
 
-    grid = np.linspace(0.0, 1.0, samples)
-    mesh = np.stack(np.meshgrid(*[grid] * arity, indexing="ij"),
-                    axis=-1).reshape(-1, arity)
+    mesh = unit_grid(samples, arity)
     for axis in range(arity):
         for value in (0.0, 1.0):
             face = mesh.copy()

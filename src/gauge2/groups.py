@@ -45,7 +45,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, identity=0, inverse=None, name="finite"):
-        table = np.asarray(table, dtype=int)
+        table = as_table(table, "table")
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError("multiplication table must be square")
         n = table.shape[0]
@@ -53,6 +53,9 @@ class FiniteGroup:
             bad = np.argwhere((table < 0) | (table >= n))[0]
             raise StructureError(
                 f"table entry out of range at row {bad[0]}, column {bad[1]}")
+        if not 0 <= identity < n:
+            raise StructureError(f"{identity} is not an element of a "
+                                 f"{n}-element table", "identity")
         full = np.arange(n)
         rows_ok, cols_ok = (np.all(np.sort(m, axis=1) == full, axis=1)
                             for m in (table, table.T))
@@ -98,6 +101,14 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def as_table(rows, part, dtype=int) -> np.ndarray:
+    """``rows`` as an array; ragged rows are a StructureError naming ``part``."""
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except ValueError:
+        raise StructureError(f"{part} has rows of different lengths", part) from None
 
 
 def lookup(table, *index):

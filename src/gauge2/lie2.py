@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .groups import spin_coordinates
+from .groups import as_table, spin_coordinates
 
 __all__ = ["LieAlgebra", "LieTwoAlgebra"]
 
@@ -126,13 +126,13 @@ class LieTwoAlgebra:
     name: str = "lie-2-algebra"
 
     def __post_init__(self):
-        self.t_star = np.asarray(self.t_star, dtype=float)
-        self.alpha_star = np.asarray(self.alpha_star, dtype=float)
+        self.t_star = as_table(self.t_star, "t_star", float)
+        self.alpha_star = as_table(self.alpha_star, "alpha_star", float)
         if self.t_star.shape != (self.g_alg.dim, self.h_alg.dim):
-            raise StructureError("t_star has the wrong shape")
+            raise StructureError("t_star has the wrong shape", "t_star")
         if self.alpha_star.shape != (self.g_alg.dim, self.h_alg.dim,
                                      self.h_alg.dim):
-            raise StructureError("alpha_star has the wrong shape")
+            raise StructureError("alpha_star has the wrong shape", "alpha_star")
         self._ker_t_star = _null_space(self.t_star)
 
     def apply_t_star(self, eta):

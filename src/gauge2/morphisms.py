@@ -36,7 +36,7 @@ from .fields import (FD_STEP, GroupValuedField, axis_diffs, chart_grid,
                      group_field, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
-from .transport import _frame, _ordered_exp, _sample_paths, surface_values
+from .transport import _ordered_exp, _sample_paths, surface_values
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
            "pullback_defects", "verify_onemorphism_compat", "apply_twomorphism",
@@ -69,12 +69,6 @@ class OneMorphism:
     def phi_of(self, points, X):
         return np.einsum("...kh,...k->...h", self.phi_coeffs(points),
                          np.asarray(X, dtype=float))
-
-    def map_point(self, p):
-        """Bundle map applied to p = (x, k): returns (x, g(x)^-1 k)."""
-        x, k = p
-        ginv = self.family.group_G.inv(self.g_map(np.atleast_2d(x))[0])
-        return (np.asarray(x, dtype=float), ginv @ np.asarray(k))
 
     def membership_defect(self, grid) -> float:
         return self.family.group_G.membership_defect(self.g_map(grid))
@@ -158,8 +152,8 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
         return gens
 
     rk = _ordered_exp(H, fam.l2a.h_alg, w_eval, steps)
-    return fam.cm.alpha(fam.group_G.inv(_frame(conn, p)),
-                        H.mul(H.inv(rk[0]), rk[1:]))
+    rho = H.mul(H.inv(rk[0]), rk[1:])
+    return rho if p is None else fam.cm.alpha(fam.group_G.inv(p[1]), rho)
 
 
 def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
@@ -183,33 +177,34 @@ def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
 
 
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
-                              morphisms, bigon: ParamMap, p=None,
-                              steps: int = 48, grid=None,
-                              a_defects=None) -> list:
+                              morphisms, bigon: ParamMap, steps: int = 48,
+                              grid=None, a_defects=None) -> list:
     """Check the H-valued compatibility square of each of a stack of gauge
     1-morphisms from ``conn`` to ``conn_prime``; one report of defects
     each, which the caller compares with its tolerances.
 
     With gamma/gamma' the source/target paths of the bigon, the arranged
-    H-valued form of the square (all factors based at p over the corner) is
+    H-valued form of the square (all factors based at p = (x0, e) over the
+    corner, so F(p) = (x0, g(x0)^-1)) is
 
         rho_H(gamma)(p) . tra'^2_H(Sigma, F(p))
             = tra^2_H(Sigma, p) . rho_H(gamma')(p),
 
     plus the A-level :func:`pullback_defects`, which depend on no bigon (a
-    caller may pass them as ``a_defects``); tra^2 is solved once, and
-    tra'^2 at every F(p) in one call.
+    caller may pass them as ``a_defects``); tra^2 and tra'^2 are solved
+    once each, and tra'^2 takes every frame of F(p) by equivariance.
     """
     fam = conn.family
     if conn_prime.family is not fam:
         raise DomainError("connections belong to different families")
-    p = (bigon([0.0, 0.0]), _frame(conn, p))
-    frames = np.stack([m.map_point(p)[1] for m in morphisms])
+    x0 = bigon([0.0, 0.0])
+    frames = fam.group_G.inv(np.stack([m.g_map(np.atleast_2d(x0))[0]
+                                       for m in morphisms]))
     h = fam.group_H
-    tra2 = surface_values(conn, [bigon], p, steps, steps)
-    tra2_prime = surface_values(conn_prime, [bigon], (p[0], frames), steps, steps)
+    tra2 = surface_values(conn, [bigon], None, steps, steps)
+    tra2_prime = surface_values(conn_prime, [bigon], (x0, frames), steps, steps)
     paths = [source_path(bigon), target_path(bigon)]
-    rho = rho_from_phi(conn, morphisms, paths, p, steps)
+    rho = rho_from_phi(conn, morphisms, paths, None, steps)
     square = [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),
                                              h.mul(tra2, rho[:, 1]))]
 

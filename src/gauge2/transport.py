@@ -30,12 +30,16 @@ the fake-flat target identity t(h) = tra(target path) : tra(source path),
 and every downstream formula (higher Stokes, the connection
 reconstructions) inherits it.
 
+Every solve runs at the identity frame; a basepoint frame g0 acts once,
+on the finished value, by the equivariance eta_H(p g) = alpha_{g^-1}
+eta_H(p) of 2-transport (and on the right of a 1-transport).
+
 Batch axes: path solves take a stack of paths, (times, paths, n, n).
-:func:`surface_values` solves a stack of bigons with shared step counts,
-paired by broadcasting with a stack of basepoint frames, in one outer
-solve; one generator call serves both CF4 stages and lifts every slice
-of every bigon in near-equal blocks of at most ``_LIFT_POINTS`` (node,
-slice) points (the 2-form is evaluated per bigon).  Boundary 1-transports are
+:func:`surface_values` solves a stack of bigons with shared step counts
+in one outer solve, paired by broadcasting with a stack of frames; one
+generator call serves both CF4 stages and lifts every slice of every
+bigon in near-equal blocks of at most ``_LIFT_POINTS`` (node, slice)
+points (the 2-form is evaluated per bigon).  Boundary 1-transports are
 computed only where they are reported (:func:`surface_transport`, the
 Stokes verifier), source and target in one path solve.
 """
@@ -50,7 +54,8 @@ import numpy as np
 
 from .errors import AccuracyError, ComposabilityError, DomainError, SamplingError
 from .forms import TwoConnection
-from .geometry import ParamMap, canonical_bigon, source_path, straight_path, target_path
+from .geometry import (ParamMap, canonical_bigon, source_path, straight_path,
+                       target_path, unit_grid)
 from .groups import hamilton, quaternion_exp
 
 __all__ = [
@@ -193,11 +198,6 @@ def sweep_order(defects):
 # --- 1-transport -----------------------------------------------------------------
 
 
-def _frame(conn: TwoConnection, p):
-    """The frame g0 of a point p = (x, g0); the identity for None."""
-    return conn.family.group_G.identity if p is None else np.asarray(p[1])
-
-
 def _sample_paths(paths, times):
     """Points and velocities of a stack of paths at the given times, each
     one (times * paths, d) batch with the paths innermost."""
@@ -246,8 +246,9 @@ def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
         if start_defect > 1e-9:
             raise DomainError(
                 f"lift basepoint is not over gamma(0) (defect {start_defect:.2e})")
-    frames = _path_values(conn, [gamma], steps, trajectory=True)
-    return np.linspace(0.0, 1.0, steps + 1), frames[:, 0] @ _frame(conn, p)
+    frames = _path_values(conn, [gamma], steps, trajectory=True)[:, 0]
+    return (np.linspace(0.0, 1.0, steps + 1),
+            frames if p is None else frames @ np.asarray(p[1]))
 
 
 # --- surface transport -------------------------------------------------------------
@@ -262,18 +263,16 @@ def _simpson_grid(n: int, arity: int = 1):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w /= 3.0 * n
-    axis = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.stack(np.meshgrid(*[axis] * arity, indexing="ij"), axis=-1)
     weights = functools.reduce(np.multiply.outer, [w] * arity)
-    return nodes.reshape(-1, arity), weights.reshape(-1)
+    return unit_grid(n + 1, arity), weights.reshape(-1)
 
 
-def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
+def _surface_generator(conn: TwoConnection, bigons, steps_t: int,
                        integrand: str):
-    """Outer-ODE driver beta(s) of a stack of bigons for surface transport
-    ('b') or the curvature double integral of the Stokes theorem ('F'),
-    paired with a frame g0 or a stack of them: (k,) -> (k, stack, dim)
-    coefficient vectors of h ('b') or g ('F')."""
+    """Outer-ODE driver beta(s) of a stack of bigons at the identity frame
+    for surface transport ('b') or the curvature double integral of the
+    Stokes theorem ('F'): (k,) -> (k, stack, dim) coefficient vectors of h
+    ('b') or g ('F')."""
     fam = conn.family
     G = fam.group_G
     d = conn.chart.dim
@@ -300,14 +299,14 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
             vec = conn.a_of(*sample(times, s_values, (1,), bigons))
             return -vec.reshape(times.size, k, len(bigons), -1)
 
-        inv_frames = G.inv(G.mul(_ordered_exp(G, fam.l2a.g_alg, lift_generator,
-                                              steps_t, trajectory=True), g0))
+        inv_frames = G.inv(_ordered_exp(G, fam.l2a.g_alg, lift_generator,
+                                        steps_t, trajectory=True))
         out = []
         for j, bigon in enumerate(bigons):
             # the form one bigon at a time: over the whole stack it was no
             # faster on surface-su2 (77-98 against 72-82 ms per pass)
             vals = form_of(*sample(t_nodes, s_values, (0, 1), [bigon]))
-            vals = conj(inv_frames[:, :, j:j + 1] if len(bigons) > 1 else inv_frames,
+            vals = conj(inv_frames[:, :, j:j + 1],
                         vals.reshape(steps_t + 1, k, 1, -1))
             out.append(np.tensordot(weights, vals, axes=1))
         return np.concatenate(out, axis=1)
@@ -326,21 +325,18 @@ def _surface_generator(conn: TwoConnection, bigons, g0, steps_t: int,
 def surface_values(conn: TwoConnection, bigons, p=None, steps_s: int = 32,
                    steps_t: int = 32) -> np.ndarray:
     """H values (stack, n, n) of the 2-transports of a stack of bigons at
-    p = (x0, g0), in one outer solve; g0 may be a stack of frames, paired
-    with the bigons by broadcasting.  No boundary transport is computed."""
+    p = (x0, g0): one outer solve at the identity frame, then alpha_{g0^-1};
+    g0 may be a stack of frames, paired with the bigons by broadcasting.
+    No boundary transport is computed."""
     if p is not None:
         d = max(float(np.max(np.abs(bg([0.0, 0.0]) - p[0]))) for bg in bigons)
         if d > 1e-9:
             raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
-    beta = _surface_generator(conn, bigons, _frame(conn, p), steps_t, "b")
-    return _ordered_exp(conn.family.group_H, conn.family.l2a.h_alg, beta,
-                        steps_s, right=True)
-
-
-def _boundary_transports(conn: TwoConnection, bigon: ParamMap, g0, steps):
-    """tra(source) g0 and tra(target) g0 of a bigon, in one path solve."""
-    paths = [source_path(bigon), target_path(bigon)]
-    return conn.family.group_G.mul(_path_values(conn, paths, steps), g0)
+    fam = conn.family
+    values = _ordered_exp(fam.group_H, fam.l2a.h_alg,
+                          _surface_generator(conn, bigons, steps_t, "b"),
+                          steps_s, right=True)
+    return values if p is None else fam.cm.alpha(fam.group_G.inv(p[1]), values)
 
 
 def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
@@ -363,8 +359,10 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
         raise AccuracyError(
             f"surface quadrature did not converge (order {order:.2f})")
 
-    src, tgt = _boundary_transports(conn, bigon, _frame(conn, p),
-                                    max(steps_t, PATH_MIN_STEPS))
+    src, tgt = _path_values(conn, [source_path(bigon), target_path(bigon)],
+                            max(steps_t, PATH_MIN_STEPS))
+    if p is not None:
+        src, tgt = src @ p[1], tgt @ p[1]
     return SurfaceTransportResult(
         value_h=value, source_transport=src, target_transport=tgt,
         steps_s=steps_s, steps_t=steps_t,
@@ -372,18 +370,17 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
         order_estimate=order)
 
 
-def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
+def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap,
                              steps: int = 64, sweep: int = 0) -> dict:
     """Compare tra(target) : tra(source) with the ordered double integral
     of the curvature over the bigon (horizontal lift per slice), at each
     count of the sweep."""
     G = conn.family.group_G
-    g0 = _frame(conn, p)
 
     def run(n):
-        beta = _surface_generator(conn, [bigon], g0, n, "F")
+        beta = _surface_generator(conn, [bigon], n, "F")
         rhs = _ordered_exp(G, conn.family.l2a.g_alg, beta, n, right=True)[0]
-        src, tgt = _boundary_transports(conn, bigon, g0, n)
+        src, tgt = _path_values(conn, [source_path(bigon), target_path(bigon)], n)
         lhs = G.mul(G.inv(src), tgt)
         return float(np.max(np.abs(lhs - rhs))), lhs, rhs
 
@@ -401,8 +398,7 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap, p=None,
 
 def _check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
     """Slices of the cube must be bigons between common boundary paths."""
-    axis = np.linspace(0.0, 1.0, samples)
-    uu, vv = (m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij"))
+    uu, vv = unit_grid(samples, 2).T
     for fixed_axis, label in ((1, "source/target paths"), (2, "path endpoints")):
         for value in (0.0, 1.0):
             params = np.zeros((uu.size, 3))
@@ -417,7 +413,7 @@ def _check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
                     f"(defect {d:.3e})", mismatch=d)
 
 
-def verify_higher_stokes(conn: TwoConnection, cube: ParamMap, p=None,
+def verify_higher_stokes(conn: TwoConnection, cube: ParamMap,
                          steps_surface: int = 48, steps_volume: int = 32) -> dict:
     """Compare the quotient of the 2-transports of the two end bigons with
     the plain exponential of the 3-curvature integral over the cube.
@@ -428,7 +424,7 @@ def verify_higher_stokes(conn: TwoConnection, cube: ParamMap, p=None,
     _check_cube_boundaries(cube)
     fam = conn.family
     h0, h1 = surface_values(conn, [cube.slice_first(0.0), cube.slice_first(1.0)],
-                            p, steps_surface, steps_surface)
+                            None, steps_surface, steps_surface)
     lhs = fam.group_H.mul(fam.group_H.inv(h0), h1)
 
     mesh, weights = _simpson_grid(steps_volume, 3)
@@ -538,9 +534,10 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
 # --- 2-holonomy ---------------------------------------------------------------------
 
 
-def holonomy2_H(conn: TwoConnection, bigons, p=None, steps: int = 48) -> list:
+def holonomy2_H(conn: TwoConnection, bigons, steps: int = 48) -> list:
     """H-valued 2-holonomies of a stack of loop-to-loop bigons at the
-    basepoint, one report each, from one batched surface solve.
+    identity frame over their basepoint, one report each, from one batched
+    surface solve.
 
     Source and target of each bigon must be loops at a common basepoint.
     When they are the same loop pointwise, the report carries the value's
@@ -557,7 +554,7 @@ def holonomy2_H(conn: TwoConnection, bigons, p=None, steps: int = 48) -> list:
     fam = conn.family
     v = np.linspace(0.0, 1.0, 17)
     out = []
-    for bigon, value in zip(bigons, surface_values(conn, bigons, p, steps, steps)):
+    for bigon, value in zip(bigons, surface_values(conn, bigons, None, steps, steps)):
         src = bigon(np.stack([np.zeros_like(v), v], axis=-1))
         tgt = bigon(np.stack([np.ones_like(v), v], axis=-1))
         rep = {"value": value, "same_loop": float(np.max(np.abs(src - tgt))) <= 1e-9,
@@ -582,7 +579,7 @@ def _loop_bigon_family(x0, dirs, amp):
     return ParamMap(3, x0.shape[0], fn, name="loop-bigon-family")
 
 
-def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
+def ambrose_singer_check(conn: TwoConnection, rng=None,
                          n_paths: int = 6, n_bigons: int = 6,
                          steps: int = 48, span_tol: float = 1e-5,
                          derivative_tol: float = 1e-4,
@@ -590,8 +587,8 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     """Compare the span of sampled 3-curvature values with 2-holonomy logs.
 
     Builds S = span{ker t_* part of K_x(X, Y, Z)} over random points x
-    around the basepoint and random tangent triples (the samples are taken
-    in the trivialization, not conjugated by a frame),
+    around the chart point x0 = (0.5, ..., 0.5) and random tangent triples
+    (the samples are taken in the trivialization, at the identity frame),
     then checks (i) the log of every sampled reduced 2-holonomy lies in S
     and (ii) finite-difference derivatives of 2-holonomy families
     reproduce the double integral of K.
@@ -599,9 +596,9 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
     rng = rng or np.random.default_rng(0)
     fam = conn.family
     d = conn.chart.dim
-    x0 = np.asarray(p[0], dtype=float) if p is not None else np.full(d, 0.5)
+    x0 = np.full(d, 0.5)
 
-    # span of curvature samples around the basepoint, in one evaluation
+    # span of curvature samples around x0, in one evaluation
     points, tangents = [], []
     for _ in range(n_paths):
         points += [x0 + amplitude * rng.uniform(-1.0, 1.0, size=d)] * 3
@@ -619,7 +616,7 @@ def ambrose_singer_check(conn: TwoConnection, p=None, rng=None,
         rank, basis = 0, np.zeros((0, kmat.shape[1]))
 
     def hol_logs(bigons):
-        values = [hol["value"] for hol in holonomy2_H(conn, bigons, p, steps)]
+        values = [hol["value"] for hol in holonomy2_H(conn, bigons, steps)]
         return fam.l2a.h_alg.from_matrix(fam.group_H.log(np.stack(values)))
 
     # reduced 2-holonomies and their containment in the span

@@ -199,6 +199,72 @@ def test_unknown_finite_demo_is_a_config_error(tmp_path, capsys):
     assert "crossed_module.finite.demo" in err and "s3_id_conj" in err
 
 
+Z2 = {"table": [[0, 1], [1, 0]]}
+Z2_MODULE = {"G": Z2, "H": Z2, "t": [0, 1], "alpha": [[0, 1], [0, 1]]}
+# the smallest non-associative loop with identity, a Latin square
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _finite(**parts):
+    return {"seed": 1, "crossed_module": {"finite": {**Z2_MODULE, **parts}}}
+
+
+def _matrix(**l2a):
+    return {"seed": 1, "crossed_module": {"matrix": {"family": "su2_id_conj"}},
+            "lie2algebra": l2a}
+
+
+@pytest.mark.parametrize("raw,argv,path", [
+    (_finite(G={"table": [[0, 1], [1]]}), ["check-crossed-module"],
+     "crossed_module.finite.G.table"),
+    (_finite(G={"table": [[0, 1], [1]]}), ["torsor-selftest"],
+     "crossed_module.finite.G.table"),
+    (_finite(H={"table": [[0, 1], [1, 1]]}), ["check-crossed-module"],
+     "crossed_module.finite.H.table"),
+    (_finite(G={"table": LOOP5}), ["torsor-selftest"],
+     "crossed_module.finite.G.table"),
+    (_finite(G={"table": [[1, 0], [0, 1]]}), ["check-crossed-module"],
+     "crossed_module.finite.G.table"),
+    (_finite(t=[0]), ["check-crossed-module"], "crossed_module.finite.t"),
+    (_finite(t=[0, 2]), ["torsor-selftest"], "crossed_module.finite.t"),
+    (_finite(alpha=[[0, 1], [0, 0]]), ["check-crossed-module"],
+     "crossed_module.finite.alpha.1"),
+    (_finite(alpha=[[0, 1], [0]]), ["check-crossed-module"],
+     "crossed_module.finite.alpha"),
+    ({"seed": 1, "crossed_module": {"matrix": {"family": "nope"}}},
+     ["check-crossed-module"], "crossed_module.matrix.family"),
+    (_matrix(t_star=[[1, 0], [0, 1]]), ["check-crossed-module"],
+     "lie2algebra.t_star"),
+    (_matrix(t_star=[[1, 0, 0], [0, 1], [0, 0, 1]]), ["check-crossed-module"],
+     "lie2algebra.t_star"),
+    (_matrix(alpha_star=[[[1.0]]]), ["check-crossed-module"],
+     "lie2algebra.alpha_star"),
+], ids=["ragged-table", "ragged-table-selftest", "not-latin",
+        "not-associative", "not-an-identity", "t-length", "t-range",
+        "alpha-not-bijective", "ragged-alpha", "unknown-family",
+        "t_star-shape", "ragged-t_star", "alpha_star-shape"])
+def test_malformed_module_sections_are_config_errors(tmp_path, capsys, raw,
+                                                     argv, path):
+    code = main([*argv, "--config", _write(tmp_path, raw),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"config invalid at '{path}'" in capsys.readouterr().err
+
+
+def test_uncreatable_out_directory_exits_before_the_command(tmp_path, capsys,
+                                                            monkeypatch):
+    ran = []
+    monkeypatch.setitem(gauge2.cli.RUNNERS, "torsor-selftest",
+                        lambda *args: ran.append(args))
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    code = main(["torsor-selftest", "--config", _write(tmp_path, FINITE),
+                 "--out", str(out), "--quiet"])
+    assert code == 2 and ran == []
+    assert "--out" in capsys.readouterr().err
+
+
 def test_seed_override_changes_hash(tmp_path):
     path = _write(tmp_path, MINIMAL)
     cfg = load_config(path)
@@ -366,17 +432,20 @@ def test_sweeps_solve_the_counts_the_step_check_validated(
         validated.extend(counts)
         return counts
 
-    def recording(name, fn):
-        def wrapper(conn, bigons, g0, steps, *args):
-            solved.append(steps)
-            return fn(conn, bigons, g0, steps, *args)
+    def recording(name, at):
+        # records the step count, the solver's argument at position ``at``
+        fn = getattr(gauge2.transport, name)
+
+        def wrapper(*args):
+            solved.append(args[at])
+            return fn(*args)
         monkeypatch.setattr(gauge2.transport, name, wrapper)
 
     monkeypatch.setattr(gauge2.cli, "sweep_steps", validating)
     if argv == ["surface-transport"]:
-        recording("surface_values", gauge2.transport.surface_values)
+        recording("surface_values", 3)      # (conn, bigons, p, steps_s, ...)
     else:
-        recording("_surface_generator", gauge2.transport._surface_generator)
+        recording("_surface_generator", 2)  # (conn, bigons, steps_t, ...)
     raw = {**POLY, "numeric": {**MINIMAL["numeric"], **numeric}}
     out = tmp_path / "out"
     assert main([*argv, "--config", _write(tmp_path, raw), "--out", str(out),

@@ -184,8 +184,9 @@ def test_rho_naturality_t_identity():
     p = (x0, SU2.group_G.identity)
     rho = rho_from_phi(SU2_CONN, [SU2_M], [gamma], p, steps)[0, 0]
     tra = path_ordered_exp(SU2_CONN, gamma, steps).value @ p[1]
-    fp = SU2_M.map_point(p)
-    tra_prime = path_ordered_exp(conn2, gamma, steps).value @ fp[1]
+    # F(p) = (x0, g(x0)^-1 k) for p = (x0, k)
+    fp_frame = SU2.group_G.inv(SU2_M.g_map(np.atleast_2d(x0))[0]) @ p[1]
+    tra_prime = path_ordered_exp(conn2, gamma, steps).value @ fp_frame
     gy = SU2_M.g_map(np.atleast_2d(y))[0]
     f_tra = SU2.group_G.inv(gy) @ tra
     division = SU2.group_G.mul(SU2.group_G.inv(f_tra), tra_prime)

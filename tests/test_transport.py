@@ -391,19 +391,26 @@ def _per_slice_beta(conn, bigon, g0, steps_t, s_values):
     return SURFACE_ODE_SIGN * np.stack(out)
 
 
-@pytest.mark.parametrize("fam,a,frame", [
+# (family, connection a, coefficients of a frame g0) of the frame tests
+FRAMED = [
     (SU2, [["0.6*x2", "0.3", "0.1*x1"], ["0.2", "0.5*x1", "0.3*x2"]],
      [0.3, -0.2, 0.5]),
     (U2P, [["0.4*x2", "0.1", "0.2*x1"], ["0.2", "0.3*x1", "0.1"]],
      [0.4, 0.1, -0.7]),
-])
+]
+
+
+@pytest.mark.parametrize("fam,a,frame", FRAMED)
 def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
+    # the identity-frame driver, moved to g0 by (alpha_{g0^-1})_*, against
+    # the reference with g0 inside the integrand
     conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
     g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
     s_values = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
-    beta = _surface_generator(conn, [lens_bigon()], g0, 16, "b")
+    beta = _surface_generator(conn, [lens_bigon()], 16, "b")
+    moved = fam.alpha_vec(fam.group_G.inv(g0), beta(s_values)[:, 0])
     reference = _per_slice_beta(conn, lens_bigon(), g0, 16, s_values)
-    assert np.max(np.abs(beta(s_values)[:, 0] - reference)) <= 1e-13
+    assert np.max(np.abs(moved - reference)) <= 1e-13
 
 
 # --- surface transport ----------------------------------------------------------
@@ -466,15 +473,19 @@ def test_sweep_order_is_the_last_finite_order(defects, order):
 
 
 def test_surface_equivariance_in_basepoint():
-    bigon = lens_bigon()
-    x0 = bigon([0.0, 0.0])
-    rng = np.random.default_rng(1)
-    g = SU2.cm.sample_G(rng)
-    base = surface_transport(SU2_CONN, bigon, (x0, SU2.group_G.identity),
-                             48, 48).value_h
-    moved = surface_transport(SU2_CONN, bigon, (x0, g), 48, 48).value_h
-    expected = SU2.cm.alpha(SU2.group_G.inv(g), base)
-    assert np.max(np.abs(moved - expected)) <= 1e-8
+    """2-transport at a frame g0, which the solver gets from the identity
+    frame by equivariance, against the outer solve of the per-slice
+    reference driver, which lifts through g0 itself."""
+    bigon, n = lens_bigon(), 24
+    for fam, a, frame in FRAMED:
+        conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
+        g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
+        reference = gauge2.transport._ordered_exp(
+            fam.group_H, fam.l2a.h_alg,
+            lambda s: _per_slice_beta(conn, bigon, g0, n, s)[:, None], n,
+            right=True)[0]
+        moved = surface_values(conn, [bigon], (bigon([0.0, 0.0]), g0), n, n)[0]
+        assert np.max(np.abs(moved - reference)) <= 1e-13, fam.name
 
 
 @pytest.mark.parametrize("fam,a,b,frames", [
@@ -485,8 +496,8 @@ def test_surface_equivariance_in_basepoint():
     (U1T, [["0.3*x2"], ["0.1"]], [["0.8*x1 + 0.2"]], [[0.7], [-1.3], [0.0]]),
 ], ids=["su2_id_conj", "u2_to_pu2", "u1_triv"])
 def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
-    # a mixed stack: two bigons and a reparameterization of the first, each
-    # with its own basepoint frame, all over the corner at the origin
+    # a mixed stack: two bigons and a reparameterization of the first,
+    # paired with three frames, all over the corner at the origin
     conn = TwoConnection(fam, Chart(2), a=a, b=b)
     lens = lens_bigon()
     warp = ParamMap.from_exprs(["u^2*(3-2*u)", "(1-cos(pi*v))/2"], 2)
@@ -500,6 +511,7 @@ def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
         assert np.max(np.abs(value - ref)) <= 1e-14
     # one bigon under a stack of frames is paired by broadcasting
     fanned = surface_values(conn, [lens], (x0, g0), 16, 12)
+    assert fanned.shape == got.shape
     for frame, value in zip(g0, fanned):
         ref = surface_transport(conn, lens, (x0, frame), 16, 12).value_h
         assert np.max(np.abs(value - ref)) <= 1e-14
@@ -532,14 +544,15 @@ GUARD_CONFIG = {
     # blocks of 40 (80 x 40 x 6 points is at most _LIFT_POINTS); no path
     # solve, and the kernel exponentiates in spin coordinates, not with exp
     (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 0),
-    # tra^2 once; tra'^2 of the morphism and its two twisted forms in one
-    # solve on one lift of the 2 x 16 slices of both stages; rho of all three
+    # tra^2 once; tra'^2 once at the identity frame, on one lift of the
+    # 2 x 16 slices of both stages, and moved to the frames of the morphism
+    # and its two twisted forms by equivariance; rho of all three
     # morphisms along the source and target paths in one ordered
     # exponential in H, batched with the reference generator rep_*(W); the
     # fields' dg g^-1 are closed-form dexp, and only the gauge function's
     # values and the independent stencil of the A-level check exponentiate
-    (["verify", "gauge"], {("surface", (1,)): 1, ("surface", (3,)): 1,
-                           ("lift", (32, 1)): 2, ("path", (4, 2)): 1}, 2901),
+    (["verify", "gauge"], {("surface", (1,)): 2, ("lift", (32, 1)): 2,
+                           ("path", (4, 2)): 1}, 2901),
     # no transport: the gauge function once per point of each evaluation
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
@@ -812,8 +825,9 @@ def test_reconstruct_B_zero_abelian_su2():
 
 def test_reconstruct_broadcasts_over_sample_points():
     """A batch of points takes one solve and gives the per-point values to
-    roundoff: not bit for bit, as a batch of 32 or more 2x2 products is
-    multiplied entry by entry.  A single point keeps its shape."""
+    roundoff: not bit for bit, as BLAS sums a batched matrix product (the
+    coefficients of ``LieAlgebra.from_matrix``, say) in another order than
+    a single matrix-vector product.  A single point keeps its shape."""
     rng = np.random.default_rng(6)
     x = rng.uniform(0.2, 0.8, size=(10, 2))
     X, Y = rng.standard_normal((2, 10, 2))
