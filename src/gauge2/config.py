@@ -17,12 +17,13 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, StructureError
+from .errors import (ComposabilityError, ConfigError, DomainError, ParseError,
+                     StructureError)
 from .families import (FAMILY_NAMES, FINITE_DEMO_NAMES, finite_crossed_module,
                        finite_demo_module, matrix_family)
 from .fields import CoefficientField
 from .forms import TransitionData, TwoConnection
-from .geometry import Chart, ParamMap, unit_grid
+from .geometry import Chart, ParamMap, check_cube_boundaries, unit_grid
 from .groups import FiniteGroup, cyclic_group
 from .lie2 import LieTwoAlgebra
 from .morphisms import OneMorphism, TwoMorphismA
@@ -395,17 +396,20 @@ class RunConfig:
     def param_maps(self, kind: str) -> dict:
         """The configured paths, bigons or cubes by name, each checked to
         parse in the variables its arity allows and to map into the chart
-        (see :meth:`_check_in_chart`)."""
+        (see :meth:`_check_in_chart`), and a cube's slices to share their
+        boundary paths (:func:`gauge2.geometry.check_cube_boundaries`)."""
         arity = {"paths": 1, "bigons": 2, "cubes": 3}[kind]
         out = {}
         for name, exprs in self.raw.get(kind, {}).items():
             path = f"{kind}.{name}"
             try:
                 pm = ParamMap.from_exprs(exprs, arity, name=name)
-            except (DomainError, ParseError) as err:
+                self._check_in_chart(pm, path)
+                if arity == 3:
+                    check_cube_boundaries(pm)
+            except (ComposabilityError, DomainError, ParseError) as err:
                 raise ConfigError(f"config invalid at '{path}': {err}",
                                   path=path) from None
-            self._check_in_chart(pm, path)
             out[name] = pm
         return out
 

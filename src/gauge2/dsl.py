@@ -84,6 +84,9 @@ class Call(Expr):
 # --- tokenizer -------------------------------------------------------------
 
 _PUNCT = "+-*/^()"
+# ASCII only: str.isdigit also accepts characters such as "²" that float()
+# cannot read
+_DIGITS = frozenset("0123456789")
 
 
 class _Token:
@@ -116,19 +119,19 @@ def _tokenize(src: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k] in _DIGITS:
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j] in _DIGITS:
                         j += 1
             tokens.append(_Token("num", src[i:j], line, col))
             col += j - i

@@ -210,12 +210,12 @@ class TwoConnection:
 # --- module operations ---------------------------------------------------------
 
 
-def fake_flatness_residual(conn: TwoConnection, grid) -> dict:
-    """Max-norm of t_* b - F_a over the grid, with a pass flag at 1e-8."""
+def fake_flatness_residual(conn: TwoConnection, grid, tol: float) -> dict:
+    """Max-norm of t_* b - F_a over the grid, with a pass flag at ``tol``."""
     F = conn.F_pairs(grid)
     tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid, F))
     worst = float(np.max(np.abs(tb - F), initial=0.0))
-    return {"residual": worst, "pass": worst <= 1e-8, "grid_points": len(grid)}
+    return {"residual": worst, "pass": worst <= tol, "grid_points": len(grid)}
 
 
 class TransitionData:

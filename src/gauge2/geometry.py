@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ComposabilityError, DomainError
 from .fields import FD_STEP, CoefficientField, directional_diff
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
     "canonical_bigon", "reparameterize", "check_reparameterization",
     "straight_path", "reverse_path", "reverse_bigon", "source_path",
-    "target_path", "unit_grid",
+    "target_path", "unit_grid", "check_cube_boundaries",
 ]
 
 SMOOTH_STEP_WIDTH = 0.1
@@ -320,6 +320,23 @@ def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
     """Precompose with a phi that :func:`check_reparameterization` accepts."""
     phi = check_reparameterization(phi, pm.arity, tol, samples)
     return pm.compose_params(phi, name=f"{pm.name}o{phi.name}")
+
+
+def check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
+    """Slices of the cube must be bigons between common boundary paths."""
+    uu, vv = unit_grid(samples, 2).T
+    for fixed_axis, label in ((1, "source/target paths"), (2, "path endpoints")):
+        for value in (0.0, 1.0):
+            params = np.zeros((uu.size, 3))
+            params[:, 0] = uu
+            params[:, fixed_axis] = value
+            params[:, 3 - fixed_axis] = vv
+            # the same point on the u = 0 slice
+            d = float(np.max(np.abs(cube(params) - cube(params * [0, 1, 1]))))
+            if d > tol:
+                raise ComposabilityError(
+                    f"cube slices disagree on {label} at face {value:g} "
+                    f"(defect {d:.3e})", mismatch=d)
 
 
 def check_reparameterization(phi, arity: int, tol=1e-9, samples=17) -> ParamMap:

@@ -36,7 +36,7 @@ from .fields import (FD_STEP, GroupValuedField, axis_diffs, chart_grid,
                      group_field, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
-from .transport import _ordered_exp, _sample_paths, surface_values
+from .transport import _ordered_exp, _stack_jets, surface_values
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
            "pullback_defects", "verify_onemorphism_compat", "apply_twomorphism",
@@ -144,7 +144,7 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
     H = fam.group_H
 
     def w_eval(times):
-        points = _sample_paths(paths, times)
+        points = _stack_jets(paths, times[:, None])
         rep_w = np.einsum("hg,...g->...h", fam.rep_star, -conn.a_of(*points))
         gens = [rep_w] + [rep_w - m.phi_of(*points) for m in morphisms]
         gens = np.stack(gens, axis=1).reshape(times.size, len(paths),
@@ -201,8 +201,8 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
     frames = fam.group_G.inv(np.stack([m.g_map(np.atleast_2d(x0))[0]
                                        for m in morphisms]))
     h = fam.group_H
-    tra2 = surface_values(conn, [bigon], None, steps, steps)
-    tra2_prime = surface_values(conn_prime, [bigon], (x0, frames), steps, steps)
+    tra2 = surface_values(conn, [bigon], None, steps)
+    tra2_prime = surface_values(conn_prime, [bigon], (x0, frames), steps)
     paths = [source_path(bigon), target_path(bigon)]
     rho = rho_from_phi(conn, morphisms, paths, None, steps)
     square = [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),

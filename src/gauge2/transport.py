@@ -35,11 +35,12 @@ on the finished value, by the equivariance eta_H(p g) = alpha_{g^-1}
 eta_H(p) of 2-transport (and on the right of a 1-transport).
 
 Batch axes: path solves take a stack of paths, (times, paths, n, n).
-:func:`surface_values` solves a stack of bigons with shared step counts
-in one outer solve, paired by broadcasting with a stack of frames; one
-generator call serves both CF4 stages and lifts every slice of every
-bigon in near-equal blocks of at most ``_LIFT_POINTS`` (node, slice)
-points (the 2-form is evaluated per bigon).  Boundary 1-transports are
+:func:`surface_values` solves a stack of bigons in one outer solve,
+paired by broadcasting with a stack of frames; one step count serves the
+outer steps, the Simpson steps and the lift steps alike.  One generator
+call serves both CF4 stages and lifts every slice of every bigon in
+near-equal blocks of at most ``_LIFT_POINTS`` (node, slice) points (the
+2-form is evaluated per bigon).  Boundary 1-transports are
 computed only where they are reported (:func:`surface_transport`, the
 Stokes verifier), source and target in one path solve.
 """
@@ -52,10 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ComposabilityError, DomainError, SamplingError
+from .errors import AccuracyError, DomainError, SamplingError
 from .forms import TwoConnection
-from .geometry import (ParamMap, canonical_bigon, source_path, straight_path,
-                       target_path, unit_grid)
+from .geometry import (ParamMap, canonical_bigon, check_cube_boundaries,
+                       source_path, straight_path, target_path, unit_grid)
 from .groups import hamilton, quaternion_exp
 
 __all__ = [
@@ -104,8 +105,7 @@ class SurfaceTransportResult:
     value_h: np.ndarray
     source_transport: np.ndarray
     target_transport: np.ndarray
-    steps_s: int
-    steps_t: int
+    steps: int
     group_defect: float
     order_estimate: float | None = None
 
@@ -198,12 +198,14 @@ def sweep_order(defects):
 # --- 1-transport -----------------------------------------------------------------
 
 
-def _sample_paths(paths, times):
-    """Points and velocities of a stack of paths at the given times, each
-    one (times * paths, d) batch with the paths innermost."""
-    points, vel = (np.stack(part, axis=1) for part in
-                   zip(*(gamma.jet(times[:, None]) for gamma in paths)))
-    return points.reshape(-1, points.shape[-1]), vel.reshape(-1, vel.shape[-1])
+def _stack_jets(maps, params, axes=None):
+    """Points and partials along ``axes`` (all by default) of a stack of
+    maps at (N, m) parameters: [points, *partials], each one (N * maps, d)
+    batch with the maps innermost."""
+    points, partials = (np.stack(part, axis=1) for part in
+                        zip(*(pm.jet(params, axes) for pm in maps)))
+    d = points.shape[-1]
+    return [x.reshape(-1, d) for x in (points, *np.moveaxis(partials, 2, 0))]
 
 
 def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
@@ -213,7 +215,7 @@ def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
         raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
 
     def w_eval(times):      # W = -a(gamma') as (times, paths, dim)
-        return -conn.a_of(*_sample_paths(paths, times)).reshape(
+        return -conn.a_of(*_stack_jets(paths, times[:, None])).reshape(
             times.size, len(paths), -1)
 
     return _ordered_exp(conn.family.group_G, conn.family.l2a.g_alg, w_eval,
@@ -267,47 +269,41 @@ def _simpson_grid(n: int, arity: int = 1):
     return unit_grid(n + 1, arity), weights.reshape(-1)
 
 
-def _surface_generator(conn: TwoConnection, bigons, steps_t: int,
-                       integrand: str):
+def _surface_generator(conn: TwoConnection, bigons, steps: int, integrand: str):
     """Outer-ODE driver beta(s) of a stack of bigons at the identity frame
     for surface transport ('b') or the curvature double integral of the
     Stokes theorem ('F'): (k,) -> (k, stack, dim) coefficient vectors of h
     ('b') or g ('F')."""
     fam = conn.family
     G = fam.group_G
-    d = conn.chart.dim
-    t_nodes, weights = _simpson_grid(steps_t)
+    t_nodes, weights = _simpson_grid(steps)
     t_nodes = t_nodes[:, 0]
     form_of, conj = ((conn.b_of, fam.alpha_vec) if integrand == "b"
                      else (conn.F_of, fam.ad_g_vec))
 
-    def sample(t_values, s_values, axes, stack):
-        # the points of each bigon of the stack and its partials along
-        # ``axes`` at the (s, t) parameters of every slice, one jet per
-        # bigon, t-major and bigons innermost
+    def params(t_values, s_values):
+        # the (s, t) parameters of every slice, t-major
         s, t = np.meshgrid(s_values, t_values)
-        params = np.stack([s.ravel(), t.ravel()], axis=-1)
-        points, partials = (np.stack(part, axis=1) for part in
-                            zip(*(bg.jet(params, axes) for bg in stack)))
-        return [x.reshape(-1, d) for x in (points, *np.moveaxis(partials, 2, 0))]
+        return np.stack([s.ravel(), t.ravel()], axis=-1)
 
     def block(s_values):
         k = s_values.size
 
         def lift_generator(times):
             # W = -a(d_t Gamma) of every slice Gamma(s, .) at the given times
-            vec = conn.a_of(*sample(times, s_values, (1,), bigons))
+            vec = conn.a_of(*_stack_jets(bigons, params(times, s_values), (1,)))
             return -vec.reshape(times.size, k, len(bigons), -1)
 
         inv_frames = G.inv(_ordered_exp(G, fam.l2a.g_alg, lift_generator,
-                                        steps_t, trajectory=True))
+                                        steps, trajectory=True))
+        nodes = params(t_nodes, s_values)
         out = []
         for j, bigon in enumerate(bigons):
             # the form one bigon at a time: over the whole stack it was no
             # faster on surface-su2 (77-98 against 72-82 ms per pass)
-            vals = form_of(*sample(t_nodes, s_values, (0, 1), [bigon]))
+            vals = form_of(*_stack_jets([bigon], nodes))
             vals = conj(inv_frames[:, :, j:j + 1],
-                        vals.reshape(steps_t + 1, k, 1, -1))
+                        vals.reshape(steps + 1, k, 1, -1))
             out.append(np.tensordot(weights, vals, axes=1))
         return np.concatenate(out, axis=1)
 
@@ -315,58 +311,57 @@ def _surface_generator(conn: TwoConnection, bigons, steps_t: int,
         # the slices of both outer stages, lifted in near-equal blocks of at
         # most _LIFT_POINTS points (one slice, if that alone passes it)
         s_values = np.atleast_1d(s_values)
-        per_block = max(1, _LIFT_POINTS // (2 * steps_t * len(bigons)))
+        per_block = max(1, _LIFT_POINTS // (2 * steps * len(bigons)))
         blocks = np.array_split(s_values, -(-s_values.size // per_block))
         return SURFACE_ODE_SIGN * np.concatenate([block(s) for s in blocks])
 
     return beta
 
 
-def surface_values(conn: TwoConnection, bigons, p=None, steps_s: int = 32,
-                   steps_t: int = 32) -> np.ndarray:
+def surface_values(conn: TwoConnection, bigons, p=None,
+                   steps: int = 32) -> np.ndarray:
     """H values (stack, n, n) of the 2-transports of a stack of bigons at
-    p = (x0, g0): one outer solve at the identity frame, then alpha_{g0^-1};
-    g0 may be a stack of frames, paired with the bigons by broadcasting.
-    No boundary transport is computed."""
+    p = (x0, g0): one outer solve of ``steps`` steps over slices lifted and
+    integrated with ``steps`` steps, at the identity frame, then
+    alpha_{g0^-1}; g0 may be a stack of frames, paired with the bigons by
+    broadcasting.  No boundary transport is computed."""
     if p is not None:
         d = max(float(np.max(np.abs(bg([0.0, 0.0]) - p[0]))) for bg in bigons)
         if d > 1e-9:
             raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
     fam = conn.family
     values = _ordered_exp(fam.group_H, fam.l2a.h_alg,
-                          _surface_generator(conn, bigons, steps_t, "b"),
-                          steps_s, right=True)
+                          _surface_generator(conn, bigons, steps, "b"),
+                          steps, right=True)
     return values if p is None else fam.cm.alpha(fam.group_G.inv(p[1]), values)
 
 
 def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
-                      steps_s: int = 32, steps_t: int = 32,
-                      sweep: int = 0) -> SurfaceTransportResult:
+                      steps: int = 32, sweep: int = 0) -> SurfaceTransportResult:
     """2-transport of a bigon: H-valued ordered double integral of b, and
     the boundary 1-transports (:func:`surface_values`: values only).
 
-    Functorial guarantees need a fake-flat connection (callers may verify
-    with :func:`gauge2.forms.fake_flatness_residual`).  With ``sweep``
-    both counts are halved while both can be, for an order estimate against
-    the finest solve; an order below 1.5 raises AccuracyError.
+    One count ``steps`` serves the outer solve, the inner Simpson rule and
+    the slice lifts.  Functorial guarantees need a fake-flat connection
+    (callers may verify with :func:`gauge2.forms.fake_flatness_residual`).
+    With ``sweep`` the count is halved as :func:`sweep_steps` allows, for
+    an order estimate against the finest solve; an order below 1.5 raises
+    AccuracyError.
     """
-    counts = list(zip(sweep_steps(steps_s, sweep, SIMPSON_MIN_STEPS)[::-1],
-                      sweep_steps(steps_t, sweep, SIMPSON_MIN_STEPS)[::-1]))[::-1]
-    *coarse, value = [surface_values(conn, [bigon], p, ns, nt)[0]
-                      for ns, nt in counts]
+    *coarse, value = [surface_values(conn, [bigon], p, n)[0]
+                      for n in sweep_steps(steps, sweep, SIMPSON_MIN_STEPS)]
     order = sweep_order([float(np.max(np.abs(v - value))) for v in coarse])
     if order is not None and order < 1.5:
         raise AccuracyError(
             f"surface quadrature did not converge (order {order:.2f})")
 
     src, tgt = _path_values(conn, [source_path(bigon), target_path(bigon)],
-                            max(steps_t, PATH_MIN_STEPS))
+                            max(steps, PATH_MIN_STEPS))
     if p is not None:
         src, tgt = src @ p[1], tgt @ p[1]
     return SurfaceTransportResult(
         value_h=value, source_transport=src, target_transport=tgt,
-        steps_s=steps_s, steps_t=steps_t,
-        group_defect=conn.family.group_H.membership_defect(value),
+        steps=steps, group_defect=conn.family.group_H.membership_defect(value),
         order_estimate=order)
 
 
@@ -396,23 +391,6 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap,
     }
 
 
-def _check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
-    """Slices of the cube must be bigons between common boundary paths."""
-    uu, vv = unit_grid(samples, 2).T
-    for fixed_axis, label in ((1, "source/target paths"), (2, "path endpoints")):
-        for value in (0.0, 1.0):
-            params = np.zeros((uu.size, 3))
-            params[:, 0] = uu
-            params[:, fixed_axis] = value
-            params[:, 3 - fixed_axis] = vv
-            # the same point on the u = 0 slice
-            d = float(np.max(np.abs(cube(params) - cube(params * [0, 1, 1]))))
-            if d > tol:
-                raise ComposabilityError(
-                    f"cube slices disagree on {label} at face {value:g} "
-                    f"(defect {d:.3e})", mismatch=d)
-
-
 def verify_higher_stokes(conn: TwoConnection, cube: ParamMap,
                          steps_surface: int = 48, steps_volume: int = 32) -> dict:
     """Compare the quotient of the 2-transports of the two end bigons with
@@ -421,10 +399,10 @@ def verify_higher_stokes(conn: TwoConnection, cube: ParamMap,
     The quotient h0^-1 h1 lies in ker t (central), so the right-hand side is
     exp of an ordinary triple integral of the ker t_* projection of K.
     """
-    _check_cube_boundaries(cube)
+    check_cube_boundaries(cube)
     fam = conn.family
     h0, h1 = surface_values(conn, [cube.slice_first(0.0), cube.slice_first(1.0)],
-                            None, steps_surface, steps_surface)
+                            None, steps_surface)
     lhs = fam.group_H.mul(fam.group_H.inv(h0), h1)
 
     mesh, weights = _simpson_grid(steps_volume, 3)
@@ -473,6 +451,7 @@ def _broadcast_points(*vectors):
 _LENS_AMPLITUDE = 0.25
 
 
+@functools.cache
 def _lens_bigon():
     """Analytic bigon (v, v - k sin(pi v)) => (v, v + k sin(pi v)) in I^2.
 
@@ -480,18 +459,8 @@ def _lens_bigon():
     converges with tiny constants; its oriented flux in the (u, v)
     parameters is exactly -4k/pi times the unit-square area form.
     """
-    k = _LENS_AMPLITUDE
-
-    def jet(params):
-        u, v = params[..., 0], params[..., 1]
-        s = np.sin(np.pi * v)
-        # partials in the order d_u x, d_u y, d_v x, d_v y
-        return (np.stack([v, v + (2.0 * u - 1.0) * k * s], axis=-1),
-                np.stack([0.0 * v, 2.0 * k * s, 1.0 + 0.0 * v,
-                          1.0 + (2.0 * u - 1.0) * k * np.pi * np.cos(np.pi * v)],
-                         axis=-1).reshape(-1, 2, 2))
-
-    return ParamMap(2, 2, lambda params: jet(params)[0], name="lens", jet=jet)
+    return ParamMap.from_exprs(
+        ["v", f"v + {_LENS_AMPLITUDE}*(2*u - 1)*sin(pi*v)"], 2, name="lens")
 
 
 def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
@@ -523,7 +492,7 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
     bigons = [base.affine_image(p, np.stack([s * U, t * V]))
               for p, U, V in zip(x, X, Y)
               for h in hs for s, t in ((h, h), (h, -h), (-h, h), (-h, -h))]
-    logs = fam.group_H.log(surface_values(conn, bigons, None, steps, steps))
+    logs = fam.group_H.log(surface_values(conn, bigons, None, steps))
     logs = logs.reshape((-1, 2, 4) + logs.shape[1:])
     mixed = ((logs[:, :, 0] - logs[:, :, 1] - logs[:, :, 2] + logs[:, :, 3])
              / (4.0 * hs * hs)[:, None, None])
@@ -554,7 +523,7 @@ def holonomy2_H(conn: TwoConnection, bigons, steps: int = 48) -> list:
     fam = conn.family
     v = np.linspace(0.0, 1.0, 17)
     out = []
-    for bigon, value in zip(bigons, surface_values(conn, bigons, None, steps, steps)):
+    for bigon, value in zip(bigons, surface_values(conn, bigons, None, steps)):
         src = bigon(np.stack([np.zeros_like(v), v], axis=-1))
         tgt = bigon(np.stack([np.ones_like(v), v], axis=-1))
         rep = {"value": value, "same_loop": float(np.max(np.abs(src - tgt))) <= 1e-9,
@@ -566,17 +535,14 @@ def holonomy2_H(conn: TwoConnection, bigons, steps: int = 48) -> list:
     return out
 
 
-def _loop_bigon_family(x0, dirs, amp):
-    """Loop-to-loop bigon cube at x0: slices share the same boundary loop."""
-    d1, d2, d3 = dirs
-
-    def fn(params):
-        u, v, w = (params[..., i][..., None] for i in range(3))
-        loop = (np.sin(np.pi * w) * d1 + np.sin(2 * np.pi * w) * 0.5 * d2)
-        bump = np.sin(np.pi * w) ** 2 * (np.sin(np.pi * v) ** 2) * d3
-        return x0 + amp * (loop + u * bump)
-
-    return ParamMap(3, x0.shape[0], fn, name="loop-bigon-family")
+@functools.cache
+def _loop_bigon_family():
+    """Loop-to-loop bigon cube in I^3 -> R^3: its slices share the boundary
+    loop w -> (sin(pi w), sin(2 pi w) / 2, 0); callers place it by an
+    affine image."""
+    return ParamMap.from_exprs(
+        ["sin(pi*w)", "0.5*sin(2*pi*w)", "u*sin(pi*w)^2*sin(pi*v)^2"], 3,
+        name="loop-bigon-family")
 
 
 def ambrose_singer_check(conn: TwoConnection, rng=None,
@@ -602,8 +568,6 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
     points, tangents = [], []
     for _ in range(n_paths):
         points += [x0 + amplitude * rng.uniform(-1.0, 1.0, size=d)] * 3
-        # a discarded draw, which keeps the seeded draws that follow
-        rng.uniform(-1.0, 1.0, size=d)
         tangents.append(rng.standard_normal((3, 3, d)))
     X, Y, Z = np.concatenate(tangents).swapaxes(0, 1)
     kmat = fam.l2a.project_ker_t_star(conn.K_of(np.stack(points), X, Y, Z))
@@ -625,7 +589,8 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
     for _ in range(n_bigons):
         idx = rng.permutation(d)[:3] if d >= 3 else np.arange(d)
         dirs = [frame[i] for i in idx[:3]] if d >= 3 else [frame[0], frame[-1], frame[0]]
-        cube = _loop_bigon_family(x0, dirs, amplitude * rng.uniform(0.5, 1.0))
+        cube = _loop_bigon_family().affine_image(
+            x0, amplitude * rng.uniform(0.5, 1.0) * np.stack(dirs))
         bigons.append(cube.slice_first(1.0))
     logs = hol_logs(bigons)
     residual = float(np.max(np.abs(logs - (logs @ basis.T) @ basis)))
@@ -638,7 +603,7 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
 
     # converse: d/dr log hol(r) matches the K double integral over the slice
     dirs = [frame[i % d] for i in range(3)]
-    cube = _loop_bigon_family(x0, dirs, amplitude)
+    cube = _loop_bigon_family().affine_image(x0, amplitude * np.stack(dirs))
     r0, dr = 0.5, 1e-3
     up, down = hol_logs([cube.slice_first(r0 + dr), cube.slice_first(r0 - dr)])
     fd = (up - down) / (2.0 * dr)

@@ -140,7 +140,7 @@ def test_criterion_04_fake_flat_target_identity():
     count = 0
     for fam, conn in ((SU2, SU2_CONN), (U2P, U2P_CONN)):
         for pm in bigons.values():
-            res = surface_transport(conn, pm, None, 64, 64)
+            res = surface_transport(conn, pm, None, 64)
             worst = max(worst, res.target_identity_defect(fam))
             count += 1
     _report(4, "fake-flat target identity t(tra2_H) = tgt : src <= 1e-6 "
@@ -201,10 +201,10 @@ def test_criterion_06_thin_homotopy_invariance():
         ["u^2*(3-2*u)", "v^2*(3-2*v)"], ["u", "(1-cos(pi*v))/2"])]
     worst = 0.0
     for pm in _demo_bigons().values():
-        base = surface_transport(SU2_CONN, pm, None, 96, 96).value_h
+        base = surface_transport(SU2_CONN, pm, None, 96).value_h
         for phi in reparams:
             got = surface_transport(SU2_CONN, reparameterize(pm, phi),
-                                    None, 96, 96).value_h
+                                    None, 96).value_h
             worst = max(worst, float(np.max(np.abs(got - base))))
     _report(6, "thin invariance: five reparameterizations of each demo "
             "bigon change tra2_H by <= 1e-7", worst <= 1e-7,

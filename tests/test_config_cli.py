@@ -370,8 +370,8 @@ def test_verify_thin_checks_the_step_count_it_solves_with(
     """The config-time parity check and the solve read the same key."""
     solved = []
 
-    def recording(conn, bigons, p, n_s, n_t):
-        solved.append((n_s, n_t))
+    def recording(conn, bigons, p, n):
+        solved.append(n)
         return np.zeros((len(bigons), 1, 1))
 
     monkeypatch.setattr(gauge2.cli, "surface_values", recording)
@@ -385,7 +385,7 @@ def test_verify_thin_checks_the_step_count_it_solves_with(
         assert code == 2 and f"numeric.{key}" in capsys.readouterr().err
         assert solved == []
     else:
-        assert code == 0 and solved == [(n, n)]
+        assert code == 0 and solved == [n]
 
 
 def test_odd_path_steps_stay_allowed_for_path_transport(tmp_path):
@@ -443,9 +443,9 @@ def test_sweeps_solve_the_counts_the_step_check_validated(
 
     monkeypatch.setattr(gauge2.cli, "sweep_steps", validating)
     if argv == ["surface-transport"]:
-        recording("surface_values", 3)      # (conn, bigons, p, steps_s, ...)
+        recording("surface_values", 3)      # (conn, bigons, p, steps)
     else:
-        recording("_surface_generator", 2)  # (conn, bigons, steps_t, ...)
+        recording("_surface_generator", 2)  # (conn, bigons, steps, ...)
     raw = {**POLY, "numeric": {**MINIMAL["numeric"], **numeric}}
     out = tmp_path / "out"
     assert main([*argv, "--config", _write(tmp_path, raw), "--out", str(out),
@@ -706,7 +706,8 @@ def test_verify_thin_checks_each_reparameterization_once(tmp_path,
 
 # stencil calls per `report` command before paths, bigons and gauge
 # functions carried exact derivatives (straight rays, the lens filling,
-# reparameterized bigons and exp(X) fields took the stencil); none may rise
+# reparameterized bigons, the Ambrose-Singer loop family and exp(X) fields
+# took the stencil); none may rise
 STENCIL_CALLS_BEFORE = {
     "abelian_demo": {"gauge-transform": 22, "reconstruct-A": 80,
                      "reconstruct-B": 640, "verify-gauge": 20, "verify-thin": 80},
@@ -720,12 +721,13 @@ STENCIL_CALLS_BEFORE = {
 
 
 def test_report_takes_no_stencil_of_a_dsl_field(tmp_path, monkeypatch):
-    """Every field of the shipped configs is DSL: the stencil serves only
-    group-valued fields, maps and fields the program builds, never a
-    coefficient field or a method that hides one (a gauge transform once
-    differenced phi through ``OneMorphism.phi_coeffs``).  ``verify thin``
-    takes none, and ``verify gauge`` only the independent derivative of
-    its A-level check."""
+    """Every field and map of the shipped configs is DSL, and so is every
+    map a command builds: the stencil serves only group-valued fields and
+    the gauge-transformed connection, never a coefficient field, a map or a
+    method that hides one (a gauge transform once differenced phi through
+    ``OneMorphism.phi_coeffs``).  Only ``gauge-transform`` and ``verify
+    gauge`` take it, the latter only for the independent derivative of its
+    A-level check."""
     differenced = collections.defaultdict(list)   # command -> [(fn, in check)]
     stencil = gauge2.fields.directional_diff
     where = {"command": None, "in_check": False}
@@ -759,18 +761,17 @@ def test_report_takes_no_stencil_of_a_dsl_field(tmp_path, monkeypatch):
         assert main(["report", "--config", str(CONFIGS / f"{config}.json"),
                      "--out", str(tmp_path / config), "--quiet"]) == 0
         assert set(differenced) <= set(before), config
+        assert set(differenced) <= {"gauge-transform", "verify-gauge"}, config
         for command, calls in differenced.items():
             assert len(calls) <= before[command], (config, command)
-        assert "verify-thin" not in differenced
         if "verify-gauge" in before:
             assert differenced["verify-gauge"]
             assert all(in_check for _, in_check in differenced["verify-gauge"])
         kinds = {type(fn) for calls in differenced.values() for fn, _ in calls}
-        assert kinds <= {GroupValuedField, ParamMap, types.FunctionType}, kinds
+        assert kinds <= {GroupValuedField, types.FunctionType}, kinds
         for calls in differenced.values():
             for fn, _ in calls:
-                assert not isinstance(fn, CoefficientField)
-                assert getattr(fn, "_jet", None) is None    # config maps are exact
+                assert not isinstance(fn, (CoefficientField, ParamMap))
 
 
 def test_pullback_check_shows_a_dexp_without_its_double_bracket(tmp_path,
@@ -822,8 +823,10 @@ FIELDS = {**MINIMAL, "morphism": {"g": ["0.7*x1*x2"],
     ("morphism", "phi", [["0.3*x2"], ["0.2*x1 *"]], ["verify", "gauge"]),
     ("two_morphism", "a", ["0.3*x3"], ["verify", "gauge"]),
     ("transition", "g", ["sin(x1"], ["verify", "fake-flat"]),
+    ("connection", "a", [["0"], ["x1^²"]], ["transport"]),
 ], ids=["connection.a", "connection.b", "connection.b_extra", "morphism.g",
-        "morphism.phi", "two_morphism.a", "transition.g"])
+        "morphism.phi", "two_morphism.a", "transition.g",
+        "connection.a-unicode-digit"])
 def test_bad_field_expressions_are_config_errors(tmp_path, capsys, section,
                                                  key, exprs, argv):
     # a parse error or a chart variable the chart does not have is an
@@ -835,6 +838,43 @@ def test_bad_field_expressions_are_config_errors(tmp_path, capsys, section,
                  "--quiet"])
     assert code == 2
     assert f"'{section}.{key}'" in capsys.readouterr().err
+
+
+def test_cube_whose_slices_do_not_share_their_paths_is_a_config_error(
+        tmp_path, capsys):
+    """A cube must be a family of bigons between common boundary paths;
+    one that is not exits 2 naming it before any solve."""
+    raw = json.loads((CONFIGS / "u2pu2_higher.json").read_text())
+    raw["cubes"]["bad"] = ["w", "0.3*u*v", "0.2*v*sin(pi*w)"]
+    code = main(["verify", "higher-stokes", "--config", _write(tmp_path, raw),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config invalid at 'cubes.bad'" in err and "slices disagree" in err
+
+
+@pytest.mark.parametrize("shift,ok", [(5e-8, True), (2e-7, False)])
+def test_gauge_transform_judges_its_output_at_one_tolerance(
+        tmp_path, monkeypatch, shift, ok):
+    """The output residual's own pass flag and the case's verdict read the
+    same tolerance, so a residual between the two fake-flat tolerances
+    cannot give a report that says both."""
+    transform = gauge2.cli.gauge_transform
+
+    def shifted(conn, m):
+        # b off fake-flat by ``shift``: t = id on su2_id_conj
+        out = copy.copy(transform(conn, m))
+        out._b_extra = lambda points: np.full(
+            (len(points), len(out.pairs), out.family.l2a.h_alg.dim), shift)
+        return out
+
+    monkeypatch.setattr(gauge2.cli, "gauge_transform", shifted)
+    code = main(["gauge-transform", "--config", str(CONFIGS / "su2_demo.json"),
+                 "--out", str(tmp_path), "--quiet"])
+    case, = json.loads((tmp_path / "gauge-transform.json").read_text())["cases"]
+    assert abs(case["output_fake_flat"]["residual"] - shift) <= 1e-12
+    assert case["output_fake_flat"]["pass"] is case["pass"] is ok
+    assert code == (0 if ok else 3)
 
 
 def test_field_math_error_at_a_point_stays_a_numerical_failure(tmp_path):

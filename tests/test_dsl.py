@@ -68,6 +68,16 @@ def test_unknown_function_and_trailing_input():
         dsl.parse("1 + 2 )")
 
 
+@pytest.mark.parametrize("src,column", [("x1^²", 4), ("١٢ + x1", 1),
+                                        ("2e³", 2)])
+def test_only_ascii_digits_make_numbers(src, column):
+    # str.isdigit accepts "²" and "١", which float() cannot read or reads
+    # as another number
+    with pytest.raises(ParseError) as err:
+        dsl.parse(src)
+    assert err.value.column == column
+
+
 def test_unbound_variable_is_named():
     with pytest.raises(UnboundVariableError) as err:
         dsl.evaluate(dsl.parse("x1 + zz"), {"x1": 1.0})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gauge2.families import matrix_family
+from gauge2.cli import TOL
 from gauge2.fields import (CoefficientField, chart_grid, directional_diff,
                            group_field)
 from gauge2.forms import (TransitionData, TwoConnection, check_local_data,
@@ -66,13 +67,13 @@ def test_fake_flat_by_construction(su2):
     conn = TwoConnection(su2, Chart(2),
                          a=[["0.6*x2", "0.3", "0.1*x1"],
                             ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
     assert rep["pass"]
 
 
 def test_fake_flat_fails_when_t_kills_b(u1t):
     conn = TwoConnection(u1t, Chart(2), a=[["0"], ["x1"]], b=[["0"]])
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
     # t == e makes t_* b = 0, so the residual is max |F_a| = 1
     assert not rep["pass"]
     assert abs(rep["residual"] - 1.0) <= 1e-8
@@ -84,7 +85,7 @@ def test_fake_flat_with_kernel_part(u2p):
         a=[["0.5*x2", "0.2", "0.1*x1"], ["0.3", "0.4*x1", "0.2*x2"]],
         b="fake_flat",
         b_extra=[["0.4*x1 + 0.3*x2", "0", "0", "0"]])
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
     assert rep["pass"]   # the trace part lies in ker t_*
 
 
@@ -381,7 +382,7 @@ def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
     ref = max(float(np.max(np.abs(
         conn.family.l2a.apply_t_star(_ref_b(conn, grid, eye[k], eye[l]))
         - _ref_F(conn, grid, eye[k], eye[l])))) for (k, l) in conn.pairs)
-    assert fake_flatness_residual(conn, grid)["residual"] == ref
+    assert fake_flatness_residual(conn, grid, TOL["fake_flat"])["residual"] == ref
 
 
 def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
@@ -448,7 +449,7 @@ def test_each_field_is_evaluated_once_per_stencil_point(u2p):
 
     grid = chart_grid(Chart(3), 3)
     conn = TwoConnection(u2p, Chart(3), a=counting_a, b="fake_flat")
-    for form in [lambda: fake_flatness_residual(conn, grid),
+    for form in [lambda: fake_flatness_residual(conn, grid, TOL["fake_flat"]),
                  lambda: conn.F_of(grid, EX + EY, EZ)]:
         calls.clear()
         form()
@@ -483,11 +484,11 @@ def test_fake_flat_residual_checks_every_pair(case, wrong):
     family = matrix_family(name)
     grid = chart_grid(Chart(3))
     assert fake_flatness_residual(
-        TwoConnection(family, Chart(3), a=a, b=b), grid)["pass"]
+        TwoConnection(family, Chart(3), a=a, b=b), grid, TOL["fake_flat"])["pass"]
     b = [list(row) for row in b]
     b[wrong][0] += " + 0.25"
     rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b),
-                                 grid)
+                                 grid, TOL["fake_flat"])
     assert not rep["pass"]
     assert abs(rep["residual"] - 0.25) <= 1e-9
 
@@ -542,7 +543,7 @@ def test_exact_fake_flat_three_curvature_is_d_of_b_extra(u2p):
     assert np.max(np.abs(K - want)) <= 1e-13
     assert np.max(np.abs(u2p.l2a.apply_t_star(K))) <= 1e-13   # Bianchi
     assert fake_flatness_residual(
-        conn, chart_grid(conn.chart))["residual"] <= 1e-13
+        conn, chart_grid(conn.chart), TOL["fake_flat"])["residual"] <= 1e-13
 
 
 def test_exact_and_stencil_paths_agree(u2p):

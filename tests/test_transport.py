@@ -364,25 +364,25 @@ def test_blocked_surface_solve_matches_one_unblocked_solve(monkeypatch):
     bigons = [lens_bigon(0.1), lens_bigon(0.25), lens_bigon(-0.2),
               bulge_bigon(0.3), bulge_bigon(0.6), bulge_bigon(-0.4)]
     points = _counting_lifts(monkeypatch)
-    blocked = surface_values(SU2_CONN, bigons, None, 56, 56)
+    blocked = surface_values(SU2_CONN, bigons, None, 56)
     assert len(points) == 3
     monkeypatch.setattr(gauge2.transport, "_LIFT_POINTS", 2 ** 40)
-    whole = surface_values(SU2_CONN, bigons, None, 56, 56)
+    whole = surface_values(SU2_CONN, bigons, None, 56)
     assert len(points) == 4
     assert np.max(np.abs(blocked - whole)) <= 1e-14
 
 
-def _per_slice_beta(conn, bigon, g0, steps_t, s_values):
+def _per_slice_beta(conn, bigon, g0, steps, s_values):
     """Reference surface driver: one horizontal lift per slice Gamma(s, .)."""
     fam = conn.family
-    weights = np.ones(steps_t + 1)
+    weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    weights /= 3.0 * steps_t
-    t_nodes = np.linspace(0.0, 1.0, steps_t + 1)
+    weights /= 3.0 * steps
+    t_nodes = np.linspace(0.0, 1.0, steps + 1)
     out = []
     for s in s_values:
-        _, frames = horizontal_lift(conn, bigon.slice_first(s), steps=steps_t)
+        _, frames = horizontal_lift(conn, bigon.slice_first(s), steps=steps)
         params = np.stack([np.full_like(t_nodes, s), t_nodes], axis=-1)
         vals = conn.b_of(bigon(params), bigon.partial(0, params),
                          bigon.partial(1, params))
@@ -418,7 +418,7 @@ def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
 
 def test_surface_zero_b_gives_identity():
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[["0"]])
-    res = surface_transport(conn, bulge_bigon(), steps_s=16, steps_t=16)
+    res = surface_transport(conn, bulge_bigon(), steps=16)
     assert np.max(np.abs(res.value_h - 1.0)) <= 1e-12
 
 
@@ -427,35 +427,20 @@ def test_surface_abelian_flux_closed_form():
     # flux(∂u, ∂v) = -4k/pi, so the value is exp(+i c 4k/pi)
     c, k = 0.8, 0.25
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
-    res = surface_transport(conn, lens_bigon(k), steps_s=96, steps_t=96)
+    res = surface_transport(conn, lens_bigon(k), steps=96)
     expected = np.exp(1j * c * 4 * k / np.pi)
     assert np.max(np.abs(res.value_h - expected)) <= 1e-8
 
 
 def test_surface_target_identity_su2():
-    res = surface_transport(SU2_CONN, lens_bigon(), steps_s=96, steps_t=96)
+    res = surface_transport(SU2_CONN, lens_bigon(), steps=96)
     assert res.target_identity_defect(SU2) <= 1e-6
     assert res.group_defect <= 1e-10
 
 
 def test_surface_quadrature_convergence_guard():
-    res = surface_transport(SU2_CONN, lens_bigon(), steps_s=48, steps_t=48,
-                            sweep=2)
+    res = surface_transport(SU2_CONN, lens_bigon(), steps=48, sweep=2)
     assert res.order_estimate is None or res.order_estimate >= 1.5
-
-
-def test_surface_sweep_halves_both_counts_while_both_can(monkeypatch):
-    solved = []
-
-    def recording(conn, bigons, p, ns, nt):
-        solved.append((ns, nt))
-        return surface_values(conn, bigons, p, ns, nt)
-
-    monkeypatch.setattr(gauge2.transport, "surface_values", recording)
-    # 16 halves to 2 three times, 4 once: the sweep is 8 x 2, then 16 x 4
-    res = surface_transport(SU2_CONN, lens_bigon(), steps_s=16, steps_t=4,
-                            sweep=3)
-    assert solved == [(8, 2), (16, 4)] and res.order_estimate is None
 
 
 @pytest.mark.parametrize("steps,sweep,floor,counts", [
@@ -484,7 +469,7 @@ def test_surface_equivariance_in_basepoint():
             fam.group_H, fam.l2a.h_alg,
             lambda s: _per_slice_beta(conn, bigon, g0, n, s)[:, None], n,
             right=True)[0]
-        moved = surface_values(conn, [bigon], (bigon([0.0, 0.0]), g0), n, n)[0]
+        moved = surface_values(conn, [bigon], (bigon([0.0, 0.0]), g0), n)[0]
         assert np.max(np.abs(moved - reference)) <= 1e-13, fam.name
 
 
@@ -504,16 +489,16 @@ def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
     bigons = [lens, bulge_bigon(), reparameterize(lens, warp)]
     g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frames, dtype=float)))
     x0 = np.zeros(2)
-    got = surface_values(conn, bigons, (x0, g0), 16, 12)
+    got = surface_values(conn, bigons, (x0, g0), 16)
     assert got.shape == (3,) + fam.group_H.identity.shape
     for bigon, frame, value in zip(bigons, g0, got):
-        ref = surface_transport(conn, bigon, (x0, frame), 16, 12).value_h
+        ref = surface_transport(conn, bigon, (x0, frame), 16).value_h
         assert np.max(np.abs(value - ref)) <= 1e-14
     # one bigon under a stack of frames is paired by broadcasting
-    fanned = surface_values(conn, [lens], (x0, g0), 16, 12)
+    fanned = surface_values(conn, [lens], (x0, g0), 16)
     assert fanned.shape == got.shape
     for frame, value in zip(g0, fanned):
-        ref = surface_transport(conn, lens, (x0, frame), 16, 12).value_h
+        ref = surface_transport(conn, lens, (x0, frame), 16).value_h
         assert np.max(np.abs(value - ref)) <= 1e-14
 
 
@@ -610,9 +595,9 @@ def test_vertical_composition_matches_etaH_law():
     s1, s2 = _slab_bigon(0.0, 0.3), _slab_bigon(0.3, 0.6)
     comp = compose_bigons_vertical(s1, s2)
     n = 96
-    h1 = surface_transport(SU2_CONN, s1, None, n, n).value_h
-    h2 = surface_transport(SU2_CONN, s2, None, n, n).value_h
-    hc = surface_transport(SU2_CONN, comp, None, n, n).value_h
+    h1 = surface_transport(SU2_CONN, s1, None, n).value_h
+    h2 = surface_transport(SU2_CONN, s2, None, n).value_h
+    hc = surface_transport(SU2_CONN, comp, None, n).value_h
     assert np.max(np.abs(hc - h1 @ h2)) <= 1e-6
 
 
@@ -629,16 +614,14 @@ def test_horizontal_composition_matches_etaH_law():
     comp = compose_bigons_horizontal(s1, s2)
     n = 96
     p = (s1([0.0, 0.0]), SU2.group_G.identity)
-    h1 = surface_transport(SU2_CONN, s1, p, n, n).value_h
+    h1 = surface_transport(SU2_CONN, s1, p, n).value_h
     tgt1 = path_ordered_exp(SU2_CONN, s1.slice_first(1.0), n).value @ p[1]
-    h2_at = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), tgt1),
-                              n, n).value_h
-    hc = surface_transport(SU2_CONN, comp, p, n, n).value_h
+    h2_at = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), tgt1), n).value_h
+    hc = surface_transport(SU2_CONN, comp, p, n).value_h
     assert np.max(np.abs(hc - h1 @ h2_at)) <= 1e-6
     # the other horizontal formula: conjugate through the source transport
     src1 = path_ordered_exp(SU2_CONN, s1.slice_first(0.0), n).value @ p[1]
-    h2_src = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), src1),
-                               n, n).value_h
+    h2_src = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), src1), n).value_h
     assert np.max(np.abs(hc - h2_src @ h1)) <= 1e-6
 
 
@@ -667,18 +650,18 @@ def test_two_transport_interchange():
     rhs_bigon = compose_bigons_vertical(
         compose_bigons_horizontal(q11, q21),
         compose_bigons_horizontal(q12, q22))
-    lhs = surface_transport(conn, lhs_bigon, p, n, n).value_h
-    rhs = surface_transport(conn, rhs_bigon, p, n, n).value_h
+    lhs = surface_transport(conn, lhs_bigon, p, n).value_h
+    rhs = surface_transport(conn, rhs_bigon, p, n).value_h
     assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
 def test_thin_invariance_of_surface_transport():
     bigon = lens_bigon()
-    base = surface_transport(SU2_CONN, bigon, None, 96, 96).value_h
+    base = surface_transport(SU2_CONN, bigon, None, 96).value_h
     for exprs in (["u^2", "v"], ["u", "v^2*(3-2*v)"]):
         phi = ParamMap.from_exprs(exprs, 2)
         warped = reparameterize(bigon, phi)
-        got = surface_transport(SU2_CONN, warped, None, 96, 96).value_h
+        got = surface_transport(SU2_CONN, warped, None, 96).value_h
         assert np.max(np.abs(got - base)) <= 1e-7
 
 
@@ -953,7 +936,6 @@ def test_ambrose_singer_span_samples_are_one_K_evaluation(monkeypatch):
     for row in range(4 * 3):
         if row % 3 == 0:
             x = np.full(3, 0.5) + 0.35 * rng.uniform(-1.0, 1.0, size=3)
-            rng.uniform(-1.0, 1.0, size=3)
         tangents = [rng.standard_normal(3) for _ in range(3)]
         assert np.array_equal(points[row], x)
         assert np.array_equal(np.stack([X[row], Y[row], Z[row]]), tangents)
