@@ -27,7 +27,7 @@ import numpy as np
 from .errors import StructureError
 from .groups import (QUATERNION_UNITS, SO3_BASIS, FiniteGroup, MatrixGroup,
                      as_table, cyclic_group, lookup, rotation_quaternion)
-from .lie2 import LieAlgebra, LieTwoAlgebra
+from .lie2 import LieAlgebra, LieTwoAlgebra, linear, terms
 from .twogroup import CrossedModule
 
 __all__ = ["MatrixFamily", "matrix_family", "FAMILY_NAMES",
@@ -88,6 +88,9 @@ class MatrixFamily:
     ad_H: object
     alpha_star_of: object
 
+    def __post_init__(self):
+        self.rep_terms = terms(self.rep_star)
+
     group_G = property(lambda self: self.cm.G)
     group_H = property(lambda self: self.cm.H)
 
@@ -107,7 +110,7 @@ class MatrixFamily:
         """The map X -> rep_*(X) - Ad_a(rep_*(X)) from g to h: the
         differential at the identity of g -> alpha_g(a) a^-1 with a in H
         held fixed (batched over a and x together)."""
-        base = np.einsum("hg,...g->...h", self.rep_star, np.asarray(x_vec))
+        base = linear(self.rep_terms, x_vec)
         return base - self.ad_h_vec(a, base)
 
 

@@ -40,6 +40,7 @@ from .families import MatrixFamily
 from .fields import (FD_STEP, axis_diffs, chart_grid, exact_derivative,
                      group_field, tensor_field)
 from .geometry import Chart
+from .lie2 import linear
 
 __all__ = ["TwoConnection", "TransitionData", "fake_flatness_residual",
            "check_local_data", "pair_index"]
@@ -114,10 +115,13 @@ class TwoConnection:
                             axis_diffs(self._a, points, self.fd_step))
 
     def _F_from(self, a, da):
-        """F_pairs from a and its derivatives along the chart axes."""
-        k, l = self._pair_axes
-        return ((da[:, k, l] - da[:, l, k])
-                + self.family.l2a.g_alg.bracket(a[:, k], a[:, l]))
+        """F_pairs from a and its derivatives along the chart axes, one pair
+        at a time into one array, so no pair's slices are copied."""
+        bracket = self.family.l2a.g_alg.bracket
+        F = np.empty((len(a), len(self.pairs), a.shape[-1]))
+        for p, (k, l) in enumerate(self.pairs):
+            F[:, p] = (da[:, k, l] - da[:, l, k]) + bracket(a[:, k], a[:, l])
+        return F
 
     def _b_pairs(self, points, F=None):
         """(N, npairs, dim_h) stored components b_{kl} for k < l.
@@ -127,8 +131,8 @@ class TwoConnection:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.fake_flat_mode:
-            out = np.einsum("hg,...g->...h", self.family.rep_star,
-                            self.F_pairs(points) if F is None else F)
+            out = linear(self.family.rep_terms,
+                         self.F_pairs(points) if F is None else F)
         else:
             out = self._b(points)
         if self._b_extra is not None:
@@ -187,7 +191,7 @@ class TwoConnection:
                         @ g_alg.structure.reshape(-1, g_alg.dim))
             dF = (np.einsum("nikl,niklg->ng", C, da_field.derivative()(points))
                   + brackets)
-            db = dF @ self.family.rep_star.T
+            db = linear(self.family.rep_terms, dF)
         else:
             b = self._b_pairs(points)
             db = np.einsum("nip,niph->nh", c, exact_derivative(self._b)(points))

@@ -5,6 +5,10 @@ bracket is tabulated in structure constants once at construction.  The
 differentials t_* and alpha_* of a crossed module are supplied analytically
 by the family registry and validated here against central differences of
 the group-level maps.
+
+Contractions with a constant table (structure constants, alpha_*, t_*,
+rep_*, the ker t_* projector) run over its nonzero entries, listed once
+per table by :func:`terms`; a dense ``lie2algebra`` override has more.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class LieAlgebra:
         self.structure = self.from_matrix(basis[:, None] @ basis[None]
                                           - basis[None] @ basis[:, None])
         self._check_structure()
+        self._structure_terms = terms(self.structure)
         # Killing form tr(ad_{e_i} ad_{e_m}); ad_X has (k, j) entry X_i c_ijk
         self.killing = np.einsum("ijk,mkj->im", self.structure, self.structure)
         # x @ spin: the (phase rate, half rotation vector) of exp(x), see
@@ -87,7 +92,7 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """Bracket of coefficient vectors, batched over leading axes."""
-        return _contract_outer(u, v, self.structure)
+        return bilinear(self._structure_terms, u, v)
 
     def dexp(self, X, dX):
         """(d exp(X)) exp(-X) along dX, batched:
@@ -133,19 +138,19 @@ class LieTwoAlgebra:
         if self.alpha_star.shape != (self.g_alg.dim, self.h_alg.dim,
                                      self.h_alg.dim):
             raise StructureError("alpha_star has the wrong shape", "alpha_star")
-        self._ker_t_star = _null_space(self.t_star)
+        self._t_terms = terms(self.t_star)
+        self._alpha_terms = terms(self.alpha_star)
+        ker = _null_space(self.t_star)
+        self._ker_terms = terms(ker.T @ ker)     # the orthogonal projector
 
     def apply_t_star(self, eta):
-        return np.einsum("gh,...h->...g", self.t_star, np.asarray(eta))
+        return linear(self._t_terms, eta)
 
     def apply_alpha_star(self, x, eta):
-        return _contract_outer(x, eta, self.alpha_star)
+        return bilinear(self._alpha_terms, x, eta)
 
     def project_ker_t_star(self, eta):
-        k = self._ker_t_star
-        if k.shape[0] == 0:
-            return np.zeros_like(np.asarray(eta, dtype=float))
-        return np.einsum("...i,ki,kj->...j", np.asarray(eta), k, k)
+        return linear(self._ker_terms, eta)
 
     # -- validation ------------------------------------------------------------
 
@@ -178,14 +183,34 @@ class LieTwoAlgebra:
         return float(np.max(np.abs(fd.swapaxes(-2, -1) - self.alpha_star)))
 
 
-def _contract_outer(u, v, c):
-    """u_i v_j c_ijk batched over leading axes.
+def terms(table):
+    """(output size, nonzero entries (index, ..., value) in C order) of a
+    bilinear table c_ijk, output index last, or a matrix m_kj, first."""
+    table = np.asarray(table, dtype=float)
+    nz = np.nonzero(table)
+    size = table.shape[-1] if table.ndim == 3 else table.shape[0]
+    return size, list(zip(*(i.tolist() for i in nz), table[nz].tolist()))
 
-    Forming the outer product first and contracting it with one 2-operand
-    einsum gives the same bits as the 3-operand einsum, and is faster.
-    """
+
+def bilinear(table_terms, u, v):
+    """u_i v_j c_ijk over the :func:`terms` of c, batched over the
+    broadcast leading axes of u and v; each output sums i-major."""
     u, v = np.asarray(u), np.asarray(v)
-    return np.einsum("...ij,ijk->...k", u[..., :, None] * v[..., None, :], c)
+    size, entries = table_terms
+    out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (size,))
+    for i, j, k, c in entries:
+        out[..., k] += c * (u[..., i] * v[..., j])
+    return out
+
+
+def linear(table_terms, x):
+    """m_kj x_j over the :func:`terms` of m, batched over leading axes."""
+    x = np.asarray(x)
+    size, entries = table_terms
+    out = np.zeros(x.shape[:-1] + (size,))
+    for k, j, m in entries:
+        out[..., k] += m * x[..., j]
+    return out
 
 
 def _basis_pairs(dim):

@@ -36,6 +36,7 @@ from .fields import (FD_STEP, GroupValuedField, axis_diffs, chart_grid,
                      group_field, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
+from .lie2 import linear
 from .transport import _ordered_exp, _stack_jets, surface_values
 
 __all__ = ["OneMorphism", "TwoMorphismA", "gauge_transform", "rho_from_phi",
@@ -145,7 +146,7 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
 
     def w_eval(times):
         points = _stack_jets(paths, times[:, None])
-        rep_w = np.einsum("hg,...g->...h", fam.rep_star, -conn.a_of(*points))
+        rep_w = linear(fam.rep_terms, -conn.a_of(*points))
         gens = [rep_w] + [rep_w - m.phi_of(*points) for m in morphisms]
         gens = np.stack(gens, axis=1).reshape(times.size, len(paths),
                                               len(gens), -1).swapaxes(1, 2)

@@ -539,10 +539,12 @@ def holonomy2_H(conn: TwoConnection, bigons, steps: int = 48) -> list:
 def _loop_bigon_family():
     """Loop-to-loop bigon cube in I^3 -> R^3: its slices share the boundary
     loop w -> (sin(pi w), sin(2 pi w) / 2, 0); callers place it by an
-    affine image."""
+    affine image.  For u > 0 the slice's loops trace a closed curve in v
+    (not out and back the same way), so they sweep out a volume and its
+    2-holonomy need not be trivial."""
     return ParamMap.from_exprs(
-        ["sin(pi*w)", "0.5*sin(2*pi*w)", "u*sin(pi*w)^2*sin(pi*v)^2"], 3,
-        name="loop-bigon-family")
+        ["sin(pi*w) + 0.5*u*sin(pi*w)^2*sin(2*pi*v)", "0.5*sin(2*pi*w)",
+         "u*sin(pi*w)^2*sin(pi*v)"], 3, name="loop-bigon-family")
 
 
 def ambrose_singer_check(conn: TwoConnection, rng=None,

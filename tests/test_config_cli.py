@@ -853,6 +853,35 @@ def test_cube_whose_slices_do_not_share_their_paths_is_a_config_error(
     assert "config invalid at 'cubes.bad'" in err and "slices disagree" in err
 
 
+@pytest.fixture(scope="module")
+def u2pu2_ambrose_singer(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ambrose-singer")
+    code = main(["verify", "ambrose-singer", "--config",
+                 str(CONFIGS / "u2pu2_higher.json"), "--out", str(out),
+                 "--quiet"])
+    report = json.loads((out / "verify-ambrose-singer.json").read_text())
+    return code, report["cases"][0]
+
+
+def test_ambrose_singer_holonomies_are_not_trivial(u2pu2_ambrose_singer):
+    """The loop-bigon slices enclose a volume, so the reduced 2-holonomies
+    whose logs the containment check tests are not all e (a family that
+    goes out and back the same way reads 2.7e-18)."""
+    code, case = u2pu2_ambrose_singer
+    assert code == 0 and case["span_rank"] == 1
+    assert case["holonomy_scale"] >= 1e-3
+
+
+def test_ambrose_singer_derivative_matches_the_signed_integral(
+        u2pu2_ambrose_singer):
+    """d/dr log hol(r) equals SURFACE_ODE_SIGN times the K double integral
+    to far below the holonomy's size; the integral with the opposite sign
+    misses it by 2.2e-2, and the command exits 3."""
+    code, case = u2pu2_ambrose_singer
+    assert code == 0 and case["derivative_pass"]
+    assert case["derivative_defect"] <= 1e-5 * case["holonomy_scale"]
+
+
 @pytest.mark.parametrize("shift,ok", [(5e-8, True), (2e-7, False)])
 def test_gauge_transform_judges_its_output_at_one_tolerance(
         tmp_path, monkeypatch, shift, ok):

@@ -1,8 +1,12 @@
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gauge2.families import matrix_family
 from gauge2.cli import TOL
+from gauge2.config import load_config
 from gauge2.fields import (CoefficientField, chart_grid, directional_diff,
                            group_field)
 from gauge2.forms import (TransitionData, TwoConnection, check_local_data,
@@ -561,3 +565,21 @@ def test_exact_and_stencil_paths_agree(u2p):
     assert np.max(np.abs(exact.b_of(pts, X, Y) - fd.b_of(pts, X, Y))) <= 1e-10
     assert np.max(np.abs(exact.K_of(pts, X, Y, Z)
                          - fd.K_of(pts, X, Y, Z))) <= 1e-8
+
+
+def test_fake_flat_residual_peak_memory_on_a_36_cube_grid():
+    """verify fake-flat's 46,656-point grid on u2pu2_higher: F is written
+    pair by pair into one array, and the t_* and rep_* contractions skip
+    their tables' zeros, so the traced peak stays under 24 MiB (35.2 MiB
+    with F gathered by fancy indexing and dense einsums)."""
+    configs = pathlib.Path(__file__).parent.parent / "configs"
+    conn = load_config(configs / "u2pu2_higher.json").connection()
+    grid = chart_grid(conn.chart, 36)
+    tracemalloc.start()
+    try:
+        rep = fake_flatness_residual(conn, grid, TOL["fake_flat"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"] and rep["grid_points"] == 36 ** 3
+    assert peak <= 24 * 2 ** 20

@@ -4,6 +4,7 @@ import pytest
 from gauge2.errors import DomainError
 from gauge2.families import FAMILY_NAMES, _random_vec, matrix_family
 from gauge2.fields import GroupValuedField, group_field
+from gauge2.lie2 import _null_space, bilinear, linear, terms
 
 FAMILIES = [matrix_family(name) for name in FAMILY_NAMES]
 
@@ -218,3 +219,46 @@ def test_dexp_matches_the_stencil_log_derivative(fam, grp, alg, scale):
     g_fd, fd = stencil.log_derivative(pts)
     assert np.array_equal(g, g_fd)
     assert np.max(np.abs(exact - fd)) <= 1e-9
+
+
+def _constant_tables():
+    """Every constant table a built-in family contracts, and a seeded dense
+    c_ijk and m_kj of the shapes a ``lie2algebra`` override can give."""
+    rng = np.random.default_rng(21)
+    tables = [("dense-c", rng.standard_normal((4, 4, 4))),
+              ("dense-m", rng.standard_normal((3, 4)))]
+    for fam in FAMILIES:
+        l2a = fam.l2a
+        ker = _null_space(l2a.t_star)
+        tables += [(f"{fam.name}-{name}", table) for name, table in [
+            ("g", l2a.g_alg.structure), ("h", l2a.h_alg.structure),
+            ("alpha", l2a.alpha_star), ("t", l2a.t_star),
+            ("rep", fam.rep_star), ("ker", ker.T @ ker)]]
+    return tables
+
+
+TABLES = _constant_tables()
+
+
+@pytest.mark.parametrize("table", [t for _, t in TABLES],
+                         ids=[name for name, _ in TABLES])
+def test_table_helpers_equal_the_dense_contraction(table):
+    """The contractions over nonzero entries equal the dense einsum, on
+    broadcast batches (N, 1, d) against (1, M, d) and on single vectors."""
+    rng = np.random.default_rng(7)
+    if table.ndim == 3:
+        u = rng.standard_normal((5, 1, table.shape[0]))
+        v = rng.standard_normal((1, 6, table.shape[1]))
+        helper = lambda u, v: bilinear(terms(table), u, v)
+        dense = lambda c, u, v: np.einsum("...i,...j,ijk->...k", u, v, c)
+        batches = [(u, v), (u[0, 0], v[0, 0])]
+    else:
+        x = rng.standard_normal((5, 6, table.shape[1]))
+        helper = lambda x: linear(terms(table), x)
+        dense = lambda m, x: np.einsum("kj,...j->...k", m, x)
+        batches = [(x,), (x[0, 0],)]
+    for args in batches:
+        got, want = helper(*args), dense(table, *args)
+        scale = np.max(dense(abs(table), *map(abs, args)), initial=0.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale
