@@ -18,27 +18,32 @@ Only the local forms are computed: the bundle-level B at (x, g) is
 (alpha_{g^-1})_* b_x, and surface transport applies that conjugation to
 b at the frames of its horizontal lifts.
 
-Both are computed on every coordinate pair and contracted with the
-tangents: F from one ``axis_diffs`` of ``a``, K from one of the stored
-pairs of b.  Each field is evaluated once per point set.  DSL fields are
-evaluated with their derivative fields, K of a fake-flat b with the
-second derivatives of ``a``.  For callables, with s = 4 stencil points on
-a d-dimensional chart, F_of, F_pairs, the fake-flat b_of and
+F is computed on every coordinate pair from one ``axis_diffs`` of ``a``
+and contracted with the tangents.  K needs first derivatives only: db is
+the sum over triples i < k < l of m_ikl (d_i b_kl - d_k b_il + d_l b_ik),
+m_ikl the minor of the tangent rows [X; Y; Z] at columns (i, k, l), so
+it is exactly 0 on a 2-d chart.  A fake-flat b contributes rep_* dF,
+where the second derivatives of ``a`` cancel:
+dF_ikl = [da_ik, a_l] - [da_il, a_k] + [da_kl, a_i], da_kl = d_k a_l - d_l a_k.
+Each field is evaluated once per point set, DSL fields with their
+derivative fields.  For callables, with s = 4 stencil points on a
+d-dimensional chart, F_of, F_pairs, the fake-flat b_of, K_of and
 fake_flatness_residual cost 1 + s d evaluations of ``a`` (13 for
-d = 3); K_of with a fake-flat b costs (s d + 1)(1 + s d) + 1 (170 for
 d = 3).  An explicit b is evaluated once where the fake-flat lift costs
-1 + s d.  The gluing check takes the transition function's dg g^-1 from
+1 + s d.  K_of and fake_flatness_residual run in blocks of ``_BLOCK``
+points.  The gluing check takes the transition function's dg g^-1 from
 ``GroupValuedField.log_derivative``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (FD_STEP, axis_diffs, chart_grid, exact_derivative,
-                     group_field, tensor_field)
+from .fields import FD_STEP, axis_diffs, chart_grid, group_field, tensor_field
 from .geometry import Chart
 from .lie2 import linear
 
@@ -46,25 +51,23 @@ __all__ = ["TwoConnection", "TransitionData", "fake_flatness_residual",
            "check_local_data", "pair_index"]
 
 
+_BLOCK = 4096
+
+
 def pair_index(dim: int):
     """The k<l coordinate pairs indexing stored 2-form components."""
     return [(k, l) for k in range(dim) for l in range(k + 1, dim)]
 
 
+def _blocks(n):
+    """Slices of ``_BLOCK`` points covering n points (one for n = 0):
+    pointwise forms keep their bits and bound their temporaries."""
+    return [slice(i, i + _BLOCK) for i in range(0, max(n, 1), _BLOCK)]
+
+
 def _along(coeffs, X):
     """Contract (N, d, dim) 1-form coefficients with the tangent X."""
     return np.einsum("...kg,...k->...g", coeffs, np.asarray(X, dtype=float))
-
-
-def _trivector(X, Y, Z):
-    """(N, d, d, d) C_ikl, the antisymmetrized X^i Y^k Z^l of (N, d) tangents."""
-    def bivector(U, V):     # U^k V^l - U^l V^k as (N, 1, d, d)
-        return U[:, None, :, None] * V[:, None, None, :] - (
-            V[:, None, :, None] * U[:, None, None, :])
-
-    return (X[:, :, None, None] * bivector(Y, Z)
-            - Y[:, :, None, None] * bivector(X, Z)
-            + Z[:, :, None, None] * bivector(X, Y))
 
 
 class TwoConnection:
@@ -151,59 +154,46 @@ class TwoConnection:
         """b_x(X, Y) as (N, dim_h) for constant tangents."""
         return self._b_along(self._b_pairs(points), X, Y)
 
-    def _db(self, points, a, X, Y, Z):
-        """db(X, Y, Z) (N, dim_h) and the stored pairs b.
-
-        D_X b(Y, Z) = X^i (d_i b)(Y, Z), so db(X, Y, Z) = C_ikl d_i b_kl over
-        k < l, C_ikl the antisymmetrized X^i Y^k Z^l.  d_i b_kl are exact
-        partials when b (in fake-flat mode a) and ``b_extra`` are DSL, else
-        the :func:`axis_diffs` of the stored pairs.  In fake-flat mode
-        d_i F_kl = d_i d_k a_l - d_i d_l a_k + [d_i a_k, a_l] + [a_k, d_i a_l]
-        sums over all k, l to C_ikl d_i d_k a_l + [M_l, a_l], M_l = C_ikl d_i a_k.
-        """
-        extras = [] if self._b_extra is None else [self._b_extra]
-        main = self._a if self.fake_flat_mode else self._b
+    def K_of(self, points, X, Y, Z):
+        """3-curvature dB-part plus the alpha_* wedge, full h value (N, dim_h),
+        in blocks of ``_BLOCK`` points."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         X, Y, Z = (np.broadcast_to(np.asarray(T, dtype=float), points.shape)
                    for T in (X, Y, Z))
-        if any(exact_derivative(f) is None for f in [main, *extras]):
-            c = _trivector(X, Y, Z)[:, :, self._pair_axes[0], self._pair_axes[1]]
-            db = axis_diffs(self._b_pairs, points, self.fd_step)
-            return np.einsum("nip,niph->nh", c, db), self._b_pairs(points)
-        # in blocks of 1024 points, so that the d^3 dim_g second derivatives
-        # per point of a fake-flat b do not set the peak memory
-        parts = [self._db_block(*(x[i:i + 1024] for x in (points, a, X, Y, Z)),
-                                extras) for i in range(0, len(points), 1024)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        return np.concatenate([self._K_block(*(x[s] for x in (points, X, Y, Z)))
+                               for s in _blocks(len(points))])
 
-    def _db_block(self, points, a, X, Y, Z, extras):
-        """:meth:`_db` from exact partials on one block of points."""
-        n, d = points.shape
-        C = _trivector(X, Y, Z)
-        c = C[:, :, self._pair_axes[0], self._pair_axes[1]]
+    def _K_block(self, points, X, Y, Z):
+        """K_of on one block, from the minors m_ikl and the first
+        derivatives of ``a`` (fake-flat b), ``b`` and ``b_extra``."""
+        a = self.a_coeffs(points)
         if self.fake_flat_mode:
-            da_field = exact_derivative(self._a)
-            da = da_field(points)
+            da = axis_diffs(self._a, points, self.fd_step)
             b = self._b_pairs(points, self._F_from(a, da))
-            M = C.reshape(n, d * d, d).swapaxes(1, 2) @ da.reshape(n, d * d, -1)
-            g_alg = self.family.l2a.g_alg
-            # sum_l [M_l, a_l] through the structure constants
-            brackets = ((M.swapaxes(1, 2) @ a).reshape(n, -1)
-                        @ g_alg.structure.reshape(-1, g_alg.dim))
-            dF = (np.einsum("nikl,niklg->ng", C, da_field.derivative()(points))
-                  + brackets)
-            db = linear(self.family.rep_terms, dF)
         else:
             b = self._b_pairs(points)
-            db = np.einsum("nip,niph->nh", c, exact_derivative(self._b)(points))
-        for f in extras:
-            db = db + np.einsum("nip,niph->nh", c, exact_derivative(f)(points))
-        return db, b
+        diffs = [axis_diffs(f, points, self.fd_step)
+                 for f in (self._b, self._b_extra) if f is not None]
+        slot = {pair: p for p, pair in enumerate(self.pairs)}
+        bracket = self.family.l2a.g_alg.bracket
 
-    def K_of(self, points, X, Y, Z):
-        """3-curvature dB-part plus the alpha_* wedge, full h value (N, dim_h)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        a = self.a_coeffs(points)
-        db, b = self._db(points, a, X, Y, Z)
+        def bivector(U, V, k, l):      # U^k V^l - U^l V^k
+            return U[:, k] * V[:, l] - V[:, k] * U[:, l]
+
+        dF, db = np.zeros(a[:, 0].shape), np.zeros(b[:, 0].shape)
+        for i, k, l in itertools.combinations(range(self.chart.dim), 3):
+            m = (X[:, i] * bivector(Y, Z, k, l) - Y[:, i] * bivector(X, Z, k, l)
+                 + Z[:, i] * bivector(X, Y, k, l))[:, None]
+            if self.fake_flat_mode:
+                ik, il, kl = (da[:, p, q] - da[:, q, p]
+                              for p, q in ((i, k), (i, l), (k, l)))
+                dF += m * ((bracket(ik, a[:, l]) - bracket(il, a[:, k]))
+                           + bracket(kl, a[:, i]))
+            for dc in diffs:
+                db += m * ((dc[:, i, slot[k, l]] - dc[:, k, slot[i, l]])
+                           + dc[:, l, slot[i, k]])
+        if self.fake_flat_mode:
+            db = linear(self.family.rep_terms, dF) + db
         alpha = self.family.l2a.apply_alpha_star
         wedge = (alpha(_along(a, X), self._b_along(b, Y, Z))
                  - alpha(_along(a, Y), self._b_along(b, X, Z))
@@ -215,10 +205,14 @@ class TwoConnection:
 
 
 def fake_flatness_residual(conn: TwoConnection, grid, tol: float) -> dict:
-    """Max-norm of t_* b - F_a over the grid, with a pass flag at ``tol``."""
-    F = conn.F_pairs(grid)
-    tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid, F))
-    worst = float(np.max(np.abs(tb - F), initial=0.0))
+    """Max-norm of t_* b - F_a over the grid, with a pass flag at ``tol``;
+    the max of the residuals of blocks of ``_BLOCK`` points."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    worst = 0.0
+    for s in _blocks(len(grid)):
+        F = conn.F_pairs(grid[s])
+        tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid[s], F))
+        worst = max(worst, float(np.max(np.abs(tb - F), initial=0.0)))
     return {"residual": worst, "pass": worst <= tol, "grid_points": len(grid)}
 
 

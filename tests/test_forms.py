@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import tracemalloc
 
@@ -13,6 +14,7 @@ from gauge2.forms import (TransitionData, TwoConnection, check_local_data,
                           fake_flatness_residual)
 from gauge2.geometry import Chart
 from gauge2.morphisms import OneMorphism, gauge_transform
+from gauge2.transport import _simpson_grid
 
 EX, EY, EZ = np.eye(3)
 
@@ -262,10 +264,12 @@ def test_group_valued_field_on_manifold(su2):
 # The reference below is the direct transcription of the formulas, one
 # chart axis at a time: every F(e_k, e_l) is D_k a_l - D_l a_k + [a_k, a_l]
 # contracted with the tangents, every b_of recomputes every stored pair,
-# and K sums C_ikl D_i b_kl over the pairs k < l, C the antisymmetrized
-# X^i Y^k Z^l, plus the wedge.  The connection's batched path must give
-# the same bits.  C is gathered from all (i, k, l), as the connection
-# gathers it, because the rounding of np.einsum follows the memory layout.
+# and K sums m_ikl (D_i b_kl - D_k b_il + D_l b_ik) over the triples
+# i < k < l, m_ikl the minor of the tangents [X; Y; Z] at those columns,
+# plus the wedge.  For a fake-flat b, D_i b_kl is rep_* of the derivative
+# of F, whose triple sum is [da_ik, a_l] - [da_il, a_k] + [da_kl, a_i],
+# da_kl = D_k a_l - D_l a_k.  The connection's batched path must give the
+# same bits.
 
 A3 = [["0.4*x2", "0.1", "0.1*x3"], ["0.2", "0.3*x1*sin(pi*x2)", "0.1"],
       ["0.1*x2^2", "0.2", "exp(0.2*x1)"]]
@@ -314,27 +318,50 @@ def _ref_b(conn, p, X, Y):
     return _ref_along(conn, X, Y, _ref_b_pairs(conn, p))
 
 
+def _minor(X, Y, Z, i, k, l):
+    """det[X; Y; Z] at columns (i, k, l), expanded along the first."""
+    def bivector(U, V):
+        return U[:, k] * V[:, l] - V[:, k] * U[:, l]
+
+    return (X[:, i] * bivector(Y, Z) - Y[:, i] * bivector(X, Z)
+            + Z[:, i] * bivector(X, Y))
+
+
 def _ref_K(conn, p, X, Y, Z):
-    d = conn.chart.dim
+    eye = np.eye(conn.chart.dim)
     X, Y, Z = (np.broadcast_to(T, p.shape) for T in (X, Y, Z))
+    triples = list(itertools.combinations(range(conn.chart.dim), 3))
+    slot = {pair: n for n, pair in enumerate(conn.pairs)}
 
     def alpha(x, eta):
         return np.einsum("...i,...j,ijk->...k", x, eta,
                          conn.family.l2a.alpha_star)
 
-    def bivector(U, V, k, l):
-        return U[:, k] * V[:, l] - V[:, k] * U[:, l]
+    def bracket(u, v):
+        return np.einsum("...i,...j,ijk->...k", u, v,
+                         conn.family.l2a.g_alg.structure)
 
-    C = np.zeros((len(p), d, d, d))
-    for i, k, l in np.ndindex(d, d, d):
-        C[:, i, k, l] = (X[:, i] * bivector(Y, Z, k, l)
-                         - Y[:, i] * bivector(X, Z, k, l)
-                         + Z[:, i] * bivector(X, Y, k, l))
-    k, l = np.array(conn.pairs).T
-    db_axes = np.stack([directional_diff(lambda q: _ref_b_pairs(conn, q), p,
-                                         e, conn.fd_step)
-                        for e in np.eye(d)], axis=1)
-    db = np.einsum("nip,niph->nh", C[:, :, k, l], db_axes)
+    def d_pairs(field):
+        dc = [directional_diff(field, p, e, conn.fd_step) for e in eye]
+        return sum(_minor(X, Y, Z, i, k, l)[:, None]
+                   * ((dc[i][:, slot[k, l]] - dc[k][:, slot[i, l]])
+                      + dc[l][:, slot[i, k]]) for i, k, l in triples)
+
+    if conn.fake_flat_mode:
+        a = conn.a_coeffs(p)
+        da = [directional_diff(conn.a_coeffs, p, e, conn.fd_step) for e in eye]
+
+        def curl(k, l):
+            return da[k][:, l] - da[l][:, k]
+
+        dF = sum(_minor(X, Y, Z, i, k, l)[:, None]
+                 * ((bracket(curl(i, k), a[:, l]) - bracket(curl(i, l), a[:, k]))
+                    + bracket(curl(k, l), a[:, i])) for i, k, l in triples)
+        db = np.einsum("hg,...g->...h", conn.family.rep_star, dF)
+    else:
+        db = d_pairs(conn._b)
+    if conn._b_extra is not None:
+        db = db + d_pairs(conn._b_extra)
     wedge = (alpha(_ref_a(conn, p, X), _ref_b(conn, p, Y, Z))
              - alpha(_ref_a(conn, p, Y), _ref_b(conn, p, X, Z))
              + alpha(_ref_a(conn, p, Z), _ref_b(conn, p, X, Y)))
@@ -461,10 +488,8 @@ def test_each_field_is_evaluated_once_per_stencil_point(u2p):
         assert len(calls) == 1 + 4 * 3
     calls.clear()
     conn.K_of(grid, EX, EY, EZ)
-    # a once at the centre for the wedge terms, and b, 1 + 4 * 3
-    # evaluations of a, at every stencil point of the differences along
-    # the three axes and at the centre
-    assert len(calls) == 1 + (4 * 3 + 1) * (1 + 4 * 3)
+    # the centre and one stencil per axis: K needs only first derivatives
+    assert len(calls) == 1 + 4 * 3
 
 
 def _fake_flat_cases():
@@ -564,14 +589,13 @@ def test_exact_and_stencil_paths_agree(u2p):
     assert np.max(np.abs(exact.F_pairs(pts) - fd.F_pairs(pts))) <= 1e-10
     assert np.max(np.abs(exact.b_of(pts, X, Y) - fd.b_of(pts, X, Y))) <= 1e-10
     assert np.max(np.abs(exact.K_of(pts, X, Y, Z)
-                         - fd.K_of(pts, X, Y, Z))) <= 1e-8
+                         - fd.K_of(pts, X, Y, Z))) <= 1e-12
 
 
 def test_fake_flat_residual_peak_memory_on_a_36_cube_grid():
-    """verify fake-flat's 46,656-point grid on u2pu2_higher: F is written
-    pair by pair into one array, and the t_* and rep_* contractions skip
-    their tables' zeros, so the traced peak stays under 24 MiB (35.2 MiB
-    with F gathered by fancy indexing and dense einsums)."""
+    """verify fake-flat's 46,656-point grid on u2pu2_higher runs in blocks
+    of 4096 points, so the traced peak stays under 6 MiB (18.5 MiB with
+    the whole grid at once)."""
     configs = pathlib.Path(__file__).parent.parent / "configs"
     conn = load_config(configs / "u2pu2_higher.json").connection()
     grid = chart_grid(conn.chart, 36)
@@ -582,4 +606,99 @@ def test_fake_flat_residual_peak_memory_on_a_36_cube_grid():
     finally:
         tracemalloc.stop()
     assert rep["pass"] and rep["grid_points"] == 36 ** 3
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 6 * 2 ** 20
+
+
+# --- K from minors and first derivatives against the full 3-form algebra ------
+
+
+def test_K_equals_the_trivector_contraction_with_second_derivatives(u2p, su2):
+    """The 3-form part as C_ikl D_i b_kl over every i and pair k < l, C the
+    antisymmetrized X^i Y^k Z^l, with D_i F_kl from the exact second
+    derivatives of ``a``: the D_i D_k a_l terms that K_of leaves out sum to
+    zero on a non-linear ``a`` too."""
+    b_extra = [["0.5*x3", "0", "0", "-0.2*x1"], ["0.4*x1*x2", "0", "0", "0"],
+               ["0.3*x2", "0", "0", "0"]]
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0.2, 0.8, size=(40, 3))
+    X, Y, Z = rng.normal(size=(3, 40, 3))
+    C = np.zeros((40, 3, 3, 3))
+    for i, k, l in np.ndindex(3, 3, 3):
+        C[:, i, k, l] = (X[:, i] * (Y[:, k] * Z[:, l] - Z[:, k] * Y[:, l])
+                         - Y[:, i] * (X[:, k] * Z[:, l] - Z[:, k] * X[:, l])
+                         + Z[:, i] * (X[:, k] * Y[:, l] - Y[:, k] * X[:, l]))
+    for fam, a, extra in [(u2p, A3, b_extra), (su2, SU2_A3, None)]:
+        conn = TwoConnection(fam, Chart(3), a=a, b="fake_flat", b_extra=extra)
+        field = CoefficientField(a, 3, (3, 3))
+        A, dA = field(pts), field.derivative()(pts)
+        ddA = field.derivative().derivative()(pts)    # [:, j, i] = D_j D_i
+        bracket = fam.l2a.g_alg.bracket
+        dF = np.stack([ddA[:, :, k, l] - ddA[:, :, l, k]
+                       + bracket(dA[:, :, k], A[:, None, l])
+                       + bracket(A[:, None, k], dA[:, :, l])
+                       for (k, l) in conn.pairs], axis=2)
+        db_pairs = np.einsum("hg,nipg->niph", fam.rep_star, dF)
+        if extra is not None:
+            db_pairs = db_pairs + CoefficientField(
+                extra, 3, (3, 4)).derivative()(pts)
+        k, l = np.array(conn.pairs).T
+        alpha = fam.l2a.apply_alpha_star
+        want = (np.einsum("nip,niph->nh", C[:, :, k, l], db_pairs)
+                + alpha(conn.a_of(pts, X), conn.b_of(pts, Y, Z))
+                - alpha(conn.a_of(pts, Y), conn.b_of(pts, X, Z))
+                + alpha(conn.a_of(pts, Z), conn.b_of(pts, X, Y)))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(conn.K_of(pts, X, Y, Z) - want)) <= 1e-13 * scale
+
+
+def test_K_on_a_3d_chart_is_the_determinant_times_K_on_the_axes(u2p):
+    conn = TwoConnection(
+        u2p, Chart(3), a=A3, b="fake_flat",
+        b_extra=[["x3^2*x2", "0", "0", "0.1*x1"], ["sin(x1*x3)", "0", "0", "0"],
+                 ["x2*x3", "0.2*x1^2", "0", "0"]])
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(0.2, 0.8, size=(30, 3))
+    X, Y, Z = rng.normal(size=(3, 30, 3))
+    det = np.linalg.det(np.stack([X, Y, Z], axis=1))
+    want = det[:, None] * conn.K_of(pts, EX, EY, EZ)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(conn.K_of(pts, X, Y, Z) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("stencil", [False, True], ids=["dsl", "stencil"])
+def test_three_form_part_is_exactly_zero_on_a_2d_chart(u1, u1t, stencil):
+    """No triple i < k < l exists on a 2-d chart, so db is exactly zero for
+    any tangents; alpha is trivial in both U(1) families, so K is db."""
+    field = (lambda exprs, shape: _stencil(exprs, 2, shape)) if stencil else (
+        lambda exprs, shape: exprs)
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0.2, 0.8, size=(25, 2))
+    X, Y, Z = rng.normal(size=(3, 25, 2))
+    for conn in [
+            TwoConnection(u1t, Chart(2), a=field([["x2^2"], ["sin(x1)"]], (2, 1)),
+                          b=field([["x1^2*exp(x2)"]], (1, 1)),
+                          b_extra=field([["x1*x2"]], (1, 1))),
+            TwoConnection(u1, Chart(2), a=field([["x2^2"], ["sin(x1)*x2"]], (2, 1)),
+                          b="fake_flat")]:
+        assert np.all(conn.K_of(pts, X, Y, Z) == 0.0)
+
+
+def test_K_peak_memory_on_the_33_cube_simpson_grid():
+    """verify higher-stokes' 35,937 Simpson nodes on u2pu2_higher: K runs
+    in blocks of 4096 points from first derivatives only, so the traced
+    peak stays under 8 MiB (12.1 MiB with the whole grid at once and the
+    (N, 3, 3, 3) trivector)."""
+    configs = pathlib.Path(__file__).parent.parent / "configs"
+    cfg = load_config(configs / "u2pu2_higher.json")
+    conn = cfg.connection()
+    mesh, _ = _simpson_grid(32, 3)
+    x, dx = cfg.param_maps("cubes")["pillow"].jet(mesh)
+    tangents = dx.swapaxes(0, 1)
+    tracemalloc.start()
+    try:
+        K = conn.K_of(x, *tangents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (33 ** 3, 4)
+    assert peak <= 8 * 2 ** 20
