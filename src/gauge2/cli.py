@@ -12,6 +12,7 @@ carry no timestamps and all sampling derives from the config seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,6 +58,13 @@ THIN_REPARAMS = (
     ("u^2*(3-2*u)", "v^2*(3-2*v)"),
     ("u", "(1-cos(pi*v))/2"),
 )
+
+
+@functools.cache
+def _thin_reparams():
+    """The THIN_REPARAMS as parameter maps, built and checked once."""
+    return tuple(check_reparameterization(
+        ParamMap.from_exprs(exprs, 2, name="reparam"), 2) for exprs in THIN_REPARAMS)
 
 
 def _jsonable(value):
@@ -277,9 +285,7 @@ def _thin_steps_key(num):
 def run_verify_thin(cfg, num, rng, out, emit):
     conn = cfg.connection()
     steps = num[_thin_steps_key(num)]
-    # each reparameterization is built and checked once, for every bigon
-    phis = [check_reparameterization(
-        ParamMap.from_exprs(exprs, 2, name="reparam"), 2) for exprs in THIN_REPARAMS]
+    phis = _thin_reparams()
     cases = []
     for name, pm in cfg.param_maps("bigons").items():
         # the bigon and its reparameterizations in one batched solve
@@ -426,8 +432,10 @@ def _check_simpson_steps(commands, num):
 
 def run_command(command: str, cfg, out_dir: str, quiet=False) -> dict:
     num = cfg.numeric()
-    _check_simpson_steps(_applicable(cfg) if command == "report" else [command],
-                         num)
+    commands = _applicable(cfg) if command == "report" else [command]
+    _check_simpson_steps(commands, num)
+    if command == "report":
+        cfg.build()
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
@@ -440,7 +448,7 @@ def run_command(command: str, cfg, out_dir: str, quiet=False) -> dict:
 
     if command == "report":
         cases = []
-        for name in _applicable(cfg):
+        for name in commands:
             rng = np.random.default_rng(cfg.seed)
             sub = RUNNERS[name](cfg, num, rng, out_dir, emit)
             cases.append({"command": name,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -33,6 +34,7 @@ __all__ = ["CONFIG_SCHEMA", "RunConfig", "load_config", "config_hash"]
 # Parameter samples per axis at which configured maps are checked
 # against the chart box.
 _BOX_SAMPLES = 17
+_ARITY = {"paths": 1, "bigons": 2, "cubes": 3}
 
 _EXPR = {"type": "string", "minLength": 1}
 _EXPR_ROW = {"type": "array", "items": _EXPR, "minItems": 1}
@@ -262,8 +264,20 @@ def _finite_group(spec: dict, label: str) -> FiniteGroup:
                       path=f"crossed_module.finite.{label}")
 
 
+def _once(build):
+    """A RunConfig method whose object, per argument, is built on first
+    use and kept."""
+    @functools.wraps(build)
+    def built(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._built:
+            self._built[key] = build(self, *args)
+        return self._built[key]
+    return built
+
+
 class RunConfig:
-    """Validated configuration with lazily-built objects."""
+    """Validated configuration whose objects are built once, on first use."""
 
     def __init__(self, raw: dict):
         err = _best_match(_schema_errors(raw, CONFIG_SCHEMA))
@@ -274,7 +288,7 @@ class RunConfig:
         self.raw = raw
         self.seed = raw["seed"]
         self.hash = config_hash(raw)
-        self._family = None
+        self._built = {}
         self._check_cross_references()
 
     def _check_cross_references(self):
@@ -312,15 +326,25 @@ class RunConfig:
             node = node[key]
         return node
 
+    def build(self):
+        """Build every section the config has, so that a config error stops
+        a run before it writes anything."""
+        if "matrix" in self.raw.get("crossed_module", {}):
+            self.family()
+        if self.has_finite_module():
+            self.finite_module()
+        for name in ("connection", "paths", "bigons", "cubes", "transition",
+                     "morphism", "two_morphism"):
+            if name in _ARITY:
+                self.param_maps(name)
+            elif name in self.raw:
+                getattr(self, name)()
+
+    @_once
     def family(self):
-        if self._family is None:
-            fam = matrix_family(
-                self._require("crossed_module", "matrix")["family"])
-            overrides = self.raw.get("lie2algebra", {})
-            if overrides:
-                fam = self._apply_l2a_overrides(fam, overrides)
-            self._family = fam
-        return self._family
+        fam = matrix_family(self._require("crossed_module", "matrix")["family"])
+        overrides = self.raw.get("lie2algebra", {})
+        return self._apply_l2a_overrides(fam, overrides) if overrides else fam
 
     @staticmethod
     def _apply_l2a_overrides(fam, overrides):
@@ -349,6 +373,7 @@ class RunConfig:
                                   f"derivative of {of}", path=f"lie2algebra.{key}")
         return fam
 
+    @_once
     def finite_module(self):
         spec = self._require("crossed_module", "finite")
         if "demo" in spec:
@@ -381,6 +406,7 @@ class RunConfig:
             raise ConfigError(f"config invalid at '{path}': {err}",
                               path=path) from None
 
+    @_once
     def connection(self) -> TwoConnection:
         spec = self._require("connection")
         fam, d = self.family(), self.chart().dim
@@ -393,12 +419,13 @@ class RunConfig:
             b_extra=(self._field("connection.b_extra", shape)
                      if "b_extra" in spec else None))
 
+    @_once
     def param_maps(self, kind: str) -> dict:
         """The configured paths, bigons or cubes by name, each checked to
         parse in the variables its arity allows and to map into the chart
         (see :meth:`_check_in_chart`), and a cube's slices to share their
         boundary paths (:func:`gauge2.geometry.check_cube_boundaries`)."""
-        arity = {"paths": 1, "bigons": 2, "cubes": 3}[kind]
+        arity = _ARITY[kind]
         out = {}
         for name, exprs in self.raw.get(kind, {}).items():
             path = f"{kind}.{name}"
@@ -434,6 +461,7 @@ class RunConfig:
                 f"{np.round(params[k], 6).tolist()} leaves the chart box",
                 path=path)
 
+    @_once
     def morphism(self) -> OneMorphism:
         self._require("morphism")
         fam, d = self.family(), self.chart().dim
@@ -442,6 +470,7 @@ class RunConfig:
             g_map=self._field("morphism.g", (fam.l2a.g_alg.dim,)),
             phi=self._field("morphism.phi", (d, fam.l2a.h_alg.dim)))
 
+    @_once
     def two_morphism(self) -> TwoMorphismA:
         self._require("two_morphism")
         fam = self.family()
@@ -449,6 +478,7 @@ class RunConfig:
             fam, self.chart(), name="config-2morphism",
             a_map=self._field("two_morphism.a", (fam.l2a.h_alg.dim,)))
 
+    @_once
     def transition(self) -> TransitionData:
         self._require("transition")
         fam = self.family()

@@ -12,14 +12,15 @@ Known functions: sin cos tan exp log sqrt tanh.  Everything else that
 looks like a name is a free variable (charts use x1..xd, parameter maps
 use u, v, w).  Evaluation is plain IEEE double precision and broadcasts
 over numpy arrays, so fields can be evaluated on whole quadrature grids
-at once.  ``compile_expr`` walks a tree once into nested closures;
-``evaluate`` compiles and calls, and coefficient fields and parameter maps
-compile at construction, so repeated evaluation never re-walks the tree.
-``diff`` differentiates a tree symbolically into another tree.
+at once.  ``program`` compiles expressions and their ``diff`` partials,
+once per process, into one straight-line :class:`Program` whose shared
+nodes run once; ``compile_expr`` and ``evaluate`` are its one-expression
+uses.  ``diff`` differentiates a tree symbolically into another tree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -279,41 +280,142 @@ _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
            "^": _power}
 
 
-def _compile(node):
-    """Closure bindings -> value of ``node``; domain checks run per call."""
-    if isinstance(node, (Num, Const)):
-        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
-        return lambda bindings: value
-    if isinstance(node, Var):
-        def var(bindings, name=node.name):
-            if name not in bindings:
-                raise UnboundVariableError(name)
-            return bindings[name]
-        return var
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda bindings: np.negative(operand(bindings))
-    if isinstance(node, Call):
-        fn, arg = _CALLS[node.fn], _compile(node.arg)
-        return lambda bindings: fn(arg(bindings))
-    if isinstance(node, BinOp):
-        op, left, right = (_BINOPS[node.op], _compile(node.left),
-                           _compile(node.right))
-        return lambda bindings: op(left(bindings), right(bindings))
-    raise TypeError(f"not an Expr node: {node!r}")
+def _load(name, bindings):
+    if name not in bindings:
+        raise UnboundVariableError(name)
+    return bindings[name]
+
+
+def _execute(code, registers, out):
+    for r, fn, args, columns, frees in code:
+        registers[r] = fn(*[registers[a] for a in args])
+        for k in columns:
+            out[..., k] = registers[r]
+        for a in frees:
+            registers[a] = None
+
+
+class Program:
+    """Straight-line code for expressions (None: no expression) and their
+    partials along ``variables``: one instruction and register per
+    distinct node, so a node shared between components and partials, such
+    as ``sin(pi*v)``, runs once.  The values' nodes come first and the
+    partials join on first use, so a values-only run is a prefix of the
+    code.  A run executes the nodes its outputs need, writes each output
+    when it is computed, frees each register after its last use, and
+    raises domain errors and unbound variables when their node runs."""
+
+    def __init__(self, exprs, variables):
+        self.exprs, self.variables = exprs, variables
+        self.free = [frozenset() if e is None else e.variables() for e in exprs]
+        self._keys, self._code, self._plans = {}, [None], {}  # 0: bindings
+        self._outputs = [self._output(e) for e in exprs]
+        self._head = len(self._code)
+
+    @functools.cached_property
+    def partials(self):
+        """d e / d x of every expression e, variable-major."""
+        return [None if e is None else diff(e, x)
+                for x in self.variables for e in self.exprs]
+
+    def _output(self, e):
+        # the constant +0.0 is left to the zero-filled output
+        zero = e == ZERO and math.copysign(1.0, e.value) > 0
+        return None if e is None or zero else self._node(e)
+
+    def _node(self, e):
+        """The register of ``e``, interned with its subtrees; the keys tell
+        0.0 from -0.0, which ``Num`` equality does not."""
+        if isinstance(e, Var):
+            key, fn, args = ("var", e.name), functools.partial(_load, e.name), (0,)
+        elif isinstance(e, (Num, Const)):
+            value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+            key, fn, args = ("num", repr(value)), lambda: value, ()
+        else:
+            op, fn, subtrees = (
+                (e.op, _BINOPS[e.op], (e.left, e.right)) if isinstance(e, BinOp)
+                else (e.fn, _CALLS[e.fn], (e.arg,)) if isinstance(e, Call)
+                else ("neg", np.negative, (e.operand,)))
+            args = tuple(map(self._node, subtrees))
+            key = (op, *args)
+        if key not in self._keys:
+            self._keys[key] = len(self._code)
+            self._code.append((fn, args))
+        return self._keys[key]
+
+    def _plan(self, axes):
+        """(head, tail) of (register, fn, argument registers, output columns,
+        registers to free): the values' nodes writing the values, then the
+        other nodes that the partials along ``axes`` need, writing those; a
+        partial that is a values' node is passed through first."""
+        n, axis = len(self.exprs), range(len(self.variables))
+        if axes and len(self._outputs) == n:
+            self._outputs += map(self._output, self.partials)
+        columns = {}
+        for r, part, k in [(self._outputs[i], 0, i) for i in range(n)] + [
+                (self._outputs[n + axis[k] * n + i], 1, j * n + i)
+                for j, k in enumerate(axes) for i in range(n)]:
+            columns.setdefault((r, part), []).append(k)
+        needed, stack = set(), [r for r, _ in columns if r]
+        while stack:
+            r = stack.pop()
+            if r not in needed:
+                needed.add(r)
+                stack += [a for a in self._code[r][1] if a]
+        head = [r for r in sorted(needed) if r < self._head]
+        code = ([(r, *self._code[r], columns.get((r, 0), ())) for r in head]
+                + [(r, lambda x: x, (r,), columns[r, 1]) for r in head
+                   if (r, 1) in columns]
+                + [(r, *self._code[r], columns.get((r, 1), ()))
+                   for r in sorted(needed) if r >= self._head])
+        last = {a: pos for pos, (r, _, args, _) in enumerate(code)
+                for a in (r, *args)}
+        code = [(*ins, [a for a in (ins[0], *ins[2]) if a and last[a] == pos])
+                for pos, ins in enumerate(code)]
+        self._plans[axes] = code[:len(head)], code[len(head):]
+        return self._plans[axes]
+
+    def run(self, bindings, shape, axes=()):
+        """The values (*shape, n) of the n expressions and their partials
+        along the variables ``axes``, (*shape, len(axes) * n) axis-major;
+        the partials' array is made after the values' code has run."""
+        head, tail = self._plans.get(axes) or self._plan(axes)
+        registers = [bindings] + [None] * len(self._code)
+        values = np.zeros((*shape, len(self.exprs)))
+        _execute(head, registers, values)
+        partials = np.zeros((*shape, len(axes) * len(self.exprs)))
+        _execute(tail, registers, partials)
+        return values, partials
+
+
+_PROGRAMS = {}
+
+
+def program(exprs, variables=()) -> Program:
+    """The Program of ``exprs`` (source strings, Exprs or None) and their
+    partials along ``variables``, built once per process for each distinct
+    source text or tree (an Expr's repr tells 0.0 from -0.0)."""
+    key = (tuple(e if e is None or isinstance(e, str) else (repr(e),)
+                 for e in exprs), tuple(variables))
+    if key not in _PROGRAMS:
+        _PROGRAMS[key] = Program([parse(e) if isinstance(e, str) else e
+                                  for e in exprs], tuple(variables))
+    return _PROGRAMS[key]
 
 
 def compile_expr(e: Expr):
-    """Compile ``e`` once into a function of a bindings dict.
+    """The one-expression program of ``e`` as a function of a bindings dict.
 
     Scalar bindings give a float result; array bindings broadcast.  Domain
     errors and unbound variables are raised when the function is called.
     """
-    body = _compile(e)
+    prog = program((e,))
 
     def run(bindings):
-        out = body(bindings)
-        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+        shape = np.broadcast_shapes(*(np.shape(bindings[x])
+                                      for x in prog.free[0] if x in bindings))
+        out = prog.run(bindings, shape)[0][..., 0]
+        return float(out) if not shape else out
 
     return run
 

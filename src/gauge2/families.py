@@ -19,6 +19,7 @@ Finite demo modules used by the exact torsor suite live here as well.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -196,7 +197,9 @@ _BUILDERS = {
 FAMILY_NAMES = tuple(_BUILDERS)
 
 
+@functools.cache
 def matrix_family(name: str) -> MatrixFamily:
+    """The family ``name``, built once per process."""
     if name not in _BUILDERS:
         raise StructureError(
             f"unknown matrix family {name!r}; known: {', '.join(FAMILY_NAMES)}")

@@ -2,14 +2,15 @@
 
 Scalar coefficient fields come from the expression DSL (variables x1..xd)
 or from plain callables; everything evaluates on (N, d) point batches.
-A CoefficientField compiles its expressions once and fills one (N, *shape)
-array per call.
+A CoefficientField runs its expressions as one ``dsl.program``, built once
+per process, and its ``jet`` gives the values and partials from one run.
 
 Every derivative of a field is taken here.  ``axis_diffs`` gives the
 derivatives along every axis as (N, d, ...), ``directional_diff`` along
-one direction: exact for a CoefficientField of DSL expressions, whose
-``derivative()`` is the field of its partials, and otherwise the 4-point
-stencil, which calls the function 4 times per direction.
+one direction, and ``jet`` a field with them: exact for a CoefficientField
+of DSL expressions, whose ``derivative()`` is the field of its partials,
+and otherwise the 4-point stencil, which calls the function 4 times per
+direction.
 ``GroupValuedField.log_derivative`` gives a group-valued field with
 dg g^-1 along every axis: for g = exp(X(x)) built by ``group_field`` the
 closed form dexp_X(dX) of ``LieAlgebra.dexp``, with dX exact for a DSL
@@ -28,8 +29,8 @@ from . import dsl
 from .errors import DomainError
 
 __all__ = ["CoefficientField", "GroupValuedField", "tensor_field",
-           "group_field", "directional_diff", "axis_diffs", "exact_derivative",
-           "chart_grid"]
+           "group_field", "directional_diff", "axis_diffs", "jet",
+           "exact_derivative", "chart_grid"]
 
 FD_STEP = 1e-3
 
@@ -64,6 +65,16 @@ def axis_diffs(fn, points, step=FD_STEP):
                      for e in np.eye(p.shape[-1])], axis=1)
 
 
+def jet(fn, points, step=FD_STEP):
+    """fn and its (N, d, ...) derivatives along every axis at the (N, d)
+    points: one program run for a CoefficientField of DSL expressions, else
+    fn and the stencil of :func:`axis_diffs`."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    if isinstance(fn, CoefficientField) and not fn._calls:
+        return fn.jet(p)
+    return fn(p), axis_diffs(fn, p, step)
+
+
 def exact_derivative(fn):
     """The derivative field of a CoefficientField of DSL expressions; None
     for anything else."""
@@ -86,7 +97,9 @@ def chart_grid(chart, per_axis=5, pad=0.15):
 class CoefficientField:
     """Array of scalar fields evaluated together: points (N, d) -> (N, *shape).
 
-    Expressions read the chart variables x1..xd, or the given names."""
+    Expressions read the chart variables x1..xd, or the given names, and
+    run as one :func:`gauge2.dsl.program`, shared by every field of the
+    same expressions; :meth:`jet` adds their partials to the same run."""
 
     def __init__(self, exprs, chart_dim: int, shape, variables=None):
         self.shape = tuple(shape)
@@ -97,46 +110,51 @@ class CoefficientField:
         if len(items) != size:
             raise DomainError(
                 f"expected {size} coefficient fields, got {len(items)}")
-        allowed = set(self.variables)
-        # one (index, function, takes_bindings) per column but the literal
-        # 0s: compiled expressions read the variables' bindings, plain
-        # callables the (N, d) points
-        self._cols = []
-        self._exprs, self._derivative = [], None   # None for a callable
+        # plain callables read the (N, d) points; the program skips them
+        self._calls = [(i, e) for i, e in enumerate(items) if callable(e)]
         for i, item in enumerate(items):
-            if isinstance(item, str):
-                item = dsl.parse(item)
-            if isinstance(item, (int, float)):
-                item = dsl.Num(float(item))
-            if isinstance(item, dsl.Expr):
-                extra = item.variables() - allowed
-                if extra:
-                    raise DomainError(f"field uses {sorted(extra)}; its "
-                                      f"variables are {sorted(allowed)}")
-                if item != dsl.ZERO:
-                    self._cols.append((i, dsl.compile_expr(item), True))
-                self._exprs.append(item)
-            elif callable(item):
-                self._cols.append((i, item, False))
-                self._exprs.append(None)
-            else:
+            if callable(item):
+                items[i] = None
+            elif isinstance(item, (int, float)):
+                items[i] = dsl.Num(float(item))
+            elif not isinstance(item, (str, dsl.Expr)):
                 raise DomainError(f"bad coefficient field {item!r}")
+        self._program = dsl.program(items, self.variables)
+        for extra in (free - set(self.variables) for free in self._program.free):
+            if extra:
+                raise DomainError(f"field uses {sorted(extra)}; its variables "
+                                  f"are {sorted(self.variables)}")
+        self._derivative = None
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        bindings = {name: p[..., i] for i, name in enumerate(self.variables)}
-        out = np.zeros((*p.shape[:-1], len(self._exprs)))
-        for i, fn, takes_bindings in self._cols:
-            out[..., i] = fn(bindings if takes_bindings else p)
+        out = self._program.run(self._bindings(p), p.shape[:-1])[0]
+        for i, fn in self._calls:
+            out[..., i] = fn(p)
         return out.reshape(*p.shape[:-1], *self.shape)
+
+    def jet(self, points, axes=None):
+        """The values (N, *shape) and the partials (N, len(axes), *shape)
+        along the variables ``axes`` (all by default), from one run of the
+        program; for a field of expressions only."""
+        if self._calls:
+            raise DomainError("a field with plain callables has no jet")
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        axes = tuple(range(len(self.variables)) if axes is None else axes)
+        values, partials = self._program.run(self._bindings(p), p.shape[:-1], axes)
+        return (values.reshape(*p.shape[:-1], *self.shape),
+                partials.reshape(*p.shape[:-1], len(axes), *self.shape))
+
+    def _bindings(self, p):
+        return {name: p[..., i] for i, name in enumerate(self.variables)}
 
     def derivative(self):
         """The (d, *shape) field of the partials d/dx_k, k first, built once;
         None if a coefficient is a plain callable."""
-        if self._derivative is None and all(e is not None for e in self._exprs):
+        if self._derivative is None and not self._calls:
             self._derivative = CoefficientField(
-                [dsl.diff(e, x) for x in self.variables for e in self._exprs],
-                self.chart_dim, (self.chart_dim, *self.shape), self.variables)
+                self._program.partials, self.chart_dim,
+                (self.chart_dim, *self.shape), self.variables)
         return self._derivative
 
 
@@ -177,9 +195,9 @@ class GroupValuedField:
             g = self(points)
             dg = axis_diffs(self, points)
             return g, self.algebra.from_matrix(dg @ self.group.inv(g)[:, None])
-        X = self.generator(np.atleast_2d(np.asarray(points, dtype=float)))
+        X, dX = jet(self.generator, points)
         return (self.group.exp(self.algebra.to_matrix(X)),
-                self.algebra.dexp(X[:, None], axis_diffs(self.generator, points)))
+                self.algebra.dexp(X[:, None], dX))
 
 
 def group_field(value, group, algebra, chart_dim, name="g"):

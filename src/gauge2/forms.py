@@ -18,20 +18,19 @@ Only the local forms are computed: the bundle-level B at (x, g) is
 (alpha_{g^-1})_* b_x, and surface transport applies that conjugation to
 b at the frames of its horizontal lifts.
 
-F is computed on every coordinate pair from one ``axis_diffs`` of ``a``
-and contracted with the tangents.  K needs first derivatives only: db is
-the sum over triples i < k < l of m_ikl (d_i b_kl - d_k b_il + d_l b_ik),
-m_ikl the minor of the tangent rows [X; Y; Z] at columns (i, k, l), so
-it is exactly 0 on a 2-d chart.  A fake-flat b contributes rep_* dF,
-where the second derivatives of ``a`` cancel:
+F is computed on every coordinate pair from one ``jet`` of ``a`` (its
+values and axis derivatives) and contracted with the tangents.  K needs
+first derivatives only: db is the sum over triples i < k < l of
+m_ikl (d_i b_kl - d_k b_il + d_l b_ik), m_ikl the minor of the tangent
+rows [X; Y; Z] at columns (i, k, l), so it is exactly 0 on a 2-d chart.
+A fake-flat b contributes rep_* dF, where the second derivatives of ``a``
+cancel:
 dF_ikl = [da_ik, a_l] - [da_il, a_k] + [da_kl, a_i], da_kl = d_k a_l - d_l a_k.
-Each field is evaluated once per point set, DSL fields with their
-derivative fields.  For callables, with s = 4 stencil points on a
-d-dimensional chart, F_of, F_pairs, the fake-flat b_of, K_of and
-fake_flatness_residual cost 1 + s d evaluations of ``a`` (13 for
-d = 3).  An explicit b is evaluated once where the fake-flat lift costs
-1 + s d.  K_of and fake_flatness_residual run in blocks of ``_BLOCK``
-points.  The gluing check takes the transition function's dg g^-1 from
+A DSL ``a`` is one program run per point set.  For a callable ``a`` on
+a d-dimensional chart, F_of, F_pairs, the fake-flat b_of, K_of and
+fake_flatness_residual cost 1 + 4d evaluations (13 for d = 3), and an
+explicit b costs one where the fake-flat lift costs 1 + 4d.  K_of and
+fake_flatness_residual run in blocks of ``_BLOCK`` points.  The gluing check takes the transition function's dg g^-1 from
 ``GroupValuedField.log_derivative``.
 """
 
@@ -43,7 +42,8 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import FD_STEP, axis_diffs, chart_grid, group_field, tensor_field
+from .fields import (FD_STEP, axis_diffs, chart_grid, group_field, jet,
+                     tensor_field)
 from .geometry import Chart
 from .lie2 import linear
 
@@ -111,11 +111,9 @@ class TwoConnection:
 
     def F_pairs(self, points):
         """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
-        one evaluation of ``a`` and one difference along each chart axis."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        one jet of ``a``."""
         # da[:, i, j] = D_{e_i} a(e_j)
-        return self._F_from(self.a_coeffs(points),
-                            axis_diffs(self._a, points, self.fd_step))
+        return self._F_from(*jet(self._a, points, self.fd_step))
 
     def _F_from(self, a, da):
         """F_pairs from a and its derivatives along the chart axes, one pair
@@ -166,12 +164,11 @@ class TwoConnection:
     def _K_block(self, points, X, Y, Z):
         """K_of on one block, from the minors m_ikl and the first
         derivatives of ``a`` (fake-flat b), ``b`` and ``b_extra``."""
-        a = self.a_coeffs(points)
         if self.fake_flat_mode:
-            da = axis_diffs(self._a, points, self.fd_step)
+            a, da = jet(self._a, points, self.fd_step)
             b = self._b_pairs(points, self._F_from(a, da))
         else:
-            b = self._b_pairs(points)
+            a, b = self.a_coeffs(points), self._b_pairs(points)
         diffs = [axis_diffs(f, points, self.fd_step)
                  for f in (self._b, self._b_extra) if f is not None]
         slot = {pair: p for p, pair in enumerate(self.pairs)}

@@ -84,10 +84,12 @@ class ParamMap:
     evaluation must extend smoothly to a neighbourhood of I^m (DSL fields
     do; composites built here are flat near the boundary), which keeps the
     4th-order central differences of :meth:`jet` valid everywhere.
-    ``jet(params)``, the exact values (N, d) and partials (N, m, d) from one
-    evaluation, comes with :meth:`from_exprs` maps and straight paths and is
-    carried through :meth:`slice_first`, :meth:`affine_image` and
-    :meth:`compose_params`; other maps take those differences.
+    ``jet(params, axes)``, the exact values (N, d) and partials along
+    ``axes`` (N, len(axes), d) from one evaluation, comes with
+    :meth:`from_exprs` maps (one program run of only what those partials
+    need) and straight paths and is carried through :meth:`slice_first`,
+    :meth:`affine_image` and :meth:`compose_params`; other maps take those
+    differences.
     """
 
     def __init__(self, arity: int, dim: int, fn, name="map", jet=None):
@@ -105,9 +107,7 @@ class ParamMap:
         and their partials from ``dsl.diff``."""
         field = CoefficientField(list(exprs), arity, (len(exprs),),
                                  PARAM_VARS[:arity])
-        partials = field.derivative()
-        return cls(arity, len(exprs), field, name=name,
-                   jet=lambda params: (field(params), partials(params)))
+        return cls(arity, len(exprs), field, name=name, jet=field.jet)
 
     def __call__(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -121,10 +121,9 @@ class ParamMap:
         carries them, else the 4th-order central difference of each axis
         asked for."""
         p = np.atleast_2d(np.asarray(params, dtype=float))
-        axes = range(self.arity) if axes is None else axes
+        axes = tuple(range(self.arity) if axes is None else axes)
         if self._jet is not None:
-            values, partials = self._jet(p)
-            return values, partials[:, list(axes)]
+            return self._jet(p, axes)
         eye = np.eye(self.arity)
         return self._fn(p), np.stack(
             [directional_diff(self, p, eye[k], step) for k in axes], axis=1)
@@ -142,10 +141,10 @@ class ParamMap:
         def fn(params):
             return self._fn(np.atleast_2d(phi(params)))
 
-        def jet(params):
+        def jet(params, axes):
             q, dq = phi.jet(params)
-            values, partials = self._jet(q)
-            return values, dq @ partials
+            values, partials = self.jet(q)
+            return values, (dq @ partials)[:, list(axes)]
 
         exact = self._jet is not None and getattr(phi, "_jet", None) is not None
         return ParamMap(self.arity, self.dim, fn,
@@ -159,9 +158,11 @@ class ParamMap:
         def fn(params):
             return origin + self._fn(params) @ basis
 
-        def jet(params):
-            values, partials = self._jet(params)
-            return origin + values @ basis, partials @ basis
+        # every partial, then the axes: BLAS can round a product of fewer
+        # rows differently
+        def jet(params, axes):
+            values, partials = self.jet(params)
+            return origin + values @ basis, (partials @ basis)[:, list(axes)]
 
         return ParamMap(self.arity, origin.shape[0], fn,
                         name=name or f"{self.name}@affine",
@@ -177,9 +178,8 @@ class ParamMap:
             return np.concatenate(
                 [np.full((*params.shape[:-1], 1), value), params], axis=-1)
 
-        def jet(params):
-            values, partials = self._jet(full(params))
-            return values, partials[:, 1:]
+        def jet(params, axes):
+            return self._jet(full(params), tuple(k + 1 for k in axes))
 
         return ParamMap(self.arity - 1, self.dim, lambda p: self._fn(full(p)),
                         name=name or f"{self.name}[{value},...]",
@@ -200,8 +200,8 @@ def straight_path(a, b, name=None) -> ParamMap:
         u = params[..., 0][..., None]
         return (1.0 - u) * a + u * b
 
-    return ParamMap(1, a.shape[0], fn, name=name or "segment", jet=lambda p: (
-        fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))))
+    return ParamMap(1, a.shape[0], fn, name=name or "segment", jet=lambda p, axes: (
+        fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))[:, list(axes)]))
 
 
 def reverse_path(gamma: ParamMap) -> ParamMap:

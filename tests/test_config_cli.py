@@ -677,7 +677,8 @@ def test_sampled_axiom_checks_draw_whole_batches(tmp_path, monkeypatch):
 def test_verify_thin_checks_each_reparameterization_once(tmp_path,
                                                          monkeypatch):
     """The five reparameterizations are built and checked once per
-    command, not once per bigon (su2_demo has five bigons)."""
+    process, not once per bigon (su2_demo has five bigons) or command."""
+    gauge2.cli._thin_reparams.cache_clear()
     checked = []
     check = gauge2.cli.check_reparameterization
 
@@ -702,6 +703,10 @@ def test_verify_thin_checks_each_reparameterization_once(tmp_path,
     assert built["reparam"] == 5
     report = json.loads((tmp_path / "verify-thin.json").read_text())
     assert [c["reparameterizations"] for c in report["cases"]] == [5] * 5
+    assert main(["verify", "thin", "--config", str(config), "--out",
+                 str(tmp_path), "--quiet"]) == 0
+    assert len(checked) == 5 and built["reparam"] == 5
+    assert json.loads((tmp_path / "verify-thin.json").read_text()) == report
 
 
 # stencil calls per `report` command before paths, bigons and gauge
@@ -1107,6 +1112,72 @@ def test_repeated_main_calls_write_the_reports_of_separate_processes(tmp_path):
     same = [_tree(tmp_path / f"same{k}") for k in range(len(runs))]
     assert same == [_tree(tmp_path / f"fresh{k}") for k in range(len(runs))]
     assert same[0]["verify-stokes.json"] != same[1]["verify-stokes.json"]
+
+
+def test_an_edited_config_reports_in_process_as_in_a_fresh_process(tmp_path):
+    """Programs are cached per process by their source text: after the
+    config's coefficients change, a second report in the same process
+    equals a fresh process's report of the edited config."""
+    raw = json.loads((CONFIGS / "abelian_demo.json").read_text())
+    path = _write(tmp_path, raw)
+    argv = ["report", "--config", path, "--quiet"]
+    assert main(argv + ["--out", str(tmp_path / "before")]) == 0
+    raw["connection"]["a"] = [["0.2*x2"], ["0.7*x1"]]
+    raw["bigons"]["bulge"] = ["v", "0.5*u*sin(pi*v)"]
+    _write(tmp_path, raw)
+    assert main(argv + ["--out", str(tmp_path / "same")]) == 0
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "gauge2.cli", *argv,
+         "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    same = _tree(tmp_path / "same")
+    assert same == _tree(tmp_path / "fresh")
+    assert same["report.json"] != _tree(tmp_path / "before")["report.json"]
+
+
+def test_a_report_builds_each_configured_map_once(tmp_path, monkeypatch):
+    """su2_demo's report builds its 5 bigons, 2 paths, the 5 thin
+    reparameterizations and the reconstruction lens once each: 13 maps
+    (28 when each command built its own)."""
+    gauge2.cli._thin_reparams.cache_clear()
+    gauge2.transport._lens_bigon.cache_clear()
+    built = collections.Counter()
+    from_exprs = ParamMap.from_exprs.__func__
+
+    def building(cls, exprs, arity, name="map"):
+        built[name] += 1
+        return from_exprs(cls, exprs, arity, name)
+
+    monkeypatch.setattr(ParamMap, "from_exprs", classmethod(building))
+    raw = json.loads((CONFIGS / "su2_demo.json").read_text())
+    assert main(["report", "--config", str(CONFIGS / "su2_demo.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert built == collections.Counter(
+        [*raw["bigons"], *raw["paths"], *["reparam"] * 5, "lens"])
+    assert sum(built.values()) == 13
+
+
+@pytest.mark.parametrize("config,section,name,value", [
+    ("u2pu2_higher", "cubes", "bad", ["w", "0.3*u*v", "0.2*v*sin(pi*w)"]),
+    ("su2_demo", "bigons", "bad", ["u", "v", "0"]),
+    ("su2_demo", "paths", "bad", ["u", "x1"]),
+    ("su2_demo", "morphism", "g", ["0.4*x1", "0.3*x2 +", "0"]),
+    ("su2_demo", "transition", "g", ["0.3*x9", "0", "0"]),
+], ids=["cube", "bigon", "path", "morphism", "transition"])
+def test_a_report_checks_every_section_before_writing(tmp_path, capsys, config,
+                                                      section, name, value):
+    """A config error in any section stops the report before it creates
+    --out; a report that ran its first commands would leave their CSV
+    tables or at least the directory behind."""
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    raw.setdefault(section, {})[name] = value
+    out = tmp_path / "out"
+    assert main(["report", "--config", _write(tmp_path, raw), "--out",
+                 str(out), "--quiet"]) == 2
+    assert f"'{section}.{name}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["transport"], ["surface-transport"],
