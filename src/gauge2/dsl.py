@@ -356,12 +356,10 @@ class Program:
                 (self._outputs[n + axis[k] * n + i], 1, j * n + i)
                 for j, k in enumerate(axes) for i in range(n)]:
             columns.setdefault((r, part), []).append(k)
-        needed, stack = set(), [r for r, _ in columns if r]
-        while stack:
-            r = stack.pop()
-            if r not in needed:
-                needed.add(r)
-                stack += [a for a in self._code[r][1] if a]
+        needed = {r for r, _ in columns if r}
+        for r in range(len(self._code) - 1, 0, -1):   # arguments come first
+            if r in needed:
+                needed.update(a for a in self._code[r][1] if a)
         head = [r for r in sorted(needed) if r < self._head]
         code = ([(r, *self._code[r], columns.get((r, 0), ())) for r in head]
                 + [(r, lambda x: x, (r,), columns[r, 1]) for r in head
@@ -388,19 +386,20 @@ class Program:
         return values, partials
 
 
-_PROGRAMS = {}
-
-
 def program(exprs, variables=()) -> Program:
     """The Program of ``exprs`` (source strings, Exprs or None) and their
     partials along ``variables``, built once per process for each distinct
-    source text or tree (an Expr's repr tells 0.0 from -0.0)."""
-    key = (tuple(e if e is None or isinstance(e, str) else (repr(e),)
-                 for e in exprs), tuple(variables))
-    if key not in _PROGRAMS:
-        _PROGRAMS[key] = Program([parse(e) if isinstance(e, str) else e
-                                  for e in exprs], tuple(variables))
-    return _PROGRAMS[key]
+    source text or tree among the last 1024 asked for (an Expr's repr tells
+    0.0 from -0.0, which its equality does not)."""
+    key = tuple(e if e is None or isinstance(e, str) else (repr(e), e)
+                for e in exprs)
+    return _program(key, tuple(variables))
+
+
+@functools.lru_cache(maxsize=1024)
+def _program(key, variables):
+    return Program([e if e is None else parse(e) if isinstance(e, str)
+                    else e[1] for e in key], variables)
 
 
 def compile_expr(e: Expr):

@@ -119,9 +119,10 @@ class ParamMap:
         """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
         parameters by default) at (N, m) parameters: exact where the map
         carries them, else the 4th-order central difference of each axis
-        asked for."""
+        asked for.  Negative axes count from the end."""
         p = np.atleast_2d(np.asarray(params, dtype=float))
-        axes = tuple(range(self.arity) if axes is None else axes)
+        every = range(self.arity)
+        axes = tuple(every if axes is None else (every[k] for k in axes))
         if self._jet is not None:
             return self._jet(p, axes)
         eye = np.eye(self.arity)

@@ -65,6 +65,11 @@ def test_expression_maps_carry_exact_partials():
                      np.pi * np.cos(np.pi * vw[:, 0]) * vw[:, 1],
                      -vw[:, 1] * np.exp(vw[:, 0] * vw[:, 1])], -1)
     assert np.max(np.abs(end.partial(0, vw) - want)) <= 1e-13
+    # a negative axis counts from the end of the slice's own parameters
+    assert np.array_equal(end.partial(-1, vw), end.partial(1, vw))
+    assert np.array_equal(end.jet(vw, (-1,))[1], end.jet(vw)[1][:, 1:])
+    with pytest.raises(IndexError):
+        end.jet(vw, (2,))
     basis = rng.normal(size=(3, 2))
     image = cube.affine_image(np.array([0.1, 0.2]), basis)
     assert np.max(np.abs(image.partial(1, p) - jac[1] @ basis)) <= 1e-13
