@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -436,6 +437,10 @@ def run_command(command: str, cfg, out_dir: str, quiet=False) -> dict:
     _check_simpson_steps(commands, num)
     if command == "report":
         cfg.build()
+    # the outermost directory that creating --out makes, if any
+    created, path = None, os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        created, path = path, os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
@@ -446,19 +451,24 @@ def run_command(command: str, cfg, out_dir: str, quiet=False) -> dict:
         if not quiet:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
-    if command == "report":
-        cases = []
-        for name in commands:
+    try:
+        if command == "report":
+            cases = []
+            for name in commands:
+                rng = np.random.default_rng(cfg.seed)
+                sub = RUNNERS[name](cfg, num, rng, out_dir, emit)
+                cases.append({"command": name,
+                              "cases": sub,
+                              "pass": all(c["pass"] for c in sub)})
+            ok = all(c["pass"] for c in cases)
+        else:
             rng = np.random.default_rng(cfg.seed)
-            sub = RUNNERS[name](cfg, num, rng, out_dir, emit)
-            cases.append({"command": name,
-                          "cases": sub,
-                          "pass": all(c["pass"] for c in sub)})
-        ok = all(c["pass"] for c in cases)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        cases = RUNNERS[command](cfg, num, rng, out_dir, emit)
-        ok = all(c["pass"] for c in cases)
+            cases = RUNNERS[command](cfg, num, rng, out_dir, emit)
+            ok = all(c["pass"] for c in cases)
+    except ConfigError:     # leave behind no directory this call made
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
     report = {
         "command": command,

@@ -13,6 +13,9 @@ The action alpha_g(h) = rep(g) h rep(g)^dagger is uniform across families:
 ``rep`` embeds G into the unitaries of H's size (identity, scalar one, or
 the SO(3)->SU(2) lift), so on coefficient vectors each adjoint action is
 one real matrix per element: 1, a rotation, or blockdiag(1, rotation).
+A family states the offsets of the g- and h-coefficients that rotation
+moves (0 and 0 on ``su2_id_conj``, 0 and 1 on ``u2_to_pu2``, none on
+``u1_*``), where a frame held as a quaternion acts by ``groups.unrotate``.
 
 Finite demo modules used by the exact torsor suite live here as well.
 """
@@ -88,6 +91,9 @@ class MatrixFamily:
     ad_G: object
     ad_H: object
     alpha_star_of: object
+    # offsets of the g- and h-coefficients a frame rotates; None: it fixes all
+    g_rotated: int | None = None
+    h_rotated: int | None = None
 
     def __post_init__(self):
         self.rep_terms = terms(self.rep_star)
@@ -138,7 +144,7 @@ def _build_su2_id_conj() -> MatrixFamily:
         ker_t_elements=lambda: [su2.identity])
     return MatrixFamily("su2_id_conj", cm, l2a, rep_star=np.eye(3),
                         ad_G=adjoint_so3, ad_H=adjoint_so3,
-                        alpha_star_of=adjoint_so3)
+                        alpha_star_of=adjoint_so3, g_rotated=0, h_rotated=0)
 
 
 def _build_u1(trivial_t: bool) -> MatrixFamily:
@@ -184,7 +190,7 @@ def _build_u2_to_pu2() -> MatrixFamily:
     return MatrixFamily("u2_to_pu2", cm, l2a, rep_star=rep_star,
                         ad_G=lambda r: np.asarray(r, dtype=float),
                         ad_H=lambda a: _centred(adjoint_so3(a)),
-                        alpha_star_of=_centred)
+                        alpha_star_of=_centred, g_rotated=0, h_rotated=1)
 
 
 _BUILDERS = {

@@ -7,10 +7,10 @@ per process, and its ``jet`` gives the values and partials from one run.
 
 Every derivative of a field is taken here.  ``axis_diffs`` gives the
 derivatives along every axis as (N, d, ...), ``directional_diff`` along
-one direction, and ``jet`` a field with them: exact for a CoefficientField
-of DSL expressions, whose ``derivative()`` is the field of its partials,
-and otherwise the 4-point stencil, which calls the function 4 times per
-direction.
+one direction or a stack of them, and ``jet`` a field with them: exact
+for a CoefficientField of DSL expressions, whose ``derivative()`` is the
+field of its partials, and otherwise the 4-point stencil, which calls the
+function once, on 4 shifted copies of the points per direction.
 ``GroupValuedField.log_derivative`` gives a group-valued field with
 dg g^-1 along every axis: for g = exp(X(x)) built by ``group_field`` the
 closed form dexp_X(dX) of ``LieAlgebra.dexp``, with dX exact for a DSL
@@ -36,33 +36,38 @@ FD_STEP = 1e-3
 
 
 def directional_diff(fn, points, direction, step=FD_STEP):
-    """Derivative of fn along a direction, constant or one per point:
-    exact for a CoefficientField of DSL expressions, else the 4th-order
-    central difference with ``step``.
+    """Derivative of fn along a constant direction (d,), or (N, k, ...)
+    along each of a stack (k, d) of them: exact for a CoefficientField of
+    DSL expressions, else the 4th-order central difference with ``step``,
+    whose 4 k shifted copies of the points take one call of fn.
 
     ``fn`` maps (N, d) points to arrays with leading axis N.
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(direction, dtype=float)
+    stack = v.reshape(-1, p.shape[-1])
     exact = exact_derivative(fn)
     if exact is not None:
-        d = exact(p)
-        return np.einsum("nk...,nk->n...", d, np.broadcast_to(v, d.shape[:2]))
+        out = np.einsum("nk...,jk->nj...", exact(p), stack)
+        return out if v.ndim > 1 else out[:, 0]
+    shifts = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None, None] * step
+    f = np.asarray(fn((p + shifts * stack[:, None]).reshape(-1, p.shape[-1])))
+    f = f.reshape(4, len(stack), len(p), *f.shape[1:])
     # weights (1, -8, 8, -1) / 12h at -2h, -h, h, 2h, summed in that order
-    acc = np.asarray(fn(p - (2 * step) * v)) - 8.0 * np.asarray(fn(p - step * v))
-    acc = acc + 8.0 * np.asarray(fn(p + step * v))
-    return (acc - np.asarray(fn(p + (2 * step) * v))) / (12.0 * step)
+    acc = f[0] - 8.0 * f[1]
+    acc = acc + 8.0 * f[2]
+    out = np.moveaxis((acc - f[3]) / (12.0 * step), 0, 1)
+    return out if v.ndim > 1 else out[:, 0]
 
 
 def axis_diffs(fn, points, step=FD_STEP):
     """(N, d, ...) derivatives of fn along every axis e_k of the (N, d)
-    points: one :func:`directional_diff` per axis, stacked on axis 1."""
+    points: one :func:`directional_diff` along the stack of axes."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     exact = exact_derivative(fn)
     if exact is not None:
         return exact(p)
-    return np.stack([directional_diff(fn, p, e, step)
-                     for e in np.eye(p.shape[-1])], axis=1)
+    return directional_diff(fn, p, np.eye(p.shape[-1]), step)
 
 
 def jet(fn, points, step=FD_STEP):

@@ -125,9 +125,8 @@ class ParamMap:
         axes = tuple(every if axes is None else (every[k] for k in axes))
         if self._jet is not None:
             return self._jet(p, axes)
-        eye = np.eye(self.arity)
-        return self._fn(p), np.stack(
-            [directional_diff(self, p, eye[k], step) for k in axes], axis=1)
+        return self._fn(p), directional_diff(
+            self, p, np.eye(self.arity)[list(axes)], step)
 
     def partial(self, index: int, params, step: float = FD_STEP):
         """The map's derivative along parameter ``index`` (see :meth:`jet`)."""
@@ -138,14 +137,17 @@ class ParamMap:
 
     def compose_params(self, phi, name=None) -> "ParamMap":
         """Precompose with a parameter map phi: I^m -> I^m; exact partials
-        D(sigma o phi) = D phi @ D sigma(phi) when both carry them."""
+        D(sigma o phi) = D phi @ D sigma(phi) when both carry them, phi's
+        along the asked-for axes only."""
         def fn(params):
             return self._fn(np.atleast_2d(phi(params)))
 
         def jet(params, axes):
-            q, dq = phi.jet(params)
+            q, dq = phi.jet(params, axes)
             values, partials = self.jet(q)
-            return values, (dq @ partials)[:, list(axes)]
+            # sum_m d_a phi_m * d_m sigma(phi), one (N, d) plane at a time
+            return values, sum(dq[:, :, m, None] * partials[:, None, m]
+                               for m in range(self.arity))
 
         exact = self._jet is not None and getattr(phi, "_jet", None) is not None
         return ParamMap(self.arity, self.dim, fn,
@@ -326,18 +328,20 @@ def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
 def check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
     """Slices of the cube must be bigons between common boundary paths."""
     uu, vv = unit_grid(samples, 2).T
-    for fixed_axis, label in ((1, "source/target paths"), (2, "path endpoints")):
-        for value in (0.0, 1.0):
-            params = np.zeros((uu.size, 3))
-            params[:, 0] = uu
-            params[:, fixed_axis] = value
-            params[:, 3 - fixed_axis] = vv
-            # the same point on the u = 0 slice
-            d = float(np.max(np.abs(cube(params) - cube(params * [0, 1, 1]))))
-            if d > tol:
-                raise ComposabilityError(
-                    f"cube slices disagree on {label} at face {value:g} "
-                    f"(defect {d:.3e})", mismatch=d)
+    faces = [(axis, value) for axis in (1, 2) for value in (0.0, 1.0)]
+    # each face's points, then the same points on the u = 0 slice
+    params = np.zeros((2, len(faces), uu.size, 3))
+    for f, (axis, value) in enumerate(faces):
+        params[:, f, :, axis], params[:, f, :, 3 - axis] = value, vv
+    params[0, ..., 0] = uu
+    points = cube(params.reshape(-1, 3)).reshape(2, len(faces), uu.size, -1)
+    defects = np.max(np.abs(points[0] - points[1]), axis=(1, 2)).tolist()
+    for (axis, value), d in zip(faces, defects):
+        if d > tol:
+            label = "source/target paths" if axis == 1 else "path endpoints"
+            raise ComposabilityError(
+                f"cube slices disagree on {label} at face {value:g} "
+                f"(defect {d:.3e})", mismatch=d)
 
 
 def check_reparameterization(phi, arity: int, tol=1e-9, samples=17) -> ParamMap:

@@ -12,7 +12,8 @@ groups; each operation is one closed form, batched over leading axes:
   as the first column of its SU(2) matrix (:func:`spin_coordinates`,
   :func:`quaternion_exp`, :meth:`MatrixGroup.from_spin`); SO(3) through
   the double cover.  The ordered-exponential kernel multiplies such
-  quaternions with :func:`hamilton`, four complex products.
+  quaternions with :func:`hamilton`, four complex products, and a frame
+  held as one acts on vectors by :func:`unrotate`.
 * ``log``: i arg g on U(1); on U(2) and SU(2) the eigen-angles phi +- theta
   of g = e^{i phi} (cos theta I + sin theta N); on SO(3) twice the angle of
   the Shepperd quaternion.  BranchError outside the principal branch.
@@ -178,6 +179,21 @@ def hamilton(p, q):
     their SU(2) matrices, four complex products."""
     (a1, b1), (a2, b2) = p, q
     return np.stack([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
+
+
+def unrotate(q, v):
+    """R(q)^-1 v = v + 2u x (u x v) - 2w (u x v) of vectors (..., 3) by the
+    unit quaternions q = (w, u) of planes (2, ...) as held by
+    :func:`quaternion_exp`, batched together: the inverse of an SU(2) or
+    SO(3) frame acting on what it rotates, with no matrix built."""
+    def cross(x, y):        # of planes, x_1 y_2 - x_2 y_1 and its cycles
+        return [x[i - 2] * y[i - 1] - x[i - 1] * y[i - 2] for i in range(3)]
+
+    a, b = q
+    u, v = (-b.imag, b.real, -a.imag), np.moveaxis(v, -1, 0)
+    uv = cross(u, v)
+    return np.stack([v[i] + 2.0 * (uuv - a.real * uv[i])
+                     for i, uuv in enumerate(cross(u, uv))], axis=-1)
 
 
 def rotation_quaternion(r):

@@ -14,7 +14,8 @@ forms.  Transport is functorial under concatenation, so the step
 propagators are multiplied in any bracketing: a pairwise tree gives the
 end value and a prefix scan the step-boundary frames, in about log2(steps)
 batched Hamilton products.  Matrices are built once, from the quaternions
-normalized, and no polar projection is needed.
+normalized, and no polar projection is needed; the frames of a surface
+solve's lifts stay quaternions (see :func:`_surface_generator`).
 Surface transport solves the outer ordered integral
 
     h'(s) = sign * h(s) beta(s),
@@ -57,7 +58,7 @@ from .errors import AccuracyError, DomainError, SamplingError
 from .forms import TwoConnection
 from .geometry import (ParamMap, canonical_bigon, check_cube_boundaries,
                        source_path, straight_path, target_path, unit_grid)
-from .groups import hamilton, quaternion_exp
+from .groups import hamilton, quaternion_exp, unrotate
 
 __all__ = [
     "TransportResult", "SurfaceTransportResult",
@@ -125,7 +126,8 @@ def _ordered_exp(group, alg, w_eval, steps: int, trajectory=False, right=False):
     add, and the quaternion step propagators are multiplied in a pairwise
     tree (``trajectory``: a prefix scan), a bracketing the functoriality
     of transport allows.  Returns the (*batch, n, n) end value or, with
-    ``trajectory``, the (steps + 1, *batch, n, n) step-boundary frames.
+    ``trajectory``, the step-boundary frames as phases (steps + 1, *batch)
+    and normalized quaternion planes (2, steps + 1, *batch), None on U(1).
     """
     h = 1.0 / steps
     t0 = np.arange(steps) * h
@@ -148,7 +150,8 @@ def _ordered_exp(group, alg, w_eval, steps: int, trajectory=False, right=False):
     if quat is not None:
         start = quaternion_exp(np.zeros((3, 1) + quat.shape[2:]))
         quat = _prefixes(mul, np.concatenate([start, quat], axis=1))
-    return group.from_spin(phase, quat)
+        quat /= np.sqrt(np.sum(quat.real ** 2 + quat.imag ** 2, axis=0))
+    return phase, quat
 
 
 def _product(mul, q):
@@ -201,16 +204,18 @@ def sweep_order(defects):
 def _stack_jets(maps, params, axes=None):
     """Points and partials along ``axes`` (all by default) of a stack of
     maps at (N, m) parameters: [points, *partials], each one (N * maps, d)
-    batch with the maps innermost."""
-    points, partials = (np.stack(part, axis=1) for part in
-                        zip(*(pm.jet(params, axes) for pm in maps)))
-    d = points.shape[-1]
-    return [x.reshape(-1, d) for x in (points, *np.moveaxis(partials, 2, 0))]
+    batch with the maps innermost, written into one array."""
+    n_axes = params.shape[-1] if axes is None else len(axes)
+    out = np.empty((1 + n_axes, len(params), len(maps), maps[0].dim))
+    for j, pm in enumerate(maps):
+        out[0, :, j], partials = pm.jet(params, axes)
+        out[1:, :, j] = partials.swapaxes(0, 1)
+    return list(out.reshape(1 + n_axes, -1, maps[0].dim))
 
 
 def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
     """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id, or with
-    ``trajectory`` the (steps + 1, paths, n, n) step-boundary frames."""
+    ``trajectory`` the step-boundary frames as :func:`_ordered_exp` gives."""
     if steps < PATH_MIN_STEPS:
         raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
 
@@ -248,7 +253,8 @@ def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
         if start_defect > 1e-9:
             raise DomainError(
                 f"lift basepoint is not over gamma(0) (defect {start_defect:.2e})")
-    frames = _path_values(conn, [gamma], steps, trajectory=True)[:, 0]
+    frames = conn.family.group_G.from_spin(
+        *_path_values(conn, [gamma], steps, trajectory=True))[:, 0]
     return (np.linspace(0.0, 1.0, steps + 1),
             frames if p is None else frames @ np.asarray(p[1]))
 
@@ -273,13 +279,15 @@ def _surface_generator(conn: TwoConnection, bigons, steps: int, integrand: str):
     """Outer-ODE driver beta(s) of a stack of bigons at the identity frame
     for surface transport ('b') or the curvature double integral of the
     Stokes theorem ('F'): (k,) -> (k, stack, dim) coefficient vectors of h
-    ('b') or g ('F')."""
+    ('b') or g ('F').  Lift frames stay quaternions; their inverses act by
+    ``unrotate`` on the family's ``h_rotated`` ('b') or ``g_rotated`` ('F')
+    components.  An abelian family's frames act trivially: it takes no lift."""
     fam = conn.family
-    G = fam.group_G
     t_nodes, weights = _simpson_grid(steps)
     t_nodes = t_nodes[:, 0]
-    form_of, conj = ((conn.b_of, fam.alpha_vec) if integrand == "b"
-                     else (conn.F_of, fam.ad_g_vec))
+    form_of, alg, offset = ((conn.b_of, fam.l2a.h_alg, fam.h_rotated)
+                            if integrand == "b" else
+                            (conn.F_of, fam.l2a.g_alg, fam.g_rotated))
 
     def params(t_values, s_values):
         # the (s, t) parameters of every slice, t-major
@@ -288,24 +296,27 @@ def _surface_generator(conn: TwoConnection, bigons, steps: int, integrand: str):
 
     def block(s_values):
         k = s_values.size
-
-        def lift_generator(times):
-            # W = -a(d_t Gamma) of every slice Gamma(s, .) at the given times
-            vec = conn.a_of(*_stack_jets(bigons, params(times, s_values), (1,)))
-            return -vec.reshape(times.size, k, len(bigons), -1)
-
-        inv_frames = G.inv(_ordered_exp(G, fam.l2a.g_alg, lift_generator,
-                                        steps, trajectory=True))
         nodes = params(t_nodes, s_values)
-        out = []
+        vals = np.empty((len(bigons), steps + 1, k, alg.dim))
         for j, bigon in enumerate(bigons):
             # the form one bigon at a time: over the whole stack it was no
             # faster on surface-su2 (77-98 against 72-82 ms per pass)
-            vals = form_of(*_stack_jets([bigon], nodes))
-            vals = conj(inv_frames[:, :, j:j + 1],
-                        vals.reshape(steps + 1, k, 1, -1))
-            out.append(np.tensordot(weights, vals, axes=1))
-        return np.concatenate(out, axis=1)
+            vals[j] = form_of(*_stack_jets([bigon], nodes)).reshape(
+                steps + 1, k, -1)
+        if offset is not None:
+            def lift_generator(times):
+                # W = -a(d_t Gamma) of every slice Gamma(s, .) at the times
+                vec = conn.a_of(*_stack_jets(bigons, params(times, s_values),
+                                             (1,)))
+                return -vec.reshape(times.size, k, len(bigons), -1)
+
+            _, quat = _ordered_exp(fam.group_G, fam.l2a.g_alg, lift_generator,
+                                   steps, trajectory=True)
+            r = slice(offset, offset + 3)
+            vals[..., r] = unrotate(np.moveaxis(quat, -1, 1), vals[..., r])
+        # per bigon, so that no value depends on the stack it is solved in
+        # (BLAS rounds a product of another shape differently)
+        return np.stack([np.tensordot(weights, v, axes=1) for v in vals], axis=1)
 
     def beta(s_values):
         # the slices of both outer stages, lifted in near-equal blocks of at

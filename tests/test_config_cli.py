@@ -265,6 +265,24 @@ def test_uncreatable_out_directory_exits_before_the_command(tmp_path, capsys,
     assert "--out" in capsys.readouterr().err
 
 
+def test_config_error_in_a_command_leaves_no_out_directory(tmp_path, capsys):
+    """A single command builds its config sections after it creates --out:
+    a bad one exits 2 and removes the directories it created, but keeps
+    one that was there before."""
+    raw = json.loads((CONFIGS / "su2_demo.json").read_text())
+    raw["bigons"]["bad"] = ["u", "v", "0"]
+    path = _write(tmp_path, raw)
+    out = tmp_path / "new" / "out"
+    argv = ["verify", "stokes", "--config", path, "--quiet", "--out"]
+    assert main([*argv, str(out)]) == 2
+    assert "bigons.bad" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    out.mkdir(parents=True)
+    (out / "kept.txt").write_text("")
+    assert main([*argv, str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
 def test_seed_override_changes_hash(tmp_path):
     path = _write(tmp_path, MINIMAL)
     cfg = load_config(path)
@@ -856,6 +874,7 @@ def test_cube_whose_slices_do_not_share_their_paths_is_a_config_error(
     assert code == 2
     err = capsys.readouterr().err
     assert "config invalid at 'cubes.bad'" in err and "slices disagree" in err
+
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gauge2.errors import DomainError
+from gauge2.errors import ComposabilityError, DomainError
 from gauge2.geometry import (Chart, ParamMap, canonical_bigon,
-                             compose_bigons_horizontal,
+                             check_cube_boundaries, compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, smooth_step,
                              source_path, straight_path, target_path)
@@ -252,3 +252,20 @@ def test_reverse_bigon_swaps_paths():
     r = reverse_bigon(s)
     v = np.linspace(0, 1, 9)
     assert np.allclose(source_path(r)(v[:, None]), target_path(s)(v[:, None]))
+
+
+@pytest.mark.parametrize("exprs,message", [
+    (["w", "u*(1 - v)", "0"], "source/target paths at face 0"),
+    (["w", "u*v*sin(pi*w)", "0"], "source/target paths at face 1"),
+    (["w + 0.1*u*v*(1 - v)*w", "0", "0"], "path endpoints at face 1"),
+])
+def test_cube_boundaries_take_one_evaluation_and_name_the_failing_face(
+        exprs, message):
+    calls = []
+    cube = ParamMap.from_exprs(exprs, 3, name="bad")
+    counted = ParamMap(3, 3, lambda p: calls.append(len(p)) or cube(p))
+    with pytest.raises(ComposabilityError, match=message):
+        check_cube_boundaries(counted)
+    # the four faces, and the same points on the u = 0 slice, 9 x 9 each
+    assert calls == [2 * 4 * 81]
+    check_cube_boundaries(ParamMap.from_exprs(["w", "v*sin(pi*w)", "0"], 3))

@@ -16,7 +16,7 @@ from gauge2.geometry import (Chart, ParamMap,
                              compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, straight_path)
-from gauge2.groups import MatrixGroup, quaternion_exp
+from gauge2.groups import MatrixGroup, quaternion_exp, unrotate
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
@@ -253,6 +253,8 @@ def test_kernel_evaluates_the_generator_once_stage_major(right, trajectory):
         return _su2_generator(times)
 
     out = _ordered_exp(G, alg, recording, steps, trajectory, right)
+    if trajectory:      # the frames' spin coordinates
+        out = G.from_spin(*out)
     h, r = 1.0 / steps, np.sqrt(3.0) / 6.0
     t0 = np.arange(steps) * h
     assert len(calls) == 1
@@ -289,6 +291,12 @@ def test_spin_kernel_matches_the_sequential_matrix_solve(group, alg, right,
     # leftover factor at several levels
     w_eval = _generator(alg)
     out = _ordered_exp(group, alg, w_eval, 37, trajectory, right)
+    if trajectory:
+        phase, quat = out
+        assert (quat is None) == (group.dim == 1)
+        if quat is not None:    # normalized: from_spin's own division is a no-op
+            assert np.max(np.abs(np.sum(np.abs(quat) ** 2, axis=0) - 1.0)) <= 1e-15
+        out = group.from_spin(phase, quat)
     reference = _two_call_cf4(group, alg, w_eval, 37, trajectory, right)
     assert out.shape == reference.shape
     assert np.max(np.abs(out - reference)) <= 1e-13
@@ -299,19 +307,24 @@ def test_spin_kernel_matches_the_sequential_matrix_solve(group, alg, right,
 def test_spin_kernel_drifts_off_the_unit_quaternions_at_roundoff(
         monkeypatch, group, alg):
     # the largest | |q| - 1 | that reaches the normalization, over 1024-step
-    # solves in every mode (U(1) takes no quaternion)
+    # solves in every mode (U(1) takes no quaternion): end values reach it
+    # in from_spin, the trajectory's frames as the prefix scan's products
     from_spin = MatrixGroup.from_spin
-    drift = [0.0]
+    prefixes = gauge2.transport._prefixes
+    drift = []
 
-    def recording(self, phase, quat):
-        drift[0] = max(drift[0], float(np.max(np.abs(
+    def record(quat):
+        drift.append(float(np.max(np.abs(
             np.sqrt(np.sum(np.abs(quat) ** 2, axis=0)) - 1.0))))
-        return from_spin(self, phase, quat)
+        return quat
 
-    monkeypatch.setattr(MatrixGroup, "from_spin", recording)
+    monkeypatch.setattr(MatrixGroup, "from_spin",
+                        lambda self, phase, quat: from_spin(self, phase, record(quat)))
+    monkeypatch.setattr(gauge2.transport, "_prefixes",
+                        lambda mul, q: record(prefixes(mul, q)))
     for right, trajectory in ((False, False), (True, False), (False, True)):
         _ordered_exp(group, alg, _generator(alg), 1024, trajectory, right)
-    assert drift[0] <= 1e-14
+    assert len(drift) > 3 and max(drift) <= 1e-14
 
 
 @SPIN_GROUPS
@@ -329,6 +342,51 @@ def test_spin_coordinates_exponentiate_like_the_matrices(group, alg):
     # and against an exponential that shares no code with the spin path
     expm = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(x)])
     assert np.max(np.abs(got - expm)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam", [SU2, U2P, U1, U1T], ids=lambda f: f.name)
+def test_quaternion_frames_act_like_their_inverse_matrices(fam):
+    """unrotate on the components the family names is the action of the
+    inverse frame, (alpha_{g^-1})_* on h and Ad_{g^-1} on g, built as
+    matrices; an abelian family's frames fix everything."""
+    rng = np.random.default_rng(11)
+    quat = quaternion_exp(rng.uniform(-4.0, 4.0, (3, 64)))
+    phase = rng.uniform(-4.0, 4.0, 64)
+    G = fam.group_G
+    inverse = G.inv(G.from_spin(phase, None if G.dim == 1 else quat))
+    for act, offset, dim in ((fam.alpha_vec, fam.h_rotated, fam.l2a.h_alg.dim),
+                             (fam.ad_g_vec, fam.g_rotated, fam.l2a.g_alg.dim)):
+        v = rng.standard_normal((64, dim))
+        got = v.copy()
+        if offset is not None:
+            got[:, offset:offset + 3] = unrotate(quat, v[:, offset:offset + 3])
+        assert np.max(np.abs(got - act(inverse, v))) <= 1e-14
+
+
+def test_verify_thin_builds_no_matrix_of_a_lift_frame(tmp_path, monkeypatch):
+    """The lift frames of a surface solve stay quaternions: verify thin
+    builds matrices only of its six 2-transport values, and no rotation
+    matrix at all."""
+    from_spin = MatrixGroup.from_spin
+    built, rotations = [], []
+
+    def building(self, phase, quat):
+        built.append(np.shape(phase))
+        return from_spin(self, phase, quat)
+
+    def rotating(g):
+        rotations.append(np.shape(g))
+        return adjoint(g)
+
+    monkeypatch.setattr(MatrixGroup, "from_spin", building)
+    adjoint = SU2.alpha_star_of
+    for name in ("ad_G", "ad_H", "alpha_star_of"):
+        monkeypatch.setattr(SU2, name, rotating)
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(GUARD_CONFIG))
+    assert main(["verify", "thin", "--config", str(path), "--out",
+                 str(tmp_path), "--quiet"]) == 0
+    assert built == [(6,)] and rotations == []
 
 
 def _counting_lifts(monkeypatch):
@@ -564,7 +622,8 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
     def counting(group, alg, w_eval, steps, trajectory=False, right=False):
         out = kernel(group, alg, w_eval, steps, trajectory, right)
         kind = "surface" if right else "lift" if trajectory else "path"
-        seen[kind, out.shape[1 if trajectory else 0:-2]] += 1
+        # a trajectory is spin coordinates: phases (steps + 1, *batch) first
+        seen[kind, out[0].shape[1:] if trajectory else out.shape[:-2]] += 1
         return out
 
     def counting_exp(group, X):
