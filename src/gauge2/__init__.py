@@ -25,7 +25,7 @@ from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
 from .torsor import (EtaH, Torsor2, TorsorMorphism, eta_to_etaH, etaH_to_eta,
                      extend_functor, horizontal_compose_etaH, selftest,
                      torsor_divide, vertical_compose_etaH)
-from .geometry import (Chart, ParamMap, canonical_bigon, compose_bigons_horizontal,
+from .geometry import (Chart, ParamMap, compose_bigons_horizontal,
                        compose_bigons_vertical, concat_paths, reparameterize,
                        reverse_bigon, reverse_path, source_path, straight_path,
                        target_path)

@@ -14,8 +14,8 @@ use u, v, w).  Evaluation is plain IEEE double precision and broadcasts
 over numpy arrays, so fields can be evaluated on whole quadrature grids
 at once.  ``program`` compiles expressions and their ``diff`` partials,
 once per process, into one straight-line :class:`Program` whose shared
-nodes run once; ``compile_expr`` and ``evaluate`` are its one-expression
-uses.  ``diff`` differentiates a tree symbolically into another tree.
+nodes run once; ``evaluate`` is its one-expression use.  ``diff``
+differentiates a tree symbolically into another tree.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import MathDomainError, ParseError, UnboundVariableError
 
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse", "compile_expr", "evaluate", "diff", "to_source",
+    "parse", "evaluate", "diff", "to_source",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh")
@@ -312,12 +312,6 @@ class Program:
         self._outputs = [self._output(e) for e in exprs]
         self._head = len(self._code)
 
-    @functools.cached_property
-    def partials(self):
-        """d e / d x of every expression e, variable-major."""
-        return [None if e is None else diff(e, x)
-                for x in self.variables for e in self.exprs]
-
     def _output(self, e):
         # the constant +0.0 is left to the zero-filled output
         zero = e == ZERO and math.copysign(1.0, e.value) > 0
@@ -349,8 +343,9 @@ class Program:
         other nodes that the partials along ``axes`` need, writing those; a
         partial that is a values' node is passed through first."""
         n, axis = len(self.exprs), range(len(self.variables))
-        if axes and len(self._outputs) == n:
-            self._outputs += map(self._output, self.partials)
+        if axes and len(self._outputs) == n:   # d e / d x, variable-major
+            self._outputs += [self._output(None if e is None else diff(e, x))
+                              for x in self.variables for e in self.exprs]
         columns = {}
         for r, part, k in [(self._outputs[i], 0, i) for i in range(n)] + [
                 (self._outputs[n + axis[k] * n + i], 1, j * n + i)
@@ -402,29 +397,19 @@ def _program(key, variables):
                     else e[1] for e in key], variables)
 
 
-def compile_expr(e: Expr):
-    """The one-expression program of ``e`` as a function of a bindings dict.
+def evaluate(e: Expr, bindings: dict | None = None):
+    """Evaluate ``e`` with the given variable bindings by its one-expression
+    program.
 
     Scalar bindings give a float result; array bindings broadcast.  Domain
-    errors and unbound variables are raised when the function is called.
+    errors and unbound variables are raised when the program runs.
     """
+    bindings = bindings or {}
     prog = program((e,))
-
-    def run(bindings):
-        shape = np.broadcast_shapes(*(np.shape(bindings[x])
-                                      for x in prog.free[0] if x in bindings))
-        out = prog.run(bindings, shape)[0][..., 0]
-        return float(out) if not shape else out
-
-    return run
-
-
-def evaluate(e: Expr, bindings: dict | None = None):
-    """Evaluate ``e`` with the given variable bindings.
-
-    Scalar bindings give a float result; array bindings broadcast.
-    """
-    return compile_expr(e)(bindings or {})
+    shape = np.broadcast_shapes(*(np.shape(bindings[x])
+                                  for x in prog.free[0] if x in bindings))
+    out = prog.run(bindings, shape)[0][..., 0]
+    return float(out) if not shape else out
 
 
 # --- differentiation -------------------------------------------------------

@@ -1,11 +1,10 @@
 """Local 2-connection data and its derived forms.
 
 A TwoConnection stores a g-valued 1-form ``a`` and an h-valued 2-form
-``b`` over a chart as coefficient fields.  Exterior derivatives of DSL
-fields are exact (``CoefficientField.derivative``); those of callables
-are the 4th-order central differences of :mod:`gauge2.fields`, with the
-connection's ``fd_step``, 1e-3 times the chart box size.  For constant
-tangent vectors
+``b`` over a chart as coefficient fields.  Every exterior derivative is
+a :func:`gauge2.fields.jet`: exact for DSL fields, and for callables the
+4th-order central difference with the connection's ``fd_step``, 1e-3
+times the chart box size.  For constant tangent vectors
 
     F(X, Y)    = D_X a(Y) - D_Y a(X) + [a(X), a(Y)],
     K(X, Y, Z) = D_X b(Y, Z) - D_Y b(X, Z) + D_Z b(X, Y)
@@ -18,7 +17,7 @@ Only the local forms are computed: the bundle-level B at (x, g) is
 (alpha_{g^-1})_* b_x, and surface transport applies that conjugation to
 b at the frames of its horizontal lifts.
 
-F is computed on every coordinate pair from one ``jet`` of ``a`` (its
+F is computed on every coordinate pair from one jet of ``a`` (its
 values and axis derivatives) and contracted with the tangents.  K needs
 first derivatives only: db is the sum over triples i < k < l of
 m_ikl (d_i b_kl - d_k b_il + d_l b_ik), m_ikl the minor of the tangent
@@ -26,11 +25,11 @@ rows [X; Y; Z] at columns (i, k, l), so it is exactly 0 on a 2-d chart.
 A fake-flat b contributes rep_* dF, where the second derivatives of ``a``
 cancel:
 dF_ikl = [da_ik, a_l] - [da_il, a_k] + [da_kl, a_i], da_kl = d_k a_l - d_l a_k.
-A DSL ``a`` is one program run per point set.  For a callable ``a`` on
-a d-dimensional chart, F_of, F_pairs, the fake-flat b_of, K_of and
-fake_flatness_residual cost 1 + 4d evaluations (13 for d = 3), and an
-explicit b costs one where the fake-flat lift costs 1 + 4d.  K_of and
-fake_flatness_residual run in blocks of ``_BLOCK`` points.  The gluing check takes the transition function's dg g^-1 from
+A jet of a DSL field is one program run.  A jet of a callable on a
+d-dimensional chart costs 1 + 4d evaluations (13 for d = 3): F and K take
+one of ``a`` (fake-flat b) and K one each of an explicit ``b`` and
+``b_extra``.  K_of and fake_flatness_residual run in blocks of ``_BLOCK``
+points.  The gluing check takes the transition function's dg g^-1 from
 ``GroupValuedField.log_derivative``.
 """
 
@@ -42,8 +41,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (FD_STEP, axis_diffs, chart_grid, group_field, jet,
-                     tensor_field)
+from .fields import FD_STEP, chart_grid, group_field, jet, tensor_field
 from .geometry import Chart
 from .lie2 import linear
 
@@ -113,7 +111,7 @@ class TwoConnection:
         """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
         one jet of ``a``."""
         # da[:, i, j] = D_{e_i} a(e_j)
-        return self._F_from(*jet(self._a, points, self.fd_step))
+        return self._F_from(*jet(self._a, points, step=self.fd_step))
 
     def _F_from(self, a, da):
         """F_pairs from a and its derivatives along the chart axes, one pair
@@ -162,15 +160,20 @@ class TwoConnection:
                                for s in _blocks(len(points))])
 
     def _K_block(self, points, X, Y, Z):
-        """K_of on one block, from the minors m_ikl and the first
-        derivatives of ``a`` (fake-flat b), ``b`` and ``b_extra``."""
+        """K_of on one block, from the minors m_ikl and one jet each of
+        ``a`` (fake-flat b), ``b`` and ``b_extra``."""
         if self.fake_flat_mode:
-            a, da = jet(self._a, points, self.fd_step)
-            b = self._b_pairs(points, self._F_from(a, da))
+            a, da = jet(self._a, points, step=self.fd_step)
+            b = linear(self.family.rep_terms, self._F_from(a, da))
         else:
-            a, b = self.a_coeffs(points), self._b_pairs(points)
-        diffs = [axis_diffs(f, points, self.fd_step)
-                 for f in (self._b, self._b_extra) if f is not None]
+            a, b = self.a_coeffs(points), None
+        diffs = []
+        for f in (self._b, self._b_extra):
+            if f is not None:
+                values, partials = jet(f, points, step=self.fd_step)
+                b = values if b is None else b + values
+                diffs.append(partials)
+                del values      # kept past the sum, it raises the peak memory
         slot = {pair: p for p, pair in enumerate(self.pairs)}
         bracket = self.family.l2a.g_alg.bracket
 

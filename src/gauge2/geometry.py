@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComposabilityError, DomainError
-from .fields import FD_STEP, CoefficientField, directional_diff
+from . import fields
 
 __all__ = [
     "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
     "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
-    "canonical_bigon", "reparameterize", "check_reparameterization",
+    "reparameterize", "check_reparameterization",
     "straight_path", "reverse_path", "reverse_bigon", "source_path",
     "target_path", "unit_grid", "check_cube_boundaries",
 ]
@@ -105,8 +105,8 @@ class ParamMap:
     def from_exprs(cls, exprs, arity: int, name="map") -> "ParamMap":
         """Build from DSL component expressions in the variables u, v, w,
         and their partials from ``dsl.diff``."""
-        field = CoefficientField(list(exprs), arity, (len(exprs),),
-                                 PARAM_VARS[:arity])
+        field = fields.CoefficientField(list(exprs), arity, (len(exprs),),
+                                        PARAM_VARS[:arity])
         return cls(arity, len(exprs), field, name=name, jet=field.jet)
 
     def __call__(self, params):
@@ -115,7 +115,7 @@ class ParamMap:
         out = self._fn(p)
         return out[0] if squeeze else out
 
-    def jet(self, params, axes=None, step: float = FD_STEP):
+    def jet(self, params, axes=None, step: float = fields.FD_STEP):
         """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
         parameters by default) at (N, m) parameters: exact where the map
         carries them, else the 4th-order central difference of each axis
@@ -123,12 +123,11 @@ class ParamMap:
         p = np.atleast_2d(np.asarray(params, dtype=float))
         every = range(self.arity)
         axes = tuple(every if axes is None else (every[k] for k in axes))
-        if self._jet is not None:
-            return self._jet(p, axes)
-        return self._fn(p), directional_diff(
-            self, p, np.eye(self.arity)[list(axes)], step)
+        if self._jet is None:
+            return fields.jet(self._fn, p, axes, step)
+        return self._jet(p, axes)
 
-    def partial(self, index: int, params, step: float = FD_STEP):
+    def partial(self, index: int, params, step: float = fields.FD_STEP):
         """The map's derivative along parameter ``index`` (see :meth:`jet`)."""
         out = self.jet(params, (index,), step)[1][:, 0]
         return out[0] if np.asarray(params).ndim == 1 else out
@@ -290,33 +289,6 @@ def compose_bigons_horizontal(sigma: ParamMap, sigma_next: ParamMap,
     fn = _two_piece(sigma._fn, sigma_next._fn, axis=1)
     return ParamMap(2, sigma.dim, fn,
                     name=f"({sigma_next.name}o{sigma.name})")
-
-
-def canonical_bigon(s: float, t: float) -> ParamMap:
-    """Bigon in I^2 filling [0, s] x [0, t].
-
-    The source path runs along the first axis to (s, 0) and then up to
-    (s, t); the target path goes up first and then across.  The filling
-    slides the corner along the anti-diagonal, which is smooth and has
-    image exactly the rectangle; any smooth filling with these boundary
-    paths is thinly homotopic to any other.
-    """
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise DomainError("canonical bigon extents must lie in [0, 1]")
-    corner_a = np.array([s, 0.0])
-    corner_b = np.array([0.0, t])
-    end = np.array([s, t])
-
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1]
-        corner = (1.0 - u) * corner_a + u * corner_b
-        lo = smooth_step(np.clip(2.0 * v, 0.0, 1.0))[..., None] * corner
-        hi = corner + smooth_step(np.clip(2.0 * v - 1.0, 0.0, 1.0))[..., None] \
-            * (end - corner)
-        return np.where((v <= 0.5)[..., None], lo, hi)
-
-    return ParamMap(2, 2, fn, name=f"filling[0,{s}]x[0,{t}]")
 
 
 def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:

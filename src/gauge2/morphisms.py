@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (FD_STEP, GroupValuedField, axis_diffs, chart_grid,
-                     group_field, tensor_field)
+from .fields import (FD_STEP, GroupValuedField, chart_grid, directional_diff,
+                     group_field, jet, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
 from .lie2 import linear
@@ -105,8 +105,7 @@ def gauge_transform(conn: TwoConnection, m: OneMorphism) -> TwoConnection:
         ginv = fam.group_G.inv(m.g_map(points))
         a = conn.a_coeffs(points)
         b = conn._b_pairs(points)
-        phi = m.phi_coeffs(points)
-        dphi = axis_diffs(m._phi, points, conn.fd_step)   # exact for DSL phi
+        phi, dphi = jet(m._phi, points, step=conn.fd_step)  # exact for DSL phi
         term = (b + dphi[:, k, l] - dphi[:, l, k]
                 + l2a.h_alg.bracket(phi[:, k], phi[:, l])
                 + l2a.apply_alpha_star(a[:, k], phi[:, l])
@@ -169,7 +168,8 @@ def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
     out = []
     for m in morphisms:
         g = m.g_map(grid)
-        dg = axis_diffs(m.g_map, grid, FD_STEP / 2.0)
+        dg = directional_diff(m.g_map, grid, np.eye(conn.chart.dim),
+                              FD_STEP / 2.0)
         dlog = fam.l2a.g_alg.from_matrix(dg @ fam.group_G.inv(g)[:, None])
         pulled = fam.ad_g_vec(g[:, None], a_prime) - dlog
         expected = a + fam.l2a.apply_t_star(m.phi_coeffs(grid))

@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, SamplingError
 from .forms import TwoConnection
-from .geometry import (ParamMap, canonical_bigon, check_cube_boundaries,
-                       source_path, straight_path, target_path, unit_grid)
+from .geometry import (ParamMap, check_cube_boundaries, source_path,
+                       straight_path, target_path, unit_grid)
 from .groups import hamilton, quaternion_exp, unrotate
 
 __all__ = [
@@ -466,8 +466,8 @@ _LENS_AMPLITUDE = 0.25
 def _lens_bigon():
     """Analytic bigon (v, v - k sin(pi v)) => (v, v + k sin(pi v)) in I^2.
 
-    Unlike the corner filling it needs no smoothing step, so quadrature
-    converges with tiny constants; its oriented flux in the (u, v)
+    It needs no smoothing step, so quadrature converges with tiny
+    constants; its oriented flux in the (u, v)
     parameters is exactly -4k/pi times the unit-square area form.
     """
     return ParamMap.from_exprs(
@@ -475,28 +475,23 @@ def _lens_bigon():
 
 
 def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
-                  eps: float = 1e-3, filling: str = "lens") -> np.ndarray:
+                  eps: float = 1e-3) -> np.ndarray:
     """Recover b_x(X, Y) from 2-transport over shrinking bigon families.
 
-    f(s, t) = log of the H part of the 2-transport over a bigon filling
-    the parallelogram spanned by sX and tY at x; the mixed second
-    derivative at the origin (central stencil plus one Richardson level)
-    picks out the st coefficient, which is b_x(X, Y) times the analytic
-    flux factor of the filling.  Any smooth filling family whose s = 0 and
-    t = 0 members degenerate gives the same derivative; the default lens
+    f(s, t) = log of the H part of the 2-transport over the lens bigon
+    mapped onto the parallelogram spanned by sX and tY at x; the mixed
+    second derivative at the origin (central stencil plus one Richardson
+    level) picks out the st coefficient, which is b_x(X, Y) times the
+    analytic flux factor of the lens.  Any smooth filling family whose
+    s = 0 and t = 0 members degenerate gives the same derivative; the lens
     family is analytic and keeps quadrature error far below the stencil
-    amplification, while "square" uses the canonical corner filling.  x,
-    X and Y broadcast over leading axes, and every point takes one solve.
+    amplification.  x, X and Y broadcast over leading axes, and every
+    point takes one solve.
     """
     batch, (x, X, Y) = _broadcast_points(x, X, Y)
     fam = conn.family
     alg = fam.l2a.h_alg
-    if filling == "lens":
-        base, flux_factor = _lens_bigon(), 4.0 * _LENS_AMPLITUDE / math.pi
-    elif filling == "square":
-        base, flux_factor = canonical_bigon(1.0, 1.0), 1.0
-    else:
-        raise DomainError(f"unknown filling {filling!r}")
+    base, flux_factor = _lens_bigon(), 4.0 * _LENS_AMPLITUDE / math.pi
 
     # the stencil bigons (+-h, +-h) of both levels h = eps/2, eps, all points
     hs = np.array([eps / 2.0, eps])

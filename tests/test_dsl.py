@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gauge2 import dsl
-from gauge2.errors import MathDomainError, ParseError, UnboundVariableError
+from gauge2.errors import (DomainError, MathDomainError, ParseError,
+                           UnboundVariableError)
 from gauge2.fields import CoefficientField
 from gauge2.geometry import ParamMap
 
@@ -106,13 +107,11 @@ COMPILED_DOMAIN_ERRORS = [
 @pytest.mark.parametrize("src,op,value", COMPILED_DOMAIN_ERRORS)
 def test_compiled_fields_raise_domain_errors_when_called(src, op, value):
     # building compiles the tree; the domain check runs on evaluation
-    compiled = dsl.compile_expr(dsl.parse(src))
     field = CoefficientField([src], 1, (1,))
     pmap = ParamMap.from_exprs([src.replace("x1", "u")], 1)
     x = np.array([[0.0], [1.0]])
-    for call in (lambda: compiled({"x1": x[:, 0]}), lambda: field(x),
-                 lambda: pmap(x), lambda: dsl.evaluate(dsl.parse(src),
-                                                       {"x1": x[:, 0]})):
+    for call in (lambda: field(x), lambda: pmap(x),
+                 lambda: dsl.evaluate(dsl.parse(src), {"x1": x[:, 0]})):
         with pytest.raises(MathDomainError) as err:
             call()
         assert (err.value.op, err.value.value) == (op, value)
@@ -122,10 +121,9 @@ def test_scalar_bindings_give_python_floats():
     e = dsl.parse("x1*sin(u) + 2")
     for out in (dsl.evaluate(e, {"x1": 1.5, "u": 0.3}),
                 dsl.evaluate(e, {"x1": np.float64(1.5), "u": 0.3}),
-                dsl.compile_expr(e)({"x1": 1.5, "u": 0.3}),
                 dsl.evaluate(dsl.parse("pi"))):
         assert type(out) is float
-    out = dsl.compile_expr(e)({"x1": np.array([1.0, 2.0]), "u": 0.3})
+    out = dsl.evaluate(e, {"x1": np.array([1.0, 2.0]), "u": 0.3})
     assert out.dtype == float and out.shape == (2,)
 
 
@@ -219,7 +217,7 @@ def test_diff_matches_closed_forms(src, dx, dxx, dy):
     d_x = dsl.diff(e, "x")
     for got, want in ((d_x, dx), (dsl.diff(d_x, "x"), dxx),
                       (dsl.diff(e, "y"), dy)):
-        value = dsl.compile_expr(got)(bindings)
+        value = dsl.evaluate(got, bindings)
         assert np.max(np.abs(value - want(x, y))) <= 1e-13 * (
             1 + np.max(np.abs(want(x, y))))
 
@@ -238,8 +236,8 @@ def test_diff_constant_exponent_on_a_negative_base():
     x = np.linspace(0.2, 0.9, 7)
     d = dsl.diff(e, "x")
     want = 3 * (x - 2) ** 2 - 2 * (x - 3) ** -3.0
-    assert np.max(np.abs(dsl.compile_expr(d)({"x": x}) - want)) <= 1e-13
-    second = dsl.compile_expr(dsl.diff(d, "x"))({"x": x})
+    assert np.max(np.abs(dsl.evaluate(d, {"x": x}) - want)) <= 1e-13
+    second = dsl.evaluate(dsl.diff(d, "x"), {"x": x})
     assert np.max(np.abs(second - (6 * (x - 2) + 6 * (x - 3) ** -4.0))) <= 1e-13
     assert "log" not in dsl.to_source(d)
 
@@ -257,23 +255,21 @@ DIFF_DOMAIN_ERRORS = [
 
 @pytest.mark.parametrize("src,x,op", DIFF_DOMAIN_ERRORS)
 def test_diff_domain_errors_are_raised_when_called(src, x, op):
-    d = dsl.compile_expr(dsl.diff(dsl.parse(src), "x"))
+    d = dsl.diff(dsl.parse(src), "x")
     with pytest.raises(MathDomainError) as err:
-        d({"x": np.array([x, 0.5 * (x + 2.0)])})
+        dsl.evaluate(d, {"x": np.array([x, 0.5 * (x + 2.0)])})
     assert err.value.op == op
 
 
-def test_coefficient_field_derivative_is_cached_and_nests():
+def test_coefficient_field_jet_matches_closed_forms():
     field = CoefficientField([["x1^2*x2", "sin(x2)"]], 2, (1, 2))
-    d = field.derivative()
-    assert d is field.derivative() and d.shape == (2, 1, 2)
     p = np.array([[0.3, 0.7], [0.9, 0.2]])
+    values, d = field.jet(p)
+    assert values.shape == (2, 1, 2) and d.shape == (2, 2, 1, 2)
     x1, x2 = p[:, 0], p[:, 1]
     want = np.stack([np.stack([2 * x1 * x2, 0 * x1], -1)[:, None],
                      np.stack([x1 ** 2, np.cos(x2)], -1)[:, None]], axis=1)
-    assert np.max(np.abs(d(p) - want)) <= 1e-15
-    hess = d.derivative()(p)
-    assert hess.shape == (2, 2, 2, 1, 2)
-    assert np.max(np.abs(hess[:, 0, 1, 0, 0] - 2 * x1)) <= 1e-15
-    assert np.max(np.abs(hess[:, 1, 1, 0, 1] + np.sin(x2))) <= 1e-15
-    assert CoefficientField([lambda q: q[:, 0]], 2, (1,)).derivative() is None
+    assert np.max(np.abs(d - want)) <= 1e-15
+    # a coefficient is a DSL expression or a number, never a plain callable
+    with pytest.raises(DomainError, match="bad coefficient field"):
+        CoefficientField([lambda q: q[:, 0]], 2, (1,))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gauge2 import dsl
 from gauge2.families import matrix_family
 from gauge2.cli import TOL
 from gauge2.config import load_config
@@ -25,6 +26,20 @@ def _stencil(exprs, dim, shape):
     differentiating the expressions."""
     field = CoefficientField(exprs, dim, shape)
     return lambda points: field(points)
+
+
+def _d(fn, points, direction, step):
+    """The stencil of fn along one direction, (N, ...)."""
+    return directional_diff(fn, points, [direction], step)[:, 0]
+
+
+def _diff_trees(exprs, dim):
+    """The ``dsl.diff`` trees d e / d x_k of the DSL ``exprs``, k-major: a
+    CoefficientField of them is a reference for exact partials that takes
+    no jet, and trees of trees give second partials."""
+    trees = [dsl.parse(e) if isinstance(e, str) else e
+             for e in np.asarray(exprs, dtype=object).reshape(-1)]
+    return [dsl.diff(e, f"x{k + 1}") for k in range(dim) for e in trees]
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +160,7 @@ def test_curvature_fd_convergence_order():
 
     def curvature(x, step):
         # F(e_1, e_2) = D_1 a_2 - D_2 a_1 + [a_1, a_2], differenced at step
-        da = (directional_diff(a, x, [1, 0], step)[:, 1]
-              - directional_diff(a, x, [0, 1], step)[:, 0])
+        da = _d(a, x, [1, 0], step)[:, 1] - _d(a, x, [0, 1], step)[:, 0]
         return da + su2.l2a.g_alg.bracket(a(x)[:, 0], a(x)[:, 1])
 
     x = np.array([[0.3, 0.4]])
@@ -283,8 +297,8 @@ def _ref_a(conn, p, X):
 
 def _ref_F_pair(conn, p, k, l):
     eye = np.eye(conn.chart.dim)
-    da_k = directional_diff(conn.a_coeffs, p, eye[k], conn.fd_step)
-    da_l = directional_diff(conn.a_coeffs, p, eye[l], conn.fd_step)
+    da_k = _d(conn.a_coeffs, p, eye[k], conn.fd_step)
+    da_l = _d(conn.a_coeffs, p, eye[l], conn.fd_step)
     comm = np.einsum("...i,...j,ijk->...k", _ref_a(conn, p, eye[k]),
                      _ref_a(conn, p, eye[l]), conn.family.l2a.g_alg.structure)
     return (da_k[:, l] - da_l[:, k]) + comm
@@ -342,14 +356,14 @@ def _ref_K(conn, p, X, Y, Z):
                          conn.family.l2a.g_alg.structure)
 
     def d_pairs(field):
-        dc = [directional_diff(field, p, e, conn.fd_step) for e in eye]
+        dc = [_d(field, p, e, conn.fd_step) for e in eye]
         return sum(_minor(X, Y, Z, i, k, l)[:, None]
                    * ((dc[i][:, slot[k, l]] - dc[k][:, slot[i, l]])
                       + dc[l][:, slot[i, k]]) for i, k, l in triples)
 
     if conn.fake_flat_mode:
         a = conn.a_coeffs(p)
-        da = [directional_diff(conn.a_coeffs, p, e, conn.fd_step) for e in eye]
+        da = [_d(conn.a_coeffs, p, e, conn.fd_step) for e in eye]
 
         def curl(k, l):
             return da[k][:, l] - da[l][:, k]
@@ -419,33 +433,34 @@ def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
 def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
     chart = Chart(3)
     conn = TwoConnection(su2, chart, a=SU2_A3, b="fake_flat")
-    m = OneMorphism(su2, chart, g_map=["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"],
-                    phi=[["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"],
-                         ["0", "0.2*x3", "0.1"]])
+    g_exprs = ["0.4*x1", "0.3*x2*x3", "0.2*x1*x2"]
+    phi = [["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"],
+           ["0", "0.2*x3", "0.1"]]
+    m = OneMorphism(su2, chart, g_map=g_exprs, phi=phi)
     moved = gauge_transform(conn, m)
     pts = np.random.default_rng(5).uniform(0.2, 0.8, size=(9, 3))
-    l2a, eye = su2.l2a, np.eye(3)
+    l2a = su2.l2a
     ginv = su2.group_G.inv(m.g_map(pts))
     # a' = Ad_{g^-1}(a + dg g^-1 + t_* phi), one axis at a time, with
     # dg g^-1 = dexp_X(dX) of the exponent X of g = exp(X)
     X = m.g_map.generator(pts)
-    dlog = [l2a.g_alg.dexp(X, directional_diff(m.g_map.generator, pts, e))
-            for e in eye]
+    dX = CoefficientField(_diff_trees(g_exprs, 3), 3, (3, 3))(pts)
+    dlog = [l2a.g_alg.dexp(X, dX[:, k]) for k in range(3)]
     want_a = np.stack([su2.ad_g_vec(ginv, conn.a_coeffs(pts)[:, k] + dlog[k]
                                     + l2a.apply_t_star(m.phi_coeffs(pts)[:, k]))
                        for k in range(3)], axis=1)
     assert np.array_equal(moved.a_coeffs(pts), want_a)
-    assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts))
+    dphi = CoefficientField(_diff_trees(phi, 3), 3, (3, 3, 3))(pts)
+    assert np.array_equal(moved._b(pts), _ref_gauge_b(
+        su2, conn, m, pts, [dphi[:, k] for k in range(3)]))
 
 
-def _ref_gauge_b(fam, conn, m, pts):
+def _ref_gauge_b(fam, conn, m, pts, dphi):
     """b' = (alpha_{g^-1})_*(b + d phi + [phi, phi] + alpha_*(a ^ phi)), one
-    pair at a time, d phi exact for a DSL phi, else with the connection's
-    step."""
+    pair at a time, from the derivatives ``dphi`` of phi along each axis."""
     l2a, eye = fam.l2a, np.eye(conn.chart.dim)
     ginv = fam.group_G.inv(m.g_map(pts))
     a, phi = conn.a_coeffs(pts), m.phi_coeffs(pts)
-    dphi = [directional_diff(m._phi, pts, e, conn.fd_step) for e in eye]
     return np.stack([
         fam.alpha_vec(ginv, conn.b_of(pts, eye[k], eye[l])
                       + dphi[k][:, l] - dphi[l][:, k]
@@ -467,7 +482,8 @@ def test_gauge_transform_keeps_the_connection_fd_settings(su2):
     moved = gauge_transform(conn, m)
     assert moved.fd_step == conn.fd_step == 4e-3
     pts = np.random.default_rng(6).uniform(0.2, 0.8, size=(9, 3))
-    assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts))
+    dphi = [_d(m._phi, pts, e, conn.fd_step) for e in np.eye(3)]
+    assert np.array_equal(moved._b(pts), _ref_gauge_b(su2, conn, m, pts, dphi))
 
 
 def test_each_field_is_evaluated_once_per_stencil_point(u2p):
@@ -630,9 +646,10 @@ def test_K_equals_the_trivector_contraction_with_second_derivatives(u2p, su2):
                          + Z[:, i] * (X[:, k] * Y[:, l] - Y[:, k] * X[:, l]))
     for fam, a, extra in [(u2p, A3, b_extra), (su2, SU2_A3, None)]:
         conn = TwoConnection(fam, Chart(3), a=a, b="fake_flat", b_extra=extra)
-        field = CoefficientField(a, 3, (3, 3))
-        A, dA = field(pts), field.derivative()(pts)
-        ddA = field.derivative().derivative()(pts)    # [:, j, i] = D_j D_i
+        A = CoefficientField(a, 3, (3, 3))(pts)
+        dA = CoefficientField(_diff_trees(a, 3), 3, (3, 3, 3))(pts)
+        ddA = CoefficientField(_diff_trees(_diff_trees(a, 3), 3), 3,
+                               (3, 3, 3, 3))(pts)    # [:, j, i] = D_j D_i
         bracket = fam.l2a.g_alg.bracket
         dF = np.stack([ddA[:, :, k, l] - ddA[:, :, l, k]
                        + bracket(dA[:, :, k], A[:, None, l])
@@ -641,7 +658,7 @@ def test_K_equals_the_trivector_contraction_with_second_derivatives(u2p, su2):
         db_pairs = np.einsum("hg,nipg->niph", fam.rep_star, dF)
         if extra is not None:
             db_pairs = db_pairs + CoefficientField(
-                extra, 3, (3, 4)).derivative()(pts)
+                _diff_trees(extra, 3), 3, (3, 3, 4))(pts)
         k, l = np.array(conn.pairs).T
         alpha = fam.l2a.apply_alpha_star
         want = (np.einsum("nip,niph->nh", C[:, :, k, l], db_pairs)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gauge2.errors import ComposabilityError, DomainError
-from gauge2.geometry import (Chart, ParamMap, canonical_bigon,
-                             check_cube_boundaries, compose_bigons_horizontal,
+from gauge2.geometry import (Chart, ParamMap, check_cube_boundaries,
+                             compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, smooth_step,
                              source_path, straight_path, target_path)
@@ -143,37 +143,6 @@ def test_concat_has_sitting_instants():
         <= 1e-12
 
 
-def test_canonical_bigon_degenerate_and_corners():
-    z = canonical_bigon(0.0, 0.0)
-    uv = np.random.default_rng(0).uniform(0, 1, (64, 2))
-    assert np.max(np.abs(z(uv))) == 0.0
-    cb = canonical_bigon(0.8, 0.6)
-    assert np.allclose(cb([0.0, 0.0]), [0, 0])
-    assert np.allclose(cb([1.0, 1.0]), [0.8, 0.6])
-    # source path runs along axis 1 first, target along axis 2 first
-    src, tgt = source_path(cb), target_path(cb)
-    assert np.allclose(src([0.4]), [cb([0.0, 0.4])[0], 0.0])
-    assert tgt([0.4])[0] == 0.0
-
-
-def test_canonical_bigon_image_is_the_rectangle():
-    cb = canonical_bigon(0.8, 0.6)
-    rng = np.random.default_rng(1)
-    pts = cb(rng.uniform(0, 1, (4000, 2)))
-    assert np.all(pts >= -1e-9)
-    assert np.all(pts[:, 0] <= 0.8 + 1e-9)
-    assert np.all(pts[:, 1] <= 0.6 + 1e-9)
-    # containment the other way: every cell of a coarse cover is hit
-    hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1],
-                                bins=[6, 6], range=[[0, 0.8], [0, 0.6]])
-    assert np.all(hist > 0)
-
-
-def test_canonical_bigon_rejects_bad_extents():
-    with pytest.raises(DomainError):
-        canonical_bigon(1.2, 0.5)
-
-
 def _bulge(lo, hi):
     def fn(params):
         u = params[..., 0][..., None]
@@ -225,8 +194,12 @@ def test_smoothing_never_moves_boundary_values():
     assert np.max(np.abs(comp(np.stack([u, np.zeros_like(u)], -1)))) <= 1e-15
 
 
+# a DSL bigon between two arcs from the origin to (0.7, 0.7)
+LENS = ["0.7*v", "0.7*v + 0.2*(2*u - 1)*sin(pi*v)"]
+
+
 def test_reparameterize_identity_and_example():
-    cb = canonical_bigon(0.7, 0.7)
+    cb = ParamMap.from_exprs(LENS, 2)
     ident = reparameterize(cb, ParamMap.from_exprs(["u", "v"], 2))
     pts = np.random.default_rng(2).uniform(0, 1, (32, 2))
     assert np.max(np.abs(ident(pts) - cb(pts))) == 0.0
@@ -236,7 +209,7 @@ def test_reparameterize_identity_and_example():
 
 
 def test_reparameterize_rejects_boundary_movers():
-    cb = canonical_bigon(0.7, 0.7)
+    cb = ParamMap.from_exprs(LENS, 2)
     with pytest.raises(DomainError, match="fix the boundary"):
         reparameterize(cb, ParamMap.from_exprs(["u/2 + 0.25", "v"], 2))
     with pytest.raises(DomainError, match="fix the boundary"):

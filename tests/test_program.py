@@ -93,7 +93,9 @@ def test_program_equals_the_recursive_reference_bit_for_bit(
     d = len(variables)
     field = CoefficientField(exprs, d, (len(exprs),), variables)
     values, partials = field.jet(points)
-    second = field.derivative().jet(points)[1]
+    first = CoefficientField([dsl.diff(dsl.parse(src), x) for x in variables
+                              for src in exprs], d, (d, len(exprs)), variables)
+    second = first.jet(points)[1]
     bindings = {x: points[:, k] for k, x in enumerate(variables)}
     n = len(points)
     for i, src in enumerate(exprs):

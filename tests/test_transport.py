@@ -887,15 +887,6 @@ def test_reconstruct_broadcasts_over_sample_points():
     assert np.max(np.abs(grid[0, 0] - single_a[0])) <= 1e-13
 
 
-def test_reconstruct_B_square_filling_agrees():
-    c = 0.8
-    conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
-    lens = reconstruct_B(conn, np.zeros(2), np.eye(2)[0], np.eye(2)[1])
-    square = reconstruct_B(conn, np.zeros(2), np.eye(2)[0], np.eye(2)[1],
-                           steps=32, filling="square")
-    assert np.max(np.abs(lens - square)) <= 5e-3
-
-
 # --- 2-holonomy ------------------------------------------------------------------
 
 
