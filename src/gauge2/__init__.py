@@ -9,11 +9,10 @@ Two layers share one crossed-module interface:
   morphisms, and verifiers for the surface Stokes identities.
 """
 
-from .errors import (AccuracyError, BranchError, ComposabilityError,
-                     ConfigError, DomainError, EquivarianceError, EvalError,
-                     Gauge2Error, MathDomainError, MembershipError,
-                     ParseError, SamplingError, StructureError,
-                     UnboundVariableError)
+from .errors import (BranchError, ComposabilityError, ConfigError,
+                     DomainError, EquivarianceError, EvalError, Gauge2Error,
+                     MathDomainError, MembershipError, ParseError,
+                     SamplingError, StructureError, UnboundVariableError)
 from .dsl import Expr, evaluate, parse, to_source
 from .groups import FiniteGroup, MatrixGroup, cyclic_group
 from .twogroup import (AxiomReport, CrossedModule, TwoGroupElement,

@@ -50,6 +50,7 @@ TOL = {
     "reconstruct_B": 1e-4,
     "target_identity": 1e-6,
     "local_data": 1e-7,
+    "sweep_order": 1.5,
 }
 
 THIN_REPARAMS = (
@@ -144,7 +145,7 @@ def run_transport(cfg, num, rng, out, emit):
     for name, pm in cfg.param_maps("paths").items():
         res = path_ordered_exp(conn, pm, steps=num["steps"],
                                sweep=_halvings(num, "transport"))
-        ok = res.group_defect <= 1e-10
+        ok = res.group_defect <= 1e-10 and _converged(res.order_estimate)
         case = {"name": name, "value": _jsonable(res.value),
                 "steps": res.steps, "group_defect": res.group_defect,
                 "order_estimate": res.order_estimate, "pass": ok}
@@ -161,7 +162,8 @@ def run_surface_transport(cfg, num, rng, out, emit):
         res = surface_transport(conn, pm, None, num["surface_steps"],
                                 sweep=_halvings(num, "surface-transport"))
         tid = res.target_identity_defect(fam)
-        ok = res.group_defect <= 1e-10 and tid <= TOL["target_identity"]
+        ok = (res.group_defect <= 1e-10 and tid <= TOL["target_identity"]
+              and _converged(res.order_estimate))
         case = {"name": name, "value_h": _jsonable(res.value_h),
                 "source_transport": _jsonable(res.source_transport),
                 "target_transport": _jsonable(res.target_transport),
@@ -180,7 +182,7 @@ def run_verify_stokes(cfg, num, rng, out, emit):
     for name, pm in cfg.param_maps("bigons").items():
         rep = verify_nonabelian_stokes(conn, pm, steps=num["steps"],
                                        sweep=_halvings(num, "verify-stokes"))
-        ok = rep["defect"] <= TOL["stokes"]
+        ok = rep["defect"] <= TOL["stokes"] and _converged(rep["order"])
         _write_csv(os.path.join(out, f"stokes-{name}.csv"), rep["rows"],
                    rep["orders"])
         case = {"name": name, "defect": rep["defect"],
@@ -390,6 +392,11 @@ def _applicable(cfg):
             names.append("verify-ambrose-singer")
         names += ["reconstruct-A", "reconstruct-B"]
     return names
+
+
+def _converged(order):
+    """A sweep's verdict: no order, or one of at least TOL["sweep_order"]."""
+    return order is None or order >= TOL["sweep_order"]
 
 
 def _halvings(num, command):

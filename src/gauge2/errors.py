@@ -42,10 +42,6 @@ class MembershipError(Gauge2Error):
     """Matrix fails the group membership predicate beyond tolerance."""
 
 
-class AccuracyError(Gauge2Error):
-    """An integrator or quadrature failed its convergence contract."""
-
-
 class SamplingError(Gauge2Error):
     """A sampling plan was degenerate for the requested check."""
 

@@ -143,7 +143,7 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
     fam = conn.family
     H = fam.group_H
 
-    def w_eval(times):
+    def w_eval(times, columns):
         points = _stack_jets(paths, times[:, None])
         rep_w = linear(fam.rep_terms, -conn.a_of(*points))
         gens = [rep_w] + [rep_w - m.phi_of(*points) for m in morphisms]
@@ -151,7 +151,7 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
                                               len(gens), -1).swapaxes(1, 2)
         return gens
 
-    rk = _ordered_exp(H, fam.l2a.h_alg, w_eval, steps)
+    rk = _ordered_exp(H, fam.l2a.h_alg, w_eval, [steps])[0]
     rho = H.mul(H.inv(rk[0]), rk[1:])
     return rho if p is None else fam.cm.alpha(fam.group_G.inv(p[1]), rho)
 

@@ -35,15 +35,17 @@ Every solve runs at the identity frame; a basepoint frame g0 acts once,
 on the finished value, by the equivariance eta_H(p g) = alpha_{g^-1}
 eta_H(p) of 2-transport (and on the right of a 1-transport).
 
-Batch axes: path solves take a stack of paths, (times, paths, n, n).
-:func:`surface_values` solves a stack of bigons in one outer solve,
-paired by broadcasting with a stack of frames; one step count serves the
-outer steps, the Simpson steps and the lift steps alike.  One generator
-call serves both CF4 stages and lifts every slice of every bigon in
-near-equal blocks of at most ``_LIFT_POINTS`` (node, slice) points (the
-2-form is evaluated per bigon).  Boundary 1-transports are
-computed only where they are reported (:func:`surface_transport`, the
-Stokes verifier), source and target in one path solve.
+Batch axes: the kernel's leading one is the step count, so a convergence
+sweep is one solve of each kind.  Path solves take a stack of paths,
+(counts, paths, n, n).  :func:`surface_values` solves a stack of bigons
+in one outer solve, paired by broadcasting with a stack of frames; one
+step count serves the outer steps, the Simpson steps and the lift steps
+alike.  One generator call serves both CF4 stages and lifts every slice
+of every bigon, at its own count, in near-equal blocks of at most
+``_LIFT_POINTS`` padded (node, slice) points (the 2-form is evaluated
+per bigon).  Boundary 1-transports are computed only where they are
+reported (:func:`surface_transport`, the Stokes verifier), source and
+target in one path solve.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SamplingError
+from .errors import DomainError, SamplingError
 from .forms import TwoConnection
 from .geometry import (ParamMap, check_cube_boundaries, source_path,
                        straight_path, target_path, unit_grid)
@@ -117,33 +119,53 @@ class SurfaceTransportResult:
         return float(np.max(np.abs(family.cm.t(self.value_h) - expected)))
 
 
-def _ordered_exp(group, alg, w_eval, steps: int, trajectory=False, right=False):
-    """Solve g' = W(t) g (``right``: g' = g W(t)), g(0) = id, on [0, 1].
+def _ordered_exp(group, alg, w_eval, counts, trajectory=False, right=False):
+    """Solve g' = W(t) g (``right``: g' = g W(t)), g(0) = id, on [0, 1],
+    once per step count of ``counts``, a leading batch axis of columns.
 
-    ``w_eval`` maps (k,) times to (k, *batch, alg.dim) coefficient vectors
-    of W; the equation is linear, so it is called once, on the 2 * steps
-    Gauss nodes stage-major.  The solve runs in spin coordinates: phases
-    add, and the quaternion step propagators are multiplied in a pairwise
-    tree (``trajectory``: a prefix scan), a bracketing the functoriality
-    of transport allows.  Returns the (*batch, n, n) end value or, with
-    ``trajectory``, the step-boundary frames as phases (steps + 1, *batch)
-    and normalized quaternion planes (2, steps + 1, *batch), None on U(1).
+    ``w_eval`` maps (k,) times and the columns they belong to to (k, *batch,
+    alg.dim) coefficient vectors of W; the equation is linear, so it is
+    called once, on the live Gauss nodes stage- and then step-major.  The
+    solve runs N = max(counts) steps, and a column's steps past its count
+    are identity factors, which change no bit of its product.  It runs in
+    spin coordinates: phases add, and the quaternion step propagators are
+    multiplied in a pairwise tree (``trajectory``: a prefix scan), a
+    bracketing the functoriality of transport allows.  Returns the
+    (counts, *batch, n, n) end values or, with ``trajectory``, the
+    step-boundary frames as phases (N + 1, counts, *batch) and normalized
+    quaternion planes (2, N + 1, counts, *batch), None on U(1).
     """
-    h = 1.0 / steps
-    t0 = np.arange(steps) * h
-    w = w_eval(np.concatenate([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h]))
-    # the (phase rate, half rotation vector) planes of h W at both stages
-    s1, s2 = np.split(np.tensordot(h * alg.spin, w, axes=(0, -1)), 2, axis=1)
+    counts = np.asarray(counts)
+    live = np.arange(counts.max())[:, None] < counts
+    step, col = np.nonzero(live)
+    h = 1.0 / counts[col]
+    t0 = step * h
+    w = w_eval(np.concatenate([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h]),
+               np.concatenate([col, col]))
+    shape = (4, 2) + live.shape + w.shape[1:-1]
+    # the (phase rate, half rotation vector) planes of h W at both stages:
+    # one count's step scales the spin matrix; mixed counts scale each node
+    # by its own, and zero planes pad each column past its count
+    planes = np.tensordot(alg.spin * h[0] if live.all() else alg.spin, w,
+                          axes=(0, -1)).reshape(shape[:2] + (-1,) + shape[4:])
     del w
+    if not live.all():
+        planes, values = np.zeros(shape), planes
+        values *= h.reshape((-1,) + (1,) * (len(shape) - 4))
+        planes[:, :, live] = values
+        del values
+    s1, s2 = np.moveaxis(planes.reshape(shape), 1, 0)
     phase = 0.5 * (s1[0] + s2[0])       # both exponents' phases: a + b = 1/2
     # earlier and later factors: g_{k+1} = e2 e1 g_k, or g_k e1 e2 if right
     mul = hamilton if right else (lambda early, late: hamilton(late, early))
     quat = None if group.dim == 1 else mul(      # U(1) is its phase alone
         quaternion_exp(_CF4_A * s1[1:] + _CF4_B * s2[1:]),
         quaternion_exp(_CF4_B * s1[1:] + _CF4_A * s2[1:]))
-    del s1, s2
-    if not trajectory:
-        return group.from_spin(np.sum(phase, axis=0),
+    del planes, s1, s2
+    if not trajectory:      # each column's phases, summed as its count alone
+        phase = np.stack([np.sum(phase[:n, c], axis=0)
+                          for c, n in enumerate(counts)])
+        return group.from_spin(phase,
                                None if quat is None else _product(mul, quat))
     # the frames: prefix products from the identity at t = 0
     phase = np.cumsum(np.concatenate([np.zeros_like(phase[:1]), phase]), axis=0)
@@ -213,26 +235,26 @@ def _stack_jets(maps, params, axes=None):
     return list(out.reshape(1 + n_axes, -1, maps[0].dim))
 
 
-def _path_values(conn: TwoConnection, paths, steps: int, trajectory=False):
-    """End values (paths, n, n) of g' = -a(gamma') g, g(0) = id, or with
-    ``trajectory`` the step-boundary frames as :func:`_ordered_exp` gives."""
-    if steps < PATH_MIN_STEPS:
+def _path_values(conn: TwoConnection, paths, counts, trajectory=False):
+    """End values (counts, paths, n, n) of g' = -a(gamma') g, g(0) = id, or
+    with ``trajectory`` the step-boundary frames as :func:`_ordered_exp`."""
+    if min(counts) < PATH_MIN_STEPS:
         raise DomainError(f"path transport needs at least {PATH_MIN_STEPS} steps")
 
-    def w_eval(times):      # W = -a(gamma') as (times, paths, dim)
+    def w_eval(times, columns):     # W = -a(gamma') as (times, paths, dim)
         return -conn.a_of(*_stack_jets(paths, times[:, None])).reshape(
             times.size, len(paths), -1)
 
     return _ordered_exp(conn.family.group_G, conn.family.l2a.g_alg, w_eval,
-                        steps, trajectory)
+                        counts, trajectory)
 
 
 def path_ordered_exp(conn: TwoConnection, gamma: ParamMap, steps: int = 64,
                      sweep: int = 0) -> TransportResult:
     """Transport frame along gamma: solution at t=1 of g' = -a(gamma') g;
-    the order estimate compares the sweep's solves with the finest one."""
-    *coarse, value = [_path_values(conn, [gamma], n)[0]
-                      for n in sweep_steps(steps, sweep, PATH_MIN_STEPS)]
+    the order estimate compares the sweep's counts with the finest one."""
+    *coarse, value = _path_values(
+        conn, [gamma], sweep_steps(steps, sweep, PATH_MIN_STEPS))[:, 0]
     return TransportResult(
         value=value, steps=steps,
         group_defect=conn.family.group_G.membership_defect(value),
@@ -254,7 +276,7 @@ def horizontal_lift(conn: TwoConnection, gamma: ParamMap, p=None,
             raise DomainError(
                 f"lift basepoint is not over gamma(0) (defect {start_defect:.2e})")
     frames = conn.family.group_G.from_spin(
-        *_path_values(conn, [gamma], steps, trajectory=True))[:, 0]
+        *_path_values(conn, [gamma], [steps], trajectory=True))[:, 0, 0]
     return (np.linspace(0.0, 1.0, steps + 1),
             frames if p is None else frames @ np.asarray(p[1]))
 
@@ -275,16 +297,18 @@ def _simpson_grid(n: int, arity: int = 1):
     return unit_grid(n + 1, arity), weights.reshape(-1)
 
 
-def _surface_generator(conn: TwoConnection, bigons, steps: int, integrand: str):
-    """Outer-ODE driver beta(s) of a stack of bigons at the identity frame
-    for surface transport ('b') or the curvature double integral of the
-    Stokes theorem ('F'): (k,) -> (k, stack, dim) coefficient vectors of h
-    ('b') or g ('F').  Lift frames stay quaternions; their inverses act by
-    ``unrotate`` on the family's ``h_rotated`` ('b') or ``g_rotated`` ('F')
-    components.  An abelian family's frames act trivially: it takes no lift."""
+def _surface_generator(conn: TwoConnection, bigons, counts, integrand: str):
+    """Outer-ODE driver beta(s, columns) of a stack of bigons at the
+    identity frame for surface transport ('b') or the curvature double
+    integral of the Stokes theorem ('F'): (k,) -> (k, stack, dim)
+    coefficient vectors of h ('b') or g ('F'), the slice of a column c
+    node lifted and integrated with counts[c] steps.  Lift frames stay
+    quaternions; their inverses act by ``unrotate`` on the family's
+    ``h_rotated`` ('b') or ``g_rotated`` ('F') components.  An abelian
+    family's frames act trivially: it takes no lift."""
     fam = conn.family
-    t_nodes, weights = _simpson_grid(steps)
-    t_nodes = t_nodes[:, 0]
+    counts = np.asarray(counts)
+    grids = {n: _simpson_grid(n) for n in counts.tolist()}
     form_of, alg, offset = ((conn.b_of, fam.l2a.h_alg, fam.h_rotated)
                             if integrand == "b" else
                             (conn.F_of, fam.l2a.g_alg, fam.g_rotated))
@@ -294,37 +318,57 @@ def _surface_generator(conn: TwoConnection, bigons, steps: int, integrand: str):
         s, t = np.meshgrid(s_values, t_values)
         return np.stack([s.ravel(), t.ravel()], axis=-1)
 
-    def block(s_values):
-        k = s_values.size
-        nodes = params(t_nodes, s_values)
-        vals = np.empty((len(bigons), steps + 1, k, alg.dim))
+    def block(s_values, n):
+        # slices in count order: each count's run of them, on its own
+        # Simpson nodes, t-major
+        ends = [*np.flatnonzero(np.diff(n)) + 1, n.size]
+        runs = [(int(n[a]), slice(a, b)) for a, b in zip([0, *ends], ends)]
+        nodes = np.concatenate([params(grids[m][0][:, 0], s_values[r])
+                                for m, r in runs])
+        vals = np.empty((len(bigons), len(nodes), alg.dim))
         for j, bigon in enumerate(bigons):
             # the form one bigon at a time: over the whole stack it was no
             # faster on surface-su2 (77-98 against 72-82 ms per pass)
-            vals[j] = form_of(*_stack_jets([bigon], nodes)).reshape(
-                steps + 1, k, -1)
+            vals[j] = form_of(*_stack_jets([bigon], nodes))
         if offset is not None:
-            def lift_generator(times):
-                # W = -a(d_t Gamma) of every slice Gamma(s, .) at the times
-                vec = conn.a_of(*_stack_jets(bigons, params(times, s_values),
-                                             (1,)))
-                return -vec.reshape(times.size, k, len(bigons), -1)
+            def lift_generator(times, columns):
+                # W = -a(d_t Gamma) of the slices Gamma(s, .) at the times
+                vec = conn.a_of(*_stack_jets(bigons, np.stack(
+                    [s_values[columns], times], axis=-1), (1,)))
+                return -vec.reshape(times.size, len(bigons), -1)
 
+            # one ragged lift: each slice a column of its own count
             _, quat = _ordered_exp(fam.group_G, fam.l2a.g_alg, lift_generator,
-                                   steps, trajectory=True)
-            r = slice(offset, offset + 3)
-            vals[..., r] = unrotate(np.moveaxis(quat, -1, 1), vals[..., r])
-        # per bigon, so that no value depends on the stack it is solved in
-        # (BLAS rounds a product of another shape differently)
-        return np.stack([np.tensordot(weights, v, axes=1) for v in vals], axis=1)
+                                   n, trajectory=True)
+        sums, start = [], 0
+        for m, r in runs:
+            k = r.stop - r.start
+            v = vals[:, start:start + (m + 1) * k].reshape(len(bigons), m + 1, k, -1)
+            start += (m + 1) * k
+            if offset is not None:
+                rot = slice(offset, offset + 3)
+                v[..., rot] = unrotate(np.moveaxis(quat[:, :m + 1, r], -1, 1),
+                                       v[..., rot])
+            # per bigon, so that no value depends on the stack it is solved
+            # in (BLAS rounds a product of another shape differently)
+            sums.append(np.stack([np.tensordot(grids[m][1], vb, axes=1)
+                                  for vb in v], axis=1))
+        return np.concatenate(sums)
 
-    def beta(s_values):
-        # the slices of both outer stages, lifted in near-equal blocks of at
-        # most _LIFT_POINTS points (one slice, if that alone passes it)
-        s_values = np.atleast_1d(s_values)
-        per_block = max(1, _LIFT_POINTS // (2 * steps * len(bigons)))
-        blocks = np.array_split(s_values, -(-s_values.size // per_block))
-        return SURFACE_ODE_SIGN * np.concatenate([block(s) for s in blocks])
+    def beta(s_values, columns):
+        # the slices of both outer stages in count order, lifted in the
+        # fewest near-equal blocks that pad to at most _LIFT_POINTS points
+        # at their own largest count (one slice, if that alone passes it)
+        n = counts[columns]
+        order = np.argsort(n, kind="stable")
+        points = 2 * len(bigons) * n[order]
+        parts = min(order.size, -(-int(points.sum()) // _LIFT_POINTS))
+        while any(p.size > 1 and points[p[-1]] * p.size > _LIFT_POINTS
+                  for p in np.array_split(np.arange(order.size), parts)):
+            parts += 1
+        return SURFACE_ODE_SIGN * np.concatenate(
+            [block(s_values[b], n[b]) for b in np.array_split(order, parts)]
+        )[np.argsort(order)]
 
     return beta
 
@@ -336,14 +380,23 @@ def surface_values(conn: TwoConnection, bigons, p=None,
     integrated with ``steps`` steps, at the identity frame, then
     alpha_{g0^-1}; g0 may be a stack of frames, paired with the bigons by
     broadcasting.  No boundary transport is computed."""
+    return _surface_sweep(conn, bigons, p, [steps])[0]
+
+
+def _surface_sweep(conn: TwoConnection, bigons, p, counts, integrand="b"):
+    """Values (counts, stack, n, n) of a stack of bigons, one outer solve
+    per step count in one kernel call: H values at p ('b', as
+    :func:`surface_values`), or the curvature integral's G values ('F')."""
     if p is not None:
         d = max(float(np.max(np.abs(bg([0.0, 0.0]) - p[0]))) for bg in bigons)
         if d > 1e-9:
             raise DomainError(f"basepoint is not over the bigon corner ({d:.2e})")
     fam = conn.family
-    values = _ordered_exp(fam.group_H, fam.l2a.h_alg,
-                          _surface_generator(conn, bigons, steps, "b"),
-                          steps, right=True)
+    group, alg = ((fam.group_H, fam.l2a.h_alg) if integrand == "b" else
+                  (fam.group_G, fam.l2a.g_alg))
+    values = _ordered_exp(group, alg,
+                          _surface_generator(conn, bigons, counts, integrand),
+                          counts, right=True)
     return values if p is None else fam.cm.alpha(fam.group_G.inv(p[1]), values)
 
 
@@ -355,50 +408,41 @@ def surface_transport(conn: TwoConnection, bigon: ParamMap, p=None,
     One count ``steps`` serves the outer solve, the inner Simpson rule and
     the slice lifts.  Functorial guarantees need a fake-flat connection
     (callers may verify with :func:`gauge2.forms.fake_flatness_residual`).
-    With ``sweep`` the count is halved as :func:`sweep_steps` allows, for
-    an order estimate against the finest solve; an order below 1.5 raises
-    AccuracyError.
+    With ``sweep`` the count is halved as :func:`sweep_steps` allows, all
+    counts in one solve, for an order estimate against the finest count;
+    the caller judges the order.
     """
-    *coarse, value = [surface_values(conn, [bigon], p, n)[0]
-                      for n in sweep_steps(steps, sweep, SIMPSON_MIN_STEPS)]
-    order = sweep_order([float(np.max(np.abs(v - value))) for v in coarse])
-    if order is not None and order < 1.5:
-        raise AccuracyError(
-            f"surface quadrature did not converge (order {order:.2f})")
-
+    *coarse, value = _surface_sweep(
+        conn, [bigon], p, sweep_steps(steps, sweep, SIMPSON_MIN_STEPS))[:, 0]
     src, tgt = _path_values(conn, [source_path(bigon), target_path(bigon)],
-                            max(steps, PATH_MIN_STEPS))
+                            [max(steps, PATH_MIN_STEPS)])[0]
     if p is not None:
         src, tgt = src @ p[1], tgt @ p[1]
     return SurfaceTransportResult(
         value_h=value, source_transport=src, target_transport=tgt,
         steps=steps, group_defect=conn.family.group_H.membership_defect(value),
-        order_estimate=order)
+        order_estimate=sweep_order([float(np.max(np.abs(v - value)))
+                                    for v in coarse]))
 
 
 def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap,
                              steps: int = 64, sweep: int = 0) -> dict:
     """Compare tra(target) : tra(source) with the ordered double integral
     of the curvature over the bigon (horizontal lift per slice), at each
-    count of the sweep."""
+    count of the sweep: one surface and one path solve for all counts."""
     G = conn.family.group_G
-
-    def run(n):
-        beta = _surface_generator(conn, [bigon], n, "F")
-        rhs = _ordered_exp(G, conn.family.l2a.g_alg, beta, n, right=True)[0]
-        src, tgt = _path_values(conn, [source_path(bigon), target_path(bigon)], n)
-        lhs = G.mul(G.inv(src), tgt)
-        return float(np.max(np.abs(lhs - rhs))), lhs, rhs
-
     counts = sweep_steps(steps, sweep, STOKES_MIN_STEPS)
-    *coarse, (defect, lhs, rhs) = [run(n) for n in counts]
-    defects = [r[0] for r in coarse] + [defect]
+    rhs = _surface_sweep(conn, [bigon], None, counts, "F")[:, 0]
+    src, tgt = np.moveaxis(_path_values(
+        conn, [source_path(bigon), target_path(bigon)], counts), 1, 0)
+    lhs = G.mul(G.inv(src), tgt)
+    defects = [float(np.max(np.abs(d))) for d in lhs - rhs]
     return {
-        "defect": defect,
+        "defect": defects[-1],
         "rows": [{"steps": n, "defect": d} for n, d in zip(counts, defects)],
         "orders": convergence_order(defects),
         "order": sweep_order(defects),
-        "lhs": lhs, "rhs": rhs,
+        "lhs": lhs[-1], "rhs": rhs[-1],
     }
 
 
@@ -446,7 +490,7 @@ def reconstruct_A(conn: TwoConnection, x, X, steps: int = 16,
     hs = np.array([eps / 2.0, eps])
     rays = [straight_path(p, p + t * V) for p, V in zip(x, X)
             for h in hs for t in (h, -h)]
-    logs = conn.family.group_G.log(_path_values(conn, rays, steps))
+    logs = conn.family.group_G.log(_path_values(conn, rays, [steps])[0])
     logs = logs.reshape((-1, 2, 2) + logs.shape[1:])
     central = (logs[:, :, 0] - logs[:, :, 1]) / (2.0 * hs)[:, None, None]
     d = (4.0 * central[:, 0] - central[:, 1]) / 3.0

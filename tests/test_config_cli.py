@@ -451,19 +451,19 @@ def test_sweeps_solve_the_counts_the_step_check_validated(
         return counts
 
     def recording(name, at):
-        # records the step count, the solver's argument at position ``at``
+        # records the step counts, the solver's argument at position ``at``
         fn = getattr(gauge2.transport, name)
 
         def wrapper(*args):
-            solved.append(args[at])
+            solved.extend(args[at])
             return fn(*args)
         monkeypatch.setattr(gauge2.transport, name, wrapper)
 
     monkeypatch.setattr(gauge2.cli, "sweep_steps", validating)
     if argv == ["surface-transport"]:
-        recording("surface_values", 3)      # (conn, bigons, p, steps)
+        recording("_surface_sweep", 3)      # (conn, bigons, p, counts)
     else:
-        recording("_surface_generator", 2)  # (conn, bigons, steps, ...)
+        recording("_surface_generator", 2)  # (conn, bigons, counts, ...)
     raw = {**POLY, "numeric": {**MINIMAL["numeric"], **numeric}}
     out = tmp_path / "out"
     assert main([*argv, "--config", _write(tmp_path, raw), "--out", str(out),

@@ -16,7 +16,7 @@ from gauge2.geometry import (Chart, ParamMap,
                              compose_bigons_horizontal,
                              compose_bigons_vertical, concat_paths,
                              reparameterize, reverse_bigon, straight_path)
-from gauge2.groups import MatrixGroup, quaternion_exp, unrotate
+from gauge2.groups import MatrixGroup, hamilton, quaternion_exp, unrotate
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
@@ -206,7 +206,7 @@ def test_lens_filling_jet_matches_its_stencil():
 # --- the batched ordered-exponential kernel -------------------------------------
 
 
-def _su2_generator(times):
+def _su2_generator(times, columns):
     """A time-dependent su(2) generator batched over three members."""
     t = times[:, None, None]
     coeffs = np.array([[0.7, -0.4, 1.1], [0.2, 0.9, -0.5], [-1.3, 0.3, 0.8]])
@@ -216,9 +216,9 @@ def _su2_generator(times):
 def test_right_driven_kernel_is_the_mirrored_left_solve():
     # g' = g W  is solved by  g = h^-1  with  h' = -W h
     G, alg = SU2.group_G, SU2.l2a.g_alg
-    right = _ordered_exp(G, alg, _su2_generator, 24, right=True)
-    left = _ordered_exp(G, alg, lambda t: -_su2_generator(t), 24)
-    assert right.shape == (3, 2, 2)
+    right = _ordered_exp(G, alg, _su2_generator, [24], right=True)
+    left = _ordered_exp(G, alg, lambda t, c: -_su2_generator(t, c), [24])
+    assert right.shape == (1, 3, 2, 2)
     assert np.max(np.abs(right - G.inv(left))) <= 1e-13
 
 
@@ -228,7 +228,9 @@ def _two_call_cf4(group, alg, w_eval, steps, trajectory=False, right=False):
     h = 1.0 / steps
     t0 = np.arange(steps) * h
     r = np.sqrt(3.0) / 6.0
-    w1, w2 = w_eval(t0 + (0.5 - r) * h), w_eval(t0 + (0.5 + r) * h)
+    column = np.zeros(steps, dtype=int)
+    w1 = w_eval(t0 + (0.5 - r) * h, column)
+    w2 = w_eval(t0 + (0.5 + r) * h, column)
     e1 = group.exp(alg.to_matrix(h * ((0.25 + r) * w1 + (0.25 - r) * w2)))
     e2 = group.exp(alg.to_matrix(h * ((0.25 - r) * w1 + (0.25 + r) * w2)))
     frames = [np.broadcast_to(group.identity, e1.shape[1:])]
@@ -248,18 +250,20 @@ def test_kernel_evaluates_the_generator_once_stage_major(right, trajectory):
     G, alg, steps = SU2.group_G, SU2.l2a.g_alg, 24
     calls = []
 
-    def recording(times):
-        calls.append(times)
-        return _su2_generator(times)
+    def recording(times, columns):
+        calls.append((times, columns))
+        return _su2_generator(times, columns)
 
-    out = _ordered_exp(G, alg, recording, steps, trajectory, right)
-    if trajectory:      # the frames' spin coordinates
-        out = G.from_spin(*out)
+    out = _ordered_exp(G, alg, recording, [steps], trajectory, right)
+    # the one column: the frames' spin coordinates, or the end values
+    out = G.from_spin(*out)[:, 0] if trajectory else out[0]
     h, r = 1.0 / steps, np.sqrt(3.0) / 6.0
     t0 = np.arange(steps) * h
     assert len(calls) == 1
-    assert np.max(np.abs(calls[0] - np.concatenate([t0 + (0.5 - r) * h,
-                                                    t0 + (0.5 + r) * h]))) <= 1e-15
+    times, columns = calls[0]
+    assert np.max(np.abs(times - np.concatenate([t0 + (0.5 - r) * h,
+                                                 t0 + (0.5 + r) * h]))) <= 1e-15
+    assert np.array_equal(columns, np.zeros(2 * steps))
     reference = _two_call_cf4(G, alg, _su2_generator, steps, trajectory, right)
     assert out.shape == reference.shape
     assert np.max(np.abs(out - reference)) <= 1e-14
@@ -277,7 +281,7 @@ def _generator(alg, scale=2.0):
     large enough that the solves wind past the principal branch."""
     coeffs = scale * np.random.default_rng(alg.dim).uniform(-1.0, 1.0, (3, alg.dim))
 
-    def w_eval(times):
+    def w_eval(times, columns):
         t = times[:, None, None]
         return coeffs * np.cos(3.0 * t + coeffs) + t * coeffs[::-1]
     return w_eval
@@ -290,13 +294,15 @@ def test_spin_kernel_matches_the_sequential_matrix_solve(group, alg, right,
     # 37 steps: an odd count, so the product tree and the scan carry a
     # leftover factor at several levels
     w_eval = _generator(alg)
-    out = _ordered_exp(group, alg, w_eval, 37, trajectory, right)
+    out = _ordered_exp(group, alg, w_eval, [37], trajectory, right)
     if trajectory:
         phase, quat = out
         assert (quat is None) == (group.dim == 1)
         if quat is not None:    # normalized: from_spin's own division is a no-op
             assert np.max(np.abs(np.sum(np.abs(quat) ** 2, axis=0) - 1.0)) <= 1e-15
-        out = group.from_spin(phase, quat)
+        out = group.from_spin(phase, quat)[:, 0]
+    else:
+        out = out[0]
     reference = _two_call_cf4(group, alg, w_eval, 37, trajectory, right)
     assert out.shape == reference.shape
     assert np.max(np.abs(out - reference)) <= 1e-13
@@ -323,8 +329,32 @@ def test_spin_kernel_drifts_off_the_unit_quaternions_at_roundoff(
     monkeypatch.setattr(gauge2.transport, "_prefixes",
                         lambda mul, q: record(prefixes(mul, q)))
     for right, trajectory in ((False, False), (True, False), (False, True)):
-        _ordered_exp(group, alg, _generator(alg), 1024, trajectory, right)
+        _ordered_exp(group, alg, _generator(alg), [1024], trajectory, right)
     assert len(drift) > 3 and max(drift) <= 1e-14
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+def test_identity_padding_keeps_product_and_prefix_bits(right):
+    # a column's steps past its count are identity factors; appended to
+    # the planes they change no bit of the product tree or of the prefixes
+    # up to the count, and the prefixes past it, bracketed otherwise, hold
+    # the end value to roundoff
+    mul = hamilton if right else (lambda early, late: hamilton(late, early))
+    rng = np.random.default_rng(4)
+    for n in (4, 5, 7, 13, 16, 21, 37, 40):
+        q = quaternion_exp(rng.uniform(-2.0, 2.0, (3, n, 5)))
+        for padded_to in (16, 33, 64, 96):
+            if padded_to < n:
+                continue
+            padded = np.concatenate(
+                [q, quaternion_exp(np.zeros((3, padded_to - n, 5)))], axis=1)
+            assert np.array_equal(gauge2.transport._product(mul, padded),
+                                  gauge2.transport._product(mul, q))
+            prefixes = gauge2.transport._prefixes(mul, q)
+            scanned = gauge2.transport._prefixes(mul, padded)
+            assert np.array_equal(scanned[:, :n], prefixes)
+            assert np.max(np.abs(scanned[:, n:] - prefixes[:, -1:]),
+                          initial=0.0) <= 1e-15
 
 
 @SPIN_GROUPS
@@ -386,21 +416,22 @@ def test_verify_thin_builds_no_matrix_of_a_lift_frame(tmp_path, monkeypatch):
     path.write_text(json.dumps(GUARD_CONFIG))
     assert main(["verify", "thin", "--config", str(path), "--out",
                  str(tmp_path), "--quiet"]) == 0
-    assert built == [(6,)] and rotations == []
+    assert built == [(1, 6)] and rotations == []
 
 
 def _counting_lifts(monkeypatch):
-    """Record the generator points of every horizontal lift of a surface
-    solve: times x slices x bigons per call."""
+    """Record the padded generator points of every horizontal lift of a
+    surface solve: 2 x the largest count x slices x bigons per call."""
     kernel = gauge2.transport._ordered_exp
     points = []
 
-    def counting(group, alg, w_eval, steps, trajectory=False, right=False):
-        def counted(times):
-            w = w_eval(times)
-            points.append(int(np.prod(w.shape[:-1])))
+    def counting(group, alg, w_eval, counts, trajectory=False, right=False):
+        def counted(times, columns):
+            w = w_eval(times, columns)
+            points.append(2 * max(counts) * len(counts)
+                          * int(np.prod(w.shape[1:-1])))
             return w
-        return kernel(group, alg, counted if trajectory else w_eval, steps,
+        return kernel(group, alg, counted if trajectory else w_eval, counts,
                       trajectory, right)
 
     monkeypatch.setattr(gauge2.transport, "_ordered_exp", counting)
@@ -408,13 +439,17 @@ def _counting_lifts(monkeypatch):
 
 
 def test_surface_lifts_stay_within_the_point_bound(tmp_path, monkeypatch):
-    # su2_demo's verify thin: 6-bigon stacks at 96 steps need several blocks
+    # su2_demo's verify thin: 6-bigon stacks at 96 steps need several
+    # blocks; its verify stokes sweeps 24, 48 and 96 steps in one solve per
+    # bigon, whose 336 slices pad to 96 steps in more than one block
     points = _counting_lifts(monkeypatch)
     config = pathlib.Path(__file__).parent.parent / "configs" / "su2_demo.json"
-    assert main(["verify", "thin", "--config", str(config),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    assert len(points) > 5
-    assert max(points) <= gauge2.transport._LIFT_POINTS
+    for argv, blocks in ((["verify", "thin"], 5), (["verify", "stokes"], 2)):
+        points.clear()
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert len(points) > blocks
+        assert max(points) <= gauge2.transport._LIFT_POINTS
 
 
 def test_blocked_surface_solve_matches_one_unblocked_solve(monkeypatch):
@@ -428,6 +463,39 @@ def test_blocked_surface_solve_matches_one_unblocked_solve(monkeypatch):
     whole = surface_values(SU2_CONN, bigons, None, 56)
     assert len(points) == 4
     assert np.max(np.abs(blocked - whole)) <= 1e-14
+
+
+SWEEP_BIGONS = [lens_bigon(0.1), lens_bigon(0.25), lens_bigon(-0.2),
+                bulge_bigon(0.3), bulge_bigon(0.6), bulge_bigon(-0.4)]
+
+
+@pytest.mark.parametrize("kind,fam,lifts", [
+    ("path", SU2, 0), ("b", SU2, 2), ("b", U1, 0), ("F", SU2, 2)],
+    ids=["path", "b-su2_id_conj", "b-u1_id", "F-su2_id_conj"])
+def test_sweep_solve_matches_per_count_solves(monkeypatch, kind, fam, lifts):
+    # one solve of the counts 10, 20 and 40 against a solve per count; the
+    # surfaces' 2 x 70 slices of 6 bigons lift in at least two blocks
+    conn = (SU2_CONN if fam is SU2 else
+            TwoConnection(U1, Chart(2), a=[["0.3*x2"], ["0.5*x1"]],
+                          b="fake_flat"))
+    counts = [10, 20, 40]
+    if kind == "path":
+        paths = [bigon.slice_first(u) for bigon in SWEEP_BIGONS[:3]
+                 for u in (0.0, 0.5, 1.0)]
+
+        def solve(c):
+            return gauge2.transport._path_values(conn, paths, c)
+    else:
+        def solve(c):
+            return gauge2.transport._surface_sweep(conn, SWEEP_BIGONS, None,
+                                                   c, kind)
+    points = _counting_lifts(monkeypatch)
+    sweep = solve(counts)
+    assert len(points) >= lifts and (lifts or not points)
+    assert max(points, default=0) <= gauge2.transport._LIFT_POINTS
+    assert sweep.shape[:2] == (3, 9 if kind == "path" else 6)
+    for n, values in zip(counts, sweep):
+        assert np.max(np.abs(values - solve([n])[0])) <= 1e-14
 
 
 def _per_slice_beta(conn, bigon, g0, steps, s_values):
@@ -465,8 +533,9 @@ def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
     conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
     g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
     s_values = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
-    beta = _surface_generator(conn, [lens_bigon()], 16, "b")
-    moved = fam.alpha_vec(fam.group_G.inv(g0), beta(s_values)[:, 0])
+    beta = _surface_generator(conn, [lens_bigon()], [16], "b")
+    moved = fam.alpha_vec(fam.group_G.inv(g0),
+                          beta(s_values, np.zeros(5, dtype=int))[:, 0])
     reference = _per_slice_beta(conn, lens_bigon(), g0, 16, s_values)
     assert np.max(np.abs(moved - reference)) <= 1e-13
 
@@ -525,8 +594,8 @@ def test_surface_equivariance_in_basepoint():
         g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
         reference = gauge2.transport._ordered_exp(
             fam.group_H, fam.l2a.h_alg,
-            lambda s: _per_slice_beta(conn, bigon, g0, n, s)[:, None], n,
-            right=True)[0]
+            lambda s, c: _per_slice_beta(conn, bigon, g0, n, s)[:, None], [n],
+            right=True)[0, 0]
         moved = surface_values(conn, [bigon], (bigon([0.0, 0.0]), g0), n)[0]
         assert np.max(np.abs(moved - reference)) <= 1e-13, fam.name
 
@@ -577,6 +646,7 @@ GUARD_CONFIG = {
     "morphism": {"g": ["0.4*x1", "0.3*x2", "0.2*x1*x2"],
                  "phi": [["0.2*x2", "0.1", "0"], ["0.1*x1", "0", "0.3"]]},
     "two_morphism": {"a": ["0.3*x2", "0.2*x1", "0.1"]},
+    "paths": {"arc": ["0.8*u", "0.3*u^2"]},
     "numeric": {"steps": 40, "surface_steps": 16},
 }
 
@@ -586,7 +656,7 @@ GUARD_CONFIG = {
     # one generator call lifts the 2 x 40 slices of all 6 bigons in two
     # blocks of 40 (80 x 40 x 6 points is at most _LIFT_POINTS); no path
     # solve, and the kernel exponentiates in spin coordinates, not with exp
-    (["verify", "thin"], {("surface", (6,)): 1, ("lift", (40, 6)): 2}, 0),
+    (["verify", "thin"], {("surface", (1, 6)): 1, ("lift", (40, 6)): 2}, 0),
     # tra^2 once; tra'^2 once at the identity frame, on one lift of the
     # 2 x 16 slices of both stages, and moved to the frames of the morphism
     # and its two twisted forms by equivariance; rho of all three
@@ -594,21 +664,35 @@ GUARD_CONFIG = {
     # exponential in H, batched with the reference generator rep_*(W); the
     # fields' dg g^-1 are closed-form dexp, and only the gauge function's
     # values and the independent stencil of the A-level check exponentiate
-    (["verify", "gauge"], {("surface", (1,)): 2, ("lift", (32, 1)): 2,
-                           ("path", (4, 2)): 1}, 2901),
+    (["verify", "gauge"], {("surface", (1, 1)): 2, ("lift", (32, 1)): 2,
+                           ("path", (1, 4, 2)): 1}, 2901),
     # no transport: the gauge function once per point of each evaluation
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
     # the +-h rays of both stencil levels at all 10 points in one path
     # solve, and the 40 round trips of log
-    (["reconstruct", "A"], {("path", (40,)): 1}, 40),
+    (["reconstruct", "A"], {("path", (1, 40)): 1}, 40),
     # the 8 stencil bigons of all 10 points in one outer solve, whose one
     # generator call lifts the 2 x 16 slices of all 80 bigons in blocks of
     # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS), and 80
     # round trips of log
-    (["reconstruct", "B"], {("surface", (80,)): 1, ("lift", (11, 80)): 2,
+    (["reconstruct", "B"], {("surface", (1, 80)): 1, ("lift", (11, 80)): 2,
                             ("lift", (10, 80)): 1}, 80),
-], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B"])
+    # a sweep of 2 halvings is one kernel call per kind: the 4-, 8- and
+    # 16-step surface solves in one outer solve, whose one lift takes the
+    # 2 x (4 + 8 + 16) slices, each at its own count; source and target
+    # at 16 steps in one path solve
+    (["surface-transport", "--sweep", "2"],
+     {("surface", (3, 1)): 1, ("lift", (56, 1)): 1, ("path", (1, 2)): 1}, 0),
+    # the 10-, 20- and 40-step curvature integrals in one outer solve and
+    # one lift of 2 x 70 slices, and source and target at all three counts
+    # in one path solve
+    (["verify", "stokes", "--sweep", "2"],
+     {("surface", (3, 1)): 1, ("lift", (140, 1)): 1, ("path", (3, 2)): 1}, 0),
+    # the path at 10, 20 and 40 steps in one path solve
+    (["transport", "--sweep", "2"], {("path", (3, 1)): 1}, 0),
+], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B",
+        "surface-transport", "stokes", "transport"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
     """Kernel calls by kind and batch, and the number of matrices
@@ -619,8 +703,8 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
     group_exp = MatrixGroup.exp
     exponentiated = [0]
 
-    def counting(group, alg, w_eval, steps, trajectory=False, right=False):
-        out = kernel(group, alg, w_eval, steps, trajectory, right)
+    def counting(group, alg, w_eval, counts, trajectory=False, right=False):
+        out = kernel(group, alg, w_eval, counts, trajectory, right)
         kind = "surface" if right else "lift" if trajectory else "path"
         # a trajectory is spin coordinates: phases (steps + 1, *batch) first
         seen[kind, out[0].shape[1:] if trajectory else out.shape[:-2]] += 1
@@ -639,6 +723,39 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                  "--quiet"]) == 0
     assert dict(seen) == calls
     assert exponentiated[0] == exp_matrices
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["surface-transport"], "order_estimate"),
+    (["verify", "stokes"], "order"),
+    (["transport"], "order_estimate")],
+    ids=["surface-transport", "stokes", "transport"])
+def test_a_sweep_order_below_the_tolerance_fails_its_case(
+        tmp_path, monkeypatch, argv, key):
+    """A low sweep order fails its case: exit 3 with the report written,
+    one failing case per configured map; the same command passes with the
+    real orders."""
+    raw = {**GUARD_CONFIG,
+           "paths": {"arc": ["0.8*u", "0.3*u^2"], "wiggle": ["u", "0.2*u^2"]},
+           "bigons": {"lens": ["v", "v + 0.05*(2*u - 1)*sin(pi*v)"],
+                      "bulge": ["v", "0.1*u*sin(pi*v)"]}}
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(raw))
+    report = tmp_path / "out" / f"{'-'.join(argv)}.json"
+
+    def run():
+        return main([*argv, "--sweep", "2", "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+
+    assert run() == 0
+    cases = json.loads(report.read_text())["cases"]
+    assert all(c["pass"] and c[key] >= 3.5 for c in cases)
+    report.unlink()
+    monkeypatch.setattr(gauge2.transport, "sweep_order", lambda defects: 1.0)
+    assert run() == 3
+    cases = json.loads(report.read_text())["cases"]
+    assert len(cases) == 2
+    assert all(not c["pass"] and c[key] == 1.0 for c in cases)
 
 
 def _slab_bigon(lo, hi):
