@@ -24,10 +24,8 @@ from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
 from .torsor import (EtaH, Torsor2, TorsorMorphism, eta_to_etaH, etaH_to_eta,
                      extend_functor, horizontal_compose_etaH, selftest,
                      torsor_divide, vertical_compose_etaH)
-from .geometry import (Chart, ParamMap, compose_bigons_horizontal,
-                       compose_bigons_vertical, concat_paths, reparameterize,
-                       reverse_bigon, reverse_path, source_path, straight_path,
-                       target_path)
+from .geometry import (Chart, ParamMap, reparameterize, source_path,
+                       straight_path, target_path)
 from .fields import CoefficientField, GroupValuedField, chart_grid, group_field
 from .forms import (TransitionData, TwoConnection, check_local_data,
                     fake_flatness_residual)

@@ -199,7 +199,9 @@ def run_verify_higher_stokes(cfg, num, rng, out, emit):
     for name, pm in cfg.param_maps("cubes").items():
         rep = verify_higher_stokes(conn, pm, steps_surface=num["surface_steps"],
                                    steps_volume=num["volume_steps"])
-        ok = rep["defect"] <= TOL["higher_stokes"]
+        ok = (rep["defect"] <= TOL["higher_stokes"]
+              and rep["kernel_defect"] <= TOL["higher_stokes"]
+              and rep["bianchi_defect"] <= TOL["fake_flat"])
         case = {"name": name, "defect": rep["defect"],
                 "bianchi_defect": rep["bianchi_defect"],
                 "kernel_defect": rep["kernel_defect"], "pass": ok}
@@ -230,8 +232,10 @@ def run_gauge_transform(cfg, num, rng, out, emit):
     before = fake_flatness_residual(conn, grid, TOL["fake_flat"])
     transformed = gauge_transform(conn, m)
     after = fake_flatness_residual(transformed, grid, TOL["gauge_fake_flat"])
+    membership = m.membership_defect(grid)
     # the transform must preserve fake-flatness when the input has it
-    ok = not before["pass"] or after["pass"]
+    ok = ((not before["pass"] or after["pass"])
+          and membership <= TOL["gauge_a_grid"])
     emit(ok, "gauge-transform",
          f"fake-flat residual {before['residual']:.2e} -> "
          f"{after['residual']:.2e}")
@@ -240,7 +244,7 @@ def run_gauge_transform(cfg, num, rng, out, emit):
              "input_fake_flat": before, "output_fake_flat": after,
              "sample_points": _jsonable(sample),
              "transformed_a": _jsonable(transformed.a_coeffs(sample)),
-             "morphism_membership_defect": m.membership_defect(grid),
+             "morphism_membership_defect": membership,
              "pass": ok}]
 
 

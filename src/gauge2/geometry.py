@@ -5,10 +5,10 @@ with vectorized evaluation and a jet: its values and all its partials
 from one evaluation, exact for maps of DSL expressions, straight paths
 and the slices, affine images and reparameterizations of exact maps (the
 chain rule), and finite differences otherwise.
-Concatenation and bigon composition insert a fixed C-infinity smoothing
-step of width 0.1 in parameter space, so composites have sitting instants
-and stay smooth across the junction while boundary values are preserved
-exactly.
+Composites are not glued here: a composition law is checked on the pieces
+of one map, restricted by :meth:`ParamMap.compose_params` with a DSL
+parameter map such as the halves ``["u/2", "v"]`` and ``["(1+u)/2", "v"]``
+or the reverse ``["1-u", "v"]``, so every piece keeps an exact jet.
 
 Bigon convention: the first parameter u is the homotopy direction (u = 0
 is the source path, u = 1 the target path), the second parameter v runs
@@ -24,14 +24,11 @@ from .errors import ComposabilityError, DomainError
 from . import fields
 
 __all__ = [
-    "Chart", "ParamMap", "SMOOTH_STEP_WIDTH", "smooth_step",
-    "concat_paths", "compose_bigons_vertical", "compose_bigons_horizontal",
-    "reparameterize", "check_reparameterization",
-    "straight_path", "reverse_path", "reverse_bigon", "source_path",
-    "target_path", "unit_grid", "check_cube_boundaries",
+    "Chart", "ParamMap", "reparameterize", "check_reparameterization",
+    "straight_path", "source_path", "target_path", "unit_grid",
+    "check_cube_boundaries",
 ]
 
-SMOOTH_STEP_WIDTH = 0.1
 PARAM_VARS = ("u", "v", "w")
 
 
@@ -66,24 +63,13 @@ class Chart:
         return f"Chart(dim={self.dim})"
 
 
-def smooth_step(x, width=SMOOTH_STEP_WIDTH):
-    """C-infinity step: 0 on (-inf, width], 1 on [1-width, inf), monotone."""
-    x = np.asarray(x, dtype=float)
-    y = (x - width) / (1.0 - 2.0 * width)
-    y = np.clip(y, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        f = np.where(y > 0.0, np.exp(-1.0 / np.maximum(y, 1e-300)), 0.0)
-        g = np.where(y < 1.0, np.exp(-1.0 / np.maximum(1.0 - y, 1e-300)), 0.0)
-    return f / (f + g)
-
-
 class ParamMap:
     """Smooth map I^m -> R^d with vectorized evaluation.
 
     ``fn`` maps an (N, m) parameter array to an (N, d) point array.  The
     evaluation must extend smoothly to a neighbourhood of I^m (DSL fields
-    do; composites built here are flat near the boundary), which keeps the
-    4th-order central differences of :meth:`jet` valid everywhere.
+    do), which keeps the 4th-order central differences of :meth:`jet`
+    valid everywhere.
     ``jet(params, axes)``, the exact values (N, d) and partials along
     ``axes`` (N, len(axes), d) from one evaluation, comes with
     :meth:`from_exprs` maps (one program run of only what those partials
@@ -115,7 +101,7 @@ class ParamMap:
         out = self._fn(p)
         return out[0] if squeeze else out
 
-    def jet(self, params, axes=None, step: float = fields.FD_STEP):
+    def jet(self, params, axes=None):
         """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
         parameters by default) at (N, m) parameters: exact where the map
         carries them, else the 4th-order central difference of each axis
@@ -124,12 +110,12 @@ class ParamMap:
         every = range(self.arity)
         axes = tuple(every if axes is None else (every[k] for k in axes))
         if self._jet is None:
-            return fields.jet(self._fn, p, axes, step)
+            return fields.jet(self._fn, p, axes)
         return self._jet(p, axes)
 
-    def partial(self, index: int, params, step: float = fields.FD_STEP):
+    def partial(self, index: int, params):
         """The map's derivative along parameter ``index`` (see :meth:`jet`)."""
-        out = self.jet(params, (index,), step)[1][:, 0]
+        out = self.jet(params, (index,))[1][:, 0]
         return out[0] if np.asarray(params).ndim == 1 else out
 
     # -- derived maps ----------------------------------------------------------
@@ -206,21 +192,6 @@ def straight_path(a, b, name=None) -> ParamMap:
         fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))[:, list(axes)]))
 
 
-def reverse_path(gamma: ParamMap) -> ParamMap:
-    def fn(params):
-        return gamma._fn(1.0 - params)
-    return ParamMap(1, gamma.dim, fn, name=f"{gamma.name}~")
-
-
-def reverse_bigon(sigma: ParamMap) -> ParamMap:
-    """Vertical inverse: swap source and target paths."""
-    def fn(params):
-        flipped = params.copy()
-        flipped[..., 0] = 1.0 - flipped[..., 0]
-        return sigma._fn(flipped)
-    return ParamMap(2, sigma.dim, fn, name=f"{sigma.name}~")
-
-
 def source_path(sigma: ParamMap) -> ParamMap:
     return sigma.slice_first(0.0, name=f"{sigma.name}.src")
 
@@ -229,77 +200,16 @@ def target_path(sigma: ParamMap) -> ParamMap:
     return sigma.slice_first(1.0, name=f"{sigma.name}.tgt")
 
 
-# --- composition ------------------------------------------------------------------
-
-
-def _two_piece(first_fn, second_fn, axis: int, width=SMOOTH_STEP_WIDTH):
-    """Piecewise map along one parameter axis with smoothing on each half."""
-
-    def fn(params):
-        x = params[..., axis]
-        left = params.copy()
-        left[..., axis] = smooth_step(np.clip(2.0 * x, 0.0, 1.0), width)
-        right = params.copy()
-        right[..., axis] = smooth_step(np.clip(2.0 * x - 1.0, 0.0, 1.0), width)
-        take_left = (x <= 0.5)[..., None]
-        return np.where(take_left, first_fn(left), second_fn(right))
-
-    return fn
-
-
-def concat_paths(gamma: ParamMap, gamma_next: ParamMap, tol=1e-9) -> ParamMap:
-    """Half-speed concatenation gamma then gamma_next, smoothed at the seam."""
-    d = float(np.max(np.abs(gamma([1.0]) - gamma_next([0.0]))))
-    if d > tol:
-        raise DomainError(
-            f"paths do not meet: endpoint mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(gamma._fn, gamma_next._fn, axis=0)
-    return ParamMap(1, gamma.dim, fn,
-                    name=f"({gamma_next.name}.{gamma.name})")
-
-
-def compose_bigons_vertical(sigma: ParamMap, sigma_next: ParamMap,
-                            tol=1e-9, samples=33) -> ParamMap:
-    """Stack bigons in the homotopy direction: target(sigma) must equal
-    source(sigma_next) pointwise."""
-    v = np.linspace(0.0, 1.0, samples)
-    top = sigma(np.stack([np.ones_like(v), v], axis=-1))
-    bottom = sigma_next(np.stack([np.zeros_like(v), v], axis=-1))
-    d = float(np.max(np.abs(top - bottom)))
-    if d > tol:
-        raise DomainError(
-            f"bigons do not stack: boundary mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(sigma._fn, sigma_next._fn, axis=0)
-    return ParamMap(2, sigma.dim, fn,
-                    name=f"({sigma_next.name}*{sigma.name})")
-
-
-def compose_bigons_horizontal(sigma: ParamMap, sigma_next: ParamMap,
-                              tol=1e-9, samples=33) -> ParamMap:
-    """Concatenate bigons along the paths: sigma's paths must end where
-    sigma_next's paths start (one common point for genuine bigons)."""
-    u = np.linspace(0.0, 1.0, samples)
-    ends = sigma(np.stack([u, np.ones_like(u)], axis=-1))
-    starts = sigma_next(np.stack([u, np.zeros_like(u)], axis=-1))
-    d = float(max(np.max(np.abs(ends - ends[:1])),
-                  np.max(np.abs(starts - ends[:1]))))
-    if d > tol:
-        raise DomainError(
-            f"bigons do not connect: endpoint mismatch {d:.3e} exceeds {tol:.1e}")
-    fn = _two_piece(sigma._fn, sigma_next._fn, axis=1)
-    return ParamMap(2, sigma.dim, fn,
-                    name=f"({sigma_next.name}o{sigma.name})")
-
-
-def reparameterize(pm: ParamMap, phi, tol=1e-9, samples=17) -> ParamMap:
+def reparameterize(pm: ParamMap, phi: ParamMap) -> ParamMap:
     """Precompose with a phi that :func:`check_reparameterization` accepts."""
-    phi = check_reparameterization(phi, pm.arity, tol, samples)
+    phi = check_reparameterization(phi, pm.arity)
     return pm.compose_params(phi, name=f"{pm.name}o{phi.name}")
 
 
-def check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
-    """Slices of the cube must be bigons between common boundary paths."""
-    uu, vv = unit_grid(samples, 2).T
+def check_cube_boundaries(cube: ParamMap):
+    """Slices of the cube must be bigons between common boundary paths, to
+    1e-9 on a 9 x 9 grid of each face."""
+    uu, vv = unit_grid(9, 2).T
     faces = [(axis, value) for axis in (1, 2) for value in (0.0, 1.0)]
     # each face's points, then the same points on the u = 0 slice
     params = np.zeros((2, len(faces), uu.size, 3))
@@ -309,28 +219,26 @@ def check_cube_boundaries(cube: ParamMap, tol=1e-9, samples=9):
     points = cube(params.reshape(-1, 3)).reshape(2, len(faces), uu.size, -1)
     defects = np.max(np.abs(points[0] - points[1]), axis=(1, 2)).tolist()
     for (axis, value), d in zip(faces, defects):
-        if d > tol:
+        if d > 1e-9:
             label = "source/target paths" if axis == 1 else "path endpoints"
             raise ComposabilityError(
                 f"cube slices disagree on {label} at face {value:g} "
                 f"(defect {d:.3e})", mismatch=d)
 
 
-def check_reparameterization(phi, arity: int, tol=1e-9, samples=17) -> ParamMap:
-    """``phi``: I^m -> I^m as a ParamMap, once checked to fix every boundary
-    face and to have positive Jacobian determinant on a sample grid."""
-    if callable(phi) and not isinstance(phi, ParamMap):
-        phi = ParamMap(arity, arity, phi, name="phi")
+def check_reparameterization(phi: ParamMap, arity: int) -> ParamMap:
+    """``phi``: I^m -> I^m, once checked to fix every boundary face to 1e-9
+    and to have positive Jacobian determinant, on a grid of 17 per axis."""
     if phi.arity != arity or phi.dim != arity:
         raise DomainError("phi must be a self-map of the parameter cube")
 
-    mesh = unit_grid(samples, arity)
+    mesh = unit_grid(17, arity)
     for axis in range(arity):
         for value in (0.0, 1.0):
             face = mesh.copy()
             face[:, axis] = value
             d = float(np.max(np.abs(phi(face)[:, axis] - value)))
-            if d > tol:
+            if d > 1e-9:
                 raise DomainError(
                     f"phi moves the face x{axis}={value:g} by {d:.3e}; "
                     "reparameterizations must fix the boundary")

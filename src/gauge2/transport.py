@@ -510,9 +510,9 @@ _LENS_AMPLITUDE = 0.25
 def _lens_bigon():
     """Analytic bigon (v, v - k sin(pi v)) => (v, v + k sin(pi v)) in I^2.
 
-    It needs no smoothing step, so quadrature converges with tiny
-    constants; its oriented flux in the (u, v)
-    parameters is exactly -4k/pi times the unit-square area form.
+    It is analytic, so quadrature converges with tiny constants; its
+    oriented flux in the (u, v) parameters is exactly -4k/pi times the
+    unit-square area form.
     """
     return ParamMap.from_exprs(
         ["v", f"v + {_LENS_AMPLITUDE}*(2*u - 1)*sin(pi*v)"], 2, name="lens")

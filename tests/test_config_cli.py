@@ -21,6 +21,7 @@ from gauge2.fields import CoefficientField, GroupValuedField
 from gauge2.geometry import ParamMap
 from gauge2.groups import MatrixGroup
 from gauge2.lie2 import LieAlgebra
+from gauge2.morphisms import OneMorphism
 
 MINIMAL = {
     "seed": 5,
@@ -928,6 +929,43 @@ def test_gauge_transform_judges_its_output_at_one_tolerance(
     assert abs(case["output_fake_flat"]["residual"] - shift) <= 1e-12
     assert case["output_fake_flat"]["pass"] is case["pass"] is ok
     assert code == (0 if ok else 3)
+
+
+@pytest.mark.parametrize("argv,config,key,tol", [
+    (["verify", "higher-stokes"], "u2pu2_higher", "kernel_defect",
+     "higher_stokes"),
+    (["verify", "higher-stokes"], "u2pu2_higher", "bianchi_defect",
+     "fake_flat"),
+    (["gauge-transform"], "su2_demo", "morphism_membership_defect",
+     "gauge_a_grid"),
+], ids=["kernel", "bianchi", "membership"])
+def test_a_defect_over_its_tolerance_fails_its_case(
+        tmp_path, monkeypatch, argv, config, key, tol):
+    """The kernel and Bianchi defects of verify higher-stokes and the
+    morphism's membership defect have verdicts: the shipped config passes,
+    and its one case fails, exit 3, once the key is pushed over its
+    tolerance."""
+    report = tmp_path / f"{'-'.join(argv)}.json"
+
+    def run():
+        code = main([*argv, "--config", str(CONFIGS / f"{config}.json"),
+                     "--out", str(tmp_path), "--quiet"])
+        case, = json.loads(report.read_text())["cases"]
+        return code, case
+
+    code, case = run()
+    assert code == 0 and case["pass"] and case[key] <= gauge2.cli.TOL[tol]
+    over = 2 * gauge2.cli.TOL[tol]
+    if key == "morphism_membership_defect":
+        monkeypatch.setattr(OneMorphism, "membership_defect",
+                            lambda self, grid: over)
+    else:
+        solve = gauge2.cli.verify_higher_stokes
+        monkeypatch.setattr(gauge2.cli, "verify_higher_stokes",
+                            lambda *args, **kwargs: {**solve(*args, **kwargs),
+                                                     key: over})
+    code, case = run()
+    assert code == 3 and not case["pass"] and case[key] == over
 
 
 def test_field_math_error_at_a_point_stays_a_numerical_failure(tmp_path):

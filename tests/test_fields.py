@@ -16,20 +16,6 @@ A = [["0.4*x2", "sin(x1*x3)"], ["0.3*x1*x2", "-x3"], ["exp(0.2*x1)", "0"]]
 STENCIL = fields.directional_diff
 
 
-@pytest.fixture
-def stencilled(monkeypatch):
-    """The objects ``fields.directional_diff`` is called on, with the
-    number of points and of directions of each call."""
-    calls = []
-
-    def recording(fn, points, directions, *args):
-        calls.append((fn, len(points), len(directions)))
-        return STENCIL(fn, points, directions, *args)
-
-    monkeypatch.setattr(fields, "directional_diff", recording)
-    return calls
-
-
 def _bits(pair):
     return [np.asarray(x).tobytes() for x in pair]
 
@@ -81,3 +67,33 @@ def test_jet_of_a_plain_callable_is_one_call_and_one_stencil(stencilled):
         eye = np.eye(3) if axes is None else np.eye(3)[list(axes)]
         assert partials.tobytes() == STENCIL(plain, pts, eye, 2e-3).tobytes()
         assert np.max(np.abs(partials - field.jet(pts, axes)[1])) <= 1e-9
+
+
+# (parameter map, its slope and offset along each parameter)
+PIECES = {
+    "lower-half": (["u/2", "v"], (0.5, 0.0), (1.0, 0.0)),
+    "upper-half": (["(1+u)/2", "v"], (0.5, 0.5), (1.0, 0.0)),
+    "first-half": (["u", "v/2"], (1.0, 0.0), (0.5, 0.0)),
+    "second-half": (["u", "(1+v)/2"], (1.0, 0.0), (0.5, 0.5)),
+    "reverse": (["1-u", "v"], (-1.0, 1.0), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", PIECES)
+def test_a_split_piece_of_a_dsl_map_takes_no_stencil(stencilled, name):
+    """A DSL bigon restricted by a DSL half or reverse carries a jet, the
+    chain rule D(sigma o phi) = D phi @ D sigma(phi) in closed form."""
+    exprs, (a, b), (c, d) = PIECES[name]
+    k = 0.25
+    lens = ParamMap.from_exprs(["v", f"v + {k}*(2*u - 1)*sin(pi*v)"], 2)
+    piece = lens.compose_params(ParamMap.from_exprs(exprs, 2))
+    assert piece._jet is not None
+    uv = np.random.default_rng(5).uniform(0, 1, size=(11, 2))
+    values, partials = fields.jet(piece, uv)
+    u, v = a * uv[:, 0] + b, c * uv[:, 1] + d
+    want = np.stack([np.stack([0 * u, a * 2 * k * np.sin(np.pi * v)], -1),
+                     np.stack([c + 0 * u, c * (1 + k * (2 * u - 1) * np.pi
+                                               * np.cos(np.pi * v))], -1)], 1)
+    assert np.array_equal(values, lens(np.stack([u, v], -1)))
+    assert np.max(np.abs(partials - want)) <= 1e-13
+    assert stencilled == []

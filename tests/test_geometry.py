@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from gauge2 import fields
 from gauge2.errors import ComposabilityError, DomainError
 from gauge2.geometry import (Chart, ParamMap, check_cube_boundaries,
-                             compose_bigons_horizontal,
-                             compose_bigons_vertical, concat_paths,
-                             reparameterize, reverse_bigon, smooth_step,
-                             source_path, straight_path, target_path)
+                             reparameterize, source_path, straight_path,
+                             target_path)
 
 
 def test_chart_validation():
@@ -14,14 +13,6 @@ def test_chart_validation():
         Chart(0)
     chart = Chart(2, box=[[0, 1], [0, 2]])
     assert chart.scale == 2.0
-
-
-def test_smooth_step_is_flat_at_the_ends():
-    assert smooth_step(0.05) == 0.0
-    assert smooth_step(0.96) == 1.0
-    x = np.linspace(0.12, 0.88, 33)
-    s = smooth_step(x)
-    assert np.all(np.diff(s) > 0)
 
 
 def test_from_exprs_variable_guard():
@@ -32,15 +23,19 @@ def test_from_exprs_variable_guard():
 
 
 def test_partial_derivative_order_at_least_39():
-    # the map behind a plain callable, so partial takes the stencil
+    # a map as a plain callable takes the stencil, at the step asked for
     exprs = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
-    pm = ParamMap(2, 2, lambda params: exprs(params))
+
+    def plain(params):
+        return exprs(params)
+
     pts = np.array([[0.3, 0.4], [0.6, 0.2], [0.45, 0.7]])
     exact = np.stack([np.pi * np.cos(np.pi * pts[:, 0]) * pts[:, 1],
                       3 * pts[:, 0] ** 2], axis=-1)
     errs = []
     for h in (2e-2, 1e-2):
-        errs.append(np.max(np.abs(pm.partial(0, pts, step=h) - exact)))
+        partial = fields.jet(plain, pts, (0,), step=h)[1][:, 0]
+        errs.append(np.max(np.abs(partial - exact)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 3.9
 
@@ -103,7 +98,7 @@ def test_reparameterized_bigon_jet_is_the_chain_rule():
     # only the axes asked for
     assert np.array_equal(composite.jet(uv, (1,))[1][:, 0], jac[:, 1])
     assert np.array_equal(stencilled.jet(uv, (1,))[1][:, 0], fd[:, 1])
-    plain = reparameterize(sigma, lambda params: phi(params))
+    plain = reparameterize(sigma, ParamMap(2, 2, lambda params: phi(params)))
     assert plain._jet is None
     assert np.max(np.abs(plain.jet(uv)[1] - jac)) <= 1e-9
 
@@ -115,83 +110,46 @@ def test_straight_path_jet_is_constant():
     assert np.array_equal(partials, np.broadcast_to(b - a, (5, 1, 3)))
 
 
+def piece(pm, exprs):
+    return pm.compose_params(ParamMap.from_exprs(exprs, pm.arity))
+
+
 def test_concat_preserves_endpoints_and_midpoint():
-    g1 = straight_path([0.0, 0.0], [1.0, 0.0])
-    g2 = straight_path([1.0, 0.0], [1.0, 1.0])
-    c = concat_paths(g1, g2)
-    assert np.allclose(c([0.0]), [0.0, 0.0])
-    assert np.allclose(c([1.0]), [1.0, 1.0])
-    assert np.allclose(c([0.5]), [1.0, 0.0])
-    # piecewise evaluation stays on the two segments
-    for u in np.linspace(0, 1, 21):
-        x, y = c([u])
-        assert (abs(y) < 1e-12) or (abs(x - 1) < 1e-12)
+    """The halves of a path start and end where it does, and meet bit for
+    bit at its midpoint."""
+    gamma = ParamMap.from_exprs(["0.9*u", "0.2*u + 0.3*sin(pi*u)"], 1)
+    first, second = piece(gamma, ["u/2"]), piece(gamma, ["(1+u)/2"])
+    ends = np.array([[0.0], [1.0]])
+    assert np.array_equal(first(ends), gamma([[0.0], [0.5]]))
+    assert np.array_equal(second(ends), gamma([[0.5], [1.0]]))
 
 
-def test_concat_rejects_gap():
-    g1 = straight_path([0.0, 0.0], [1.0, 0.0])
-    g3 = straight_path([2.0, 0.0], [3.0, 0.0])
-    with pytest.raises(DomainError, match="endpoint mismatch"):
-        concat_paths(g1, g3)
-
-
-def test_concat_has_sitting_instants():
-    g1 = straight_path([0.0, 0.0], [1.0, 0.0])
-    g2 = straight_path([1.0, 0.0], [1.0, 1.0])
-    c = concat_paths(g1, g2)
-    assert np.max(np.abs(c.partial(0, np.array([[0.02], [0.5], [0.98]])))) \
-        <= 1e-12
-
-
-def _bulge(lo, hi):
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = (1 - u) * lo + u * hi
-        return np.concatenate([v, w * np.sin(np.pi * v)], axis=-1)
-    return ParamMap(2, 2, fn, name=f"bulge{lo}-{hi}")
+SLAB = ["v", "0.6*u*sin(pi*v)"]
 
 
 def test_vertical_composition_boundary_checks():
-    s1, s2 = _bulge(0.0, 0.3), _bulge(0.3, 0.6)
-    comp = compose_bigons_vertical(s1, s2)
-    v = np.linspace(0, 1, 9)
-    assert np.allclose(comp(np.stack([np.zeros(9), v], -1)),
-                       s1(np.stack([np.zeros(9), v], -1)))
-    assert np.allclose(comp(np.stack([np.ones(9), v], -1)),
-                       s2(np.stack([np.ones(9), v], -1)))
-    with pytest.raises(DomainError, match="boundary mismatch"):
-        compose_bigons_vertical(s1, _bulge(0.5, 0.9))
+    """The lower half of a bigon starts on its source path and the upper
+    half ends on its target path, and the halves meet bit for bit."""
+    slab = ParamMap.from_exprs(SLAB, 2)
+    lower, upper = piece(slab, ["u/2", "v"]), piece(slab, ["(1+u)/2", "v"])
+    v = np.linspace(0.0, 1.0, 17)[:, None]
+    assert np.array_equal(source_path(lower)(v), source_path(slab)(v))
+    assert np.array_equal(target_path(lower)(v), source_path(upper)(v))
+    assert np.array_equal(target_path(upper)(v), target_path(slab)(v))
 
 
 def test_horizontal_composition_boundary_checks():
-    def half(shift):
-        def fn(params):
-            u = params[..., 0][..., None]
-            v = params[..., 1][..., None]
-            return np.concatenate(
-                [shift + 0.5 * v, 0.3 * u * v * (1 - v)], axis=-1)
-        return ParamMap(2, 2, fn, name="half")
-
-    comp = compose_bigons_horizontal(half(0.0), half(0.5))
-    assert np.allclose(comp([0.3, 0.0]), [0.0, 0.0])
-    assert np.allclose(comp([0.3, 1.0]), [1.0, 0.0])
-    bad = _bulge(0.0, 0.4)   # starts at the origin, not at (0.5, 0)
-    with pytest.raises(DomainError, match="endpoint mismatch"):
-        compose_bigons_horizontal(half(0.0), bad)
-
-
-def test_smoothing_never_moves_boundary_values():
-    s1, s2 = _bulge(0.0, 0.3), _bulge(0.3, 0.6)
-    comp = compose_bigons_vertical(s1, s2)
-    v = np.linspace(0.0, 1.0, 17)
-    for u in (0.0, 1.0):
-        params = np.stack([np.full_like(v, u), v], axis=-1)
-        ref = (s1 if u == 0.0 else s2)(params)
-        assert np.max(np.abs(comp(params) - ref)) == 0.0
-    # endpoints of every slice are pinned
+    """Split at v = 1/2, where its line is one point, a pinched bigon gives
+    two bigons: the first's paths end at that point, where the second's
+    start, and the second's end where the whole's do."""
+    pinched = ParamMap.from_exprs(["v", "0.4*u*sin(pi*v)*sin(2*pi*v)"], 2)
+    first, second = piece(pinched, ["u", "v/2"]), piece(pinched, ["u", "(1+v)/2"])
     u = np.linspace(0.0, 1.0, 17)
-    assert np.max(np.abs(comp(np.stack([u, np.zeros_like(u)], -1)))) <= 1e-15
+    start, end = (np.stack([u, np.full_like(u, v)], -1) for v in (0.0, 1.0))
+    assert np.array_equal(first(start), pinched(start))
+    assert np.array_equal(first(end), second(start))
+    assert np.max(np.abs(first(end) - [0.5, 0.0])) <= 1e-16
+    assert np.array_equal(second(end), pinched(end))
 
 
 # a DSL bigon between two arcs from the origin to (0.7, 0.7)
@@ -221,10 +179,11 @@ def test_reparameterize_rejects_boundary_movers():
 
 
 def test_reverse_bigon_swaps_paths():
-    s = _bulge(0.0, 0.5)
-    r = reverse_bigon(s)
-    v = np.linspace(0, 1, 9)
-    assert np.allclose(source_path(r)(v[:, None]), target_path(s)(v[:, None]))
+    s = ParamMap.from_exprs(SLAB, 2)
+    r = piece(s, ["1-u", "v"])
+    v = np.linspace(0, 1, 9)[:, None]
+    assert np.array_equal(source_path(r)(v), target_path(s)(v))
+    assert np.array_equal(target_path(r)(v), source_path(s)(v))
 
 
 @pytest.mark.parametrize("exprs,message", [

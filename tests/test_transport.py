@@ -12,10 +12,8 @@ from gauge2.cli import main
 from gauge2.errors import ComposabilityError, DomainError
 from gauge2.families import matrix_family
 from gauge2.forms import TwoConnection
-from gauge2.geometry import (Chart, ParamMap,
-                             compose_bigons_horizontal,
-                             compose_bigons_vertical, concat_paths,
-                             reparameterize, reverse_bigon, straight_path)
+from gauge2.geometry import (Chart, ParamMap, reparameterize, straight_path,
+                             target_path)
 from gauge2.groups import MatrixGroup, hamilton, quaternion_exp, unrotate
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
@@ -90,14 +88,24 @@ def test_path_observed_order():
     assert res.order_estimate >= 3.8
 
 
-def test_transport_functorial_over_concatenation():
-    g1 = ParamMap.from_exprs(["0.6*u", "0.2*u^2"], 1)
-    g2 = ParamMap.from_exprs(["0.6 + 0.3*u", "0.2 + 0.5*u"], 1)
-    whole = concat_paths(g1, g2)
-    t1 = path_ordered_exp(SU2_CONN, g1, steps=96).value
-    t2 = path_ordered_exp(SU2_CONN, g2, steps=96).value
-    tc = path_ordered_exp(SU2_CONN, whole, steps=96).value
-    assert np.max(np.abs(tc - t2 @ t1)) <= 1e-8
+def piece(pm, exprs):
+    """The restriction pm o phi of a map to the piece that the DSL
+    parameter map ``exprs`` picks out: ``["u/2", "v"]`` and
+    ``["(1+u)/2", "v"]`` halve a bigon, ``["1-u", "v"]`` reverses it."""
+    return pm.compose_params(ParamMap.from_exprs(exprs, pm.arity),
+                             name=f"{pm.name}{exprs}")
+
+
+ARC = ParamMap.from_exprs(["0.9*u", "0.2*u + 0.3*sin(pi*u)"], 1, name="arc")
+
+
+def test_transport_functorial_over_concatenation(stencilled):
+    """The transport of a path is that of its second half after its first
+    (t1 @ t2 misses by 2.1e-4)."""
+    t1, t2, t = (path_ordered_exp(SU2_CONN, gamma, steps=96).value for gamma in
+                 (piece(ARC, ["u/2"]), piece(ARC, ["(1+u)/2"]), ARC))
+    assert np.max(np.abs(t - t2 @ t1)) <= 1e-8
+    assert stencilled == []
 
 
 def test_transport_invariant_under_path_reparameterization():
@@ -109,26 +117,29 @@ def test_transport_invariant_under_path_reparameterization():
     assert np.max(np.abs(t0 - t1)) <= 1e-9
 
 
-def test_concat_with_constant_path_is_thin_identity():
-    gamma = ParamMap.from_exprs(["u", "0.3*u"], 1)
-    const = straight_path([0.0, 0.0], [0.0, 0.0])
-    padded = concat_paths(const, gamma)
-    t0 = path_ordered_exp(SU2_CONN, gamma, steps=96).value
-    t1 = path_ordered_exp(SU2_CONN, padded, steps=96).value
-    assert np.max(np.abs(t0 - t1)) <= 1e-8
+def test_constant_path_transport_is_identity(stencilled):
+    """A constant path transports by the identity, and a path reversed by
+    ``["1-u"]`` transports back."""
+    const = ParamMap.from_exprs(["0.4", "0.3"], 1)
+    t0 = path_ordered_exp(SU2_CONN, const, steps=96).value
+    assert np.max(np.abs(t0 - np.eye(2))) <= 1e-14
+    t = path_ordered_exp(SU2_CONN, ARC, steps=96).value
+    back = path_ordered_exp(SU2_CONN, piece(ARC, ["1-u"]), steps=96).value
+    assert np.max(np.abs(back @ t - np.eye(2))) <= 1e-12
+    assert stencilled == []
 
 
-def test_concat_associativity_up_to_reparameterization():
-    g1 = straight_path([0.0, 0.0], [0.4, 0.1])
-    g2 = straight_path([0.4, 0.1], [0.7, 0.5])
-    g3 = straight_path([0.7, 0.5], [0.9, 0.9])
-    left = concat_paths(concat_paths(g1, g2), g3)
-    right = concat_paths(g1, concat_paths(g2, g3))
-    # nested junction smoothing compounds the quadrature constants, so the
-    # 1e-8 agreement needs a fine (but cheap, 1D) resolution
-    tl = path_ordered_exp(SU2_CONN, left, steps=1024).value
-    tr = path_ordered_exp(SU2_CONN, right, steps=1024).value
-    assert np.max(np.abs(tl - tr)) <= 1e-8
+def test_concat_associativity_up_to_reparameterization(stencilled):
+    """Split into thirds, a path's transport is that of its last third
+    after its first two thirds, and that of its last two thirds after its
+    first third."""
+    t1, t12, t3, t23, t = (
+        path_ordered_exp(SU2_CONN, gamma, steps=96).value for gamma in
+        [piece(ARC, [e]) for e in ("u/3", "2*u/3", "(2+u)/3", "(1+2*u)/3")]
+        + [ARC])
+    assert np.max(np.abs(t3 @ t12 - t)) <= 1e-8
+    assert np.max(np.abs(t23 @ t1 - t)) <= 1e-8
+    assert stencilled == []
 
 
 # --- horizontal lifts ----------------------------------------------------------
@@ -758,77 +769,70 @@ def test_a_sweep_order_below_the_tolerance_fails_its_case(
     assert all(not c["pass"] and c[key] == 1.0 for c in cases)
 
 
-def _slab_bigon(lo, hi):
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = (1 - u) * lo + u * hi
-        return np.concatenate([v, w * np.sin(np.pi * v)], -1)
-    return ParamMap(2, 2, fn, name=f"slab{lo}-{hi}")
-
-
-def test_vertical_composition_matches_etaH_law():
-    s1, s2 = _slab_bigon(0.0, 0.3), _slab_bigon(0.3, 0.6)
-    comp = compose_bigons_vertical(s1, s2)
-    n = 96
-    h1 = surface_transport(SU2_CONN, s1, None, n).value_h
-    h2 = surface_transport(SU2_CONN, s2, None, n).value_h
-    hc = surface_transport(SU2_CONN, comp, None, n).value_h
+def test_vertical_composition_matches_etaH_law(stencilled):
+    """Split at u = 1/2, a bigon's 2-transport is the product of its lower
+    and upper halves' at one frame (h2 @ h1 misses by 1.3e-3)."""
+    slab = ParamMap.from_exprs(["v", "0.6*u*sin(pi*v)"], 2, name="slab")
+    h1, h2, hc = surface_values(
+        SU2_CONN, [piece(slab, ["u/2", "v"]), piece(slab, ["(1+u)/2", "v"]),
+                   slab], None, 96)
     assert np.max(np.abs(hc - h1 @ h2)) <= 1e-6
+    assert stencilled == []
 
 
-def test_horizontal_composition_matches_etaH_law():
-    def half(shift):
-        def fn(params):
-            u = params[..., 0][..., None]
-            v = params[..., 1][..., None]
-            return np.concatenate(
-                [shift + 0.5 * v, 0.4 * u * v * (1 - v)], -1)
-        return ParamMap(2, 2, fn, name="half")
-
-    s1, s2 = half(0.0), half(0.5)
-    comp = compose_bigons_horizontal(s1, s2)
+def test_horizontal_composition_matches_etaH_law(stencilled):
+    """A bigon whose line v = 1/2 is one point splits there into two
+    bigons; its 2-transport is the first's times the second's at the frame
+    the first's target path carries p to (4.1e-3 off at the identity
+    frame), or the second's at the source path's frame times the first's."""
+    pinched = ParamMap.from_exprs(
+        ["v", "0.4*u*sin(pi*v)*sin(2*pi*v)"], 2, name="pinched")
+    s1, s2 = piece(pinched, ["u", "v/2"]), piece(pinched, ["u", "(1+v)/2"])
     n = 96
-    p = (s1([0.0, 0.0]), SU2.group_G.identity)
-    h1 = surface_transport(SU2_CONN, s1, p, n).value_h
-    tgt1 = path_ordered_exp(SU2_CONN, s1.slice_first(1.0), n).value @ p[1]
-    h2_at = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), tgt1), n).value_h
-    hc = surface_transport(SU2_CONN, comp, p, n).value_h
-    assert np.max(np.abs(hc - h1 @ h2_at)) <= 1e-6
+    p = (pinched([0.0, 0.0]), SU2.group_G.identity)
+    first = surface_transport(SU2_CONN, s1, p, n)
+    hc = surface_transport(SU2_CONN, pinched, p, n).value_h
+    mid = s2([0.0, 0.0])
+    h2_at = surface_transport(SU2_CONN, s2, (mid, first.target_transport),
+                              n).value_h
+    assert np.max(np.abs(hc - first.value_h @ h2_at)) <= 1e-6
     # the other horizontal formula: conjugate through the source transport
-    src1 = path_ordered_exp(SU2_CONN, s1.slice_first(0.0), n).value @ p[1]
-    h2_src = surface_transport(SU2_CONN, s2, (s2([0.0, 0.0]), src1), n).value_h
-    assert np.max(np.abs(hc - h2_src @ h1)) <= 1e-6
+    h2_src = surface_transport(SU2_CONN, s2, (mid, first.source_transport),
+                               n).value_h
+    assert np.max(np.abs(hc - h2_src @ first.value_h)) <= 1e-6
+    assert stencilled == []
 
 
-def test_two_transport_interchange():
-    q11, q12 = _slab_bigon(0.0, 0.25), _slab_bigon(0.25, 0.5)
-
-    def shifted(lo, hi):
-        def fn(params):
-            u = params[..., 0][..., None]
-            v = params[..., 1][..., None]
-            w = (1 - u) * lo + u * hi
-            return np.concatenate(
-                [1.0 + 0.8 * v, w * np.sin(np.pi * v)], -1)
-        return ParamMap(2, 2, fn, name="shift")
-
-    q21, q22 = shifted(0.0, 0.25), shifted(0.25, 0.5)
+def test_two_transport_interchange(stencilled):
+    """Quarters of a bigon pinched at v = 1/2, composed vertically then
+    horizontally and the other way round, agree with each other and with
+    the whole (6.1e-3 off with every quarter at the identity frame)."""
+    bigon = ParamMap.from_exprs(["1.8*v", "0.5*u*sin(2*pi*v)"], 2)
+    (q11, q12), (q21, q22) = [
+        [piece(bigon, [u, v]) for u in ("u/2", "(1+u)/2")]
+        for v in ("v/2", "(1+v)/2")]
     n = 96
     conn = TwoConnection(
         SU2, Chart(2),
         a=[["0.3*x2", "0.15", "0.05*x1"], ["0.1", "0.25*x1", "0.15*x2"]],
         b="fake_flat")
-    p = (q11([0.0, 0.0]), SU2.group_G.identity)
+    x0, mid = bigon([0.0, 0.0]), bigon([0.0, 0.5])
+    p = (x0, SU2.group_G.identity)
 
-    lhs_bigon = compose_bigons_horizontal(compose_bigons_vertical(q11, q12),
-                                          compose_bigons_vertical(q21, q22))
-    rhs_bigon = compose_bigons_vertical(
-        compose_bigons_horizontal(q11, q21),
-        compose_bigons_horizontal(q12, q22))
-    lhs = surface_transport(conn, lhs_bigon, p, n).value_h
-    rhs = surface_transport(conn, rhs_bigon, p, n).value_h
+    h11, h12, whole = surface_values(conn, [q11, q12, bigon], p, n)
+    # the frames over the pinch that the first column's middle and target
+    # paths carry p to
+    f_mid, f_top = (path_ordered_exp(conn, target_path(q), n).value
+                    for q in (q11, q12))
+    h21, h22, h21_top = surface_values(
+        conn, [q21, q22, q21], (mid, np.stack([f_mid, f_top, f_top])), n)
+    # each column vertically, then the columns horizontally; each row
+    # horizontally, then the rows vertically
+    lhs = h11 @ h12 @ h21_top @ h22
+    rhs = h11 @ h21 @ h12 @ h22
     assert np.max(np.abs(lhs - rhs)) <= 1e-6
+    assert np.max(np.abs(lhs - whole)) <= 1e-6
+    assert stencilled == []
 
 
 def test_thin_invariance_of_surface_transport():
@@ -1040,14 +1044,17 @@ def test_holonomy2_abelian_disk():
     assert np.max(np.abs(rep["value"] - expected)) <= 1e-7
 
 
-def test_holonomy2_vertical_inverse_cancels():
-    bigon = _disk_bigon(np.array([0.5, 0.5]), 0.4)
+def test_holonomy2_vertical_inverse_cancels(stencilled):
+    """A disk followed by its reverse, as the fold sigma o (sin(pi u), v),
+    has trivial 2-holonomy (the disk alone reads |log hol| = 0.040)."""
+    disk = ParamMap.from_exprs(["0.5 + 0.4*u*(cos(2*pi*v) - 1)",
+                                "0.5 + 0.4*u*sin(2*pi*v)"], 2, name="disk")
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[["0.8*x1"]])
-    comp = compose_bigons_vertical(bigon, reverse_bigon(bigon))
-    rep, = holonomy2_H(conn, [comp], steps=96)
+    rep, = holonomy2_H(conn, [piece(disk, ["sin(pi*u)", "v"])], steps=96)
     assert np.max(np.abs(rep["value"] - 1.0)) <= 1e-7
     assert rep["same_loop"]
     assert rep["kernel_defect"] <= 1e-7
+    assert stencilled == []
 
 
 def test_holonomy2_kernel_membership_same_loop():
