@@ -15,9 +15,9 @@ from .errors import (BranchError, ComposabilityError, ConfigError,
                      SamplingError, StructureError, UnboundVariableError)
 from .dsl import Expr, evaluate, parse, to_source
 from .groups import FiniteGroup, MatrixGroup, cyclic_group
-from .twogroup import (AxiomReport, CrossedModule, TwoGroupElement,
-                       check_crossed_module, interchange_defect,
-                       two_group_compose, two_group_multiply, whisker_scalar)
+from .twogroup import (CrossedModule, TwoGroupElement, check_crossed_module,
+                       interchange_defect, two_group_compose,
+                       two_group_multiply, whisker_scalar)
 from .lie2 import LieAlgebra, LieTwoAlgebra
 from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
                        finite_demo_module, matrix_family)
@@ -29,8 +29,7 @@ from .geometry import (Chart, ParamMap, reparameterize, source_path,
 from .fields import CoefficientField, GroupValuedField, chart_grid, group_field
 from .forms import (TransitionData, TwoConnection, check_local_data,
                     fake_flatness_residual)
-from .transport import (SurfaceTransportResult, TransportResult,
-                        ambrose_singer_check, holonomy2_H, horizontal_lift,
+from .transport import (ambrose_singer_check, holonomy2_H, horizontal_lift,
                         path_ordered_exp, reconstruct_A, reconstruct_B,
                         surface_transport, verify_higher_stokes,
                         verify_nonabelian_stokes)

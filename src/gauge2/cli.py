@@ -7,6 +7,9 @@ convergence tables, prints one PASS/FAIL line per case, and exits 0 when
 every check is within tolerance, 2 on config errors, and 3 on numerical
 accuracy failures.  Reports are deterministic for a fixed config: they
 carry no timestamps and all sampling derives from the config seed.
+The library's checks return measurements only: every ``pass`` of a report
+is set here, from ``TOL`` or, for a crossed module, from the tolerance its
+check reports.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from .transport import (SIMPSON_MIN_STEPS, STOKES_MIN_STEPS,
                         reconstruct_A, reconstruct_B, surface_transport,
                         surface_values, sweep_steps, verify_higher_stokes,
                         verify_nonabelian_stokes)
-from .twogroup import check_crossed_module, interchange_defect
+from .twogroup import AXIOMS, check_crossed_module, interchange_defect
 
 TOL = {
+    "group": 1e-10,
     "stokes": 1e-6,
     "higher_stokes": 1e-5,
     "fake_flat": 1e-8,
@@ -110,24 +114,18 @@ def _write_csv(path, rows, orders):
 
 
 def run_check_crossed_module(cfg, num, rng, out, emit):
-    cases = []
     if cfg.has_finite_module():
         cm = cfg.finite_module()
-        report = check_crossed_module(cm)
+        rep = check_crossed_module(cm)
         inter = interchange_defect(cm)
     else:
         cm = cfg.family().cm
-        report = check_crossed_module(cm, samples=max(200, num["steps"]), rng=rng)
+        rep = check_crossed_module(cm, samples=max(200, num["steps"]), rng=rng)
         inter = interchange_defect(cm, rng=rng)
-    case = report.as_dict()
-    case["name"] = cm.name
-    case["interchange_defect"] = inter
-    case["pass"] = bool(report.passed and inter <= report.tolerance)
-    cases.append(case)
-    emit(case["pass"], cm.name,
-         f"axioms max defect "
-         f"{max(report.equivariance, report.peiffer, report.t_homomorphism, report.centrality):.2e}")
-    return cases
+    worst = max(rep[law] for law in AXIOMS)
+    ok = max(worst, inter) <= rep["tolerance"]
+    emit(ok, cm.name, f"axioms max defect {worst:.2e}")
+    return [{"name": cm.name, **rep, "interchange_defect": inter, "pass": ok}]
 
 
 def run_torsor_selftest(cfg, num, rng, out, emit):
@@ -143,35 +141,26 @@ def run_transport(cfg, num, rng, out, emit):
     conn = cfg.connection()
     cases = []
     for name, pm in cfg.param_maps("paths").items():
-        res = path_ordered_exp(conn, pm, steps=num["steps"],
+        rep = path_ordered_exp(conn, pm, steps=num["steps"],
                                sweep=_halvings(num, "transport"))
-        ok = res.group_defect <= 1e-10 and _converged(res.order_estimate)
-        case = {"name": name, "value": _jsonable(res.value),
-                "steps": res.steps, "group_defect": res.group_defect,
-                "order_estimate": res.order_estimate, "pass": ok}
-        cases.append(case)
-        emit(ok, name, f"group defect {res.group_defect:.2e}")
+        ok = (rep["group_defect"] <= TOL["group"]
+              and _converged(rep["order_estimate"]))
+        cases.append({"name": name, **rep, "pass": ok})
+        emit(ok, name, f"group defect {rep['group_defect']:.2e}")
     return cases
 
 
 def run_surface_transport(cfg, num, rng, out, emit):
     conn = cfg.connection()
-    fam = cfg.family()
     cases = []
     for name, pm in cfg.param_maps("bigons").items():
-        res = surface_transport(conn, pm, None, num["surface_steps"],
+        rep = surface_transport(conn, pm, None, num["surface_steps"],
                                 sweep=_halvings(num, "surface-transport"))
-        tid = res.target_identity_defect(fam)
-        ok = (res.group_defect <= 1e-10 and tid <= TOL["target_identity"]
-              and _converged(res.order_estimate))
-        case = {"name": name, "value_h": _jsonable(res.value_h),
-                "source_transport": _jsonable(res.source_transport),
-                "target_transport": _jsonable(res.target_transport),
-                "steps_s": res.steps, "steps_t": res.steps,
-                "group_defect": res.group_defect,
-                "target_identity_defect": tid,
-                "order_estimate": res.order_estimate, "pass": ok}
-        cases.append(case)
+        tid = rep["target_identity_defect"]
+        ok = (rep["group_defect"] <= TOL["group"]
+              and tid <= TOL["target_identity"]
+              and _converged(rep["order_estimate"]))
+        cases.append({"name": name, **rep, "pass": ok})
         emit(ok, name, f"target identity defect {tid:.2e}")
     return cases
 
@@ -210,18 +199,24 @@ def run_verify_higher_stokes(cfg, num, rng, out, emit):
     return cases
 
 
+def _fake_flat(conn, grid, tol):
+    """The fake-flatness residual of ``conn`` on ``grid``, judged at TOL[tol]."""
+    rep = fake_flatness_residual(conn, grid)
+    return {**rep, "pass": rep["residual"] <= TOL[tol]}
+
+
 def run_verify_fake_flat(cfg, num, rng, out, emit):
     conn = cfg.connection()
     grid = chart_grid(conn.chart, num["grid_per_axis"])
-    rep = fake_flatness_residual(conn, grid, TOL["fake_flat"])
+    rep = _fake_flat(conn, grid, "fake_flat")
     emit(rep["pass"], "fake-flat", f"residual {rep['residual']:.2e}")
     cases = [{"name": "fake-flat", **rep}]
     if "transition" in cfg.raw:
-        td = cfg.transition()
-        local = check_local_data(conn, conn, td, grid,
-                                 tol=TOL["local_data"])
-        emit(local["pass"], "local-data", f"a defect {local['a_defect']:.2e}")
-        cases.append({"name": "local-data", **local})
+        local = check_local_data(conn, conn, cfg.transition(), grid)
+        ok = (max(local["a_defect"], local["b_defect"]) <= TOL["local_data"]
+              and local["transition_membership_defect"] <= TOL["group"])
+        emit(ok, "local-data", f"a defect {local['a_defect']:.2e}")
+        cases.append({"name": "local-data", **local, "pass": ok})
     return cases
 
 
@@ -229,9 +224,9 @@ def run_gauge_transform(cfg, num, rng, out, emit):
     conn = cfg.connection()
     m = cfg.morphism()
     grid = chart_grid(conn.chart, num["grid_per_axis"])
-    before = fake_flatness_residual(conn, grid, TOL["fake_flat"])
+    before = _fake_flat(conn, grid, "fake_flat")
     transformed = gauge_transform(conn, m)
-    after = fake_flatness_residual(transformed, grid, TOL["gauge_fake_flat"])
+    after = _fake_flat(transformed, grid, "gauge_fake_flat")
     membership = m.membership_defect(grid)
     # the transform must preserve fake-flatness when the input has it
     ok = ((not before["pass"] or after["pass"])
@@ -308,16 +303,17 @@ def run_verify_thin(cfg, num, rng, out, emit):
 
 def run_verify_ambrose_singer(cfg, num, rng, out, emit):
     conn = cfg.connection()
-    rep = ambrose_singer_check(conn, rng=rng, steps=num["surface_steps"],
-                               span_tol=TOL["as_span"],
-                               derivative_tol=TOL["as_derivative"])
-    ok = bool(rep["containment_pass"] and rep["derivative_pass"])
+    rep = ambrose_singer_check(conn, rng=rng, steps=num["surface_steps"])
+    del rep["span_basis"]
+    # both bounds grow with the size of the 2-holonomies
+    scale = 1.0 + rep["holonomy_scale"]
+    rep["containment_pass"] = rep["containment_residual"] <= TOL["as_span"] * scale
+    rep["derivative_pass"] = rep["derivative_defect"] <= TOL["as_derivative"] * scale
+    ok = rep["containment_pass"] and rep["derivative_pass"]
     emit(ok, "ambrose-singer",
          f"span rank {rep['span_rank']} containment "
          f"{rep['containment_residual']:.2e} derivative "
          f"{rep['derivative_defect']:.2e}")
-    rep = dict(rep)
-    rep.pop("span_basis", None)
     return [{"name": "ambrose-singer", **rep, "pass": ok}]
 
 
@@ -526,19 +522,27 @@ def build_parser():
 
 # Built once: parse_args keeps no state between calls.
 PARSER = build_parser()
-TARGET_ERRORS = {"verify": "unknown verify target {!r}",
-                 "reconstruct": "reconstruct needs A or B, got {!r}"}
+
+
+def _target_error(command, what):
+    """Why ``what`` is no target of ``command``, or None: verify and
+    reconstruct need one of their RUNNERS, no other command takes one."""
+    targets = [name[len(command) + 1:] for name in RUNNERS
+               if name.startswith(command + "-")]
+    if what in targets or not targets and what is None:
+        return None
+    if not targets:
+        return f"{command} takes no target, got {what!r}"
+    return f"{command} needs a target, one of {' | '.join(targets)}, got {what!r}"
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    command = args.command
-    if command in TARGET_ERRORS:
-        command = f"{command}-{args.what}"
-        if command not in RUNNERS:
-            print("error: " + TARGET_ERRORS[args.command].format(args.what),
-                  file=sys.stderr)
-            return 2
+    error = _target_error(args.command, args.what)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    command = args.command if args.what is None else f"{args.command}-{args.what}"
     try:
         cfg = load_config(args.config)
         # flags rebuild the config: the schema checks them, and config_hash

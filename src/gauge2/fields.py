@@ -63,14 +63,14 @@ def jet(fn, points, axes=None, step=FD_STEP):
     return fn(p), directional_diff(fn, p, directions, step)
 
 
-def chart_grid(chart, per_axis=5, pad=0.15):
+def chart_grid(chart, per_axis=5):
     """Uniform grid of points over the chart's box (default [0,1]^d),
-    shrunk by ``pad`` so finite-difference stencils stay inside."""
+    shrunk by 15 % of each side so finite-difference stencils stay inside."""
     if chart.box is None:
         box = np.stack([np.zeros(chart.dim), np.ones(chart.dim)], axis=-1)
     else:
         box = chart.box
-    axes = [np.linspace(lo + pad * (hi - lo), hi - pad * (hi - lo), per_axis)
+    axes = [np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), per_axis)
             for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, chart.dim)

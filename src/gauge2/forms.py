@@ -204,16 +204,16 @@ class TwoConnection:
 # --- module operations ---------------------------------------------------------
 
 
-def fake_flatness_residual(conn: TwoConnection, grid, tol: float) -> dict:
-    """Max-norm of t_* b - F_a over the grid, with a pass flag at ``tol``;
-    the max of the residuals of blocks of ``_BLOCK`` points."""
+def fake_flatness_residual(conn: TwoConnection, grid) -> dict:
+    """Max-norm of t_* b - F_a over the grid: the max of the residuals of
+    blocks of ``_BLOCK`` points."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     worst = 0.0
     for s in _blocks(len(grid)):
         F = conn.F_pairs(grid[s])
         tb = conn.family.l2a.apply_t_star(conn._b_pairs(grid[s], F))
         worst = max(worst, float(np.max(np.abs(tb - F), initial=0.0)))
-    return {"residual": worst, "pass": worst <= tol, "grid_points": len(grid)}
+    return {"residual": worst, "grid_points": len(grid)}
 
 
 class TransitionData:
@@ -229,15 +229,14 @@ class TransitionData:
 
 
 def check_local_data(conn_i: TwoConnection, conn_j: TwoConnection,
-                     transition: TransitionData, grid=None,
-                     tol=1e-7) -> dict:
+                     transition: TransitionData, grid=None) -> dict:
     """Verify the two gluing equations on the overlap grid.
 
         a_i = g^-1 a_j g + g^-1 dg = Ad_{g^-1}(a_j + dg g^-1),
         b_i = (alpha_{g^-1})_* b_j,
 
-    on every chart axis and pair at once.  Returns both max defects and a
-    pass flag at ``tol``.
+    on every chart axis and pair at once.  Returns both max defects and
+    the transition's group membership defect.
     """
     if grid is None:
         grid = chart_grid(transition.chart)
@@ -254,5 +253,4 @@ def check_local_data(conn_i: TwoConnection, conn_j: TwoConnection,
     membership = fam.group_G.membership_defect(g)
     return {"a_defect": a_defect, "b_defect": b_defect,
             "transition_membership_defect": membership,
-            "pass": max(a_defect, b_defect) <= tol and membership <= 1e-10,
             "grid_points": int(len(np.atleast_2d(grid)))}

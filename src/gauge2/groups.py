@@ -369,9 +369,9 @@ class MatrixGroup:
         spin = np.moveaxis(spin_coordinates(w), -1, 0)
         return self.from_spin(spin[0], quaternion_exp(spin[1:]))
 
-    def log(self, g, branch_margin=1e-12):
+    def log(self, g):
         """Principal logarithm, batched over leading axes.  BranchError when
-        an eigenvalue angle reaches pi (1 - margin), outside the injectivity
+        an eigenvalue angle reaches pi (1 - 1e-12), outside the injectivity
         radius of exp, or when exp(log g) misses g by more than 1e-9."""
         g = np.asarray(g, dtype=float if self.real else complex)
         phase = (np.angle(self._det(g)) / self.dim if self.kind == "unitary"
@@ -392,7 +392,7 @@ class MatrixGroup:
         theta = np.arctan2(norm, q[..., 0])
         # the rotation angle of SO(3) is twice the quaternion angle
         worst = 2.0 * theta if self.real else np.abs(phase) + theta
-        if np.max(worst, initial=0.0) >= np.pi * (1.0 - branch_margin):
+        if np.max(worst, initial=0.0) >= np.pi * (1.0 - 1e-12):
             raise BranchError(
                 f"element of {self.name} outside the principal branch "
                 f"(eigenvalue angle {np.max(worst):.6f})")

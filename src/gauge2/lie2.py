@@ -59,13 +59,13 @@ class LieAlgebra:
         return np.concatenate([m.real.reshape(*m.shape[:-2], -1),
                                m.imag.reshape(*m.shape[:-2], -1)], axis=-1)
 
-    def _check_structure(self, tol=1e-10):
+    def _check_structure(self):
         c = self.structure
         anti = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
         jac = np.einsum("ijm,mkl->ijkl", c, c)
         jacobi = np.max(np.abs(jac + np.transpose(jac, (1, 2, 0, 3))
                                + np.transpose(jac, (2, 0, 1, 3))))
-        if max(anti, jacobi) > tol:
+        if max(anti, jacobi) > 1e-10:
             raise StructureError(
                 f"{self.name}: structure constants defect "
                 f"antisymmetry={anti:.2e}, Jacobi={jacobi:.2e}")
@@ -77,14 +77,14 @@ class LieAlgebra:
         return (vec.reshape(-1, self.dim) @ self._flat_basis).reshape(
             vec.shape[:-1] + (n, n))
 
-    def from_matrix(self, m, tol=1e-8):
+    def from_matrix(self, m):
         """Matrix (..., n, n) -> coefficient vector(s); each matrix must lie
-        in the span, to ``tol`` relative to its own largest entry."""
+        in the span, to 1e-8 relative to its own largest entry."""
         m = np.asarray(m)
         flat = self._flatten(m)
         coeff = flat @ self._pinv.T if flat.ndim > 1 else self._pinv @ flat
         residual = np.max(np.abs(self.to_matrix(coeff) - m), axis=(-2, -1))
-        if np.any(residual > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))):
+        if np.any(residual > 1e-8 * (1.0 + np.max(np.abs(m), axis=(-2, -1)))):
             raise DomainError(
                 f"matrix outside the span of the {self.name} basis "
                 f"(residual {np.max(residual):.3e})")
@@ -219,7 +219,7 @@ def _basis_pairs(dim):
     return eye[:, None], eye[None, :]
 
 
-def _null_space(a, tol=1e-12):
+def _null_space(a):
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * max(a.shape)))
+    rank = int(np.sum(s > 1e-12 * max(a.shape)))
     return vh[rank:]

@@ -179,7 +179,7 @@ def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
 
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
                               morphisms, bigon: ParamMap, steps: int = 48,
-                              grid=None, a_defects=None) -> list:
+                              a_defects=None) -> list:
     """Check the H-valued compatibility square of each of a stack of gauge
     1-morphisms from ``conn`` to ``conn_prime``; one report of defects
     each, which the caller compares with its tolerances.
@@ -210,7 +210,7 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
                                              h.mul(tra2, rho[:, 1]))]
 
     if a_defects is None:
-        a_defects = pullback_defects(conn, conn_prime, morphisms, grid)
+        a_defects = pullback_defects(conn, conn_prime, morphisms)
     return [{"square_defect": sq, "a_pullback_defect": ad}
             for sq, ad in zip(square, a_defects)]
 

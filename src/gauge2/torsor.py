@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EquivarianceError
-from .twogroup import CrossedModule, TwoGroupElement, two_group_compose
+from .twogroup import (MATRIX_MATCH_TOL, CrossedModule, TwoGroupElement,
+                       two_group_compose)
 
 __all__ = [
     "Torsor2", "TorsorObject", "TorsorArrow", "TorsorMorphism", "EtaH",
@@ -145,12 +146,12 @@ class TorsorMorphism:
         q = torsor_divide(idp, x)
         return self.target.identity_arrow(self(x.source)).act(q)
 
-    def check_equivariance(self, tol=0.0):
+    def check_equivariance(self):
         cm = self.source.cm
         p, g = np.indices((cm.G.order,) * 2, sparse=True)
         p = self.source.object(p)
         d = cm.G.distance(self(p.act(g)).g, self(p).act(g).g)
-        _raise_first(False, d > tol, cm.G.order, None,
+        _raise_first(False, d > 0.0, cm.G.order, None,
                      "point map is not equivariant at ({}, {})")
         return self
 
@@ -228,9 +229,9 @@ class EtaH:
         """Max defect of the two eta_H laws over all objects and elements."""
         return float(max(np.max(d, initial=0.0) for d in self._law_distances()))
 
-    def check_laws(self, tol=0.0):
+    def check_laws(self):
         """Raise EquivarianceError at the first object where a law fails."""
-        _raise_first(*(d > tol for d in self._law_distances()),
+        _raise_first(*(d > 0.0 for d in self._law_distances()),
                      self.F.source.cm.G.order,
                      "t(eta_H) does not match the functor division at {}",
                      "eta_H equivariance fails at ({}, {})")
@@ -245,7 +246,7 @@ def eta_to_etaH(eta, F: TorsorMorphism, F_prime: TorsorMorphism,
     eta(p.g) = eta(p).id_g; violations raise with a witness.
     """
     cm = F.source.cm
-    tol = 0.0 if cm.is_finite else cm.match_tol
+    tol = 0.0 if cm.is_finite else MATRIX_MATCH_TOL
 
     if check and cm.is_finite:
         p, g = np.indices((cm.G.order,) * 2, sparse=True)

@@ -11,7 +11,7 @@ each axiom check is one evaluation over all its instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from .errors import ComposabilityError, DomainError, StructureError
 from .groups import FiniteGroup, lookup
 
 __all__ = [
-    "CrossedModule", "TwoGroupElement", "AxiomReport",
+    "CrossedModule", "TwoGroupElement", "AXIOMS",
     "two_group_multiply", "two_group_compose", "whisker_scalar",
     "check_crossed_module", "interchange_defect",
 ]
 
 MATRIX_MATCH_TOL = 1e-9
+AXIOMS = ("equivariance", "peiffer", "t_homomorphism", "centrality")
 
 
 @dataclass
@@ -45,7 +46,6 @@ class CrossedModule:
     sample_G: object = None  # (rng, shape=()) -> a shape-batch of G elements,
     sample_H: object = None  # of H; equal to as many single calls, in order
     ker_t_elements: object = None  # () -> iterable of H elements, or None
-    match_tol: float = MATRIX_MATCH_TOL
 
     @property
     def is_finite(self) -> bool:
@@ -138,8 +138,7 @@ def two_group_compose(y: TwoGroupElement, x: TwoGroupElement) -> TwoGroupElement
     _require_same_module(x, y)
     cm = x.cm
     mismatch = cm.G.defect(y.source, x.target)
-    tol = 0.0 if cm.is_finite else cm.match_tol
-    if mismatch > tol:
+    if mismatch > (0.0 if cm.is_finite else MATRIX_MATCH_TOL):
         raise ComposabilityError(
             f"cells are not composable: source/target mismatch {mismatch:.3e}",
             mismatch=mismatch)
@@ -153,49 +152,20 @@ def whisker_scalar(cm: CrossedModule, h, h_prime):
 
 # --- axiom checking ----------------------------------------------------------
 
-@dataclass
-class AxiomReport:
-    """Max defects of the crossed-module axioms over a sample plan."""
-
-    equivariance: float
-    peiffer: float
-    t_homomorphism: float
-    centrality: float
-    tolerance: float
-    samples: int
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return max(self.equivariance, self.peiffer,
-                   self.t_homomorphism, self.centrality) <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "equivariance": self.equivariance,
-            "peiffer": self.peiffer,
-            "t_homomorphism": self.t_homomorphism,
-            "centrality": self.centrality,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "pass": self.passed,
-            "witnesses": {k: str(v) for k, v in self.witnesses.items()},
-        }
-
-
 def check_crossed_module(cm: CrossedModule, samples: int = 200,
-                         rng=None, tolerance=None) -> AxiomReport:
-    """Evaluate both crossed-module axioms plus homomorphy of t and
-    centrality of ker t; exact (tolerance 0) for finite backends.
+                         rng=None) -> dict:
+    """Max defects of both crossed-module axioms, homomorphy of t and
+    centrality of ker t, with the module's ``tolerance``: 0 for finite
+    backends, which are checked exactly, and ``MATRIX_MATCH_TOL`` for
+    matrix ones.
 
     Each axiom is one evaluation over all (g, h, h') of a finite module or
     ``samples`` drawn triples; its witness is the first of largest defect,
-    recorded only when that defect exceeds the tolerance.
+    recorded, as a string, only when that defect exceeds the tolerance.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if tolerance is None:
-        tolerance = 0.0 if cm.is_finite else MATRIX_MATCH_TOL
+    tolerance = 0.0 if cm.is_finite else MATRIX_MATCH_TOL
     G, H, t, alpha = cm.G, cm.H, cm.t, cm.alpha
 
     if cm.is_finite:
@@ -230,10 +200,10 @@ def check_crossed_module(cm: CrossedModule, samples: int = 200,
         i = int(np.argmax(d))
         defects[name] = float(d[i])
         if defects[name] > tolerance:
-            witnesses[name] = tuple(lookup(a, i) for a in args)
+            witnesses[name] = str(tuple(lookup(a, i) for a in args))
 
-    return AxiomReport(**defects, tolerance=tolerance, samples=len(g),
-                       witnesses=witnesses)
+    return {**defects, "tolerance": tolerance, "samples": len(g),
+            "witnesses": witnesses}
 
 
 def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> float:

@@ -91,6 +91,31 @@ def test_unknown_verify_target(tmp_path, capsys):
     assert main(["verify", "everything", "--config", path]) == 2
 
 
+VERIFY_TARGETS = [name.partition("-")[2] for name in gauge2.cli.RUNNERS
+                  if name.startswith("verify-")]
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["transport", "stokes"], ["transport takes no target", "'stokes'"]),
+    (["report", "A"], ["report takes no target", "'A'"]),
+    (["verify"], ["verify needs a target", *VERIFY_TARGETS]),
+    (["verify", "everything"], ["'everything'", *VERIFY_TARGETS]),
+    (["reconstruct"], ["reconstruct needs a target", "A | B"]),
+], ids=["stray", "stray-report", "missing-verify", "unknown-verify",
+        "missing-reconstruct"])
+def test_a_target_is_judged_before_the_command_runs(tmp_path, capsys, argv,
+                                                    words):
+    """Only verify and reconstruct take a target, one of their RUNNERS: a
+    stray, missing or unknown target exits 2 naming it or the valid ones,
+    and leaves no --out directory."""
+    out = tmp_path / "out"
+    code = main([*argv, "--config", _write(tmp_path, MINIMAL), "--out",
+                 str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert all(word in err for word in words), err
+
+
 def test_torsor_selftest_cli(tmp_path, capsys):
     path = _write(tmp_path, FINITE)
     code = main(["torsor-selftest", "--config", path,
@@ -931,41 +956,86 @@ def test_gauge_transform_judges_its_output_at_one_tolerance(
     assert code == (0 if ok else 3)
 
 
-@pytest.mark.parametrize("argv,config,key,tol", [
-    (["verify", "higher-stokes"], "u2pu2_higher", "kernel_defect",
-     "higher_stokes"),
-    (["verify", "higher-stokes"], "u2pu2_higher", "bianchi_defect",
-     "fake_flat"),
-    (["gauge-transform"], "su2_demo", "morphism_membership_defect",
-     "gauge_a_grid"),
-], ids=["kernel", "bianchi", "membership"])
+TRANSITION = {**FIELDS, "transition": {"g": ["0.4"]}}
+
+
+def _tol(name):
+    return lambda case: gauge2.cli.TOL[name]
+
+
+def _relative(name):
+    """An Ambrose-Singer bound: TOL[name] relative to the holonomy scale."""
+    return lambda case: gauge2.cli.TOL[name] * (1.0 + case["holonomy_scale"])
+
+
+# (argv, config, the patched function's owner and name, key, its bound)
+VERDICTS = {
+    "kernel": (["verify", "higher-stokes"], "u2pu2_higher", gauge2.cli,
+               "verify_higher_stokes", "kernel_defect", _tol("higher_stokes")),
+    "bianchi": (["verify", "higher-stokes"], "u2pu2_higher", gauge2.cli,
+                "verify_higher_stokes", "bianchi_defect", _tol("fake_flat")),
+    "membership": (["gauge-transform"], "su2_demo", OneMorphism,
+                   "membership_defect", "morphism_membership_defect",
+                   _tol("gauge_a_grid")),
+    "transport-group": (["transport"], "su2_demo", gauge2.cli,
+                        "path_ordered_exp", "group_defect", _tol("group")),
+    "surface-group": (["surface-transport"], "su2_demo", gauge2.cli,
+                      "surface_transport", "group_defect", _tol("group")),
+    "surface-target-identity": (["surface-transport"], "su2_demo", gauge2.cli,
+                                "surface_transport", "target_identity_defect",
+                                _tol("target_identity")),
+    "fake-flat": (["verify", "fake-flat"], "u2pu2_higher", gauge2.cli,
+                  "fake_flatness_residual", "residual", _tol("fake_flat")),
+    "local-data-a": (["verify", "fake-flat"], TRANSITION, gauge2.cli,
+                     "check_local_data", "a_defect", _tol("local_data")),
+    "local-data-b": (["verify", "fake-flat"], TRANSITION, gauge2.cli,
+                     "check_local_data", "b_defect", _tol("local_data")),
+    "local-data-membership": (["verify", "fake-flat"], TRANSITION, gauge2.cli,
+                              "check_local_data",
+                              "transition_membership_defect", _tol("group")),
+    "containment": (["verify", "ambrose-singer"], "u2pu2_higher", gauge2.cli,
+                    "ambrose_singer_check", "containment_residual",
+                    _relative("as_span")),
+    "derivative": (["verify", "ambrose-singer"], "u2pu2_higher", gauge2.cli,
+                   "ambrose_singer_check", "derivative_defect",
+                   _relative("as_derivative")),
+    "interchange": (["check-crossed-module"], "su2_demo", gauge2.cli,
+                    "interchange_defect", "interchange_defect",
+                    lambda case: case["tolerance"]),
+}
+
+
+@pytest.mark.parametrize("argv,config,owner,solver,key,bound",
+                         VERDICTS.values(), ids=VERDICTS)
 def test_a_defect_over_its_tolerance_fails_its_case(
-        tmp_path, monkeypatch, argv, config, key, tol):
-    """The kernel and Bianchi defects of verify higher-stokes and the
-    morphism's membership defect have verdicts: the shipped config passes,
-    and its one case fails, exit 3, once the key is pushed over its
-    tolerance."""
+        tmp_path, monkeypatch, argv, config, owner, solver, key, bound):
+    """Every verdict cli.py sets can flip: the config passes, and each case
+    that carries the key fails, exit 3, once the library's measurement is
+    twice the key's bound."""
+    path = (str(CONFIGS / f"{config}.json") if isinstance(config, str)
+            else _write(tmp_path, config))
     report = tmp_path / f"{'-'.join(argv)}.json"
 
     def run():
-        code = main([*argv, "--config", str(CONFIGS / f"{config}.json"),
-                     "--out", str(tmp_path), "--quiet"])
-        case, = json.loads(report.read_text())["cases"]
-        return code, case
+        code = main([*argv, "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        cases = json.loads(report.read_text())["cases"]
+        return code, cases, [c for c in cases if key in c]
 
-    code, case = run()
-    assert code == 0 and case["pass"] and case[key] <= gauge2.cli.TOL[tol]
-    over = 2 * gauge2.cli.TOL[tol]
-    if key == "morphism_membership_defect":
-        monkeypatch.setattr(OneMorphism, "membership_defect",
-                            lambda self, grid: over)
-    else:
-        solve = gauge2.cli.verify_higher_stokes
-        monkeypatch.setattr(gauge2.cli, "verify_higher_stokes",
-                            lambda *args, **kwargs: {**solve(*args, **kwargs),
-                                                     key: over})
-    code, case = run()
-    assert code == 3 and not case["pass"] and case[key] == over
+    code, cases, judged = run()
+    assert code == 0 and all(c["pass"] for c in cases) and judged
+    assert all(c[key] <= bound(c) for c in judged)
+    over = 2 * max(bound(c) for c in judged)
+    solve = getattr(owner, solver)
+
+    def patched(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        return {**rep, key: over} if isinstance(rep, dict) else over
+
+    monkeypatch.setattr(owner, solver, patched)
+    code, cases, judged = run()
+    assert code == 3 and judged
+    assert all(c[key] == over and not c["pass"] for c in judged)
 
 
 def test_field_math_error_at_a_point_stays_a_numerical_failure(tmp_path):
@@ -978,8 +1048,7 @@ def test_field_math_error_at_a_point_stays_a_numerical_failure(tmp_path):
 def test_transition_config_runs(tmp_path):
     # a constant U(1) transition leaves the abelian connection unchanged,
     # so the connection glues to itself through it
-    raw = {**FIELDS, "transition": {"g": ["0.4"]}}
-    path = _write(tmp_path, raw)
+    path = _write(tmp_path, TRANSITION)
     assert main(["verify", "fake-flat", "--config", path, "--out",
                  str(tmp_path / "out"), "--quiet"]) == 0
     cases = json.loads((tmp_path / "out" / "verify-fake-flat.json")

@@ -17,6 +17,18 @@ from gauge2.geometry import Chart
 from gauge2.morphisms import OneMorphism, gauge_transform
 from gauge2.transport import _simpson_grid
 
+
+def _fake_flat(rep):
+    """The CLI's verdict on a fake-flatness residual."""
+    return rep["residual"] <= TOL["fake_flat"]
+
+
+def _glues(rep):
+    """The CLI's verdict on a local-data report."""
+    return (max(rep["a_defect"], rep["b_defect"]) <= TOL["local_data"]
+            and rep["transition_membership_defect"] <= TOL["group"])
+
+
 EX, EY, EZ = np.eye(3)
 
 
@@ -88,15 +100,15 @@ def test_fake_flat_by_construction(su2):
     conn = TwoConnection(su2, Chart(2),
                          a=[["0.6*x2", "0.3", "0.1*x1"],
                             ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
-    assert rep["pass"]
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
+    assert _fake_flat(rep)
 
 
 def test_fake_flat_fails_when_t_kills_b(u1t):
     conn = TwoConnection(u1t, Chart(2), a=[["0"], ["x1"]], b=[["0"]])
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
     # t == e makes t_* b = 0, so the residual is max |F_a| = 1
-    assert not rep["pass"]
+    assert not _fake_flat(rep)
     assert abs(rep["residual"] - 1.0) <= 1e-8
 
 
@@ -106,8 +118,8 @@ def test_fake_flat_with_kernel_part(u2p):
         a=[["0.5*x2", "0.2", "0.1*x1"], ["0.3", "0.4*x1", "0.2*x2"]],
         b="fake_flat",
         b_extra=[["0.4*x1 + 0.3*x2", "0", "0", "0"]])
-    rep = fake_flatness_residual(conn, chart_grid(conn.chart), TOL["fake_flat"])
-    assert rep["pass"]   # the trace part lies in ker t_*
+    rep = fake_flatness_residual(conn, chart_grid(conn.chart))
+    assert _fake_flat(rep)   # the trace part lies in ker t_*
 
 
 def test_three_curvature_constant_b(u1t):
@@ -214,7 +226,7 @@ def test_check_local_data_identity_transition(su2):
                             ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
     td = TransitionData(su2, chart, ["0", "0", "0"])
     rep = check_local_data(conn, conn, td)
-    assert rep["pass"]
+    assert _glues(rep)
 
 
 def test_check_local_data_abelian_gauge_term(u1):
@@ -226,7 +238,7 @@ def test_check_local_data_abelian_gauge_term(u1):
                            b="fake_flat")
     td = TransitionData(u1, chart, ["0.7*x1*x2"])
     rep = check_local_data(conn_i, conn_j, td)
-    assert rep["pass"], rep
+    assert _glues(rep), rep
 
 
 def test_check_local_data_su2_pushforward(su2):
@@ -241,7 +253,7 @@ def test_check_local_data_su2_pushforward(su2):
     conn_i = gauge_transform(conn_j, m)
     td = TransitionData(su2, chart, g_exprs)
     rep = check_local_data(conn_i, conn_j, td)
-    assert rep["pass"], rep
+    assert _glues(rep), rep
     assert rep["transition_membership_defect"] <= 1e-10
 
 
@@ -255,7 +267,7 @@ def test_local_data_detects_mismatch(su2):
                               ["0.2", "0.5*x1", "0.3*x2"]], b="fake_flat")
     td = TransitionData(su2, chart, ["0", "0", "0"])
     rep = check_local_data(conn_i, conn_j, td)
-    assert not rep["pass"]
+    assert not _glues(rep)
 
 
 def test_coefficient_field_guards():
@@ -427,7 +439,7 @@ def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
     ref = max(float(np.max(np.abs(
         conn.family.l2a.apply_t_star(_ref_b(conn, grid, eye[k], eye[l]))
         - _ref_F(conn, grid, eye[k], eye[l])))) for (k, l) in conn.pairs)
-    assert fake_flatness_residual(conn, grid, TOL["fake_flat"])["residual"] == ref
+    assert fake_flatness_residual(conn, grid)["residual"] == ref
 
 
 def test_gauge_transform_bitwise_equal_per_axis_formulas(su2):
@@ -496,7 +508,7 @@ def test_each_field_is_evaluated_once_per_stencil_point(u2p):
 
     grid = chart_grid(Chart(3), 3)
     conn = TwoConnection(u2p, Chart(3), a=counting_a, b="fake_flat")
-    for form in [lambda: fake_flatness_residual(conn, grid, TOL["fake_flat"]),
+    for form in [lambda: fake_flatness_residual(conn, grid),
                  lambda: conn.F_of(grid, EX + EY, EZ)]:
         calls.clear()
         form()
@@ -529,13 +541,13 @@ def test_fake_flat_residual_checks_every_pair(case, wrong):
     name, a, b = _fake_flat_cases()[case]
     family = matrix_family(name)
     grid = chart_grid(Chart(3))
-    assert fake_flatness_residual(
-        TwoConnection(family, Chart(3), a=a, b=b), grid, TOL["fake_flat"])["pass"]
+    assert _fake_flat(fake_flatness_residual(
+        TwoConnection(family, Chart(3), a=a, b=b), grid))
     b = [list(row) for row in b]
     b[wrong][0] += " + 0.25"
     rep = fake_flatness_residual(TwoConnection(family, Chart(3), a=a, b=b),
-                                 grid, TOL["fake_flat"])
-    assert not rep["pass"]
+                                 grid)
+    assert not _fake_flat(rep)
     assert abs(rep["residual"] - 0.25) <= 1e-9
 
 
@@ -589,7 +601,7 @@ def test_exact_fake_flat_three_curvature_is_d_of_b_extra(u2p):
     assert np.max(np.abs(K - want)) <= 1e-13
     assert np.max(np.abs(u2p.l2a.apply_t_star(K))) <= 1e-13   # Bianchi
     assert fake_flatness_residual(
-        conn, chart_grid(conn.chart), TOL["fake_flat"])["residual"] <= 1e-13
+        conn, chart_grid(conn.chart))["residual"] <= 1e-13
 
 
 def test_exact_and_stencil_paths_agree(u2p):
@@ -618,11 +630,11 @@ def test_fake_flat_residual_peak_memory_on_a_36_cube_grid():
     grid = chart_grid(conn.chart, 36)
     tracemalloc.start()
     try:
-        rep = fake_flatness_residual(conn, grid, TOL["fake_flat"])
+        rep = fake_flatness_residual(conn, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["pass"] and rep["grid_points"] == 36 ** 3
+    assert _fake_flat(rep) and rep["grid_points"] == 36 ** 3
     assert peak <= 6 * 2 ** 20
 
 

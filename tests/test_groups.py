@@ -240,7 +240,7 @@ def test_su2_transport_hot_path_avoids_svd_and_det(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
     res = surface_transport(conn, lens, steps=16)
-    assert res.group_defect <= 1e-13
+    assert res["group_defect"] <= 1e-13
     rep = verify_nonabelian_stokes(conn, lens, steps=16)
     assert rep["defect"] <= 1e-6
 

@@ -13,7 +13,13 @@ from gauge2.torsor import (EtaH, Torsor2, _pinned, eta_to_etaH, etaH_to_eta,
                            extend_functor, horizontal_compose_etaH, selftest,
                            torsor_divide, translation_functor,
                            vertical_compose_etaH)
-from gauge2.twogroup import check_crossed_module, interchange_defect
+from gauge2.twogroup import AXIOMS, check_crossed_module, interchange_defect
+
+
+def _axioms_hold(report):
+    """The CLI's verdict on the axioms, at the module's own tolerance."""
+    return max(report[law] for law in AXIOMS) <= report["tolerance"]
+
 
 S3 = list(itertools.permutations(range(3)))
 A3 = [0, 3, 4]      # the even permutations in S3's listing order
@@ -231,10 +237,9 @@ def test_selftest_peiffer_broken_law_table():
 def test_s3_with_trivial_action_is_rejected():
     cm = s3_module(conjugation=False)
     report = check_crossed_module(cm)
-    assert not report.passed
-    assert report.witnesses["equivariance"] == (1, 2)
-    assert report.witnesses["peiffer"] == (1, 2)
-    assert report.as_dict()["witnesses"]["peiffer"] == "(1, 2)"
+    assert not _axioms_hold(report)
+    assert report["witnesses"]["equivariance"] == "(1, 2)"
+    assert report["witnesses"]["peiffer"] == "(1, 2)"
     for check in (selftest, interchange_defect):
         with pytest.raises(ComposabilityError) as err:
             check(cm)
@@ -262,8 +267,7 @@ def test_relabelled_modules_give_identical_tables(data):
     tau = data.draw(st.permutations(range(cm.H.order)))
     other = relabel(cm, sigma, tau)
     assert list(selftest(other).items()) == list(selftest(cm).items())
-    assert (check_crossed_module(other).as_dict()
-            == check_crossed_module(cm).as_dict())
+    assert check_crossed_module(other) == check_crossed_module(cm)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,11 +281,9 @@ def test_perturbed_t_table_rejected_with_first_witness(data):
     alpha = cm.alpha(np.arange(cm.G.order)[:, None], np.arange(cm.H.order))
     bad = finite_crossed_module(cm.G, cm.H, t, alpha)
     report = check_crossed_module(bad)
-    assert not report.passed
+    assert not _axioms_hold(report)
     expected = brute_force_witnesses(bad)
-    assert report.witnesses == expected
-    assert report.as_dict()["witnesses"] == {k: str(v)
-                                             for k, v in expected.items()}
+    assert report["witnesses"] == {k: str(v) for k, v in expected.items()}
 
 
 def test_selftest_requires_finite_backend():

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import gauge2.morphisms
 import gauge2.transport
-from gauge2.cli import main
+from gauge2.cli import TOL, main
 from gauge2.errors import ComposabilityError, DomainError
 from gauge2.families import matrix_family
 from gauge2.forms import TwoConnection
@@ -55,15 +55,15 @@ def lens_bigon(k=0.25):
 def test_path_zero_connection_is_identity():
     conn = TwoConnection(U1, Chart(2), a=[["0"], ["0"]], b="fake_flat")
     res = path_ordered_exp(conn, bulge_bigon().slice_first(0.7), steps=16)
-    assert np.max(np.abs(res.value - 1.0)) <= 1e-14
+    assert np.max(np.abs(res["value"] - 1.0)) <= 1e-14
 
 
 def test_path_abelian_closed_form():
     c, length = 0.7, 1.0
     conn = TwoConnection(U1, Chart(2), a=[[f"{c}"], ["0"]], b="fake_flat")
     res = path_ordered_exp(conn, straight_path([0, 0], [length, 0]), steps=32)
-    assert np.max(np.abs(res.value - np.exp(-1j * c * length))) <= 1e-10
-    assert res.group_defect <= 1e-10
+    assert np.max(np.abs(res["value"] - np.exp(-1j * c * length))) <= 1e-10
+    assert res["group_defect"] <= 1e-10
 
 
 def test_path_constant_su2_closed_form():
@@ -74,7 +74,7 @@ def test_path_constant_su2_closed_form():
     length = 0.8
     res = path_ordered_exp(conn, straight_path([0, 0], [length, 0]), steps=64)
     expected = SU2.group_G.exp(SU2.l2a.g_alg.to_matrix(-length * coeffs))
-    assert np.max(np.abs(res.value - expected)) <= 1e-9
+    assert np.max(np.abs(res["value"] - expected)) <= 1e-9
 
 
 def test_path_requires_at_least_8_steps():
@@ -85,7 +85,7 @@ def test_path_requires_at_least_8_steps():
 def test_path_observed_order():
     gamma = ParamMap.from_exprs(["u", "0.3*sin(pi*u)"], 1)
     res = path_ordered_exp(SU2_CONN, gamma, steps=64, sweep=3)
-    assert res.order_estimate >= 3.8
+    assert res["order_estimate"] >= 3.8
 
 
 def piece(pm, exprs):
@@ -102,8 +102,8 @@ ARC = ParamMap.from_exprs(["0.9*u", "0.2*u + 0.3*sin(pi*u)"], 1, name="arc")
 def test_transport_functorial_over_concatenation(stencilled):
     """The transport of a path is that of its second half after its first
     (t1 @ t2 misses by 2.1e-4)."""
-    t1, t2, t = (path_ordered_exp(SU2_CONN, gamma, steps=96).value for gamma in
-                 (piece(ARC, ["u/2"]), piece(ARC, ["(1+u)/2"]), ARC))
+    t1, t2, t = (path_ordered_exp(SU2_CONN, gamma, steps=96)["value"]
+                 for gamma in (piece(ARC, ["u/2"]), piece(ARC, ["(1+u)/2"]), ARC))
     assert np.max(np.abs(t - t2 @ t1)) <= 1e-8
     assert stencilled == []
 
@@ -112,8 +112,8 @@ def test_transport_invariant_under_path_reparameterization():
     gamma = ParamMap.from_exprs(["u", "0.3*sin(pi*u)"], 1)
     phi = ParamMap.from_exprs(["(1 - cos(pi*u))/2"], 1)
     warped = reparameterize(gamma, phi)
-    t0 = path_ordered_exp(SU2_CONN, gamma, steps=96).value
-    t1 = path_ordered_exp(SU2_CONN, warped, steps=96).value
+    t0 = path_ordered_exp(SU2_CONN, gamma, steps=96)["value"]
+    t1 = path_ordered_exp(SU2_CONN, warped, steps=96)["value"]
     assert np.max(np.abs(t0 - t1)) <= 1e-9
 
 
@@ -121,10 +121,10 @@ def test_constant_path_transport_is_identity(stencilled):
     """A constant path transports by the identity, and a path reversed by
     ``["1-u"]`` transports back."""
     const = ParamMap.from_exprs(["0.4", "0.3"], 1)
-    t0 = path_ordered_exp(SU2_CONN, const, steps=96).value
+    t0 = path_ordered_exp(SU2_CONN, const, steps=96)["value"]
     assert np.max(np.abs(t0 - np.eye(2))) <= 1e-14
-    t = path_ordered_exp(SU2_CONN, ARC, steps=96).value
-    back = path_ordered_exp(SU2_CONN, piece(ARC, ["1-u"]), steps=96).value
+    t = path_ordered_exp(SU2_CONN, ARC, steps=96)["value"]
+    back = path_ordered_exp(SU2_CONN, piece(ARC, ["1-u"]), steps=96)["value"]
     assert np.max(np.abs(back @ t - np.eye(2))) <= 1e-12
     assert stencilled == []
 
@@ -134,7 +134,7 @@ def test_concat_associativity_up_to_reparameterization(stencilled):
     after its first two thirds, and that of its last two thirds after its
     first third."""
     t1, t12, t3, t23, t = (
-        path_ordered_exp(SU2_CONN, gamma, steps=96).value for gamma in
+        path_ordered_exp(SU2_CONN, gamma, steps=96)["value"] for gamma in
         [piece(ARC, [e]) for e in ("u/3", "2*u/3", "(2+u)/3", "(1+2*u)/3")]
         + [ARC])
     assert np.max(np.abs(t3 @ t12 - t)) <= 1e-8
@@ -557,7 +557,7 @@ def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
 def test_surface_zero_b_gives_identity():
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[["0"]])
     res = surface_transport(conn, bulge_bigon(), steps=16)
-    assert np.max(np.abs(res.value_h - 1.0)) <= 1e-12
+    assert np.max(np.abs(res["value_h"] - 1.0)) <= 1e-12
 
 
 def test_surface_abelian_flux_closed_form():
@@ -567,18 +567,18 @@ def test_surface_abelian_flux_closed_form():
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
     res = surface_transport(conn, lens_bigon(k), steps=96)
     expected = np.exp(1j * c * 4 * k / np.pi)
-    assert np.max(np.abs(res.value_h - expected)) <= 1e-8
+    assert np.max(np.abs(res["value_h"] - expected)) <= 1e-8
 
 
 def test_surface_target_identity_su2():
     res = surface_transport(SU2_CONN, lens_bigon(), steps=96)
-    assert res.target_identity_defect(SU2) <= 1e-6
-    assert res.group_defect <= 1e-10
+    assert res["target_identity_defect"] <= 1e-6
+    assert res["group_defect"] <= 1e-10
 
 
 def test_surface_quadrature_convergence_guard():
     res = surface_transport(SU2_CONN, lens_bigon(), steps=48, sweep=2)
-    assert res.order_estimate is None or res.order_estimate >= 1.5
+    assert res["order_estimate"] is None or res["order_estimate"] >= 1.5
 
 
 @pytest.mark.parametrize("steps,sweep,floor,counts", [
@@ -630,13 +630,13 @@ def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
     got = surface_values(conn, bigons, (x0, g0), 16)
     assert got.shape == (3,) + fam.group_H.identity.shape
     for bigon, frame, value in zip(bigons, g0, got):
-        ref = surface_transport(conn, bigon, (x0, frame), 16).value_h
+        ref = surface_transport(conn, bigon, (x0, frame), 16)["value_h"]
         assert np.max(np.abs(value - ref)) <= 1e-14
     # one bigon under a stack of frames is paired by broadcasting
     fanned = surface_values(conn, [lens], (x0, g0), 16)
     assert fanned.shape == got.shape
     for frame, value in zip(g0, fanned):
-        ref = surface_transport(conn, lens, (x0, frame), 16).value_h
+        ref = surface_transport(conn, lens, (x0, frame), 16)["value_h"]
         assert np.max(np.abs(value - ref)) <= 1e-14
 
 
@@ -791,15 +791,15 @@ def test_horizontal_composition_matches_etaH_law(stencilled):
     n = 96
     p = (pinched([0.0, 0.0]), SU2.group_G.identity)
     first = surface_transport(SU2_CONN, s1, p, n)
-    hc = surface_transport(SU2_CONN, pinched, p, n).value_h
+    hc = surface_transport(SU2_CONN, pinched, p, n)["value_h"]
     mid = s2([0.0, 0.0])
-    h2_at = surface_transport(SU2_CONN, s2, (mid, first.target_transport),
-                              n).value_h
-    assert np.max(np.abs(hc - first.value_h @ h2_at)) <= 1e-6
+    h2_at = surface_transport(SU2_CONN, s2, (mid, first["target_transport"]),
+                              n)["value_h"]
+    assert np.max(np.abs(hc - first["value_h"] @ h2_at)) <= 1e-6
     # the other horizontal formula: conjugate through the source transport
-    h2_src = surface_transport(SU2_CONN, s2, (mid, first.source_transport),
-                               n).value_h
-    assert np.max(np.abs(hc - h2_src @ first.value_h)) <= 1e-6
+    h2_src = surface_transport(SU2_CONN, s2, (mid, first["source_transport"]),
+                               n)["value_h"]
+    assert np.max(np.abs(hc - h2_src @ first["value_h"])) <= 1e-6
     assert stencilled == []
 
 
@@ -822,7 +822,7 @@ def test_two_transport_interchange(stencilled):
     h11, h12, whole = surface_values(conn, [q11, q12, bigon], p, n)
     # the frames over the pinch that the first column's middle and target
     # paths carry p to
-    f_mid, f_top = (path_ordered_exp(conn, target_path(q), n).value
+    f_mid, f_top = (path_ordered_exp(conn, target_path(q), n)["value"]
                     for q in (q11, q12))
     h21, h22, h21_top = surface_values(
         conn, [q21, q22, q21], (mid, np.stack([f_mid, f_top, f_top])), n)
@@ -837,11 +837,11 @@ def test_two_transport_interchange(stencilled):
 
 def test_thin_invariance_of_surface_transport():
     bigon = lens_bigon()
-    base = surface_transport(SU2_CONN, bigon, None, 96).value_h
+    base = surface_transport(SU2_CONN, bigon, None, 96)["value_h"]
     for exprs in (["u^2", "v"], ["u", "v^2*(3-2*v)"]):
         phi = ParamMap.from_exprs(exprs, 2)
         warped = reparameterize(bigon, phi)
-        got = surface_transport(SU2_CONN, warped, None, 96).value_h
+        got = surface_transport(SU2_CONN, warped, None, 96)["value_h"]
         assert np.max(np.abs(got - base)) <= 1e-7
 
 
@@ -1118,14 +1118,26 @@ def test_ambrose_singer_span_samples_are_one_K_evaluation(monkeypatch):
     assert np.max(np.abs(batched - np.stack(looped))) <= 1e-15
 
 
+def _contained(rep):
+    """The CLI's containment verdict, relative to the holonomy scale."""
+    return (rep["containment_residual"]
+            <= TOL["as_span"] * (1.0 + rep["holonomy_scale"]))
+
+
+def _differentiates(rep):
+    """The CLI's derivative verdict, relative to the holonomy scale."""
+    return (rep["derivative_defect"]
+            <= TOL["as_derivative"] * (1.0 + rep["holonomy_scale"]))
+
+
 def test_ambrose_singer_zero_curvature_family():
     rep = ambrose_singer_check(SU2_CONN, rng=np.random.default_rng(0),
                                n_paths=3, n_bigons=3, steps=48)
     # t = id: ker t_* = 0, every reduced 2-holonomy must be the identity
     assert rep["span_rank"] == 0
     assert rep["holonomy_scale"] <= 1e-7
-    assert rep["containment_pass"]
-    assert rep["derivative_pass"]
+    assert _contained(rep)
+    assert _differentiates(rep)
 
 
 def test_ambrose_singer_u2pu2_trace_line():
@@ -1141,8 +1153,8 @@ def test_ambrose_singer_u2pu2_trace_line():
     assert rep["span_rank"] == 1
     basis = rep["span_basis"]
     assert np.max(np.abs(np.abs(basis[0]) - np.array([1.0, 0, 0, 0]))) <= 1e-8
-    assert rep["containment_pass"]
-    assert rep["derivative_pass"]
+    assert _contained(rep)
+    assert _differentiates(rep)
 
 
 def test_ambrose_singer_abelian_scalar_containment():
@@ -1151,5 +1163,5 @@ def test_ambrose_singer_abelian_scalar_containment():
     rep = ambrose_singer_check(conn, rng=np.random.default_rng(2),
                                n_paths=3, n_bigons=3, steps=48)
     assert rep["span_rank"] == 1
-    assert rep["containment_pass"]
-    assert rep["derivative_pass"]
+    assert _contained(rep)
+    assert _differentiates(rep)

@@ -5,9 +5,14 @@ from gauge2.errors import ComposabilityError, DomainError, StructureError
 from gauge2.families import (FAMILY_NAMES, finite_crossed_module,
                              finite_demo_module, matrix_family)
 from gauge2.groups import cyclic_group
-from gauge2.twogroup import (check_crossed_module, interchange_defect,
-                             two_group_compose, two_group_multiply,
-                             whisker_scalar)
+from gauge2.twogroup import (AXIOMS, check_crossed_module,
+                             interchange_defect, two_group_compose,
+                             two_group_multiply, whisker_scalar)
+
+
+def _axioms_hold(report):
+    """The CLI's verdict on the axioms, at the module's own tolerance."""
+    return max(report[law] for law in AXIOMS) <= report["tolerance"]
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +27,9 @@ def su2():
 
 def test_axioms_pass_z2z3_exhaustively(z2z3):
     report = check_crossed_module(z2z3)
-    assert report.passed
-    assert report.samples == 2 * 3 * 3
-    assert max(report.equivariance, report.peiffer,
-               report.t_homomorphism, report.centrality) == 0.0
+    assert _axioms_hold(report)
+    assert report["samples"] == 2 * 3 * 3
+    assert max(report[law] for law in AXIOMS) == 0.0
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -45,27 +49,25 @@ def test_a_sampled_batch_is_the_sequential_draws(name, group):
 def test_axioms_pass_su2_sampled(su2):
     report = check_crossed_module(su2.cm, samples=200,
                                   rng=np.random.default_rng(0))
-    assert report.passed
-    assert max(report.equivariance, report.peiffer,
-               report.t_homomorphism, report.centrality) <= 1e-12
+    assert _axioms_hold(report)
+    assert max(report[law] for law in AXIOMS) <= 1e-12
 
 
 def test_counterexample_rejected_with_peiffer_witness():
     bad = finite_demo_module("z2_z4_peiffer_broken")
     report = check_crossed_module(bad)
-    assert not report.passed
-    assert report.peiffer > 0
+    assert not _axioms_hold(report)
+    assert report["peiffer"] > 0
     # alpha_{t(1)}(1) = 3 while 1*1*1^-1 = 1
-    assert report.witnesses["peiffer"] == (1, 1)
+    assert report["witnesses"]["peiffer"] == "(1, 1)"
 
 
 def test_passing_matrix_report_has_no_roundoff_witnesses():
     # u2_to_pu2 axioms hold to roundoff (~1e-16), which is not a witness
     report = check_crossed_module(matrix_family("u2_to_pu2").cm)
-    assert report.passed
-    assert 0.0 < report.t_homomorphism <= report.tolerance
-    assert report.witnesses == {}
-    assert report.as_dict()["witnesses"] == {}
+    assert _axioms_hold(report)
+    assert 0.0 < report["t_homomorphism"] <= report["tolerance"]
+    assert report["witnesses"] == {}
 
 
 def test_multiply_identity_and_formula(z2z3):
