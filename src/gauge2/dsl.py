@@ -286,13 +286,20 @@ def _load(name, bindings):
     return bindings[name]
 
 
-def _execute(code, registers, out):
+def _execute(code, registers, components, shape):
+    """Run ``code`` into a zero-filled output of ``components`` rows, each
+    one contiguous block of ``shape`` points, and return it points-first:
+    (*shape, *components), the points axes innermost in memory."""
+    out = np.zeros((math.prod(components),) + shape)
     for r, fn, args, columns, frees in code:
         registers[r] = fn(*[registers[a] for a in args])
         for k in columns:
-            out[..., k] = registers[r]
+            out[k] = registers[r]
         for a in frees:
             registers[a] = None
+    m = len(components)
+    return out.reshape(components + shape).transpose(
+        (*range(m, m + len(shape)), *range(m)))
 
 
 class Program:
@@ -368,17 +375,20 @@ class Program:
         self._plans[axes] = code[:len(head)], code[len(head):]
         return self._plans[axes]
 
-    def run(self, bindings, shape, axes=()):
-        """The values (*shape, n) of the n expressions and their partials
-        along the variables ``axes``, (*shape, len(axes) * n) axis-major;
-        the partials' array is made after the values' code has run."""
+    def run(self, bindings, shape, axes, components):
+        """The values (*shape, *components) of the n expressions, n the size
+        of ``components``, and their partials along the variables ``axes``,
+        (*shape, len(axes), *components) axis-major.  Each output is one
+        view of an array whose rows are the components, each row one
+        contiguous block of points: the points axes are innermost in
+        memory.  The partials' array is made after the values' code has
+        run."""
         head, tail = self._plans.get(axes) or self._plan(axes)
         registers = [bindings] + [None] * len(self._code)
-        values = np.zeros((*shape, len(self.exprs)))
-        _execute(head, registers, values)
-        partials = np.zeros((*shape, len(axes) * len(self.exprs)))
-        _execute(tail, registers, partials)
-        return values, partials
+        values = _execute(head, registers, components, shape)
+        if not axes:        # a values-only run has no partials to write
+            return values, np.empty(shape + (0,) + components)
+        return values, _execute(tail, registers, (len(axes), *components), shape)
 
 
 def program(exprs, variables=()) -> Program:
@@ -408,7 +418,7 @@ def evaluate(e: Expr, bindings: dict | None = None):
     prog = program((e,))
     shape = np.broadcast_shapes(*(np.shape(bindings[x])
                                   for x in prog.free[0] if x in bindings))
-    out = prog.run(bindings, shape)[0][..., 0]
+    out = prog.run(bindings, shape, (), ())[0]
     return float(out) if not shape else out
 
 

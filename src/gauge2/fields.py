@@ -3,7 +3,10 @@
 Scalar coefficient fields come from the expression DSL (variables x1..xd)
 and evaluate on (N, d) point batches.  A CoefficientField runs its
 expressions as one ``dsl.program``, built once per process, and its
-``jet`` gives the values and partials from one run.
+``jet`` gives the values and partials from one run.  Both are (N, ...)
+arrays with the points axis innermost in memory: each component is one
+contiguous row of N points, so a slice such as ``a[:, k]`` of a jet is a
+unit-stride point vector for every component.
 
 :func:`jet` takes every partial of a field or map, and is the one place
 that chooses exact partials or finite differences: an object with a
@@ -53,11 +56,12 @@ def directional_diff(fn, points, directions, step=FD_STEP):
 def jet(fn, points, axes=None, step=FD_STEP):
     """fn and its (N, len(axes), ...) partials along the coordinate
     ``axes`` (all by default) at the (N, d) points: ``fn.jet`` where fn has
-    one (a CoefficientField, a ParamMap), else one call of fn and the
-    stencil of :func:`directional_diff` with ``step``."""
+    one (a CoefficientField, a ParamMap, which differences with ``step``
+    where it has no exact partials), else one call of fn and the stencil
+    of :func:`directional_diff` with ``step``."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     if hasattr(fn, "jet"):
-        return fn.jet(p, axes)
+        return fn.jet(p, axes, step)
     eye = np.eye(p.shape[-1])
     directions = eye if axes is None else eye[list(axes)]
     return fn(p), directional_diff(fn, p, directions, step)
@@ -77,7 +81,8 @@ def chart_grid(chart, per_axis=5):
 
 
 class CoefficientField:
-    """Array of scalar fields evaluated together: points (N, d) -> (N, *shape).
+    """Array of scalar fields evaluated together: points (N, d) -> (N, *shape),
+    the points axis innermost in memory.
 
     Expressions read the chart variables x1..xd, or the given names, and
     run as one :func:`gauge2.dsl.program`, shared by every field of the
@@ -105,18 +110,17 @@ class CoefficientField:
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self._program.run(self._bindings(p), p.shape[:-1])[0]
-        return out.reshape(*p.shape[:-1], *self.shape)
+        return self._program.run(self._bindings(p), p.shape[:-1], (),
+                                 self.shape)[0]
 
-    def jet(self, points, axes=None):
+    def jet(self, points, axes=None, step=None):
         """The values (N, *shape) and the partials (N, len(axes), *shape)
         along the variables ``axes`` (all by default), from one run of the
-        program."""
+        program; the partials are exact, so ``step`` is not used."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         axes = tuple(range(len(self.variables)) if axes is None else axes)
-        values, partials = self._program.run(self._bindings(p), p.shape[:-1], axes)
-        return (values.reshape(*p.shape[:-1], *self.shape),
-                partials.reshape(*p.shape[:-1], len(axes), *self.shape))
+        return self._program.run(self._bindings(p), p.shape[:-1], axes,
+                                 self.shape)
 
     def _bindings(self, p):
         return {name: p[..., i] for i, name in enumerate(self.variables)}

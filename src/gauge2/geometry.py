@@ -101,16 +101,16 @@ class ParamMap:
         out = self._fn(p)
         return out[0] if squeeze else out
 
-    def jet(self, params, axes=None):
+    def jet(self, params, axes=None, step=fields.FD_STEP):
         """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
         parameters by default) at (N, m) parameters: exact where the map
-        carries them, else the 4th-order central difference of each axis
-        asked for.  Negative axes count from the end."""
+        carries them, else the 4th-order central difference with ``step``
+        of each axis asked for.  Negative axes count from the end."""
         p = np.atleast_2d(np.asarray(params, dtype=float))
         every = range(self.arity)
         axes = tuple(every if axes is None else (every[k] for k in axes))
         if self._jet is None:
-            return fields.jet(self._fn, p, axes)
+            return fields.jet(self._fn, p, axes, step)
         return self._jet(p, axes)
 
     def partial(self, index: int, params):

@@ -43,9 +43,11 @@ step count serves the outer steps, the Simpson steps and the lift steps
 alike.  One generator call serves both CF4 stages and lifts every slice
 of every bigon, at its own count, in near-equal blocks of at most
 ``_LIFT_POINTS`` padded (node, slice) points (the 2-form is evaluated
-per bigon).  Boundary 1-transports are computed only where they are
-reported (:func:`surface_transport`, the Stokes verifier), source and
-target in one path solve.
+per bigon).  :func:`verify_higher_stokes` takes a stack of cubes and
+solves the two end bigons of every cube in one such stack; the
+3-curvature integral runs cube by cube.  Boundary 1-transports are
+computed only where they are reported (:func:`surface_transport`, the
+Stokes verifier), source and target in one path solve.
 """
 
 from __future__ import annotations
@@ -421,31 +423,39 @@ def verify_nonabelian_stokes(conn: TwoConnection, bigon: ParamMap,
     }
 
 
-def verify_higher_stokes(conn: TwoConnection, cube: ParamMap,
-                         steps_surface: int = 48, steps_volume: int = 32) -> dict:
-    """Compare the quotient of the 2-transports of the two end bigons with
-    the plain exponential of the 3-curvature integral over the cube.
+def verify_higher_stokes(conn: TwoConnection, cubes,
+                         steps_surface: int = 48, steps_volume: int = 32) -> list:
+    """For each cube of a stack, compare the quotient of the 2-transports
+    of its two end bigons with the plain exponential of the 3-curvature
+    integral over the cube.
 
     The quotient h0^-1 h1 lies in ker t (central), so the right-hand side is
-    exp of an ordinary triple integral of the ker t_* projection of K.
+    exp of an ordinary triple integral of the ker t_* projection of K.  The
+    end bigons of all cubes take one surface solve; K runs cube by cube.
     """
-    check_cube_boundaries(cube)
+    if not cubes:
+        return []
+    for cube in cubes:
+        check_cube_boundaries(cube)
     fam = conn.family
-    h0, h1 = surface_values(conn, [cube.slice_first(0.0), cube.slice_first(1.0)],
-                            None, steps_surface)
-    lhs = fam.group_H.mul(fam.group_H.inv(h0), h1)
-
+    H = fam.group_H
+    ends = surface_values(conn, [cube.slice_first(s) for cube in cubes
+                                 for s in (0.0, 1.0)], None, steps_surface)
     mesh, weights = _simpson_grid(steps_volume, 3)
-    x, dx = cube.jet(mesh)
-    kvals = conn.K_of(x, *dx.swapaxes(0, 1))
-    bianchi = float(np.max(np.abs(fam.l2a.apply_t_star(kvals))))
-    integral = weights @ fam.l2a.project_ker_t_star(kvals)
-    rhs = fam.group_H.exp(fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
-    defect = float(np.max(np.abs(lhs - rhs)))
-    return {"defect": defect, "lhs": lhs, "rhs": rhs,
-            "bianchi_defect": bianchi,
-            "kernel_defect": float(np.max(np.abs(fam.cm.t(lhs)
-                                                 - fam.group_G.identity)))}
+    reps = []
+    for cube, h0, h1 in zip(cubes, ends[0::2], ends[1::2]):
+        lhs = H.mul(H.inv(h0), h1)
+        x, dx = cube.jet(mesh)
+        kvals = conn.K_of(x, *dx.swapaxes(0, 1))
+        del x, dx       # else the next cube's jet is made while they live
+        bianchi = float(np.max(np.abs(fam.l2a.apply_t_star(kvals))))
+        integral = weights @ fam.l2a.project_ker_t_star(kvals)
+        rhs = H.exp(fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
+        reps.append({"defect": float(np.max(np.abs(lhs - rhs))),
+                     "lhs": lhs, "rhs": rhs, "bianchi_defect": bianchi,
+                     "kernel_defect": float(np.max(np.abs(
+                         fam.cm.t(lhs) - fam.group_G.identity)))})
+    return reps
 
 
 # --- reconstruction -----------------------------------------------------------------

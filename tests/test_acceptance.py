@@ -161,8 +161,8 @@ def test_criterion_05_higher_stokes():
 
     cube = ParamMap(3, 3, cube_fn, name="cube")
     start = time.time()
-    rep = verify_higher_stokes(conn_ab, cube, steps_surface=48,
-                               steps_volume=32)
+    [rep] = verify_higher_stokes(conn_ab, [cube], steps_surface=48,
+                                 steps_volume=32)
     abelian_ok = (rep["defect"] <= 1e-6
                   and np.max(np.abs(rep["lhs"] - np.exp(1j / 24))) <= 1e-6)
     t_abelian = time.time() - start
@@ -183,8 +183,9 @@ def test_criterion_05_higher_stokes():
                                0.6 * u * v * (1 - v) * np.sin(np.pi * w)], -1)
 
     start = time.time()
-    rep2 = verify_higher_stokes(conn_tr, ParamMap(3, 3, cube2_fn, name="c2"),
-                                steps_surface=64, steps_volume=32)
+    [rep2] = verify_higher_stokes(conn_tr,
+                                  [ParamMap(3, 3, cube2_fn, name="c2")],
+                                  steps_surface=64, steps_volume=32)
     t_trace = time.time() - start
     trace_ok = rep2["defect"] <= 1e-5
     _report(5, "higher Stokes: abelian triple integral <= 1e-6, "

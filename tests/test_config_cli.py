@@ -1,5 +1,6 @@
 import collections
 import copy
+import itertools
 import json
 import os
 import pathlib
@@ -200,6 +201,32 @@ def test_counterexample_config_fails_check(tmp_path):
                       quiet=True)
     assert not rep["pass"]
     assert rep["cases"][0]["witnesses"]["peiffer"] == "(1, 1)"
+
+
+def test_non_equivariant_finite_module_reports_its_witnesses(tmp_path):
+    """S3 acting trivially on itself, t the identity: t is not
+    G-equivariant, so some interchange quadruples do not compose.  The
+    report is written with the axiom defects and witnesses, the
+    interchange defect is null, and the command exits 3."""
+    perms = list(itertools.permutations(range(3)))
+    s3 = [[perms.index(tuple(a[b[i]] for i in range(3))) for b in perms]
+          for a in perms]
+    raw = {"seed": 1, "crossed_module": {"finite": {
+        "G": {"table": s3}, "H": {"table": s3}, "t": list(range(6)),
+        "alpha": [list(range(6))] * 6}}}
+    out = tmp_path / "out"
+    assert main(["check-crossed-module", "--config", _write(tmp_path, raw),
+                 "--out", str(out), "--quiet"]) == 3
+    report = json.loads((out / "check-crossed-module.json").read_text())
+    [case] = report["cases"]
+    assert set(case) == {"name", "equivariance", "peiffer", "t_homomorphism",
+                         "centrality", "tolerance", "samples", "witnesses",
+                         "interchange_defect", "pass"}
+    assert case["interchange_defect"] is None and not case["pass"]
+    assert case["equivariance"] > 0 and case["peiffer"] > 0
+    assert case["t_homomorphism"] == 0.0 and case["centrality"] == 0.0
+    # (g, h) = (1, 2) and (h, h') = (1, 2) are the first non-commuting pairs
+    assert case["witnesses"] == {"equivariance": "(1, 2)", "peiffer": "(1, 2)"}
 
 
 @pytest.mark.parametrize("label", ["G", "H"])
@@ -1030,6 +1057,8 @@ def test_a_defect_over_its_tolerance_fails_its_case(
 
     def patched(*args, **kwargs):
         rep = solve(*args, **kwargs)
+        if isinstance(rep, list):       # one measurement per configured map
+            return [{**r, key: over} for r in rep]
         return {**rep, key: over} if isinstance(rep, dict) else over
 
     monkeypatch.setattr(owner, solver, patched)

@@ -713,6 +713,27 @@ def test_three_form_part_is_exactly_zero_on_a_2d_chart(u1, u1t, stencil):
         assert np.all(conn.K_of(pts, X, Y, Z) == 0.0)
 
 
+@pytest.mark.parametrize("config", ["u2pu2_higher", "su2_demo"])
+def test_curvature_does_not_depend_on_memory_order(config):
+    """_F_from and K_of give the same bits on C-ordered copies of their
+    inputs as on the points-innermost jets they are handed, so no
+    reported value depends on the memory order of a jet."""
+    cfg = load_config(pathlib.Path(__file__).parent.parent / "configs"
+                      / f"{config}.json")
+    conn = cfg.connection()
+    pts = chart_grid(conn.chart, 9)
+    a, da = conn._a.jet(pts)
+    assert a.strides[0] == da.strides[0] == a.itemsize
+    assert np.array_equal(conn._F_from(a, da), conn._F_from(
+        np.ascontiguousarray(a), np.ascontiguousarray(da)))
+    if conn.chart.dim == 3:
+        mesh, _ = _simpson_grid(8, 3)
+        x, dx = cfg.param_maps("cubes")["pillow"].jet(mesh)
+        tangents = dx.swapaxes(0, 1)
+        assert np.array_equal(conn.K_of(x, *tangents), conn.K_of(
+            np.ascontiguousarray(x), *map(np.ascontiguousarray, tangents)))
+
+
 def test_K_peak_memory_on_the_33_cube_simpson_grid():
     """verify higher-stokes' 35,937 Simpson nodes on u2pu2_higher: K runs
     in blocks of 4096 points from first derivatives only, so the traced

@@ -40,6 +40,17 @@ def test_partial_derivative_order_at_least_39():
     assert order >= 3.9
 
 
+def test_jet_differences_a_map_without_exact_partials_at_its_step():
+    # fields.jet hands its step to a ParamMap that takes the stencil
+    exprs = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
+    pm = ParamMap(2, 2, lambda params: exprs(params))
+    pts = np.array([[0.3, 0.4], [0.6, 0.2], [0.45, 0.7]])
+    exact = exprs.jet(pts, (0,))[1][:, 0]
+    errs = [np.max(np.abs(fields.jet(pm, pts, (0,), step=h)[1][:, 0] - exact))
+            for h in (2e-2, 1e-2)]
+    assert np.log2(errs[0] / errs[1]) >= 3.5
+
+
 def test_expression_maps_carry_exact_partials():
     cube = ParamMap.from_exprs(["w*u", "sin(pi*v)*w", "u^3 - exp(v*w)"], 3)
     rng = np.random.default_rng(1)

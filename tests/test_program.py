@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_one_program_per_source_text_and_variables():
     assert len(a._program._code) == len(
         CoefficientField(["sin(pi*x1)", "x2 + sin(pi*x1)"], 2, (2,))
         ._program._code) - 1
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 4)])
+def test_field_outputs_have_the_points_axis_at_unit_stride(shape):
+    """A field's values and partials are views whose leading points axis
+    steps by one element: each component is one contiguous row."""
+    size = math.prod(shape)
+    exprs = np.array([f"{k + 1}*x1*x2 + sin(x{k % 2 + 1})"
+                      for k in range(size)], dtype=object).reshape(shape)
+    field = CoefficientField(exprs, 2, shape)
+    pts = chart_grid(types.SimpleNamespace(dim=2, box=None), 5)
+    values, partials = field.jet(pts)
+    for out, lead in ((field(pts), ()), (values, ()), (partials, (2,))):
+        assert out.shape == (25, *lead, *shape)
+        assert out.strides[0] == out.itemsize
 
 
 def test_jet_peak_memory_on_the_36_grid():

@@ -662,6 +662,26 @@ GUARD_CONFIG = {
 }
 
 
+# a 3-d chart with two cubes, each a stack of bigons between the same two
+# boundary paths
+CUBE_CONFIG = {
+    "seed": 3,
+    "crossed_module": {"matrix": {"family": "u2_to_pu2"}},
+    "chart": {"dim": 3},
+    "connection": {"a": [["0.4*x2", "0.1", "0.1*x3"], ["0.2", "0.3*x1", "0.1"],
+                         ["0.1*x2", "0.2", "0.2*x1"]],
+                   "b": "fake_flat",
+                   "b_extra": [["0.5*x3", "0", "0", "0"],
+                               ["0.4*x1", "0", "0", "0"],
+                               ["0.3*x2", "0", "0", "0"]]},
+    "cubes": {"pillow": ["w", "0.5*v*sin(pi*w)",
+                         "0.6*u*v*(1-v)*sin(pi*w)"],
+              "twist": ["w + 0.15*u*v*(1-v)*sin(pi*w)", "0.4*v*sin(pi*w)",
+                        "0.5*u*v*(1-v)*sin(pi*w)"]},
+    "numeric": {"surface_steps": 16, "volume_steps": 8},
+}
+
+
 @pytest.mark.parametrize("argv,calls,exp_matrices", [
     # one outer solve of the bigon and its five reparameterizations, whose
     # one generator call lifts the 2 x 40 slices of all 6 bigons in two
@@ -702,8 +722,13 @@ GUARD_CONFIG = {
      {("surface", (3, 1)): 1, ("lift", (140, 1)): 1, ("path", (3, 2)): 1}, 0),
     # the path at 10, 20 and 40 steps in one path solve
     (["transport", "--sweep", "2"], {("path", (3, 1)): 1}, 0),
+    # on CUBE_CONFIG: the end bigons of both cubes in one outer solve, whose
+    # one lift takes the 2 x 16 slices of all 4 bigons; exp of the two
+    # right-hand sides
+    (["verify", "higher-stokes"],
+     {("surface", (1, 4)): 1, ("lift", (32, 4)): 1}, 2),
 ], ids=["thin", "gauge", "gauge-transform", "reconstruct-A", "reconstruct-B",
-        "surface-transport", "stokes", "transport"])
+        "surface-transport", "stokes", "transport", "higher-stokes"])
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
     """Kernel calls by kind and batch, and the number of matrices
@@ -729,7 +754,8 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
         monkeypatch.setattr(module, "_ordered_exp", counting)
     monkeypatch.setattr(MatrixGroup, "exp", counting_exp)
     path = tmp_path / "guard.json"
-    path.write_text(json.dumps(GUARD_CONFIG))
+    path.write_text(json.dumps(CUBE_CONFIG if "higher-stokes" in argv
+                               else GUARD_CONFIG))
     assert main([*argv, "--config", str(path), "--out", str(tmp_path),
                  "--quiet"]) == 0
     assert dict(seen) == calls
@@ -883,7 +909,8 @@ def test_higher_stokes_constant_cube():
                                np.zeros_like(w)], -1)
 
     cube = ParamMap(3, 3, fn, name="const-cube")
-    rep = verify_higher_stokes(conn, cube, steps_surface=24, steps_volume=8)
+    [rep] = verify_higher_stokes(conn, [cube], steps_surface=24,
+                                 steps_volume=8)
     assert np.max(np.abs(rep["lhs"] - 1.0)) <= 1e-10
     assert np.max(np.abs(rep["rhs"] - 1.0)) <= 1e-10
 
@@ -902,7 +929,8 @@ def test_higher_stokes_abelian_closed_form():
                                u * v * (1 - v) * np.sin(np.pi * w)], -1)
 
     cube = ParamMap(3, 3, fn, name="abelian-cube")
-    rep = verify_higher_stokes(conn, cube, steps_surface=48, steps_volume=32)
+    [rep] = verify_higher_stokes(conn, [cube], steps_surface=48,
+                                 steps_volume=32)
     assert rep["defect"] <= 1e-6
     assert np.max(np.abs(rep["lhs"] - np.exp(1j / 24))) <= 1e-6
     assert rep["kernel_defect"] <= 1e-12
@@ -925,10 +953,29 @@ def test_higher_stokes_u2pu2_trace_part():
                                0.6 * u * v * (1 - v) * np.sin(np.pi * w)], -1)
 
     cube = ParamMap(3, 3, fn, name="trace-cube")
-    rep = verify_higher_stokes(conn, cube, steps_surface=48, steps_volume=32)
+    [rep] = verify_higher_stokes(conn, [cube], steps_surface=48,
+                                 steps_volume=32)
     assert rep["defect"] <= 1e-5
     assert rep["bianchi_defect"] <= 1e-7
     assert rep["kernel_defect"] <= 1e-7
+
+
+def test_stacked_cubes_match_one_cube_runs(tmp_path):
+    """The two-cube command solves its four end bigons in one stack, and
+    every case value equals, bit for bit, that of a run on its cube alone."""
+    def cases(cubes, out):
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps({**CUBE_CONFIG, "cubes": cubes}))
+        assert main(["verify", "higher-stokes", "--config", str(path),
+                     "--out", str(tmp_path / out), "--quiet"]) == 0
+        report = tmp_path / out / "verify-higher-stokes.json"
+        return json.loads(report.read_text())["cases"]
+
+    both = cases(CUBE_CONFIG["cubes"], "both")
+    alone = [case for name, cube in CUBE_CONFIG["cubes"].items()
+             for case in cases({name: cube}, name)]
+    assert [c["name"] for c in both] == ["pillow", "twist"]
+    assert both == alone
 
 
 def test_higher_stokes_rejects_mismatched_cube():
@@ -944,7 +991,7 @@ def test_higher_stokes_rejects_mismatched_cube():
 
     cube = ParamMap(3, 3, fn, name="bad-cube")
     with pytest.raises(ComposabilityError):
-        verify_higher_stokes(conn, cube, steps_surface=16, steps_volume=8)
+        verify_higher_stokes(conn, [cube], steps_surface=16, steps_volume=8)
 
 
 # --- reconstruction --------------------------------------------------------------
