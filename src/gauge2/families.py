@@ -130,7 +130,7 @@ def _random_vec(rng, dim, scale, shape=()):
 
 
 def _sampler(group, alg, dim, scale=0.8):
-    return lambda rng, shape=(): group.exp(alg.to_matrix(_random_vec(rng, dim, scale, shape)))
+    return lambda rng, shape=(): group.exp(_random_vec(rng, dim, scale, shape), alg)
 
 
 def _build_su2_id_conj() -> MatrixFamily:
@@ -161,7 +161,7 @@ def _build_u1(trivial_t: bool) -> MatrixFamily:
         alpha=lambda g, h: np.broadcast_arrays(g, h)[1], name=name,
         sample_G=_sampler(u1, alg, 1, scale=1.5),
         sample_H=_sampler(u1, alg, 1, scale=1.5),
-        ker_t_elements=lambda: [u1.exp(alg.to_matrix([th])) for th in kernel])
+        ker_t_elements=lambda: [u1.exp([th], alg) for th in kernel])
     unit = lambda g: np.ones(np.shape(g))      # abelian: every Ad is 1
     return MatrixFamily(name, cm, l2a, rep_star=t_star, ad_G=unit,
                         ad_H=unit, alpha_star_of=unit)

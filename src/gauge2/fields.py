@@ -163,8 +163,7 @@ class GroupValuedField:
             g, dg = jet(self, points)
             return g, self.algebra.from_matrix(dg @ self.group.inv(g)[:, None])
         X, dX = jet(self.generator, points)
-        return (self.group.exp(self.algebra.to_matrix(X)),
-                self.algebra.dexp(X[:, None], dX))
+        return self.group.exp(X, self.algebra), self.algebra.dexp(X[:, None], dX)
 
 
 def group_field(value, group, algebra, chart_dim, name="g"):
@@ -175,5 +174,5 @@ def group_field(value, group, algebra, chart_dim, name="g"):
         return value
     coeffs = tensor_field(value, chart_dim, (algebra.dim,), name)
     return GroupValuedField(
-        group, algebra, lambda p: group.exp(algebra.to_matrix(coeffs(p))), name,
+        group, algebra, lambda p: group.exp(coeffs(p), algebra), name,
         generator=coeffs)

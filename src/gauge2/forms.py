@@ -18,19 +18,25 @@ Only the local forms are computed: the bundle-level B at (x, g) is
 b at the frames of its horizontal lifts.
 
 F is computed on every coordinate pair from one jet of ``a`` (its
-values and axis derivatives) and contracted with the tangents.  K needs
-first derivatives only: db is the sum over triples i < k < l of
-m_ikl (d_i b_kl - d_k b_il + d_l b_ik), m_ikl the minor of the tangent
-rows [X; Y; Z] at columns (i, k, l), so it is exactly 0 on a 2-d chart.
-A fake-flat b contributes rep_* dF, where the second derivatives of ``a``
-cancel:
-dF_ikl = [da_ik, a_l] - [da_il, a_k] + [da_kl, a_i], da_kl = d_k a_l - d_l a_k.
-A jet of a DSL field is one program run.  A jet of a callable on a
-d-dimensional chart costs 1 + 4d evaluations (13 for d = 3): F and K take
-one of ``a`` (fake-flat b) and K one each of an explicit ``b`` and
+values and axis derivatives) and contracted with the tangents.  K is the
+sum over triples i < k < l of m_ikl K_ikl, m_ikl the minor of the
+tangent rows [X; Y; Z] at columns (i, k, l) (none on a 2-d chart, where
+K is exactly 0), with the coordinate component
+
+    K_ikl = rep_*(dF_ikl) + (d_i b_kl - d_k b_il + d_l b_ik)
+            + alpha_*(a_i, b_kl) - alpha_*(a_k, b_il) + alpha_*(a_l, b_ik).
+
+The wedge takes no contraction with the tangents: it is the sum over i
+and pairs k < l of alpha_*(a_i, b_kl) weighted by the cofactor expansion
+of m_ikl, whose terms with i in {k, l} cancel and the rest regroup per
+sorted triple as above.  rep_* dF is the derivative of a fake-flat b,
+where the second derivatives of ``a`` cancel: dF_ikl = [d_ik, a_l] -
+[d_il, a_k] + [d_kl, a_i] on the pair differences d_kl = d_k a_l -
+d_l a_k that F is built from.  A jet of a DSL field is one program run;
+one of a callable on a d-dimensional chart costs 1 + 4d evaluations (13
+for d = 3).  K takes one each of ``a`` (fake-flat b), ``b`` and
 ``b_extra``.  K_of and fake_flatness_residual run in blocks of ``_BLOCK``
-points.  The gluing check takes the transition function's dg g^-1 from
-``GroupValuedField.log_derivative``.
+points.  Gluing takes the transition's dg g^-1 from its ``log_derivative``.
 """
 
 from __future__ import annotations
@@ -61,11 +67,6 @@ def _blocks(n):
     """Slices of ``_BLOCK`` points covering n points (one for n = 0):
     pointwise forms keep their bits and bound their temporaries."""
     return [slice(i, i + _BLOCK) for i in range(0, max(n, 1), _BLOCK)]
-
-
-def _along(coeffs, X):
-    """Contract (N, d, dim) 1-form coefficients with the tangent X."""
-    return np.einsum("...kg,...k->...g", coeffs, np.asarray(X, dtype=float))
 
 
 class TwoConnection:
@@ -101,7 +102,8 @@ class TwoConnection:
 
     def a_of(self, points, X):
         """a_x(X) as (N, dim_g); X is a constant vector or an (N, d) batch."""
-        return _along(self.a_coeffs(points), X)
+        return np.einsum("...kg,...k->...g", self.a_coeffs(points),
+                         np.asarray(X, dtype=float))
 
     def F_of(self, points, X, Y):
         """Curvature F = da + 1/2 [a, a] on constant tangents (N, dim_g)."""
@@ -110,17 +112,19 @@ class TwoConnection:
     def F_pairs(self, points):
         """(N, npairs, dim_g) curvature F(e_k, e_l) of every pair k < l, from
         one jet of ``a``."""
-        # da[:, i, j] = D_{e_i} a(e_j)
-        return self._F_from(*jet(self._a, points, step=self.fd_step))
+        return self._F_from(*jet(self._a, points, step=self.fd_step))[0]
 
     def _F_from(self, a, da):
-        """F_pairs from a and its derivatives along the chart axes, one pair
-        at a time into one array, so no pair's slices are copied."""
+        """F_pairs and the pair differences D_k a_l - D_l a_k from a and its
+        derivatives da[:, i, j] = D_{e_i} a(e_j), one pair at a time into
+        arrays whose components are rows of points, as a jet's are."""
         bracket = self.family.l2a.g_alg.bracket
-        F = np.empty((len(a), len(self.pairs), a.shape[-1]))
+        F, curl = (np.moveaxis(np.empty((len(self.pairs), a.shape[-1], len(a))),
+                               -1, 0) for _ in range(2))
         for p, (k, l) in enumerate(self.pairs):
-            F[:, p] = (da[:, k, l] - da[:, l, k]) + bracket(a[:, k], a[:, l])
-        return F
+            curl[:, p] = da[:, k, l] - da[:, l, k]
+            F[:, p] = curl[:, p] + bracket(a[:, k], a[:, l])
+        return F, curl
 
     def _b_pairs(self, points, F=None):
         """(N, npairs, dim_h) stored components b_{kl} for k < l.
@@ -160,11 +164,15 @@ class TwoConnection:
                                for s in _blocks(len(points))])
 
     def _K_block(self, points, X, Y, Z):
-        """K_of on one block, from the minors m_ikl and one jet each of
+        """K_of on one block: the sum over triples i < k < l of the minor
+        m_ikl times the coordinate component K_ikl, from one jet each of
         ``a`` (fake-flat b), ``b`` and ``b_extra``."""
+        rep = self.family.rep_terms
         if self.fake_flat_mode:
             a, da = jet(self._a, points, step=self.fd_step)
-            b = linear(self.family.rep_terms, self._F_from(a, da))
+            F, curl = self._F_from(a, da)
+            b = linear(rep, F)
+            del da, F
         else:
             a, b = self.a_coeffs(points), None
         diffs = []
@@ -176,29 +184,25 @@ class TwoConnection:
                 del values      # kept past the sum, it raises the peak memory
         slot = {pair: p for p, pair in enumerate(self.pairs)}
         bracket = self.family.l2a.g_alg.bracket
+        alpha = self.family.l2a.apply_alpha_star
 
         def bivector(U, V, k, l):      # U^k V^l - U^l V^k
             return U[:, k] * V[:, l] - V[:, k] * U[:, l]
 
-        dF, db = np.zeros(a[:, 0].shape), np.zeros(b[:, 0].shape)
+        K = np.zeros(b[:, 0].shape)
         for i, k, l in itertools.combinations(range(self.chart.dim), 3):
-            m = (X[:, i] * bivector(Y, Z, k, l) - Y[:, i] * bivector(X, Z, k, l)
-                 + Z[:, i] * bivector(X, Y, k, l))[:, None]
+            ik, il, kl = slot[i, k], slot[i, l], slot[k, l]
+            parts = [(dc[:, i, kl] - dc[:, k, il]) + dc[:, l, ik] for dc in diffs]
             if self.fake_flat_mode:
-                ik, il, kl = (da[:, p, q] - da[:, q, p]
-                              for p, q in ((i, k), (i, l), (k, l)))
-                dF += m * ((bracket(ik, a[:, l]) - bracket(il, a[:, k]))
-                           + bracket(kl, a[:, i]))
-            for dc in diffs:
-                db += m * ((dc[:, i, slot[k, l]] - dc[:, k, slot[i, l]])
-                           + dc[:, l, slot[i, k]])
-        if self.fake_flat_mode:
-            db = linear(self.family.rep_terms, dF) + db
-        alpha = self.family.l2a.apply_alpha_star
-        wedge = (alpha(_along(a, X), self._b_along(b, Y, Z))
-                 - alpha(_along(a, Y), self._b_along(b, X, Z))
-                 + alpha(_along(a, Z), self._b_along(b, X, Y)))
-        return db + wedge
+                parts.insert(0, linear(rep, (bracket(curl[:, ik], a[:, l])
+                                             - bracket(curl[:, il], a[:, k]))
+                                       + bracket(curl[:, kl], a[:, i])))
+            parts.append((alpha(a[:, i], b[:, kl]) - alpha(a[:, k], b[:, il]))
+                         + alpha(a[:, l], b[:, ik]))
+            m = (X[:, i] * bivector(Y, Z, k, l) - Y[:, i] * bivector(X, Z, k, l)
+                 + Z[:, i] * bivector(X, Y, k, l))
+            K += m[:, None] * sum(parts[1:], parts[0])
+        return K
 
 
 # --- module operations ---------------------------------------------------------

@@ -8,12 +8,12 @@ groups; each operation is one closed form, batched over leading axes:
 * ``project``: m / |m| on U(1), the exact 2x2 polar factor
   (M + |det M| M^-H) / sqrt(|M|_F^2 + 2 |det M|) on U(2) and SU(2), one
   Newton-Schulz step on SO(3); MembershipError where it cannot project.
-* ``exp``: through spin coordinates, a phase and a unit quaternion held
-  as the first column of its SU(2) matrix (:func:`spin_coordinates`,
-  :func:`quaternion_exp`, :meth:`MatrixGroup.from_spin`); SO(3) through
-  the double cover.  The ordered-exponential kernel multiplies such
-  quaternions with :func:`hamilton`, four complex products, and a frame
-  held as one acts on vectors by :func:`unrotate`.
+* ``exp``: of coefficient vectors, by their spin coordinates (a phase and
+  a unit quaternion held as the first column of its SU(2) matrix:
+  ``LieAlgebra.spin``, :func:`quaternion_exp`, :meth:`MatrixGroup.from_spin`);
+  SO(3) through the double cover.  The ordered-exponential kernel
+  multiplies such quaternions with :func:`hamilton`, four complex
+  products, and a frame held as one acts on vectors by :func:`unrotate`.
 * ``log``: i arg g on U(1); on U(2) and SU(2) the eigen-angles phi +- theta
   of g = e^{i phi} (cos theta I + sin theta N); on SO(3) twice the angle of
   the Shepperd quaternion.  BranchError outside the principal branch.
@@ -228,7 +228,7 @@ class MatrixGroup:
         self.real = kind == "special_orthogonal"
         self.name = name or _GROUPS[kind, dim]
         # log g = vec_k units_k (+ i phase I): -i sigma_k, or 2 L_k on SO(3)
-        self._log_units = {1: np.zeros((0, 1, 1)), 2: QUATERNION_UNITS[1:],
+        self._log_units = {1: np.zeros((3, 1, 1)), 2: QUATERNION_UNITS[1:],
                            3: 2.0 * SO3_BASIS}[dim]
         self.identity = np.eye(dim, dtype=float if self.real else complex)
 
@@ -363,10 +363,11 @@ class MatrixGroup:
 
     # -- exponential / logarithm ---------------------------------------------
 
-    def exp(self, w):
-        """Group exponential of algebra matrices, batched over leading axes:
-        :meth:`from_spin` of their :func:`spin_coordinates`."""
-        spin = np.moveaxis(spin_coordinates(w), -1, 0)
+    def exp(self, x, alg):
+        """Group exponential of coefficient vectors x (..., alg.dim) of the
+        Lie algebra ``alg``, batched: :meth:`from_spin` of x @ alg.spin, with
+        no matrix of x built."""
+        spin = np.moveaxis(x @ alg.spin, -1, 0)
         return self.from_spin(spin[0], quaternion_exp(spin[1:]))
 
     def log(self, g):
@@ -387,7 +388,7 @@ class MatrixGroup:
             phase = phase - np.pi * np.sign(phase) * flip
             q = np.where(flip[..., None], -q, q)
         else:
-            q = np.ones(phase.shape + (1,))
+            q = np.broadcast_to([1.0, 0.0, 0.0, 0.0], phase.shape + (4,))
         norm = np.linalg.norm(q[..., 1:], axis=-1)
         theta = np.arctan2(norm, q[..., 0])
         # the rotation angle of SO(3) is twice the quaternion angle
@@ -400,7 +401,8 @@ class MatrixGroup:
         w = np.tensordot(vec, self._log_units, axes=1)
         if self.kind == "unitary":
             w = w + np.multiply.outer(1j * phase, np.eye(self.dim))
-        defect = self.defect(self.exp(w), g)
+        defect = self.defect(
+            self.from_spin(phase, quaternion_exp(np.moveaxis(vec, -1, 0))), g)
         if defect > 1e-9:
             raise BranchError(
                 f"log round-trip defect {defect:.3e} on {self.name}")

@@ -1,14 +1,14 @@
 """Basis-indexed Lie algebras and the infinitesimal crossed module.
 
-Algebra elements are coefficient vectors over a fixed matrix basis; the
-bracket is tabulated in structure constants once at construction.  The
-differentials t_* and alpha_* of a crossed module are supplied analytically
-by the family registry and validated here against central differences of
-the group-level maps.
+Algebra elements are coefficient vectors over an orthogonal matrix basis,
+read by its trace pairing: the structure constants and alpha_* of the
+built-in families are exactly -1, 0 or 1.  t_* and alpha_* come from the
+family registry, validated here by central differences of the group maps.
 
 Contractions with a constant table (structure constants, alpha_*, t_*,
 rep_*, the ker t_* projector) run over its nonzero entries, listed once
-per table by :func:`terms`; a dense ``lie2algebra`` override has more.
+per table by :func:`terms`, and add or subtract the term of a +-1 entry;
+a dense ``lie2algebra`` override has more.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ __all__ = ["LieAlgebra", "LieTwoAlgebra"]
 class LieAlgebra:
     """Matrix Lie algebra with a fixed basis.
 
-    ``basis`` has shape (dim, n, n).  Structure constants are computed from
-    the basis and validated (antisymmetry and Jacobi to 1e-10).
+    ``basis`` (dim, n, n) is orthogonal under the trace pairing <A, B> =
+    Re tr(A^H B), which gives coefficients <e_i, m> / <e_i, e_i>: exact
+    structure constants for dyadic entries and norms, antisymmetric and
+    closed under the bracket as far as :meth:`from_matrix` checks spans.
     """
 
     def __init__(self, basis, name="lie-algebra"):
@@ -38,37 +40,22 @@ class LieAlgebra:
         self.name = name
         self.dim = basis.shape[0]
         self.matrix_dim = basis.shape[1]
-        flat = self._flatten(basis)
-        self._pinv = np.linalg.pinv(flat.T)
+        # the trace pairing Re tr(A^H B) of every pair of basis elements
+        gram = np.einsum("kij,lij->kl", basis.conj(), basis).real
+        norms = np.diag(gram)
+        if not np.all(np.abs(gram - np.diag(norms)) < 1e-12 * norms):
+            raise StructureError(f"{name}: basis is not orthogonal")
+        self._dual = basis.conj() / norms[:, None, None]
         self._flat_basis = basis.reshape(self.dim, -1)
         # structure[i, j] = [e_i, e_j], all pairs in one from_matrix
         self.structure = self.from_matrix(basis[:, None] @ basis[None]
                                           - basis[None] @ basis[:, None])
-        self._check_structure()
         self._structure_terms = terms(self.structure)
         # Killing form tr(ad_{e_i} ad_{e_m}); ad_X has (k, j) entry X_i c_ijk
         self.killing = np.einsum("ijk,mkj->im", self.structure, self.structure)
         # x @ spin: the (phase rate, half rotation vector) of exp(x), see
-        # groups.spin_coordinates; the ordered-exponential kernel's input
+        # groups.spin_coordinates; the input of every exponential
         self.spin = spin_coordinates(basis)
-
-    @staticmethod
-    def _flatten(mats):
-        """(..., n, n) -> (..., 2 n^2): real parts, then imaginary parts."""
-        m = np.asarray(mats)
-        return np.concatenate([m.real.reshape(*m.shape[:-2], -1),
-                               m.imag.reshape(*m.shape[:-2], -1)], axis=-1)
-
-    def _check_structure(self):
-        c = self.structure
-        anti = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        jac = np.einsum("ijm,mkl->ijkl", c, c)
-        jacobi = np.max(np.abs(jac + np.transpose(jac, (1, 2, 0, 3))
-                               + np.transpose(jac, (2, 0, 1, 3))))
-        if max(anti, jacobi) > 1e-10:
-            raise StructureError(
-                f"{self.name}: structure constants defect "
-                f"antisymmetry={anti:.2e}, Jacobi={jacobi:.2e}")
 
     def to_matrix(self, vec):
         """Coefficient vector(s) (..., dim) -> matrix (..., n, n)."""
@@ -78,11 +65,10 @@ class LieAlgebra:
             vec.shape[:-1] + (n, n))
 
     def from_matrix(self, m):
-        """Matrix (..., n, n) -> coefficient vector(s); each matrix must lie
-        in the span, to 1e-8 relative to its own largest entry."""
+        """Matrix (..., n, n) -> coefficient vector(s) by the trace pairing;
+        each must lie in the span, to 1e-8 relative to its largest entry."""
         m = np.asarray(m)
-        flat = self._flatten(m)
-        coeff = flat @ self._pinv.T if flat.ndim > 1 else self._pinv @ flat
+        coeff = np.einsum("...ij,kij->...k", m, self._dual).real
         residual = np.max(np.abs(self.to_matrix(coeff) - m), axis=(-2, -1))
         if np.any(residual > 1e-8 * (1.0 + np.max(np.abs(m), axis=(-2, -1)))):
             raise DomainError(
@@ -169,16 +155,16 @@ class LieTwoAlgebra:
 
     def t_star_fd_defect(self, cm, eps=1e-5) -> float:
         """Central-difference consistency of t_star with the group map t."""
-        h = cm.H.exp(np.multiply.outer([eps, -eps], self.h_alg.basis))
-        plus, minus = cm.G.log(cm.t(h))
+        steps = np.multiply.outer([eps, -eps], np.eye(self.h_alg.dim))
+        plus, minus = cm.G.log(cm.t(cm.H.exp(steps, self.h_alg)))
         fd = self.g_alg.from_matrix((plus - minus) / (2 * eps))
         return float(np.max(np.abs(fd - self.t_star.T)))
 
     def alpha_star_fd_defect(self, family, eps=1e-5) -> float:
         """Central-difference consistency of alpha_star with the action:
         alpha_star[i, j, k] = d/de family.alpha_star_of(exp(e X_i))[k, j]."""
-        steps = np.multiply.outer([eps, -eps], self.g_alg.basis)
-        plus, minus = family.alpha_star_of(family.group_G.exp(steps))
+        steps = np.multiply.outer([eps, -eps], np.eye(self.g_alg.dim))
+        plus, minus = family.alpha_star_of(family.group_G.exp(steps, self.g_alg))
         fd = (plus - minus) / (2 * eps)
         return float(np.max(np.abs(fd.swapaxes(-2, -1) - self.alpha_star)))
 
@@ -193,13 +179,13 @@ def terms(table):
 
 
 def bilinear(table_terms, u, v):
-    """u_i v_j c_ijk over the :func:`terms` of c, batched over the
-    broadcast leading axes of u and v; each output sums i-major."""
+    """u_i v_j c_ijk over the :func:`terms` of c, batched over the broadcast
+    leading axes of u and v; each output sums i-major, +-1 terms unscaled."""
     u, v = np.asarray(u), np.asarray(v)
     size, entries = table_terms
     out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (size,))
     for i, j, k, c in entries:
-        out[..., k] += c * (u[..., i] * v[..., j])
+        _accumulate(out[..., k], c, u[..., i] * v[..., j])
     return out
 
 
@@ -209,8 +195,16 @@ def linear(table_terms, x):
     size, entries = table_terms
     out = np.zeros(x.shape[:-1] + (size,))
     for k, j, m in entries:
-        out[..., k] += m * x[..., j]
+        _accumulate(out[..., k], m, x[..., j])
     return out
+
+
+def _accumulate(out, c, x):
+    """out += c x in place, with no product where c is +-1."""
+    if c == -1.0:
+        out -= x
+    else:
+        out += x if c == 1.0 else c * x
 
 
 def _basis_pairs(dim):

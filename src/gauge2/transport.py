@@ -348,10 +348,13 @@ def _surface_generator(conn: TwoConnection, bigons, counts, integrand: str):
 def surface_values(conn: TwoConnection, bigons, p=None,
                    steps: int = 32) -> np.ndarray:
     """H values (stack, n, n) of the 2-transports of a stack of bigons at
-    p = (x0, g0): one outer solve of ``steps`` steps over slices lifted and
-    integrated with ``steps`` steps, at the identity frame, then
-    alpha_{g0^-1}; g0 may be a stack of frames, paired with the bigons by
-    broadcasting.  No boundary transport is computed."""
+    p = (x0, g0), an empty stack for none: one outer solve of ``steps``
+    steps over slices lifted and integrated with ``steps`` steps, at the
+    identity frame, then alpha_{g0^-1}; g0 may be a stack of frames, paired
+    with the bigons by broadcasting.  No boundary transport is computed."""
+    if not len(bigons):
+        identity = conn.family.group_H.identity
+        return np.empty((0,) + identity.shape, identity.dtype)
     return _surface_sweep(conn, bigons, p, [steps])[0]
 
 
@@ -433,8 +436,6 @@ def verify_higher_stokes(conn: TwoConnection, cubes,
     exp of an ordinary triple integral of the ker t_* projection of K.  The
     end bigons of all cubes take one surface solve; K runs cube by cube.
     """
-    if not cubes:
-        return []
     for cube in cubes:
         check_cube_boundaries(cube)
     fam = conn.family
@@ -450,7 +451,7 @@ def verify_higher_stokes(conn: TwoConnection, cubes,
         del x, dx       # else the next cube's jet is made while they live
         bianchi = float(np.max(np.abs(fam.l2a.apply_t_star(kvals))))
         integral = weights @ fam.l2a.project_ker_t_star(kvals)
-        rhs = H.exp(fam.l2a.h_alg.to_matrix(SURFACE_ODE_SIGN * integral))
+        rhs = H.exp(SURFACE_ODE_SIGN * integral, fam.l2a.h_alg)
         reps.append({"defect": float(np.max(np.abs(lhs - rhs))),
                      "lhs": lhs, "rhs": rhs, "bianchi_defect": bianchi,
                      "kernel_defect": float(np.max(np.abs(

@@ -734,9 +734,9 @@ def test_sampled_axiom_checks_draw_whole_batches(tmp_path, monkeypatch):
     sizes = []
     group_exp = MatrixGroup.exp
 
-    def counting(group, X):
-        sizes.append(np.shape(X)[:-2])
-        return group_exp(group, X)
+    def counting(group, x, alg):
+        sizes.append(np.shape(x)[:-1])
+        return group_exp(group, x, alg)
 
     monkeypatch.setattr(MatrixGroup, "exp", counting)
     assert main(["check-crossed-module", "--config",

@@ -165,6 +165,18 @@ def test_three_curvature_low_dimension_note(u1):
     assert np.max(np.abs(K)) == 0.0
 
 
+def test_three_curvature_on_a_2d_chart_is_exactly_zero():
+    """No triple i < k < l exists on a 2-d chart, so K has no component and
+    no wedge term leaves roundoff: su2_demo's K is 0.0 at any tangents."""
+    conn = load_config(pathlib.Path(__file__).parent.parent / "configs"
+                       / "su2_demo.json").connection()
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(0.0, 1.0, size=(50, 2))
+    X, Y, Z = rng.normal(size=(3, 50, 2))
+    K = conn.K_of(pts, X, Y, Z)
+    assert K.shape == (50, 3) and np.all(K == 0.0)
+
+
 def test_curvature_fd_convergence_order():
     su2 = matrix_family("su2_id_conj")
     a = _stencil([["sin(pi*x2)", "0.3", "0"], ["0", "cos(pi*x1)", "0"]],
@@ -213,7 +225,7 @@ def test_bundle_form_identity_and_equivariance(su2):
     rhs = su2.alpha_vec(su2.group_G.inv(g0), bundle_form_B(conn, x, g, X, Y))
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
     # explicit adjoint check at g = exp(e1)
-    g1 = su2.group_G.exp(su2.l2a.g_alg.to_matrix([1.0, 0.0, 0.0]))
+    g1 = su2.group_G.exp([1.0, 0.0, 0.0], su2.l2a.g_alg)
     got = bundle_form_B(conn, x, g1, X, Y)
     want = su2.alpha_vec(su2.group_G.inv(g1), base)
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -354,6 +366,49 @@ def _minor(X, Y, Z, i, k, l):
 
 
 def _ref_K(conn, p, X, Y, Z):
+    """K as the sum over triples i < k < l of m_ikl K_ikl, with the
+    coordinate component K_ikl = rep_*(dF_ikl) + (d_i b_kl - d_k b_il
+    + d_l b_ik) + alpha_*(a_i, b_kl) - alpha_*(a_k, b_il)
+    + alpha_*(a_l, b_ik), by dense einsums over the tables."""
+    eye = np.eye(conn.chart.dim)
+    X, Y, Z = (np.broadcast_to(T, p.shape) for T in (X, Y, Z))
+    slot = {pair: n for n, pair in enumerate(conn.pairs)}
+    a, b = conn.a_coeffs(p), _ref_b_pairs(conn, p)
+    diffs = [[_d(f, p, e, conn.fd_step) for e in eye]
+             for f in (conn._b, conn._b_extra) if f is not None]
+
+    def alpha(x, eta):
+        return np.einsum("...i,...j,ijk->...k", x, eta,
+                         conn.family.l2a.alpha_star)
+
+    def bracket(u, v):
+        return np.einsum("...i,...j,ijk->...k", u, v,
+                         conn.family.l2a.g_alg.structure)
+
+    if conn.fake_flat_mode:
+        da = [_d(conn.a_coeffs, p, e, conn.fd_step) for e in eye]
+
+        def curl(k, l):
+            return da[k][:, l] - da[l][:, k]
+
+    K = np.zeros(b[:, 0].shape)
+    for i, k, l in itertools.combinations(range(conn.chart.dim), 3):
+        ik, il, kl = slot[i, k], slot[i, l], slot[k, l]
+        parts = [(dc[i][:, kl] - dc[k][:, il]) + dc[l][:, ik] for dc in diffs]
+        if conn.fake_flat_mode:
+            dF = ((bracket(curl(i, k), a[:, l]) - bracket(curl(i, l), a[:, k]))
+                  + bracket(curl(k, l), a[:, i]))
+            parts.insert(0, np.einsum("hg,...g->...h", conn.family.rep_star, dF))
+        parts.append((alpha(a[:, i], b[:, kl]) - alpha(a[:, k], b[:, il]))
+                     + alpha(a[:, l], b[:, ik]))
+        K = K + _minor(X, Y, Z, i, k, l)[:, None] * sum(parts[1:], parts[0])
+    return K
+
+
+def _ref_K_contracted(conn, p, X, Y, Z):
+    """The two parts of K with the wedge contracted with the tangents: db
+    from the minors, and alpha_*(a(X), b(Y, Z)) - alpha_*(a(Y), b(X, Z))
+    + alpha_*(a(Z), b(X, Y))."""
     eye = np.eye(conn.chart.dim)
     X, Y, Z = (np.broadcast_to(T, p.shape) for T in (X, Y, Z))
     triples = list(itertools.combinations(range(conn.chart.dim), 3))
@@ -391,7 +446,7 @@ def _ref_K(conn, p, X, Y, Z):
     wedge = (alpha(_ref_a(conn, p, X), _ref_b(conn, p, Y, Z))
              - alpha(_ref_a(conn, p, Y), _ref_b(conn, p, X, Z))
              + alpha(_ref_a(conn, p, Z), _ref_b(conn, p, X, Y)))
-    return db + wedge
+    return db, wedge
 
 
 def _connections():
@@ -432,9 +487,15 @@ def test_all_pairs_forms_bitwise_equal_per_pair_formulas(which):
                               _ref_b(conn, pts, eye[k], eye[l]))
     assert np.array_equal(conn.F_of(pts, X, Y), _ref_F(conn, pts, X, Y))
     assert np.array_equal(conn.b_of(pts, X, Y), _ref_b(conn, pts, X, Y))
-    assert np.array_equal(conn.K_of(pts, X, Y, Z), _ref_K(conn, pts, X, Y, Z))
-    assert np.array_equal(conn.K_of(pts[:3], EX, EY, EZ),
-                          _ref_K(conn, pts[:3], EX, EY, EZ))
+    for p, T in [(pts, (X, Y, Z)), (pts[:3], (EX, EY, EZ))]:
+        K = conn.K_of(p, *T)
+        assert np.array_equal(K, _ref_K(conn, p, *T))
+        # the tangent-contracted wedge regroups the same terms, so the two
+        # agree to roundoff of the larger part (the gauge-transformed K is
+        # itself roundoff, 1e-12, of parts of size 1 that cancel)
+        db, wedge = _ref_K_contracted(conn, p, *T)
+        assert (np.max(np.abs(K - (db + wedge)))
+                <= 1e-15 * max(np.max(np.abs(db)), np.max(np.abs(wedge))))
     grid = chart_grid(conn.chart, 3)
     ref = max(float(np.max(np.abs(
         conn.family.l2a.apply_t_star(_ref_b(conn, grid, eye[k], eye[l]))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gauge2.errors import DomainError
+from gauge2.errors import DomainError, StructureError
 from gauge2.families import FAMILY_NAMES, _random_vec, matrix_family
 from gauge2.fields import GroupValuedField, group_field
-from gauge2.lie2 import _null_space, bilinear, linear, terms
+from gauge2.lie2 import LieAlgebra, _null_space, bilinear, linear, terms
 
 FAMILIES = [matrix_family(name) for name in FAMILY_NAMES]
 
@@ -26,6 +26,24 @@ def test_structure_constants_antisymmetry_jacobi(fam):
         jac = np.einsum("ijm,mkl->ijkl", c, c)
         cyc = jac + np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
         assert np.max(np.abs(cyc)) <= 1e-10
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_structure_constants_and_alpha_star_are_exact(fam):
+    """The trace pairing of the orthogonal, dyadic bases reads every table
+    entry exactly: each is -1, 0 or 1, so no bracket carries a spurious
+    roundoff term."""
+    for table in (fam.l2a.g_alg.structure, fam.l2a.h_alg.structure,
+                  fam.l2a.alpha_star):
+        assert np.all(np.isin(table, [-1.0, 0.0, 1.0]))
+    assert len(terms(fam.l2a.alpha_star)[1]) == {"su2_id_conj": 6, "u2_to_pu2": 6,
+                                                 "u1_id": 0, "u1_triv": 0}[fam.name]
+
+
+def test_a_basis_that_is_not_orthogonal_is_rejected():
+    su2 = matrix_family("su2_id_conj").l2a.g_alg.basis
+    with pytest.raises(StructureError, match="orthogonal"):
+        LieAlgebra(np.stack([su2[0], su2[1], su2[2] + 0.5 * su2[0]]))
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
@@ -120,7 +138,7 @@ def test_exp_log_round_trip(fam):
             v = rng.standard_normal(alg.dim)
             v = v / max(1.0, np.linalg.norm(v))
             xi = alg.to_matrix(v)
-            g = group.exp(xi)
+            g = group.exp(v, alg)
             assert group.membership_defect(g) <= 1e-12
             assert np.max(np.abs(group.log(g) - xi)) <= 1e-10
 
@@ -138,13 +156,13 @@ def test_adjoint_matrices_match_group_conjugation(fam):
     eta = np.stack([_random_vec(rng, h_alg.dim, 0.8) for _ in range(8)])
 
     def conjugated(group, alg, u, vec):
-        m = group.mul(group.mul(u, group.exp(alg.to_matrix(vec))), group.inv(u))
+        m = group.mul(group.mul(u, group.exp(vec, alg)), group.inv(u))
         return alg.from_matrix(group.log(m))
 
     assert np.max(np.abs(fam.ad_g_vec(g, x) - conjugated(G, g_alg, g, x))) <= 1e-14
     assert np.max(np.abs(fam.ad_h_vec(a, eta)
                          - conjugated(H, h_alg, a, eta))) <= 1e-14
-    acted = h_alg.from_matrix(H.log(cm.alpha(g, H.exp(h_alg.to_matrix(eta)))))
+    acted = h_alg.from_matrix(H.log(cm.alpha(g, H.exp(eta, h_alg))))
     assert np.max(np.abs(fam.alpha_vec(g, eta) - acted)) <= 1e-14
 
 
@@ -154,9 +172,8 @@ def test_group_algebra_compatibility_exp_t(fam):
     cm = fam.cm
     for _ in range(10):
         v = _random_vec(rng, fam.l2a.h_alg.dim, 1.0)
-        xi = fam.l2a.h_alg.to_matrix(v)
-        lhs = cm.G.exp(fam.l2a.g_alg.to_matrix(fam.l2a.apply_t_star(v)))
-        rhs = cm.t(cm.H.exp(xi))
+        lhs = cm.G.exp(fam.l2a.apply_t_star(v), fam.l2a.g_alg)
+        rhs = cm.t(cm.H.exp(v, fam.l2a.h_alg))
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -166,13 +183,13 @@ def test_alpha_compatibility_second_order():
     X = _random_vec(rng, fam.l2a.g_alg.dim, 1.0)
     eta = _random_vec(rng, fam.l2a.h_alg.dim, 1.0)
     h_alg = fam.l2a.h_alg
-    h_mat = fam.group_H.exp(h_alg.to_matrix(eta))
+    h_mat = fam.group_H.exp(eta, h_alg)
 
     def defect(eps):
-        g = fam.group_G.exp(fam.l2a.g_alg.to_matrix(eps * X))
+        g = fam.group_G.exp(eps * X, fam.l2a.g_alg)
         lhs = fam.cm.alpha(g, h_mat)
-        rhs = fam.group_H.exp(h_alg.to_matrix(
-            eta + eps * fam.l2a.apply_alpha_star(X, eta)))
+        rhs = fam.group_H.exp(eta + eps * fam.l2a.apply_alpha_star(X, eta),
+                              h_alg)
         return np.max(np.abs(lhs - rhs))
 
     d1, d2 = defect(2e-3), defect(1e-3)

@@ -173,7 +173,7 @@ def test_rho_matches_midpoint_solution_along_lift(fam, a_exprs, phi_exprs,
     gens = -fam.alpha_vec(fam.group_G.inv(frames[1::2]), phi) / n
     H = fam.group_H
     ref = H.identity
-    for step in H.exp(fam.l2a.h_alg.to_matrix(gens)):
+    for step in H.exp(gens, fam.l2a.h_alg):
         ref = step @ ref
     got = rho_from_phi(conn, [m], [gamma], p, 48)[0, 0]
     assert np.max(np.abs(got - ref)) <= 1e-6

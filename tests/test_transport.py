@@ -14,7 +14,8 @@ from gauge2.families import matrix_family
 from gauge2.forms import TwoConnection
 from gauge2.geometry import (Chart, ParamMap, reparameterize, straight_path,
                              target_path)
-from gauge2.groups import MatrixGroup, hamilton, quaternion_exp, unrotate
+from gauge2.groups import (MatrixGroup, hamilton, quaternion_exp,
+                           spin_coordinates, unrotate)
 from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
@@ -73,7 +74,7 @@ def test_path_constant_su2_closed_form():
                          b="fake_flat")
     length = 0.8
     res = path_ordered_exp(conn, straight_path([0, 0], [length, 0]), steps=64)
-    expected = SU2.group_G.exp(SU2.l2a.g_alg.to_matrix(-length * coeffs))
+    expected = SU2.group_G.exp(-length * coeffs, SU2.l2a.g_alg)
     assert np.max(np.abs(res["value"] - expected)) <= 1e-9
 
 
@@ -242,8 +243,8 @@ def _two_call_cf4(group, alg, w_eval, steps, trajectory=False, right=False):
     column = np.zeros(steps, dtype=int)
     w1 = w_eval(t0 + (0.5 - r) * h, column)
     w2 = w_eval(t0 + (0.5 + r) * h, column)
-    e1 = group.exp(alg.to_matrix(h * ((0.25 + r) * w1 + (0.25 - r) * w2)))
-    e2 = group.exp(alg.to_matrix(h * ((0.25 - r) * w1 + (0.25 + r) * w2)))
+    e1 = group.exp(h * ((0.25 + r) * w1 + (0.25 - r) * w2), alg)
+    e2 = group.exp(h * ((0.25 - r) * w1 + (0.25 + r) * w2), alg)
     frames = [np.broadcast_to(group.identity, e1.shape[1:])]
     for k in range(steps):
         g = frames[-1]
@@ -377,9 +378,11 @@ def test_spin_coordinates_exponentiate_like_the_matrices(group, alg):
     if group.real:          # SO(3): rotation angles at and near pi
         axes = x / np.linalg.norm(x, axis=-1, keepdims=True)
         x = axes * np.pi * (1.0 + np.linspace(-1e-6, 1e-6, 40))[:, None]
-    spin = x @ alg.spin
-    got = group.from_spin(spin[:, 0], quaternion_exp(spin[:, 1:].T))
-    assert np.max(np.abs(got - group.exp(alg.to_matrix(x)))) <= 1e-13
+    got = group.exp(x, alg)
+    # the linear map alg.spin against the spin coordinates of the matrices
+    spin = spin_coordinates(alg.to_matrix(x))
+    by_matrix = group.from_spin(spin[:, 0], quaternion_exp(spin[:, 1:].T))
+    assert np.max(np.abs(got - by_matrix)) <= 1e-13
     # and against an exponential that shares no code with the spin path
     expm = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(x)])
     assert np.max(np.abs(got - expm)) <= 1e-12
@@ -542,7 +545,7 @@ def test_batched_surface_generator_matches_per_slice_lifts(fam, a, frame):
     # the identity-frame driver, moved to g0 by (alpha_{g0^-1})_*, against
     # the reference with g0 inside the integrand
     conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
-    g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
+    g0 = fam.group_G.exp(frame, fam.l2a.g_alg)
     s_values = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
     beta = _surface_generator(conn, [lens_bigon()], [16], "b")
     moved = fam.alpha_vec(fam.group_G.inv(g0),
@@ -602,7 +605,7 @@ def test_surface_equivariance_in_basepoint():
     bigon, n = lens_bigon(), 24
     for fam, a, frame in FRAMED:
         conn = TwoConnection(fam, Chart(2), a=a, b="fake_flat")
-        g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frame)))
+        g0 = fam.group_G.exp(frame, fam.l2a.g_alg)
         reference = gauge2.transport._ordered_exp(
             fam.group_H, fam.l2a.h_alg,
             lambda s, c: _per_slice_beta(conn, bigon, g0, n, s)[:, None], [n],
@@ -625,7 +628,7 @@ def test_batched_surface_values_match_per_bigon_transport(fam, a, b, frames):
     lens = lens_bigon()
     warp = ParamMap.from_exprs(["u^2*(3-2*u)", "(1-cos(pi*v))/2"], 2)
     bigons = [lens, bulge_bigon(), reparameterize(lens, warp)]
-    g0 = fam.group_G.exp(fam.l2a.g_alg.to_matrix(np.array(frames, dtype=float)))
+    g0 = fam.group_G.exp(frames, fam.l2a.g_alg)
     x0 = np.zeros(2)
     got = surface_values(conn, bigons, (x0, g0), 16)
     assert got.shape == (3,) + fam.group_H.identity.shape
@@ -645,6 +648,14 @@ def test_surface_values_check_every_basepoint():
     with pytest.raises(DomainError, match="corner"):
         surface_values(SU2_CONN, [lens_bigon(), shifted],
                        (np.zeros(2), SU2.group_G.identity))
+
+
+def test_surface_values_of_no_bigons_is_an_empty_stack():
+    """An empty stack of bigons gives an empty stack of H values, with or
+    without a basepoint."""
+    for p in (None, (np.zeros(2), SU2.group_G.identity)):
+        got = surface_values(SU2_CONN, [], p, 16)
+        assert got.shape == (0, 2, 2) and got.dtype == complex
 
 
 GUARD_CONFIG = {
@@ -701,14 +712,13 @@ CUBE_CONFIG = {
     # of the transformed a and b (the stencil of F(a') takes 9 of a')
     (["gauge-transform"], {}, 280),
     # the +-h rays of both stencil levels at all 10 points in one path
-    # solve, and the 40 round trips of log
-    (["reconstruct", "A"], {("path", (1, 40)): 1}, 40),
+    # solve; log checks its round trip from spin coordinates, not with exp
+    (["reconstruct", "A"], {("path", (1, 40)): 1}, 0),
     # the 8 stencil bigons of all 10 points in one outer solve, whose one
     # generator call lifts the 2 x 16 slices of all 80 bigons in blocks of
-    # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS), and 80
-    # round trips of log
+    # 11, 11 and 10 (32 x 11 x 80 points is at most _LIFT_POINTS)
     (["reconstruct", "B"], {("surface", (1, 80)): 1, ("lift", (11, 80)): 2,
-                            ("lift", (10, 80)): 1}, 80),
+                            ("lift", (10, 80)): 1}, 0),
     # a sweep of 2 halvings is one kernel call per kind: the 4-, 8- and
     # 16-step surface solves in one outer solve, whose one lift takes the
     # 2 x (4 + 8 + 16) slices, each at its own count; source and target
@@ -732,8 +742,8 @@ CUBE_CONFIG = {
 def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
                                          exp_matrices):
     """Kernel calls by kind and batch, and the number of matrices
-    ``MatrixGroup.exp`` exponentiates: group-valued field values and log
-    round trips, so an extra field evaluation shows."""
+    ``MatrixGroup.exp`` exponentiates: group-valued field values and
+    higher-Stokes right-hand sides, so an extra field evaluation shows."""
     seen = collections.Counter()
     kernel = gauge2.transport._ordered_exp
     group_exp = MatrixGroup.exp
@@ -746,9 +756,9 @@ def test_kernel_calls_per_verify_command(tmp_path, monkeypatch, argv, calls,
         seen[kind, out[0].shape[1:] if trajectory else out.shape[:-2]] += 1
         return out
 
-    def counting_exp(group, X):
-        exponentiated[0] += int(np.prod(np.shape(X)[:-2]))
-        return group_exp(group, X)
+    def counting_exp(group, x, alg):
+        exponentiated[0] += int(np.prod(np.shape(x)[:-1]))
+        return group_exp(group, x, alg)
 
     for module in (gauge2.transport, gauge2.morphisms):
         monkeypatch.setattr(module, "_ordered_exp", counting)
