@@ -13,7 +13,7 @@ from .errors import (BranchError, ComposabilityError, ConfigError,
                      DomainError, EquivarianceError, EvalError, Gauge2Error,
                      MathDomainError, MembershipError, ParseError,
                      SamplingError, StructureError, UnboundVariableError)
-from .dsl import Expr, evaluate, parse, to_source
+from .dsl import Expr, evaluate, parse
 from .groups import FiniteGroup, MatrixGroup, cyclic_group
 from .twogroup import (CrossedModule, TwoGroupElement, check_crossed_module,
                        interchange_defect, two_group_compose,
@@ -22,8 +22,8 @@ from .lie2 import LieAlgebra, LieTwoAlgebra
 from .families import (FAMILY_NAMES, MatrixFamily, finite_crossed_module,
                        finite_demo_module, matrix_family)
 from .torsor import (EtaH, Torsor2, TorsorMorphism, eta_to_etaH, etaH_to_eta,
-                     extend_functor, horizontal_compose_etaH, selftest,
-                     torsor_divide, vertical_compose_etaH)
+                     horizontal_compose_etaH, selftest, torsor_divide,
+                     vertical_compose_etaH)
 from .geometry import (Chart, ParamMap, reparameterize, source_path,
                        straight_path, target_path)
 from .fields import CoefficientField, GroupValuedField, chart_grid, group_field

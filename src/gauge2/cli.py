@@ -256,24 +256,24 @@ def run_verify_gauge(cfg, num, rng, out, emit):
     tm = cfg.two_morphism() if forms else None
     morphisms = [m] + [apply_twomorphism(conn, m, tm, form=form) for form in forms]
     # the A-level check depends on no bigon: once per command
-    a_defects = pullback_defects(conn, conn_prime, morphisms)
+    a_defects = pullback_defects(conn, conn_prime, morphisms,
+                                 chart_grid(conn.chart, num["grid_per_axis"]))
     for name, pm in cfg.param_maps("bigons").items():
-        reps = verify_onemorphism_compat(conn, conn_prime, morphisms, pm,
-                                         steps=steps, a_defects=a_defects)
-        for form, rep in zip((None,) + forms, reps):
-            ok = (rep["square_defect"] <= TOL["gauge_square"]
-                  and rep["a_pullback_defect"] <= TOL["gauge_a_grid"])
+        squares = verify_onemorphism_compat(conn, conn_prime, morphisms, pm,
+                                            steps=steps)
+        for form, sq, ad in zip((None,) + forms, squares, a_defects):
+            rep = {"square_defect": sq, "a_pullback_defect": ad}
+            ok = sq <= TOL["gauge_square"] and ad <= TOL["gauge_a_grid"]
             if form is None:
                 cases.append({"name": name, **rep, "pass": ok})
-                emit(ok, name, f"square {rep['square_defect']:.2e} "
-                     f"A-grid {rep['a_pullback_defect']:.2e}")
+                emit(ok, name, f"square {sq:.2e} A-grid {ad:.2e}")
                 continue
             note = ("g' = t(a) g with trailing term -(da)a^-1"
                     if form == "definition"
                     else "g' = t(a)^-1 g with trailing term +a^-1 da")
             cases.append({"name": f"{name}:{form}", **rep,
                           "pairing": note, "pass": ok})
-            emit(ok, f"{name}:{form}", f"square {rep['square_defect']:.2e}")
+            emit(ok, f"{name}:{form}", f"square {sq:.2e}")
     return cases
 
 

@@ -15,7 +15,8 @@ over numpy arrays, so fields can be evaluated on whole quadrature grids
 at once.  ``program`` compiles expressions and their ``diff`` partials,
 once per process, into one straight-line :class:`Program` whose shared
 nodes run once; ``evaluate`` is its one-expression use.  ``diff``
-differentiates a tree symbolically into another tree.
+differentiates a tree symbolically into another tree.  Trees are frozen
+dataclasses, equal when their structure is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import MathDomainError, ParseError, UnboundVariableError
 
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "diff", "to_source",
+    "parse", "evaluate", "diff",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh")
@@ -44,9 +45,6 @@ class Expr:
 
     def variables(self) -> frozenset[str]:
         return _free_vars(self)
-
-    def __str__(self):
-        return to_source(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -481,45 +479,6 @@ def diff(e: Expr, var: str) -> Expr:
         lowered = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, ONE)
         return _mul(_mul(b, _pow(a, lowered)), da)
     return _mul(e, _add(_mul(db, Call("log", a)), BinOp("/", _mul(b, da), a)))
-
-
-# --- printing --------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(node):
-    if isinstance(node, (Num, Const, Var, Call)):
-        return _PREC["atom"]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC[node.op]
-
-
-def to_source(e: Expr) -> str:
-    """Render the AST back to text; ``parse(to_source(e)) == e``."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, (Const, Var)):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    if isinstance(e, Neg):
-        inner = to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        my = _PREC[e.op]
-        left = to_source(e.left)
-        right = to_source(e.right)
-        # '^' is right-associative, the rest left-associative
-        if _prec(e.left) < my or (_prec(e.left) == my and e.op == "^"):
-            left = f"({left})"
-        if _prec(e.right) < my or (_prec(e.right) == my and e.op != "^"):
-            right = f"({right})"
-        return f"{left} {e.op} {right}".replace(" ^ ", "^")
-    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def _free_vars(e: Expr) -> frozenset[str]:

@@ -9,9 +9,11 @@ contiguous row of N points, so a slice such as ``a[:, k]`` of a jet is a
 unit-stride point vector for every component.
 
 :func:`jet` takes every partial of a field or map, and is the one place
-that chooses exact partials or finite differences: an object with a
-``jet`` of its own (a CoefficientField, a ParamMap) gives it, and any
-other callable is called once and differenced by the 4-point stencil of
+that chooses exact partials or finite differences: a CoefficientField
+and a ParamMap give their own ``jet`` (exact for DSL expressions and for
+every map a command builds), and any other callable (the coefficients
+of a gauge-transformed connection, a group-valued field built by
+composition) is called once and differenced by the 4-point stencil of
 :func:`directional_diff`, which calls it once more, on 4 shifted copies
 of the points per direction.
 
@@ -56,12 +58,11 @@ def directional_diff(fn, points, directions, step=FD_STEP):
 def jet(fn, points, axes=None, step=FD_STEP):
     """fn and its (N, len(axes), ...) partials along the coordinate
     ``axes`` (all by default) at the (N, d) points: ``fn.jet`` where fn has
-    one (a CoefficientField, a ParamMap, which differences with ``step``
-    where it has no exact partials), else one call of fn and the stencil
-    of :func:`directional_diff` with ``step``."""
+    one (a CoefficientField, a ParamMap), else one call of fn and the
+    stencil of :func:`directional_diff` with ``step``."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     if hasattr(fn, "jet"):
-        return fn.jet(p, axes, step)
+        return fn.jet(p, axes)
     eye = np.eye(p.shape[-1])
     directions = eye if axes is None else eye[list(axes)]
     return fn(p), directional_diff(fn, p, directions, step)
@@ -113,10 +114,10 @@ class CoefficientField:
         return self._program.run(self._bindings(p), p.shape[:-1], (),
                                  self.shape)[0]
 
-    def jet(self, points, axes=None, step=None):
-        """The values (N, *shape) and the partials (N, len(axes), *shape)
-        along the variables ``axes`` (all by default), from one run of the
-        program; the partials are exact, so ``step`` is not used."""
+    def jet(self, points, axes=None):
+        """The values (N, *shape) and the exact partials (N, len(axes),
+        *shape) along the variables ``axes`` (all by default), from one run
+        of the program."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         axes = tuple(range(len(self.variables)) if axes is None else axes)
         return self._program.run(self._bindings(p), p.shape[:-1], axes,

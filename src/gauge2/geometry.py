@@ -1,10 +1,10 @@
 """Parametrized paths, bigons and cubes in a coordinate chart.
 
 A ParamMap is a smooth map I^m -> chart (m = 1 path, 2 bigon, 3 cube)
-with vectorized evaluation and a jet: its values and all its partials
-from one evaluation, exact for maps of DSL expressions, straight paths
-and the slices, affine images and reparameterizations of exact maps (the
-chain rule), and finite differences otherwise.
+held as its jet: its values and any of its partials from one vectorized
+evaluation, exact for maps of DSL expressions and straight paths and
+carried by the chain rule through slices, affine images and
+reparameterizations.
 Composites are not glued here: a composition law is checked on the pieces
 of one map, restricted by :meth:`ParamMap.compose_params` with a DSL
 parameter map such as the halves ``["u/2", "v"]`` and ``["(1+u)/2", "v"]``
@@ -64,26 +64,24 @@ class Chart:
 
 
 class ParamMap:
-    """Smooth map I^m -> R^d with vectorized evaluation.
+    """Smooth map I^m -> R^d, held as its jet.
 
-    ``fn`` maps an (N, m) parameter array to an (N, d) point array.  The
-    evaluation must extend smoothly to a neighbourhood of I^m (DSL fields
-    do), which keeps the 4th-order central differences of :meth:`jet`
-    valid everywhere.
-    ``jet(params, axes)``, the exact values (N, d) and partials along
-    ``axes`` (N, len(axes), d) from one evaluation, comes with
-    :meth:`from_exprs` maps (one program run of only what those partials
-    need) and straight paths and is carried through :meth:`slice_first`,
-    :meth:`affine_image` and :meth:`compose_params`; other maps take those
-    differences.
+    ``jet(params, axes)`` maps an (N, m) parameter array to the values
+    (N, d) and the partials along ``axes`` (N, len(axes), d), both from one
+    evaluation; ``axes`` ``()`` asks for the values alone, which is what a
+    call of the map runs.  :meth:`from_exprs` maps run one program of only
+    what those partials need; :meth:`slice_first`, :meth:`affine_image`,
+    :meth:`compose_params` and :func:`straight_path` write theirs by the
+    chain rule, so every map a command builds has exact partials.  A map
+    of a plain callable ``fn`` takes its jet from the stencil, as
+    ``ParamMap(m, d, lambda p, axes: fields.jet(fn, p, axes))``.
     """
 
-    def __init__(self, arity: int, dim: int, fn, name="map", jet=None):
+    def __init__(self, arity: int, dim: int, jet, name="map"):
         if arity not in (1, 2, 3):
             raise DomainError("arity must be 1 (path), 2 (bigon) or 3 (cube)")
         self.arity = arity
         self.dim = dim
-        self._fn = fn
         self._jet = jet
         self.name = name
 
@@ -93,25 +91,20 @@ class ParamMap:
         and their partials from ``dsl.diff``."""
         field = fields.CoefficientField(list(exprs), arity, (len(exprs),),
                                         PARAM_VARS[:arity])
-        return cls(arity, len(exprs), field, name=name, jet=field.jet)
+        return cls(arity, len(exprs), field.jet, name=name)
 
     def __call__(self, params):
-        p = np.atleast_2d(np.asarray(params, dtype=float))
-        squeeze = np.asarray(params).ndim == 1
-        out = self._fn(p)
-        return out[0] if squeeze else out
+        out = self._jet(np.atleast_2d(np.asarray(params, dtype=float)), ())[0]
+        return out[0] if np.asarray(params).ndim == 1 else out
 
-    def jet(self, params, axes=None, step=fields.FD_STEP):
+    def jet(self, params, axes=None):
         """Values (N, d) and partials (N, len(axes), d) along ``axes`` (all
-        parameters by default) at (N, m) parameters: exact where the map
-        carries them, else the 4th-order central difference with ``step``
-        of each axis asked for.  Negative axes count from the end."""
+        parameters by default) at (N, m) parameters.  Negative axes count
+        from the end."""
         p = np.atleast_2d(np.asarray(params, dtype=float))
         every = range(self.arity)
-        axes = tuple(every if axes is None else (every[k] for k in axes))
-        if self._jet is None:
-            return fields.jet(self._fn, p, axes, step)
-        return self._jet(p, axes)
+        return self._jet(p, tuple(every if axes is None
+                                  else (every[k] for k in axes)))
 
     def partial(self, index: int, params):
         """The map's derivative along parameter ``index`` (see :meth:`jet`)."""
@@ -121,40 +114,34 @@ class ParamMap:
     # -- derived maps ----------------------------------------------------------
 
     def compose_params(self, phi, name=None) -> "ParamMap":
-        """Precompose with a parameter map phi: I^m -> I^m; exact partials
-        D(sigma o phi) = D phi @ D sigma(phi) when both carry them, phi's
-        along the asked-for axes only."""
-        def fn(params):
-            return self._fn(np.atleast_2d(phi(params)))
-
+        """Precompose with a parameter map phi: I^m -> I^m; the chain rule
+        D(sigma o phi) = D phi @ D sigma(phi), phi's partials along the
+        asked-for axes only."""
         def jet(params, axes):
             q, dq = phi.jet(params, axes)
+            if not axes:
+                return self.jet(q, ())
             values, partials = self.jet(q)
             # sum_m d_a phi_m * d_m sigma(phi), one (N, d) plane at a time
             return values, sum(dq[:, :, m, None] * partials[:, None, m]
                                for m in range(self.arity))
 
-        exact = self._jet is not None and getattr(phi, "_jet", None) is not None
-        return ParamMap(self.arity, self.dim, fn,
-                        name=name or f"{self.name}*", jet=jet if exact else None)
+        return ParamMap(self.arity, self.dim, jet,
+                        name=name or f"{self.name}*")
 
     def affine_image(self, origin, basis, name=None) -> "ParamMap":
         """Postcompose with y -> origin + sum_k y_k basis_k."""
         origin = np.asarray(origin, dtype=float)
         basis = np.asarray(basis, dtype=float)   # (dim, len(origin))
 
-        def fn(params):
-            return origin + self._fn(params) @ basis
-
         # every partial, then the axes: BLAS can round a product of fewer
         # rows differently
         def jet(params, axes):
-            values, partials = self.jet(params)
+            values, partials = self.jet(params, None if axes else ())
             return origin + values @ basis, (partials @ basis)[:, list(axes)]
 
-        return ParamMap(self.arity, origin.shape[0], fn,
-                        name=name or f"{self.name}@affine",
-                        jet=None if self._jet is None else jet)
+        return ParamMap(self.arity, origin.shape[0], jet,
+                        name=name or f"{self.name}@affine")
 
     def slice_first(self, value: float, name=None) -> "ParamMap":
         """Fix the leading parameter; a cube slices to a bigon, a bigon
@@ -162,16 +149,13 @@ class ParamMap:
         if self.arity == 1:
             raise DomainError("cannot slice a path")
 
-        def full(params):
-            return np.concatenate(
-                [np.full((*params.shape[:-1], 1), value), params], axis=-1)
-
         def jet(params, axes):
-            return self._jet(full(params), tuple(k + 1 for k in axes))
+            full = np.concatenate(
+                [np.full((*params.shape[:-1], 1), value), params], axis=-1)
+            return self._jet(full, tuple(k + 1 for k in axes))
 
-        return ParamMap(self.arity - 1, self.dim, lambda p: self._fn(full(p)),
-                        name=name or f"{self.name}[{value},...]",
-                        jet=None if self._jet is None else jet)
+        return ParamMap(self.arity - 1, self.dim, jet,
+                        name=name or f"{self.name}[{value},...]")
 
     def __repr__(self):
         return f"ParamMap({self.name}, arity={self.arity}, dim={self.dim})"
@@ -184,12 +168,12 @@ def straight_path(a, b, name=None) -> ParamMap:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def fn(params):
+    def jet(params, axes):
         u = params[..., 0][..., None]
-        return (1.0 - u) * a + u * b
+        return ((1.0 - u) * a + u * b,
+                np.broadcast_to(b - a, (len(params), len(axes), a.shape[0])))
 
-    return ParamMap(1, a.shape[0], fn, name=name or "segment", jet=lambda p, axes: (
-        fn(p), np.broadcast_to(b - a, (len(p), 1, a.shape[0]))[:, list(axes)]))
+    return ParamMap(1, a.shape[0], jet, name=name or "segment")
 
 
 def source_path(sigma: ParamMap) -> ParamMap:

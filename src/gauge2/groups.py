@@ -40,12 +40,13 @@ class FiniteGroup:
     """Finite group given by an explicit multiplication table.
 
     ``table[a, b]`` is the index of the product a*b.  The constructor checks
-    that the table is a Latin square, that identity and inverses are
-    consistent, and that multiplication is associative, each as an array
-    identity.  ``mul`` and ``inv`` take index arrays; scalars give ints.
+    that the table is a Latin square with the given identity and that
+    multiplication is associative, each as an array identity, and reads
+    the inverses off the table.  ``mul`` and ``inv`` take index arrays;
+    scalars give ints.
     """
 
-    def __init__(self, table, identity=0, inverse=None, name="finite"):
+    def __init__(self, table, identity=0, name="finite"):
         table = as_table(table, "table")
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError("multiplication table must be square")
@@ -67,14 +68,6 @@ class FiniteGroup:
         if not (np.array_equal(table[identity], full)
                 and np.array_equal(table[:, identity], full)):
             raise StructureError(f"index {identity} is not an identity")
-        if inverse is None:
-            inverse = np.argmax(table == identity, axis=1)
-        else:
-            inverse = np.asarray(inverse, dtype=int)
-            bad = np.flatnonzero((table[full, inverse] != identity)
-                                 | (table[inverse, full] != identity))
-            if bad.size:
-                raise StructureError(f"inverse table wrong at row {bad[0]}")
         # Latin square + identity does not imply associativity; check it:
         # table[table][a, b, c] = (ab)c and table[:, table][a, b, c] = a(bc).
         bad = np.argwhere(table[table] != table[:, table])
@@ -82,7 +75,8 @@ class FiniteGroup:
             raise StructureError(f"multiplication not associative at row {bad[0][0]}")
         self.table = table
         self.identity = int(identity)
-        self.inverse_table = inverse
+        # each row of a Latin square holds the identity once
+        self.inverse_table = np.argmax(table == identity, axis=1)
         self.name = name
         self.order = n
 

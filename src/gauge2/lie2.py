@@ -22,6 +22,9 @@ from .groups import as_table, spin_coordinates
 
 __all__ = ["LieAlgebra", "LieTwoAlgebra"]
 
+# the central-difference step of the t_* and alpha_* consistency checks
+FD_EPS = 1e-5
+
 
 class LieAlgebra:
     """Matrix Lie algebra with a fixed basis.
@@ -153,19 +156,21 @@ class LieTwoAlgebra:
         lhs = self.apply_alpha_star(self.apply_t_star(xi), eta)
         return float(np.max(np.abs(lhs - self.h_alg.bracket(xi, eta))))
 
-    def t_star_fd_defect(self, cm, eps=1e-5) -> float:
-        """Central-difference consistency of t_star with the group map t."""
-        steps = np.multiply.outer([eps, -eps], np.eye(self.h_alg.dim))
+    def t_star_fd_defect(self, cm) -> float:
+        """Central-difference consistency of t_star with the group map t,
+        at step ``FD_EPS``."""
+        steps = np.multiply.outer([FD_EPS, -FD_EPS], np.eye(self.h_alg.dim))
         plus, minus = cm.G.log(cm.t(cm.H.exp(steps, self.h_alg)))
-        fd = self.g_alg.from_matrix((plus - minus) / (2 * eps))
+        fd = self.g_alg.from_matrix((plus - minus) / (2 * FD_EPS))
         return float(np.max(np.abs(fd - self.t_star.T)))
 
-    def alpha_star_fd_defect(self, family, eps=1e-5) -> float:
-        """Central-difference consistency of alpha_star with the action:
+    def alpha_star_fd_defect(self, family) -> float:
+        """Central-difference consistency of alpha_star with the action, at
+        step ``FD_EPS``:
         alpha_star[i, j, k] = d/de family.alpha_star_of(exp(e X_i))[k, j]."""
-        steps = np.multiply.outer([eps, -eps], np.eye(self.g_alg.dim))
+        steps = np.multiply.outer([FD_EPS, -FD_EPS], np.eye(self.g_alg.dim))
         plus, minus = family.alpha_star_of(family.group_G.exp(steps, self.g_alg))
-        fd = (plus - minus) / (2 * eps)
+        fd = (plus - minus) / (2 * FD_EPS)
         return float(np.max(np.abs(fd.swapaxes(-2, -1) - self.alpha_star)))
 
 

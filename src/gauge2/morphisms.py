@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import MatrixFamily
-from .fields import (FD_STEP, GroupValuedField, chart_grid, directional_diff,
+from .fields import (FD_STEP, GroupValuedField, directional_diff,
                      group_field, jet, tensor_field)
 from .forms import TwoConnection
 from .geometry import Chart, ParamMap, source_path, target_path
@@ -157,13 +157,12 @@ def rho_from_phi(conn: TwoConnection, morphisms, paths, p=None,
 
 
 def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
-                     morphisms, grid=None) -> list:
-    """max |F^*A' - (A + t_* phi)| on a chart grid for each of a stack of
-    gauge 1-morphisms from ``conn`` to ``conn_prime``.  F^*A' = Ad_g a' -
-    dg g^-1 takes dg g^-1 from a stencil at half the step of the
-    ``log_derivative`` that builds a', so a wrong one shows here."""
+                     morphisms, grid) -> list:
+    """max |F^*A' - (A + t_* phi)| on the chart points ``grid`` for each of
+    a stack of gauge 1-morphisms from ``conn`` to ``conn_prime``.
+    F^*A' = Ad_g a' - dg g^-1 takes dg g^-1 from a stencil at half the step
+    of the ``log_derivative`` that builds a', so a wrong one shows here."""
     fam = conn.family
-    grid = chart_grid(conn.chart) if grid is None else grid
     a, a_prime = conn.a_coeffs(grid), conn_prime.a_coeffs(grid)
     out = []
     for m in morphisms:
@@ -178,22 +177,22 @@ def pullback_defects(conn: TwoConnection, conn_prime: TwoConnection,
 
 
 def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
-                              morphisms, bigon: ParamMap, steps: int = 48,
-                              a_defects=None) -> list:
+                              morphisms, bigon: ParamMap,
+                              steps: int = 48) -> list:
     """Check the H-valued compatibility square of each of a stack of gauge
-    1-morphisms from ``conn`` to ``conn_prime``; one report of defects
-    each, which the caller compares with its tolerances.
+    1-morphisms from ``conn`` to ``conn_prime``; one square defect each,
+    which the caller compares with its tolerance.
 
     With gamma/gamma' the source/target paths of the bigon, the arranged
     H-valued form of the square (all factors based at p = (x0, e) over the
     corner, so F(p) = (x0, g(x0)^-1)) is
 
         rho_H(gamma)(p) . tra'^2_H(Sigma, F(p))
-            = tra^2_H(Sigma, p) . rho_H(gamma')(p),
+            = tra^2_H(Sigma, p) . rho_H(gamma')(p);
 
-    plus the A-level :func:`pullback_defects`, which depend on no bigon (a
-    caller may pass them as ``a_defects``); tra^2 and tra'^2 are solved
-    once each, and tra'^2 takes every frame of F(p) by equivariance.
+    its A-level companion, which depends on no bigon, is
+    :func:`pullback_defects`.  tra^2 and tra'^2 are solved once each, and
+    tra'^2 takes every frame of F(p) by equivariance.
     """
     fam = conn.family
     if conn_prime.family is not fam:
@@ -206,13 +205,8 @@ def verify_onemorphism_compat(conn: TwoConnection, conn_prime: TwoConnection,
     tra2_prime = surface_values(conn_prime, [bigon], (x0, frames), steps)
     paths = [source_path(bigon), target_path(bigon)]
     rho = rho_from_phi(conn, morphisms, paths, None, steps)
-    square = [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),
-                                             h.mul(tra2, rho[:, 1]))]
-
-    if a_defects is None:
-        a_defects = pullback_defects(conn, conn_prime, morphisms)
-    return [{"square_defect": sq, "a_pullback_defect": ad}
-            for sq, ad in zip(square, a_defects)]
+    return [float(sq) for sq in h.distance(h.mul(rho[:, 0], tra2_prime),
+                                           h.mul(tra2, rho[:, 1]))]
 
 
 def apply_twomorphism(conn: TwoConnection, m: OneMorphism, tm: TwoMorphismA,

@@ -5,10 +5,11 @@ acting on itself by right multiplication (the regular model).  Every
 2-torsor over a point is isomorphic to this model, which turns division
 into a closed-form solve while the label keeps distinct fibers apart.
 
-The module implements division, the unique extension of equivariant
-point maps to functors, the H-valued presentation of 2-morphisms and its
-composition laws, and an exhaustive self-test of all of these for finite
-crossed modules.
+The module implements division, the unique extension of an equivariant
+point map to a functor (a :class:`TorsorMorphism`, built directly;
+``check_equivariance`` checks a finite one), the H-valued presentation
+of 2-morphisms and its composition laws, and an exhaustive self-test of
+all of these for finite crossed modules.
 
 Objects, arrows, functors and 2-morphisms may carry index arrays, so each
 exhaustive law is one evaluation on an ``np.indices`` grid of its instances.
@@ -26,7 +27,7 @@ from .twogroup import (MATRIX_MATCH_TOL, CrossedModule, TwoGroupElement,
 
 __all__ = [
     "Torsor2", "TorsorObject", "TorsorArrow", "TorsorMorphism", "EtaH",
-    "torsor_divide", "extend_functor", "eta_to_etaH", "etaH_to_eta",
+    "torsor_divide", "eta_to_etaH", "etaH_to_eta",
     "vertical_compose_etaH", "horizontal_compose_etaH", "selftest",
 ]
 
@@ -181,15 +182,6 @@ def _raise_first(point_bad, pair_bad, n, point_msg, pair_msg):
         raise EquivarianceError(pair_msg.format(*witness), witness=witness)
 
 
-def extend_functor(source: Torsor2, target: Torsor2, point_map,
-                   check=True) -> TorsorMorphism:
-    """Extend an equivariant point map to the unique torsor functor."""
-    morphism = TorsorMorphism(source, target, point_map)
-    if check and source.cm.is_finite:
-        morphism.check_equivariance()
-    return morphism
-
-
 def translation_functor(source: Torsor2, target: Torsor2, g0) -> TorsorMorphism:
     """The functor sending the basepoint to (target, g0); in the regular
     model every equivariant functor is of this form."""
@@ -198,7 +190,7 @@ def translation_functor(source: Torsor2, target: Torsor2, g0) -> TorsorMorphism:
     def point_map(p):
         return target.object(cm.G.mul(g0, p.g))
 
-    return extend_functor(source, target, point_map, check=False)
+    return TorsorMorphism(source, target, point_map)
 
 
 # --- 2-morphisms in H-valued form ----------------------------------------------

@@ -462,21 +462,26 @@ def verify_higher_stokes(conn: TwoConnection, cubes,
 # --- reconstruction -----------------------------------------------------------------
 
 
-def reconstruct_A(conn: TwoConnection, x, X, steps: int = 16,
-                  eps: float = 1e-3) -> np.ndarray:
+# the step count of every reconstruction solve, and the larger stencil step
+RECONSTRUCT_STEPS, RECONSTRUCT_EPS = 16, 1e-3
+
+
+def reconstruct_A(conn: TwoConnection, x, X) -> np.ndarray:
     """Recover a_x(X) from 1-transport along shrinking straight rays.
 
-    Central differences of log tra(gamma_t) with one Richardson level;
-    by the transport ODE the derivative at 0 is -a_x(X), so the negated
-    difference reproduces the connection coefficient vector.  x and X
-    broadcast over leading axes, and every point takes the same solve.
+    Central differences of log tra(gamma_t) with one Richardson level
+    (rays of lengths ``RECONSTRUCT_EPS`` and half that); by the transport
+    ODE the derivative at 0 is -a_x(X), so the negated difference
+    reproduces the connection coefficient vector.  x and X broadcast over
+    leading axes, and every point takes the same solve.
     """
     batch, (x, X) = _broadcast_points(x, X)
     # the rays +-h X of both levels h = eps/2, eps at every point
-    hs = np.array([eps / 2.0, eps])
+    hs = np.array([RECONSTRUCT_EPS / 2.0, RECONSTRUCT_EPS])
     rays = [straight_path(p, p + t * V) for p, V in zip(x, X)
             for h in hs for t in (h, -h)]
-    logs = conn.family.group_G.log(_path_values(conn, rays, [steps])[0])
+    logs = conn.family.group_G.log(
+        _path_values(conn, rays, [RECONSTRUCT_STEPS])[0])
     logs = logs.reshape((-1, 2, 2) + logs.shape[1:])
     central = (logs[:, :, 0] - logs[:, :, 1]) / (2.0 * hs)[:, None, None]
     d = (4.0 * central[:, 0] - central[:, 1]) / 3.0
@@ -504,8 +509,7 @@ def _lens_bigon():
         ["v", f"v + {_LENS_AMPLITUDE}*(2*u - 1)*sin(pi*v)"], 2, name="lens")
 
 
-def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
-                  eps: float = 1e-3) -> np.ndarray:
+def reconstruct_B(conn: TwoConnection, x, X, Y) -> np.ndarray:
     """Recover b_x(X, Y) from 2-transport over shrinking bigon families.
 
     f(s, t) = log of the H part of the 2-transport over the lens bigon
@@ -524,11 +528,12 @@ def reconstruct_B(conn: TwoConnection, x, X, Y, steps: int = 16,
     base, flux_factor = _lens_bigon(), 4.0 * _LENS_AMPLITUDE / math.pi
 
     # the stencil bigons (+-h, +-h) of both levels h = eps/2, eps, all points
-    hs = np.array([eps / 2.0, eps])
+    hs = np.array([RECONSTRUCT_EPS / 2.0, RECONSTRUCT_EPS])
     bigons = [base.affine_image(p, np.stack([s * U, t * V]))
               for p, U, V in zip(x, X, Y)
               for h in hs for s, t in ((h, h), (h, -h), (-h, h), (-h, -h))]
-    logs = fam.group_H.log(surface_values(conn, bigons, None, steps))
+    logs = fam.group_H.log(surface_values(conn, bigons, None,
+                                          RECONSTRUCT_STEPS))
     logs = logs.reshape((-1, 2, 4) + logs.shape[1:])
     mixed = ((logs[:, :, 0] - logs[:, :, 1] - logs[:, :, 2] + logs[:, :, 3])
              / (4.0 * hs * hs)[:, None, None])
@@ -583,17 +588,22 @@ def _loop_bigon_family():
          "u*sin(pi*w)^2*sin(pi*v)"], 3, name="loop-bigon-family")
 
 
-def ambrose_singer_check(conn: TwoConnection, rng=None,
-                         n_paths: int = 6, n_bigons: int = 6,
-                         steps: int = 48, amplitude: float = 0.35) -> dict:
+# Ambrose-Singer sample plan: curvature sample points (3 tangent triples
+# each), sampled 2-holonomies, and the radius of both around x0
+AS_POINTS, AS_BIGONS, AS_AMPLITUDE = 6, 6, 0.35
+
+
+def ambrose_singer_check(conn: TwoConnection, rng=None, steps: int = 48) -> dict:
     """Compare the span of sampled 3-curvature values with 2-holonomy logs.
 
-    Builds S = span{ker t_* part of K_x(X, Y, Z)} over random points x
-    around the chart point x0 = (0.5, ..., 0.5) and random tangent triples
-    (the samples are taken in the trivialization, at the identity frame),
-    then measures how far (i) the logs of sampled reduced 2-holonomies lie
-    from S and (ii) finite-difference derivatives of a 2-holonomy family
-    lie from the double integral of K, at the scale ``holonomy_scale``.
+    Builds S = span{ker t_* part of K_x(X, Y, Z)} over ``AS_POINTS``
+    random points x around the chart point x0 = (0.5, ..., 0.5) and random
+    tangent triples (the samples are taken in the trivialization, at the
+    identity frame), then measures how far (i) the logs of ``AS_BIGONS``
+    sampled reduced 2-holonomies lie from S and (ii) finite-difference
+    derivatives of a 2-holonomy family lie from the double integral of K,
+    at the scale ``holonomy_scale``.  ``AS_AMPLITUDE`` bounds the distance
+    of both samples from x0.
     """
     rng = rng or np.random.default_rng(0)
     fam = conn.family
@@ -602,8 +612,8 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
 
     # span of curvature samples around x0, in one evaluation
     points, tangents = [], []
-    for _ in range(n_paths):
-        points += [x0 + amplitude * rng.uniform(-1.0, 1.0, size=d)] * 3
+    for _ in range(AS_POINTS):
+        points += [x0 + AS_AMPLITUDE * rng.uniform(-1.0, 1.0, size=d)] * 3
         tangents.append(rng.standard_normal((3, 3, d)))
     X, Y, Z = np.concatenate(tangents).swapaxes(0, 1)
     kmat = fam.l2a.project_ker_t_star(conn.K_of(np.stack(points), X, Y, Z))
@@ -622,11 +632,11 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
     # reduced 2-holonomies and their containment in the span
     frame = np.eye(d)
     bigons = []
-    for _ in range(n_bigons):
+    for _ in range(AS_BIGONS):
         idx = rng.permutation(d)[:3] if d >= 3 else np.arange(d)
         dirs = [frame[i] for i in idx[:3]] if d >= 3 else [frame[0], frame[-1], frame[0]]
         cube = _loop_bigon_family().affine_image(
-            x0, amplitude * rng.uniform(0.5, 1.0) * np.stack(dirs))
+            x0, AS_AMPLITUDE * rng.uniform(0.5, 1.0) * np.stack(dirs))
         bigons.append(cube.slice_first(1.0))
     logs = hol_logs(bigons)
     residual = float(np.max(np.abs(logs - (logs @ basis.T) @ basis)))
@@ -639,7 +649,7 @@ def ambrose_singer_check(conn: TwoConnection, rng=None,
 
     # converse: d/dr log hol(r) matches the K double integral over the slice
     dirs = [frame[i % d] for i in range(3)]
-    cube = _loop_bigon_family().affine_image(x0, amplitude * np.stack(dirs))
+    cube = _loop_bigon_family().affine_image(x0, AS_AMPLITUDE * np.stack(dirs))
     r0, dr = 0.5, 1e-3
     up, down = hol_logs([cube.slice_first(r0 + dr), cube.slice_first(r0 - dr)])
     fd = (up - down) / (2.0 * dr)

@@ -206,9 +206,14 @@ def check_crossed_module(cm: CrossedModule, samples: int = 200,
             "witnesses": witnesses}
 
 
-def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> float:
+# composable quadruples the interchange law samples on a matrix backend
+INTERCHANGE_SAMPLES = 1000
+
+
+def interchange_defect(cm: CrossedModule, rng=None) -> float:
     """Max defect of (y o x)(y' o x') = (y y') o (x x') over composable
-    quadruples: exhaustive for finite backends, sampled for matrix ones."""
+    quadruples: exhaustive for finite backends, ``INTERCHANGE_SAMPLES``
+    sampled for matrix ones."""
     if rng is None:
         rng = np.random.default_rng(0)
     if cm.is_finite:
@@ -216,7 +221,7 @@ def interchange_defect(cm: CrossedModule, samples: int = 1000, rng=None) -> floa
         xg, xh, yh, xpg, xph, yph = np.indices((nG, nH, nH) * 2, sparse=True)
     else:
         sG, sH = cm.sample_G, cm.sample_H
-        xg, xh, xpg, xph, yh, yph = (sample(rng, (samples,))
+        xg, xh, xpg, xph, yh, yph = (sample(rng, (INTERCHANGE_SAMPLES,))
                                      for sample in (sG, sH, sG, sH, sH, sH))
     x, xp = cm.element(xg, xh), cm.element(xpg, xph)
     y, yp = cm.element(x.target, yh), cm.element(xp.target, yph)

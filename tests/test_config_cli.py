@@ -18,11 +18,12 @@ from gauge2.cli import _applicable, _check_simpson_steps, main, run_command
 from gauge2.config import (_KEYWORDS, _TYPES, CONFIG_SCHEMA, RunConfig,
                            _best_match, _schema_errors, load_config)
 from gauge2.errors import ConfigError
-from gauge2.fields import CoefficientField, GroupValuedField
+from gauge2.fields import CoefficientField, GroupValuedField, chart_grid
 from gauge2.geometry import ParamMap
 from gauge2.groups import MatrixGroup
 from gauge2.lie2 import LieAlgebra
-from gauge2.morphisms import OneMorphism
+from gauge2.morphisms import (OneMorphism, apply_twomorphism, gauge_transform,
+                              pullback_defects)
 
 MINIMAL = {
     "seed": 5,
@@ -885,6 +886,27 @@ def test_verify_gauge_checks_the_a_level_once(tmp_path, monkeypatch):
     assert len(cases) == 15
     for i, case in enumerate(cases):
         assert case["a_pullback_defect"] == calls[0][i % 3]
+
+
+def test_verify_gauge_samples_the_configured_grid(tmp_path):
+    """The A-level check samples numeric.grid_per_axis points per axis, as
+    verify fake-flat and gauge-transform do, not the default 5."""
+    raw = json.loads((CONFIGS / "su2_demo.json").read_text())
+    raw["numeric"]["grid_per_axis"] = 3
+    path = _write(tmp_path, raw)
+    assert main(["verify", "gauge", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    cases = json.loads((tmp_path / "out" / "verify-gauge.json").read_text())
+    cfg = load_config(path)
+    conn, m, tm = cfg.connection(), cfg.morphism(), cfg.two_morphism()
+    morphisms = [m] + [apply_twomorphism(conn, m, tm, form=form)
+                       for form in ("definition", "lemma")]
+    defects = [pullback_defects(conn, gauge_transform(conn, m), morphisms,
+                                chart_grid(conn.chart, per_axis))
+               for per_axis in (3, 5)]
+    assert defects[0] != defects[1]
+    assert [case["a_pullback_defect"] for case in cases["cases"]] == \
+        defects[0] * len(raw["bigons"])
 
 
 FIELDS = {**MINIMAL, "morphism": {"g": ["0.7*x1*x2"],

@@ -23,7 +23,7 @@ def test_from_exprs_variable_guard():
 
 
 def test_partial_derivative_order_at_least_39():
-    # a map as a plain callable takes the stencil, at the step asked for
+    # a plain callable takes the stencil of fields.jet, at the step asked for
     exprs = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
 
     def plain(params):
@@ -38,17 +38,6 @@ def test_partial_derivative_order_at_least_39():
         errs.append(np.max(np.abs(partial - exact)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 3.9
-
-
-def test_jet_differences_a_map_without_exact_partials_at_its_step():
-    # fields.jet hands its step to a ParamMap that takes the stencil
-    exprs = ParamMap.from_exprs(["sin(pi*u)*v", "u^3 + exp(v)"], 2)
-    pm = ParamMap(2, 2, lambda params: exprs(params))
-    pts = np.array([[0.3, 0.4], [0.6, 0.2], [0.45, 0.7]])
-    exact = exprs.jet(pts, (0,))[1][:, 0]
-    errs = [np.max(np.abs(fields.jet(pm, pts, (0,), step=h)[1][:, 0] - exact))
-            for h in (2e-2, 1e-2)]
-    assert np.log2(errs[0] / errs[1]) >= 3.5
 
 
 def test_expression_maps_carry_exact_partials():
@@ -66,7 +55,6 @@ def test_expression_maps_carry_exact_partials():
     # slicing and affine images keep the exact partials
     end = cube.slice_first(0.25)
     vw = p[:, 1:]
-    assert end._jet is not None
     want = np.stack([0 * vw[:, 0],
                      np.pi * np.cos(np.pi * vw[:, 0]) * vw[:, 1],
                      -vw[:, 1] * np.exp(vw[:, 0] * vw[:, 1])], -1)
@@ -79,14 +67,12 @@ def test_expression_maps_carry_exact_partials():
     basis = rng.normal(size=(3, 2))
     image = cube.affine_image(np.array([0.1, 0.2]), basis)
     assert np.max(np.abs(image.partial(1, p) - jac[1] @ basis)) <= 1e-13
-    # other derived maps take the stencil
-    assert cube.compose_params(lambda q: q)._jet is None
 
 
 def test_reparameterized_bigon_jet_is_the_chain_rule():
     """D(sigma o phi) = D phi @ D sigma(phi) for DSL sigma and phi: the
     analytic Jacobian to roundoff, the stencil of the composite to finite-
-    difference error; a phi given as a plain callable takes the stencil."""
+    difference error."""
     sigma = ParamMap.from_exprs(["v", "v + 0.25*(2*u - 1)*sin(pi*v)"], 2)
     phi_exprs = ["u^2*(3-2*u)", "v^2*(3-2*v)"]
     phi = ParamMap.from_exprs(phi_exprs, 2)
@@ -101,17 +87,12 @@ def test_reparameterized_bigon_jet_is_the_chain_rule():
                                * np.cos(np.pi * q) * dq], -1)], axis=1)
     assert np.max(np.abs(values - sigma(np.stack([p, q], -1)))) <= 1e-15
     assert np.max(np.abs(jac - want)) <= 1e-13
-    stencilled = ParamMap(2, 2, lambda params: composite(params))
-    assert stencilled._jet is None
-    fd_values, fd = stencilled.jet(uv)
-    assert np.array_equal(fd_values, values)
+    # a call is the values of the jet, bit for bit
+    assert np.array_equal(composite(uv), values)
+    fd = fields.directional_diff(composite, uv, np.eye(2))
     assert np.max(np.abs(fd - jac)) <= 1e-9
     # only the axes asked for
     assert np.array_equal(composite.jet(uv, (1,))[1][:, 0], jac[:, 1])
-    assert np.array_equal(stencilled.jet(uv, (1,))[1][:, 0], fd[:, 1])
-    plain = reparameterize(sigma, ParamMap(2, 2, lambda params: phi(params)))
-    assert plain._jet is None
-    assert np.max(np.abs(plain.jet(uv)[1] - jac)) <= 1e-9
 
 
 def test_straight_path_jet_is_constant():
@@ -206,7 +187,8 @@ def test_cube_boundaries_take_one_evaluation_and_name_the_failing_face(
         exprs, message):
     calls = []
     cube = ParamMap.from_exprs(exprs, 3, name="bad")
-    counted = ParamMap(3, 3, lambda p: calls.append(len(p)) or cube(p))
+    counted = ParamMap(3, 3, lambda p, axes: calls.append(len(p))
+                       or cube.jet(p, axes))
     with pytest.raises(ComposabilityError, match=message):
         check_cube_boundaries(counted)
     # the four faces, and the same points on the u = 0 slice, 9 x 9 each

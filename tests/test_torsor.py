@@ -9,9 +9,9 @@ from gauge2.errors import ComposabilityError, DomainError, EquivarianceError
 from gauge2.families import (finite_crossed_module, finite_demo_module,
                              matrix_family)
 from gauge2.groups import FiniteGroup
-from gauge2.torsor import (EtaH, Torsor2, _pinned, eta_to_etaH, etaH_to_eta,
-                           extend_functor, horizontal_compose_etaH, selftest,
-                           torsor_divide, translation_functor,
+from gauge2.torsor import (EtaH, Torsor2, TorsorMorphism, _pinned,
+                           eta_to_etaH, etaH_to_eta, horizontal_compose_etaH,
+                           selftest, torsor_divide, translation_functor,
                            vertical_compose_etaH)
 from gauge2.twogroup import AXIOMS, check_crossed_module, interchange_defect
 
@@ -134,7 +134,7 @@ def test_division_rejects_mixed_torsors(z2z3):
 
 def test_identity_functor_and_translation(z2z3):
     t1, t2 = Torsor2(z2z3, "X"), Torsor2(z2z3, "Y")
-    ident = extend_functor(t1, t1, lambda p: p)
+    ident = TorsorMorphism(t1, t1, lambda p: p).check_equivariance()
     for x in arrows(t1):
         assert ident.on_arrow(x).defect(x) == 0.0
     trans = translation_functor(t1, t2, 1)
@@ -154,7 +154,7 @@ def test_non_equivariant_point_map_rejected(z2z3):
         return t1.object(0)
 
     with pytest.raises(EquivarianceError) as err:
-        extend_functor(t1, t1, bad)
+        TorsorMorphism(t1, t1, bad).check_equivariance()
     assert err.value.witness is not None
 
 
@@ -181,7 +181,7 @@ def test_eta_round_trip_and_laws(z2z3):
 
 def test_identity_transformation_has_trivial_etaH(z2z3):
     t1 = Torsor2(z2z3, "X")
-    ident = extend_functor(t1, t1, lambda p: p)
+    ident = TorsorMorphism(t1, t1, lambda p: p).check_equivariance()
     eta = eta_to_etaH(lambda p: t1.identity_arrow(p), ident, ident)
     for p in objects(t1):
         assert eta(p) == z2z3.H.identity
@@ -249,7 +249,7 @@ def test_s3_with_trivial_action_is_rejected():
 def test_etaH_laws_measure_a_constant_non_identity_value():
     cm = finite_demo_module("z4_z4_id")
     t1 = Torsor2(cm, "X")
-    ident = extend_functor(t1, t1, lambda p: p)
+    ident = TorsorMorphism(t1, t1, lambda p: p).check_equivariance()
     constant = EtaH(ident, ident, lambda p: 1)   # t(1) != F(p) : F(p) = 0
     assert constant.laws_defect() == 1.0
     with pytest.raises(EquivarianceError) as err:

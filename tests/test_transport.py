@@ -16,7 +16,8 @@ from gauge2.geometry import (Chart, ParamMap, reparameterize, straight_path,
                              target_path)
 from gauge2.groups import (MatrixGroup, hamilton, quaternion_exp,
                            spin_coordinates, unrotate)
-from gauge2.transport import (SURFACE_ODE_SIGN, _ordered_exp,
+from gauge2.transport import (AS_AMPLITUDE, AS_POINTS, SURFACE_ODE_SIGN,
+                              _ordered_exp,
                               _surface_generator, ambrose_singer_check,
                               holonomy2_H, horizontal_lift, path_ordered_exp,
                               reconstruct_A, reconstruct_B, surface_transport,
@@ -35,19 +36,13 @@ SU2_CONN = TwoConnection(
 
 
 def bulge_bigon(amplitude=0.6):
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        return np.concatenate([v, amplitude * u * np.sin(np.pi * v)], -1)
-    return ParamMap(2, 2, fn, name="bulge")
+    return ParamMap.from_exprs(["v", f"{amplitude}*u*sin(pi*v)"], 2,
+                               name="bulge")
 
 
 def lens_bigon(k=0.25):
-    def fn(params):
-        u = params[..., 0]
-        v = params[..., 1]
-        return np.stack([v, v + (2 * u - 1) * k * np.sin(np.pi * v)], -1)
-    return ParamMap(2, 2, fn, name="lens")
+    return ParamMap.from_exprs(["v", f"v + (2*u - 1)*{k}*sin(pi*v)"], 2,
+                               name="lens")
 
 
 # --- 1-transport --------------------------------------------------------------
@@ -209,9 +204,8 @@ def test_lens_filling_jet_matches_its_stencil():
     lens = gauge2.transport._lens_bigon()
     uv = np.random.default_rng(2).uniform(0, 1, size=(30, 2))
     values, partials = lens.jet(uv)
-    stencilled = ParamMap(2, 2, lens)
-    fd_values, fd = stencilled.jet(uv)
-    assert np.array_equal(values, fd_values)
+    assert np.array_equal(values, lens(uv))
+    fd = gauge2.fields.directional_diff(lens, uv, np.eye(2))
     assert np.max(np.abs(partials - fd)) <= 1e-10
 
 
@@ -911,14 +905,8 @@ def test_stokes_su2_convergence():
 def test_higher_stokes_constant_cube():
     conn = TwoConnection(U1T, Chart(3), a=[["0"], ["0"], ["0"]],
                          b=[["0.4"], ["0.1"], ["0.2"]])
-
-    def fn(params):
-        v = params[..., 1][..., None]
-        w = params[..., 2][..., None]
-        return np.concatenate([w, 0.3 * v * np.sin(np.pi * w),
-                               np.zeros_like(w)], -1)
-
-    cube = ParamMap(3, 3, fn, name="const-cube")
+    cube = ParamMap.from_exprs(["w", "0.3*v*sin(pi*w)", "0"], 3,
+                               name="const-cube")
     [rep] = verify_higher_stokes(conn, [cube], steps_surface=24,
                                  steps_volume=8)
     assert np.max(np.abs(rep["lhs"] - 1.0)) <= 1e-10
@@ -930,15 +918,9 @@ def test_higher_stokes_abelian_closed_form():
     # integral of the pulled-back volume form is -1/24 by direct computation
     conn = TwoConnection(U1T, Chart(3), a=[["0"], ["0"], ["0"]],
                          b=[["x3"], ["0"], ["0"]])
-
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = params[..., 2][..., None]
-        return np.concatenate([w, 0.5 * v * np.sin(np.pi * w),
-                               u * v * (1 - v) * np.sin(np.pi * w)], -1)
-
-    cube = ParamMap(3, 3, fn, name="abelian-cube")
+    cube = ParamMap.from_exprs(
+        ["w", "0.5*v*sin(pi*w)", "u*v*(1 - v)*sin(pi*w)"], 3,
+        name="abelian-cube")
     [rep] = verify_higher_stokes(conn, [cube], steps_surface=48,
                                  steps_volume=32)
     assert rep["defect"] <= 1e-6
@@ -954,15 +936,9 @@ def test_higher_stokes_u2pu2_trace_part():
         b="fake_flat",
         b_extra=[["0.5*x3", "0", "0", "0"], ["0.4*x1", "0", "0", "0"],
                  ["0.3*x2", "0", "0", "0"]])
-
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = params[..., 2][..., None]
-        return np.concatenate([w, 0.5 * v * np.sin(np.pi * w),
-                               0.6 * u * v * (1 - v) * np.sin(np.pi * w)], -1)
-
-    cube = ParamMap(3, 3, fn, name="trace-cube")
+    cube = ParamMap.from_exprs(
+        ["w", "0.5*v*sin(pi*w)", "0.6*u*v*(1 - v)*sin(pi*w)"], 3,
+        name="trace-cube")
     [rep] = verify_higher_stokes(conn, [cube], steps_surface=48,
                                  steps_volume=32)
     assert rep["defect"] <= 1e-5
@@ -991,15 +967,9 @@ def test_stacked_cubes_match_one_cube_runs(tmp_path):
 def test_higher_stokes_rejects_mismatched_cube():
     conn = TwoConnection(U1T, Chart(3), a=[["0"], ["0"], ["0"]],
                          b=[["x3"], ["0"], ["0"]])
-
-    def fn(params):   # target path varies with the cube parameter
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        w = params[..., 2][..., None]
-        return np.concatenate([w, (0.5 + 0.2 * u) * v * np.sin(np.pi * w),
-                               np.zeros_like(w)], -1)
-
-    cube = ParamMap(3, 3, fn, name="bad-cube")
+    # the target path varies with the cube parameter
+    cube = ParamMap.from_exprs(["w", "(0.5 + 0.2*u)*v*sin(pi*w)", "0"], 3,
+                               name="bad-cube")
     with pytest.raises(ComposabilityError):
         verify_higher_stokes(conn, [cube], steps_surface=16, steps_volume=8)
 
@@ -1068,25 +1038,10 @@ def test_reconstruct_broadcasts_over_sample_points():
 # --- 2-holonomy ------------------------------------------------------------------
 
 
-def _disk_bigon(x0, r):
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1]
-        ang = 2 * np.pi * v
-        loop = np.stack([np.cos(ang) - 1.0, np.sin(ang)], -1)
-        return x0 + u * r * loop
-    return ParamMap(2, 2, fn, name="disk")
-
-
 def test_holonomy2_identity_bigon():
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[["0.7"]])
-
-    def fn(params):
-        v = params[..., 1][..., None]
-        return np.concatenate([0.2 * np.sin(np.pi * v) * 0,
-                               np.zeros_like(v)], -1)
-
-    ident = ParamMap(2, 2, fn, name="point-bigon")
+    ident = ParamMap.from_exprs(["0.2*sin(pi*v)*0", "0"], 2,
+                                name="point-bigon")
     rep, = holonomy2_H(conn, [ident], steps=16)
     assert np.max(np.abs(rep["value"] - 1.0)) <= 1e-12
 
@@ -1094,7 +1049,8 @@ def test_holonomy2_identity_bigon():
 def test_holonomy2_abelian_disk():
     c, r = 0.6, 0.5
     conn = TwoConnection(U1T, Chart(2), a=[["0"], ["0"]], b=[[f"{c}"]])
-    bigon = _disk_bigon(np.array([0.5, 0.5]), r)
+    bigon = ParamMap.from_exprs([f"0.5 + u*{r}*(cos(2*pi*v) - 1)",
+                                 f"0.5 + u*{r}*sin(2*pi*v)"], 2, name="disk")
     rep, = holonomy2_H(conn, [bigon], steps=64)
     # the disk is swept with positive orientation, so the flux is +pi r^2 c
     expected = np.exp(-1j * c * np.pi * r * r)
@@ -1115,16 +1071,10 @@ def test_holonomy2_vertical_inverse_cancels(stencilled):
 
 
 def test_holonomy2_kernel_membership_same_loop():
-    def fn(params):
-        u = params[..., 0][..., None]
-        v = params[..., 1][..., None]
-        loop = np.concatenate([np.sin(np.pi * v),
-                               np.sin(2 * np.pi * v) * 0.5], -1)
-        bump = np.concatenate([np.zeros_like(v),
-                               np.sin(np.pi * v) ** 2], -1)
-        return np.array([0.5, 0.5]) + 0.3 * (loop + u * (1 - u) * bump)
-
-    bigon = ParamMap(2, 2, fn, name="loop-loop")
+    bigon = ParamMap.from_exprs(
+        ["0.5 + 0.3*sin(pi*v)",
+         "0.5 + 0.3*(sin(2*pi*v)*0.5 + u*(1 - u)*sin(pi*v)^2)"], 2,
+        name="loop-loop")
     rep, = holonomy2_H(SU2_CONN, [bigon], steps=96)
     assert rep["same_loop"]
     assert rep["kernel_defect"] <= 1e-7   # ker t is trivial for t = id
@@ -1140,7 +1090,7 @@ def test_holonomy2_rejects_open_boundary():
 
 
 def test_ambrose_singer_span_samples_are_one_K_evaluation(monkeypatch):
-    """The 3 n_paths curvature samples are one K_of call, on the seeded
+    """The 3 AS_POINTS curvature samples are one K_of call, on the seeded
     points and tangents of a draw-by-draw loop, and agree with K_of on
     each sample alone."""
     conn = TwoConnection(
@@ -1158,20 +1108,19 @@ def test_ambrose_singer_span_samples_are_one_K_evaluation(monkeypatch):
         return calls[-1][-1]
 
     monkeypatch.setattr(TwoConnection, "K_of", recording)
-    ambrose_singer_check(conn, rng=np.random.default_rng(1), n_paths=4,
-                         n_bigons=1, steps=16)
+    ambrose_singer_check(conn, rng=np.random.default_rng(1), steps=16)
     monkeypatch.undo()
     points, X, Y, Z, batched = calls[0]
     rng = np.random.default_rng(1)
     looped = []
-    for row in range(4 * 3):
+    for row in range(AS_POINTS * 3):
         if row % 3 == 0:
-            x = np.full(3, 0.5) + 0.35 * rng.uniform(-1.0, 1.0, size=3)
+            x = np.full(3, 0.5) + AS_AMPLITUDE * rng.uniform(-1.0, 1.0, size=3)
         tangents = [rng.standard_normal(3) for _ in range(3)]
         assert np.array_equal(points[row], x)
         assert np.array_equal(np.stack([X[row], Y[row], Z[row]]), tangents)
         looped.append(conn.K_of(x[None, :], *tangents)[0])
-    assert batched.shape == (12, 4)
+    assert batched.shape == (AS_POINTS * 3, 4)
     assert np.max(np.abs(batched - np.stack(looped))) <= 1e-15
 
 
@@ -1189,7 +1138,7 @@ def _differentiates(rep):
 
 def test_ambrose_singer_zero_curvature_family():
     rep = ambrose_singer_check(SU2_CONN, rng=np.random.default_rng(0),
-                               n_paths=3, n_bigons=3, steps=48)
+                               steps=48)
     # t = id: ker t_* = 0, every reduced 2-holonomy must be the identity
     assert rep["span_rank"] == 0
     assert rep["holonomy_scale"] <= 1e-7
@@ -1205,8 +1154,7 @@ def test_ambrose_singer_u2pu2_trace_line():
         b="fake_flat",
         b_extra=[["0.5*x3", "0", "0", "0"], ["0.4*x1", "0", "0", "0"],
                  ["0.3*x2", "0", "0", "0"]])
-    rep = ambrose_singer_check(conn, rng=np.random.default_rng(1),
-                               n_paths=4, n_bigons=4, steps=48)
+    rep = ambrose_singer_check(conn, rng=np.random.default_rng(1), steps=48)
     assert rep["span_rank"] == 1
     basis = rep["span_basis"]
     assert np.max(np.abs(np.abs(basis[0]) - np.array([1.0, 0, 0, 0]))) <= 1e-8
@@ -1217,8 +1165,7 @@ def test_ambrose_singer_u2pu2_trace_line():
 def test_ambrose_singer_abelian_scalar_containment():
     conn = TwoConnection(U1T, Chart(3), a=[["0"], ["0"], ["0"]],
                          b=[["x3"], ["0.2*x1"], ["0"]])
-    rep = ambrose_singer_check(conn, rng=np.random.default_rng(2),
-                               n_paths=3, n_bigons=3, steps=48)
+    rep = ambrose_singer_check(conn, rng=np.random.default_rng(2), steps=48)
     assert rep["span_rank"] == 1
     assert _contained(rep)
     assert _differentiates(rep)
